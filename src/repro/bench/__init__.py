@@ -14,7 +14,7 @@ from .datagen.queries import (
 from .reporting import format_cell, print_report, render_series, render_table
 from .runner import (
     QASystem, SuiteResult, build_hybrid_system, build_rag_system,
-    build_text2sql_system, run_all_systems, run_qa_suite,
+    build_text2sql_system, generate_lake, run_all_systems, run_qa_suite,
 )
 
 __all__ = [
@@ -25,5 +25,6 @@ __all__ = [
     "QAPair", "RetrievalQuery",
     "format_cell", "print_report", "render_series", "render_table",
     "QASystem", "SuiteResult", "build_hybrid_system", "build_rag_system",
-    "build_text2sql_system", "run_all_systems", "run_qa_suite",
+    "build_text2sql_system", "generate_lake", "run_all_systems",
+    "run_qa_suite",
 ]

@@ -15,22 +15,28 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..metering import CostMeter
 from ..obs import Tracer, aggregate_stages
 from ..qa.answer import Answer
 from ..qa.pipeline import HybridQAPipeline
+from ..qa.speculative import SpeculationGate
 from ..qa.tableqa import TableQAEngine
 from ..qa.textqa import TextQAEngine
+from ..resilience import ResilienceConfig
 from ..retrieval.dense import DenseRetriever
 from ..semql.catalog import SchemaCatalog
 from ..slm.model import SLMConfig, SmallLanguageModel
 from ..storage.relational.database import Database
 from ..text.chunker import Chunker, ChunkerConfig
 from ..text.ner import Gazetteer
-from .datagen.ecommerce import EcommerceLake
-from .datagen.healthcare import HealthcareLake
+from .datagen.ecommerce import (
+    EcommerceLake, LakeSpec, generate_ecommerce_lake,
+)
+from .datagen.healthcare import (
+    HealthcareLake, HealthSpec, generate_healthcare_lake,
+)
 from .datagen.queries import QAPair
 
 
@@ -89,14 +95,29 @@ def _lake_parts(lake) -> Tuple[List[str], List[Tuple[str, str]],
     raise TypeError("unsupported lake type %r" % type(lake).__name__)
 
 
-def build_hybrid_system(lake, seed: int = 0,
-                        n_shards: int = 1) -> Tuple[QASystem,
-                                                    HybridQAPipeline]:
-    """The paper's full pipeline over *lake*.
+def generate_lake(domain: str, seed: int):
+    """The default-sized benchmark lake of *domain* at *seed*."""
+    if domain == "ecommerce":
+        return generate_ecommerce_lake(LakeSpec(seed=seed))
+    if domain == "healthcare":
+        return generate_healthcare_lake(HealthSpec(seed=seed))
+    raise ValueError("unknown domain %r" % domain)
+
+
+def build_hybrid_system(
+    lake, seed: int = 0, n_shards: int = 1, *,
+    speculation_gate: Optional[SpeculationGate] = None,
+    resilience: Optional[ResilienceConfig] = None,
+) -> Tuple[QASystem, HybridQAPipeline]:
+    """The paper's full pipeline over *lake* — the one way every entry
+    point (CLI, load harness, benches, smoke programs) stands it up.
 
     With ``n_shards > 1`` the stores are partitioned by entity key and
     queries scatter-gather over per-shard resilience guards; answers are
-    byte-identical to the unsharded build.
+    byte-identical to the unsharded build. *speculation_gate* is handed
+    to the pipeline (``None`` loads the committed capability table);
+    *resilience* is installed after ``build()``, so faults only ever
+    hit the answer path.
     """
     meter = CostMeter()
     sql, texts, docs, names, entity_table, generated = _lake_parts(lake)
@@ -104,7 +125,8 @@ def build_hybrid_system(lake, seed: int = 0,
     gazetteer.add("VALUE", names)
     slm = SmallLanguageModel(SLMConfig(seed=seed), gazetteer=gazetteer,
                              meter=meter)
-    pipeline = HybridQAPipeline(slm, meter=meter, n_shards=n_shards)
+    pipeline = HybridQAPipeline(slm, meter=meter, n_shards=n_shards,
+                                speculation_gate=speculation_gate)
     pipeline.add_sql(sql)
     pipeline.declare_entity_columns(entity_table, ["name"])
     pipeline.add_texts(texts)
@@ -122,6 +144,8 @@ def build_hybrid_system(lake, seed: int = 0,
         pipeline.register_join(generated, "subject", "drugs", "name_key")
         pipeline.register_display_column("drugs", "name")
     pipeline.build()
+    if resilience is not None:
+        pipeline.enable_resilience(resilience)
     return QASystem("hybrid", pipeline.answer, meter), pipeline
 
 

@@ -38,11 +38,9 @@ import sys
 from contextlib import contextmanager
 from typing import List, Optional
 
-from .bench import (
-    HealthSpec, LakeSpec, generate_ecommerce_lake, generate_healthcare_lake,
-)
-from .bench.runner import build_hybrid_system
+from .bench.runner import build_hybrid_system, generate_lake
 from .obs import Tracer, render_trace
+from .qa.speculative import SpeculationGate
 from .resilience import ResilienceConfig
 
 
@@ -59,24 +57,37 @@ def _tracing(args, pipeline):
     print(render_trace(tracer))
 
 
-def _build(domain: str, seed: int, faults: Optional[str] = None,
-           speculation: bool = True, n_shards: int = 1):
-    if domain == "ecommerce":
-        lake = generate_ecommerce_lake(LakeSpec(seed=seed))
-    elif domain == "healthcare":
-        lake = generate_healthcare_lake(HealthSpec(seed=seed))
-    else:
-        raise SystemExit("unknown domain %r" % domain)
-    if n_shards < 1:
+def _load_faults(path: Optional[str]) -> Optional[ResilienceConfig]:
+    """Read and validate ``--faults`` before anything is built."""
+    if not path:
+        return None
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise SystemExit("--faults %s: cannot read: %s"
+                         % (path, exc)) from exc
+    if not isinstance(data, dict):
+        raise SystemExit("--faults %s: expected a JSON object" % path)
+    try:
+        return ResilienceConfig.from_dict(data)
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise SystemExit("--faults %s: invalid plan: %s"
+                         % (path, exc)) from exc
+
+
+def _build(args):
+    """(lake, pipeline) for the common ``--domain/--seed/...`` flags."""
+    if args.shards < 1:
         raise SystemExit("--shards must be >= 1")
-    system, pipeline = build_hybrid_system(lake, seed=seed,
-                                           n_shards=n_shards)
-    if not speculation:
-        pipeline.set_speculative(False)
-    if faults:
-        with open(faults, "r", encoding="utf-8") as handle:
-            config = ResilienceConfig.from_dict(json.load(handle))
-        pipeline.enable_resilience(config)
+    resilience = _load_faults(args.faults)
+    lake = generate_lake(args.domain, args.seed)
+    gate = (SpeculationGate.disabled("switched off by --no-speculation")
+            if args.no_speculation else None)
+    _system, pipeline = build_hybrid_system(
+        lake, seed=args.seed, n_shards=args.shards,
+        speculation_gate=gate, resilience=resilience,
+    )
     return lake, pipeline
 
 
@@ -128,9 +139,7 @@ def cmd_tenants(args) -> int:
 
 def cmd_demo(args) -> int:
     """Answer a benchmark sample with routing details."""
-    lake, pipeline = _build(args.domain, args.seed, args.faults,
-                            speculation=not args.no_speculation,
-                            n_shards=args.shards)
+    lake, pipeline = _build(args)
     pairs = lake.qa_pairs(per_kind=2)
     correct = 0
     with _tracing(args, pipeline):
@@ -147,9 +156,7 @@ def cmd_demo(args) -> int:
 
 def cmd_ask(args) -> int:
     """Answer one user question."""
-    _, pipeline = _build(args.domain, args.seed, args.faults,
-                            speculation=not args.no_speculation,
-                            n_shards=args.shards)
+    _, pipeline = _build(args)
     _, context = _load_tenants(args)
     if args.explain_plan:
         print(pipeline.explain_plan(args.question))
@@ -179,9 +186,7 @@ def cmd_ask(args) -> int:
 
 def cmd_stats(args) -> int:
     """Print lake and index statistics."""
-    lake, pipeline = _build(args.domain, args.seed, args.faults,
-                            speculation=not args.no_speculation,
-                            n_shards=args.shards)
+    lake, pipeline = _build(args)
     print("tables: %s" % ", ".join(pipeline.db.table_names()))
     for name in pipeline.db.table_names():
         count = pipeline.db.execute(
@@ -206,9 +211,7 @@ def cmd_session(args) -> int:
     """
     from .qa import QASession
 
-    _, pipeline = _build(args.domain, args.seed, args.faults,
-                            speculation=not args.no_speculation,
-                            n_shards=args.shards)
+    _, pipeline = _build(args)
     session = QASession(pipeline)
     stream = args._stdin if args._stdin is not None else sys.stdin
     with _tracing(args, pipeline):
@@ -226,9 +229,7 @@ def cmd_session(args) -> int:
 
 def cmd_sql(args) -> int:
     """Run raw SQL against the lake database."""
-    _, pipeline = _build(args.domain, args.seed, args.faults,
-                            speculation=not args.no_speculation,
-                            n_shards=args.shards)
+    _, pipeline = _build(args)
     if args.explain_lint:
         print(pipeline.db.explain(args.query))
         diagnostics = pipeline.db.analyze(args.query)
@@ -267,15 +268,16 @@ def cmd_serve(args) -> int:
             if request.tenant == "default" else request
             for request in requests
         ]
-    _, pipeline = _build(args.domain, args.seed, args.faults,
-                            speculation=not args.no_speculation,
-                            n_shards=args.shards)
     admission = None
-    if args.session_budget or args.max_queue_depth:
-        admission = AdmissionPolicy(
-            session_budget=args.session_budget,
-            max_queue_depth=args.max_queue_depth,
-        )
+    if args.session_budget is not None or args.max_queue_depth is not None:
+        try:
+            admission = AdmissionPolicy(
+                session_budget=args.session_budget,
+                max_queue_depth=args.max_queue_depth,
+            )
+        except ValueError as exc:
+            raise SystemExit(str(exc)) from exc
+    _, pipeline = _build(args)
     server = QueryServer(pipeline, policy=policy, admission=admission,
                          batch_size=args.batch_size, tenants=registry)
     with _tracing(args, pipeline):

@@ -96,7 +96,7 @@ def _is_entry_point(module: ModuleInfo) -> bool:
     rel = module.relpath
     return (
         rel in ("cli.py", "obs/smoke.py", "resilience/smoke.py",
-                "serving/smoke.py", "__init__.py")
+                "__init__.py")
         or rel.startswith("bench/")
     )
 
@@ -535,7 +535,7 @@ class MutableDefaultRule(Rule):
 
 # print() is part of the interface in these modules.
 _PRINT_ALLOWED = {"cli.py", "bench/reporting.py", "obs/smoke.py",
-                  "resilience/smoke.py", "serving/smoke.py", "lint/cli.py",
+                  "resilience/smoke.py", "lint/cli.py",
                   "loadgen/cli.py", "analysis/cli.py"}
 
 

@@ -65,15 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit_workload(spec: LoadSpec, path: str) -> None:
     """Expand the spec once more and save the flat JSONL stream."""
-    from ..bench import (
-        HealthSpec, LakeSpec, generate_ecommerce_lake,
-        generate_healthcare_lake,
-    )
+    from ..bench.runner import generate_lake
 
-    if spec.domain == "ecommerce":
-        lake = generate_ecommerce_lake(LakeSpec(seed=spec.seed))
-    else:
-        lake = generate_healthcare_lake(HealthSpec(seed=spec.seed))
+    lake = generate_lake(spec.domain, spec.seed)
     questions = [
         pair.question
         for pair in lake.qa_pairs(per_kind=spec.questions_per_kind)

@@ -22,12 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..bench import (
-    HealthSpec, LakeSpec, generate_ecommerce_lake, generate_healthcare_lake,
-)
-from ..bench.runner import build_hybrid_system
+from ..bench.runner import build_hybrid_system, generate_lake
 from ..errors import LoadGenError
 from ..obs import MetricsRegistry
+from ..qa.speculative import SpeculationGate
 from ..resilience import ResilienceConfig, work_now
 from ..serving import (
     AdmissionPolicy, CachePolicy, QueryServer, ServeRequest, ServeResult,
@@ -74,16 +72,15 @@ def build_server(spec: LoadSpec) -> Tuple[Any, QueryServer]:
     ``serve`` subcommand performs, derived entirely from the spec so
     runs are self-describing.
     """
-    if spec.domain == "ecommerce":
-        lake = generate_ecommerce_lake(LakeSpec(seed=spec.seed))
-    else:
-        lake = generate_healthcare_lake(HealthSpec(seed=spec.seed))
-    _system, pipeline = build_hybrid_system(lake, seed=spec.seed,
-                                            n_shards=spec.shards)
-    if not spec.speculation:
-        pipeline.set_speculative(False)
-    if spec.faults is not None:
-        pipeline.enable_resilience(ResilienceConfig.from_dict(spec.faults))
+    lake = generate_lake(spec.domain, spec.seed)
+    gate = (None if spec.speculation
+            else SpeculationGate.disabled("switched off by the load spec"))
+    faults = (ResilienceConfig.from_dict(spec.faults)
+              if spec.faults is not None else None)
+    _system, pipeline = build_hybrid_system(
+        lake, seed=spec.seed, n_shards=spec.shards,
+        speculation_gate=gate, resilience=faults,
+    )
     try:
         policy = CachePolicy.from_string(spec.cache_policy)
     except ValueError as exc:

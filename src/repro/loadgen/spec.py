@@ -30,7 +30,7 @@ Spec format (every key except ``name``/``domain``/``asks`` optional)::
       "session_budget": null,
       "max_queue_depth": null,
       "faults": null,              // resilience config document
-      "speculation": true,         // false = sequential plan executor
+      "speculation": true,         // false = gate closed (sequential)
       "shards": 1,                 // entity-keyed store shards (>= 1)
       "tenants": {"acme": 3, "globex": 1},   // weighted tenant mix
       "tenant_registry": {"tenants": [...]}  // repro tenants format

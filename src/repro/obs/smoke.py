@@ -38,14 +38,6 @@ OVERHEAD_BUDGET = 0.03
 _NULL_CALLS = 200_000
 
 
-def _fingerprint(answer) -> str:
-    """Stable byte-comparable rendering of an Answer."""
-    return repr((
-        answer.text, answer.value, answer.confidence, answer.grounded,
-        answer.system, answer.provenance, sorted(answer.metadata.items()),
-    ))
-
-
 def _null_span_seconds() -> float:
     """Mean cost of one disabled ``span()`` call (no tracer installed)."""
     started = time.perf_counter()
@@ -66,7 +58,7 @@ def run_smoke(verbose: bool = False) -> List[str]:
     for pair in pairs:  # warmup
         system.answer(pair.question)
     started = time.perf_counter()
-    reference = [_fingerprint(system.answer(p.question)) for p in pairs]
+    reference = [system.answer(p.question).fingerprint() for p in pairs]
     per_query = (time.perf_counter() - started) / len(pairs)
 
     # Traced pass on an identical fresh system.
@@ -77,7 +69,7 @@ def run_smoke(verbose: bool = False) -> List[str]:
     before = traced_system.meter.snapshot()
     with tracer.activate():
         traced = [
-            _fingerprint(traced_system.answer(p.question)) for p in pairs
+            traced_system.answer(p.question).fingerprint() for p in pairs
         ]
     global_cost = traced_system.meter.diff(before)
 

@@ -45,6 +45,14 @@ class Answer:
             metadata={"reason": reason} if reason else {},
         )
 
+    def fingerprint(self) -> str:
+        """Byte-comparable rendering of every observable field — what
+        "identical answers" means across the equivalence suites."""
+        return repr((
+            self.text, self.value, self.confidence, self.grounded,
+            self.system, self.provenance, sorted(self.metadata.items()),
+        ))
+
     def matches_number(self, expected: float,
                        rel_tol: float = 1e-4) -> bool:
         """True when the answer's numeric value equals *expected*."""

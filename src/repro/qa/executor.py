@@ -1,4 +1,4 @@
-"""One shared executor for federated plans.
+"""The one interpreter for federated plans.
 
 :class:`PlanExecutor` interprets the :class:`~repro.qa.plan.
 FederatedPlan` DAG that every question compiles to, and is the single
@@ -6,6 +6,15 @@ place engine dispatch happens: per executable stage it owns the
 resilience guard (budget → breaker → fault → call), the obs span, and
 the degradation bookkeeping — the pipeline merely compiles, delegates,
 and stamps the question-scope summary on the way out.
+
+Speculation is not a second interpreter. The one stage loop asks the
+fail-closed :class:`~repro.qa.speculative.SpeculationGate` for each
+plan's clearance; with the gate open an arm's handler runs inside a
+:meth:`~repro.resilience.ResilienceManager.arm` isolation scope under
+a ``qa.speculate`` span, with the gate closed (missing/corrupt table,
+uncertified pair, or speculation switched off) the same handler runs
+bare. Stage order, the guarded-call sequence and the finalisation are
+shared, so answers are byte-identical in both gate states.
 
 Engine references are taken through zero-argument *providers* rather
 than bound once: ``enable_resilience()`` swaps the pipeline's
@@ -30,10 +39,11 @@ that certifies which stage pairs a parallel executor may overlap.
 from __future__ import annotations
 
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..obs import span
+from ..obs import incr, span
 from ..resilience import DegradationEvent, summarize
 from ..tenancy import TenantContext, check_tenancy, tenancy_errors
 from .answer import ANSWER_SYSTEM_HYBRID, ANSWER_SYSTEM_RAG, Answer
@@ -45,6 +55,9 @@ from .plan import (
     STAGE_ROUTE, STAGE_SELECT_BEST, STAGE_SYNTHESIZE_SPEC, WHEN_ALWAYS,
     WHEN_RESCUE_ABSTAIN, WHEN_RESCUE_FAILED, WHEN_ROUTE, FederatedPlan,
     PlanStage, compile_plan,
+)
+from .speculative import (
+    PlanArm, SpeculationGate, arm_cap, extract_arms, record_outcome,
 )
 
 #: Stage kind → the :class:`PlanExecutor` method that realizes it at
@@ -146,6 +159,10 @@ class _RunState:
     answer: Optional[Answer] = None
     final: Optional[Answer] = None
     tenant: Optional[TenantContext] = None
+    # Arm bookkeeping; stays empty when the gate is closed.
+    started: Dict[str, int] = field(default_factory=dict)
+    cancelled: List[Tuple[str, int]] = field(default_factory=list)
+    failed_arms: List[str] = field(default_factory=list)
 
 
 class PlanExecutor:
@@ -154,7 +171,8 @@ class PlanExecutor:
     *router* and *table_qa* are rebuilt together with the executor (in
     the pipeline's ``_build_engines``) so plain references suffice;
     *text_qa*, *resilience* and *slm* are providers returning the
-    pipeline's **current** instance (see the module docstring).
+    pipeline's **current** instance (see the module docstring). *gate*
+    is consulted once per plan; a closed gate is sequential execution.
 
     The string annotations below are load-bearing for tooling:
     :mod:`repro.analysis` reads them statically to type the executor's
@@ -166,12 +184,19 @@ class PlanExecutor:
                  table_qa: "TableQAEngine",
                  text_qa: "Callable[[], Optional[TextQAEngine]]",
                  resilience: "Callable[[], ResilienceManager]",
-                 slm: Callable[[], object]):
+                 slm: Callable[[], object],
+                 gate: SpeculationGate):
         self._router = router
         self._table_qa = table_qa
         self._text_qa = text_qa
         self._resilience = resilience
         self._slm = slm
+        self._gate = gate
+
+    @property
+    def gate(self) -> SpeculationGate:
+        """The capability gate this executor consults per plan."""
+        return self._gate
 
     # ------------------------------------------------------------------
     # Compilation
@@ -225,12 +250,10 @@ class PlanExecutor:
                 tenant: Optional[TenantContext] = None) -> Answer:
         """Interpret *plan* stage by stage under the resilience guard.
 
-        Each due stage dispatches through :data:`STAGE_HANDLERS`;
-        handlers communicate only via the per-run :class:`_RunState`.
-        ``EstimateEntropy`` stages are declarative only here — the
-        ``answer_with_uncertainty`` surface drives entropy sampling
-        with its own parameters (sample count, temperature, seed) that
-        a compiled plan does not carry.
+        The gate's clearance decides only how arms run: cleared, each
+        arm gets an isolation scope and the run is recorded under a
+        ``qa.speculate`` span; denied, the stages run bare. Either way
+        it is the same loop (:meth:`_run_stages`).
 
         With a *tenant* context the plan first passes the fail-closed
         :func:`~repro.tenancy.check_tenancy` gate — a stage missing (or
@@ -240,6 +263,9 @@ class PlanExecutor:
         caching can never cross tenants.
         """
         manager = self._resilience()
+        decision = self._gate.clearance(plan, extract_arms(plan))
+        incr("speculation.plans" if decision.speculative
+             else "speculation.sequential")
         if tenant is not None:
             findings = tenancy_errors(check_tenancy(plan, tenant))
             if findings:
@@ -249,17 +275,62 @@ class PlanExecutor:
             plan_key = tenant.cache_key(plan_key)
         state = _RunState(question=plan.question,
                           plan_key=plan_key, tenant=tenant)
+        if not decision.speculative:
+            return self._run_stages(plan, manager, state, ())
+        with span("qa.speculate") as sp:
+            sp.set("arms", ",".join(a.arm_id for a in decision.arms))
+            sp.set("raced", decision.raced)
+            answer = self._run_stages(plan, manager, state, decision.arms)
+            record_outcome(sp, answer, state.started, state.cancelled,
+                           state.failed_arms)
+        return answer
 
+    def _run_stages(self, plan: FederatedPlan, manager, state: _RunState,
+                    arms: Tuple[PlanArm, ...]) -> Answer:
+        """The stage loop and its finalisation.
+
+        Each due stage dispatches through :data:`STAGE_HANDLERS`;
+        handlers communicate only via the per-run :class:`_RunState`.
+        ``EstimateEntropy`` stages are declarative only here — the
+        ``answer_with_uncertainty`` surface drives entropy sampling
+        with its own parameters (sample count, temperature, seed) that
+        a compiled plan does not carry.
+
+        *arms* are the arms the gate cleared (none when it is closed).
+        A cleared arm's head stage runs inside ``manager.arm`` with its
+        rescue reserve; when its ``_due`` condition is already false at
+        its slot it is the race's loser, cancelled without dispatching
+        — exactly the stage a closed-gate run skips.
+        """
+        by_head = {arm.head_id: arm for arm in arms}
+        n_pending = len(arms)
         for stage in plan.stages:
             if stage.kind in INLINE_KINDS:
                 continue
+            arm = by_head.get(stage.id)
+            if arm is not None:
+                n_pending -= 1
             if not self._due(stage, state.candidates,
                              state.failed_engines):
+                if arm is not None:
+                    state.cancelled.append((arm.arm_id, 0))
                 continue
             handler_name = STAGE_HANDLERS.get(stage.kind)
             if handler_name is None:
                 continue  # unknown kind: check_plan flags it, skip here
-            getattr(self, handler_name)(manager, state)
+            isolation = nullcontext() if arm is None else manager.arm(
+                arm.arm_id, cap=arm_cap(manager, n_pending + 1))
+            with isolation as arm_scope:
+                getattr(self, handler_name)(manager, state)
+            if arm_scope is not None:
+                state.started[arm.arm_id] = arm_scope.spent_work
+                if arm_scope.fatal:
+                    state.failed_arms.append(arm.arm_id)
+                if arm_scope.reserve_cut:
+                    # The loser was cancelled mid-flight by its
+                    # work-budget charge (the rescue reserve).
+                    state.cancelled.append((arm.arm_id,
+                                            arm_scope.spent_work))
             if state.final is not None:
                 return state.final
         answer = state.answer
@@ -346,15 +417,6 @@ class PlanExecutor:
     # ------------------------------------------------------------------
     # Auxiliary dispatch (explain / entropy surfaces)
     # ------------------------------------------------------------------
-    def explain_speculation(self, plan: FederatedPlan) -> List[str]:
-        """Speculation annotation for ``--explain-plan`` output.
-
-        The sequential executor never speculates; the
-        :class:`~repro.qa.speculative.SpeculativeExecutor` override
-        renders the capability-gate clearance per plan.
-        """
-        return ["speculation: off (sequential executor)"]
-
     def explain_lines(self, question: str) -> List[str]:
         """The per-question lines of the pipeline's ``explain()``."""
         decision = self._router.route(question)

@@ -31,7 +31,7 @@ class RouteDecision:
 
     ``confidence`` grades how decisively the binding evidence selected
     the route (1.0 = unambiguous). It never changes *which* stages a
-    plan contains — the speculative executor reads it to decide whether
+    plan contains — the speculation gate reads it to decide whether
     the rescue arms should be raced eagerly as hedges rather than held
     back as sequential fallbacks (see ``docs/resilience.md``).
     """

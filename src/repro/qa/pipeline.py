@@ -46,10 +46,10 @@ from ..storage.relational.database import Database
 from ..storage.textstore import TextStore
 from .answer import ANSWER_SYSTEM_HYBRID, Answer
 from ..tenancy import TenantContext
-from .executor import PlanExecutor, cross_check
+from .executor import PlanExecutor
 from .federation import FederatedRouter
 from .plan import FederatedPlan, render_plan
-from .speculative import SpeculationGate, SpeculativeExecutor
+from .speculative import SpeculationGate, explain_clearance, extract_arms
 from .tableqa import TableQAEngine
 from .textqa import TextQAEngine
 
@@ -68,7 +68,13 @@ _GENERATED_SYNONYMS = (
 
 
 class HybridQAPipeline:
-    """One object from raw lake to answered question."""
+    """One object from raw lake to answered question.
+
+    *speculation_gate* decides, once, how plan arms run: ``None`` loads
+    the committed capability table (arms the table certifies run
+    isolated), ``SpeculationGate.disabled(reason)`` is sequential
+    execution. Answers are byte-identical either way.
+    """
 
     def __init__(self, slm: SmallLanguageModel,
                  meter: Optional[CostMeter] = None,
@@ -77,8 +83,7 @@ class HybridQAPipeline:
                  min_column_support: int = 1,
                  resolve_entity_aliases: bool = False,
                  resilience: Optional[ResilienceConfig] = None,
-                 speculative: bool = True,
-                 capability_table: Optional[Any] = None,
+                 speculation_gate: Optional[SpeculationGate] = None,
                  n_shards: int = 1,
                  shard_seed: int = 0):
         self._slm = slm
@@ -121,9 +126,8 @@ class HybridQAPipeline:
         self._table_qa: Optional[TableQAEngine] = None
         self._router: Optional[FederatedRouter] = None
         self._executor: Optional[PlanExecutor] = None
-        self._speculative = speculative
-        self._capability_table = capability_table
-        self._speculation_gate: Optional[SpeculationGate] = None
+        self._gate = (speculation_gate if speculation_gate is not None
+                      else SpeculationGate.load())
         self._plan_cache: Optional[Any] = None
         self._retriever_wrapper: Optional[Any] = None
         self._rebuild_listeners: List[Any] = []
@@ -321,27 +325,13 @@ class HybridQAPipeline:
         self._router = FederatedRouter(catalog)
         # Providers, not bound references: enable_resilience() and
         # set_retriever_wrapper() swap these attributes in place.
-        if self._speculative:
-            if self._speculation_gate is None:
-                # Loaded once at startup; a missing/corrupt table makes
-                # a gate that denies every plan (fail closed), so the
-                # speculative executor degenerates to sequential.
-                self._speculation_gate = SpeculationGate.load(
-                    self._capability_table)
-            self._executor = SpeculativeExecutor(
-                self._router, self._table_qa,
-                text_qa=lambda: self._text_qa,
-                resilience=lambda: self._resilience,
-                slm=lambda: self._slm,
-                gate=self._speculation_gate,
-            )
-        else:
-            self._executor = PlanExecutor(
-                self._router, self._table_qa,
-                text_qa=lambda: self._text_qa,
-                resilience=lambda: self._resilience,
-                slm=lambda: self._slm,
-            )
+        self._executor = PlanExecutor(
+            self._router, self._table_qa,
+            text_qa=lambda: self._text_qa,
+            resilience=lambda: self._resilience,
+            slm=lambda: self._slm,
+            gate=self._gate,
+        )
 
     def _document_entity_paths(self) -> List[str]:
         # Use shallow scalar keys that appear in most documents.
@@ -413,31 +403,6 @@ class HybridQAPipeline:
     def n_shards(self) -> int:
         """How many shards the stores partition over (1 = unsharded)."""
         return 1 if self._shard_set is None else self._shard_set.n_shards
-
-    def set_speculative(self, enabled: bool) -> None:
-        """Switch between the speculative and sequential executors.
-
-        Both produce byte-identical answers; the speculative executor
-        additionally isolates arm failures under bounded budgets. A
-        built pipeline swaps executors immediately; an unbuilt one
-        records the choice for ``build()``.
-        """
-        self._speculative = enabled
-        if self._table_qa is not None:
-            self._build_engines()
-
-    def set_capability_table(self, path) -> None:
-        """Re-point speculation gating at the capability table *path*.
-
-        Drops the cached :class:`SpeculationGate` and reloads it from
-        *path* (fail closed when missing or corrupt). A built pipeline
-        swaps executors immediately; an unbuilt one records the choice
-        for ``build()``.
-        """
-        self._capability_table = path
-        self._speculation_gate = None
-        if self._table_qa is not None:
-            self._build_engines()
 
     def enable_resilience(
         self, config: Optional[ResilienceConfig] = None,
@@ -568,13 +533,11 @@ class HybridQAPipeline:
         return "\n".join(lines)
 
     def _render_plan_annotated(self, question: str) -> str:
-        """One plan DAG plus the executor's speculation annotation."""
+        """One plan DAG plus the gate's clearance for it."""
         plan = self._executor.compile(question)
         lines = [render_plan(plan)]
-        lines.extend(
-            "  " + line
-            for line in self._executor.explain_speculation(plan)
-        )
+        decision = self._gate.clearance(plan, extract_arms(plan))
+        lines.extend("  " + line for line in explain_clearance(decision))
         lines.extend("  " + line for line in self._explain_sharding())
         return "\n".join(lines)
 
@@ -623,13 +586,6 @@ class HybridQAPipeline:
                 answer.confidence * CONFIDENCE_PENALTY[summary["severity"]],
                 6,
             )
-
-    @staticmethod
-    def _cross_check(answer: Answer, candidates: List[Answer]) -> None:
-        """Cross-modal grounding check (kept for API stability; the
-        implementation lives in :func:`repro.qa.executor.cross_check`,
-        which the executor's ``Ground`` stage runs)."""
-        cross_check(answer, candidates)
 
     def explain(self, question: str) -> str:
         """Human-readable trace of how *question* would be answered.

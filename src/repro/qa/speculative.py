@@ -1,46 +1,47 @@
-"""Speculative parallel plan execution with deterministic race-and-rescue.
+"""Speculation over plan arms: the capability gate and arm bookkeeping.
 
-:class:`SpeculativeExecutor` extends the sequential
-:class:`~repro.qa.executor.PlanExecutor` with an **arm scheduler**: the
+There is one plan interpreter, :class:`~repro.qa.executor.PlanExecutor`;
+this module holds what it consults to decide — per plan — whether the
 independent arms of a compiled :class:`~repro.qa.plan.FederatedPlan`
 (structured ``SynthesizeSpec→ExecuteTable``, text
-``RetrieveTopology→ExecuteText``, and the rescue arms) are treated as
-concurrent speculative arms racing on the CostMeter work clock. The
-schedule is **deterministic by construction**:
+``RetrieveTopology→ExecuteText``, and the rescue arms) run as
+speculative arms racing on the CostMeter work clock, or bare. The
+schedule is **deterministic by construction** in both gate states:
 
 * arms run in fixed plan order, one guarded-call sequence per backend,
-  so fault-injection replay stays byte-for-byte with the sequential
-  executor;
-* an arm's *cancellation predicate* is exactly the sequential
-  executor's ``_due`` condition — a rescue/race arm is cancelled the
-  moment an earlier arm's answer clears the confidence bar (a live,
-  non-abstained candidate), which is precisely when the sequential
-  executor would have skipped it;
+  so fault-injection replay is byte-for-byte the same with the gate
+  open or closed;
+* an arm's *cancellation predicate* is the interpreter's own ``_due``
+  condition — a rescue/race arm is cancelled the moment an earlier
+  arm's answer clears the confidence bar (a live, non-abstained
+  candidate), which is precisely when a closed-gate run skips it;
 * the join is the plan's own ``SelectBest`` stage with its fixed
-  candidate order, keeping answers **byte-identical** to sequential
-  execution.
+  candidate order, keeping answers **byte-identical** across gate
+  states whenever the budget is not binding.
 
-What speculation *adds* is arm-level failure isolation: each arm runs
+What an open gate *adds* is arm-level failure isolation: each arm runs
 inside a :meth:`~repro.resilience.ResilienceManager.arm` scope carrying
-a **rescue reserve** — a deterministic share of the remaining question
-budget, enforced only after the arm witnesses a fault. A faulting arm's
-retry/backoff spiral is cut off at the reserve (the "work-budget
-charge" that cancels a loser) so a ``TransientError`` /
-``CircuitOpenError`` / budget-exhaustion in one arm can no longer
+a **rescue reserve** (:func:`arm_cap`) — a deterministic share of the
+remaining question budget, enforced only after the arm witnesses a
+fault. A faulting arm's retry/backoff spiral is cut off at the reserve
+(the "work-budget charge" that cancels a loser) so a ``TransientError``
+/ ``CircuitOpenError`` / budget-exhaustion in one arm can no longer
 starve the surviving arm, which completes cleanly and rescues the
 question instead of degrading it.
 
-**Fail-closed capability gating**: at startup :class:`SpeculationGate`
-loads the machine-certified stage-interference table
+**Fail-closed capability gating**: :class:`SpeculationGate` loads the
+machine-certified stage-interference table
 (``analysis/parallel_safety.json``, written by ``repro analyze
---write``). A plan runs speculatively only when *every* cross-arm stage
-pair is verdict ``safe-parallel``; a missing table, a missing pair, an
-``unknown`` or ``conflicts`` verdict — or a corrupt entry of any shape
-— reverts that plan to the sequential executor, never raises.
-Same-engine arms are never overlapped regardless of the table: their
-circuit-breaker state and per-backend fault-injection RNG stream are
-order-sensitive, which is exactly why the table marks same-key
-``backend-dispatch`` pairs as conflicts.
+--write``) once, at pipeline construction. A plan's arms are isolated
+only when *every* cross-arm stage pair is verdict ``safe-parallel``; a
+missing table, a missing pair, an ``unknown`` or ``conflicts`` verdict,
+a corrupt entry of any shape — or speculation switched off
+(:meth:`SpeculationGate.disabled`) — closes the gate, which *is*
+sequential execution; nothing raises. Same-engine arms are never
+overlapped regardless of the table: their circuit-breaker state and
+per-backend fault-injection RNG stream are order-sensitive, which is
+exactly why the table marks same-key ``backend-dispatch`` pairs as
+conflicts.
 """
 
 from __future__ import annotations
@@ -53,15 +54,8 @@ from typing import Dict, List, Optional, Tuple
 from ..obs import (
     METRIC_SPECULATION_CANCELLED, METRIC_SPECULATION_CANCELLED_WORK,
     METRIC_SPECULATION_RESCUED, METRIC_SPECULATION_WIN, incr, observe,
-    span,
 )
-from .answer import ANSWER_SYSTEM_HYBRID, ANSWER_SYSTEM_RAG, Answer
-from ..tenancy import TenantContext, check_tenancy, tenancy_errors
-from .executor import (
-    INLINE_KINDS, STAGE_HANDLERS, PlanExecutor, _RunState,
-    governance_abstain,
-)
-from .federation import best_answer
+from .answer import ANSWER_SYSTEM_RAG, Answer
 from .plan import (
     ROUTE_HYBRID, STAGE_EXECUTE_TABLE, STAGE_EXECUTE_TEXT,
     STAGE_RETRIEVE_TOPOLOGY, STAGE_SYNTHESIZE_SPEC, WHEN_ALWAYS,
@@ -295,195 +289,59 @@ def _route_confidence(plan: FederatedPlan) -> float:
         return 1.0
 
 
-class SpeculativeExecutor(PlanExecutor):
-    """The arm-scheduling executor behind speculative execution.
-
-    Construction mirrors :class:`~repro.qa.executor.PlanExecutor`, plus
-    the :class:`SpeculationGate` consulted per plan. Plans the gate
-    denies run through the inherited sequential interpreter unchanged —
-    the fail-closed path is literally ``super().execute``.
-    """
-
-    def __init__(self, router, table_qa, text_qa, resilience, slm,
-                 gate: Optional[SpeculationGate] = None):
-        super().__init__(router, table_qa, text_qa=text_qa,
-                         resilience=resilience, slm=slm)
-        self._gate = gate if gate is not None else SpeculationGate.load()
-
-    @property
-    def gate(self) -> SpeculationGate:
-        """The capability gate this executor consults per plan."""
-        return self._gate
-
-    def execute(self, plan: FederatedPlan,
-                tenant: Optional[TenantContext] = None) -> Answer:
-        """Run *plan* speculatively when the gate clears it.
-
-        The tenant context threads through both paths identically: the
-        sequential fallback is ``super().execute(plan, tenant)`` and
-        the speculative scheduler runs its own fail-closed
-        ``check_tenancy`` gate before any arm dispatches.
-        """
-        arms = extract_arms(plan)
-        decision = self._gate.clearance(plan, arms)
-        if not decision.speculative:
-            incr("speculation.sequential")
-            return super().execute(plan, tenant=tenant)
-        incr("speculation.plans")
-        return self._execute_speculative(plan, decision, tenant=tenant)
-
-    def explain_speculation(self, plan: FederatedPlan) -> List[str]:
-        """Human-readable gate clearance for ``--explain-plan``."""
-        arms = extract_arms(plan)
-        decision = self._gate.clearance(plan, arms)
+def explain_clearance(decision: GateDecision) -> List[str]:
+    """Human-readable gate clearance for ``--explain-plan``."""
+    arms = decision.arms
+    if decision.speculative:
+        mode = "race" if decision.raced else "parallel arms"
+        lines = ["speculation: on (%s, %d arms)" % (mode, len(arms))]
+    else:
+        lines = ["speculation: off — fail closed to sequential (%s)"
+                 % "; ".join(decision.reasons)]
+    for key, verdict in decision.pair_verdicts:
+        lines.append("  pair %-40s %s" % (key, verdict))
+    for arm in arms:
         if decision.speculative:
-            mode = "race" if decision.raced else "parallel arms"
-            lines = ["speculation: on (%s, %d arms)"
-                     % (mode, len(arms))]
+            tag = "races" if decision.raced else "speculates"
         else:
-            lines = ["speculation: off — fail closed to sequential (%s)"
-                     % "; ".join(decision.reasons)]
-        for key, verdict in decision.pair_verdicts:
-            lines.append("  pair %-40s %s" % (key, verdict))
-        for arm in arms:
-            if decision.speculative:
-                tag = "races" if decision.raced else "speculates"
-            else:
-                tag = "sequential"
-            extra = "" if arm.when in (WHEN_ALWAYS, WHEN_ROUTE) \
-                else "  when=%s" % arm.when
-            lines.append("  arm %-18s %-44s %s%s" % (
-                arm.arm_id, "->".join(arm.kinds), tag, extra))
-        return lines
+            tag = "sequential"
+        extra = "" if arm.when in (WHEN_ALWAYS, WHEN_ROUTE) \
+            else "  when=%s" % arm.when
+        lines.append("  arm %-18s %-44s %s%s" % (
+            arm.arm_id, "->".join(arm.kinds), tag, extra))
+    return lines
 
-    # ------------------------------------------------------------------
-    # The deterministic arm scheduler
-    # ------------------------------------------------------------------
-    def _execute_speculative(self, plan: FederatedPlan,
-                             decision: GateDecision,
-                             tenant: Optional[TenantContext] = None
-                             ) -> Answer:
-        """Interpret *plan* with raced arms and per-arm isolation.
 
-        Arms dispatch in fixed plan order; an arm whose cancellation
-        predicate (the sequential ``_due`` condition) is already false
-        at its slot is the race's loser and is cancelled without
-        dispatching. Join stages (``SelectBest``/``Ground``) run
-        exactly as in the sequential interpreter. Governance mirrors
-        the sequential path exactly: the same ``check_tenancy`` gate,
-        the same tenant-scoped ``plan_key``.
-        """
-        manager = self._resilience()
-        if tenant is not None:
-            findings = tenancy_errors(check_tenancy(plan, tenant))
-            if findings:
-                return governance_abstain(tenant, findings)
-        plan_key = plan.signature()
-        if tenant is not None:
-            plan_key = tenant.cache_key(plan_key)
-        state = _RunState(question=plan.question,
-                          plan_key=plan_key, tenant=tenant)
-        by_head = {arm.head_id: arm for arm in decision.arms}
-        pending = list(decision.arms)
-        started: Dict[str, int] = {}
-        cancelled: List[Tuple[str, int]] = []
-        failed_arms: List[str] = []
-        final_is_bare = False
-        answer: Optional[Answer] = None
-        with span("qa.speculate") as sp:
-            sp.set("arms", ",".join(a.arm_id for a in decision.arms))
-            sp.set("raced", decision.raced)
-            for stage in plan.stages:
-                if stage.kind in INLINE_KINDS:
-                    continue
-                arm = by_head.get(stage.id)
-                if arm is None:
-                    if not self._due(stage, state.candidates,
-                                     state.failed_engines):
-                        continue
-                    handler_name = STAGE_HANDLERS.get(stage.kind)
-                    if handler_name is None:
-                        continue
-                    getattr(self, handler_name)(manager, state)
-                    if state.final is not None:
-                        answer = state.final
-                        final_is_bare = True
-                        break
-                    continue
-                pending.remove(arm)
-                if not self._due(stage, state.candidates,
-                                 state.failed_engines):
-                    # The race already settled: an earlier arm's answer
-                    # cleared the confidence bar, so this arm loses and
-                    # is cancelled before spending any work.
-                    cancelled.append((arm.arm_id, 0))
-                    continue
-                cap = self._arm_cap(manager, len(pending) + 1)
-                with manager.arm(arm.arm_id, cap=cap) as arm_scope:
-                    getattr(self, STAGE_HANDLERS[stage.kind])(
-                        manager, state)
-                started[arm.arm_id] = arm_scope.spent_work
-                if arm_scope.fatal:
-                    failed_arms.append(arm.arm_id)
-                if arm_scope.reserve_cut:
-                    # The loser was cancelled mid-flight by its
-                    # work-budget charge (the rescue reserve).
-                    cancelled.append((arm.arm_id,
-                                      arm_scope.spent_work))
-            if answer is None:
-                answer = state.answer
-                if answer is None:
-                    if not state.candidates and not state.failed_engines:
-                        answer = Answer.abstain(
-                            ANSWER_SYSTEM_HYBRID, "no engine available"
-                        )
-                        final_is_bare = True
-                    else:
-                        answer = best_answer(state.candidates)
-            if not final_is_bare:
-                answer.metadata.setdefault("route", plan.route)
-                if state.failed_engines:
-                    answer.metadata["degraded"] = True
-                    winner = ("text"
-                              if answer.system == ANSWER_SYSTEM_RAG
-                              else "structured")
-                    if (not answer.abstained
-                            and winner not in state.failed_engines):
-                        answer.metadata["fallback_engine"] = winner
-            self._record_outcome(sp, answer, started, cancelled,
-                                 failed_arms)
-        return answer
+def arm_cap(manager, n_pending: int) -> Optional[int]:
+    """An arm's rescue reserve: its share of the remaining budget.
 
-    def _arm_cap(self, manager, n_pending: int) -> Optional[int]:
-        """This arm's rescue reserve: its share of the remaining budget.
+    ``None`` (no ceiling) when the question is unbudgeted or this is
+    the last arm — the last arm may spend everything left, exactly
+    like a closed-gate run.
+    """
+    limit = manager.config.budget
+    if limit is None or n_pending <= 1:
+        return None
+    remaining = max(0, limit - manager.spent())
+    return remaining // n_pending
 
-        ``None`` (no ceiling) when the question is unbudgeted or this
-        is the last arm — the last arm may spend everything left,
-        exactly like sequential execution.
-        """
-        limit = manager.config.budget
-        if limit is None or n_pending <= 1:
-            return None
-        remaining = max(0, limit - manager.spent())
-        return remaining // n_pending
 
-    @staticmethod
-    def _record_outcome(sp, answer: Answer, started: Dict[str, int],
-                        cancelled: List[Tuple[str, int]],
-                        failed_arms: List[str]) -> None:
-        """Speculation win/loss/rescue metrics + span attributes."""
-        for _, spent in cancelled:
-            incr(METRIC_SPECULATION_CANCELLED)
-            observe(METRIC_SPECULATION_CANCELLED_WORK, spent)
-        raced_arms = len(started) + len(cancelled)
-        winner = "-"
-        if not answer.abstained and raced_arms >= 1:
-            incr(METRIC_SPECULATION_WIN)
-            winner = ("text" if answer.system == ANSWER_SYSTEM_RAG
-                      else "structured")
-        if failed_arms and not answer.abstained:
-            incr(METRIC_SPECULATION_RESCUED)
-        sp.set("winner", winner)
-        sp.set("cancelled", len(cancelled))
-        sp.set("failed_arms", ",".join(failed_arms) or "-")
-        sp.set("cancelled_work", sum(s for _, s in cancelled))
+def record_outcome(sp, answer: Answer, started: Dict[str, int],
+                   cancelled: List[Tuple[str, int]],
+                   failed_arms: List[str]) -> None:
+    """Speculation win/loss/rescue metrics + ``qa.speculate`` attributes."""
+    for _, spent in cancelled:
+        incr(METRIC_SPECULATION_CANCELLED)
+        observe(METRIC_SPECULATION_CANCELLED_WORK, spent)
+    raced_arms = len(started) + len(cancelled)
+    winner = "-"
+    if not answer.abstained and raced_arms >= 1:
+        incr(METRIC_SPECULATION_WIN)
+        winner = ("text" if answer.system == ANSWER_SYSTEM_RAG
+                  else "structured")
+    if failed_arms and not answer.abstained:
+        incr(METRIC_SPECULATION_RESCUED)
+    sp.set("winner", winner)
+    sp.set("cancelled", len(cancelled))
+    sp.set("failed_arms", ",".join(failed_arms) or "-")
+    sp.set("cancelled_work", sum(s for _, s in cancelled))

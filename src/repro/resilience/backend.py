@@ -132,7 +132,7 @@ class QuestionScope:
 class ArmScope:
     """Per-speculative-arm accounting: the arm isolation boundary.
 
-    Opened by the speculative executor around one plan arm's guarded
+    Opened by the plan executor (gate open) around one arm's guarded
     call (:meth:`ResilienceManager.arm`). It tracks the arm's work
     spend and absorbed faults, and carries the arm's **rescue
     reserve**: a work ceiling (``cap``) enforced *only once the arm has
@@ -230,11 +230,11 @@ class ResilienceManager:
 
         *cap* is the arm's rescue reserve in work units (see
         :class:`ArmScope`); ``None`` leaves the arm bounded only by the
-        question budget — exactly the sequential executor's behavior.
+        question budget — exactly a closed-gate run's behavior.
         A non-``None`` cap is clamped to at least the first retry's
         backoff cost so a single transient fault can always be retried:
         the reserve cuts runaway backoff *spirals*, never an arm's
-        first recovery attempt (which the sequential executor would
+        first recovery attempt (which a closed-gate run would
         also make). Re-entrant like :meth:`question`: a nested call
         joins the open arm instead of resetting its accounting.
 

@@ -40,14 +40,6 @@ SLOW_COST = 40
 BUDGET = 500_000  # generous per-question deadline, in CostMeter units
 
 
-def _fingerprint(answer) -> str:
-    """Stable byte-comparable rendering of an Answer."""
-    return repr((
-        answer.text, answer.value, answer.confidence, answer.grounded,
-        answer.system, answer.provenance, sorted(answer.metadata.items()),
-    ))
-
-
 def _span_fp(node) -> tuple:
     return (
         node.name,
@@ -64,13 +56,15 @@ def _trace_fingerprint(tracer: Tracer) -> str:
 
 def _chaos_pipeline(lake, rate: float):
     """A fresh built pipeline with a uniform fault plan at *rate*."""
-    _system, pipeline = build_hybrid_system(lake, seed=13)
-    pipeline.enable_resilience(ResilienceConfig(
-        fault_plan=FaultPlan.uniform(
-            CHAOS_BACKENDS, rate, seed=PLAN_SEED, slow_cost=SLOW_COST,
+    _system, pipeline = build_hybrid_system(
+        lake, seed=13,
+        resilience=ResilienceConfig(
+            fault_plan=FaultPlan.uniform(
+                CHAOS_BACKENDS, rate, seed=PLAN_SEED, slow_cost=SLOW_COST,
+            ),
+            budget=BUDGET,
         ),
-        budget=BUDGET,
-    ))
+    )
     return pipeline
 
 
@@ -114,7 +108,7 @@ def _run_rate(lake, pairs, rate: float,
             )
         correct += bool(pair.is_correct(answer))
         degraded += bool(answer.metadata.get("degraded"))
-        fingerprints.append(_fingerprint(answer))
+        fingerprints.append(answer.fingerprint())
     return correct, degraded, len(injector.log), fingerprints
 
 
@@ -123,7 +117,7 @@ def _replay_fingerprints(lake, pairs, rate: float) -> Tuple[str, str]:
     pipeline = _chaos_pipeline(lake, rate)
     tracer = Tracer(meter=pipeline.meter)
     with tracer.activate():
-        answers = [_fingerprint(pipeline.answer(p.question)) for p in pairs]
+        answers = [pipeline.answer(p.question).fingerprint() for p in pairs]
     return repr(answers), _trace_fingerprint(tracer)
 
 
@@ -135,7 +129,7 @@ def run_chaos(verbose: bool = False) -> List[str]:
 
     # Unprotected reference: what a rate-0 plan must reproduce exactly.
     _system, plain = build_hybrid_system(lake, seed=13)
-    reference = [_fingerprint(plain.answer(p.question)) for p in pairs]
+    reference = [plain.answer(p.question).fingerprint() for p in pairs]
 
     results: Dict[float, Tuple[int, int, int, List[str]]] = {}
     for rate in RATES:

@@ -17,8 +17,9 @@ Production-shaped serving over one
 * :mod:`.workload` — the JSONL workload format the CLI's ``serve``
   subcommand consumes.
 
-Smoke-test the whole stack with ``python -m repro.serving.smoke``;
-see ``docs/serving.md``.
+See ``docs/serving.md``; the subsystem's contracts (equality, warm
+speedup, single-flight, invalidation, chaos safety) are pinned by
+``tests/test_serving.py``.
 """
 
 from .admission import (

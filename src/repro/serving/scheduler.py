@@ -16,7 +16,7 @@ Because answering is read-only and the answer path is history
 independent (see :meth:`repro.slm.generator.AnswerGenerator._call_rng`),
 this reordering is semantics-preserving: the scheduled results are
 byte-for-byte identical to answering the same stream one request at a
-time. The serving smoke and test suite assert exactly that.
+time. ``tests/test_serving.py`` asserts exactly that.
 
 Admission control hooks in at two deterministic points: queue depth is
 checked when a question enters the buffer (depth = questions admitted

@@ -60,6 +60,20 @@ class TestCLI:
         assert table.exists()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read"),
+        ("{not json", "cannot read"),
+        ("[1, 2]", "expected a JSON object"),
+    ])
+    def test_bad_faults_file_exits_with_one_line(self, tmp_path, content,
+                                                 message):
+        plan = tmp_path / "plan.json"
+        if content is not None:
+            plan.write_text(content, encoding="utf-8")
+        with pytest.raises(SystemExit, match=message):
+            main(["ask", "How many products are there?",
+                  "--faults", str(plan)])
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bogus"])

@@ -16,14 +16,6 @@ from repro.slm import SLMConfig, SmallLanguageModel
 from repro.text.ner import Gazetteer
 
 
-def answer_fingerprint(answer):
-    """Byte-comparable rendering of every observable Answer field."""
-    return repr((
-        answer.text, answer.value, answer.confidence, answer.grounded,
-        answer.system, answer.provenance, sorted(answer.metadata.items()),
-    ))
-
-
 def build_once(seed=41):
     lake = generate_ecommerce_lake(LakeSpec(n_products=5, seed=seed))
     system, pipeline = build_hybrid_system(lake, seed=0)
@@ -96,13 +88,13 @@ class TestNoObserverEffect:
         lake, system, _ = build_once()
         pairs = lake.qa_pairs(per_kind=2)
         untraced = [
-            answer_fingerprint(system.answer(p.question)) for p in pairs
+            system.answer(p.question).fingerprint() for p in pairs
         ]
         _, traced_system, traced_pipeline = build_once()
         tracer = Tracer(meter=traced_pipeline.meter)
         with tracer.activate():
             traced = [
-                answer_fingerprint(traced_system.answer(p.question))
+                traced_system.answer(p.question).fingerprint()
                 for p in pairs
             ]
         assert traced == untraced
@@ -119,8 +111,8 @@ class TestNoObserverEffect:
         with tracer.activate():
             traced_answer, traced_estimate = \
                 traced_pipeline.answer_with_uncertainty(question, seed=3)
-        assert answer_fingerprint(traced_answer) == \
-            answer_fingerprint(answer)
+        assert traced_answer.fingerprint() == \
+            answer.fingerprint()
         if estimate is None:
             assert traced_estimate is None
         else:

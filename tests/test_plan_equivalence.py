@@ -32,25 +32,18 @@ CHAOS_BACKENDS = ("relational", "document", "textstore", "retriever",
 BUDGET = 500_000
 
 
-def _fingerprint(answer):
-    return repr((
-        answer.text, answer.value, answer.confidence, answer.grounded,
-        answer.system, answer.provenance, sorted(answer.metadata.items()),
-    ))
-
-
-def _build(domain, chaos=False):
+def _build(domain, chaos=False, gate=None):
     if domain == "ecommerce":
         lake = generate_ecommerce_lake(LakeSpec(n_products=4, seed=17))
     else:
         lake = generate_healthcare_lake(HealthSpec(n_drugs=4, seed=17))
-    _system, pipe = build_hybrid_system(lake, seed=SEED)
-    if chaos:
-        pipe.enable_resilience(ResilienceConfig(
-            fault_plan=FaultPlan.uniform(CHAOS_BACKENDS, CHAOS_RATE,
-                                         seed=CHAOS_SEED),
-            budget=BUDGET,
-        ))
+    faults = ResilienceConfig(
+        fault_plan=FaultPlan.uniform(CHAOS_BACKENDS, CHAOS_RATE,
+                                     seed=CHAOS_SEED),
+        budget=BUDGET,
+    ) if chaos else None
+    _system, pipe = build_hybrid_system(
+        lake, seed=SEED, speculation_gate=gate, resilience=faults)
     questions = [pair.question for pair in lake.qa_pairs(per_kind=1)]
     return pipe, questions
 
@@ -136,8 +129,8 @@ class UncachedEquivalenceTest(unittest.TestCase):
         legacy_pipe, questions = _build(domain)
         plan_pipe, _ = _build(domain)
         for question in questions:
-            want = _fingerprint(_legacy_answer(legacy_pipe, question))
-            got = _fingerprint(plan_pipe.answer(question))
+            want = _legacy_answer(legacy_pipe, question).fingerprint()
+            got = plan_pipe.answer(question).fingerprint()
             self.assertEqual(got, want, question)
 
     def test_ecommerce(self):
@@ -160,7 +153,7 @@ class ChaosEquivalenceTest(unittest.TestCase):
             legacy = _legacy_answer(legacy_pipe, question)
             answer = plan_pipe.answer(question)
             degraded += bool(answer.metadata.get("degraded"))
-            self.assertEqual(_fingerprint(answer), _fingerprint(legacy),
+            self.assertEqual(answer.fingerprint(), legacy.fingerprint(),
                              question)
         # The comparison must have exercised the degradation path at
         # all, or this test proves nothing about chaos.
@@ -174,28 +167,28 @@ class ChaosEquivalenceTest(unittest.TestCase):
 
 
 class SpeculativeEquivalenceTest(unittest.TestCase):
-    """Speculative executor == sequential PlanExecutor, byte for byte.
+    """Open gate == closed gate, byte for byte.
 
-    The speculative scheduler must replay the exact guarded-call
-    sequence of the sequential executor whenever the question budget is
-    not binding — uncached and under the chaos smoke's fault settings,
-    on both domains. The gate is asserted open so the test cannot pass
+    With arms isolated the executor must replay the exact guarded-call
+    sequence of a closed-gate run whenever the question budget is not
+    binding — uncached and under the chaos smoke's fault settings, on
+    both domains. The gate is asserted open so the test cannot pass
     vacuously by failing closed to sequential execution.
     """
 
     def _check(self, domain, chaos):
-        from repro.qa import SpeculativeExecutor
+        from repro.qa import SpeculationGate
 
-        seq_pipe, questions = _build(domain, chaos=chaos)
-        seq_pipe.set_speculative(False)
+        seq_pipe, questions = _build(
+            domain, chaos=chaos, gate=SpeculationGate.disabled("test"))
+        self.assertFalse(seq_pipe._executor.gate.enabled)  # noqa: SLF001
         spec_pipe, _ = _build(domain, chaos=chaos)
         for question in questions:
-            want = _fingerprint(seq_pipe.answer(question))
-            got = _fingerprint(spec_pipe.answer(question))
+            want = seq_pipe.answer(question).fingerprint()
+            got = spec_pipe.answer(question).fingerprint()
             self.assertEqual(got, want, question)
-        executor = spec_pipe._executor  # noqa: SLF001
-        self.assertIsInstance(executor, SpeculativeExecutor)
-        self.assertTrue(executor.gate.enabled, executor.gate.reason)
+        gate = spec_pipe._executor.gate  # noqa: SLF001
+        self.assertTrue(gate.enabled, gate.reason)
 
     def test_ecommerce_uncached(self):
         self._check("ecommerce", chaos=False)
@@ -233,10 +226,10 @@ class WarmCacheEquivalenceTest(unittest.TestCase):
             ServeRequest(op="ask", payload={"question": q})
             for q in questions
         ]
-        want = [_fingerprint(r.answer) for r in plain.serve(workload * 2)]
-        got_full = [_fingerprint(r.answer)
+        want = [r.answer.fingerprint() for r in plain.serve(workload * 2)]
+        got_full = [r.answer.fingerprint()
                     for r in full.serve(workload * 2)]
-        got_plan = [_fingerprint(r.answer)
+        got_plan = [r.answer.fingerprint()
                     for r in plan_only.serve(workload * 2)]
         self.assertEqual(got_full, want)
         self.assertEqual(got_plan, want)

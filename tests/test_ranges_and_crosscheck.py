@@ -5,7 +5,7 @@ import pytest
 from repro.metering import CostMeter
 from repro.qa import HybridQAPipeline
 from repro.qa.answer import Answer
-from repro.qa.pipeline import HybridQAPipeline as _Pipe
+from repro.qa.executor import cross_check
 from repro.semql import (
     FilterSpec, OperatorSynthesizer, QueryCompiler, SchemaCatalog, analyze,
 )
@@ -106,7 +106,7 @@ class TestCrossCheck:
         a = Answer(text="12", value=12.0, confidence=0.8, grounded=True)
         b = Answer(text="It is 12%.", value=12.0, confidence=0.5,
                    grounded=True)
-        _Pipe._cross_check(a, [a, b])
+        cross_check(a, [a, b])
         assert a.metadata["cross_check"] == "agree"
         assert a.confidence == pytest.approx(0.88)
 
@@ -114,16 +114,16 @@ class TestCrossCheck:
         a = Answer(text="12", value=12.0, confidence=0.8, grounded=True)
         b = Answer(text="It is 40%.", value=40.0, confidence=0.5,
                    grounded=True)
-        _Pipe._cross_check(a, [a, b])
+        cross_check(a, [a, b])
         assert a.metadata["cross_check"] == "disagree"
 
     def test_cross_check_skips_non_numeric(self):
         a = Answer(text="alpha", value="alpha", confidence=0.8)
         b = Answer(text="beta", value="beta", confidence=0.5)
-        _Pipe._cross_check(a, [a, b])
+        cross_check(a, [a, b])
         assert "cross_check" not in a.metadata
 
     def test_cross_check_single_candidate_noop(self):
         a = Answer(text="12", value=12.0, confidence=0.8)
-        _Pipe._cross_check(a, [a])
+        cross_check(a, [a])
         assert "cross_check" not in a.metadata

@@ -54,13 +54,7 @@ def ask(question, session="default"):
 
 
 def fingerprints(results):
-    return [
-        (r.answer.text, r.answer.value, r.answer.confidence,
-         r.answer.grounded, r.answer.system,
-         tuple(r.answer.provenance),
-         tuple(sorted(r.answer.metadata.items())))
-        for r in results if r.op == "ask"
-    ]
+    return [r.answer.fingerprint() for r in results if r.op == "ask"]
 
 
 # ----------------------------------------------------------------------
@@ -348,11 +342,14 @@ class TestChaosSafety:
     def test_no_degraded_answer_is_cached(self, lake, questions):
         server = make_server(lake, chaos_rate=0.4)
         workload = repeated_questions(questions[:3], repeats=2)
-        server.serve(workload)  # contract: never raises
+        results = server.serve(workload)  # contract: never raises
         injector = server.pipeline.resilience.injector
         assert injector is not None and injector.log
         for _key, answer in server.cache.answers.lru.items():
             assert not answer.metadata.get("degraded")
+        # and the same seeded plan replays byte-identically
+        replay = make_server(lake, chaos_rate=0.4).serve(workload)
+        assert fingerprints(replay) == fingerprints(results)
 
 
 # ----------------------------------------------------------------------
@@ -477,3 +474,14 @@ class TestServeCli:
         with pytest.raises(SystemExit):
             main(["serve", "--workload", str(workload),
                   "--cache-policy", "bogus"])
+
+    @pytest.mark.parametrize("flag", ["--session-budget",
+                                      "--max-queue-depth"])
+    def test_serve_rejects_nonpositive_admission(self, tmp_path, flag):
+        from repro.cli import main
+
+        workload = tmp_path / "w.jsonl"
+        workload.write_text('{"op": "ask", "question": "q"}',
+                            encoding="utf-8")
+        with pytest.raises(SystemExit, match="must be positive"):
+            main(["serve", "--workload", str(workload), flag, "0"])

@@ -26,13 +26,6 @@ BUDGET = 500_000
 SHARD_COUNTS = (1, 2, 4)
 
 
-def _fingerprint(answer):
-    return repr((
-        answer.text, answer.value, answer.confidence, answer.grounded,
-        answer.system, answer.provenance, sorted(answer.metadata.items()),
-    ))
-
-
 def _lake(domain):
     if domain == "ecommerce":
         return generate_ecommerce_lake(LakeSpec(n_products=4, seed=17))
@@ -55,7 +48,7 @@ def _build(domain, n_shards=1, chaos=False):
 
 def _fingerprints(domain, n_shards, chaos=False):
     pipe, questions = _build(domain, n_shards=n_shards, chaos=chaos)
-    return [_fingerprint(pipe.answer(q)) for q in questions]
+    return [pipe.answer(q).fingerprint() for q in questions]
 
 
 class ShardEquivalenceTest(unittest.TestCase):

@@ -3,8 +3,10 @@
 Covers the :mod:`repro.qa.speculative` tentpole end to end:
 
 * **fail-closed capability gating** — a missing, unreadable, corrupt,
-  ``unknown``- or ``conflicts``-verdict capability table always reverts
-  plans to the sequential executor and never raises;
+  ``unknown``- or ``conflicts``-verdict capability table always closes
+  the gate (sequential execution) and never raises;
+* **one interpreter** — every plan runs through ``PlanExecutor.execute``
+  with the gate open or closed;
 * **arm extraction and clearance** — plan arms, same-engine
   serialization, cross-arm stage-pair verdict checks;
 * **arm-level failure isolation** — the rescue reserve (`ArmScope`),
@@ -20,6 +22,7 @@ import json
 import pathlib
 import tempfile
 import unittest
+from unittest import mock
 
 from repro.bench import (
     HealthSpec, LakeSpec, generate_ecommerce_lake, generate_healthcare_lake,
@@ -29,10 +32,10 @@ from repro.errors import TransientError
 from repro.metering import CostMeter
 from repro.obs import (
     METRIC_SPECULATION_CANCELLED, METRIC_SPECULATION_CANCELLED_WORK,
-    METRIC_SPECULATION_RESCUED, METRIC_SPECULATION_WIN, REGISTRY,
+    METRIC_SPECULATION_RESCUED, METRIC_SPECULATION_WIN, REGISTRY, Tracer,
 )
 from repro.qa import (
-    ROUTE_HYBRID, SpeculationGate, SpeculativeExecutor, extract_arms,
+    ROUTE_HYBRID, PlanExecutor, SpeculationGate, extract_arms,
 )
 from repro.resilience import (
     ArmScope, DegradationEvent, ResilienceConfig, ResilienceManager,
@@ -60,16 +63,17 @@ def _lake(domain):
     return generate_healthcare_lake(HealthSpec(n_drugs=4, seed=17))
 
 
-def _pipeline(domain, speculative=True, capability_table=None,
-              faults=None):
+#: The two ways a gate is closed for every plan.
+SWITCHED_OFF = SpeculationGate.disabled("switched off")
+NO_TABLE = SpeculationGate.load(pathlib.Path("/nonexistent/table.json"))
+
+
+def _pipeline(domain, gate=None, faults=None):
     lake = _lake(domain)
-    _system, pipe = build_hybrid_system(lake, seed=SEED)
-    if capability_table is not None:
-        pipe.set_capability_table(capability_table)
-    if not speculative:
-        pipe.set_speculative(False)
-    if faults is not None:
-        pipe.enable_resilience(ResilienceConfig.from_dict(faults))
+    _system, pipe = build_hybrid_system(
+        lake, seed=SEED, speculation_gate=gate,
+        resilience=(ResilienceConfig.from_dict(faults)
+                    if faults is not None else None))
     return lake, pipe
 
 
@@ -84,13 +88,6 @@ def _arm_faults(rate):
         "retry": dict(HEDGE_RETRY),
         "budget": HEDGE_BUDGET,
     }
-
-
-def _fingerprint(answer):
-    return repr((
-        answer.text, answer.value, answer.confidence, answer.grounded,
-        answer.system, answer.provenance, sorted(answer.metadata.items()),
-    ))
 
 
 def _hybrid_plan(pipe, questions):
@@ -231,32 +228,57 @@ class FailClosedExecutionTest(unittest.TestCase):
     """Denied plans run sequentially: identical answers, no exception."""
 
     def test_missing_table_reverts_to_sequential_answers(self):
-        lake, seq = _pipeline("ecommerce", speculative=False)
-        _lake2, gated = _pipeline(
-            "ecommerce",
-            capability_table=pathlib.Path("/nonexistent/table.json"),
-        )
+        lake, seq = _pipeline("ecommerce", gate=SWITCHED_OFF)
+        _lake2, gated = _pipeline("ecommerce", gate=NO_TABLE)
         before_seq = _counter("speculation.sequential")
         before_spec = _counter("speculation.plans")
         for pair in lake.qa_pairs(per_kind=1):
-            want = _fingerprint(seq.answer(pair.question))
-            got = _fingerprint(gated.answer(pair.question))
+            want = seq.answer(pair.question).fingerprint()
+            got = gated.answer(pair.question).fingerprint()
             self.assertEqual(got, want, pair.question)
         self.assertGreater(_counter("speculation.sequential"),
                            before_seq)
         self.assertEqual(_counter("speculation.plans"), before_spec)
-        executor = gated._executor  # noqa: SLF001
-        self.assertIsInstance(executor, SpeculativeExecutor)
-        self.assertFalse(executor.gate.enabled)
+        self.assertFalse(gated._executor.gate.enabled)  # noqa: SLF001
+
+    def test_one_execute_per_compiled_plan_in_both_gate_states(self):
+        for gate in (None, SWITCHED_OFF):
+            lake, pipe = _pipeline("ecommerce", gate=gate)
+            with mock.patch.object(
+                PlanExecutor, "compile", autospec=True,
+                side_effect=PlanExecutor.compile,
+            ) as compiled, mock.patch.object(
+                PlanExecutor, "execute", autospec=True,
+                side_effect=PlanExecutor.execute,
+            ) as executed:
+                for pair in lake.qa_pairs(per_kind=1):
+                    pipe.answer(pair.question)
+            self.assertGreater(compiled.call_count, 0)
+            self.assertEqual(executed.call_count, compiled.call_count)
+
+    def test_closed_gate_is_plain_sequential_execution(self):
+        for gate in (SWITCHED_OFF, NO_TABLE):
+            lake, pipe = _pipeline("ecommerce", gate=gate)
+            pairs = lake.qa_pairs(per_kind=1)
+            before = _counter("speculation.sequential")
+            tracer = Tracer(meter=pipe.meter)
+            with tracer.activate():
+                for pair in pairs:
+                    pipe.answer(pair.question)
+            self.assertGreaterEqual(
+                _counter("speculation.sequential") - before, len(pairs))
+            self.assertNotIn("qa.speculate",
+                             {node.name for node in tracer.spans()})
+            self.assertEqual(pipe.resilience.arm_breaker_states(), {})
 
     def test_denied_plan_explains_fail_closed(self):
-        _lake, pipe = _pipeline(
-            "ecommerce",
-            capability_table=pathlib.Path("/nonexistent/table.json"),
-        )
-        text = pipe.explain_plan("Which product has the best rating?")
-        self.assertIn("fail closed to sequential", text)
-        self.assertIn("missing", text)
+        for gate, why in ((SWITCHED_OFF, "(switched off)"),
+                          (NO_TABLE, "table.json is missing)")):
+            _lake, pipe = _pipeline("ecommerce", gate=gate)
+            text = pipe.explain_plan("Which product has the best rating?")
+            self.assertIn(
+                "speculation: off — fail closed to sequential", text)
+            self.assertIn(why, text)
 
     def test_cleared_plan_explains_arms_and_verdicts(self):
         lake, pipe = _pipeline("ecommerce")
@@ -351,15 +373,16 @@ class ArmIsolationTest(unittest.TestCase):
 class RescueDeltaTest(unittest.TestCase):
     """Arm-targeted faults + binding budget: speculation rescues.
 
-    At fault rate 0.2 the speculative abstention count must be
-    *strictly* lower than the sequential baseline, and across the
+    At fault rate 0.2 the open-gate abstention count must be
+    *strictly* lower than the closed-gate baseline, and across the
     fault-rate sweep it must never be higher (monotone non-worse
     degradation), with correctness also non-worse — on both domains.
     """
 
     def _run(self, domain, speculative, rate):
-        lake, pipe = _pipeline(domain, speculative=speculative,
-                               faults=_arm_faults(rate))
+        lake, pipe = _pipeline(
+            domain, gate=None if speculative else SWITCHED_OFF,
+            faults=_arm_faults(rate))
         abstained = correct = 0
         pairs = lake.qa_pairs(per_kind=4)
         for pair in pairs:

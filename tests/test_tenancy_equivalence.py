@@ -72,15 +72,13 @@ def make_pipeline(lake, chaos=False):
 
 
 def fingerprint(answer, exact_work=True):
-    metadata = dict(answer.metadata)
-    degradation = metadata.get("degradation")
+    degradation = answer.metadata.get("degradation")
     if not exact_work and isinstance(degradation, dict):
         degradation = dict(degradation)
         degradation.pop("work_spent", None)
-        metadata["degradation"] = degradation
-    return (answer.text, answer.value, answer.confidence,
-            answer.grounded, answer.system, tuple(answer.provenance),
-            tuple(sorted((k, repr(v)) for k, v in metadata.items())))
+        answer = dataclasses.replace(answer, metadata=dict(
+            answer.metadata, degradation=degradation))
+    return answer.fingerprint()
 
 
 @pytest.mark.parametrize("domain", sorted(DOMAINS))

@@ -51,13 +51,6 @@ def make_server(lake):
                        tenants=TenantRegistry.from_dict(REGISTRY_DOC))
 
 
-def fingerprint(answer):
-    return (answer.text, answer.value, answer.confidence,
-            answer.grounded, answer.system, tuple(answer.provenance),
-            tuple(sorted((k, repr(v))
-                         for k, v in answer.metadata.items())))
-
-
 class TestCacheIsolation:
     def test_zero_cross_tenant_answer_hits_interleaved(self, lake,
                                                        questions):
@@ -87,14 +80,14 @@ class TestCacheIsolation:
         shared = make_server(lake)
         interleaved = {
             tenant: [
-                fingerprint(shared.ask(q, tenant=tenant))
+                shared.ask(q, tenant=tenant).fingerprint()
                 for q in questions
             ]
             for tenant in ("q1", "q2")
         }
         for tenant in ("q1", "q2"):
             dedicated = make_server(lake)
-            alone = [fingerprint(dedicated.ask(q, tenant=tenant))
+            alone = [dedicated.ask(q, tenant=tenant).fingerprint()
                      for q in questions]
             assert interleaved[tenant] == alone
 
@@ -106,15 +99,15 @@ class TestCacheIsolation:
         q2 = server.ask(aggregate, tenant="q2")
         assert not q1.abstained
         # q2's RLS pins quarter=Q2, the question asks Q1: disjoint.
-        assert fingerprint(q1) != fingerprint(q2)
+        assert q1.fingerprint() != q2.fingerprint()
 
     def test_repeat_after_neighbour_hit_still_correct(self, lake):
         """A warm neighbour entry must not be served cross-tenant."""
         server = make_server(lake)
         aggregate = "Find the total sales of all products in Q1."
-        reference = fingerprint(server.ask(aggregate, tenant="q1"))
+        reference = server.ask(aggregate, tenant="q1").fingerprint()
         server.ask(aggregate, tenant="q2")      # warms q2's entry
-        again = fingerprint(server.ask(aggregate, tenant="q1"))
+        again = server.ask(aggregate, tenant="q1").fingerprint()
         assert again == reference
 
 
@@ -153,5 +146,5 @@ class TestSchedulerIsolation:
         assert sum(1 for r in by_tenant["q1"] if r.deduped) == 1
         assert sum(1 for r in by_tenant["q2"] if r.deduped) == 1
         assert not any(r.deduped for r in by_tenant["default"])
-        assert (fingerprint(by_tenant["q1"][0].answer)
-                == fingerprint(by_tenant["q1"][1].answer))
+        assert (by_tenant["q1"][0].answer.fingerprint()
+                == by_tenant["q1"][1].answer.fingerprint())
