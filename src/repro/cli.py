@@ -323,38 +323,18 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_load(args) -> int:
+def cmd_load(argv: List[str]) -> int:
     """Run the closed-loop load harness with optional SLO gating."""
     from .loadgen import cli as loadgen_cli
 
-    forwarded = ["--spec", args.spec]
-    if args.slo:
-        forwarded += ["--slo", args.slo]
-    if args.tenants:
-        forwarded += ["--tenants", args.tenants]
-    if args.out:
-        forwarded += ["--out", args.out]
-    if args.emit_workload:
-        forwarded += ["--emit-workload", args.emit_workload]
-    if args.shards is not None:
-        forwarded += ["--shards", str(args.shards)]
-    return loadgen_cli.main(forwarded)
+    return loadgen_cli.main(argv)
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(argv: List[str]) -> int:
     """Certify parallel-safe plan stages via whole-program effects."""
     from .analysis import cli as analysis_cli
 
-    forwarded = ["--format", args.format]
-    if args.write:
-        forwarded.append("--write")
-    if args.check:
-        forwarded.append("--check")
-    if args.table:
-        forwarded += ["--table", args.table]
-    if args.baseline:
-        forwarded += ["--baseline", args.baseline]
-    return analysis_cli.main(forwarded)
+    return analysis_cli.main(argv)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,24 +422,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="questions allowed to queue between writes")
     serve.set_defaults(func=cmd_serve)
 
-    load = sub.add_parser("load", help=cmd_load.__doc__)
-    tenant_flags(load)
-    load.add_argument("--spec", required=True, metavar="SPEC.json",
-                      help="load-generation spec (domain, seed, mixes, "
-                           "skew, writes, faults)")
-    load.add_argument("--slo", default=None, metavar="SLO.json",
-                      help="SLO gate spec; omit to measure without "
-                           "gating")
-    load.add_argument("--out", default=None, metavar="REPORT.json",
-                      help="write the canonical BENCH_load payload here")
-    load.add_argument("--emit-workload", default=None,
-                      metavar="FILE.jsonl",
-                      help="also save the generated request stream as "
-                           "a serving JSONL workload")
-    load.add_argument("--shards", type=int, default=None, metavar="N",
-                      help="override the spec's shard count "
-                           "(entity-keyed store partitioning)")
-    load.set_defaults(func=cmd_load)
+    # load and analyze own their flags: main() hands everything after
+    # the subcommand to loadgen.cli / analysis.cli, so no flag is
+    # declared twice (``repro load -h`` prints the harness's own help).
+    load = sub.add_parser("load", help=cmd_load.__doc__, add_help=False)
+    load.set_defaults(delegate=cmd_load)
+    analyze = sub.add_parser("analyze", help=cmd_analyze.__doc__,
+                             add_help=False)
+    analyze.set_defaults(delegate=cmd_analyze)
 
     tenants = sub.add_parser("tenants", help=cmd_tenants.__doc__)
     tenants.add_argument("files", nargs="+", metavar="SPEC.json",
@@ -469,28 +439,17 @@ def build_parser() -> argparse.ArgumentParser:
                               "summary")
     tenants.set_defaults(func=cmd_tenants)
 
-    analyze = sub.add_parser("analyze", help=cmd_analyze.__doc__)
-    analyze.add_argument("--write", action="store_true",
-                         help="regenerate the committed capability "
-                              "table (analysis/parallel_safety.json)")
-    analyze.add_argument("--check", action="store_true",
-                         help="fail when the committed table drifts "
-                              "from the sources (the CI gate)")
-    analyze.add_argument("--table", default=None, metavar="FILE.json",
-                         help="capability table path override")
-    analyze.add_argument("--format", default="text",
-                         choices=["text", "json", "github"])
-    analyze.add_argument("--baseline", default=None,
-                         metavar="FILE.json",
-                         help="suppress findings recorded in this "
-                              "committed baseline")
-    analyze.set_defaults(func=cmd_analyze)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if hasattr(args, "delegate"):
+        return args.delegate(rest)
+    if rest:
+        parser.error("unrecognized arguments: %s" % " ".join(rest))
     return args.func(args)
 
 

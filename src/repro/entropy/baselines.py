@@ -7,12 +7,11 @@ length — the same baseline family as Kuhn et al.
 
 from __future__ import annotations
 
-from typing import Sequence, Set
+from typing import Sequence
 
 from ..errors import EntropyError
 from ..slm.generator import Generation
-from ..text.stemmer import stem
-from ..text.stopwords import STOPWORDS
+from ..text.stopwords import content_stems
 from ..text.tokenizer import words
 
 
@@ -33,12 +32,6 @@ def length_normalized_entropy(generations: Sequence[Generation]) -> float:
     return sum(-g.mean_logprob for g in generations) / len(generations)
 
 
-def _token_set(text: str) -> Set[str]:
-    return {
-        stem(w) for w in words(text) if w not in STOPWORDS
-    }
-
-
 def lexical_dissimilarity(generations: Sequence[Generation]) -> float:
     """1 − mean pairwise Jaccard overlap of answer token sets.
 
@@ -46,7 +39,7 @@ def lexical_dissimilarity(generations: Sequence[Generation]) -> float:
     proxy for divergence (it cannot tell paraphrases from conflicts).
     """
     _check_nonempty(generations)
-    sets = [_token_set(g.text) for g in generations]
+    sets = [set(content_stems(g.text)) for g in generations]
     n = len(sets)
     if n == 1:
         return 0.0

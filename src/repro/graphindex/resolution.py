@@ -22,8 +22,7 @@ from typing import Dict, List, Optional, Set
 
 from ..slm.embeddings import EmbeddingModel
 from ..text.stemmer import stem
-from ..text.stopwords import STOPWORDS
-from ..text.tokenizer import words
+from ..text.stopwords import content_stems
 from .hetgraph import HeterogeneousGraph
 from .nodes import NODE_ENTITY
 
@@ -34,10 +33,7 @@ _GENERIC_STEMS = frozenset(
 
 
 def _alias_tokens(label: str) -> Set[str]:
-    return {
-        stem(w) for w in words(label)
-        if w not in STOPWORDS and stem(w) not in _GENERIC_STEMS
-    }
+    return set(content_stems(label)) - _GENERIC_STEMS
 
 
 @dataclass(frozen=True)

@@ -95,8 +95,7 @@ def _is_entry_point(module: ModuleInfo) -> bool:
     """Application-layer modules free to import across layers."""
     rel = module.relpath
     return (
-        rel in ("cli.py", "obs/smoke.py", "resilience/smoke.py",
-                "__init__.py")
+        rel in ("cli.py", "resilience/smoke.py", "__init__.py")
         or rel.startswith("bench/")
     )
 
@@ -136,7 +135,7 @@ class DeterminismRule(Rule):
 
     The paper's contract is byte-reproducible answers for a fixed seed;
     any ambient entropy breaks it. ``bench/``, ``cli.py`` and
-    ``obs/smoke.py`` are application entry points and exempt.
+    ``resilience/smoke.py`` are application entry points and exempt.
     """
 
     id = "determinism"
@@ -430,7 +429,7 @@ class LayeringRule(Rule):
     ``storage``/``text``/``slm`` must never reach up into ``qa`` (or any
     higher layer); every unit's legal dependency set is declared in
     ``_ALLOWED_DEPS``. Entry points (``cli.py``, ``bench/``,
-    ``obs/smoke.py``) and the public ``__init__`` facade are exempt.
+    ``resilience/smoke.py``) and the public ``__init__`` facade are exempt.
     Lazy (function-level) imports count: they still couple layers.
     """
 
@@ -534,9 +533,8 @@ class MutableDefaultRule(Rule):
 
 
 # print() is part of the interface in these modules.
-_PRINT_ALLOWED = {"cli.py", "bench/reporting.py", "obs/smoke.py",
-                  "resilience/smoke.py", "lint/cli.py",
-                  "loadgen/cli.py", "analysis/cli.py"}
+_PRINT_ALLOWED = {"cli.py", "bench/reporting.py", "resilience/smoke.py",
+                  "lint/cli.py", "loadgen/cli.py", "analysis/cli.py"}
 
 
 @register

@@ -40,6 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.loadgen",
         description="Deterministic closed-loop load harness with SLO "
                     "gates (see docs/serving.md)",
+        # No prefix matching: "--tenant ID" (the ask/serve flag) must
+        # be a usage error here, not read as "--tenants FILE".
+        allow_abbrev=False,
     )
     parser.add_argument("--spec", required=True, metavar="SPEC.json",
                         help="load-generation spec (domain, seed, "

@@ -1,8 +1,9 @@
 """Chaos smoke check: a seeded fault-plan sweep over the pipeline.
 
-Run as ``python -m repro.resilience.smoke`` (CI's ``chaos`` job). It
-builds a small e-commerce lake and answers the same QA suite under
-fault plans of increasing rate, asserting the resilience contract:
+Run as ``python -m repro.resilience.smoke`` (CI runs the same sweep
+as ``tests/test_chaos.py::TestChaosSweep``). It builds a small
+e-commerce lake and answers the same QA suite under fault plans of
+increasing rate, asserting the resilience contract:
 
 * ``answer()`` **never raises**, at any fault rate — every backend
   fault is absorbed into a degradation record or a typed abstention;

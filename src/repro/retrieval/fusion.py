@@ -23,9 +23,7 @@ from ..errors import RetrievalError
 from ..metering import CostMeter, GLOBAL_METER, NODES_SCORED
 from ..obs import observe, span
 from ..text.chunker import Chunk
-from ..text.stemmer import stem
-from ..text.stopwords import STOPWORDS
-from ..text.tokenizer import words
+from ..text.stopwords import content_stems
 from .base import RetrievedChunk, Retriever
 
 
@@ -121,19 +119,14 @@ class KeywordReranker:
 
     def _rerank(self, query: str,
                 hits: Sequence[RetrievedChunk]) -> List[RetrievedChunk]:
-        query_stems = {
-            stem(w) for w in words(query) if w not in STOPWORDS
-        }
+        query_stems = set(content_stems(query))
         if not query_stems or not hits:
             return list(hits)
         max_score = max(hit.score for hit in hits) or 1.0
         rescored = []
         for hit in hits:
             self._meter.charge(NODES_SCORED)
-            chunk_stems = {
-                stem(w) for w in words(hit.chunk.text)
-                if w not in STOPWORDS
-            }
+            chunk_stems = set(content_stems(hit.chunk.text))
             coverage = len(query_stems & chunk_stems) / len(query_stems)
             mixed = (1.0 - self._weight) * (hit.score / max_score) \
                 + self._weight * coverage

@@ -14,14 +14,8 @@ from typing import Dict, List, Optional, Sequence
 from ..metering import CostMeter, GLOBAL_METER, NODES_SCORED
 from ..obs import span
 from ..text.chunker import Chunk
-from ..text.stemmer import stem
-from ..text.stopwords import STOPWORDS
-from ..text.tokenizer import words
+from ..text.stopwords import content_stems
 from .base import RetrievedChunk, Retriever, top_k
-
-
-def _terms(text: str) -> List[str]:
-    return [stem(w) for w in words(text) if w not in STOPWORDS]
 
 
 class BM25Retriever(Retriever):
@@ -50,7 +44,7 @@ class BM25Retriever(Retriever):
         self._doc_len = {}
         total = 0
         for chunk in chunks:
-            terms = _terms(chunk.text)
+            terms = content_stems(chunk.text)
             counts = Counter(terms)
             self._doc_len[chunk.chunk_id] = len(terms)
             total += len(terms)
@@ -71,7 +65,7 @@ class BM25Retriever(Retriever):
         self._check_ready(self._indexed)
         self._check_k(k)
         with span("retrieval.lexical", k=k) as sp:
-            query_terms = _terms(query)
+            query_terms = content_stems(query)
             scores: Dict[str, float] = {}
             for term in set(query_terms):
                 postings = self._postings.get(term)

@@ -32,9 +32,7 @@ from ..metering import CostMeter, GLOBAL_METER, NODES_SCORED
 from ..obs import span
 from ..slm.model import SmallLanguageModel
 from ..text.chunker import Chunk
-from ..text.stemmer import stem
-from ..text.stopwords import STOPWORDS
-from ..text.tokenizer import words
+from ..text.stopwords import content_stems
 from .base import RetrievedChunk, Retriever, top_k
 from .lexical import BM25Retriever
 
@@ -113,9 +111,7 @@ class TopologyRetriever(Retriever):
         else:
             self._centrality = {}
         self._entity_tokens = {
-            node.node_id: {
-                stem(w) for w in words(node.label) if w not in STOPWORDS
-            }
+            node.node_id: set(content_stems(node.label))
             for node in self._graph.nodes(NODE_ENTITY)
         }
         self._fallback.index(chunks)
@@ -134,9 +130,7 @@ class TopologyRetriever(Retriever):
             return sorted(set(anchors))
         # Fuzzy fallback: entity labels sharing >= half their tokens
         # with the query.
-        query_stems = {
-            stem(w) for w in words(query) if w not in STOPWORDS
-        }
+        query_stems = set(content_stems(query))
         for node_id, tokens in self._entity_tokens.items():
             if not tokens:
                 continue
@@ -184,9 +178,7 @@ class TopologyRetriever(Retriever):
             sp.set("fallback", "bm25")
             return self._fallback.retrieve(query, k)
 
-        query_stems = {
-            stem(w) for w in words(query) if w not in STOPWORDS
-        }
+        query_stems = set(content_stems(query))
         scores: Dict[str, float] = {}
         components: Dict[str, Dict[str, float]] = {}
         for chunk_id, per_anchor in chunk_depths.items():
@@ -195,10 +187,7 @@ class TopologyRetriever(Retriever):
             min_depth = min(per_anchor.values())
             depth_score = 1.0 / (1.0 + min_depth)
             central = self._centrality.get("chunk:%s" % chunk_id, 0.0)
-            chunk_stems = {
-                stem(w) for w in words(self._chunks[chunk_id].text)
-                if w not in STOPWORDS
-            }
+            chunk_stems = set(content_stems(self._chunks[chunk_id].text))
             lexical = (
                 len(chunk_stems & query_stems) / len(query_stems)
                 if query_stems else 0.0

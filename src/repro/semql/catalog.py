@@ -19,8 +19,7 @@ from ..errors import SynthesisError
 from ..storage.relational.database import Database
 from ..storage.types import DataType
 from ..text.stemmer import stem
-from ..text.stopwords import STOPWORDS
-from ..text.tokenizer import words
+from ..text.stopwords import content_stems
 from .logical import JoinSpec
 
 
@@ -165,9 +164,7 @@ class SchemaCatalog:
         """
         term_low = term.strip().lower()
         term_stem = stem(term_low)
-        term_tokens = {
-            stem(w) for w in words(term_low) if w not in STOPWORDS
-        }
+        term_tokens = set(content_stems(term_low))
         candidates: List[ColumnBinding] = []
         for table_name in self._db.table_names():
             schema = self._db.table(table_name).schema

@@ -16,7 +16,7 @@ from ..text.patterns import (
     KIND_QUARTER, KIND_YEAR, find_patterns, normalize_quarter,
 )
 from ..text.stemmer import stem
-from ..text.stopwords import STOPWORDS
+from ..text.stopwords import STOPWORDS, content_words
 from ..text.tokenizer import words
 
 # Aggregate cue → function, in priority order (first match wins).
@@ -211,7 +211,7 @@ def analyze(question: str) -> IntentFrame:
         elif match.kind == KIND_YEAR and frame.year is None:
             frame.year = int(match.text)
 
-    tokens = [w for w in words(low) if w not in STOPWORDS]
+    tokens = content_words(low)
     frame.content_terms = tokens
     frame.metric_terms = [
         t for t in tokens if t in _METRIC_WORDS or stem(t) in {

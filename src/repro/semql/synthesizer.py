@@ -19,6 +19,7 @@ import re
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import SynthesisError
+from ..text.stemmer import stem
 from .catalog import ColumnBinding, SchemaCatalog, ValueHit
 from .intents import Comparison, IntentFrame, analyze
 from .logical import AggregateSpec, FilterSpec, JoinSpec, QuerySpec
@@ -293,11 +294,9 @@ class OperatorSynthesizer:
         if match is None:
             return None
         term = match.group(1).strip().lower()
-        from ..text.stemmer import stem as _stem
-
         for table in self._catalog.tables():
-            if _stem(term.split()[-1]) in (_stem(table.rstrip("s")),
-                                           _stem(table)):
+            if stem(term.split()[-1]) in (stem(table.rstrip("s")),
+                                          stem(table)):
                 return None
         candidates = self._catalog.resolve_column(term, [base_table])
         if candidates and candidates[0].score >= 0.5:
@@ -321,11 +320,9 @@ class OperatorSynthesizer:
         term = match.group(1).strip().lower()
         # A term naming a whole table ("which product ...") means the
         # answer is a row of that table, not a group.
-        from ..text.stemmer import stem as _stem
-
         for table in self._catalog.tables():
-            if _stem(term.split()[-1]) == _stem(table.rstrip("s")) or \
-                    _stem(term.split()[-1]) == _stem(table):
+            if stem(term.split()[-1]) == stem(table.rstrip("s")) or \
+                    stem(term.split()[-1]) == stem(table):
                 return None
         candidates = self._catalog.resolve_column(term, [base_table])
         if candidates and candidates[0].score >= 0.5:

@@ -47,6 +47,12 @@ ANSWER_DEPS = STORE_KINDS
 PLAN_DEPS = (KIND_RELATIONAL,)
 RETRIEVAL_DEPS = (KIND_TEXT, KIND_GRAPH)
 
+#: Entry bounds of the four tiers.
+ANSWER_CAPACITY = 65536
+PLAN_CAPACITY = 4096
+RETRIEVAL_CAPACITY = 16384
+EMBEDDING_CAPACITY = 2048
+
 
 class Generations:
     """Monotone per-store-kind generation counters.
@@ -104,11 +110,11 @@ class PlanCache:
     spent — so the LRU budget is denominated in real CostMeter units.
     """
 
-    def __init__(self, generations: Generations, meter: CostMeter,
-                 capacity: int = 4096):
+    def __init__(self, generations: Generations, meter: CostMeter):
         self._generations = generations
         self._meter = meter
-        self._lru = CostAwareLRU(capacity=capacity, name="serving.plans")
+        self._lru = CostAwareLRU(capacity=PLAN_CAPACITY,
+                                 name="serving.plans")
         self._pending: Dict[Any, int] = {}
 
     @property
@@ -144,10 +150,10 @@ class AnswerCache:
     ``answer.metadata`` can never poison the cached object.
     """
 
-    def __init__(self, generations: Generations, capacity: int = 65536,
-                 sharded: bool = False):
+    def __init__(self, generations: Generations, sharded: bool = False):
         self._generations = generations
-        self._lru = CostAwareLRU(capacity=capacity, name="serving.answers")
+        self._lru = CostAwareLRU(capacity=ANSWER_CAPACITY,
+                                 name="serving.answers")
         self._sharded = sharded
 
     @property
@@ -210,18 +216,11 @@ class CachePolicy:
     TIERS = ("answer", "plan", "retrieval", "embedding")
 
     def __init__(self, answer: bool = True, plan: bool = True,
-                 retrieval: bool = True, embedding: bool = True,
-                 answer_capacity: int = 65536, plan_capacity: int = 4096,
-                 retrieval_capacity: int = 16384,
-                 embedding_capacity: int = 2048):
+                 retrieval: bool = True, embedding: bool = True):
         self.answer = answer
         self.plan = plan
         self.retrieval = retrieval
         self.embedding = embedding
-        self.answer_capacity = answer_capacity
-        self.plan_capacity = plan_capacity
-        self.retrieval_capacity = retrieval_capacity
-        self.embedding_capacity = embedding_capacity
 
     @classmethod
     def none(cls) -> "CachePolicy":
@@ -268,16 +267,15 @@ class MultiTierCache:
         self.policy = policy
         self.generations = generations
         self.answers: Optional[AnswerCache] = (
-            AnswerCache(generations, capacity=policy.answer_capacity,
-                        sharded=sharded)
+            AnswerCache(generations, sharded=sharded)
             if policy.answer else None
         )
         self.plans: Optional[PlanCache] = (
-            PlanCache(generations, meter, capacity=policy.plan_capacity)
+            PlanCache(generations, meter)
             if policy.plan else None
         )
         self.retrieval: Optional[CostAwareLRU] = (
-            CostAwareLRU(capacity=policy.retrieval_capacity,
+            CostAwareLRU(capacity=RETRIEVAL_CAPACITY,
                          name="serving.retrieval")
             if policy.retrieval else None
         )

@@ -37,8 +37,8 @@ from .admission import (
     SHED_TENANT_UNKNOWN, AdmissionController, AdmissionPolicy, shed_answer,
 )
 from .cache import (
-    KIND_DOCUMENT, KIND_GRAPH, KIND_RELATIONAL, KIND_TEXT, CachePolicy,
-    Generations, MultiTierCache,
+    EMBEDDING_CAPACITY, KIND_DOCUMENT, KIND_GRAPH, KIND_RELATIONAL,
+    KIND_TEXT, CachePolicy, Generations, MultiTierCache,
 )
 from .retrieval import CachingRetriever
 from .scheduler import (
@@ -116,8 +116,7 @@ class QueryServer:
             pipeline.set_retriever_wrapper(self._wrap_retriever)
         if self._policy.embedding:
             pipeline.slm.embedder.enable_text_memo(
-                capacity=self._policy.embedding_capacity
-            )
+                capacity=EMBEDDING_CAPACITY)
 
     # ------------------------------------------------------------------
     # Wiring

@@ -25,8 +25,7 @@ import numpy as np
 from ..caching import CostAwareLRU
 from ..metering import EMBEDDING_CALLS, CostMeter, GLOBAL_METER
 from ..text.stemmer import stem
-from ..text.stopwords import STOPWORDS
-from ..text.tokenizer import words
+from ..text.stopwords import content_words
 
 
 def _stable_seed(key: str) -> int:
@@ -91,7 +90,7 @@ class EmbeddingModel:
         """Record document frequencies so rare terms weigh more."""
         for text in texts:
             self._n_docs += 1
-            for term in set(self._terms(text)):
+            for term in set(content_words(text)):
                 self._doc_freq[term] = self._doc_freq.get(term, 0) + 1
         return self
 
@@ -104,10 +103,6 @@ class EmbeddingModel:
     # ------------------------------------------------------------------
     # Embedding
     # ------------------------------------------------------------------
-    @staticmethod
-    def _terms(text: str) -> List[str]:
-        return [w for w in words(text) if w not in STOPWORDS]
-
     @property
     def token_cache(self) -> CostAwareLRU:
         """The bounded token-vector memo (for inspection and tests)."""
@@ -172,7 +167,7 @@ class EmbeddingModel:
         return vec
 
     def _embed_uncached(self, text: str) -> np.ndarray:
-        terms = self._terms(text)
+        terms = content_words(text)
         if not terms:
             return np.zeros(self.dim)
         acc = np.zeros(self.dim)

@@ -14,7 +14,7 @@ from typing import List, Optional, Set, Tuple
 
 from ..metering import ENTAILMENT_CALLS, CostMeter, GLOBAL_METER
 from ..text.stemmer import stem
-from ..text.stopwords import STOPWORDS
+from ..text.stopwords import content_words
 from ..text.tokenizer import words
 
 ENTAILMENT = "entailment"
@@ -43,8 +43,8 @@ _DISCOURSE_STEMS = frozenset(
 
 def _content_stems(text: str) -> Set[str]:
     stems = {
-        stem(w) for w in words(text)
-        if w not in STOPWORDS and w[:1].isalpha()
+        stem(w) for w in content_words(text)
+        if w[:1].isalpha()
         and not any(ch.isdigit() for ch in w)
     }
     return stems - _DISCOURSE_STEMS

@@ -31,7 +31,7 @@ from ..text.patterns import (
     find_patterns,
 )
 from ..text.stemmer import stem
-from ..text.stopwords import STOPWORDS
+from ..text.stopwords import content_stems, content_words
 from ..text.tokenizer import split_sentences, words
 
 ANSWER_NUMERIC = "numeric"
@@ -109,14 +109,11 @@ def classify_answer_kind(question: str) -> str:
 
 
 def _focus_stems(question: str) -> List[str]:
-    out = []
-    for w in words(question):
-        if w in STOPWORDS or len(w) < 2:
-            continue
-        if w in ("what", "which", "when", "who", "how", "many", "much"):
-            continue
-        out.append(stem(w))
-    return out
+    return [
+        stem(w) for w in content_words(question)
+        if len(w) >= 2
+        and w not in ("what", "which", "when", "who", "how", "many", "much")
+    ]
 
 
 @dataclass
@@ -188,9 +185,7 @@ class AnswerGenerator:
         cands: List[_Candidate] = []
         for idx, context in enumerate(contexts):
             for sentence in split_sentences(context):
-                sent_stems = {
-                    stem(w) for w in words(sentence) if w not in STOPWORDS
-                }
+                sent_stems = set(content_stems(sentence))
                 if not focus:
                     overlap = 0.0
                 else:
@@ -303,7 +298,7 @@ class AnswerGenerator:
         elif cands:
             core = rng.choice(cands).core
         else:
-            focus = [w for w in words(question) if w not in STOPWORDS][:3]
+            focus = content_words(question)[:3]
             core = "it depends on " + (" ".join(focus) or "the context")
         text = self._verbalize(core, rng, temperature)
         # Fabrications are *fluent*: their token probabilities look like

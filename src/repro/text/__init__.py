@@ -8,8 +8,8 @@ from .chunker import Chunk, Chunker, ChunkerConfig
 from .ner import Entity, EntityRecognizer, Gazetteer
 from .patterns import PatternMatch, find_patterns
 from .pos import TaggedToken, tag, tag_tokens
-from .stemmer import stem, stem_all
-from .stopwords import STOPWORDS, content_words, is_stopword
+from .stemmer import stem
+from .stopwords import STOPWORDS, content_stems, content_words
 from .tokenizer import Token, ngrams, split_sentences, tokenize, words
 
 __all__ = [
@@ -17,7 +17,7 @@ __all__ = [
     "Entity", "EntityRecognizer", "Gazetteer",
     "PatternMatch", "find_patterns",
     "TaggedToken", "tag", "tag_tokens",
-    "stem", "stem_all",
-    "STOPWORDS", "content_words", "is_stopword",
+    "stem",
+    "STOPWORDS", "content_stems", "content_words",
     "Token", "ngrams", "split_sentences", "tokenize", "words",
 ]

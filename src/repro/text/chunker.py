@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .stopwords import content_words
 from .tokenizer import split_sentences, words
 
 
@@ -28,10 +27,6 @@ class Chunk:
     text: str
     position: int
     n_tokens: int
-
-    def keywords(self) -> List[str]:
-        """Content-bearing lower-cased terms of the chunk."""
-        return content_words(words(self.text))
 
 
 @dataclass

@@ -168,8 +168,3 @@ def stem(word: str) -> str:
         word = word[:-1]
 
     return word
-
-
-def stem_all(tokens) -> list:
-    """Stem every token in *tokens*, preserving order."""
-    return [stem(tok) for tok in tokens]

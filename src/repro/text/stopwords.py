@@ -1,13 +1,17 @@
-"""A compact English stopword list.
+"""The stopword list and the text -> terms functions built on it.
 
-Used by BM25, the chunk keyword extractor, and the lexical answer
-clustering baseline. The list mirrors the classic SMART subset that
-matters for short business/clinical text.
+``content_words`` / ``content_stems`` are the single owner of "what a
+term is" (tokenise, drop stopwords, Porter-stem) for retrieval, the
+SLM operators, semql and the graph index. The list mirrors the classic
+SMART subset that matters for short business/clinical text.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet
+from typing import FrozenSet, List
+
+from .stemmer import stem
+from .tokenizer import words
 
 STOPWORDS: FrozenSet[str] = frozenset(
     """
@@ -30,24 +34,15 @@ STOPWORDS: FrozenSet[str] = frozenset(
 )
 
 
-def is_stopword(word: str) -> bool:
-    """Return True when *word* (case-insensitive) is a stopword."""
-    return word.lower() in STOPWORDS
+def content_words(text: str) -> List[str]:
+    """Lower-cased tokens of *text* minus stopwords.
 
-
-def content_words(tokens, keep_numbers: bool = True):
-    """Filter a token-string sequence down to content-bearing terms.
-
-    Keeps words not in the stopword list; numeric tokens are kept when
-    *keep_numbers* is set because values like "20%" carry the payload in
-    business reports.
+    Order, duplicates and punctuation tokens are kept; so are digit-led
+    tokens ("20%"), which in business reports carry the payload.
     """
-    kept = []
-    for tok in tokens:
-        low = tok.lower()
-        if low in STOPWORDS:
-            continue
-        if not keep_numbers and any(ch.isdigit() for ch in low):
-            continue
-        kept.append(tok)
-    return kept
+    return [w for w in words(text) if w not in STOPWORDS]
+
+
+def content_stems(text: str) -> List[str]:
+    """Porter stems of :func:`content_words`, same order and length."""
+    return [stem(w) for w in content_words(text)]

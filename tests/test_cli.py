@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -50,7 +51,7 @@ class TestCLI:
         assert out.strip()
 
     def test_analyze_check_passes_on_shipped_tree(self, capsys):
-        assert main(["analyze", "--check"]) == 0
+        assert main(["analyze", "--root", repro.__path__[0], "--check"]) == 0
         out = capsys.readouterr().out
         assert "stage-interference:" in out
 
@@ -59,6 +60,12 @@ class TestCLI:
         assert main(["analyze", "--write", "--table", str(table)]) == 0
         assert table.exists()
         capsys.readouterr()
+
+    def test_load_rejects_the_ask_only_tenant_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["load", "--spec", "never_read.json", "--tenant", "x"])
+        assert exit_info.value.code == 2
+        assert "--tenant x" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content, message", [
         (None, "cannot read"),

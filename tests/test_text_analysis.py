@@ -3,13 +3,19 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.bench.runner import generate_lake
+from repro.graphindex.resolution import _alias_tokens
+from repro.slm.entailment import _content_stems
+from repro.slm.generator import _focus_stems
 from repro.text import patterns as pat
+from repro.text.chunker import Chunker
 from repro.text.ner import (
     TYPE_METRIC, TYPE_MISC, TYPE_PRODUCT, EntityRecognizer, Gazetteer,
 )
 from repro.text.pos import NOUN, NUM, PROPN, VERB, tag
-from repro.text.stemmer import stem, stem_all
-from repro.text.stopwords import content_words, is_stopword
+from repro.text.stemmer import stem
+from repro.text.stopwords import STOPWORDS, content_stems, content_words
+from repro.text.tokenizer import words
 
 
 class TestStemmer:
@@ -40,9 +46,6 @@ class TestStemmer:
         assert stem("go") == "go"
         assert stem("is") == "is"
 
-    def test_stem_all_preserves_order(self):
-        assert stem_all(["sales", "increased"]) == ["sale", "increas"]
-
     def test_case_insensitive(self):
         assert stem("Running") == stem("running")
 
@@ -56,19 +59,54 @@ class TestStemmer:
 
 class TestStopwords:
     def test_the_is_stopword(self):
-        assert is_stopword("The")
+        assert content_words("The") == []
 
     def test_sales_is_not(self):
-        assert not is_stopword("sales")
+        assert content_words("sales") == ["sales"]
 
     def test_content_words_drop_stopwords(self):
-        assert content_words(["the", "total", "sales"]) == ["total", "sales"]
+        assert content_words("the total sales") == ["total", "sales"]
 
     def test_content_words_keep_numbers_by_default(self):
-        assert "20%" in content_words(["20%", "of", "sales"])
+        assert "20%" in content_words("20% of sales")
 
-    def test_content_words_drop_numbers_when_asked(self):
-        assert content_words(["20%", "sales"], keep_numbers=False) == ["sales"]
+    def test_content_stems_preserve_order(self):
+        assert content_stems("sales increased") == ["sale", "increas"]
+
+    @pytest.mark.parametrize("domain", ["ecommerce", "healthcare"])
+    def test_match_reference_on_default_lake(self, domain):
+        lake = generate_lake(domain, 7)
+        docs = lake.review_texts if domain == "ecommerce" else lake.note_texts
+        texts = [c.text for c in Chunker().chunk_corpus(docs)]
+        texts += [pair.question for pair in lake.qa_pairs()]
+        assert len(texts) > 50
+        for t in texts:
+            kept = [w for w in words(t) if w not in STOPWORDS]
+            assert content_words(t) == kept
+            assert content_stems(t) == [stem(w) for w in kept]
+
+
+# (text, _focus_stems, entailment._content_stems sorted, _alias_tokens
+# sorted) as they were before being rebuilt on content_words / content_stems.
+# Each filters on the *word* ("ies" stays, its stem "i" too; "x", "9" go).
+@pytest.mark.parametrize("text, focus, entail, alias", [
+    ("", "", "", ""),
+    ("a an the of", "", "", ""),
+    ("ies is a I x of 7 ties, 20% up", "i ti 20%", "i ti x", ", 20% 7 i ti x"),
+    ("not much, no one", "on", "much on", ", much on"),
+    ("Q3 2024 revenue", "q3 2024 revenu", "revenu", "q3 revenu"),
+    ("How many X2 units?", "x2 unit", "mani unit", "? mani unit x2"),
+    ("Which one is best?", "on best", "best on", "? best on"),
+    ("data shows sales 2%", "data show sale 2%", "sale", "2% data sale show"),
+    ("Pro 2024 Edition", "pro 2024 edit", "edit pro", ""),
+    ("new Series 5 model", "new seri model", "model new seri", "5"),
+    ("Li's 40mg a day", "li' 40 mg dai", "dai li' mg", "40 dai li' mg"),
+    ("Zephyr-9 (was 4.2)!", "zephyr 4.2", "zephyr", "! ( ) - 4.2 9 zephyr"),
+])
+def test_filtered_variants_pinned(text, focus, entail, alias):
+    assert " ".join(_focus_stems(text)) == focus
+    assert " ".join(sorted(_content_stems(text))) == entail
+    assert " ".join(sorted(_alias_tokens(text))) == alias
 
 
 class TestPatterns:

@@ -69,11 +69,6 @@ class TestChunker:
         chunks = Chunker().chunk_corpus([("a", "Txt one."), ("b", "Txt two.")])
         assert {c.doc_id for c in chunks} == {"a", "b"}
 
-    def test_keywords_drop_stopwords(self):
-        chunks = Chunker().chunk_document("d1", "The sales of the product.")
-        kws = chunks[0].keywords()
-        assert "the" not in kws and "sales" in kws
-
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             ChunkerConfig(max_tokens=0)

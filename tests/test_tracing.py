@@ -8,6 +8,7 @@ system's global :class:`~repro.metering.CostMeter`.
 """
 
 import json
+import time
 
 import pytest
 
@@ -162,6 +163,25 @@ class TestEndToEndTrace:
                     summed[name] = summed.get(name, 0) + amount
             assert {k: v for k, v in summed.items() if v} == \
                 {k: v for k, v in root.cost.items() if v}
+
+    def test_disabled_span_overhead_under_budget(self, traced_run):
+        """Untraced, the spans one query opens cost < 3% of answering it."""
+        tracer, _, n_queries = traced_run
+        lake = generate_ecommerce_lake(LakeSpec(n_products=6, seed=23))
+        system, _ = build_hybrid_system(lake, seed=23)
+        questions = [p.question for p in lake.qa_pairs(per_kind=2)]
+        for _pass in ("warm-up", "timed"):
+            started = time.perf_counter()
+            for question in questions:
+                system.answer(question)
+        per_query = (time.perf_counter() - started) / len(questions)
+        started = time.perf_counter()
+        for _ in range(200_000):
+            with span("noop"):
+                pass
+        per_span = (time.perf_counter() - started) / 200_000
+        spans_per_query = sum(1 for _ in tracer.spans()) / n_queries
+        assert per_span * spans_per_query / per_query < 0.03
 
 
 class TestExporters:
