@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from ..metering import CostMeter, GLOBAL_METER, NODES_SCORED
 from ..obs import span
@@ -34,19 +34,22 @@ class BM25Retriever(Retriever):
         # Inverted index: term → [(chunk_id, term_frequency)].
         self._postings: Dict[str, List] = {}
         self._doc_len: Dict[str, int] = {}
+        self._terms: Dict[str, FrozenSet[str]] = {}
         self._avg_len = 0.0
         self._indexed = False
 
     def index(self, chunks: Sequence[Chunk]) -> None:
-        """Tokenize every chunk into posting lists."""
+        """Tokenize every chunk into posting lists and a term set."""
         self._chunks = {c.chunk_id: c for c in chunks}
         self._postings = {}
         self._doc_len = {}
+        self._terms = {}
         total = 0
         for chunk in chunks:
             terms = content_stems(chunk.text)
             counts = Counter(terms)
             self._doc_len[chunk.chunk_id] = len(terms)
+            self._terms[chunk.chunk_id] = frozenset(counts)
             total += len(terms)
             for term, tf in counts.items():
                 self._postings.setdefault(term, []).append(
@@ -54,6 +57,15 @@ class BM25Retriever(Retriever):
                 )
         self._avg_len = total / len(chunks) if chunks else 0.0
         self._indexed = True
+
+    def terms(self, chunk_id: str) -> FrozenSet[str]:
+        """Distinct content stems of an indexed chunk, as of ``index``.
+
+        Lets a caller that scores chunks against a query (the topology
+        retriever) skip re-analysing chunk text per query. Raises
+        ``KeyError`` for a chunk the last ``index`` call did not see.
+        """
+        return self._terms[chunk_id]
 
     def _idf(self, term: str) -> float:
         n = len(self._chunks)

@@ -118,7 +118,8 @@ class TopologyRetriever(Retriever):
         self._indexed = True
 
     # ------------------------------------------------------------------
-    def _query_anchors(self, query: str) -> List[str]:
+    def _query_anchors(self, query: str,
+                       query_stems: Set[str]) -> List[str]:
         """Anchor entity node ids for *query* (exact, then fuzzy)."""
         anchors: List[str] = []
         entities = self._slm.tag_entities(query)
@@ -130,7 +131,6 @@ class TopologyRetriever(Retriever):
             return sorted(set(anchors))
         # Fuzzy fallback: entity labels sharing >= half their tokens
         # with the query.
-        query_stems = set(content_stems(query))
         for node_id, tokens in self._entity_tokens.items():
             if not tokens:
                 continue
@@ -148,7 +148,8 @@ class TopologyRetriever(Retriever):
 
     def _retrieve(self, query: str, k: int, sp) -> List[RetrievedChunk]:
         cfg = self._config
-        anchors = self._query_anchors(query)
+        query_stems = set(content_stems(query))
+        anchors = self._query_anchors(query, query_stems)
         sp.set("anchors", len(anchors))
         if not anchors:
             sp.set("fallback", "bm25")
@@ -178,7 +179,6 @@ class TopologyRetriever(Retriever):
             sp.set("fallback", "bm25")
             return self._fallback.retrieve(query, k)
 
-        query_stems = set(content_stems(query))
         scores: Dict[str, float] = {}
         components: Dict[str, Dict[str, float]] = {}
         for chunk_id, per_anchor in chunk_depths.items():
@@ -187,9 +187,11 @@ class TopologyRetriever(Retriever):
             min_depth = min(per_anchor.values())
             depth_score = 1.0 / (1.0 + min_depth)
             central = self._centrality.get("chunk:%s" % chunk_id, 0.0)
-            chunk_stems = set(content_stems(self._chunks[chunk_id].text))
+            # Term sets were computed when the fallback indexed the
+            # same chunks; chunk text is never re-analysed per query.
             lexical = (
-                len(chunk_stems & query_stems) / len(query_stems)
+                len(self._fallback.terms(chunk_id) & query_stems)
+                / len(query_stems)
                 if query_stems else 0.0
             )
             parts = {
@@ -206,7 +208,8 @@ class TopologyRetriever(Retriever):
     def explain(self, query: str, k: int = 5) -> str:
         """Human-readable scoring breakdown for debugging/examples."""
         hits = self.retrieve(query, k)
-        lines = ["anchors: %s" % ", ".join(self._query_anchors(query))]
+        anchors = self._query_anchors(query, set(content_stems(query)))
+        lines = ["anchors: %s" % ", ".join(anchors)]
         for hit in hits:
             parts = ", ".join(
                 "%s=%.3f" % (name, value)

@@ -164,6 +164,7 @@ _METRIC_WORDS = frozenset(
     "satisfaction returns growth efficacy dosage count orders quantity "
     "change score visits stay duration age increase decrease".split()
 )
+_METRIC_STEMS = frozenset(stem(m) for m in _METRIC_WORDS)
 
 
 def analyze(question: str) -> IntentFrame:
@@ -214,9 +215,8 @@ def analyze(question: str) -> IntentFrame:
     tokens = content_words(low)
     frame.content_terms = tokens
     frame.metric_terms = [
-        t for t in tokens if t in _METRIC_WORDS or stem(t) in {
-            stem(m) for m in _METRIC_WORDS
-        }
+        t for t in tokens
+        if t in _METRIC_WORDS or stem(t) in _METRIC_STEMS
     ]
     # Price is implicit in cheap/expensive superlatives.
     if frame.superlative and ("cheap" in low or "expensive" in low):

@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro.retrieval.topology as topology_module
+from repro.bench.runner import build_hybrid_system, generate_lake
 from repro.errors import BenchmarkError, RetrievalError
 from repro.metering import (
     CostMeter, EMBEDDING_CALLS, NODES_SCORED, VECTORS_COMPARED,
@@ -16,6 +18,7 @@ from repro.slm import SLMConfig, SmallLanguageModel
 from repro.slm.embeddings import EmbeddingModel
 from repro.text.chunker import Chunker, ChunkerConfig
 from repro.text.ner import TYPE_PRODUCT, Gazetteer
+from repro.text.stopwords import content_stems
 
 CORPUS = {
     "doc_alpha": "The Alpha Widget sales increased 20% in Q2. "
@@ -87,6 +90,36 @@ class TestBM25:
         a = [h.chunk_id for h in retriever.retrieve("sales increased", k=4)]
         b = [h.chunk_id for h in retriever.retrieve("sales increased", k=4)]
         assert a == b
+
+    def test_reindex_drops_term_sets_of_dropped_chunks(self):
+        chunks = make_chunks()
+        retriever = BM25Retriever(meter=CostMeter())
+        retriever.index(chunks)
+        retriever.index(chunks[1:])
+        with pytest.raises(KeyError):
+            retriever.terms(chunks[0].chunk_id)
+        assert retriever.terms(chunks[1].chunk_id)
+
+    def test_terms_follow_build_and_incremental_ingest(self):
+        _, pipeline = build_hybrid_system(generate_lake("ecommerce", 7), 7)
+
+        def check_all_indexed():
+            bm25 = pipeline._retriever._fallback
+            chunks = pipeline.text_store.chunks()
+            for chunk in chunks:
+                assert bm25.terms(chunk.chunk_id) == frozenset(
+                    content_stems(chunk.text)
+                )
+            with pytest.raises(KeyError):
+                bm25.terms("no-such-chunk")
+            return {c.chunk_id for c in chunks}
+
+        before = check_all_indexed()
+        pipeline.ingest_incremental([
+            ("late_review", "Zanzibar shipments of the widget doubled."),
+        ])
+        after = check_all_indexed()
+        assert after > before
 
 
 class TestDense:
@@ -246,6 +279,23 @@ class TestTopology:
             TopologyConfig(max_depth=0)
         with pytest.raises(ValueError):
             TopologyConfig(max_nodes=0)
+
+    def test_retrieve_analyses_only_the_query_and_only_once(
+            self, monkeypatch):
+        retriever, chunks, _ = self.make_retriever()
+        seen = []
+
+        def recorder(text):
+            seen.append(text)
+            return content_stems(text)
+
+        monkeypatch.setattr(topology_module, "content_stems", recorder)
+        exact = "How did Alpha Widget sales change?"
+        fuzzy = "did the widget grow"  # no tagged entity: fuzzy anchors
+        for query in (exact, fuzzy):
+            del seen[:]
+            assert retriever.retrieve(query, k=3)
+            assert seen == [query]
 
     def test_explain_mentions_anchor(self):
         retriever, _, _ = self.make_retriever()

@@ -1,5 +1,7 @@
 """Tests for stemmer, stopwords, patterns, POS and NER."""
 
+import inspect
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,9 +15,19 @@ from repro.text.ner import (
     TYPE_METRIC, TYPE_MISC, TYPE_PRODUCT, EntityRecognizer, Gazetteer,
 )
 from repro.text.pos import NOUN, NUM, PROPN, VERB, tag
-from repro.text.stemmer import stem
+from repro.text.stemmer import _porter, stem
 from repro.text.stopwords import STOPWORDS, content_stems, content_words
 from repro.text.tokenizer import words
+
+
+def _lake_texts(domain):
+    """Every chunk text and question of a default lake at seed 7."""
+    lake = generate_lake(domain, 7)
+    docs = lake.review_texts if domain == "ecommerce" else lake.note_texts
+    texts = [c.text for c in Chunker().chunk_corpus(docs)]
+    texts += [pair.question for pair in lake.qa_pairs()]
+    assert len(texts) > 50
+    return texts
 
 
 class TestStemmer:
@@ -56,6 +68,22 @@ class TestStemmer:
         assert isinstance(once, str)
         assert len(once) <= len(word) + 1  # at most one char grows ("e" add)
 
+    @given(st.text(max_size=20))
+    def test_memo_equals_porter_body(self, word):
+        assert stem(word) == _porter.__wrapped__(word)
+        assert stem(word) == _porter.__wrapped__(word)  # and on a hit
+
+    @pytest.mark.parametrize("domain", ["ecommerce", "healthcare"])
+    def test_memo_equals_porter_body_on_default_lake(self, domain):
+        for t in _lake_texts(domain):
+            for w in words(t):
+                assert stem(w) == _porter.__wrapped__(w)
+
+    def test_memo_is_bounded_and_stem_stays_a_function(self):
+        # benchmarks/perf/probes.py wraps only inspect.isfunction targets.
+        assert inspect.isfunction(stem)
+        assert _porter.cache_info().maxsize is not None
+
 
 class TestStopwords:
     def test_the_is_stopword(self):
@@ -75,12 +103,7 @@ class TestStopwords:
 
     @pytest.mark.parametrize("domain", ["ecommerce", "healthcare"])
     def test_match_reference_on_default_lake(self, domain):
-        lake = generate_lake(domain, 7)
-        docs = lake.review_texts if domain == "ecommerce" else lake.note_texts
-        texts = [c.text for c in Chunker().chunk_corpus(docs)]
-        texts += [pair.question for pair in lake.qa_pairs()]
-        assert len(texts) > 50
-        for t in texts:
+        for t in _lake_texts(domain):
             kept = [w for w in words(t) if w not in STOPWORDS]
             assert content_words(t) == kept
             assert content_stems(t) == [stem(w) for w in kept]
