@@ -46,7 +46,25 @@ class GeneratedTable:
 
 
 class TableGenerator:
-    """Generate relational tables from unstructured documents."""
+    """Generate relational tables from unstructured documents.
+
+    Reuse contract: per table name the generator keeps the
+    ``{doc_id: (text, facts)}`` of its last ``generate`` call, and the
+    next call for that name extracts only documents whose id is new or
+    whose text changed; the rest contribute the facts they already
+    yielded. Rows always follow the caller's document order, and a
+    document absent from a call leaves nothing behind. Regenerating a
+    table after one new document therefore costs that document's
+    tagging, not the corpus's.
+
+    Kept facts are only as fresh as the SLM that produced them: call
+    :meth:`forget` after changing what the SLM recognises (its
+    gazetteer). With ``entity_dropout > 0`` extraction is a random
+    draw, so a stored document keeps the facts of its *first*
+    extraction instead of being re-rolled on every regeneration.
+    Returned :class:`ExtractedFact` objects are shared with the kept
+    state; treat them as read-only.
+    """
 
     def __init__(self, slm: SmallLanguageModel,
                  min_column_support: int = 1,
@@ -56,21 +74,35 @@ class TableGenerator:
         self._min_support = min_column_support
         self._provenance = include_provenance
         self._source_text = include_source_text
+        self._kept: Dict[str, Dict[str, Tuple[str, List[ExtractedFact]]]] = {}
+
+    def forget(self) -> None:
+        """Drop every kept fact; the next generation extracts afresh."""
+        self._kept.clear()
 
     def generate(self, name: str,
                  documents: Iterable[Tuple[str, str]]) -> GeneratedTable:
         """Build table *name* from (doc_id, text) pairs.
 
-        Raises :class:`ExtractionError` when no document yields a fact.
+        Documents unchanged since the last generation of *name* reuse
+        their kept facts (see the class docstring). Raises
+        :class:`ExtractionError` when no document yields a fact.
         """
+        previous = self._kept.get(name, {})
+        kept: Dict[str, Tuple[str, List[ExtractedFact]]] = {}
         facts: List[ExtractedFact] = []
         fact_docs: List[str] = []
         doc_ids: List[str] = []
         for doc_id, text in documents:
             doc_ids.append(doc_id)
-            for fact in self._extractor.extract(text):
+            entry = previous.get(doc_id)
+            if entry is None or entry[0] != text:
+                entry = (text, self._extractor.extract(text))
+            kept[doc_id] = entry
+            for fact in entry[1]:
                 facts.append(fact)
                 fact_docs.append(doc_id)
+        self._kept[name] = kept
         if not facts:
             raise ExtractionError(
                 "no extractable facts in %d documents" % len(doc_ids)

@@ -8,9 +8,10 @@ connectivity". Degree centrality and PageRank are computed natively
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import GraphIndexError
+from ..metering import EDGES_TRAVERSED
 from .hetgraph import HeterogeneousGraph
 
 
@@ -32,6 +33,12 @@ def pagerank(graph: HeterogeneousGraph, damping: float = 0.85,
 
     Isolated nodes keep the teleport mass. Deterministic given the
     graph (iteration order is id-sorted).
+
+    The adjacency is read through ``graph.neighbors()`` once and kept
+    as per-node ``(target index, weight)`` lists in the order it yields
+    them; every pass sums in that order. Each pass charges the
+    ``edges_traversed`` it walks to ``graph.meter`` in one lump — the
+    same total as one ``neighbors()`` call per non-dangling node.
     """
     if not 0.0 < damping < 1.0:
         raise GraphIndexError("damping must be in (0, 1)")
@@ -39,36 +46,50 @@ def pagerank(graph: HeterogeneousGraph, damping: float = 0.85,
     n = len(nodes)
     if n == 0:
         return {}
-    rank = {node_id: 1.0 / n for node_id in nodes}
-    out_weight: Dict[str, float] = {}
-    for node_id in nodes:
+    index = {node_id: i for i, node_id in enumerate(nodes)}
+    # Per node with outgoing weight: (own index, out weight, targets).
+    # A dangling node (no edges, or all of weight 0) has no entry.
+    spreading: List[Tuple[int, float, List[Tuple[int, float]]]] = []
+    dangling: List[int] = []
+    edges_per_pass = 0
+    for i, node_id in enumerate(nodes):
         neighbors = graph.neighbors(node_id)
         if weight_by_edge:
-            out_weight[node_id] = sum(e.weight for e, _ in neighbors)
+            total_out = sum(e.weight for e, _ in neighbors)
         else:
-            out_weight[node_id] = float(len(neighbors))
+            total_out = float(len(neighbors))
+        if total_out == 0.0:
+            dangling.append(i)
+            continue
+        spreading.append((i, total_out, [
+            (index[neighbor.node_id],
+             edge.weight if weight_by_edge else 1.0)
+            for edge, neighbor in neighbors
+        ]))
+        edges_per_pass += len(neighbors)
+    rank = [1.0 / n] * n
     teleport = (1.0 - damping) / n
     for _ in range(max_iterations):
-        new_rank: Dict[str, float] = {node_id: teleport for node_id in nodes}
+        graph.meter.charge(EDGES_TRAVERSED, edges_per_pass)
+        new_rank = [teleport] * n
+        for i, total_out, targets in spreading:
+            share = damping * rank[i] / total_out
+            for target, w in targets:
+                new_rank[target] += share * w
+        # Plain += on purpose: sum() compensates float addition from
+        # Python 3.12 on, which would move the ranks in the last digit.
         dangling_mass = 0.0
-        for node_id in nodes:
-            total_out = out_weight[node_id]
-            if total_out == 0.0:
-                dangling_mass += rank[node_id]
-                continue
-            share = damping * rank[node_id] / total_out
-            for edge, neighbor in graph.neighbors(node_id):
-                w = edge.weight if weight_by_edge else 1.0
-                new_rank[neighbor.node_id] += share * w
+        for i in dangling:
+            dangling_mass += rank[i]
         if dangling_mass > 0.0:
             spread = damping * dangling_mass / n
-            for node_id in nodes:
-                new_rank[node_id] += spread
-        delta = sum(abs(new_rank[v] - rank[v]) for v in nodes)
+            for i in range(n):
+                new_rank[i] += spread
+        delta = sum(abs(new - old) for new, old in zip(new_rank, rank))
         rank = new_rank
         if delta < tolerance:
             break
-    return rank
+    return dict(zip(nodes, rank))
 
 
 def harmonic_centrality(graph: HeterogeneousGraph,

@@ -92,14 +92,16 @@ class HeterogeneousGraph:
                   node_kind: Optional[str] = None) -> List[Tuple[GraphEdge, GraphNode]]:
         """(edge, neighbor) pairs, filtered by edge/node kind.
 
-        Charges one ``edges_traversed`` unit per edge examined.
+        Charges one ``edges_traversed`` unit per edge examined, in one
+        lump per call.
         """
-        if node_id not in self._adjacency:
+        adjacency = self._adjacency.get(node_id)
+        if adjacency is None:
             raise GraphIndexError("no node %r" % node_id)
+        self._meter.charge(EDGES_TRAVERSED, len(adjacency))
         wanted = set(edge_kinds) if edge_kinds is not None else None
         out = []
-        for edge in self._adjacency[node_id]:
-            self._meter.charge(EDGES_TRAVERSED)
+        for edge in adjacency:
             if wanted is not None and edge.kind not in wanted:
                 continue
             neighbor = self._nodes[edge.target]
@@ -120,6 +122,11 @@ class HeterogeneousGraph:
         return sum(
             1 for e in self._adjacency[node_id] if e.kind in wanted
         )
+
+    @property
+    def meter(self) -> CostMeter:
+        """The cost meter traversal charges (read-only)."""
+        return self._meter
 
     @property
     def n_nodes(self) -> int:

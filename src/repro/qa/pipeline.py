@@ -198,6 +198,8 @@ class HybridQAPipeline:
                     names.add(value)
         if names:
             self._slm.add_gazetteer("VALUE", sorted(names))
+            # Facts kept from earlier generations predate these names.
+            self._table_generator.forget()
 
     def register_synonym(self, term: str, table: str, column: str) -> None:
         """Declare an NL term → column mapping (applied at build time)."""
@@ -254,7 +256,8 @@ class HybridQAPipeline:
             )
         except ExtractionError:
             return 0
-        self._generated_tables.append(name)
+        if name not in self._generated_tables:
+            self._generated_tables.append(name)
         if self._shard_set is not None:
             target = self.db.table(name)
             if (isinstance(target, ShardedTable)
@@ -267,6 +270,10 @@ class HybridQAPipeline:
     # ------------------------------------------------------------------
     def build(self) -> None:
         """Build the graph index, retriever and QA engines."""
+        self._build_graph()
+        self._refresh_engines()
+
+    def _build_graph(self) -> None:
         chunks = self.text_store.chunks()
         builder = GraphIndexBuilder(
             self._slm, config=self._builder_config, meter=self._meter
@@ -285,6 +292,9 @@ class HybridQAPipeline:
             from ..graphindex.resolution import resolve_aliases
 
             resolve_aliases(self._graph, embedder=self._slm.embedder)
+
+    def _refresh_engines(self) -> None:
+        """Index the retriever, rebuild the engines, tell the listeners."""
         self._index_retriever()
         self._build_engines()
         self._notify_rebuild()
@@ -677,28 +687,37 @@ class HybridQAPipeline:
                            regenerate_tables: bool = True) -> None:
         """Add new text documents to a *built* pipeline.
 
-        Only the new documents are chunked and tagged into the existing
-        graph (the builder is incremental); generated tables are
-        refreshed and the retriever/catalog re-pointed. Curated tables
-        and previously indexed chunks are not reprocessed.
+        What one call does **not** repeat: chunking, tagging and graph
+        construction for stored documents (the builder is incremental —
+        only the new documents' chunks are tagged into the existing
+        graph), fact extraction for stored documents (the table
+        generator keeps each document's facts and extracts only new or
+        changed texts), and anything over curated tables.
+
+        What it still does over the whole corpus: re-assemble each
+        generated table from the kept facts (schema inference + row
+        inserts), re-index BM25 over every chunk, run one PageRank pass
+        over the graph, rebuild the schema catalog and QA engines, and
+        fire the rebuild listeners once.
+
+        A pipeline restored from disk has a graph but no live builder:
+        its first call rebuilds the graph (re-tagging every chunk) and
+        extracts every document once; later calls are incremental.
         """
         self._check_built()
         if self._builder is None:
-            # Pipelines restored from disk have a graph but no live
-            # builder; rebuild once, then future increments are cheap.
             self.add_texts(docs)
-            self.build()
-            docs = []
-        new_chunks = []
-        for doc_id, text in docs:
-            new_chunks.extend(self.text_store.add(doc_id, text))
-        if new_chunks:
-            self._builder.add_chunks(new_chunks)
-        self._graph = self._builder.build()
+            self._build_graph()
+        else:
+            new_chunks = []
+            for doc_id, text in docs:
+                new_chunks.extend(self.text_store.add(doc_id, text))
+            if new_chunks:
+                self._builder.add_chunks(new_chunks)
+            self._graph = self._builder.build()
         if regenerate_tables:
+            # A table whose regeneration finds no facts keeps its old
+            # rows and stays registered, so a later ingest refreshes it.
             for name in list(self._generated_tables):
-                self._generated_tables.remove(name)
                 self.generate_table(name)
-        self._index_retriever()
-        self._build_engines()
-        self._notify_rebuild()
+        self._refresh_engines()

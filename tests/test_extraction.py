@@ -5,7 +5,7 @@ import datetime as dt
 import pytest
 
 from repro.errors import ExtractionError
-from repro.metering import CostMeter
+from repro.metering import TAGGING_CALLS, CostMeter
 from repro.extraction import (
     ATTR_CHANGE_PERCENT, ATTR_DATE, ATTR_DIRECTION, ATTR_METRIC,
     ATTR_QUARTER, ATTR_SUBJECT, ATTR_YEAR, AttributeExtractor,
@@ -220,6 +220,69 @@ class TestTableGenerator:
         except ExtractionError:
             lossy_cells = 0
         assert lossy_cells < full.cell_count()
+
+
+class TestFactReuse:
+    """TableGenerator keeps each document's facts between generations."""
+
+    NEW = ("r0", "Beta Gadget revenue fell 8% in Q4 2024. Stock ran low.")
+
+    def test_only_new_or_changed_documents_are_extracted(self):
+        slm = make_slm()
+        gen = TableGenerator(slm)
+        gen.generate("reports", REPORTS)
+        changed = ("r2", "Beta Gadget sales increased 40% in Q2 2024.")
+        documents = [self.NEW, REPORTS[0], changed, REPORTS[2]]
+        with slm.meter.measure() as work:
+            reused = gen.generate("reports", documents)
+        # One tagging call per sentence of the new and the changed
+        # document; r1 and r3 cost nothing.
+        assert work[TAGGING_CALLS] == 3
+        fresh = TableGenerator(make_slm()).generate("reports", documents)
+        assert reused.table.schema == fresh.table.schema
+        assert list(reused.table.rows()) == list(fresh.table.rows())
+        assert reused.doc_ids == ["r0", "r1", "r2", "r3"]
+        assert [row[-1] for row in reused.table.rows()] == reused.doc_ids
+
+    def test_absent_document_leaves_nothing_behind(self):
+        slm = make_slm()
+        gen = TableGenerator(slm)
+        gen.generate("reports", REPORTS)
+        gen.generate("reports", REPORTS[:1])
+        with slm.meter.measure() as work:
+            gen.generate("reports", REPORTS[:2])
+        assert work[TAGGING_CALLS] == 1  # r2 was dropped, so re-read
+
+    def test_tables_do_not_share_kept_facts(self):
+        slm = make_slm()
+        gen = TableGenerator(slm)
+        gen.generate("reports", REPORTS)
+        with slm.meter.measure() as work:
+            gen.generate("other", REPORTS)
+        assert work[TAGGING_CALLS] == len(REPORTS)
+
+    def test_forget_re_extracts_everything(self):
+        slm = make_slm()
+        gen = TableGenerator(slm)
+        gen.generate("reports", REPORTS)
+        with slm.meter.measure() as work:
+            gen.generate("reports", REPORTS)
+        assert TAGGING_CALLS not in work
+        gen.forget()
+        with slm.meter.measure() as work:
+            gen.generate("reports", REPORTS)
+        assert work[TAGGING_CALLS] == len(REPORTS)
+
+    def test_failed_generation_raises_again_without_re_extracting(self):
+        slm = make_slm()
+        gen = TableGenerator(slm)
+        empty = [("d", "Nothing relevant here at all")]
+        with pytest.raises(ExtractionError):
+            gen.generate("t", empty)
+        with slm.meter.measure() as work:
+            with pytest.raises(ExtractionError):
+                gen.generate("t", empty)
+        assert TAGGING_CALLS not in work
 
 
 class TestCellScoring:

@@ -3,10 +3,12 @@ ingestion."""
 
 import pytest
 
-from repro.metering import CostMeter
+from repro.bench.runner import build_hybrid_system, generate_lake
+from repro.metering import TAGGING_CALLS, CostMeter
 from repro.qa import HybridQAPipeline
 from repro.slm import SLMConfig, SmallLanguageModel
 from repro.text.ner import TYPE_PRODUCT, Gazetteer
+from repro.text.tokenizer import split_sentences
 
 CURATED_SQL = [
     "CREATE TABLE products (pid INT PRIMARY KEY, name TEXT, price FLOAT)",
@@ -130,3 +132,87 @@ class TestIncrementalIngest:
         from repro.errors import ReproError
         with pytest.raises(ReproError):
             pipe.ingest_incremental([("x", "text")])
+
+
+class TestIncrementalTableRegeneration:
+    """Regeneration after an ingest reuses the stored documents' facts."""
+
+    # Ids sorting before, between and after the lake's ``review-NNN``
+    # ids, then one stored id re-added with a different fact.
+    INGESTS = [
+        ("aaa-first", "Customer satisfaction with the Gamma Widget "
+                      "increased 9% in Q1 2025. Stores restocked."),
+        ("review-0205", "The loading dock was repainted over the long "
+                        "weekend."),
+        ("zzz-last", "Customer satisfaction with the Gamma Widget "
+                     "decreased 4% in Q2 2025."),
+        ("review-003", "Customer satisfaction with the Gamma Widget "
+                       "increased 33% in Q4 2024."),
+    ]
+
+    def test_table_equals_fresh_build_and_ingest_tags_new_text_only(self):
+        lake = generate_lake("ecommerce", 7)
+        stored = sorted(doc_id for doc_id, _ in lake.review_texts)
+        assert stored[0] > "aaa-first" and stored[-1] < "zzz-last"
+        assert "review-020" < "review-0205" < "review-021"
+        _, pipe = build_hybrid_system(lake, 7)
+        for doc_id, text in self.INGESTS:
+            with pipe.meter.measure() as work:
+                pipe.ingest_incremental([(doc_id, text)])
+            # The graph builder tags each new chunk, the extractor each
+            # new sentence; no stored document is tagged again.
+            assert work[TAGGING_CALLS] <= (
+                len(split_sentences(text))
+                + len(pipe.text_store.chunks_of(doc_id))
+            )
+
+        upfront = generate_lake("ecommerce", 7)
+        replaced = dict(upfront.review_texts)
+        replaced.update(self.INGESTS)
+        upfront.review_texts = list(replaced.items())
+        _, fresh = build_hybrid_system(upfront, 7)
+        got, want = (p.db.table("review_facts") for p in (pipe, fresh))
+        assert got.schema == want.schema
+        assert list(got.rows()) == list(want.rows())
+
+    def test_declaring_entity_columns_re_extracts_everything(self):
+        pipe = make_pipeline()
+        pipe.ingest_incremental([
+            ("rev2", "Satisfaction with the travel kettle increased 5% "
+                     "in Q4 2024."),
+        ])
+        table = pipe.db.table("review_facts")
+        assert "travel kettle" not in table.column_values("subject")
+        # The name enters the gazetteer: facts extracted without it are
+        # stale, so the next ingest re-reads rev1 and rev2 as well.
+        pipe.add_sql(["INSERT INTO products VALUES (3, 'travel kettle', 9.5)"])
+        pipe.declare_entity_columns("products", ["name"])
+        stored_sentences = sum(
+            len(split_sentences(pipe.text_store.document(doc_id)))
+            for doc_id in pipe.text_store.doc_ids()
+        )
+        with pipe.slm.meter.measure() as work:
+            pipe.ingest_incremental([("rev3", "Nothing numeric here.")])
+        assert work[TAGGING_CALLS] > stored_sentences
+        table = pipe.db.table("review_facts")
+        assert "travel kettle" in table.column_values("subject")
+
+    def test_table_survives_an_ingest_that_finds_no_facts(self):
+        pipe = make_pipeline()
+        pipe.text_store.remove("rev1")  # the only fact-bearing document
+        pipe.ingest_incremental([("rev5", "Nothing numeric here.")])
+        # Regeneration found nothing: the old rows stay, and the table
+        # stays registered so its synonyms and later refreshes survive.
+        assert pipe._generated_tables == ["review_facts"]
+        assert len(pipe.db.table("review_facts")) == 1
+        pipe.ingest_incremental([
+            ("rev6", "Satisfaction with the Beta Gadget increased 7% "
+                     "in Q4 2024."),
+        ])
+        assert pipe._generated_tables == ["review_facts"]
+        table = pipe.db.table("review_facts")
+        assert table.column_values("subject") == ["beta gadget"]
+        answer = pipe.answer(
+            "What is the average increase of the Beta Gadget?"
+        )
+        assert answer.matches_number(7.0)

@@ -99,6 +99,22 @@ class TestSaveLoad:
         )
         assert answer.matches_number(7.0) or "7" in answer.text
 
+    def test_first_ingest_after_load_rebuilds_once(self, tmp_path):
+        save_pipeline(build_pipeline(), str(tmp_path))
+        restored = load_pipeline(str(tmp_path), meter=CostMeter())
+        rebuilds = []
+        restored.add_rebuild_listener(lambda: rebuilds.append(1))
+        for doc_id in ("rev3", "rev4"):
+            restored.ingest_incremental([
+                (doc_id, "Satisfaction with the Beta Gadget increased "
+                         "7% in Q4 2024."),
+            ])
+            # One index/engines/notify tail per ingest, with or without
+            # a live graph builder (serving caches invalidate once).
+            assert len(rebuilds) == 1
+            rebuilds.clear()
+        assert len(restored.db.table("review_facts")) == 4
+
     def test_unbuilt_pipeline_rejected(self, tmp_path):
         gaz = Gazetteer()
         slm = SmallLanguageModel(SLMConfig(seed=0), gazetteer=gaz,
