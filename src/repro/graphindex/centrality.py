@@ -8,7 +8,7 @@ connectivity". Degree centrality and PageRank are computed natively
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 from ..errors import GraphIndexError
 from ..metering import EDGES_TRAVERSED
@@ -34,11 +34,16 @@ def pagerank(graph: HeterogeneousGraph, damping: float = 0.85,
     Isolated nodes keep the teleport mass. Deterministic given the
     graph (iteration order is id-sorted).
 
-    The adjacency is read through ``graph.neighbors()`` once and kept
-    as per-node ``(target index, weight)`` lists in the order it yields
-    them; every pass sums in that order. Each pass charges the
-    ``edges_traversed`` it walks to ``graph.meter`` in one lump — the
-    same total as one ``neighbors()`` call per non-dangling node.
+    Every pass reads the graph's own neighbor views (the tuples
+    ``graph.neighbors()`` returns, fetched once): a node *pulls* its
+    new rank from its view, which lists the contributing neighbors in
+    id order — the order in which the push formulation's id-sorted
+    outer loop adds them — so the floats are the same, with one
+    accumulator store per node instead of one per edge. This relies on
+    an undirected edge weighing the same from both ends, which
+    ``add_edge`` guarantees. Each pass charges the ``edges_traversed``
+    it walks to ``graph.meter`` in one lump — the same total as one
+    ``neighbors()`` call per non-dangling node.
     """
     if not 0.0 < damping < 1.0:
         raise GraphIndexError("damping must be in (0, 1)")
@@ -46,50 +51,50 @@ def pagerank(graph: HeterogeneousGraph, damping: float = 0.85,
     n = len(nodes)
     if n == 0:
         return {}
-    index = {node_id: i for i, node_id in enumerate(nodes)}
-    # Per node with outgoing weight: (own index, out weight, targets).
-    # A dangling node (no edges, or all of weight 0) has no entry.
-    spreading: List[Tuple[int, float, List[Tuple[int, float]]]] = []
-    dangling: List[int] = []
+    views = [(node_id, graph.neighbors(node_id)) for node_id in nodes]
+    # A dangling node (no edges, or all of weight 0) spreads its rank
+    # over every node instead of along edges.
+    out_weight: Dict[str, float] = {}
     edges_per_pass = 0
-    for i, node_id in enumerate(nodes):
-        neighbors = graph.neighbors(node_id)
+    for node_id, view in views:
         if weight_by_edge:
-            total_out = sum(e.weight for e, _ in neighbors)
+            out_weight[node_id] = sum(e.weight for e, _ in view)
         else:
-            total_out = float(len(neighbors))
-        if total_out == 0.0:
-            dangling.append(i)
-            continue
-        spreading.append((i, total_out, [
-            (index[neighbor.node_id],
-             edge.weight if weight_by_edge else 1.0)
-            for edge, neighbor in neighbors
-        ]))
-        edges_per_pass += len(neighbors)
-    rank = [1.0 / n] * n
+            out_weight[node_id] = float(len(view))
+        if out_weight[node_id] != 0.0:
+            edges_per_pass += len(view)
+    rank = dict.fromkeys(nodes, 1.0 / n)
     teleport = (1.0 - damping) / n
     for _ in range(max_iterations):
         graph.meter.charge(EDGES_TRAVERSED, edges_per_pass)
-        new_rank = [teleport] * n
-        for i, total_out, targets in spreading:
-            share = damping * rank[i] / total_out
-            for target, w in targets:
-                new_rank[target] += share * w
+        # What a unit of edge weight carries out of each node this pass.
+        share: Dict[str, float] = {}
         # Plain += on purpose: sum() compensates float addition from
         # Python 3.12 on, which would move the ranks in the last digit.
         dangling_mass = 0.0
-        for i in dangling:
-            dangling_mass += rank[i]
-        if dangling_mass > 0.0:
-            spread = damping * dangling_mass / n
-            for i in range(n):
-                new_rank[i] += spread
-        delta = sum(abs(new - old) for new, old in zip(new_rank, rank))
+        for node_id, total_out in out_weight.items():
+            if total_out == 0.0:
+                share[node_id] = 0.0
+                dangling_mass += rank[node_id]
+            else:
+                share[node_id] = damping * rank[node_id] / total_out
+        spread = damping * dangling_mass / n
+        new_rank: Dict[str, float] = {}
+        for node_id, view in views:
+            pulled = teleport
+            if weight_by_edge:
+                for edge, _ in view:
+                    pulled += share[edge.target] * edge.weight
+            else:
+                for edge, _ in view:
+                    pulled += share[edge.target]
+            new_rank[node_id] = pulled + spread
+        delta = sum(abs(new - old) for new, old
+                    in zip(new_rank.values(), rank.values()))
         rank = new_rank
         if delta < tolerance:
             break
-    return dict(zip(nodes, rank))
+    return rank
 
 
 def harmonic_centrality(graph: HeterogeneousGraph,

@@ -4,19 +4,54 @@ An undirected multigraph (edges stored both ways) over typed nodes,
 with kind-filtered neighbor iteration, BFS with depth bounds, and
 simple statistics. Traversal charges ``edges_traversed`` so the E1
 bench can report topology-retrieval work.
+
+The graph owns two adjacencies. ``_adjacency`` is the written one: per
+node, its incident edges in insertion order. ``_views`` is the read one,
+derived from it per node on first read: the ``(edge, neighbor)`` pairs
+as an immutable tuple in target-id order (parallel edges to one target
+stay in insertion order), plus one filtered tuple per
+``(edge kinds, node kind)`` combination asked for. ``neighbors()``, BFS
+and ``centrality.pagerank`` all read these tuples; nothing sorts or
+filters per call. A mutation drops the views of exactly the nodes whose
+incident edges it changed — both endpoints for ``add_edge``; *drop*,
+*keep* and every neighbor of *drop* for ``merge_nodes`` — and they are
+derived again on their next read.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..errors import GraphIndexError
 from ..metering import EDGES_TRAVERSED, CostMeter, GLOBAL_METER
 from ..obs import span
 from .nodes import (
-    NODE_CHUNK, NODE_ENTITY, NODE_KINDS, NODE_RECORD, GraphEdge, GraphNode,
+    EDGE_KINDS, NODE_CHUNK, NODE_ENTITY, NODE_KINDS, NODE_RECORD, GraphEdge,
+    GraphNode,
 )
+
+#: What ``neighbors()`` returns: (edge, neighbor) pairs, target-id order.
+NeighborView = Tuple[Tuple[GraphEdge, GraphNode], ...]
+
+_ViewKey = Tuple[Optional[FrozenSet[str]], Optional[str]]
+
+_EDGE_KINDS = frozenset(EDGE_KINDS)
+
+
+def _view_key(edge_kinds: Optional[Iterable[str]],
+              node_kind: Optional[str]) -> _ViewKey:
+    """The filter a caller spelled, as the key its view is kept under.
+
+    Unknown kinds match nothing; folding them (out of the edge-kind
+    set, onto one never-matching node kind) bounds the number of views
+    a node can hold.
+    """
+    if edge_kinds is not None:
+        edge_kinds = _EDGE_KINDS.intersection(edge_kinds)
+    if node_kind is not None and node_kind not in NODE_KINDS:
+        node_kind = ""
+    return edge_kinds, node_kind
 
 
 class HeterogeneousGraph:
@@ -25,6 +60,9 @@ class HeterogeneousGraph:
     def __init__(self, meter: Optional[CostMeter] = None):
         self._nodes: Dict[str, GraphNode] = {}
         self._adjacency: Dict[str, List[GraphEdge]] = {}
+        # node id -> {(edge kinds or None, node kind or None): view};
+        # a node absent here is re-derived on its next read.
+        self._views: Dict[str, Dict[_ViewKey, NeighborView]] = {}
         self._edge_keys: Set[tuple] = set()
         self._n_edges = 0
         self._meter = meter if meter is not None else GLOBAL_METER
@@ -54,11 +92,13 @@ class HeterogeneousGraph:
             return False
         self._edge_keys.add(edge.key)
         self._adjacency[edge.source].append(edge)
+        self._views.pop(edge.source, None)
         if edge.source != edge.target:
             mirrored = GraphEdge(
                 edge.target, edge.source, edge.kind, edge.label, edge.weight
             )
             self._adjacency[edge.target].append(mirrored)
+            self._views.pop(edge.target, None)
         self._n_edges += 1
         return True
 
@@ -89,27 +129,40 @@ class HeterogeneousGraph:
 
     def neighbors(self, node_id: str,
                   edge_kinds: Optional[Iterable[str]] = None,
-                  node_kind: Optional[str] = None) -> List[Tuple[GraphEdge, GraphNode]]:
+                  node_kind: Optional[str] = None) -> NeighborView:
         """(edge, neighbor) pairs, filtered by edge/node kind.
 
-        Charges one ``edges_traversed`` unit per edge examined, in one
-        lump per call.
+        An immutable tuple in neighbor-id order; parallel edges to one
+        neighbor keep their insertion order. Charges one
+        ``edges_traversed`` unit per incident edge (filtered out or
+        not), in one lump per call.
         """
         adjacency = self._adjacency.get(node_id)
         if adjacency is None:
             raise GraphIndexError("no node %r" % node_id)
         self._meter.charge(EDGES_TRAVERSED, len(adjacency))
-        wanted = set(edge_kinds) if edge_kinds is not None else None
-        out = []
-        for edge in adjacency:
-            if wanted is not None and edge.kind not in wanted:
-                continue
-            neighbor = self._nodes[edge.target]
-            if node_kind is not None and neighbor.kind != node_kind:
-                continue
-            out.append((edge, neighbor))
-        out.sort(key=lambda pair: pair[1].node_id)
-        return out
+        return self._view(node_id, _view_key(edge_kinds, node_kind))
+
+    def _view(self, node_id: str, key: _ViewKey) -> NeighborView:
+        """The view of an existing node under *key* (derived if absent)."""
+        views = self._views.get(node_id)
+        if views is None:
+            nodes = self._nodes
+            # sorted() is stable: target ties stay in insertion order.
+            views = self._views[node_id] = {(None, None): tuple(sorted(
+                ((edge, nodes[edge.target])
+                 for edge in self._adjacency[node_id]),
+                key=lambda pair: pair[0].target,
+            ))}
+        view = views.get(key)
+        if view is None:
+            wanted, node_kind = key
+            view = views[key] = tuple(
+                pair for pair in views[(None, None)]
+                if (wanted is None or pair[0].kind in wanted)
+                and (node_kind is None or pair[1].kind == node_kind)
+            )
+        return view
 
     def degree(self, node_id: str,
                edge_kinds: Optional[Iterable[str]] = None) -> int:
@@ -172,13 +225,15 @@ class HeterogeneousGraph:
             self._adjacency[other] = [
                 e for e in self._adjacency[other] if e.target != drop
             ]
+            self._views.pop(other, None)
             self._n_edges -= 1
-            if other == keep:
-                continue  # would become a self-loop
+            if other in (keep, drop):
+                continue  # would become (or already is) a self-loop
             if self.add_edge(GraphEdge(keep, other, edge.kind,
                                        edge.label, edge.weight)):
                 moved += 1
         del self._adjacency[drop]
+        self._views.pop(drop, None)
         del self._nodes[drop]
         # Record the alias on the surviving node for traceability.
         aliases = keep_node.payload.setdefault("aliases", [])
@@ -215,19 +270,29 @@ class HeterogeneousGraph:
             if source not in depths:
                 depths[source] = 0
                 queue.append(source)
-        while queue:
-            current = queue.popleft()
-            depth = depths[current]
-            if depth >= max_depth:
-                continue
-            for edge, neighbor in self.neighbors(current, edge_kinds):
-                if neighbor.node_id in depths:
+        key = _view_key(edge_kinds, None)
+        adjacency, view = self._adjacency, self._view
+        # One lump for the whole walk: the sum of what a neighbors()
+        # call per expanded node would charge.
+        examined = 0
+        try:
+            while queue:
+                current = queue.popleft()
+                depth = depths[current] + 1
+                if depth > max_depth:
                     continue
-                depths[neighbor.node_id] = depth + 1
-                queue.append(neighbor.node_id)
-                if max_nodes is not None and len(depths) >= max_nodes:
-                    return depths
-        return depths
+                examined += len(adjacency[current])
+                for edge, _ in view(current, key):
+                    reached = edge.target
+                    if reached in depths:
+                        continue
+                    depths[reached] = depth
+                    queue.append(reached)
+                    if max_nodes is not None and len(depths) >= max_nodes:
+                        return depths
+            return depths
+        finally:
+            self._meter.charge(EDGES_TRAVERSED, examined)
 
     def shortest_path_length(self, source: str, target: str,
                              max_depth: int = 6) -> Optional[int]:

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import lru_cache
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..errors import SynthesisError
 from ..storage.relational.database import Database
 from ..storage.types import DataType
-from ..text.stemmer import stem
+from ..text.stemmer import STEM_MEMO_SIZE, stem
 from ..text.stopwords import content_stems
 from .logical import JoinSpec
 
@@ -65,6 +66,17 @@ class ValueHit:
     column: str
     value: str
     mention: str
+
+
+@lru_cache(maxsize=STEM_MEMO_SIZE)
+def _name_stems(name: str) -> Tuple[str, FrozenSet[str]]:
+    """A column name's stem and the stems of its ``_``-separated parts.
+
+    Pure in the name and asked for every column on every
+    ``resolve_column``; names are vocabulary, hence the stem memo's
+    bound.
+    """
+    return stem(name), frozenset(stem(p) for p in name.split("_") if p)
 
 
 class SchemaCatalog:
@@ -170,19 +182,18 @@ class SchemaCatalog:
             schema = self._db.table(table_name).schema
             for column in schema.columns:
                 name = column.name
+                name_stem, name_tokens = _name_stems(name)
                 score = 0.0
                 if name == term_low:
                     score = 1.0
-                elif stem(name) == term_stem:
+                elif name_stem == term_stem:
                     score = 0.8
-                else:
-                    name_tokens = {stem(p) for p in name.split("_") if p}
-                    if name_tokens and term_tokens:
-                        overlap = len(name_tokens & term_tokens) / len(
-                            name_tokens | term_tokens
-                        )
-                        if overlap > 0:
-                            score = 0.5 * overlap
+                elif name_tokens and term_tokens:
+                    overlap = len(name_tokens & term_tokens) / len(
+                        name_tokens | term_tokens
+                    )
+                    if overlap > 0:
+                        score = 0.5 * overlap
                 if score > 0:
                     if table_name in prefer_tables:
                         score += 0.05

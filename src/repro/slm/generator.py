@@ -23,12 +23,13 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from ..metering import GENERATION_CALLS, CostMeter, GLOBAL_METER
 from ..text.patterns import (
     KIND_DATE, KIND_MONEY, KIND_NUMBER, KIND_PERCENT, KIND_QUARTER,
-    find_patterns,
+    PatternMatch, find_patterns,
 )
 from ..text.stemmer import stem
 from ..text.stopwords import content_stems, content_words
@@ -59,6 +60,11 @@ _PARAPHRASE_TEMPLATES = (
 )
 
 _FABRICATED_NUMBERS = ("7%", "12%", "25%", "40%", "3", "9", "15", "88")
+
+#: Bound of the context-analysis memo. Both benchmark lakes together
+#: hold ~150 distinct chunks, so this never evicts there and still caps
+#: what a long run over a growing corpus can keep.
+CONTEXT_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -116,6 +122,23 @@ def _focus_stems(question: str) -> List[str]:
     ]
 
 
+@lru_cache(maxsize=CONTEXT_MEMO_SIZE)
+def _context_sentences(context: str) -> Tuple[
+        Tuple[str, FrozenSet[str], Tuple[PatternMatch, ...]], ...]:
+    """Per sentence of *context*: its text, content stems and patterns.
+
+    Retrieved chunks recur across distinct questions, so a context is
+    analysed once, not once per call. Keyed by content: a pure function
+    of an immutable string has nothing to invalidate, outlives an
+    ingest and holds no pipeline state.
+    """
+    return tuple(
+        (sentence, frozenset(content_stems(sentence)),
+         tuple(find_patterns(sentence)))
+        for sentence in split_sentences(context)
+    )
+
+
 @dataclass
 class _Candidate:
     sentence: str
@@ -163,8 +186,9 @@ class AnswerGenerator:
         return random.Random(int.from_bytes(digest[:8], "big"))
 
     # ------------------------------------------------------------------
-    def _extract_core(self, sentence: str, kind: str) -> Optional[str]:
-        matches = find_patterns(sentence)
+    def _extract_core(self, sentence: str,
+                      matches: Sequence[PatternMatch],
+                      kind: str) -> Optional[str]:
         if kind == ANSWER_NUMERIC:
             for want in (KIND_PERCENT, KIND_MONEY, KIND_NUMBER):
                 for m in matches:
@@ -183,17 +207,15 @@ class AnswerGenerator:
                     kind: str) -> List[_Candidate]:
         focus = set(_focus_stems(question))
         cands: List[_Candidate] = []
+        if not focus:
+            return cands
         for idx, context in enumerate(contexts):
-            for sentence in split_sentences(context):
-                sent_stems = set(content_stems(sentence))
-                if not focus:
-                    overlap = 0.0
-                else:
-                    overlap = len(focus & sent_stems) / len(focus)
-                core = self._extract_core(sentence, kind)
-                if core is None:
-                    continue
+            for sentence, stems, matches in _context_sentences(context):
+                overlap = len(focus & stems) / len(focus)
                 if overlap <= 0.0:
+                    continue
+                core = self._extract_core(sentence, matches, kind)
+                if core is None:
                     continue
                 cands.append(_Candidate(sentence, idx, overlap, core))
         cands.sort(key=lambda c: (-c.score, c.context_index))

@@ -73,6 +73,18 @@ class TestMergeNodes:
         g.merge_nodes(a, b)
         assert g.n_edges == 0
 
+    def test_self_loop_on_the_dropped_node_is_discarded(self):
+        # y-y used to be re-added as x-y before y was deleted: an edge
+        # to a node that no longer exists, n_edges one too high.
+        g = HeterogeneousGraph(meter=CostMeter())
+        a, b, c = entity(g, "x"), entity(g, "y"), entity(g, "z")
+        g.add_edge(GraphEdge(b, b, EDGE_MENTIONS))
+        g.add_edge(GraphEdge(b, c, EDGE_MENTIONS))
+        assert g.merge_nodes(a, b) == 1
+        assert [n.node_id for _, n in g.neighbors(a)] == [c]
+        assert g.n_edges == 1 == len(g.edges())
+        assert all(g.has_node(e.target) for e in g.edges())
+
 
 class TestAliasDiscovery:
     def make(self):

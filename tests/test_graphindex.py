@@ -7,7 +7,8 @@ from repro.bench.runner import build_hybrid_system, generate_lake
 from repro.errors import GraphIndexError
 from repro.metering import EDGES_TRAVERSED, CostMeter
 from repro.graphindex import (
-    BuilderConfig, EDGE_CO_OCCURS, EDGE_MENTIONS, EDGE_NEXT, EDGE_RELATES,
+    BuilderConfig, EDGE_CO_OCCURS, EDGE_DESCRIBES, EDGE_MENTIONS, EDGE_NEXT,
+    EDGE_RELATES,
     GraphEdge, GraphIndexBuilder, GraphNode, HeterogeneousGraph,
     NODE_CHUNK, NODE_ENTITY, NODE_RECORD, chunk_key, degree_centrality,
     entity_key, graph_from_json, graph_to_json, harmonic_centrality,
@@ -161,7 +162,7 @@ class TestCentrality:
         before = g.meter.get(EDGES_TRAVERSED)
         # Filtered-out edges are still examined, hence still charged.
         assert g.neighbors("chunk:c1", edge_kinds=[EDGE_NEXT],
-                           node_kind=NODE_ENTITY) == []
+                           node_kind=NODE_ENTITY) == ()
         assert g.meter.get(EDGES_TRAVERSED) - before == g.degree("chunk:c1")
         g.neighbors("chunk:c2")
         assert g.meter.get(EDGES_TRAVERSED) - before == g.degree("chunk:c1")
@@ -278,12 +279,206 @@ class TestPageRankMatchesOracle:
             g.add_edge(GraphEdge(ids[a % n_nodes], ids[b % n_nodes],
                                  kind, label, weight))
         for i in zeroed:
-            # GraphEdge rejects weight 0; a loaded or merged graph is
-            # the only way to get one, so write it in directly.
-            for edge in g._adjacency[ids[i % n_nodes]]:
-                object.__setattr__(edge, "weight", 0.0)
+            # GraphEdge rejects weight 0, so write it in directly — into
+            # both stored orientations: an undirected edge has one
+            # weight, which ``pagerank`` (a node pulls over its own
+            # view) relies on and the oracle (a node pushes) does not.
+            for adjacency in g._adjacency.values():
+                for edge in adjacency:
+                    if ids[i % n_nodes] in (edge.source, edge.target):
+                        object.__setattr__(edge, "weight", 0.0)
         _assert_matches_oracle(g, weight_by_edge=weight_by_edge,
                                max_iterations=max_iterations)
+
+def _neighbors_oracle(graph, node_id, edge_kinds=None, node_kind=None):
+    """The ``neighbors`` the graph-owned views replaced, kept verbatim:
+    filter the insertion-ordered adjacency, then stable-sort by target."""
+    adjacency = graph._adjacency.get(node_id)
+    if adjacency is None:
+        raise GraphIndexError("no node %r" % node_id)
+    graph._meter.charge(EDGES_TRAVERSED, len(adjacency))
+    wanted = set(edge_kinds) if edge_kinds is not None else None
+    out = []
+    for edge in adjacency:
+        if wanted is not None and edge.kind not in wanted:
+            continue
+        neighbor = graph._nodes[edge.target]
+        if node_kind is not None and neighbor.kind != node_kind:
+            continue
+        out.append((edge, neighbor))
+    out.sort(key=lambda pair: pair[1].node_id)
+    return out
+
+
+def _bfs_oracle(graph, sources, max_depth, edge_kinds, max_nodes):
+    """The BFS ``_bfs`` replaced, over :func:`_neighbors_oracle`."""
+    depths = {}
+    queue = []
+    for source in sources:
+        if graph.has_node(source) and source not in depths:
+            depths[source] = 0
+            queue.append(source)
+    while queue:
+        current = queue.pop(0)
+        depth = depths[current]
+        if depth >= max_depth:
+            continue
+        for _, neighbor in _neighbors_oracle(graph, current, edge_kinds):
+            if neighbor.node_id in depths:
+                continue
+            depths[neighbor.node_id] = depth + 1
+            queue.append(neighbor.node_id)
+            if max_nodes is not None and len(depths) >= max_nodes:
+                return depths
+    return depths
+
+
+# How a caller may spell one edge-kind filter; each entry builds a fresh
+# value per call because a generator is spent after one read.
+_KIND_SPELLINGS = (
+    lambda kinds: None if kinds is None else list(kinds),
+    lambda kinds: None if kinds is None else tuple(kinds),
+    lambda kinds: None if kinds is None else (k for k in kinds),
+)
+_KIND_FILTERS = (
+    None, (), (EDGE_MENTIONS,), (EDGE_CO_OCCURS, EDGE_RELATES),
+    (EDGE_RELATES, EDGE_RELATES, "no-such-kind"),
+    (EDGE_MENTIONS, EDGE_RELATES, EDGE_CO_OCCURS, EDGE_DESCRIBES),
+)
+_NODE_KIND_FILTERS = (None, NODE_CHUNK, NODE_ENTITY, NODE_RECORD,
+                      "no-such-kind")
+
+
+def _assert_reads_match_oracle(graph, kind_filters=_KIND_FILTERS):
+    """Every node x filter: same pairs in the same order, same charge;
+    BFS from every node: same depths in the same key order."""
+    meter = graph.meter
+    node_ids = [n.node_id for n in graph.nodes()]
+    for node_id in node_ids:
+        for kinds in kind_filters:
+            for spell in _KIND_SPELLINGS:
+                for node_kind in _NODE_KIND_FILTERS:
+                    with meter.measure() as work:
+                        got = graph.neighbors(node_id, spell(kinds),
+                                              node_kind)
+                    with meter.measure() as oracle_work:
+                        want = _neighbors_oracle(graph, node_id,
+                                                 spell(kinds), node_kind)
+                    assert isinstance(got, tuple)
+                    assert list(got) == want
+                    assert work == oracle_work
+    for kinds in (None, (EDGE_MENTIONS, EDGE_RELATES, EDGE_CO_OCCURS,
+                         EDGE_DESCRIBES)):
+        for max_nodes in (None, 1, 5, 400):
+            for sources in [[n] for n in node_ids] + [node_ids[::-3]]:
+                with meter.measure() as work:
+                    got = graph.bfs(sources, max_depth=3, edge_kinds=kinds,
+                                    max_nodes=max_nodes)
+                with meter.measure() as oracle_work:
+                    want = _bfs_oracle(graph, sources, 3, kinds, max_nodes)
+                assert list(got.items()) == list(want.items())
+                assert work == oracle_work
+
+
+_MULTI_EDGE_DRAW = st.tuples(
+    st.integers(0, 5), st.integers(0, 5),
+    st.sampled_from([EDGE_CO_OCCURS, EDGE_RELATES, EDGE_MENTIONS]),
+    st.sampled_from([None, "bought"]),
+)
+# ("edge", draw) adds an edge, ("merge", a, b) merges node b into a.
+_MUTATION = st.one_of(
+    st.tuples(st.just("edge"), _MULTI_EDGE_DRAW),
+    st.tuples(st.just("merge"), st.integers(0, 5), st.integers(0, 5)),
+)
+
+
+class TestAdjacencyMatchesOracle:
+    @pytest.mark.parametrize("domain", ["ecommerce", "healthcare"])
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_default_lake_graphs(self, domain, seed):
+        _, pipeline = build_hybrid_system(generate_lake(domain, seed), seed)
+        graph = pipeline.graph
+        _assert_reads_match_oracle(graph, kind_filters=(
+            None, (EDGE_MENTIONS,),
+            (EDGE_MENTIONS, EDGE_RELATES, EDGE_CO_OCCURS, EDGE_DESCRIBES),
+        ))
+        # Target ties (parallel edges) make insertion order load-bearing:
+        # a saved and reloaded graph must read the same.
+        clone = graph_from_json(graph_to_json(graph), meter=CostMeter())
+        ties = 0
+        for node in graph.nodes():
+            pairs = graph.neighbors(node.node_id)
+            targets = [e.target for e, _ in pairs]
+            ties += len(targets) != len(set(targets))
+            assert [e for e, _ in clone.neighbors(node.node_id)] == \
+                [e for e, _ in pairs]
+        assert ties > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_nodes=st.integers(1, 6),
+        edges=st.lists(_MULTI_EDGE_DRAW, max_size=16),
+        mutations=st.lists(_MUTATION, max_size=6),
+    )
+    def test_multigraphs_with_interleaved_writes(self, n_nodes, edges,
+                                                 mutations):
+        # Parallel edges under different kinds/labels, self-loops,
+        # isolated nodes; every read between two writes fills views a
+        # later write must drop for exactly the nodes it touches.
+        g = HeterogeneousGraph(meter=CostMeter())
+        ids = ["entity:n%d" % i for i in range(n_nodes)]
+        for node_id in ids:
+            g.add_node(GraphNode(node_id, NODE_ENTITY, node_id))
+
+        def add(draw):
+            a, b, kind, label = draw
+            a, b = ids[a % n_nodes], ids[b % n_nodes]
+            if g.has_node(a) and g.has_node(b):
+                g.add_edge(GraphEdge(a, b, kind, label))
+
+        for draw in edges:
+            add(draw)
+        filters = (None, (EDGE_RELATES,), (EDGE_CO_OCCURS, EDGE_MENTIONS))
+        _assert_reads_match_oracle(g, kind_filters=filters)
+        for mutation in mutations:
+            if mutation[0] == "edge":
+                add(mutation[1])
+            else:
+                keep, drop = ids[mutation[1] % n_nodes], \
+                    ids[mutation[2] % n_nodes]
+                if keep != drop and g.has_node(keep) and g.has_node(drop):
+                    g.merge_nodes(keep, drop)
+            _assert_reads_match_oracle(g, kind_filters=filters)
+            assert g.n_edges == len(g.edges())
+            assert all(g.has_node(e.target) for e in g.edges())
+
+    def test_returned_view_is_immutable(self):
+        g = make_graph()
+        view = g.neighbors("chunk:c1")
+        with pytest.raises(TypeError):
+            view[0] = view[1]
+        assert not hasattr(view, "append")
+        assert g.neighbors("chunk:c1") is view
+
+    def test_write_drops_only_the_touched_nodes_views(self):
+        g = make_graph()
+        before = {n.node_id: g.neighbors(n.node_id) for n in g.nodes()}
+        g.add_edge(GraphEdge("chunk:c2", "entity:beta", EDGE_MENTIONS))
+        for node_id, view in before.items():
+            if node_id in ("chunk:c2", "entity:beta"):
+                assert g.neighbors(node_id) == tuple(
+                    _neighbors_oracle(g, node_id))
+                assert len(g.neighbors(node_id)) == len(view) + 1
+            else:
+                assert g.neighbors(node_id) is view
+
+    def test_unknown_node_raises(self):
+        g = make_graph()
+        with pytest.raises(GraphIndexError):
+            g.neighbors("chunk:nope")
+        with pytest.raises(GraphIndexError):
+            g.neighbors("chunk:nope", edge_kinds=[EDGE_NEXT])
+
 
 class TestBuilder:
     def build_from_text(self, config=None):

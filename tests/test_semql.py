@@ -118,6 +118,30 @@ class TestCatalog:
         bindings = catalog.resolve_column("pid", prefer_tables=["sales"])
         assert bindings[0].table == "sales"
 
+    def test_column_stems_computed_once_bindings_as_pinned(self, db,
+                                                          catalog):
+        # Bindings captured before column-name stems were kept per name;
+        # asked twice so the second pass reads the kept pairs.
+        pinned = {
+            "percent change": [("sales", "change_percent", 0.55)],
+            "changes": [("sales", "change_percent", 0.3)],
+            "quarters": [("sales", "quarter", 0.8500000000000001)],
+            "manufacturers": [("products", "manufacturer", 0.8)],
+            "increase": [("sales", "change_percent", 0.9500000000000001)],
+        }
+        for _ in range(2):
+            for term, expected in pinned.items():
+                got = catalog.resolve_column(term, prefer_tables=["sales"])
+                assert [(b.table, b.column, b.score) for b in got] == expected
+        # Schemas are still read live: a later table just resolves.
+        db.execute("CREATE TABLE returns (rid INT PRIMARY KEY, "
+                   "return_percent FLOAT)")
+        assert [(b.table, b.column, b.score)
+                for b in catalog.resolve_column("percent")] == [
+            ("returns", "return_percent", 0.25),
+            ("sales", "change_percent", 0.25),
+        ]
+
     def test_value_hit(self, catalog):
         hits = catalog.find_values("How did the Alpha Widget perform?")
         assert hits and hits[0].value == "alpha widget"

@@ -3,17 +3,27 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.bench.runner import build_hybrid_system, generate_lake
 from repro.metering import ENTAILMENT_CALLS, GENERATION_CALLS, CostMeter
+from repro.slm import generator as generator_module
 from repro.slm.entailment import (
     CONTRADICTION, ENTAILMENT, NEUTRAL, EntailmentJudge,
 )
 from repro.slm.generator import (
     ANSWER_DATE, ANSWER_ENTITY, ANSWER_FREEFORM, ANSWER_NUMERIC,
-    AnswerGenerator, classify_answer_kind,
+    CONTEXT_MEMO_SIZE, AnswerGenerator, _Candidate, _context_sentences,
+    _focus_stems, classify_answer_kind,
 )
 from repro.slm.model import SLMConfig, SmallLanguageModel
 from repro.text.ner import TYPE_PRODUCT, Gazetteer
+from repro.text.patterns import (
+    KIND_DATE, KIND_MONEY, KIND_NUMBER, KIND_PERCENT, KIND_QUARTER,
+    find_patterns,
+)
+from repro.text.stopwords import content_stems
+from repro.text.tokenizer import split_sentences
 
 
 class TestEntailment:
@@ -179,6 +189,118 @@ class TestAnswerGenerator:
             gen.sample_many("q", [], 0)
         with pytest.raises(ValueError):
             AnswerGenerator(hallucination_bias=2.0)
+
+
+def _candidates_reference(question, contexts, kind):
+    """``_candidates`` as it was before the context memo: every
+    sentence of every context split, stemmed and pattern-matched per
+    call."""
+    focus = set(_focus_stems(question))
+    cands = []
+    for idx, context in enumerate(contexts):
+        for sentence in split_sentences(context):
+            sent_stems = set(content_stems(sentence))
+            overlap = len(focus & sent_stems) / len(focus) if focus else 0.0
+            matches = find_patterns(sentence)
+            if kind == ANSWER_NUMERIC:
+                core = next((m.text
+                             for want in (KIND_PERCENT, KIND_MONEY,
+                                          KIND_NUMBER)
+                             for m in matches if m.kind == want), None)
+            elif kind == ANSWER_DATE:
+                core = next((m.text for m in matches
+                             if m.kind in (KIND_DATE, KIND_QUARTER)), None)
+            else:
+                core = sentence.strip().rstrip(".")
+            if core is None or overlap <= 0.0:
+                continue
+            cands.append(_Candidate(sentence, idx, overlap, core))
+    cands.sort(key=lambda c: (-c.score, c.context_index))
+    return cands
+
+
+_ANSWER_KINDS = (ANSWER_NUMERIC, ANSWER_DATE, ANSWER_ENTITY, ANSWER_FREEFORM)
+_CONTEXT_TEXT = st.one_of(
+    st.text(max_size=60),
+    st.lists(st.sampled_from([
+        "Alpha Widget sales rose 20% in Q2 2024.", "Returns cost $1,200.",
+        "The trial began on 2024-03-05.", "Dr. Lee enrolled 48 patients",
+        "Customers liked the Alpha Widget!", "It sold 17 units?",
+    ]), max_size=4).map(" ".join),
+)
+
+
+class TestContextMemo:
+    @pytest.mark.parametrize("domain", ["ecommerce", "healthcare"])
+    def test_candidates_match_reference_over_retrieved_contexts(
+            self, domain, monkeypatch):
+        lake = generate_lake(domain, 7)
+        system, _ = build_hybrid_system(lake, seed=7)
+        memoised = AnswerGenerator._candidates
+        seen = []
+
+        def checked(self, question, contexts, kind):
+            got = memoised(self, question, contexts, kind)
+            assert got == _candidates_reference(question, contexts, kind)
+            seen.append(len(got))
+            return got
+
+        monkeypatch.setattr(AnswerGenerator, "_candidates", checked)
+        for pair in lake.qa_pairs():
+            system.answer(pair.question)
+        assert len(seen) > 10 and any(seen)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        question=st.one_of(st.text(max_size=40), st.sampled_from([
+            "How much did Alpha Widget sales rise?",
+            "When did the trial begin?", "Who liked the widget?",
+        ])),
+        contexts=st.lists(_CONTEXT_TEXT, max_size=4),
+        kind=st.sampled_from(_ANSWER_KINDS),
+    )
+    def test_candidates_match_reference_on_arbitrary_text(
+            self, question, contexts, kind):
+        gen = AnswerGenerator(meter=CostMeter())
+        assert gen._candidates(question, contexts, kind) == \
+            _candidates_reference(question, contexts, kind)
+
+    def test_second_generate_analyses_the_question_only(self, monkeypatch):
+        analysed = []
+
+        def recorder(name):
+            original = getattr(generator_module, name)
+
+            def record(text):
+                analysed.append((name, text))
+                return original(text)
+            return record
+
+        for name in ("content_stems", "find_patterns", "split_sentences"):
+            monkeypatch.setattr(generator_module, name, recorder(name))
+        _context_sentences.cache_clear()
+        contexts = ["Alpha Widget sales rose 20% in Q2. Returns fell 3%.",
+                    "Beta Gadget sales fell 5% in Q2."]
+        gen = AnswerGenerator(seed=1, meter=CostMeter())
+        first = gen.generate("How much did Alpha Widget sales rise?",
+                             contexts, temperature=0.1)
+        assert first.grounded and "20%" in first.text
+        assert {text for name, text in analysed
+                if name == "split_sentences"} == set(contexts)
+        assert len(analysed) == 2 + 2 * 3
+        del analysed[:]
+        second = gen.generate("How much did Beta Gadget sales fall?",
+                              list(contexts), temperature=0.1)
+        assert second.grounded and "5%" in second.text
+        assert analysed == []
+
+    def test_memo_is_bounded_and_hands_out_immutable_values(self):
+        info = _context_sentences.cache_info()
+        assert info.maxsize == CONTEXT_MEMO_SIZE and info.maxsize is not None
+        (sentence, stems, matches), = _context_sentences("Sales rose 20%.")
+        assert sentence == "Sales rose 20%."
+        assert isinstance(stems, frozenset) and isinstance(matches, tuple)
+        assert [m.text for m in matches] == ["20%"]
 
 
 class TestSLMFacade:
