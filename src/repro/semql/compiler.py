@@ -1,141 +1,136 @@
-"""Compile a :class:`QuerySpec` to the engine's SQL and execute it.
+"""Compile a :class:`QuerySpec` to the engine's statement AST and run it.
 
-When a spec involves joins, bare column names are qualified with the
-table that owns them (first owner wins, base table preferred), so the
-generated SQL never trips the executor's ambiguity check.
+The spec lowers straight to the :class:`SelectStatement` the SQL parser
+would produce for its text, so executing a spec never renders or parses
+SQL; :meth:`QueryCompiler.to_sql` is that statement rendered, for
+display. When a spec involves joins, bare column names are qualified
+with the table that owns them (first owner wins, base table preferred),
+so the statement never trips the executor's ambiguity check.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Any, List
+from typing import Any, List, Optional
 
 from ..errors import SynthesisError
 from ..storage.relational.database import Database
 from ..storage.relational.executor import ResultSet
+from ..storage.relational.expressions import (
+    BinaryOp, ColumnRef, Expression, FunctionCall, Like, conjunction,
+)
+from ..storage.relational.sql_parser import (
+    AggregateCall, JoinClause, OrderItem, SelectItem, SelectStatement,
+    TableRef, literal, render_statement,
+)
 from .logical import AggregateSpec, FilterSpec, QuerySpec
 
 
+def _alias(agg: AggregateSpec) -> str:
+    return "%s_%s" % (agg.func, "all" if agg.column == "*" else agg.column)
+
+
+def _ref(column: str, table: Optional[str] = None) -> ColumnRef:
+    # The parser lowers every identifier it reads from SQL text, and the
+    # catalog is lower-case throughout; so does the lowering.
+    return ColumnRef(column.lower(), table.lower() if table else None)
+
+
 class QueryCompiler:
-    """Render and run query specs against one database."""
+    """Lower and run query specs against one database."""
 
     def __init__(self, db: Database):
         self._db = db
 
     # ------------------------------------------------------------------
-    def _owner(self, spec: QuerySpec, column: str) -> str:
-        tables = [spec.table] + [j.table for j in spec.joins]
+    def _owner(self, column: str, tables: List[str], missing: str) -> str:
         for table in tables:
             if self._db.table(table).schema.has_column(column):
                 return table
-        raise SynthesisError(
-            "column %r not found in %s" % (column, tables)
-        )
+        raise SynthesisError(missing % (column, tables))
 
-    def _qualify(self, spec: QuerySpec, column: str) -> str:
-        if column == "*":
-            return column
+    def _column(self, spec: QuerySpec, column: str) -> ColumnRef:
         if not spec.joins:
-            return column
-        return "%s.%s" % (self._owner(spec, column), column)
+            return _ref(column)
+        tables = [spec.table] + [j.table for j in spec.joins]
+        return _ref(column, self._owner(
+            column, tables, "column %r not found in %s"
+        ))
 
     @staticmethod
-    def _literal(value: Any) -> str:
-        if value is None:
-            return "NULL"
-        if isinstance(value, bool):
-            return "TRUE" if value else "FALSE"
-        if isinstance(value, (int, float)):
-            return repr(value)
-        if isinstance(value, _dt.date):
-            return "'%s'" % value.isoformat()
-        return "'%s'" % str(value).replace("'", "''")
+    def _literal(value: Any) -> Expression:
+        if value is None or isinstance(value, (bool, int, float, _dt.date)):
+            return literal(value)
+        return literal(str(value))
 
-    def _filter_sql(self, spec: QuerySpec, flt: FilterSpec) -> str:
-        column = self._qualify(spec, flt.column)
+    def _filter(self, spec: QuerySpec, flt: FilterSpec) -> Expression:
+        column = self._column(spec, flt.column)
         if flt.op == "like":
-            return "%s LIKE %s" % (column, self._literal(str(flt.value)))
+            return Like(column, str(flt.value))
         if isinstance(flt.value, str):
             # Case-insensitive comparison for text equality filters:
             # entity mentions were lowered during value indexing.
-            return "LOWER(%s) %s %s" % (
-                column, flt.op, self._literal(flt.value.lower())
+            return BinaryOp(
+                flt.op, FunctionCall("lower", (column,)),
+                literal(flt.value.lower()),
             )
-        return "%s %s %s" % (column, flt.op, self._literal(flt.value))
+        return BinaryOp(flt.op, column, self._literal(flt.value))
 
-    def _aggregate_sql(self, spec: QuerySpec, agg: AggregateSpec) -> str:
-        inner = self._qualify(spec, agg.column)
-        if agg.distinct:
-            inner = "DISTINCT " + inner
-        alias = "%s_%s" % (agg.func, "all" if agg.column == "*"
-                           else agg.column)
-        return "%s(%s) AS %s" % (agg.func.upper(), inner, alias)
+    def _aggregate(self, spec: QuerySpec,
+                   agg: AggregateSpec) -> AggregateCall:
+        arg = None if agg.column == "*" else self._column(spec, agg.column)
+        return AggregateCall(agg.func, arg, distinct=agg.distinct)
 
     # ------------------------------------------------------------------
-    def to_sql(self, spec: QuerySpec) -> str:
-        """Render *spec* as a SQL string for the relational engine."""
-        select_parts: List[str] = []
-        for column in spec.projection:
-            select_parts.append(self._qualify(spec, column))
-        for agg in spec.aggregates:
-            select_parts.append(self._aggregate_sql(spec, agg))
-        if not select_parts:
-            select_parts = ["*"]
-        sql = ["SELECT " + ", ".join(select_parts)]
-        sql.append("FROM " + spec.table)
-        prev_tables = [spec.table]
+    def to_statement(self, spec: QuerySpec) -> SelectStatement:
+        """Lower *spec* to the statement ``parse(self.to_sql(spec))``
+        would build, without going through text."""
+        items = [
+            SelectItem(self._column(spec, column))
+            for column in spec.projection
+        ] + [
+            SelectItem(self._aggregate(spec, agg), _alias(agg).lower())
+            for agg in spec.aggregates
+        ]
+        joins: List[JoinClause] = []
+        tables = [spec.table]
         for join in spec.joins:
-            left = self._owner_for_join(spec, join.left_column, prev_tables)
-            sql.append(
-                "JOIN %s ON %s.%s = %s.%s" % (
-                    join.table, left, join.left_column,
-                    join.table, join.right_column,
-                )
-            )
-            prev_tables.append(join.table)
-        if spec.filters:
-            sql.append("WHERE " + " AND ".join(
-                self._filter_sql(spec, f) for f in spec.filters
+            left = self._owner(join.left_column, tables,
+                               "join column %r not found among %s")
+            joins.append(JoinClause(
+                "inner", TableRef(join.table.lower()), BinaryOp(
+                    "=", _ref(join.left_column, left),
+                    _ref(join.right_column, join.table),
+                ),
             ))
-        if spec.group_by:
-            sql.append("GROUP BY " + ", ".join(
-                self._qualify(spec, c) for c in spec.group_by
-            ))
-        if spec.having:
-            sql.append("HAVING " + " AND ".join(
-                "%s(%s) %s %s" % (
-                    agg.func.upper(), self._qualify(spec, agg.column),
-                    op, self._literal(value),
-                )
-                for agg, op, value in spec.having
-            ))
+            tables.append(join.table)
+        where = conjunction(
+            [self._filter(spec, flt) for flt in spec.filters]
+        )
+        group_by = [self._column(spec, column) for column in spec.group_by]
+        having = conjunction([
+            BinaryOp(op, self._aggregate(spec, agg), self._literal(value))
+            for agg, op, value in spec.having
+        ])
+        order_by: List[OrderItem] = []
         if spec.order_by:
-            agg_aliases = {
-                "%s_%s" % (a.func, "all" if a.column == "*" else a.column)
-                for a in spec.aggregates
-            }
-            if spec.order_by in agg_aliases:
+            if spec.order_by in {_alias(agg) for agg in spec.aggregates}:
                 # Ordering by an aggregate's output alias, not a base
                 # column — never qualify.
-                order_term = spec.order_by
+                term = _ref(spec.order_by)
             else:
-                order_term = self._qualify(spec, spec.order_by)
-            sql.append("ORDER BY %s%s" % (
-                order_term, " DESC" if spec.descending else "",
-            ))
-        if spec.limit is not None:
-            sql.append("LIMIT %d" % spec.limit)
-        return " ".join(sql)
-
-    def _owner_for_join(self, spec: QuerySpec, column: str,
-                        candidates: List[str]) -> str:
-        for table in candidates:
-            if self._db.table(table).schema.has_column(column):
-                return table
-        raise SynthesisError(
-            "join column %r not found among %s" % (column, candidates)
+                term = self._column(spec, spec.order_by)
+            order_by.append(OrderItem(term, spec.descending))
+        return SelectStatement(
+            items=items, table=TableRef(spec.table.lower()), joins=joins,
+            where=where, group_by=group_by, having=having,
+            order_by=order_by, limit=spec.limit, star=not items,
         )
 
+    def to_sql(self, spec: QuerySpec) -> str:
+        """Render *spec* as SQL text (the lowered statement, rendered)."""
+        return render_statement(self.to_statement(spec))
+
     def execute(self, spec: QuerySpec) -> ResultSet:
-        """Compile and run *spec*."""
-        return self._db.execute(self.to_sql(spec))
+        """Lower and run *spec*."""
+        return self._db.execute(self.to_statement(spec))

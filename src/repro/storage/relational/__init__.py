@@ -9,7 +9,7 @@ from .database import Database
 from .executor import Executor, ResultSet
 from .expressions import (
     Between, BinaryOp, ColumnRef, Expression, FunctionCall, InList, IsNull,
-    Like, Literal, UnaryOp, predicate_matches,
+    Like, Literal, UnaryOp,
 )
 from .index import HashIndex, SortedIndex
 from .persistence import (
@@ -28,7 +28,7 @@ from .table import Table
 __all__ = [
     "Database", "Executor", "ResultSet",
     "Between", "BinaryOp", "ColumnRef", "Expression", "FunctionCall",
-    "InList", "IsNull", "Like", "Literal", "UnaryOp", "predicate_matches",
+    "InList", "IsNull", "Like", "Literal", "UnaryOp",
     "HashIndex", "SortedIndex",
     "database_from_json", "database_to_json", "load_database",
     "save_database", "table_from_dict", "table_to_dict",

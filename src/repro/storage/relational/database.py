@@ -20,7 +20,6 @@ from .executor import Executor, ResultSet
 from .index import HashIndex
 from .planner import Planner, PlanNode
 from .schema import TableSchema
-from .expressions import predicate_matches
 from .sql_parser import (
     CreateTableStatement, CreateViewStatement, DeleteStatement,
     DropTableStatement, DropViewStatement, InsertStatement,
@@ -143,14 +142,16 @@ class Database:
     # ------------------------------------------------------------------
     # Statements
     # ------------------------------------------------------------------
-    def execute(self, sql: str) -> ResultSet:
-        """Parse and run one SQL statement.
+    def execute(self, sql) -> ResultSet:
+        """Run one statement: SQL text, or an already built statement
+        object (what :func:`~.sql_parser.parse` returns), which skips
+        the lexer and parser.
 
         SELECT returns its rows; CREATE/INSERT return small status
         results ("ok" / rows inserted) so callers can treat everything
         uniformly.
         """
-        stmt = parse(sql)
+        stmt = parse(sql) if isinstance(sql, str) else sql
         with span("sql.execute", kind=type(stmt).__name__) as sp:
             scanned_before = self._meter.get(ROWS_SCANNED)
             result = self._dispatch(stmt)
@@ -358,19 +359,19 @@ class Database:
     def _run_update(self, stmt: UpdateStatement) -> int:
         table = self.table(stmt.table)
         schema = table.schema
-        for column, _ in stmt.assignments:
-            schema.index_of(column)
         columns = schema.column_names()
+        where = None if stmt.where is None else stmt.where.bind(columns)
+        assignments = [
+            (schema.index_of(column), expr.bind(columns))
+            for column, expr in stmt.assignments
+        ]
         count = 0
         for row_id, row in list(table.scan()):
-            context = dict(zip(columns, row))
-            if stmt.where is not None and not predicate_matches(
-                stmt.where, context
-            ):
+            if where is not None and not where(row):
                 continue
             new_row = list(row)
-            for column, expr in stmt.assignments:
-                new_row[schema.index_of(column)] = expr.evaluate(context)
+            for pos, value in assignments:
+                new_row[pos] = value(row)
             table.update(row_id, new_row, coerce=True)
             count += 1
         if count:
@@ -379,12 +380,12 @@ class Database:
 
     def _run_delete(self, stmt: DeleteStatement) -> int:
         table = self.table(stmt.table)
-        columns = table.schema.column_names()
-        doomed = []
-        for row_id, row in table.scan():
-            context = dict(zip(columns, row))
-            if stmt.where is None or predicate_matches(stmt.where, context):
-                doomed.append(row_id)
+        where = (None if stmt.where is None
+                 else stmt.where.bind(table.schema.column_names()))
+        doomed = [
+            row_id for row_id, row in table.scan()
+            if where is None or where(row)
+        ]
         for row_id in doomed:
             table.delete(row_id)
         if doomed:

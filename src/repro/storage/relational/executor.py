@@ -1,8 +1,11 @@
 """Physical execution of logical plans (iterator model).
 
-Rows flow between operators as dicts keyed by *qualified* column names
-("alias.column"); unqualified lookups resolve through the suffix
-fallback in :class:`~.expressions.ColumnRef`. The executor charges
+Rows flow between operators as the tables' own positional tuples; a
+join concatenates its inputs'. Every relational node has a *layout* —
+its rows' column names, qualified "alias.column", taken from the table
+schemas when the node is opened — and each expression is bound to the
+layout it runs over once per statement (:meth:`~.expressions.Expression.
+bind`); only the returned closure runs per row. The executor charges
 ``rows_scanned`` via the tables it reads, so benchmark cost accounting
 reflects real work.
 """
@@ -10,14 +13,13 @@ reflects real work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ...errors import ExecutionError, PlanError
 from ...obs import span
 from ..types import sort_key
 from .expressions import (
-    BinaryOp, ColumnRef, Expression, FunctionCall, Literal,
-    predicate_matches,
+    BinaryOp, Bound, ColumnRef, Expression, FunctionCall, Literal,
 )
 from .planner import (
     AggregateNode, DistinctNode, FilterNode, HashJoinNode, IndexScanNode,
@@ -25,6 +27,10 @@ from .planner import (
 )
 from .sql_parser import AggregateCall
 from .table import Table
+
+#: One row between operators: a table's stored tuple, or a join's
+#: concatenation of its inputs' rows.
+Row = Tuple[Any, ...]
 
 
 @dataclass
@@ -95,10 +101,15 @@ def _fmt(value: Any) -> str:
 
 
 class _Aggregator:
-    """Incremental state for one AggregateCall."""
+    """Incremental state for one AggregateCall in one group.
 
-    def __init__(self, call: AggregateCall):
+    *arg* is the call's argument bound to the input layout (None for
+    ``COUNT(*)``); every group's aggregator shares it.
+    """
+
+    def __init__(self, call: AggregateCall, arg: Optional[Bound]):
         self._call = call
+        self._arg = arg
         self._count = 0
         self._sum = 0.0
         self._min: Any = None
@@ -106,15 +117,14 @@ class _Aggregator:
         self._distinct: set = set()
         self._any_numeric = False
 
-    def update(self, row: Dict[str, Any]) -> None:
-        call = self._call
-        if call.arg is None:  # COUNT(*)
+    def update(self, row: Row) -> None:
+        if self._arg is None:  # COUNT(*)
             self._count += 1
             return
-        value = call.arg.evaluate(row)
+        value = self._arg(row)
         if value is None:
             return
-        if call.distinct:
+        if self._call.distinct:
             self._distinct.add(value)
             return
         self._count += 1
@@ -162,6 +172,47 @@ class _Aggregator:
         raise PlanError("unknown aggregate %r" % func)
 
 
+def _nested_loop(left_rows: Iterable[Row], right_rows: Iterable[Row],
+                 condition: Bound, padding: Optional[Row]) -> Iterator[Row]:
+    right_rows = list(right_rows)
+    for left in left_rows:
+        matched = False
+        for right in right_rows:
+            combined = left + right
+            if condition(combined):
+                matched = True
+                yield combined
+        if padding is not None and not matched:
+            yield left + padding
+
+
+def _hash_join(left_rows: Iterable[Row], right_rows: Iterable[Row],
+               left_key: Bound, right_key: Bound,
+               residual: Optional[Bound],
+               padding: Optional[Row]) -> Iterator[Row]:
+    build: Dict[Any, List[Row]] = {}
+    for right in list(right_rows):
+        key = right_key(right)
+        if key is not None:
+            build.setdefault(key, []).append(right)
+    for left in left_rows:
+        key = left_key(left)
+        matched = False
+        if key is not None:
+            for right in build.get(key, ()):
+                combined = left + right
+                if residual is None or residual(combined):
+                    matched = True
+                    yield combined
+        if padding is not None and not matched:
+            yield left + padding
+
+
+def _layout(alias: str, table: Table) -> List[str]:
+    """Qualified column names of *table*'s row tuples under *alias*."""
+    return ["%s.%s" % (alias, col) for col in table.schema.column_names()]
+
+
 class Executor:
     """Execute plan trees against a catalog of named tables."""
 
@@ -175,40 +226,48 @@ class Executor:
         except KeyError:
             raise ExecutionError("unknown table %r" % name) from None
 
-    @staticmethod
-    def _row_dict(alias: str, schema_cols: List[str],
-                  row: Tuple[Any, ...]) -> Dict[str, Any]:
-        return {
-            "%s.%s" % (alias, col): value
-            for col, value in zip(schema_cols, row)
-        }
-
-    def _iter(self, node: PlanNode) -> Iterator[Dict[str, Any]]:
+    def _open(self, node: PlanNode) -> Tuple[List[str], Iterable[Row]]:
+        """Layout and (lazily scanned) rows of a relational *node*."""
         if isinstance(node, ScanNode):
             table = self._table(node.table)
-            cols = table.schema.column_names()
-            for _, row in table.scan():
-                yield self._row_dict(node.alias, cols, row)
-        elif isinstance(node, IndexScanNode):
+            return _layout(node.alias, table), (
+                row for _, row in table.scan()
+            )
+        if isinstance(node, IndexScanNode):
             table = self._table(node.table)
-            cols = table.schema.column_names()
-            for row in table.lookup(node.column, node.value):
-                yield self._row_dict(node.alias, cols, row)
-        elif isinstance(node, FilterNode):
+            return _layout(node.alias, table), table.lookup(
+                node.column, node.value
+            )
+        if isinstance(node, FilterNode):
             if isinstance(node.child, ScanNode):
-                yield from self._filtered_scan(node)
-            else:
-                for row in self._iter(node.child):
-                    if predicate_matches(node.predicate, row):
-                        yield row
-        elif isinstance(node, NestedLoopJoinNode):
-            yield from self._nested_loop(node)
-        elif isinstance(node, HashJoinNode):
-            yield from self._hash_join(node)
-        else:
-            raise PlanError("cannot iterate node %r" % node.label())
+                return self._filtered_scan(node)
+            columns, rows = self._open(node.child)
+            # filter() keeps truthy results: a NULL predicate drops the row.
+            return columns, filter(node.predicate.bind(columns), rows)
+        if isinstance(node, (NestedLoopJoinNode, HashJoinNode)):
+            left_columns, left_rows = self._open(node.left)
+            right_columns, right_rows = self._open(node.right)
+            columns = left_columns + right_columns
+            # LEFT JOIN pads an unmatched left row with the right
+            # layout's width of NULLs, whether or not the right has rows.
+            padding = ((None,) * len(right_columns)
+                       if node.kind == "left" else None)
+            if isinstance(node, NestedLoopJoinNode):
+                return columns, _nested_loop(
+                    left_rows, right_rows, node.condition.bind(columns),
+                    padding,
+                )
+            residual = (None if node.residual is None
+                        else node.residual.bind(columns))
+            return columns, _hash_join(
+                left_rows, right_rows, node.left_key.bind(left_columns),
+                node.right_key.bind(right_columns), residual, padding,
+            )
+        raise PlanError("cannot iterate node %r" % node.label())
 
-    def _filtered_scan(self, node: FilterNode):
+    def _filtered_scan(
+        self, node: FilterNode,
+    ) -> Tuple[List[str], Iterable[Row]]:
         """Filter fused into its base scan, pushing the predicate down.
 
         Semantically identical to scan-then-filter — same rows, order
@@ -216,59 +275,16 @@ class Executor:
         equality conjuncts, so a partitioned table can prune to the
         shard owning a bound entity key.
         """
-        child = node.child
-        table = self._table(child.table)
-        cols = table.schema.column_names()
-        alias = child.alias
-
-        def test(raw: Tuple[Any, ...]) -> bool:
-            return bool(predicate_matches(
-                node.predicate, self._row_dict(alias, cols, raw)
-            ))
-
-        equals = _equality_conjuncts(node.predicate, alias, cols)
-        for _, raw in table.scan_matching(test, equals=equals):
-            yield self._row_dict(alias, cols, raw)
-
-    def _nested_loop(self, node: NestedLoopJoinNode):
-        right_rows = list(self._iter(node.right))
-        for left_row in self._iter(node.left):
-            matched = False
-            for right_row in right_rows:
-                combined = {**left_row, **right_row}
-                if predicate_matches(node.condition, combined):
-                    matched = True
-                    yield combined
-            if node.kind == "left" and not matched:
-                if right_rows:
-                    nulls = {k: None for k in right_rows[0]}
-                else:
-                    nulls = {}
-                yield {**left_row, **nulls}
-
-    def _hash_join(self, node: HashJoinNode):
-        build: Dict[Any, List[Dict[str, Any]]] = {}
-        right_rows = list(self._iter(node.right))
-        right_keys: List[str] = list(right_rows[0].keys()) if right_rows else []
-        for right_row in right_rows:
-            key = node.right_key.evaluate(right_row)
-            if key is None:
-                continue
-            build.setdefault(key, []).append(right_row)
-        for left_row in self._iter(node.left):
-            key = node.left_key.evaluate(left_row)
-            matches = build.get(key, []) if key is not None else []
-            matched = False
-            for right_row in matches:
-                combined = {**left_row, **right_row}
-                if node.residual is not None and not predicate_matches(
-                    node.residual, combined
-                ):
-                    continue
-                matched = True
-                yield combined
-            if node.kind == "left" and not matched:
-                yield {**left_row, **{k: None for k in right_keys}}
+        table = self._table(node.child.table)
+        columns = _layout(node.child.alias, table)
+        equals = _equality_conjuncts(
+            node.predicate, node.child.alias, table.schema.column_names()
+        )
+        # The table only tests truth, so NULL (falsy) drops the row.
+        matching = table.scan_matching(
+            node.predicate.bind(columns), equals=equals
+        )
+        return columns, (row for _, row in matching)
 
     # ------------------------------------------------------------------
     def execute(self, node: PlanNode) -> ResultSet:
@@ -292,8 +308,12 @@ class Executor:
             child = node.child
             if isinstance(child, ProjectNode) and not child.star:
                 return self._sort_then_project(node, child)
+            # ORDER BY references output column names of the child.
             result = self.execute(child)
-            return self._sort(node, result)
+            return ResultSet(
+                result.columns,
+                self._sort(node.order_by, result.columns, result.rows),
+            )
         if isinstance(node, DistinctNode):
             inner = self.execute(node.child)
             seen = set()
@@ -309,113 +329,112 @@ class Executor:
         if isinstance(node, AggregateNode):
             return self._aggregate(node)
         # Bare relational node: expose qualified columns as-is.
-        rows_out: List[Tuple[Any, ...]] = []
-        columns: List[str] = []
-        for row in self._iter(node):
-            if not columns:
-                columns = list(row.keys())
-            rows_out.append(tuple(row.get(c) for c in columns))
-        return ResultSet(columns, rows_out)
+        columns, rows = self._open(node)
+        return ResultSet(columns, list(rows))
+
+    @staticmethod
+    def _sort(order_by, columns: List[str],
+              rows: Iterable[Row]) -> List[Row]:
+        """Multi-key stable sort of rows laid out as *columns*.
+
+        Applies one stable pass per key, last key first, reversing for
+        DESC — this avoids negating non-numeric sort keys.
+        """
+        rows = list(rows)
+        for item in reversed(order_by):
+            value = item.expr.bind(columns)
+            rows.sort(key=lambda row: sort_key(value(row)),
+                      reverse=item.descending)
+        return rows
 
     def _sort_then_project(self, sort_node: SortNode,
                            project: ProjectNode) -> ResultSet:
         """Sort with access to pre-projection columns, then project.
 
         Lets ORDER BY reference base-table columns that are not in the
-        select list (e.g. ``SELECT name ... ORDER BY price``).
+        select list (e.g. ``SELECT name ... ORDER BY price``): the sort
+        runs over each input row extended by its projected values.
         """
-        columns = [item.output_name() for item in project.items]
-        pairs = []  # (context, output_tuple)
-        for row in self._iter(project.child):
-            out = tuple(item.expr.evaluate(row) for item in project.items)
-            ctx = dict(row)
-            ctx.update(zip(columns, out))
-            pairs.append((ctx, out))
-        for item in reversed(sort_node.order_by):
-            def key(pair, _item=item):
-                return sort_key(_item.expr.evaluate(pair[0]))
-            pairs.sort(key=key, reverse=item.descending)
-        return ResultSet(columns, [out for _, out in pairs])
+        columns, rows = self._open(project.child)
+        names = [item.output_name() for item in project.items]
+        exprs = [item.expr.bind(columns) for item in project.items]
+        extended = [
+            row + tuple([expr(row) for expr in exprs]) for row in rows
+        ]
+        ordered = self._sort(sort_node.order_by, columns + names, extended)
+        width = len(columns)
+        return ResultSet(names, [row[width:] for row in ordered])
 
     def _project(self, node: ProjectNode) -> ResultSet:
-        rows_out: List[Tuple[Any, ...]] = []
-        columns: List[str] = []
+        columns, rows = self._open(node.child)
         if node.star:
-            for row in self._iter(node.child):
-                if not columns:
-                    columns = [k.split(".", 1)[-1] for k in row]
-                    if len(set(columns)) != len(columns):
-                        columns = list(row.keys())
-                    full_keys = list(row.keys())
-                rows_out.append(tuple(row[k] for k in full_keys))
-            return ResultSet(columns or [], rows_out)
-        columns = [item.output_name() for item in node.items]
-        for row in self._iter(node.child):
-            rows_out.append(
-                tuple(item.expr.evaluate(row) for item in node.items)
-            )
-        return ResultSet(columns, rows_out)
+            names = [col.split(".", 1)[-1] for col in columns]
+            if len(set(names)) != len(names):
+                names = columns
+            return ResultSet(names, list(rows))
+        exprs = [item.expr.bind(columns) for item in node.items]
+        return ResultSet(
+            [item.output_name() for item in node.items],
+            [tuple([expr(row) for expr in exprs]) for row in rows],
+        )
 
     def _aggregate(self, node: AggregateNode) -> ResultSet:
-        groups: Dict[tuple, Dict[str, Any]] = {}
-        aggs: Dict[tuple, List[_Aggregator]] = {}
-        agg_items = [
-            (i, item) for i, item in enumerate(node.items) if item.is_aggregate
+        columns, rows = self._open(node.child)
+        group_by = [col.bind(columns) for col in node.group_by]
+        calls = [item.expr for item in node.items if item.is_aggregate]
+        args = [
+            None if call.arg is None else call.arg.bind(columns)
+            for call in calls
         ]
-        saw_rows = False
-        for row in self._iter(node.child):
-            saw_rows = True
-            key = tuple(
-                sort_key(c.evaluate(row)) for c in node.group_by
-            )
-            if key not in groups:
-                groups[key] = row
-                aggs[key] = [_Aggregator(item.expr) for _, item in agg_items]
-            for agg, (_, item) in zip(aggs[key], agg_items):
-                agg.update(row)
-        if not node.group_by and not saw_rows:
+
+        def new_group(sample: Optional[Row]):
+            return sample, [
+                _Aggregator(call, arg) for call, arg in zip(calls, args)
+            ]
+
+        # Group key -> (the group's first row, its aggregators).
+        groups: Dict[tuple, Tuple[Optional[Row], List[_Aggregator]]] = {}
+        for row in rows:
+            key = tuple([sort_key(value(row)) for value in group_by])
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = new_group(row)
+            for aggregator in group[1]:
+                aggregator.update(row)
+        if not node.group_by and not groups:
             # Global aggregate over empty input still yields one row.
-            groups[()] = {}
-            aggs[()] = [_Aggregator(item.expr) for _, item in agg_items]
+            groups[()] = new_group(None)
 
-        columns = [item.output_name() for item in node.items]
-        rows_out: List[Tuple[Any, ...]] = []
-        for key in groups:
-            sample = groups[key]
-            agg_values = [a.result() for a in aggs[key]]
-            agg_iter = iter(agg_values)
-            out_row = []
-            extended = dict(sample)
-            for item in node.items:
-                if item.is_aggregate:
-                    value = next(agg_iter)
-                else:
-                    value = item.expr.evaluate(sample) if sample else None
-                out_row.append(value)
-                extended[item.output_name()] = value
-            if node.having is not None:
-                if not self._having_matches(node.having, extended, sample,
-                                            aggs[key], agg_items):
+        names = [item.output_name() for item in node.items]
+        # None marks an aggregate item; the rest read the group's sample.
+        exprs = [
+            None if item.is_aggregate else item.expr.bind(columns)
+            for item in node.items
+        ]
+        # HAVING sees the sample row, then the output row, then one slot
+        # per select-list aggregate under its canonical name.
+        having = None
+        if node.having is not None:
+            having = node.having.bind(
+                columns + names + [call.key for call in calls]
+            )
+        rows_out: List[Row] = []
+        for sample, aggregators in groups.values():
+            results = [aggregator.result() for aggregator in aggregators]
+            pending = iter(results)
+            out_row = tuple([
+                next(pending) if expr is None
+                else None if sample is None else expr(sample)
+                for expr in exprs
+            ])
+            if having is not None:
+                if sample is None:
+                    sample = (None,) * len(columns)
+                if not having(sample + out_row + tuple(results)):
                     continue
-            rows_out.append(tuple(out_row))
+            rows_out.append(out_row)
         rows_out.sort(key=lambda r: tuple(sort_key(v) for v in r))
-        return ResultSet(columns, rows_out)
-
-    def _having_matches(self, having: Expression, extended: Dict[str, Any],
-                        sample: Dict[str, Any], aggregators, agg_items) -> bool:
-        # HAVING may reference aggregates directly (e.g. COUNT(*) > 2).
-        # Rewrite: evaluate by substituting aggregate results by sql text.
-        class _HavingContext(dict):
-            def __init__(self, base):
-                super().__init__(base)
-
-        ctx = _HavingContext(extended)
-        # Map each aggregate's canonical sql to its computed value.
-        for agg, (_, item) in zip(aggregators, agg_items):
-            ctx[item.expr.sql().lower().replace(" ", "")] = agg.result()
-
-        rewritten = _rewrite_having(having, ctx)
-        return predicate_matches(rewritten, ctx)
+        return ResultSet(names, rows_out)
 
 
 def _conjuncts(expr: Expression, out: List[Expression]) -> None:
@@ -464,43 +483,3 @@ def _hinted_column(expr: Expression, alias: str,
         return None
     name = expr.name.lower()
     return name if name in cols else None
-
-
-def _rewrite_having(expr: Expression, ctx: Dict[str, Any]) -> Expression:
-    """Replace AggregateCall leaves with column refs into *ctx*."""
-    from .expressions import BinaryOp, UnaryOp
-    from .sql_parser import AggregateCall as _AC
-
-    if isinstance(expr, _AC):
-        return ColumnRef(expr.sql().lower().replace(" ", ""))
-    if isinstance(expr, BinaryOp):
-        return BinaryOp(
-            expr.op, _rewrite_having(expr.left, ctx),
-            _rewrite_having(expr.right, ctx),
-        )
-    if isinstance(expr, UnaryOp):
-        return UnaryOp(expr.op, _rewrite_having(expr.operand, ctx))
-    return expr
-
-
-def _sort_result(result: ResultSet, order_by) -> ResultSet:
-    """Multi-key stable sort of a materialized result.
-
-    Applies one stable pass per key, last key first, reversing for
-    DESC — this avoids negating non-numeric sort keys.
-    """
-    rows = list(result.rows)
-    for item in reversed(order_by):
-        def key(row, _item=item):
-            ctx = dict(zip(result.columns, row))
-            return sort_key(_item.expr.evaluate(ctx))
-        rows.sort(key=key, reverse=item.descending)
-    return ResultSet(result.columns, rows)
-
-
-def _executor_sort(self, node: SortNode, result: ResultSet) -> ResultSet:
-    # ORDER BY references output column names of the materialized child.
-    return _sort_result(result, node.order_by)
-
-
-Executor._sort = _executor_sort

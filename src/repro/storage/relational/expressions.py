@@ -1,9 +1,12 @@
 """Expression AST and evaluator for the SQL subset.
 
-Expressions evaluate against a *row context*: a mapping from column
-name (optionally qualified, "table.column") to value. NULL semantics
-follow SQL pragmatically: NULL propagates through arithmetic and
-comparisons, and a NULL predicate result filters the row out.
+An expression is *bound* once per statement against a column layout —
+the ordered column names (optionally qualified, "table.column") of the
+row tuples it will see — which resolves every column reference to a
+tuple position and returns a closure that is then called per row. NULL
+semantics follow SQL pragmatically: NULL propagates through arithmetic
+and comparisons, and a NULL predicate result (falsy) filters the row
+out.
 """
 
 from __future__ import annotations
@@ -11,17 +14,42 @@ from __future__ import annotations
 import datetime as _dt
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from operator import itemgetter
+from typing import (
+    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from ...errors import ExecutionError, PlanError
 
+#: A bound expression: row tuple (in the layout it was bound to) -> value.
+Bound = Callable[[Tuple[Any, ...]], Any]
+
+
+def _raises(error: type, message: str) -> Bound:
+    """A bound expression that fails when first called, not when bound,
+    so a statement over an empty input succeeds as it always did."""
+    def fail(row: Tuple[Any, ...]) -> Any:
+        raise error(message)
+    return fail
+
 
 class Expression:
-    """Base class: all expressions implement ``evaluate`` and ``columns``."""
+    """Base class: all expressions implement ``bind`` and ``columns``."""
+
+    def bind(self, columns: Sequence[str]) -> Bound:
+        """Resolve column references against the layout *columns* and
+        return the closure computing this expression from a row tuple.
+
+        Binding never raises: an unresolvable reference, unknown
+        function or operator binds to a closure raising the typed
+        error on its first call.
+        """
+        raise NotImplementedError
 
     def evaluate(self, row: Mapping[str, Any]) -> Any:
-        """Value of this expression for *row*."""
-        raise NotImplementedError
+        """One-shot convenience: bind to *row*'s keys, apply to its
+        values. Per-row callers bind once instead."""
+        return self.bind(tuple(row))(tuple(row.values()))
 
     def columns(self) -> List[str]:
         """All column names referenced (for validation and planning)."""
@@ -38,8 +66,9 @@ class Literal(Expression):
 
     value: Any
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        return self.value
+    def bind(self, columns: Sequence[str]) -> Bound:
+        value = self.value
+        return lambda row: value
 
     def sql(self) -> str:
         if self.value is None:
@@ -67,24 +96,24 @@ class ColumnRef(Expression):
             return "%s.%s" % (self.table, self.name)
         return self.name
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        if self.table:
-            key = self.qualified
-            if key in row:
-                return row[key]
-        if self.name in row:
-            return row[self.name]
-        # Fall back: unique suffix match over qualified keys.
+    def bind(self, columns: Sequence[str]) -> Bound:
+        # A name repeated in the layout resolves to its last occurrence.
+        last = {name: pos for pos, name in enumerate(columns)}
+        if self.table and self.qualified in last:
+            return itemgetter(last[self.qualified])
+        if self.name in last:
+            return itemgetter(last[self.name])
+        # Fall back: unique suffix match over qualified names.
         suffix = "." + self.name
-        hits = [k for k in row if k.endswith(suffix)]
+        hits = [name for name in last if name.endswith(suffix)]
         if len(hits) == 1:
-            return row[hits[0]]
+            return itemgetter(last[hits[0]])
         if len(hits) > 1:
-            raise ExecutionError(
-                "ambiguous column %r (candidates: %s)"
+            return _raises(
+                ExecutionError, "ambiguous column %r (candidates: %s)"
                 % (self.name, ", ".join(sorted(hits)))
             )
-        raise ExecutionError("unknown column %r" % self.qualified)
+        return _raises(ExecutionError, "unknown column %r" % self.qualified)
 
     def columns(self) -> List[str]:
         return [self.qualified]
@@ -148,44 +177,73 @@ class BinaryOp(Expression):
     left: Expression
     right: Expression
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
+    def bind(self, columns: Sequence[str]) -> Bound:
         op = self.op.upper() if self.op.isalpha() else self.op
+        left, right = self.left.bind(columns), self.right.bind(columns)
         if op == "AND":
-            lhs = self.left.evaluate(row)
-            if lhs is False:
-                return False
-            rhs = self.right.evaluate(row)
-            if rhs is False:
-                return False
-            if lhs is None or rhs is None:
-                return None
-            return bool(lhs) and bool(rhs)
+            def conjunction(row):
+                lhs = left(row)
+                if lhs is False:
+                    return False
+                rhs = right(row)
+                if rhs is False:
+                    return False
+                if lhs is None or rhs is None:
+                    return None
+                return bool(lhs) and bool(rhs)
+            return conjunction
         if op == "OR":
-            lhs = self.left.evaluate(row)
-            if lhs is True:
-                return True
-            rhs = self.right.evaluate(row)
-            if rhs is True:
-                return True
-            if lhs is None or rhs is None:
-                return None
-            return bool(lhs) or bool(rhs)
-        lhs = self.left.evaluate(row)
-        rhs = self.right.evaluate(row)
+            def disjunction(row):
+                lhs = left(row)
+                if lhs is True:
+                    return True
+                rhs = right(row)
+                if rhs is True:
+                    return True
+                if lhs is None or rhs is None:
+                    return None
+                return bool(lhs) or bool(rhs)
+            return disjunction
         if op in _BINOPS:
-            return _BINOPS[op](lhs, rhs)
+            apply = _BINOPS[op]
+            return lambda row: apply(left(row), right(row))
+        if (op == "=" and isinstance(self.right, Literal)
+                and type(self.right.value) is str):
+            # The entity-match shape (col / LOWER(col) = 'text'): two
+            # strings compare directly; anything else goes through
+            # _cmp_values for its NULL handling and type errors.
+            text = self.right.value
+
+            def equals_text(row):
+                value = left(row)
+                if type(value) is str:
+                    return value == text
+                cmp = _cmp_values(value, text)
+                return None if cmp is None else cmp == 0
+            return equals_text
         if op in _COMPARISONS:
-            cmp = _cmp_values(lhs, rhs)
-            if cmp is None:
-                return None
-            return _COMPARISONS[op](cmp)
-        raise PlanError("unknown binary operator %r" % self.op)
+            decide = _COMPARISONS[op]
+
+            def comparison(row):
+                cmp = _cmp_values(left(row), right(row))
+                return None if cmp is None else decide(cmp)
+            return comparison
+        return _raises(PlanError, "unknown binary operator %r" % self.op)
 
     def columns(self) -> List[str]:
         return self.left.columns() + self.right.columns()
 
     def sql(self) -> str:
         return "(%s %s %s)" % (self.left.sql(), self.op, self.right.sql())
+
+
+def conjunction(terms: Sequence[Expression]) -> Optional[Expression]:
+    """*terms* ANDed left to right, the way the parser nests a chain of
+    ANDs; None when there are none."""
+    expr: Optional[Expression] = None
+    for term in terms:
+        expr = term if expr is None else BinaryOp("AND", expr, term)
+    return expr
 
 
 @dataclass(frozen=True)
@@ -195,18 +253,20 @@ class UnaryOp(Expression):
     op: str
     operand: Expression
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        value = self.operand.evaluate(row)
+    def bind(self, columns: Sequence[str]) -> Bound:
+        operand = self.operand.bind(columns)
         op = self.op.upper()
         if op == "NOT":
-            if value is None:
-                return None
-            return not bool(value)
+            def negation(row):
+                value = operand(row)
+                return None if value is None else not bool(value)
+            return negation
         if op == "-":
-            if value is None:
-                return None
-            return -value
-        raise PlanError("unknown unary operator %r" % self.op)
+            def minus(row):
+                value = operand(row)
+                return None if value is None else -value
+            return minus
+        return _raises(PlanError, "unknown unary operator %r" % self.op)
 
     def columns(self) -> List[str]:
         return self.operand.columns()
@@ -222,9 +282,11 @@ class IsNull(Expression):
     operand: Expression
     negated: bool = False
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        is_null = self.operand.evaluate(row) is None
-        return (not is_null) if self.negated else is_null
+    def bind(self, columns: Sequence[str]) -> Bound:
+        operand = self.operand.bind(columns)
+        if self.negated:
+            return lambda row: operand(row) is not None
+        return lambda row: operand(row) is None
 
     def columns(self) -> List[str]:
         return self.operand.columns()
@@ -243,16 +305,24 @@ class InList(Expression):
     options: Tuple[Expression, ...]
     negated: bool = False
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        value = self.operand.evaluate(row)
-        if value is None:
-            return None
-        found = any(
-            _cmp_values(value, opt.evaluate(row)) == 0
-            for opt in self.options
-            if opt.evaluate(row) is not None
-        )
-        return (not found) if self.negated else found
+    def bind(self, columns: Sequence[str]) -> Bound:
+        operand = self.operand.bind(columns)
+        options = [opt.bind(columns) for opt in self.options]
+        negated = self.negated
+
+        def membership(row):
+            value = operand(row)
+            if value is None:
+                return None
+            found = False
+            for option in options:
+                candidate = option(row)
+                if (candidate is not None
+                        and _cmp_values(value, candidate) == 0):
+                    found = True
+                    break
+            return (not found) if negated else found
+        return membership
 
     def columns(self) -> List[str]:
         cols = self.operand.columns()
@@ -287,19 +357,26 @@ class Like(Expression):
                 out.append(re.escape(ch))
         return re.compile("^%s$" % "".join(out), re.IGNORECASE)
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        value = self.operand.evaluate(row)
-        if value is None:
-            return None
-        matched = bool(self._regex().match(str(value)))
-        return (not matched) if self.negated else matched
+    def bind(self, columns: Sequence[str]) -> Bound:
+        operand = self.operand.bind(columns)
+        match = self._regex().match
+        negated = self.negated
+
+        def like(row):
+            value = operand(row)
+            if value is None:
+                return None
+            matched = bool(match(str(value)))
+            return (not matched) if negated else matched
+        return like
 
     def columns(self) -> List[str]:
         return self.operand.columns()
 
     def sql(self) -> str:
-        return "(%s %sLIKE '%s')" % (
-            self.operand.sql(), "NOT " if self.negated else "", self.pattern
+        return "(%s %sLIKE %s)" % (
+            self.operand.sql(), "NOT " if self.negated else "",
+            Literal(self.pattern).sql(),
         )
 
 
@@ -311,15 +388,20 @@ class Between(Expression):
     low: Expression
     high: Expression
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        value = self.operand.evaluate(row)
-        lo = self.low.evaluate(row)
-        hi = self.high.evaluate(row)
-        c1 = _cmp_values(value, lo)
-        c2 = _cmp_values(value, hi)
-        if c1 is None or c2 is None:
-            return None
-        return c1 >= 0 and c2 <= 0
+    def bind(self, columns: Sequence[str]) -> Bound:
+        operand = self.operand.bind(columns)
+        low, high = self.low.bind(columns), self.high.bind(columns)
+
+        def between(row):
+            value = operand(row)
+            lo = low(row)
+            hi = high(row)
+            c1 = _cmp_values(value, lo)
+            c2 = _cmp_values(value, hi)
+            if c1 is None or c2 is None:
+                return None
+            return c1 >= 0 and c2 <= 0
+        return between
 
     def columns(self) -> List[str]:
         return (self.operand.columns() + self.low.columns()
@@ -350,22 +432,30 @@ class FunctionCall(Expression):
     name: str
     args: Tuple[Expression, ...]
 
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        fn = _SCALAR_FUNCS.get(self.name.lower())
+    def bind(self, columns: Sequence[str]) -> Bound:
+        name = self.name
+        args = [arg.bind(columns) for arg in self.args]
+        fn = _SCALAR_FUNCS.get(name.lower())
         if fn is None:
-            if self.name.lower() == "coalesce":
-                for arg in self.args:
-                    value = arg.evaluate(row)
+            if name.lower() != "coalesce":
+                return _raises(PlanError, "unknown function %r" % name)
+
+            def coalesce(row):
+                for arg in args:
+                    value = arg(row)
                     if value is not None:
                         return value
                 return None
-            raise PlanError("unknown function %r" % self.name)
-        try:
-            return fn(*[a.evaluate(row) for a in self.args])
-        except TypeError as exc:
-            raise ExecutionError(
-                "bad arguments for %s(): %s" % (self.name, exc)
-            ) from exc
+            return coalesce
+
+        def call(row):
+            try:
+                return fn(*[arg(row) for arg in args])
+            except TypeError as exc:
+                raise ExecutionError(
+                    "bad arguments for %s(): %s" % (name, exc)
+                ) from exc
+        return call
 
     def columns(self) -> List[str]:
         cols: List[str] = []
@@ -377,9 +467,3 @@ class FunctionCall(Expression):
         return "%s(%s)" % (
             self.name.upper(), ", ".join(a.sql() for a in self.args)
         )
-
-
-def predicate_matches(expr: Expression, row: Mapping[str, Any]) -> bool:
-    """Evaluate a WHERE/HAVING predicate: NULL counts as no-match."""
-    result = expr.evaluate(row)
-    return bool(result) if result is not None else False

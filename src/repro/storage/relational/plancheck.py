@@ -19,7 +19,7 @@ TableSchema | None`` catalog callback. It reports:
   own ON condition (warning).
 
 Resolution deliberately mirrors the runtime rules of
-:meth:`~.expressions.ColumnRef.evaluate`: an exact ``alias.column``
+:meth:`~.expressions.ColumnRef.bind`: an exact ``alias.column``
 match first, then a unique suffix match across all tables in scope.
 """
 

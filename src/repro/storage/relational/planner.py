@@ -18,7 +18,9 @@ from typing import Any, List, Optional, Tuple
 
 from ...errors import PlanError
 from ...obs import span
-from .expressions import BinaryOp, ColumnRef, Expression, Literal
+from .expressions import (
+    BinaryOp, ColumnRef, Expression, Literal, conjunction,
+)
 from .sql_parser import OrderItem, SelectItem, SelectStatement
 
 
@@ -210,15 +212,6 @@ def _split_conjuncts(expr: Optional[Expression]) -> List[Expression]:
     return [expr]
 
 
-def _and_together(conjuncts: List[Expression]) -> Optional[Expression]:
-    if not conjuncts:
-        return None
-    expr = conjuncts[0]
-    for nxt in conjuncts[1:]:
-        expr = BinaryOp("AND", expr, nxt)
-    return expr
-
-
 def _equality_probe(conjunct: Expression) -> Optional[Tuple[ColumnRef, Any]]:
     """Match  col = literal  (either side) for index-scan planning."""
     if not (isinstance(conjunct, BinaryOp) and conjunct.op == "="):
@@ -311,6 +304,12 @@ class Planner:
         base: PlanNode = ScanNode(stmt.table.name, stmt.table.effective_name)
         aliases = [stmt.table.effective_name]
         for join in stmt.joins:
+            if join.table.effective_name in aliases:
+                # Both copies' columns would share their qualified names.
+                raise PlanError(
+                    "duplicate table name or alias %r in FROM/JOIN "
+                    "(alias one of them)" % join.table.effective_name
+                )
             right: PlanNode = ScanNode(
                 join.table.name, join.table.effective_name
             )
@@ -321,7 +320,7 @@ class Planner:
                 left_key, right_key, residual = keys
                 base = HashJoinNode(
                     join.kind, left_key, right_key, base, right,
-                    residual=_and_together(residual),
+                    residual=conjunction(residual),
                 )
             else:
                 base = NestedLoopJoinNode(
@@ -356,11 +355,11 @@ class Planner:
                         node.table, node.alias, col.name, value
                     )
                     remaining = conjuncts[:i] + conjuncts[i + 1:]
-                    residual = _and_together(remaining)
+                    residual = conjunction(remaining)
                     if residual is not None:
                         new_node = FilterNode(residual, new_node)
                     return new_node
-        predicate = _and_together(conjuncts)
+        predicate = conjunction(conjuncts)
         return FilterNode(predicate, node)
 
     # ------------------------------------------------------------------
@@ -406,7 +405,7 @@ class Planner:
             if isinstance(plan, (ScanNode, IndexScanNode)):
                 pushed = by_alias.pop(plan.alias, None)
                 if pushed:
-                    return FilterNode(_and_together(pushed), plan)
+                    return FilterNode(conjunction(pushed), plan)
                 return plan
             if isinstance(plan, HashJoinNode):
                 plan.left = rewrite(plan.left)

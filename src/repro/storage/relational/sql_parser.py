@@ -28,8 +28,8 @@ from typing import Any, List, Optional, Sequence, Tuple
 from ...errors import SQLSyntaxError
 from ..types import DataType
 from .expressions import (
-    Between, BinaryOp, ColumnRef, Expression, FunctionCall, InList, IsNull,
-    Like, Literal, UnaryOp,
+    Between, BinaryOp, Bound, ColumnRef, Expression, FunctionCall, InList,
+    IsNull, Like, Literal, UnaryOp,
 )
 from .schema import Column, TableSchema
 from .sql_lexer import EOF, IDENT, KW, NUMBER, OP, PUNCT, STRING, SQLToken, lex
@@ -60,6 +60,18 @@ class AggregateCall:
             inner = "DISTINCT " + inner
         return "%s(%s)" % (self.func.upper(), inner)
 
+    @property
+    def key(self) -> str:
+        """Canonical name: the output column of an unaliased aggregate
+        and the slot its value takes in a grouped layout."""
+        return self.sql().lower().replace(" ", "")
+
+    def bind(self, columns: Sequence[str]) -> Bound:
+        """Outside the select list (HAVING, ORDER BY) an aggregate is
+        a reference to its already computed value, a column named
+        :attr:`key` in the grouped layout."""
+        return ColumnRef(self.key).bind(columns)
+
 
 @dataclass(frozen=True)
 class SelectItem:
@@ -78,7 +90,7 @@ class SelectItem:
         if self.alias:
             return self.alias
         if isinstance(self.expr, AggregateCall):
-            return self.expr.sql().lower().replace(" ", "")
+            return self.expr.key
         if isinstance(self.expr, ColumnRef):
             return self.expr.name
         return self.expr.sql().lower()
@@ -621,7 +633,7 @@ class _Parser:
             return Literal(value)
         if tok.kind == STRING:
             self._advance()
-            return Literal(_maybe_date(tok.text))
+            return literal(tok.text)
         if self._accept_kw("null"):
             return Literal(None)
         if self._accept_kw("true"):
@@ -681,6 +693,21 @@ def _maybe_date(text: str) -> Any:
         except ValueError:
             return text
     return text
+
+
+def literal(value: Any) -> Expression:
+    """The expression :func:`parse` reads from *value*'s SQL rendering.
+
+    For callers that build statements without text: the grammar has no
+    negative literals (``-5`` is unary minus applied to ``5``) and reads
+    an ISO-date-looking string as a date.
+    """
+    if isinstance(value, str):
+        return Literal(_maybe_date(value))
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and str(value).startswith("-")):
+        return UnaryOp("-", Literal(-value))
+    return Literal(value)
 
 
 def parse(sql: str):

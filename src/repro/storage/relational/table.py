@@ -144,10 +144,19 @@ class Table:
             ) from None
 
     def scan(self) -> Iterator[Tuple[int, Tuple[Any, ...]]]:
-        """Yield (row_id, row) in id order, charging ``rows_scanned``."""
-        for row_id in sorted(self._rows):
-            self._meter.charge(ROWS_SCANNED)
-            yield row_id, self._rows[row_id]
+        """Yield (row_id, row) in id order, charging ``rows_scanned``.
+
+        The rows a scan examined are charged as one lump when it ends,
+        however it ends (exhausted, abandoned or failed in the consumer).
+        """
+        rows = self._rows
+        examined = 0
+        try:
+            for row_id in sorted(rows):
+                examined += 1
+                yield row_id, rows[row_id]
+        finally:
+            self._meter.charge(ROWS_SCANNED, examined)
 
     def scan_matching(
         self, test: Callable[[Tuple[Any, ...]], bool],

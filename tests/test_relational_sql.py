@@ -304,6 +304,100 @@ class TestExecution:
                 "SELECT pid FROM products p JOIN sales s ON p.pid = s.pid"
             )
 
+    @pytest.mark.parametrize("message, sql", [
+        ("unknown column 'count(*)'",
+         "SELECT quarter FROM sales GROUP BY quarter HAVING COUNT(*) > 1"),
+        ("ambiguous column 'pid' (candidates: p.pid, s.pid)",
+         "SELECT pid FROM products p JOIN sales s ON p.pid = s.pid"),
+        ("cannot compare 'Alpha Widget' (str) with 3 (int)",
+         "SELECT pid FROM products WHERE name = 3"),
+        ("cannot compare 19.99 (float) with 'x' (str)",
+         "SELECT pid FROM products WHERE price = 'x'"),
+        ("bad arguments for abs(): bad operand type for abs(): 'str'",
+         "SELECT ABS(name) FROM products"),
+        ("SUM over non-numeric values", "SELECT SUM(name) FROM products"),
+    ], ids=["having-aggregate-not-selected", "ambiguous", "text-vs-int",
+            "float-vs-text", "bad-function-argument", "sum-of-text"])
+    def test_execution_error_messages(self, db, message, sql):
+        with pytest.raises(ExecutionError) as err:
+            db.execute(sql)
+        assert str(err.value) == message
+
+    def test_unresolvable_reference_is_silent_on_empty_input(self, db):
+        # A reference that cannot resolve fails on the first row it is
+        # evaluated for, so an empty input never sees the error.
+        db.execute("DELETE FROM sales")
+        ambiguous = "SELECT pid FROM products p JOIN sales s ON p.pid = s.pid"
+        assert db.execute(ambiguous).rows == []
+        assert db.execute("SELECT nosuchfn(sid) FROM sales").rows == []
+        with pytest.raises(PlanError, match="unknown function 'nosuchfn'"):
+            db.execute("SELECT nosuchfn(pid) FROM products")
+
+    @pytest.mark.parametrize("on", ["p.pid = e.pid", "p.pid < e.pid"],
+                             ids=["hash", "nested-loop"])
+    def test_left_join_empty_right_pads_with_nulls(self, db, on):
+        # The padding's width and names come from the right table's
+        # schema, not from its first row: an empty right side pads too.
+        db.execute("CREATE TABLE extras (pid INT, note TEXT)")
+        join = "FROM products p LEFT JOIN extras e ON %s" % on
+        rs = db.execute("SELECT p.pid, e.note %s ORDER BY p.pid" % join)
+        assert rs.rows == [(1, None), (2, None), (3, None)]
+        assert db.execute("SELECT COUNT(e.note) %s" % join).scalar() == 0
+        rs = db.execute("SELECT p.pid %s WHERE e.note IS NULL" % join)
+        assert sorted(rs.column("pid")) == [1, 2, 3]
+        rs = db.execute("SELECT * %s" % join)
+        assert rs.columns == ["p.pid", "p.name", "p.manufacturer", "p.price",
+                              "e.pid", "e.note"]
+        assert [row[4:] for row in rs.rows] == [(None, None)] * 3
+
+    def test_star_over_empty_table_keeps_columns(self, db):
+        db.execute("CREATE TABLE extras (pid INT, note TEXT)")
+        rs = db.execute("SELECT * FROM extras")
+        assert (rs.columns, rs.rows) == (["pid", "note"], [])
+
+    @pytest.mark.parametrize("having, quarters", [
+        ("COUNT(*) BETWEEN 3 AND 5", ["Q2"]),
+        ("COUNT(*) IN (2, 7)", ["Q1"]),
+        ("COUNT(*) NOT IN (2, 7)", ["Q2"]),
+        ("COUNT(*) IS NOT NULL", ["Q1", "Q2"]),
+        ("ABS(COUNT(*) - 4) > 1", ["Q1"]),
+        ("NOT COUNT(*) > 2", ["Q1"]),
+        ("COUNT(*) > 2 OR SUM(amount) = 300", ["Q1", "Q2"]),
+        ("COALESCE(SUM(amount), 0) BETWEEN 301 AND 400 AND n = 3", ["Q2"]),
+    ], ids=["between", "in", "not-in", "is-not-null", "function", "not",
+            "or", "nested"])
+    def test_having_aggregate_under_any_expression(self, db, having,
+                                                   quarters):
+        rs = db.execute(
+            "SELECT quarter, COUNT(*) AS n, SUM(amount) FROM sales "
+            "GROUP BY quarter HAVING %s" % having
+        )
+        assert rs.column("quarter") == quarters
+
+    def test_aggregate_outside_select_list_is_typed_error(self, db):
+        # HAVING / ORDER BY read aggregates the select list computed;
+        # one that is not there is an unknown column, not a crash.
+        grouped = "SELECT quarter, COUNT(*) AS n FROM sales GROUP BY quarter "
+        for tail in ("HAVING MAX(amount) > 1", "ORDER BY COUNT(*)"):
+            with pytest.raises(ExecutionError, match="unknown column"):
+                db.execute(grouped + tail)
+        rs = db.execute("SELECT quarter, COUNT(*) FROM sales "
+                        "GROUP BY quarter ORDER BY COUNT(*) DESC")
+        assert rs.rows == [("Q2", 3), ("Q1", 2)]
+
+    def test_duplicate_table_name_in_from_rejected(self, db):
+        for sql in (
+            "SELECT sales.sid FROM sales JOIN sales ON sales.sid = sales.sid",
+            "SELECT x.pid FROM products x JOIN sales x ON x.pid = x.pid",
+        ):
+            with pytest.raises(PlanError, match="duplicate table name"):
+                db.execute(sql)
+        rs = db.execute(
+            "SELECT a.sid, b.sid FROM sales a JOIN sales b "
+            "ON a.pid = b.pid WHERE a.sid < b.sid"
+        )
+        assert sorted(rs.rows) == [(1, 2), (3, 4)]
+
     def test_pretty_output(self, db):
         text = db.execute("SELECT name FROM products ORDER BY pid").pretty()
         assert "Alpha Widget" in text and "|" not in text.split("\n")[1]

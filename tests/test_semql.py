@@ -1,21 +1,29 @@
 """Tests for intent analysis, catalog binding, synthesis, compilation
 and semantic operators."""
 
-import pytest
+import datetime as dt
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.bench import LakeSpec, generate_ecommerce_lake
+from repro.bench.runner import build_hybrid_system, generate_lake
 from repro.errors import SynthesisError
-from repro.metering import CostMeter
+from repro.metering import ROWS_SCANNED, CostMeter
 from repro.semql import (
     AggregateSpec, FilterSpec, JoinSpec, OperatorSynthesizer, QueryCompiler,
     QuerySpec, SchemaCatalog, SemanticOperators, analyze,
 )
+from repro.semql.logical import AGG_FUNCS, FILTER_OPS
 from repro.slm import SLMConfig, SmallLanguageModel
-from repro.storage.relational import Database
+from repro.storage.relational import (
+    AggregateCall, Database, Expression, Literal, UnaryOp, sql_parser,
+)
 from repro.storage.relational.executor import ResultSet
+from repro.storage.relational.sql_parser import parse
 
 
-@pytest.fixture
-def db():
+def _make_db():
     database = Database(meter=CostMeter())
     database.execute(
         "CREATE TABLE products (pid INT PRIMARY KEY, name TEXT, "
@@ -40,6 +48,11 @@ def db():
         "(5, 3, 'q2', 50.0, 18.0)"
     )
     return database
+
+
+@pytest.fixture
+def db():
+    return _make_db()
 
 
 @pytest.fixture
@@ -263,6 +276,170 @@ class TestCompiler:
             AggregateSpec("sum", "*")
         with pytest.raises(SynthesisError):
             FilterSpec("c", "~~", 1)
+
+
+_SALES = ("sid", "pid", "quarter", "amount", "change_percent")
+_PRODUCTS = ("pid", "name", "manufacturer", "price")
+
+# Values a filter can carry. The lexer has no exponent form, so floats
+# are limited to those repr() writes without one.
+_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10 ** 6, 10 ** 6),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False).filter(
+        lambda x: "e" not in repr(x)),
+    st.dates(), st.text(max_size=12),
+    st.sampled_from(["Q2", "O'Brien", "2024-05-01", "2024-13-01"]),
+)
+
+
+@st.composite
+def _specs(draw):
+    """Any QuerySpec over the fixture's two tables."""
+    joined = draw(st.booleans())
+    column = st.sampled_from(_SALES + _PRODUCTS if joined else _SALES)
+    aggregate = st.one_of(
+        st.builds(AggregateSpec, st.just("count"), st.just("*")),
+        st.builds(AggregateSpec, st.sampled_from(AGG_FUNCS), column,
+                  st.booleans()),
+    )
+    aggregates = tuple(draw(st.lists(aggregate, max_size=3)))
+    aliases = ["%s_%s" % (a.func, "all" if a.column == "*" else a.column)
+               for a in aggregates]
+    return QuerySpec(
+        table="sales",
+        joins=(JoinSpec("products", "pid", "pid"),) if joined else (),
+        filters=tuple(draw(st.lists(st.builds(
+            FilterSpec, column, st.sampled_from(FILTER_OPS), _VALUES,
+        ), max_size=4))),
+        group_by=tuple(draw(st.lists(column, max_size=2)))
+        if aggregates else (),
+        aggregates=aggregates,
+        having=tuple(draw(st.lists(st.tuples(
+            aggregate, st.sampled_from(FILTER_OPS[:-1]),
+            st.integers(-50, 50),
+        ), max_size=2))) if aggregates else (),
+        projection=tuple(draw(st.lists(
+            column, min_size=0 if aggregates else 1, max_size=3))),
+        order_by=draw(st.one_of(st.none(), column,
+                                st.sampled_from(aliases or [None]))),
+        descending=draw(st.booleans()),
+        limit=draw(st.one_of(st.none(), st.integers(0, 50))),
+    )
+
+
+class TestLowering:
+    """``to_statement`` is the one lowering: it builds what the parser
+    reads from ``to_sql``, and executing a spec never goes through text."""
+
+    def test_literals_lower_the_way_the_parser_reads_them(self, compiler):
+        spec = QuerySpec(
+            table="sales", aggregates=(AggregateSpec("count"),),
+            filters=(
+                FilterSpec("change_percent", ">", -5),
+                FilterSpec("amount", "!=", -0.25),
+                FilterSpec("amount", "<=", 120.5),
+                FilterSpec("quarter", "=", "2024-05-01"),
+                FilterSpec("quarter", "!=", "O'Brien Q2"),
+                FilterSpec("quarter", "like", "q%'s"),
+                FilterSpec("sid", "=", dt.date(2024, 5, 1)),
+                FilterSpec("pid", "=", None),
+                FilterSpec("pid", "=", True),
+            ),
+        )
+        statement = compiler.to_statement(spec)
+        assert parse(compiler.to_sql(spec)) == statement
+        conjuncts = []
+        node = statement.where
+        while getattr(node, "op", None) == "AND":
+            conjuncts.insert(0, node.right)
+            node = node.left
+        conjuncts.insert(0, node)
+        assert conjuncts[0].right == UnaryOp("-", Literal(5))
+        assert conjuncts[1].right == UnaryOp("-", Literal(0.25))
+        assert conjuncts[2].right == Literal(120.5)
+        # The grammar reads an ISO-date-looking string as a date.
+        assert conjuncts[3].right == Literal(dt.date(2024, 5, 1))
+        assert conjuncts[4].right == Literal("o'brien q2")
+        assert conjuncts[5].pattern == "q%'s"
+        assert conjuncts[6].right == Literal(dt.date(2024, 5, 1))
+
+    def test_hypothesis_built_specs_lower_to_what_the_parser_reads(self):
+        compiler = QueryCompiler(_make_db())
+
+        @settings(max_examples=200, deadline=None)
+        @given(spec=_specs())
+        def check(spec):
+            assert parse(compiler.to_sql(spec)) == \
+                compiler.to_statement(spec)
+
+        check()
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("domain", ["ecommerce", "healthcare"])
+    def test_qa_suite_specs_lower_to_what_the_parser_reads(
+            self, domain, seed, monkeypatch):
+        lake = generate_lake(domain, seed)
+        _system, pipe = build_hybrid_system(lake, seed=seed)
+        execute, specs = QueryCompiler.execute, []
+
+        def recorder(self, spec):
+            specs.append(spec)
+            return execute(self, spec)
+
+        monkeypatch.setattr(QueryCompiler, "execute", recorder)
+        for pair in lake.qa_pairs():
+            pipe.answer(pair.question)
+        compiler = QueryCompiler(pipe.db)
+        assert len(specs) > 10
+        for spec in specs:
+            assert parse(compiler.to_sql(spec)) == \
+                compiler.to_statement(spec)
+
+    def test_structured_ask_lexes_nothing_and_binds_per_statement(
+            self, monkeypatch):
+        lake = generate_ecommerce_lake(LakeSpec(n_products=4, seed=17))
+        _system, pipe = build_hybrid_system(lake, seed=13)
+        question = next(pair.question for pair in lake.qa_pairs(per_kind=1)
+                        if pair.kind == "structured_entity")
+        lexed, bound = [], []
+        lex = sql_parser.lex
+
+        def lex_recorder(sql):
+            lexed.append(sql)
+            return lex(sql)
+
+        def count_binds(cls):
+            bind = cls.bind
+
+            def bind_recorder(self, columns):
+                bound.append(cls.__name__)
+                return bind(self, columns)
+
+            monkeypatch.setattr(cls, "bind", bind_recorder)
+
+        monkeypatch.setattr(sql_parser, "lex", lex_recorder)
+        for cls in Expression.__subclasses__() + [AggregateCall]:
+            count_binds(cls)
+
+        def ask():
+            del bound[:]
+            before = pipe.meter.get(ROWS_SCANNED)
+            answer = pipe.answer(question)
+            return (answer.value, len(bound),
+                    pipe.meter.get(ROWS_SCANNED) - before)
+
+        total, binds, scanned = ask()
+        sales = pipe.db.table("sales").rows()
+        # SUM(amount) FROM sales JOIN products WHERE name = … AND quarter = …
+        assert scanned == len(sales) + len(pipe.db.table("products"))
+        pipe.db.load_rows(
+            "sales", [(row[0] + 10 ** 6,) + row[1:] for row in sales]
+        )
+        # Twice the rows: twice the sum and the scan, the same binding.
+        assert ask() == (pytest.approx(2 * total), binds,
+                         scanned + len(sales))
+        assert binds > 0
+        assert lexed == []
 
 
 class TestSemanticOperators:

@@ -15,6 +15,7 @@ from repro.bench import (
     HealthSpec, LakeSpec, generate_ecommerce_lake, generate_healthcare_lake,
 )
 from repro.bench.runner import build_hybrid_system
+from repro.metering import ROWS_SCANNED
 from repro.resilience import FaultPlan, ResilienceConfig
 
 SEED = 13
@@ -95,6 +96,40 @@ class ShardPruningTest(unittest.TestCase):
         self.assertIn("shard dispatch: pruned=", rendered)
         pruned = int(rendered.split("pruned=")[1].split()[0])
         self.assertGreater(pruned, 0)
+
+    def test_filtered_scans_match_unsharded_rows_and_charges(self):
+        # The executor hands scan_matching one closure bound to the
+        # table's layout; pruned or fanned out, the shards must return
+        # the rows and charge the work of the unsharded scan.
+        plain, _ = _build("ecommerce", n_shards=1)
+        sharded, _ = _build("ecommerce", n_shards=4)
+        stats = sharded.shard_set.stats
+        for sql, pruned in (
+            ("SELECT pid, price FROM products "
+             "WHERE LOWER(name) = 'rapid charger'", True),
+            ("SELECT name FROM products "
+             "WHERE LOWER(name) = 'rapid charger' AND price > 0", True),
+            ("SELECT name FROM products WHERE name LIKE '%a%'", False),
+            ("SELECT name FROM products WHERE price > 20 OR pid = 1", False),
+            ("SELECT p.name, s.amount FROM sales s JOIN products p "
+             "ON s.pid = p.pid WHERE LOWER(p.name) = 'gamma scale' "
+             "AND s.amount > 0", None),
+        ):
+            outcomes = []
+            for pipe in (plain, sharded):
+                before = pipe.meter.get(ROWS_SCANNED)
+                result = pipe.db.execute(sql)
+                outcomes.append((result.columns, result.rows,
+                                 pipe.meter.get(ROWS_SCANNED) - before))
+            self.assertEqual(outcomes[0], outcomes[1], sql)
+            self.assertTrue(outcomes[0][1], sql)
+            if pruned is not None:
+                was = (stats.pruned_calls, stats.fanout_calls)
+                sharded.db.execute(sql)
+                self.assertEqual(
+                    (stats.pruned_calls - was[0],
+                     stats.fanout_calls - was[1]),
+                    (1, 0) if pruned else (0, 1), sql)
 
     def test_unsharded_pipeline_has_no_annotations(self):
         pipe, questions = _build("ecommerce", n_shards=1)

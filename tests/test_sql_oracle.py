@@ -3,16 +3,20 @@
 Hypothesis generates random tables and queries; the engine's results
 must match a straightforward in-Python evaluation. This guards the
 planner/executor against silent wrong-result bugs (index-scan pruning,
-join order, NULL semantics, aggregate edge cases).
+join order, NULL semantics, aggregate edge cases). For joins stdlib
+``sqlite3`` answers the same statement as a second oracle.
 """
 
 import math
+import sqlite3
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ExecutionError
 from repro.metering import CostMeter
 from repro.storage.relational import Database
+from repro.storage.relational.expressions import _cmp_values
 
 TEXT_VALUES = ["red", "blue", "green", None]
 
@@ -88,6 +92,100 @@ class TestFilterOracle:
             % (op, literal)
         ).scalar()
         assert kept == 0
+
+
+# LIKE patterns with what each means, written without a pattern language.
+LIKE_ORACLE = {
+    "r%": lambda s: s.lower().startswith("r"),
+    "%E%": lambda s: "e" in s.lower(),
+    "_ed": lambda s: len(s) == 3 and s.lower().endswith("ed"),
+    "blue": lambda s: s.lower() == "blue",
+    "%": lambda s: True,
+}
+
+
+class TestPredicateShapeOracle:
+    @given(rows=rows_strategy,
+           color=st.sampled_from(["red", "blue", "green"]),
+           number=st.integers(min_value=-20, max_value=20))
+    @settings(max_examples=60, deadline=None)
+    def test_lowered_text_and_number_conjunction(self, rows, color, number):
+        # The shape synthesized questions filter by; the text is stored
+        # in mixed case so LOWER() has work to do.
+        db = make_db([(a, b and (b.upper() if a % 2 else b.title()), c)
+                      for a, b, c in rows])
+        got = db.execute(
+            "SELECT a, c FROM t WHERE LOWER(b) = '%s' AND a = %d"
+            % (color, number)
+        ).rows
+        assert got == [(a, c) for a, b, c in rows
+                       if b == color and a == number]
+
+    @given(rows=rows_strategy, pattern=st.sampled_from(sorted(LIKE_ORACLE)),
+           negated=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_like(self, rows, pattern, negated):
+        db = make_db(rows)
+        got = db.execute("SELECT a FROM t WHERE b %sLIKE '%s'"
+                         % ("NOT " if negated else "", pattern)).column("a")
+        matches = LIKE_ORACLE[pattern]
+        assert got == [a for a, b, _ in rows
+                       if b is not None and matches(b) != negated]
+
+    @given(rows=rows_strategy, negated=st.booleans(),
+           options=st.lists(st.integers(min_value=-20, max_value=20),
+                            min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_in_list(self, rows, negated, options):
+        db = make_db(rows)
+        keyword = "NOT IN" if negated else "IN"
+        got = db.execute("SELECT a FROM t WHERE a %s (%s)" % (
+            keyword, ", ".join(map(str, options)))).column("a")
+        assert got == [a for a, _, _ in rows if (a in options) != negated]
+        # NULL is neither in nor not in a list.
+        got = db.execute("SELECT a FROM t WHERE b %s ('red', 'blue', NULL)"
+                         % keyword).column("a")
+        assert got == [a for a, b, _ in rows if b is not None
+                       and (b in ("red", "blue")) != negated]
+
+    @given(rows=rows_strategy,
+           low=st.integers(min_value=-25, max_value=25),
+           width=st.integers(min_value=-2, max_value=30))
+    @settings(max_examples=60, deadline=None)
+    def test_between(self, rows, low, width):
+        db = make_db(rows)
+        high = low + width
+        got = db.execute("SELECT a FROM t WHERE a BETWEEN %d AND %d"
+                         % (low, high)).column("a")
+        assert got == [a for a, _, _ in rows if low <= a <= high]
+        got = db.execute("SELECT a FROM t WHERE c BETWEEN %d AND %d"
+                         % (low, high)).column("a")
+        assert got == [a for a, _, c in rows
+                       if c is not None and low <= c <= high]
+
+    @given(rows=rows_strategy)
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_type_equality_raises_like_cmp_values(self, rows):
+        db = make_db(rows)
+        # (text column, number) takes the general comparison; (number
+        # column, text literal) the bound text-equality shape.
+        for sql, values, literal in (
+            ("SELECT a FROM t WHERE b = 3", [b for _, b, _ in rows], 3),
+            ("SELECT a FROM t WHERE a = 'red'", [a for a, _, _ in rows],
+             "red"),
+            # AND skips its right side only when the left is FALSE.
+            ("SELECT a FROM t WHERE LOWER(b) = 'red' AND c = 'red'",
+             [c for _, b, c in rows if b in (None, "red")], "red"),
+        ):
+            offending = [v for v in values if v is not None]
+            if not offending:
+                assert db.execute(sql).rows == []
+                continue
+            with pytest.raises(ExecutionError) as want:
+                _cmp_values(offending[0], literal)
+            with pytest.raises(ExecutionError) as got:
+                db.execute(sql)
+            assert str(got.value) == str(want.value)
 
 
 class TestAggregateOracle:
@@ -166,6 +264,20 @@ class TestOrderLimitOracle:
         desc = db.execute("SELECT a FROM t ORDER BY a DESC").column("a")
         assert desc == list(reversed(asc))
 
+    @given(rows=rows_strategy, descending=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_order_by_non_projected_column(self, rows, descending):
+        db = make_db(rows)
+        got = db.execute("SELECT b FROM t ORDER BY a%s"
+                         % (" DESC" if descending else "")).column("b")
+        # Both sorts are stable over insertion order.
+        ordered = sorted(rows, key=lambda row: row[0], reverse=descending)
+        assert got == [b for _, b, _ in ordered]
+        got = db.execute("SELECT a FROM t ORDER BY b, a").column("a")
+        ordered = sorted(rows, key=lambda row: (row[1] is not None,
+                                                row[1] or "", row[0]))
+        assert got == [a for a, _, _ in ordered]
+
     @given(rows=rows_strategy)
     @settings(max_examples=40, deadline=None)
     def test_distinct_matches_set(self, rows):
@@ -174,7 +286,76 @@ class TestOrderLimitOracle:
         assert sorted(got) == sorted({a for a, _, _ in rows})
 
 
+# Join sides small enough to be empty often, keyed on a narrow nullable
+# range so matches, fan-out and NULL keys all occur.
+join_rows_strategy = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.integers(min_value=0, max_value=4)),
+        st.sampled_from(TEXT_VALUES),
+        st.one_of(st.none(), st.integers(min_value=-5, max_value=5)),
+    ),
+    min_size=0, max_size=8,
+)
+
+JOIN_CONDITIONS = {
+    "l.a = r.a": lambda l, r: _cmp("=", l[0], r[0]),
+    "l.a = r.a AND l.b = r.b":
+        lambda l, r: _cmp("=", l[0], r[0]) and _cmp("=", l[1], r[1]),
+    "l.a = r.a AND l.c < r.c":
+        lambda l, r: _cmp("=", l[0], r[0]) and _cmp("<", l[2], r[2]),
+    "l.a < r.a": lambda l, r: _cmp("<", l[0], r[0]),
+    "l.c >= r.a OR l.b = r.b":
+        lambda l, r: _cmp(">=", l[2], r[0]) or _cmp("=", l[1], r[1]),
+}
+
+
+def _null_first(row):
+    return tuple((v is not None, v if v is not None else 0) for v in row)
+
+
 class TestJoinOracle:
+    @given(left=join_rows_strategy, right=join_rows_strategy,
+           kind=st.sampled_from(["JOIN", "LEFT JOIN"]),
+           condition=st.sampled_from(sorted(JOIN_CONDITIONS)))
+    @settings(max_examples=150, deadline=None)
+    def test_joins_with_empty_and_null_keyed_sides(self, left, right, kind,
+                                                   condition):
+        db = Database(meter=CostMeter())
+        lite = sqlite3.connect(":memory:")
+        for name, rows in (("l", left), ("r", right)):
+            db.execute("CREATE TABLE %s (a INT, b TEXT, c INT)" % name)
+            lite.execute("CREATE TABLE %s (a INT, b TEXT, c INT)" % name)
+            for row in rows:
+                db.table(name).insert(row)
+            lite.executemany("INSERT INTO %s VALUES (?, ?, ?)" % name, rows)
+        matches = JOIN_CONDITIONS[condition]
+        want = []
+        for l in left:
+            partners = [r for r in right if matches(l, r)]
+            if not partners and kind == "LEFT JOIN":
+                partners = [(None, None, None)]
+            want += [l + r for r in partners]
+        statements = {
+            "SELECT l.a, l.b, l.c, r.a, r.b, r.c FROM l %s r ON %s":
+                sorted(want, key=_null_first),
+            "SELECT * FROM l %s r ON %s": sorted(want, key=_null_first),
+            "SELECT COUNT(*), COUNT(r.b), SUM(r.c) FROM l %s r ON %s": [(
+                len(want), sum(1 for row in want if row[4] is not None),
+                sum((row[5] for row in want if row[5] is not None), 0.0)
+                if any(row[5] is not None for row in want) else None,
+            )],
+            "SELECT l.a, l.b, l.c FROM l %s r ON %s WHERE r.a IS NULL":
+                sorted((row[:3] for row in want if row[3] is None),
+                       key=_null_first),
+        }
+        for template, expected in statements.items():
+            sql = template % (kind, condition)
+            got = sorted(db.execute(sql).rows, key=_null_first)
+            assert got == expected, sql
+            assert sorted(lite.execute(sql).fetchall(),
+                          key=_null_first) == expected, sql
+        lite.close()
+
     @given(left=rows_strategy, right=rows_strategy)
     @settings(max_examples=40, deadline=None)
     def test_inner_equi_join(self, left, right):

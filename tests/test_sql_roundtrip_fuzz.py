@@ -40,7 +40,7 @@ CREATE_SQL = (
 )
 WORDS = ("alpha", "beta", "gamma", "widget", "gizmo", "o'brien",
          "delta kit", "probe")
-LIKE_PATTERNS = ("wid%", "%et", "_lpha", "%a%", "g_zmo")
+LIKE_PATTERNS = ("wid%", "%et", "_lpha", "%a%", "g_zmo", "o'b%")
 SPARE_NAMES = ("label", "score", "flag", "stamp", "title", "total")
 SPARE_TYPES = ("int", "integer", "float", "real", "text", "varchar",
                "bool", "boolean", "date")
