@@ -9,7 +9,7 @@ optionally register it in a :class:`Database` for the TableQA engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ExtractionError
 from ..slm.model import SmallLanguageModel
@@ -45,6 +45,17 @@ class GeneratedTable:
         )
 
 
+@dataclass
+class _Assembly:
+    """The last table assembled under one name, and where it went."""
+
+    facts: List[ExtractedFact]
+    fact_docs: List[str]
+    table: Table
+    # The database table ``generate_into`` filled from it, if any.
+    installed: Optional[Table] = None
+
+
 class TableGenerator:
     """Generate relational tables from unstructured documents.
 
@@ -56,6 +67,15 @@ class TableGenerator:
     document absent from a call leaves nothing behind. Regenerating a
     table after one new document therefore costs that document's
     tagging, not the corpus's.
+
+    The assembled table is kept too: a generation whose facts (and the
+    documents they came from) equal those of the last table assembled
+    under that name returns that same :class:`Table`, and
+    ``generate_into`` leaves the database table it filled from it
+    untouched — no drop, no create, no inserts, no mutation event. A
+    fact-less new document therefore touches no table; any change in
+    the facts assembles and installs a new one. The returned table is
+    shared with the kept state; treat it as read-only.
 
     Kept facts are only as fresh as the SLM that produced them: call
     :meth:`forget` after changing what the SLM recognises (its
@@ -75,17 +95,21 @@ class TableGenerator:
         self._provenance = include_provenance
         self._source_text = include_source_text
         self._kept: Dict[str, Dict[str, Tuple[str, List[ExtractedFact]]]] = {}
+        self._assembled: Dict[str, _Assembly] = {}
 
     def forget(self) -> None:
-        """Drop every kept fact; the next generation extracts afresh."""
+        """Drop every kept fact and table; the next generation extracts
+        and assembles afresh."""
         self._kept.clear()
+        self._assembled.clear()
 
     def generate(self, name: str,
                  documents: Iterable[Tuple[str, str]]) -> GeneratedTable:
         """Build table *name* from (doc_id, text) pairs.
 
         Documents unchanged since the last generation of *name* reuse
-        their kept facts (see the class docstring). Raises
+        their kept facts, and unchanged facts the table assembled from
+        them (see the class docstring). Raises
         :class:`ExtractionError` when no document yields a fact.
         """
         previous = self._kept.get(name, {})
@@ -107,6 +131,10 @@ class TableGenerator:
             raise ExtractionError(
                 "no extractable facts in %d documents" % len(doc_ids)
             )
+        last = self._assembled.get(name)
+        if (last is not None and last.fact_docs == fact_docs
+                and last.facts == facts):
+            return GeneratedTable(last.table, facts, doc_ids)
         schema = infer_fact_schema(
             name, facts, min_column_support=self._min_support
         )
@@ -130,18 +158,27 @@ class TableGenerator:
             if extras:
                 row = row[: len(row) - len(extras)] + tuple(extras)
             table.insert(row)
+        self._assembled[name] = _Assembly(facts, fact_docs, table)
         return GeneratedTable(table, facts, doc_ids)
 
     def generate_into(self, db: Database, name: str,
                       documents: Iterable[Tuple[str, str]]) -> GeneratedTable:
-        """Generate and register the table in *db* (replacing any old one)."""
+        """Generate and register the table in *db* (replacing any old one).
+
+        When the generation reuses the table this generator last
+        installed in *db* under *name*, the database is left alone.
+        """
         generated = self.generate(name, documents)
+        assembly = self._assembled[name]
         if db.has_table(name):
+            if db.table(name) is assembly.installed:
+                return generated
             db.drop_table(name)
         db.create_table(generated.table.schema)
         target = db.table(name)
         for row in generated.table.rows():
             target.insert(row)
+        assembly.installed = target
         return generated
 
 

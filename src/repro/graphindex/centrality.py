@@ -3,12 +3,17 @@
 The paper's Section III.B prioritizes nodes by "centrality and
 connectivity". Degree centrality and PageRank are computed natively
 (power iteration) so the core library has no hard networkx dependency.
+PageRank is the one index-maintenance step that stays corpus-wide on
+every write (a new node moves every rank), so its passes run over
+numpy arrays — with the very floats of the scalar loop it replaced.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Dict, Iterable, Optional
+
+import numpy as np
 
 from ..errors import GraphIndexError
 from ..metering import EDGES_TRAVERSED
@@ -34,16 +39,21 @@ def pagerank(graph: HeterogeneousGraph, damping: float = 0.85,
     Isolated nodes keep the teleport mass. Deterministic given the
     graph (iteration order is id-sorted).
 
-    Every pass reads the graph's own neighbor views (the tuples
-    ``graph.neighbors()`` returns, fetched once): a node *pulls* its
-    new rank from its view, which lists the contributing neighbors in
-    id order — the order in which the push formulation's id-sorted
-    outer loop adds them — so the floats are the same, with one
-    accumulator store per node instead of one per edge. This relies on
-    an undirected edge weighing the same from both ends, which
-    ``add_edge`` guarantees. Each pass charges the ``edges_traversed``
-    it walks to ``graph.meter`` in one lump — the same total as one
-    ``neighbors()`` call per non-dangling node.
+    The graph's neighbor views (the tuples ``graph.neighbors()``
+    returns) are read once per call into integer-indexed arrays; every
+    pass then runs as a handful of array operations. A node *pulls*
+    ``teleport + Σ share[neighbor] · weight`` over its view, whose id
+    order is the order in which a push formulation's id-sorted outer
+    loop would add the contributions; ``np.bincount`` accumulates its
+    weights strictly in input order, so with one leading slot per node
+    carrying the teleport term, the view-ordered contributions behind
+    it and the dangling spread added last, every rank is the very
+    float the per-edge scalar loop computes (kept as the reference in
+    ``tests/test_graphindex.py``). This relies on an undirected edge
+    weighing the same from both ends, which ``add_edge`` guarantees.
+    Each pass charges the ``edges_traversed`` it walks to
+    ``graph.meter`` in one lump — the same total as one ``neighbors()``
+    call per non-dangling node.
     """
     if not 0.0 < damping < 1.0:
         raise GraphIndexError("damping must be in (0, 1)")
@@ -51,50 +61,57 @@ def pagerank(graph: HeterogeneousGraph, damping: float = 0.85,
     n = len(nodes)
     if n == 0:
         return {}
-    views = [(node_id, graph.neighbors(node_id)) for node_id in nodes]
-    # A dangling node (no edges, or all of weight 0) spreads its rank
-    # over every node instead of along edges.
-    out_weight: Dict[str, float] = {}
+    position = {node_id: i for i, node_id in enumerate(nodes)}
+    # Slots 0..n-1 carry the teleport term; the edge slots follow,
+    # node by node in view order.
+    pullers = list(range(n))
+    sources = []
+    edge_weights = []
+    out_weight = []
     edges_per_pass = 0
-    for node_id, view in views:
-        if weight_by_edge:
-            out_weight[node_id] = sum(e.weight for e, _ in view)
-        else:
-            out_weight[node_id] = float(len(view))
-        if out_weight[node_id] != 0.0:
+    for i, node_id in enumerate(nodes):
+        view = graph.neighbors(node_id)
+        weights = [edge.weight for edge, _ in view]
+        total_out = sum(weights) if weight_by_edge else float(len(view))
+        out_weight.append(total_out)
+        if total_out != 0.0:
             edges_per_pass += len(view)
-    rank = dict.fromkeys(nodes, 1.0 / n)
+        pullers.extend([i] * len(view))
+        sources.extend([position[edge.target] for edge, _ in view])
+        edge_weights.extend(weights)
+    pullers = np.array(pullers, dtype=np.intp)
+    sources = np.array(sources, dtype=np.intp)
+    edge_weights = np.array(edge_weights, dtype=np.float64)
+    out_weight = np.array(out_weight, dtype=np.float64)
+    # A dangling node (no edges, or all of weight 0) spreads its rank
+    # over every node instead of along edges: its share is zeroed every
+    # pass, so its divisor only has to be non-zero.
+    dangling = np.flatnonzero(out_weight == 0.0)
+    out_weight[dangling] = 1.0
     teleport = (1.0 - damping) / n
+    pulled = np.full(n + len(sources), teleport)
+    rank = np.full(n, 1.0 / n)
     for _ in range(max_iterations):
         graph.meter.charge(EDGES_TRAVERSED, edges_per_pass)
         # What a unit of edge weight carries out of each node this pass.
-        share: Dict[str, float] = {}
+        share = damping * rank / out_weight
+        share[dangling] = 0.0
         # Plain += on purpose: sum() compensates float addition from
         # Python 3.12 on, which would move the ranks in the last digit.
         dangling_mass = 0.0
-        for node_id, total_out in out_weight.items():
-            if total_out == 0.0:
-                share[node_id] = 0.0
-                dangling_mass += rank[node_id]
-            else:
-                share[node_id] = damping * rank[node_id] / total_out
+        for mass in rank[dangling].tolist():
+            dangling_mass += mass
         spread = damping * dangling_mass / n
-        new_rank: Dict[str, float] = {}
-        for node_id, view in views:
-            pulled = teleport
-            if weight_by_edge:
-                for edge, _ in view:
-                    pulled += share[edge.target] * edge.weight
-            else:
-                for edge, _ in view:
-                    pulled += share[edge.target]
-            new_rank[node_id] = pulled + spread
-        delta = sum(abs(new - old) for new, old
-                    in zip(new_rank.values(), rank.values()))
+        if weight_by_edge:
+            np.multiply(share[sources], edge_weights, out=pulled[n:])
+        else:
+            pulled[n:] = share[sources]
+        new_rank = np.bincount(pullers, weights=pulled) + spread
+        delta = sum(np.abs(new_rank - rank).tolist())
         rank = new_rank
         if delta < tolerance:
             break
-    return rank
+    return dict(zip(nodes, rank.tolist()))
 
 
 def harmonic_centrality(graph: HeterogeneousGraph,

@@ -271,7 +271,9 @@ class HybridQAPipeline:
     def build(self) -> None:
         """Build the graph index, retriever and QA engines."""
         self._build_graph()
-        self._refresh_engines()
+        self._index_retriever()
+        self._build_engines()
+        self._notify_rebuild()
 
     def _build_graph(self) -> None:
         chunks = self.text_store.chunks()
@@ -293,13 +295,8 @@ class HybridQAPipeline:
 
             resolve_aliases(self._graph, embedder=self._slm.embedder)
 
-    def _refresh_engines(self) -> None:
-        """Index the retriever, rebuild the engines, tell the listeners."""
-        self._index_retriever()
-        self._build_engines()
-        self._notify_rebuild()
-
     def _index_retriever(self) -> None:
+        """Stand a new retriever up over the current graph (full index)."""
         chunks = self.text_store.chunks()
         if not chunks:
             return
@@ -308,10 +305,18 @@ class HybridQAPipeline:
             meter=self._meter,
         )
         retriever.index(chunks)
-        self._retriever = retriever
         if self._retriever_wrapper is not None:
-            self._retriever = self._retriever_wrapper(retriever)
+            retriever = self._retriever_wrapper(retriever)
+        self._retriever = self._guard_retriever(retriever)
         self._text_qa = TextQAEngine(self._retriever, self._slm)
+
+    def _guard_retriever(self, retriever: Any) -> Any:
+        """*retriever* behind the resilience proxy if the fault plan
+        names the ``retriever`` backend, as it is otherwise."""
+        plan = self._resilience.config.fault_plan
+        if plan is None or "retriever" not in plan.backends:
+            return retriever
+        return self._resilience.wrap("retriever", retriever, ("retrieve",))
 
     def _build_engines(self) -> None:
         catalog = SchemaCatalog(self.db)
@@ -447,10 +452,8 @@ class HybridQAPipeline:
                 "slm", self._slm,
                 ("generate", "entails", "tag_entities", "sample_answers"),
             )
-        if self._retriever is not None and "retriever" in backends:
-            self._retriever = manager.wrap(
-                "retriever", self._retriever, ("retrieve",),
-            )
+        if self._retriever is not None:
+            self._retriever = self._guard_retriever(self._retriever)
         if backends and self._table_qa is not None:
             if self._retriever is not None:
                 self._text_qa = TextQAEngine(self._retriever, self._slm)
@@ -687,37 +690,50 @@ class HybridQAPipeline:
                            regenerate_tables: bool = True) -> None:
         """Add new text documents to a *built* pipeline.
 
-        What one call does **not** repeat: chunking, tagging and graph
-        construction for stored documents (the builder is incremental —
-        only the new documents' chunks are tagged into the existing
-        graph), fact extraction for stored documents (the table
-        generator keeps each document's facts and extracts only new or
-        changed texts), and anything over curated tables.
+        An append costs what it touches: only the new documents are
+        chunked and tagged into the existing graph (the builder is
+        incremental), only their facts are extracted (the table
+        generator keeps each stored document's facts, and leaves a
+        generated table alone when its facts did not change), and the
+        retriever the pipeline already has — with whatever caching or
+        resilience proxies sit around it — is handed the new chunks
+        instead of being replaced and re-indexed. Nothing is repeated
+        over curated tables.
 
-        What it still does over the whole corpus: re-assemble each
-        generated table from the kept facts (schema inference + row
-        inserts), re-index BM25 over every chunk, run one PageRank pass
-        over the graph, rebuild the schema catalog and QA engines, and
-        fire the rebuild listeners once.
+        What still runs over the whole corpus: one PageRank over the
+        graph (a new node moves every rank), the schema catalog and QA
+        engine rebuild, and the rebuild listeners, fired once.
 
-        A pipeline restored from disk has a graph but no live builder:
-        its first call rebuilds the graph (re-tagging every chunk) and
-        extracts every document once; later calls are incremental.
+        Two cases rebuild instead (graph re-tagged from the stores,
+        retriever indexed from scratch, as ``build()`` does): a call
+        that *replaces* a stored document id — the graph has no node
+        or edge removal, so the old chunks' nodes would linger — and
+        the first call on a pipeline restored from disk, which has a
+        graph but no live builder; its later appends are incremental.
         """
         self._check_built()
-        if self._builder is None:
-            self.add_texts(docs)
+        stored = len(self.text_store)
+        new_chunks = []
+        for doc_id, text in docs:
+            new_chunks.extend(self.text_store.add(doc_id, text))
+        # An append grows the store by one document per entry; anything
+        # less replaced a stored id (or named one id twice).
+        replaced = len(self.text_store) < stored + len(docs)
+        if self._builder is None or replaced:
             self._build_graph()
+            self._index_retriever()
         else:
-            new_chunks = []
-            for doc_id, text in docs:
-                new_chunks.extend(self.text_store.add(doc_id, text))
             if new_chunks:
                 self._builder.add_chunks(new_chunks)
             self._graph = self._builder.build()
+            if self._retriever is None:
+                self._index_retriever()
+            else:
+                self._retriever.update(new_chunks)
         if regenerate_tables:
             # A table whose regeneration finds no facts keeps its old
             # rows and stays registered, so a later ingest refreshes it.
             for name in list(self._generated_tables):
                 self.generate_table(name)
-        self._refresh_engines()
+        self._build_engines()
+        self._notify_rebuild()

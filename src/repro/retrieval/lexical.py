@@ -3,6 +3,12 @@
 The classic sparse baseline: cheap to build (no model calls), strong on
 keyword queries, blind to paraphrase. Terms are stopword-filtered and
 Porter-stemmed so "increase"/"increased" match.
+
+The index is long-lived: :meth:`BM25Retriever.update` analyses the
+chunks it is handed and unlinks the ids it is told to drop, so a write
+costs what it touches; :meth:`BM25Retriever.index` is "clear, then
+``update``". The state after any sequence of updates equals that of a
+fresh ``index`` over the surviving chunks.
 """
 
 from __future__ import annotations
@@ -31,39 +37,63 @@ class BM25Retriever(Retriever):
         self._b = b
         self._meter = meter if meter is not None else GLOBAL_METER
         self._chunks: Dict[str, Chunk] = {}
-        # Inverted index: term → [(chunk_id, term_frequency)].
-        self._postings: Dict[str, List] = {}
+        # Inverted index: term → {chunk_id: term_frequency}, so that
+        # unlinking a chunk is a delete per term it holds.
+        self._postings: Dict[str, Dict[str, int]] = {}
         self._doc_len: Dict[str, int] = {}
         self._terms: Dict[str, FrozenSet[str]] = {}
+        self._total_len = 0
         self._avg_len = 0.0
         self._indexed = False
 
     def index(self, chunks: Sequence[Chunk]) -> None:
-        """Tokenize every chunk into posting lists and a term set."""
-        self._chunks = {c.chunk_id: c for c in chunks}
-        self._postings = {}
-        self._doc_len = {}
-        self._terms = {}
-        total = 0
-        for chunk in chunks:
+        """Drop the current index, then ``update(chunks)``."""
+        for state in (self._chunks, self._postings, self._doc_len,
+                      self._terms):
+            state.clear()
+        self._total_len = 0
+        self.update(chunks)
+
+    def update(self, added: Sequence[Chunk],
+               removed: Sequence[str] = ()) -> None:
+        """Unlink the chunk ids in *removed*, then analyse *added*.
+
+        An added chunk whose id is already indexed replaces the old
+        one; a removed id that is not indexed is ignored. Only the
+        added chunks' text is analysed.
+        """
+        for chunk_id in removed:
+            self._unlink(chunk_id)
+        for chunk in added:
+            self._unlink(chunk.chunk_id)
             terms = content_stems(chunk.text)
             counts = Counter(terms)
+            self._chunks[chunk.chunk_id] = chunk
             self._doc_len[chunk.chunk_id] = len(terms)
             self._terms[chunk.chunk_id] = frozenset(counts)
-            total += len(terms)
+            self._total_len += len(terms)
             for term, tf in counts.items():
-                self._postings.setdefault(term, []).append(
-                    (chunk.chunk_id, tf)
-                )
-        self._avg_len = total / len(chunks) if chunks else 0.0
+                self._postings.setdefault(term, {})[chunk.chunk_id] = tf
+        self._avg_len = (self._total_len / len(self._chunks)
+                         if self._chunks else 0.0)
         self._indexed = True
 
+    def _unlink(self, chunk_id: str) -> None:
+        if self._chunks.pop(chunk_id, None) is None:
+            return
+        self._total_len -= self._doc_len.pop(chunk_id)
+        for term in self._terms.pop(chunk_id):
+            postings = self._postings[term]
+            del postings[chunk_id]
+            if not postings:
+                del self._postings[term]
+
     def terms(self, chunk_id: str) -> FrozenSet[str]:
-        """Distinct content stems of an indexed chunk, as of ``index``.
+        """Distinct content stems of an indexed chunk, as of indexing.
 
         Lets a caller that scores chunks against a query (the topology
         retriever) skip re-analysing chunk text per query. Raises
-        ``KeyError`` for a chunk the last ``index`` call did not see.
+        ``KeyError`` for a chunk that is not (or no longer) indexed.
         """
         return self._terms[chunk_id]
 
@@ -84,7 +114,7 @@ class BM25Retriever(Retriever):
                 if not postings:
                     continue
                 idf = self._idf(term)
-                for chunk_id, tf in postings:
+                for chunk_id, tf in postings.items():
                     self._meter.charge(NODES_SCORED)
                     length_norm = 1.0 - self._b + self._b * (
                         self._doc_len[chunk_id] / (self._avg_len or 1.0)

@@ -14,6 +14,13 @@ Instead of embedding the whole corpus, the retriever:
 
 A BM25 fallback handles entity-free queries, so the retriever never
 returns nothing merely because tagging found no anchors.
+
+The retriever outlives writes: after the graph has taken new chunks,
+:meth:`TopologyRetriever.update` attaches them (and detaches removed
+ids), forwards the delta to the fallback and recomputes the centrality
+prior; :meth:`TopologyRetriever.index` is "clear, then ``update``". The
+state after any sequence of updates equals that of a fresh retriever
+indexed over the same graph and the surviving chunks.
 """
 
 from __future__ import annotations
@@ -91,30 +98,54 @@ class TopologyRetriever(Retriever):
 
     # ------------------------------------------------------------------
     def index(self, chunks: Sequence[Chunk]) -> None:
-        """Attach chunk bodies and precompute the centrality prior.
+        """Drop what is attached, then ``update(chunks)``.
 
         The heavy lifting (tagging, edge construction) already happened
         in :class:`~repro.graphindex.builder.GraphIndexBuilder`; indexing
         here costs one PageRank pass and zero model calls.
         """
-        self._chunks = {c.chunk_id: c for c in chunks}
+        self._chunks.clear()
+        self._entity_tokens.clear()
+        self._fallback.index(())
+        self.update(chunks)
+
+    def update(self, added: Sequence[Chunk],
+               removed: Sequence[str] = ()) -> None:
+        """Follow the graph after a write: the delta, then centrality.
+
+        *added* chunks (which must already be in the graph) are
+        attached and *removed* chunk ids detached, here and in the BM25
+        fallback; only the added chunks' text is analysed. Entity-label
+        stem sets are kept for the entity nodes the graph still holds
+        and computed for the ones it gained. The one corpus-wide step
+        is PageRank: a new node moves every rank.
+        """
         missing = [
-            c.chunk_id for c in chunks
+            c.chunk_id for c in added
             if not self._graph.has_node("chunk:%s" % c.chunk_id)
         ]
         if missing:
             raise RetrievalError(
                 "chunks missing from graph: %s" % missing[:3]
             )
+        for chunk_id in removed:
+            self._chunks.pop(chunk_id, None)
+        for chunk in added:
+            self._chunks[chunk.chunk_id] = chunk
         if self._config.use_centrality:
             self._centrality = normalize_scores(pagerank(self._graph))
         else:
             self._centrality = {}
-        self._entity_tokens = {
-            node.node_id: set(content_stems(node.label))
-            for node in self._graph.nodes(NODE_ENTITY)
-        }
-        self._fallback.index(chunks)
+        # A node's label never changes, so a stem set computed once
+        # stays right; rebuilding the dict drops merged-away entities.
+        known = self._entity_tokens
+        self._entity_tokens = {}
+        for node in self._graph.nodes(NODE_ENTITY):
+            tokens = known.get(node.node_id)
+            if tokens is None:
+                tokens = set(content_stems(node.label))
+            self._entity_tokens[node.node_id] = tokens
+        self._fallback.update(added, removed)
         self._indexed = True
 
     # ------------------------------------------------------------------

@@ -5,9 +5,12 @@ import pytest
 from repro.bench import LakeSpec, generate_ecommerce_lake
 from repro.bench.runner import build_hybrid_system
 from repro.resilience import (
-    BackendFaults, FaultPlan, ResilienceConfig, SEVERITY_ABSTAIN,
+    BackendFaults, FaultPlan, ResilienceConfig, ResilientBackend,
+    SEVERITY_ABSTAIN,
 )
 from repro.resilience.smoke import run_chaos
+from repro.retrieval import TopologyRetriever
+from repro.serving import CachingRetriever, QueryServer
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +97,65 @@ class TestGracefulDegradation:
                 if not e["fatal"] and e["detail"].startswith("injected")
             )
             assert fired == noted
+
+
+def _proxy_chain(retriever):
+    """The retriever's wrappers, outermost first, down to the core."""
+    chain = [retriever]
+    while not isinstance(chain[-1], TopologyRetriever):
+        proxy = chain[-1]
+        chain.append(proxy.resilient_target
+                     if isinstance(proxy, ResilientBackend)
+                     else proxy.wrapped_retriever)
+    return chain
+
+
+class TestRetrieverProxiesSurviveIngest:
+    """A text write must not strip the retriever's resilience proxy
+    (the parent replaced it by a bare retriever on the first ingest)."""
+
+    APPENDS = [
+        ("late-1", "The loading dock was repainted over the weekend."),
+        ("late-2", "Visitors are asked to sign the log book."),
+    ]
+
+    @pytest.mark.parametrize("served", [False, True])
+    def test_appends_keep_every_wrapper_object(self, lake, served):
+        pipeline = chaos_pipeline(
+            lake, backends={"retriever": (1.0, "transient")})
+        if served:
+            QueryServer(pipeline)
+        before = _proxy_chain(pipeline._retriever)
+        kinds = [type(link) for link in before]
+        assert kinds == ([CachingRetriever] if served else []) + [
+            ResilientBackend, TopologyRetriever]
+        for doc in self.APPENDS:
+            pipeline.ingest_incremental([doc])
+            after = _proxy_chain(pipeline._retriever)
+            assert all(a is b for a, b in zip(after, before))
+            assert len(after) == len(before)
+            assert pipeline.text_qa._retriever is before[0]
+        # The fault plan still reaches retrieval: every call faults.
+        injector = pipeline.resilience.injector
+        fired = len(injector.log)
+        pipeline.answer("Was the loading dock repainted?")
+        assert {(f.backend, f.op) for f in injector.log[fired:]} == {
+            ("retriever", "retrieve")}
+
+    @pytest.mark.parametrize("served", [False, True])
+    def test_a_rebuild_guards_the_new_retriever_again(self, lake, served):
+        pipeline = chaos_pipeline(
+            lake, backends={"retriever": (1.0, "transient")})
+        if served:
+            QueryServer(pipeline)
+        core = _proxy_chain(pipeline._retriever)[-1]
+        doc_id = pipeline.text_store.doc_ids()[0]
+        pipeline.ingest_incremental([(doc_id, "Nothing to see here.")])
+        chain = _proxy_chain(pipeline._retriever)
+        assert chain[-1] is not core  # replaced document: rebuilt
+        assert sorted(type(link).__name__ for link in chain) == sorted(
+            (["CachingRetriever"] if served else [])
+            + ["ResilientBackend", "TopologyRetriever"])
 
 
 class TestChaosSweep:

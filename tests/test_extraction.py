@@ -285,6 +285,95 @@ class TestFactReuse:
         assert TAGGING_CALLS not in work
 
 
+class TestTableReuse:
+    """Unchanged facts keep the assembled table and the installed one."""
+
+    FACTLESS = ("r9", "The loading dock was repainted last weekend.")
+    NEW = TestFactReuse.NEW
+
+    def _same_as_fresh(self, generated, documents):
+        fresh = TableGenerator(make_slm()).generate("reports", documents)
+        assert generated.table.schema == fresh.table.schema
+        assert list(generated.table.rows()) == list(fresh.table.rows())
+        assert generated.doc_ids == fresh.doc_ids
+
+    def test_equal_facts_return_the_assembled_table(self):
+        gen = TableGenerator(make_slm())
+        first = gen.generate("reports", REPORTS)
+        documents = REPORTS + [self.FACTLESS]
+        again = gen.generate("reports", documents)
+        assert again.table is first.table
+        assert again.doc_ids == ["r1", "r2", "r3", "r9"]
+        self._same_as_fresh(again, documents)
+
+    def test_any_change_in_facts_assembles_a_new_table(self):
+        cases = {
+            "one more fact": REPORTS + [self.NEW],
+            "one fact fewer": REPORTS[:2],
+            "same facts, other order": REPORTS[::-1],
+            # Equal facts under another document id: provenance moved.
+            "same facts, other document": [("rX", REPORTS[0][1])]
+            + REPORTS[1:],
+        }
+        for documents in cases.values():
+            gen = TableGenerator(make_slm())
+            first = gen.generate("reports", REPORTS)
+            changed = gen.generate("reports", documents)
+            assert changed.table is not first.table
+            self._same_as_fresh(changed, documents)
+
+    def test_tables_are_kept_per_name(self):
+        gen = TableGenerator(make_slm())
+        assert (gen.generate("reports", REPORTS).table
+                is not gen.generate("other", REPORTS).table)
+
+    def test_forget_forces_re_assembly(self):
+        gen = TableGenerator(make_slm())
+        db = Database()
+        first = gen.generate_into(db, "reports", REPORTS)
+        gen.forget()
+        mutations = []
+        db.add_mutation_listener(mutations.append)
+        again = gen.generate_into(db, "reports", REPORTS)
+        assert again.table is not first.table
+        assert mutations == ["drop_table", "create_table"]
+        self._same_as_fresh(again, REPORTS)
+
+    def test_generate_into_leaves_an_up_to_date_table_alone(self):
+        gen = TableGenerator(make_slm())
+        db = Database()
+        gen.generate_into(db, "reports", REPORTS)
+        installed = db.table("reports")
+        mutations = []
+        db.add_mutation_listener(mutations.append)
+        gen.generate_into(db, "reports", REPORTS + [self.FACTLESS])
+        assert mutations == [] and db.table("reports") is installed
+        # New facts: dropped, created and filled as before.
+        documents = REPORTS + [self.FACTLESS, self.NEW]
+        generated = gen.generate_into(db, "reports", documents)
+        assert mutations == ["drop_table", "create_table"]
+        assert db.table("reports") is not installed
+        assert (list(db.table("reports").rows())
+                == list(generated.table.rows()))
+        self._same_as_fresh(generated, documents)
+
+    def test_generate_into_fills_a_table_it_did_not_install(self):
+        # Same facts, but the database's table is not the one this
+        # generator filled: another database, or dropped and re-created
+        # behind its back.
+        gen = TableGenerator(make_slm())
+        gen.generate("reports", REPORTS)  # assembled, never installed
+        db, other = Database(), Database()
+        gen.generate_into(db, "reports", REPORTS)
+        gen.generate_into(other, "reports", REPORTS)
+        assert len(other.table("reports")) == len(db.table("reports")) > 0
+        db.drop_table("reports")
+        db.execute("CREATE TABLE reports (subject TEXT)")
+        generated = gen.generate_into(db, "reports", REPORTS)
+        assert (list(db.table("reports").rows())
+                == list(generated.table.rows()))
+
+
 class TestCellScoring:
     def test_perfect_match(self):
         records = [{"subject": "a", "change_percent": 20.0}]

@@ -231,14 +231,86 @@ def _pagerank_oracle(graph, damping=0.85, max_iterations=60,
     return rank
 
 
+def _pagerank_scalar(graph, damping=0.85, max_iterations=60,
+                     tolerance=1e-8, weight_by_edge=True):
+    """The per-edge pull loop ``pagerank``'s array kernel replaced, kept
+    verbatim: every pass a node pulls over its own neighbor view, one
+    ``edges_traversed`` lump per pass."""
+    nodes = [n.node_id for n in graph.nodes()]
+    n = len(nodes)
+    if n == 0:
+        return {}
+    views = [(node_id, graph.neighbors(node_id)) for node_id in nodes]
+    out_weight = {}
+    edges_per_pass = 0
+    for node_id, view in views:
+        if weight_by_edge:
+            out_weight[node_id] = sum(e.weight for e, _ in view)
+        else:
+            out_weight[node_id] = float(len(view))
+        if out_weight[node_id] != 0.0:
+            edges_per_pass += len(view)
+    rank = dict.fromkeys(nodes, 1.0 / n)
+    teleport = (1.0 - damping) / n
+    for _ in range(max_iterations):
+        graph.meter.charge(EDGES_TRAVERSED, edges_per_pass)
+        share = {}
+        dangling_mass = 0.0
+        for node_id, total_out in out_weight.items():
+            if total_out == 0.0:
+                share[node_id] = 0.0
+                dangling_mass += rank[node_id]
+            else:
+                share[node_id] = damping * rank[node_id] / total_out
+        spread = damping * dangling_mass / n
+        new_rank = {}
+        for node_id, view in views:
+            pulled = teleport
+            if weight_by_edge:
+                for edge, _ in view:
+                    pulled += share[edge.target] * edge.weight
+            else:
+                for edge, _ in view:
+                    pulled += share[edge.target]
+            new_rank[node_id] = pulled + spread
+        delta = sum(abs(new - old) for new, old
+                    in zip(new_rank.values(), rank.values()))
+        rank = new_rank
+        if delta < tolerance:
+            break
+    return rank
+
+
+def _charged(graph, fn, **kwargs):
+    """``fn(graph, **kwargs)`` and every meter charge it made, in order."""
+    meter, charges = graph.meter, []
+    charge = meter.charge
+
+    def recording(name, amount=1):
+        charges.append((name, amount))
+        charge(name, amount)
+
+    meter.charge = recording
+    try:
+        return fn(graph, **kwargs), charges
+    finally:
+        del meter.charge
+
+
 def _assert_matches_oracle(graph, **kwargs):
-    with graph.meter.measure() as work:
-        ranks = pagerank(graph, **kwargs)
+    ranks, charges = _charged(graph, pagerank, **kwargs)
+    scalar, scalar_charges = _charged(graph, _pagerank_scalar, **kwargs)
     with graph.meter.measure() as oracle_work:
         expected = _pagerank_oracle(graph, **kwargs)
-    # Bit-for-bit: same floats, same key order, same work charged.
+    # Bit-for-bit: same floats, same key order, same work charged —
+    # charge for charge against the scalar loop (so the same number of
+    # passes), in total against the push oracle.
+    assert list(ranks.items()) == list(scalar.items())
     assert list(ranks.items()) == list(expected.items())
-    assert work == oracle_work
+    assert charges == scalar_charges
+    assert {kind for kind, _ in charges} == {EDGES_TRAVERSED}
+    assert sum(units for _, units in charges) == sum(oracle_work.values())
+    assert all(type(value) is float for value in ranks.values())
 
 
 _EDGE_DRAW = st.tuples(
@@ -264,13 +336,15 @@ class TestPageRankMatchesOracle:
         edges=st.lists(_EDGE_DRAW, max_size=24),
         zeroed=st.sets(st.integers(0, 7)),
         weight_by_edge=st.booleans(),
-        max_iterations=st.sampled_from([0, 1, 60]),
+        max_iterations=st.sampled_from([0, 1, 60, 500]),
+        tolerance=st.sampled_from([1e-8, 1e-3, 0.2]),
     )
     def test_multigraphs(self, n_nodes, edges, zeroed, weight_by_edge,
-                         max_iterations):
+                         max_iterations, tolerance):
         # Parallel edges under different labels, self-loops, isolated
-        # nodes, and nodes whose edges all weigh 0 (dangling under
-        # weight_by_edge only).
+        # nodes, nodes whose edges all weigh 0 (dangling under
+        # weight_by_edge only), and tolerances loose enough to stop
+        # after a pass or two.
         g = HeterogeneousGraph(meter=CostMeter())
         ids = ["entity:n%d" % i for i in range(n_nodes)]
         for node_id in ids:
@@ -288,7 +362,20 @@ class TestPageRankMatchesOracle:
                     if ids[i % n_nodes] in (edge.source, edge.target):
                         object.__setattr__(edge, "weight", 0.0)
         _assert_matches_oracle(g, weight_by_edge=weight_by_edge,
-                               max_iterations=max_iterations)
+                               max_iterations=max_iterations,
+                               tolerance=tolerance)
+
+    def test_a_loose_tolerance_stops_early_on_the_same_pass(self):
+        _, pipeline = build_hybrid_system(generate_lake("ecommerce", 7), 7)
+        graph = pipeline.graph
+        passes = []
+        for tolerance in (0.5, 1e-3, 1e-8):
+            _, charges = _charged(graph, pagerank, tolerance=tolerance,
+                                  max_iterations=500)
+            passes.append(len(charges) - graph.n_nodes)
+            _assert_matches_oracle(graph, tolerance=tolerance,
+                                   max_iterations=500)
+        assert 1 <= passes[0] < passes[1] < passes[2] < 500
 
 def _neighbors_oracle(graph, node_id, edge_kinds=None, node_kind=None):
     """The ``neighbors`` the graph-owned views replaced, kept verbatim:

@@ -3,11 +3,16 @@ ingestion."""
 
 import pytest
 
+import repro.retrieval.lexical as lexical_module
+import repro.retrieval.topology as topology_module
 from repro.bench.runner import build_hybrid_system, generate_lake
+from repro.extraction import TableGenerator
+from repro.graphindex import NODE_ENTITY
 from repro.metering import TAGGING_CALLS, CostMeter
 from repro.qa import HybridQAPipeline
 from repro.slm import SLMConfig, SmallLanguageModel
 from repro.text.ner import TYPE_PRODUCT, Gazetteer
+from repro.text.stopwords import content_stems
 from repro.text.tokenizer import split_sentences
 
 CURATED_SQL = [
@@ -157,13 +162,17 @@ class TestIncrementalTableRegeneration:
         assert "review-020" < "review-0205" < "review-021"
         _, pipe = build_hybrid_system(lake, 7)
         for doc_id, text in self.INGESTS:
+            appended = doc_id not in stored
             with pipe.meter.measure() as work:
                 pipe.ingest_incremental([(doc_id, text)])
             # The graph builder tags each new chunk, the extractor each
-            # new sentence; no stored document is tagged again.
+            # new sentence; no stored document is tagged again. Only a
+            # replaced id rebuilds the graph (every chunk tagged once);
+            # even then the extractor reads nothing but the new text.
+            tagged_chunks = (len(pipe.text_store.chunks_of(doc_id))
+                             if appended else pipe.text_store.n_chunks)
             assert work[TAGGING_CALLS] <= (
-                len(split_sentences(text))
-                + len(pipe.text_store.chunks_of(doc_id))
+                len(split_sentences(text)) + tagged_chunks
             )
 
         upfront = generate_lake("ecommerce", 7)
@@ -216,3 +225,115 @@ class TestIncrementalTableRegeneration:
             "What is the average increase of the Beta Gadget?"
         )
         assert answer.matches_number(7.0)
+
+
+class TestAppendTouchesOnlyTheDelta:
+    """What one ``ingest_incremental`` append analyses and rewrites."""
+
+    @staticmethod
+    def _record(pipe, monkeypatch):
+        mutations, analysed = [], []
+        pipe.db.add_mutation_listener(mutations.append)
+
+        def recorder(text):
+            analysed.append(text)
+            return content_stems(text)
+
+        for module in (lexical_module, topology_module):
+            monkeypatch.setattr(module, "content_stems", recorder)
+        return mutations, analysed
+
+    @staticmethod
+    def _new_text(pipe, doc_id, entities_before):
+        """Chunk texts of *doc_id* plus labels of entity nodes it added."""
+        return sorted(
+            [chunk.text for chunk in pipe.text_store.chunks_of(doc_id)]
+            + [node.label for node in pipe.graph.nodes(NODE_ENTITY)
+               if node.node_id not in entities_before]
+        )
+
+    def test_fact_less_text_touches_no_table_and_no_stored_chunk(
+            self, monkeypatch):
+        pipe = make_pipeline()
+        table = pipe.db.table("review_facts")
+        rows = list(table.rows())
+        entities = {n.node_id for n in pipe.graph.nodes(NODE_ENTITY)}
+        mutations, analysed = self._record(pipe, monkeypatch)
+        pipe.ingest_incremental([
+            ("rev4", "The loading dock was repainted. Visitors sign in."),
+        ])
+        assert mutations == []
+        assert pipe.db.table("review_facts") is table
+        assert list(table.rows()) == rows
+        assert sorted(analysed) == self._new_text(pipe, "rev4", entities)
+
+    def test_one_new_fact_recreates_the_table(self, monkeypatch):
+        pipe = make_pipeline()
+        table = pipe.db.table("review_facts")
+        entities = {n.node_id for n in pipe.graph.nodes(NODE_ENTITY)}
+        mutations, analysed = self._record(pipe, monkeypatch)
+        pipe.ingest_incremental([
+            ("rev3", "Satisfaction with the Beta Gadget increased 5% "
+                     "in Q4 2024."),
+        ])
+        assert mutations == ["drop_table", "create_table"]
+        assert sorted(analysed) == self._new_text(pipe, "rev3", entities)
+        recreated = pipe.db.table("review_facts")
+        assert recreated is not table
+        scratch = TableGenerator(pipe.slm).generate("review_facts", [
+            (doc_id, pipe.text_store.document(doc_id))
+            for doc_id in pipe.text_store.doc_ids()
+        ]).table
+        assert recreated.schema == scratch.schema
+        assert list(recreated.rows()) == list(scratch.rows())
+        assert len(recreated) == len(table) + 1
+
+
+class TestReplacedDocumentRebuilds:
+    """Re-ingesting a stored id must not leave its old chunk behind
+    (the parent kept the old payload and its MENTIONS edges)."""
+
+    @staticmethod
+    def _describe(graph, node_id):
+        return (graph.node(node_id).payload, [
+            (edge.kind, edge.label, edge.target, edge.weight)
+            for edge, _ in graph.neighbors(node_id)
+        ])
+
+    def test_replaced_chunk_equals_a_fresh_build(self):
+        _, pipe = build_hybrid_system(generate_lake("ecommerce", 7), 7)
+        node_id = "chunk:filler-00#0"
+        assert "entity:online" in {
+            edge.target for edge, _ in pipe.graph.neighbors(node_id)}
+        text = "Nothing at all was noted here."
+        rebuilds = []
+        pipe.add_rebuild_listener(lambda: rebuilds.append(1))
+        pipe.ingest_incremental([("filler-00", text)])
+        assert rebuilds == [1]
+        got = self._describe(pipe.graph, node_id)
+        assert got[0]["text"] == text
+        assert "entity:online" not in {target for _, _, target, _ in got[1]}
+        stats = pipe.graph.stats()
+        pipe.build()
+        assert got == self._describe(pipe.graph, node_id)
+        assert stats == pipe.graph.stats()
+
+    def test_same_id_twice_in_one_call_is_a_replacement(self):
+        pipe = make_pipeline()
+        pipe.ingest_incremental([
+            ("rev7", "Satisfaction with the Beta Gadget increased 5% "
+                     "in Q4 2024."),
+            ("rev7", "Nothing at all was noted here."),
+        ])
+        payload, edges = self._describe(pipe.graph, "chunk:rev7#0")
+        assert payload["text"] == "Nothing at all was noted here."
+        assert "entity:beta gadget" not in {t for _, _, t, _ in edges}
+
+    def test_appends_after_a_replacement_are_incremental_again(self):
+        pipe = make_pipeline()
+        pipe.ingest_incremental([("rev1", REVIEWS[0][1] + " Really.")])
+        graph = pipe.graph
+        with pipe.slm.meter.measure() as work:
+            pipe.ingest_incremental([("rev8", "Nothing numeric here.")])
+        assert pipe.graph is graph
+        assert work[TAGGING_CALLS] == 2  # the new chunk + its sentence

@@ -1,6 +1,7 @@
 """Tests for BM25, dense, IVF and topology retrievers plus metrics."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import repro.retrieval.topology as topology_module
 from repro.bench.runner import build_hybrid_system, generate_lake
@@ -16,7 +17,7 @@ from repro.retrieval import (
 )
 from repro.slm import SLMConfig, SmallLanguageModel
 from repro.slm.embeddings import EmbeddingModel
-from repro.text.chunker import Chunker, ChunkerConfig
+from repro.text.chunker import Chunk, Chunker, ChunkerConfig
 from repro.text.ner import TYPE_PRODUCT, Gazetteer
 from repro.text.stopwords import content_stems
 
@@ -301,6 +302,176 @@ class TestTopology:
         retriever, _, _ = self.make_retriever()
         text = retriever.explain("Alpha Widget sales", k=2)
         assert "entity:alpha widget" in text
+
+
+# ----------------------------------------------------------------------
+# Delta maintenance: update() after update() == one fresh index()
+# ----------------------------------------------------------------------
+_SENTENCES = (
+    "The Alpha Widget sales increased 20% in Q2.",
+    "Beta Gadget returns increased sharply this spring.",
+    "Gamma Gizmo shipments were flat while Alpha Widget sales grew.",
+    "Rainfall stayed close to seasonal averages.",
+    "The Beta Gadget and the Gamma Gizmo shipped to retail channels.",
+    "The of and to.",  # stop words only: an empty term set
+)
+_QUERIES = (
+    "How did Alpha Widget sales change?",   # tagged anchor
+    "did the widget grow",                  # fuzzy anchors
+    "rainfall seasonal averages",           # entity-free: BM25 fallback
+    "Compare Beta Gadget and Gamma Gizmo shipments",
+    "zzzz qqqq",
+)
+# One step: chunks to add (slot, sentence — an occupied slot is a
+# replacement) and slots to remove (absent ones are ignored).
+_STEPS = st.lists(
+    st.tuples(
+        st.lists(st.tuples(st.integers(0, 5),
+                           st.integers(0, len(_SENTENCES) - 1)),
+                 max_size=4),
+        st.lists(st.integers(0, 5), max_size=3),
+    ),
+    min_size=1, max_size=6,
+)
+
+
+def _slot_chunk(slot, sentence):
+    text = _SENTENCES[sentence]
+    return Chunk("d%d#0" % slot, "d%d" % slot, text, 0, len(text.split()))
+
+
+def _apply(survivors, added, removed):
+    """The surviving chunks after one step, as ``update`` defines it."""
+    for chunk_id in removed:
+        survivors.pop(chunk_id, None)
+    for chunk in added:
+        survivors[chunk.chunk_id] = chunk
+
+
+def _bm25_state(retriever):
+    return (retriever._chunks, retriever._doc_len, retriever._terms,
+            retriever._avg_len, retriever._postings)
+
+
+def _rankings(retriever):
+    return [
+        [(hit.chunk_id, hit.score, hit.components)
+         for hit in retriever.retrieve(query, k=4)]
+        for query in _QUERIES
+    ]
+
+
+class TestDeltaMatchesFreshIndex:
+    @settings(max_examples=120, deadline=None)
+    @given(steps=_STEPS)
+    def test_bm25(self, steps):
+        live = BM25Retriever(meter=CostMeter())
+        survivors = {}
+        for adds, drops in steps:
+            added = [_slot_chunk(*add) for add in adds]
+            removed = ["d%d#0" % slot for slot in drops]
+            live.update(added, removed)
+            _apply(survivors, added, removed)
+            fresh = BM25Retriever(meter=CostMeter())
+            fresh.index(list(survivors.values()))
+            # Dict equality ignores order: postings compare as sets.
+            assert _bm25_state(live) == _bm25_state(fresh)
+            assert _rankings(live) == _rankings(fresh)
+        live.index(())
+        assert _bm25_state(live) == ({}, {}, {}, 0.0, {})
+        assert live._total_len == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=_STEPS, merge_after=st.integers(0, 5),
+           use_centrality=st.booleans())
+    def test_topology(self, steps, merge_after, use_centrality):
+        meter = CostMeter()
+        slm = make_slm(meter)
+        config = TopologyConfig(use_centrality=use_centrality)
+        builder = GraphIndexBuilder(slm, meter=meter)
+        builder.add_chunks([_slot_chunk(0, 0)])
+        graph = builder.build()
+        live = TopologyRetriever(graph, slm, config=config, meter=meter)
+        live.index([_slot_chunk(0, 0)])
+        survivors = {"d0#0": _slot_chunk(0, 0)}
+        for index, (adds, drops) in enumerate(steps):
+            added = [_slot_chunk(*add) for add in adds]
+            removed = ["d%d#0" % slot for slot in drops]
+            # The graph only grows (a re-added slot keeps its node);
+            # the retriever is compared over whatever graph there is.
+            builder.add_chunks(added)
+            if index == merge_after and all(map(graph.has_node, (
+                    "entity:alpha widget", "entity:beta gadget"))):
+                graph.merge_nodes("entity:alpha widget",
+                                  "entity:beta gadget")
+            live.update(added, removed)
+            _apply(survivors, added, removed)
+            fresh = TopologyRetriever(graph, slm, config=config,
+                                      meter=CostMeter())
+            fresh.index(list(survivors.values()))
+            assert live._chunks == fresh._chunks
+            assert live._entity_tokens == fresh._entity_tokens
+            assert set(live._entity_tokens) == {
+                node.node_id for node in graph.nodes("entity")}
+            assert live._centrality == fresh._centrality
+            assert _bm25_state(live._fallback) == _bm25_state(
+                fresh._fallback)
+            assert _rankings(live) == _rankings(fresh)
+
+    def test_update_rejects_chunks_the_graph_lacks(self):
+        retriever, chunks, _ = TestTopology().make_retriever()
+        with pytest.raises(RetrievalError):
+            retriever.update([_slot_chunk(9, 0)],
+                             removed=[chunks[0].chunk_id])
+        # Checked before anything is touched: nothing was removed.
+        assert set(retriever._chunks) == {c.chunk_id for c in chunks}
+        assert set(retriever._fallback._chunks) == set(retriever._chunks)
+
+    def test_update_analyses_only_the_added_chunks(self, monkeypatch):
+        import repro.retrieval.lexical as lexical_module
+
+        retriever = BM25Retriever(meter=CostMeter())
+        chunks = make_chunks()
+        retriever.index(chunks[:-1])
+        seen = []
+
+        def recorder(text):
+            seen.append(text)
+            return content_stems(text)
+
+        monkeypatch.setattr(lexical_module, "content_stems", recorder)
+        retriever.update(chunks[-1:], removed=[chunks[0].chunk_id])
+        assert seen == [chunks[-1].text]
+
+    @pytest.mark.parametrize("domain", ["ecommerce", "healthcare"])
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_appended_pipeline_answers_like_a_re_indexed_one(
+            self, domain, seed):
+        lake = generate_lake(domain, seed)
+        _, pipeline = build_hybrid_system(lake, seed)
+        built = pipeline._retriever
+        appends = [
+            ("zz-late-1", "The loading dock was repainted last weekend. "
+                          "Visitors sign the log book at reception."),
+            ("aa-late-2", "Customer satisfaction with the Gamma Widget "
+                          "increased 9% in Q1 2025. Stores restocked."),
+            ("mm-late-3", "Parking permits are renewed every spring."),
+        ]
+        for doc in appends:
+            pipeline.ingest_incremental([doc])
+        assert pipeline._retriever is built  # maintained, not replaced
+        questions = [p.question for p in lake.qa_pairs(per_kind=10 ** 6)]
+        questions.append("Was the loading dock repainted?")
+        maintained = [pipeline.answer(q).fingerprint() for q in questions]
+        pipeline._index_retriever()  # from scratch, over the same graph
+        fresh = pipeline._retriever
+        assert fresh is not built
+        assert built._chunks == fresh._chunks
+        assert built._entity_tokens == fresh._entity_tokens
+        assert built._centrality == fresh._centrality
+        assert _bm25_state(built._fallback) == _bm25_state(fresh._fallback)
+        assert maintained == [
+            pipeline.answer(q).fingerprint() for q in questions]
 
 
 class TestMetrics:
