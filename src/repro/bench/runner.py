@@ -21,7 +21,6 @@ from ..metering import CostMeter
 from ..obs import Tracer, aggregate_stages
 from ..qa.answer import Answer
 from ..qa.pipeline import HybridQAPipeline
-from ..qa.speculative import SpeculationGate
 from ..qa.tableqa import TableQAEngine
 from ..qa.textqa import TextQAEngine
 from ..resilience import ResilienceConfig
@@ -106,7 +105,7 @@ def generate_lake(domain: str, seed: int):
 
 def build_hybrid_system(
     lake, seed: int = 0, n_shards: int = 1, *,
-    speculation_gate: Optional[SpeculationGate] = None,
+    isolate_arms: bool = True,
     resilience: Optional[ResilienceConfig] = None,
 ) -> Tuple[QASystem, HybridQAPipeline]:
     """The paper's full pipeline over *lake* — the one way every entry
@@ -114,8 +113,8 @@ def build_hybrid_system(
 
     With ``n_shards > 1`` the stores are partitioned by entity key and
     queries scatter-gather over per-shard resilience guards; answers are
-    byte-identical to the unsharded build. *speculation_gate* is handed
-    to the pipeline (``None`` loads the committed capability table);
+    byte-identical to the unsharded build. *isolate_arms* is handed to
+    the pipeline (``False`` is the tests' sequential reference);
     *resilience* is installed after ``build()``, so faults only ever
     hit the answer path.
     """
@@ -126,7 +125,7 @@ def build_hybrid_system(
     slm = SmallLanguageModel(SLMConfig(seed=seed), gazetteer=gazetteer,
                              meter=meter)
     pipeline = HybridQAPipeline(slm, meter=meter, n_shards=n_shards,
-                                speculation_gate=speculation_gate)
+                                isolate_arms=isolate_arms)
     pipeline.add_sql(sql)
     pipeline.declare_entity_columns(entity_table, ["name"])
     pipeline.add_texts(texts)

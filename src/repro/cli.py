@@ -40,7 +40,6 @@ from typing import List, Optional
 
 from .bench.runner import build_hybrid_system, generate_lake
 from .obs import Tracer, render_trace
-from .qa.speculative import SpeculationGate
 from .resilience import ResilienceConfig
 
 
@@ -82,11 +81,9 @@ def _build(args):
         raise SystemExit("--shards must be >= 1")
     resilience = _load_faults(args.faults)
     lake = generate_lake(args.domain, args.seed)
-    gate = (SpeculationGate.disabled("switched off by --no-speculation")
-            if args.no_speculation else None)
     _system, pipeline = build_hybrid_system(
         lake, seed=args.seed, n_shards=args.shards,
-        speculation_gate=gate, resilience=resilience,
+        resilience=resilience,
     )
     return lake, pipeline
 
@@ -330,13 +327,6 @@ def cmd_load(argv: List[str]) -> int:
     return loadgen_cli.main(argv)
 
 
-def cmd_analyze(argv: List[str]) -> int:
-    """Certify parallel-safe plan stages via whole-program effects."""
-    from .analysis import cli as analysis_cli
-
-    return analysis_cli.main(argv)
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -354,10 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--faults", default=None, metavar="PLAN.json",
                        help="run under a deterministic fault plan "
                             "(JSON; see docs/resilience.md)")
-        p.add_argument("--no-speculation", action="store_true",
-                       help="force the sequential plan executor "
-                            "(speculative arm scheduling is on by "
-                            "default; see docs/resilience.md)")
         p.add_argument("--shards", type=int, default=1, metavar="N",
                        help="partition the stores over N entity-keyed "
                             "shards with scatter-gather federation "
@@ -422,14 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="questions allowed to queue between writes")
     serve.set_defaults(func=cmd_serve)
 
-    # load and analyze own their flags: main() hands everything after
-    # the subcommand to loadgen.cli / analysis.cli, so no flag is
-    # declared twice (``repro load -h`` prints the harness's own help).
+    # load owns its flags: main() hands everything after the
+    # subcommand to loadgen.cli, so no flag is declared twice
+    # (``repro load -h`` prints the harness's own help).
     load = sub.add_parser("load", help=cmd_load.__doc__, add_help=False)
     load.set_defaults(delegate=cmd_load)
-    analyze = sub.add_parser("analyze", help=cmd_analyze.__doc__,
-                             add_help=False)
-    analyze.set_defaults(delegate=cmd_analyze)
 
     tenants = sub.add_parser("tenants", help=cmd_tenants.__doc__)
     tenants.add_argument("files", nargs="+", metavar="SPEC.json",

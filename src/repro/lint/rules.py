@@ -398,10 +398,6 @@ _ALLOWED_DEPS: Dict[str, Set[str]] = {
     # lint is the tooling plane: it may reach the plancheck facades
     # (relational in storage, federated in qa) but nothing imports it.
     "lint": {"errors", "storage", "qa"},
-    # analysis sits beside lint in the tooling plane: it reuses lint's
-    # module loading/reporting and introspects qa's dispatch table to
-    # certify stage interference; nothing below it may import it.
-    "analysis": {"errors", "lint", "qa", "storage"},
 }
 
 
@@ -534,7 +530,7 @@ class MutableDefaultRule(Rule):
 
 # print() is part of the interface in these modules.
 _PRINT_ALLOWED = {"cli.py", "bench/reporting.py", "resilience/smoke.py",
-                  "lint/cli.py", "loadgen/cli.py", "analysis/cli.py"}
+                  "lint/cli.py", "loadgen/cli.py"}
 
 
 @register

@@ -25,7 +25,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..bench.runner import build_hybrid_system, generate_lake
 from ..errors import LoadGenError
 from ..obs import MetricsRegistry
-from ..qa.speculative import SpeculationGate
 from ..resilience import ResilienceConfig, work_now
 from ..serving import (
     AdmissionPolicy, CachePolicy, QueryServer, ServeRequest, ServeResult,
@@ -73,13 +72,10 @@ def build_server(spec: LoadSpec) -> Tuple[Any, QueryServer]:
     runs are self-describing.
     """
     lake = generate_lake(spec.domain, spec.seed)
-    gate = (None if spec.speculation
-            else SpeculationGate.disabled("switched off by the load spec"))
     faults = (ResilienceConfig.from_dict(spec.faults)
               if spec.faults is not None else None)
     _system, pipeline = build_hybrid_system(
-        lake, seed=spec.seed, n_shards=spec.shards,
-        speculation_gate=gate, resilience=faults,
+        lake, seed=spec.seed, n_shards=spec.shards, resilience=faults,
     )
     try:
         policy = CachePolicy.from_string(spec.cache_policy)

@@ -30,7 +30,6 @@ Spec format (every key except ``name``/``domain``/``asks`` optional)::
       "session_budget": null,
       "max_queue_depth": null,
       "faults": null,              // resilience config document
-      "speculation": true,         // false = gate closed (sequential)
       "shards": 1,                 // entity-keyed store shards (>= 1)
       "tenants": {"acme": 3, "globex": 1},   // weighted tenant mix
       "tenant_registry": {"tenants": [...]}  // repro tenants format
@@ -57,8 +56,8 @@ SPEC_KEYS = (
     "name", "domain", "seed", "asks", "sessions", "questions_per_kind",
     "skew", "burst", "arrival", "think_work", "write_every", "writes",
     "warmup_passes", "cache_policy", "batch_size", "session_budget",
-    "max_queue_depth", "faults", "speculation", "shards",
-    "tenants", "tenant_registry",
+    "max_queue_depth", "faults", "shards", "tenants",
+    "tenant_registry",
 )
 
 _DOMAINS = ("ecommerce", "healthcare")
@@ -121,7 +120,6 @@ class LoadSpec:
     session_budget: Optional[int] = None
     max_queue_depth: Optional[int] = None
     faults: Optional[Dict[str, Any]] = None
-    speculation: bool = True
     shards: int = 1
     #: Weighted tenant mix: ((tenant_id, weight), ...) sorted by id;
     #: empty = untenanted (every ask runs as the permissive default).
@@ -205,11 +203,6 @@ class LoadSpec:
             raise LoadGenError(
                 "spec faults must be a resilience config object"
             )
-        speculation = data.get("speculation", True)
-        if not isinstance(speculation, bool):
-            raise LoadGenError(
-                "spec speculation must be a boolean"
-            )
         tenant_mix = _parse_tenant_mix(data.get("tenants"))
         registry_doc = data.get("tenant_registry")
         if registry_doc is not None:
@@ -261,7 +254,6 @@ class LoadSpec:
             session_budget=budget,
             max_queue_depth=depth,
             faults=dict(faults) if faults is not None else None,
-            speculation=speculation,
             shards=_require_int(data, "shards", 1, 1),
             tenant_mix=tenant_mix,
             tenant_registry=(dict(registry_doc)

@@ -27,16 +27,16 @@ METRIC_ANSWER_LATENCY = "qa.answer.latency"
 #: Per-answer cost in CostMeter work units — the machine-independent
 #: latency reading, on the same clock as resilience budgets/backoff.
 METRIC_ANSWER_WORK = "qa.answer.work"
-#: A speculative race settled on a winning arm (non-abstained answer).
+#: A plan with isolated arms produced a non-abstained answer.
 METRIC_SPECULATION_WIN = "speculation.arm.win"
-#: A speculative arm was cancelled: either the race settled before the
-#: arm started, or its rescue reserve cut a faulting arm off mid-run.
+#: An isolated arm was cancelled: an earlier arm had answered before
+#: it started, or its rescue reserve cut the faulting arm off mid-run.
 METRIC_SPECULATION_CANCELLED = "speculation.arm.cancelled"
-#: A speculative plan answered although at least one arm failed
+#: A plan with isolated arms answered although at least one arm failed
 #: fatally — the surviving arm rescued the question.
 METRIC_SPECULATION_RESCUED = "speculation.rescued"
 #: Histogram of CostMeter work units each cancelled arm had consumed
-#: when it was cancelled (0 for race losers that never started).
+#: when it was cancelled (0 for arms that never started).
 METRIC_SPECULATION_CANCELLED_WORK = "speculation.cancelled_work"
 
 # Bound the per-histogram sample reservoir so long-running processes

@@ -12,7 +12,7 @@ from .plan import (
     PlanStage, check_plan, compile_plan, render_plan,
 )
 from .session import QASession
-from .speculative import PlanArm, SpeculationGate, extract_arms
+from .speculative import PlanArm, extract_arms
 from .state import load_pipeline, save_pipeline
 from .tableqa import TableQAEngine
 from .textqa import TextQAEngine
@@ -24,7 +24,7 @@ __all__ = [
     "ROUTE_HYBRID", "ROUTE_STRUCTURED", "ROUTE_UNSTRUCTURED",
     "FederatedRouter", "RouteDecision", "best_answer",
     "FederatedPlan", "PlanStage", "PlanExecutor",
-    "PlanArm", "SpeculationGate", "extract_arms",
+    "PlanArm", "extract_arms",
     "check_plan", "compile_plan", "render_plan",
     "HybridQAPipeline",
     "QASession",

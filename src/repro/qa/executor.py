@@ -7,14 +7,14 @@ resilience guard (budget → breaker → fault → call), the obs span, and
 the degradation bookkeeping — the pipeline merely compiles, delegates,
 and stamps the question-scope summary on the way out.
 
-Speculation is not a second interpreter. The one stage loop asks the
-fail-closed :class:`~repro.qa.speculative.SpeculationGate` for each
-plan's clearance; with the gate open an arm's handler runs inside a
-:meth:`~repro.resilience.ResilienceManager.arm` isolation scope under
-a ``qa.speculate`` span, with the gate closed (missing/corrupt table,
-uncertified pair, or speculation switched off) the same handler runs
-bare. Stage order, the guarded-call sequence and the finalisation are
-shared, so answers are byte-identical in both gate states.
+Arm isolation is not a second interpreter, and the plan's shape
+decides it: when a plan's arms span at least two engines each arm's
+handler runs inside a :meth:`~repro.resilience.ResilienceManager.arm`
+isolation scope under a ``qa.speculate`` span; when they share one
+engine the same handler runs bare. Stage order, the guarded-call
+sequence and the finalisation are shared, so answers are byte-identical
+either way unless the question budget binds (then the isolated run's
+rescue reserve abstains less — see :mod:`~repro.qa.speculative`).
 
 Engine references are taken through zero-argument *providers* rather
 than bound once: ``enable_resilience()`` swaps the pipeline's
@@ -27,13 +27,6 @@ Producer stages (``SynthesizeSpec``, ``RetrieveTopology``) execute
 inside one guarded call: splitting them would change the guarded-call
 sequence the fault injector and degradation events key off, breaking
 the byte-identical contract with the pre-plan pipeline.
-
-Dispatch is table-driven through :data:`STAGE_HANDLERS`, the
-introspectable stage-kind → handler-method registry. The whole-program
-effect analysis (:mod:`repro.analysis`) walks this table to project
-Python-level effect signatures onto plan stages and emit the
-stage-interference capability table (``analysis/parallel_safety.json``)
-that certifies which stage pairs a parallel executor may overlap.
 """
 
 from __future__ import annotations
@@ -50,40 +43,25 @@ from .answer import ANSWER_SYSTEM_HYBRID, ANSWER_SYSTEM_RAG, Answer
 from .compare import ComparativeQA
 from .federation import best_answer
 from .plan import (
-    ROUTE_STRUCTURED, STAGE_ESTIMATE_ENTROPY, STAGE_EXECUTE_TABLE,
-    STAGE_EXECUTE_TEXT, STAGE_GROUND, STAGE_RETRIEVE_TOPOLOGY,
-    STAGE_ROUTE, STAGE_SELECT_BEST, STAGE_SYNTHESIZE_SPEC, WHEN_ALWAYS,
-    WHEN_RESCUE_ABSTAIN, WHEN_RESCUE_FAILED, WHEN_ROUTE, FederatedPlan,
-    PlanStage, compile_plan,
+    ROUTE_STRUCTURED, STAGE_EXECUTE_TABLE, STAGE_EXECUTE_TEXT,
+    STAGE_GROUND, STAGE_SELECT_BEST, WHEN_ALWAYS, WHEN_RESCUE_ABSTAIN,
+    WHEN_RESCUE_FAILED, WHEN_ROUTE, FederatedPlan, PlanStage,
+    compile_plan,
 )
-from .speculative import (
-    PlanArm, SpeculationGate, arm_cap, extract_arms, record_outcome,
-)
+from .speculative import PlanArm, arm_cap, extract_arms, record_outcome
 
-#: Stage kind → the :class:`PlanExecutor` method that realizes it at
-#: runtime. This is the machine-readable dispatch table the effect
-#: analysis projects through: producer stages map to the consumer
-#: handler they execute jointly with (one guarded call preserves the
-#: deterministic fault-injection sequence), ``Route`` maps to
-#: :meth:`PlanExecutor.compile` (bound at compile time), and
-#: ``EstimateEntropy`` maps to :meth:`PlanExecutor.retrieve_contexts`
-#: (the ``answer_with_uncertainty`` surface drives sampling itself).
+#: Stage kind → the :class:`PlanExecutor` method the stage loop
+#: dispatches it to. A kind without an entry is skipped: ``Route`` is
+#: bound at compile time, producers (``SynthesizeSpec``,
+#: ``RetrieveTopology``) run jointly with their consumer stage, and
+#: ``EstimateEntropy`` is driven by the ``answer_with_uncertainty``
+#: surface with parameters a compiled plan does not carry.
 STAGE_HANDLERS: Dict[str, str] = {
-    STAGE_ROUTE: "compile",
-    STAGE_SYNTHESIZE_SPEC: "_stage_execute_table",
     STAGE_EXECUTE_TABLE: "_stage_execute_table",
-    STAGE_RETRIEVE_TOPOLOGY: "_stage_execute_text",
     STAGE_EXECUTE_TEXT: "_stage_execute_text",
     STAGE_SELECT_BEST: "_stage_select_best",
     STAGE_GROUND: "_stage_ground",
-    STAGE_ESTIMATE_ENTROPY: "retrieve_contexts",
 }
-
-#: Stage kinds :meth:`PlanExecutor.execute` skips in the interpreter
-#: loop: ``Route`` is bound at compile time, producers run jointly with
-#: their consumer stage, and entropy estimation is surface-driven.
-INLINE_KINDS = (STAGE_ROUTE, STAGE_SYNTHESIZE_SPEC,
-                STAGE_RETRIEVE_TOPOLOGY, STAGE_ESTIMATE_ENTROPY)
 
 
 def cross_check(answer: Answer, candidates: List[Answer]) -> None:
@@ -145,9 +123,8 @@ class _RunState:
 
     One instance per :meth:`PlanExecutor.execute` call — stage handlers
     share run progress only through this object (never through the
-    executor instance), which is what keeps handler effect signatures
-    free of cross-plan state and the stages candidates for parallel
-    execution. ``tenant`` rides along the same way: the executor holds
+    executor instance), so no state crosses from one plan's run to the
+    next. ``tenant`` rides along the same way: the executor holds
     no tenant field, so interleaved requests from different tenants can
     never observe each other's context.
     """
@@ -159,7 +136,7 @@ class _RunState:
     answer: Optional[Answer] = None
     final: Optional[Answer] = None
     tenant: Optional[TenantContext] = None
-    # Arm bookkeeping; stays empty when the gate is closed.
+    # Arm bookkeeping; stays empty when the arms run bare.
     started: Dict[str, int] = field(default_factory=dict)
     cancelled: List[Tuple[str, int]] = field(default_factory=list)
     failed_arms: List[str] = field(default_factory=list)
@@ -171,32 +148,23 @@ class PlanExecutor:
     *router* and *table_qa* are rebuilt together with the executor (in
     the pipeline's ``_build_engines``) so plain references suffice;
     *text_qa*, *resilience* and *slm* are providers returning the
-    pipeline's **current** instance (see the module docstring). *gate*
-    is consulted once per plan; a closed gate is sequential execution.
-
-    The string annotations below are load-bearing for tooling:
-    :mod:`repro.analysis` reads them statically to type the executor's
-    engine attributes, so the effect closure of each stage handler
-    resolves to the actual engine class instead of a name-match union.
+    pipeline's **current** instance (see the module docstring).
+    ``isolate_arms=False`` runs every plan bare — the sequential
+    reference the test suite compares the isolated run against.
     """
 
     def __init__(self, router: "FederatedRouter",
                  table_qa: "TableQAEngine",
                  text_qa: "Callable[[], Optional[TextQAEngine]]",
                  resilience: "Callable[[], ResilienceManager]",
-                 slm: Callable[[], object],
-                 gate: SpeculationGate):
+                 slm: Callable[[], object], *,
+                 isolate_arms: bool = True):
         self._router = router
         self._table_qa = table_qa
         self._text_qa = text_qa
         self._resilience = resilience
         self._slm = slm
-        self._gate = gate
-
-    @property
-    def gate(self) -> SpeculationGate:
-        """The capability gate this executor consults per plan."""
-        return self._gate
+        self._isolate_arms = isolate_arms
 
     # ------------------------------------------------------------------
     # Compilation
@@ -250,22 +218,21 @@ class PlanExecutor:
                 tenant: Optional[TenantContext] = None) -> Answer:
         """Interpret *plan* stage by stage under the resilience guard.
 
-        The gate's clearance decides only how arms run: cleared, each
-        arm gets an isolation scope and the run is recorded under a
-        ``qa.speculate`` span; denied, the stages run bare. Either way
-        it is the same loop (:meth:`_run_stages`).
+        The plan's shape decides only how arms run
+        (:meth:`arm_isolation`): isolated, each arm gets an isolation
+        scope and the run is recorded under a ``qa.speculate`` span;
+        otherwise the stages run bare. Either way it is the same loop
+        (:meth:`_run_stages`).
 
         With a *tenant* context the plan first passes the fail-closed
         :func:`~repro.tenancy.check_tenancy` gate — a stage missing (or
         carrying a foreign) RLS/scope parameter makes the whole request
-        a typed abstention before any engine runs — and the run's
-        ``plan_key`` becomes ``(tenant, signature)`` so downstream plan
-        caching can never cross tenants.
+        a typed abstention before any engine runs (and before the plan
+        is counted as run) — and the run's ``plan_key`` becomes
+        ``(tenant, signature)`` so downstream plan caching can never
+        cross tenants.
         """
         manager = self._resilience()
-        decision = self._gate.clearance(plan, extract_arms(plan))
-        incr("speculation.plans" if decision.speculative
-             else "speculation.sequential")
         if tenant is not None:
             findings = tenancy_errors(check_tenancy(plan, tenant))
             if findings:
@@ -275,37 +242,55 @@ class PlanExecutor:
             plan_key = tenant.cache_key(plan_key)
         state = _RunState(question=plan.question,
                           plan_key=plan_key, tenant=tenant)
-        if not decision.speculative:
+        arms, sequential_because = self.arm_isolation(plan)
+        if sequential_because is not None:
+            incr("speculation.sequential")
             return self._run_stages(plan, manager, state, ())
+        incr("speculation.plans")
         with span("qa.speculate") as sp:
-            sp.set("arms", ",".join(a.arm_id for a in decision.arms))
-            sp.set("raced", decision.raced)
-            answer = self._run_stages(plan, manager, state, decision.arms)
+            sp.set("arms", ",".join(a.arm_id for a in arms))
+            answer = self._run_stages(plan, manager, state, arms)
             record_outcome(sp, answer, state.started, state.cancelled,
                            state.failed_arms)
         return answer
+
+    def arm_isolation(
+        self, plan: FederatedPlan,
+    ) -> Tuple[Tuple[PlanArm, ...], Optional[str]]:
+        """*plan*'s arms and why they run bare (``None``: isolated).
+
+        The rule: arms are isolated iff they span at least two engines
+        — only then is there a surviving arm for the rescue reserve to
+        protect. Same-engine arms stay serialised by plan order
+        (``check_plan``'s ``unordered-engine-reuse`` states that
+        statically).
+        """
+        arms = extract_arms(plan)
+        if not self._isolate_arms:
+            return arms, "isolate_arms=False"
+        if len({arm.engine for arm in arms}) < 2:
+            return arms, "arms on one engine"
+        return arms, None
 
     def _run_stages(self, plan: FederatedPlan, manager, state: _RunState,
                     arms: Tuple[PlanArm, ...]) -> Answer:
         """The stage loop and its finalisation.
 
-        Each due stage dispatches through :data:`STAGE_HANDLERS`;
-        handlers communicate only via the per-run :class:`_RunState`.
-        ``EstimateEntropy`` stages are declarative only here — the
-        ``answer_with_uncertainty`` surface drives entropy sampling
-        with its own parameters (sample count, temperature, seed) that
-        a compiled plan does not carry.
+        Each due stage dispatches through :data:`STAGE_HANDLERS`
+        (a kind without a handler is skipped); handlers communicate
+        only via the per-run :class:`_RunState`.
 
-        *arms* are the arms the gate cleared (none when it is closed).
-        A cleared arm's head stage runs inside ``manager.arm`` with its
+        *arms* are the arms to isolate (none for a bare run). An
+        isolated arm's head stage runs inside ``manager.arm`` with its
         rescue reserve; when its ``_due`` condition is already false at
-        its slot it is the race's loser, cancelled without dispatching
-        — exactly the stage a closed-gate run skips.
+        its slot it is cancelled without dispatching — exactly the
+        stage a bare run skips.
         """
         by_head = {arm.head_id: arm for arm in arms}
         n_pending = len(arms)
         for stage in plan.stages:
-            if stage.kind in INLINE_KINDS:
+            handler_name = STAGE_HANDLERS.get(stage.kind)
+            if handler_name is None:
                 continue
             arm = by_head.get(stage.id)
             if arm is not None:
@@ -315,9 +300,6 @@ class PlanExecutor:
                 if arm is not None:
                     state.cancelled.append((arm.arm_id, 0))
                 continue
-            handler_name = STAGE_HANDLERS.get(stage.kind)
-            if handler_name is None:
-                continue  # unknown kind: check_plan flags it, skip here
             isolation = nullcontext() if arm is None else manager.arm(
                 arm.arm_id, cap=arm_cap(manager, n_pending + 1))
             with isolation as arm_scope:
@@ -327,8 +309,7 @@ class PlanExecutor:
                 if arm_scope.fatal:
                     state.failed_arms.append(arm.arm_id)
                 if arm_scope.reserve_cut:
-                    # The loser was cancelled mid-flight by its
-                    # work-budget charge (the rescue reserve).
+                    # Cut off mid-flight by its rescue reserve.
                     state.cancelled.append((arm.arm_id,
                                             arm_scope.spent_work))
             if state.final is not None:

@@ -31,9 +31,8 @@ class RouteDecision:
 
     ``confidence`` grades how decisively the binding evidence selected
     the route (1.0 = unambiguous). It never changes *which* stages a
-    plan contains — the speculation gate reads it to decide whether
-    the rescue arms should be raced eagerly as hedges rather than held
-    back as sequential fallbacks (see ``docs/resilience.md``).
+    plan contains or how they run; the compiled plan carries it as
+    signature-excluded ``route_confidence`` metadata.
     """
 
     route: str

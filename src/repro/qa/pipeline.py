@@ -49,7 +49,7 @@ from ..tenancy import TenantContext
 from .executor import PlanExecutor
 from .federation import FederatedRouter
 from .plan import FederatedPlan, render_plan
-from .speculative import SpeculationGate, explain_clearance, extract_arms
+from .speculative import explain_arms
 from .tableqa import TableQAEngine
 from .textqa import TextQAEngine
 
@@ -70,10 +70,9 @@ _GENERATED_SYNONYMS = (
 class HybridQAPipeline:
     """One object from raw lake to answered question.
 
-    *speculation_gate* decides, once, how plan arms run: ``None`` loads
-    the committed capability table (arms the table certifies run
-    isolated), ``SpeculationGate.disabled(reason)`` is sequential
-    execution. Answers are byte-identical either way.
+    ``isolate_arms=False`` is the tests' sequential reference: every
+    plan runs bare, without the arm isolation scopes (and their rescue
+    reserve) that plans spanning two engines otherwise get.
     """
 
     def __init__(self, slm: SmallLanguageModel,
@@ -83,7 +82,7 @@ class HybridQAPipeline:
                  min_column_support: int = 1,
                  resolve_entity_aliases: bool = False,
                  resilience: Optional[ResilienceConfig] = None,
-                 speculation_gate: Optional[SpeculationGate] = None,
+                 isolate_arms: bool = True,
                  n_shards: int = 1,
                  shard_seed: int = 0):
         self._slm = slm
@@ -126,8 +125,7 @@ class HybridQAPipeline:
         self._table_qa: Optional[TableQAEngine] = None
         self._router: Optional[FederatedRouter] = None
         self._executor: Optional[PlanExecutor] = None
-        self._gate = (speculation_gate if speculation_gate is not None
-                      else SpeculationGate.load())
+        self._isolate_arms = isolate_arms
         self._plan_cache: Optional[Any] = None
         self._retriever_wrapper: Optional[Any] = None
         self._rebuild_listeners: List[Any] = []
@@ -345,7 +343,7 @@ class HybridQAPipeline:
             text_qa=lambda: self._text_qa,
             resilience=lambda: self._resilience,
             slm=lambda: self._slm,
-            gate=self._gate,
+            isolate_arms=self._isolate_arms,
         )
 
     def _document_entity_paths(self) -> List[str]:
@@ -546,11 +544,12 @@ class HybridQAPipeline:
         return "\n".join(lines)
 
     def _render_plan_annotated(self, question: str) -> str:
-        """One plan DAG plus the gate's clearance for it."""
+        """One plan DAG plus how its arms run."""
         plan = self._executor.compile(question)
         lines = [render_plan(plan)]
-        decision = self._gate.clearance(plan, extract_arms(plan))
-        lines.extend("  " + line for line in explain_clearance(decision))
+        arms, sequential_because = self._executor.arm_isolation(plan)
+        lines.extend("  " + line
+                     for line in explain_arms(arms, sequential_because))
         lines.extend("  " + line for line in self._explain_sharding())
         return "\n".join(lines)
 

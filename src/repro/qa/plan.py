@@ -328,8 +328,7 @@ def check_plan(plan: FederatedPlan) -> List[PlanDiagnostic]:
     missing their producer (``ExecuteTable`` without ``SynthesizeSpec``,
     ``ExecuteText`` without ``RetrieveTopology``). Warnings: execute
     stages present with no ``SelectBest`` consumer, plus the
-    cross-stage dataflow checks (shared machinery with the
-    :mod:`repro.analysis` interference pass):
+    cross-stage dataflow checks:
 
     * ``unreachable-condition`` — a ``rescue_failed`` stage whose
       condition can never hold (no *other* engine in the plan whose

@@ -130,14 +130,14 @@ class QuestionScope:
 
 
 class ArmScope:
-    """Per-speculative-arm accounting: the arm isolation boundary.
+    """Per-plan-arm accounting: the arm isolation boundary.
 
-    Opened by the plan executor (gate open) around one arm's guarded
+    Opened by the plan executor around one isolated arm's guarded
     call (:meth:`ResilienceManager.arm`). It tracks the arm's work
     spend and absorbed faults, and carries the arm's **rescue
     reserve**: a work ceiling (``cap``) enforced *only once the arm has
     witnessed a fault*. A clean arm is never throttled (so fault-free
-    speculative runs stay byte-identical to sequential execution); a
+    isolated runs stay byte-identical to sequential execution); a
     faulting arm's retry/backoff spiral is cut off at the reserve so it
     cannot starve the sibling arms of the question budget.
     """
@@ -201,7 +201,6 @@ class ResilienceManager:
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._scope: Optional[QuestionScope] = None
         self._arm: Optional[ArmScope] = None
-        self._arm_breakers: Dict[str, CircuitBreaker] = {}
 
     # ------------------------------------------------------------------
     # Scopes and accessors
@@ -226,24 +225,17 @@ class ResilienceManager:
     @contextmanager
     def arm(self, arm_id: str,
             cap: Optional[int] = None) -> Iterator[ArmScope]:
-        """Open the per-arm isolation scope for one speculative arm.
+        """Open the per-arm isolation scope for one plan arm.
 
         *cap* is the arm's rescue reserve in work units (see
         :class:`ArmScope`); ``None`` leaves the arm bounded only by the
-        question budget — exactly a closed-gate run's behavior.
+        question budget — exactly a bare run's behavior.
         A non-``None`` cap is clamped to at least the first retry's
         backoff cost so a single transient fault can always be retried:
         the reserve cuts runaway backoff *spirals*, never an arm's
-        first recovery attempt (which a closed-gate run would
-        also make). Re-entrant like :meth:`question`: a nested call
-        joins the open arm instead of resetting its accounting.
-
-        On exit the arm's outcome feeds its **observational** per-arm
-        breaker (:meth:`arm_breaker_states`): the breaker records
-        success/failure per arm run but is never consulted to gate
-        calls — gating on per-arm history would change the guarded-call
-        sequence and break byte-identical replay with the sequential
-        executor.
+        first recovery attempt (which a bare run would also make).
+        Re-entrant like :meth:`question`: a nested call joins the open
+        arm instead of resetting its accounting.
         """
         if self._arm is not None:
             yield self._arm
@@ -256,23 +248,6 @@ class ResilienceManager:
             yield scope
         finally:
             self._arm = None
-            breaker = self._arm_breakers.get(arm_id)
-            if breaker is None:
-                breaker = self._arm_breakers[arm_id] = CircuitBreaker(
-                    "arm:%s" % arm_id, self.config.breaker
-                )
-            now = work_now(self._meter)
-            if scope.fatal:
-                breaker.record_failure(now)
-            else:
-                breaker.record_success(now)
-
-    def arm_breaker_states(self) -> Dict[str, str]:
-        """arm id -> observational breaker state (for inspection)."""
-        return {
-            name: breaker.state
-            for name, breaker in sorted(self._arm_breakers.items())
-        }
 
     def breaker(self, backend: str) -> CircuitBreaker:
         """The breaker for *backend*, created on first use."""

@@ -13,11 +13,10 @@ The pass is deliberately duck-typed over the plan IR (stages expose
 the import DAG; the stage-kind vocabulary is pinned here and asserted
 against ``repro.qa.plan`` by the test suite.
 
-Fail-closed contract (same spirit as the PR 8 ``SpeculationGate``):
-the executor runs this pass on every governed request and converts any
-error diagnostic into a typed abstention — an ungoverned plan never
-reaches an engine, and a governance bug degrades availability, never
-isolation.
+Fail-closed contract: the executor runs this pass on every governed
+request and converts any error diagnostic into a typed abstention — an
+ungoverned plan never reaches an engine, and a governance bug degrades
+availability, never isolation.
 """
 
 from __future__ import annotations

@@ -86,10 +86,8 @@ class RLSRule:
 def render_rule(rule: "RLSRule") -> str:
     """Canonical one-line form of one RLS conjunct.
 
-    A module-level function (not just a method) so call sites inside
-    :meth:`TenantContext.rls_token` resolve statically in the
-    whole-program effect analysis — the token renderer is on the plan
-    compiler's hot path and must stay provably side-effect free.
+    On the plan compiler's hot path (:meth:`TenantContext.rls_token`);
+    must stay side-effect free.
     """
     return "%s.%s %s %r" % (rule.table, rule.column, rule.op,
                             rule.value)

@@ -2,7 +2,6 @@
 
 import pytest
 
-import repro
 from repro.cli import build_parser, main
 
 
@@ -49,17 +48,6 @@ class TestCLI:
         assert cmd_session(args) == 0
         out = capsys.readouterr().out
         assert out.strip()
-
-    def test_analyze_check_passes_on_shipped_tree(self, capsys):
-        assert main(["analyze", "--root", repro.__path__[0], "--check"]) == 0
-        out = capsys.readouterr().out
-        assert "stage-interference:" in out
-
-    def test_analyze_forwards_table_override(self, tmp_path, capsys):
-        table = tmp_path / "safety.json"
-        assert main(["analyze", "--write", "--table", str(table)]) == 0
-        assert table.exists()
-        capsys.readouterr()
 
     def test_load_rejects_the_ask_only_tenant_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -16,6 +16,7 @@ from repro.bench import (
     HealthSpec, LakeSpec, generate_ecommerce_lake, generate_healthcare_lake,
 )
 from repro.bench.runner import build_hybrid_system
+from repro.obs import REGISTRY
 from repro.qa import (
     ANSWER_SYSTEM_HYBRID, ANSWER_SYSTEM_RAG, ROUTE_HYBRID,
     ROUTE_STRUCTURED, ROUTE_UNSTRUCTURED, Answer, ComparativeQA,
@@ -32,7 +33,7 @@ CHAOS_BACKENDS = ("relational", "document", "textstore", "retriever",
 BUDGET = 500_000
 
 
-def _build(domain, chaos=False, gate=None):
+def _build(domain, chaos=False, isolate_arms=True):
     if domain == "ecommerce":
         lake = generate_ecommerce_lake(LakeSpec(n_products=4, seed=17))
     else:
@@ -43,7 +44,7 @@ def _build(domain, chaos=False, gate=None):
         budget=BUDGET,
     ) if chaos else None
     _system, pipe = build_hybrid_system(
-        lake, seed=SEED, speculation_gate=gate, resilience=faults)
+        lake, seed=SEED, isolate_arms=isolate_arms, resilience=faults)
     questions = [pair.question for pair in lake.qa_pairs(per_kind=1)]
     return pipe, questions
 
@@ -167,28 +168,29 @@ class ChaosEquivalenceTest(unittest.TestCase):
 
 
 class SpeculativeEquivalenceTest(unittest.TestCase):
-    """Open gate == closed gate, byte for byte.
+    """Isolated arms == bare sequential run, byte for byte.
 
     With arms isolated the executor must replay the exact guarded-call
-    sequence of a closed-gate run whenever the question budget is not
-    binding — uncached and under the chaos smoke's fault settings, on
-    both domains. The gate is asserted open so the test cannot pass
-    vacuously by failing closed to sequential execution.
+    sequence of a bare run (``isolate_arms=False``) whenever the
+    question budget is not binding — uncached and under the chaos
+    smoke's fault settings, on both domains. The ``speculation.plans``
+    counter is asserted still for the reference and moving for the
+    isolated run, so the test cannot pass vacuously by comparing two
+    bare runs.
     """
 
     def _check(self, domain, chaos):
-        from repro.qa import SpeculationGate
-
-        seq_pipe, questions = _build(
-            domain, chaos=chaos, gate=SpeculationGate.disabled("test"))
-        self.assertFalse(seq_pipe._executor.gate.enabled)  # noqa: SLF001
+        isolated = REGISTRY.counter("speculation.plans")
+        seq_pipe, questions = _build(domain, chaos=chaos,
+                                     isolate_arms=False)
         spec_pipe, _ = _build(domain, chaos=chaos)
-        for question in questions:
-            want = seq_pipe.answer(question).fingerprint()
-            got = spec_pipe.answer(question).fingerprint()
-            self.assertEqual(got, want, question)
-        gate = spec_pipe._executor.gate  # noqa: SLF001
-        self.assertTrue(gate.enabled, gate.reason)
+        before = isolated.value
+        want = [seq_pipe.answer(q).fingerprint() for q in questions]
+        self.assertEqual(isolated.value, before)
+        got = [spec_pipe.answer(q).fingerprint() for q in questions]
+        self.assertGreater(isolated.value, before)
+        for question, got_one, want_one in zip(questions, got, want):
+            self.assertEqual(got_one, want_one, question)
 
     def test_ecommerce_uncached(self):
         self._check("ecommerce", chaos=False)

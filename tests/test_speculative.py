@@ -1,33 +1,31 @@
-"""Speculative federated execution: gating, isolation, race-and-rescue.
+"""Arm isolation: the rule, the rescue reserve, the rescue delta.
 
-Covers the :mod:`repro.qa.speculative` tentpole end to end:
+Covers :mod:`repro.qa.speculative` and the executor's use of it:
 
-* **fail-closed capability gating** — a missing, unreadable, corrupt,
-  ``unknown``- or ``conflicts``-verdict capability table always closes
-  the gate (sequential execution) and never raises;
+* **the rule** — a plan's arms are isolated iff they span at least two
+  engines, over every plan ``compile_plan`` can produce and every plan
+  the default lakes compile to; it needs no file;
 * **one interpreter** — every plan runs through ``PlanExecutor.execute``
-  with the gate open or closed;
-* **arm extraction and clearance** — plan arms, same-engine
-  serialization, cross-arm stage-pair verdict checks;
-* **arm-level failure isolation** — the rescue reserve (`ArmScope`),
-  its protected first retry, and the observational per-arm breakers;
-* **race-and-rescue delta** — under arm-targeted transient faults with
-  a binding question budget, the speculative executor's abstention
-  rate is strictly lower than the sequential baseline at fault rate
-  0.2 and monotone non-worse across the fault-rate sweep, on both
-  benchmark domains.
+  isolated or bare (``isolate_arms=False``, the sequential reference);
+* **arm extraction** — plan arms, engine naming, rescue suffixes;
+* **arm-level failure isolation** — the rescue reserve (`ArmScope`)
+  and its protected first retry;
+* **rescue delta** — under arm-targeted transient faults with a binding
+  question budget, the isolated run's abstention rate is strictly lower
+  than the sequential reference at fault rate 0.2 and monotone
+  non-worse across the fault-rate sweep, on both benchmark domains.
 """
 
-import json
+import builtins
+import itertools
 import pathlib
-import tempfile
 import unittest
 from unittest import mock
 
 from repro.bench import (
     HealthSpec, LakeSpec, generate_ecommerce_lake, generate_healthcare_lake,
 )
-from repro.bench.runner import build_hybrid_system
+from repro.bench.runner import build_hybrid_system, generate_lake
 from repro.errors import TransientError
 from repro.metering import CostMeter
 from repro.obs import (
@@ -35,19 +33,21 @@ from repro.obs import (
     METRIC_SPECULATION_RESCUED, METRIC_SPECULATION_WIN, REGISTRY, Tracer,
 )
 from repro.qa import (
-    ROUTE_HYBRID, PlanExecutor, SpeculationGate, extract_arms,
+    ROUTE_HYBRID, ROUTE_STRUCTURED, ROUTE_UNSTRUCTURED, PlanExecutor,
+    RouteDecision, compile_plan, extract_arms,
 )
 from repro.resilience import (
     ArmScope, DegradationEvent, ResilienceConfig, ResilienceManager,
 )
+from repro.tenancy import RLSRule, TenantContext
 
 SEED = 13
 FAULT_SEED = 23
 #: The binding-budget regime the rescue-delta tests run under: backoff
 #: costs 2000/4000 against a 6000-unit question budget, so a sequential
 #: double-fault backoff spiral exhausts the budget before the text arm
-#: can run, while the speculative rescue reserve cuts the spiral after
-#: the protected first retry and leaves budget for the rescue.
+#: can run, while the isolated arm's rescue reserve cuts the spiral
+#: after the protected first retry and leaves budget for the rescue.
 HEDGE_BUDGET = 6000
 HEDGE_RETRY = {"max_attempts": 3, "backoff_base": 2000,
                "backoff_multiplier": 2}
@@ -63,15 +63,10 @@ def _lake(domain):
     return generate_healthcare_lake(HealthSpec(n_drugs=4, seed=17))
 
 
-#: The two ways a gate is closed for every plan.
-SWITCHED_OFF = SpeculationGate.disabled("switched off")
-NO_TABLE = SpeculationGate.load(pathlib.Path("/nonexistent/table.json"))
-
-
-def _pipeline(domain, gate=None, faults=None):
+def _pipeline(domain, isolate_arms=True, faults=None):
     lake = _lake(domain)
     _system, pipe = build_hybrid_system(
-        lake, seed=SEED, speculation_gate=gate,
+        lake, seed=SEED, isolate_arms=isolate_arms,
         resilience=(ResilienceConfig.from_dict(faults)
                     if faults is not None else None))
     return lake, pipe
@@ -138,112 +133,79 @@ class ExtractArmsTest(unittest.TestCase):
             self.assertTrue(arm.kinds[-1].startswith("Execute"))
 
 
-class GateTableDefectsTest(unittest.TestCase):
-    """Every table defect fails closed — denies, names why, never raises."""
+def _arm_isolation(plan, isolate_arms=True):
+    """(arms, why sequential or None) as a ``PlanExecutor`` decides it."""
+    executor = PlanExecutor(None, None, None, None, None,
+                            isolate_arms=isolate_arms)
+    return executor.arm_isolation(plan)
 
-    def _write(self, payload):
-        tmp = tempfile.NamedTemporaryFile(
-            "w", suffix=".json", delete=False)
-        with tmp as handle:
-            handle.write(payload)
-        self.addCleanup(pathlib.Path(tmp.name).unlink)
-        return pathlib.Path(tmp.name)
 
-    def test_committed_table_enables_hybrid_speculation(self):
-        gate = SpeculationGate.load()
-        self.assertTrue(gate.enabled, gate.reason)
+class IsolationRuleTest(unittest.TestCase):
+    """Arms are isolated iff they span at least two engines."""
+
+    def test_every_compilable_plan_shape(self):
+        governed = TenantContext(
+            tenant_id="acme", rls=(RLSRule("sales", "quarter", "=", "Q1"),),
+            doc_scopes=("review-",))
+        routes = (ROUTE_STRUCTURED, ROUTE_UNSTRUCTURED, ROUTE_HYBRID)
+        for route, has_text, entropy, tenant in itertools.product(
+                routes, (True, False), (False, True), (None, governed)):
+            plan = compile_plan(
+                "q", RouteDecision(route, "test"), has_text_engine=has_text,
+                include_entropy=entropy, tenant=tenant)
+            arms, why_sequential = _arm_isolation(plan)
+            isolated = why_sequential is None
+            shape = (route, has_text, entropy, tenant is not None)
+            self.assertEqual(
+                isolated, len({arm.engine for arm in arms}) >= 2, shape)
+            # always with a text engine, never without
+            self.assertEqual(isolated, has_text, shape)
+            self.assertEqual(
+                _arm_isolation(plan, isolate_arms=False),
+                (arms, "isolate_arms=False"), shape)
+
+    def test_every_default_lake_plan_is_isolated(self):
+        compiled = isolated = 0
+        for domain, seed in itertools.product(
+                ("ecommerce", "healthcare"), (7, 11)):
+            lake = generate_lake(domain, seed)
+            _system, pipe = build_hybrid_system(lake, seed=seed)
+            for pair, entropy in itertools.product(
+                    lake.qa_pairs(), (False, True)):
+                plan = pipe.compile_plan(pair.question,
+                                         include_entropy=entropy)
+                compiled += 1
+                isolated += _arm_isolation(plan)[1] is None
+        self.assertEqual((isolated, compiled), (256, 256))
+
+
+def test_arm_isolation_needs_no_file():
+    """Building and asking read no file: the plan's shape decides."""
+    denied = OSError("no file may be read")
+    with mock.patch.object(pathlib.Path, "read_text", side_effect=denied), \
+            mock.patch.object(builtins, "open", side_effect=denied):
         lake, pipe = _pipeline("ecommerce")
-        questions = [p.question for p in lake.qa_pairs(per_kind=1)]
-        plan = _hybrid_plan(pipe, questions)
-        decision = gate.clearance(plan, extract_arms(plan))
-        self.assertTrue(decision.speculative, decision.reasons)
-        self.assertTrue(decision.raced)
-        self.assertTrue(all(v == "safe-parallel"
-                            for _, v in decision.pair_verdicts))
-
-    def test_missing_table_fails_closed(self):
-        gate = SpeculationGate.load(pathlib.Path("/nonexistent/t.json"))
-        self.assertFalse(gate.enabled)
-        self.assertIn("missing", gate.reason)
-
-    def test_unparsable_table_fails_closed(self):
-        gate = SpeculationGate.load(self._write("{not json"))
-        self.assertFalse(gate.enabled)
-        self.assertIn("unreadable", gate.reason)
-
-    def test_table_without_pairs_fails_closed(self):
-        gate = SpeculationGate.load(self._write('{"pairs": 7}'))
-        self.assertFalse(gate.enabled)
-        self.assertIn("no pair verdicts", gate.reason)
-
-    def _clearance_with_verdict(self, verdict_or_entry):
-        lake, pipe = _pipeline("ecommerce")
-        questions = [p.question for p in lake.qa_pairs(per_kind=1)]
-        plan = _hybrid_plan(pipe, questions)
-        arms = extract_arms(plan)
-        base = SpeculationGate.load()
-        pairs = {}
-        for arm_a in arms:
-            for arm_b in arms:
-                for kind_a in arm_a.kinds:
-                    for kind_b in arm_b.kinds:
-                        left, right = sorted((kind_a, kind_b))
-                        pairs["%s|%s" % (left, right)] = (
-                            verdict_or_entry
-                            if isinstance(verdict_or_entry, dict)
-                            or verdict_or_entry is None
-                            else {"verdict": verdict_or_entry}
-                        )
-        path = self._write(json.dumps({"pairs": pairs}))
-        gate = SpeculationGate.load(path)
-        self.assertTrue(gate.enabled)
-        return gate.clearance(plan, arms), base.clearance(plan, arms)
-
-    def test_unknown_verdict_fails_closed(self):
-        decision, healthy = self._clearance_with_verdict("unknown")
-        self.assertTrue(healthy.speculative)
-        self.assertFalse(decision.speculative)
-        self.assertTrue(any("is unknown" in r for r in decision.reasons))
-
-    def test_conflicts_verdict_fails_closed(self):
-        decision, _ = self._clearance_with_verdict("conflicts")
-        self.assertFalse(decision.speculative)
-        self.assertTrue(any("is conflicts" in r
-                            for r in decision.reasons))
-
-    def test_corrupt_entry_shape_fails_closed(self):
-        decision, _ = self._clearance_with_verdict({"verdict": 3})
-        self.assertFalse(decision.speculative)
-        self.assertTrue(any("is malformed" in r
-                            for r in decision.reasons))
-
-    def test_verdict_is_order_insensitive(self):
-        gate = SpeculationGate(
-            {"a|b": {"verdict": "safe-parallel"}})
-        self.assertEqual(gate.verdict("b", "a"), "safe-parallel")
-        self.assertEqual(gate.verdict("a", "z"), "absent")
+        plan = _hybrid_plan(
+            pipe, [p.question for p in lake.qa_pairs(per_kind=1)])
+        tracer = Tracer(meter=pipe.meter)
+        with tracer.activate():
+            pipe.answer(plan.question)
+    arms = [node.attrs["arms"].split(",") for node in tracer.spans()
+            if node.name == "qa.speculate"]
+    assert arms, "no qa.speculate span"
+    assert {"structured", "text"} <= set(arms[0])
 
 
 class FailClosedExecutionTest(unittest.TestCase):
-    """Denied plans run sequentially: identical answers, no exception."""
+    """``isolate_arms=False`` is the plain sequential run of one loop.
 
-    def test_missing_table_reverts_to_sequential_answers(self):
-        lake, seq = _pipeline("ecommerce", gate=SWITCHED_OFF)
-        _lake2, gated = _pipeline("ecommerce", gate=NO_TABLE)
-        before_seq = _counter("speculation.sequential")
-        before_spec = _counter("speculation.plans")
-        for pair in lake.qa_pairs(per_kind=1):
-            want = seq.answer(pair.question).fingerprint()
-            got = gated.answer(pair.question).fingerprint()
-            self.assertEqual(got, want, pair.question)
-        self.assertGreater(_counter("speculation.sequential"),
-                           before_seq)
-        self.assertEqual(_counter("speculation.plans"), before_spec)
-        self.assertFalse(gated._executor.gate.enabled)  # noqa: SLF001
+    In the test ids a "closed gate" / "denied plan" is the bare run, a
+    "cleared plan" the isolated one.
+    """
 
     def test_one_execute_per_compiled_plan_in_both_gate_states(self):
-        for gate in (None, SWITCHED_OFF):
-            lake, pipe = _pipeline("ecommerce", gate=gate)
+        for isolate_arms in (True, False):
+            lake, pipe = _pipeline("ecommerce", isolate_arms=isolate_arms)
             with mock.patch.object(
                 PlanExecutor, "compile", autospec=True,
                 side_effect=PlanExecutor.compile,
@@ -257,42 +219,47 @@ class FailClosedExecutionTest(unittest.TestCase):
             self.assertEqual(executed.call_count, compiled.call_count)
 
     def test_closed_gate_is_plain_sequential_execution(self):
-        for gate in (SWITCHED_OFF, NO_TABLE):
-            lake, pipe = _pipeline("ecommerce", gate=gate)
-            pairs = lake.qa_pairs(per_kind=1)
-            before = _counter("speculation.sequential")
-            tracer = Tracer(meter=pipe.meter)
-            with tracer.activate():
-                for pair in pairs:
-                    pipe.answer(pair.question)
-            self.assertGreaterEqual(
-                _counter("speculation.sequential") - before, len(pairs))
-            self.assertNotIn("qa.speculate",
-                             {node.name for node in tracer.spans()})
-            self.assertEqual(pipe.resilience.arm_breaker_states(), {})
+        lake, seq = _pipeline("ecommerce", isolate_arms=False)
+        _lake2, isolated = _pipeline("ecommerce")
+        pairs = lake.qa_pairs(per_kind=1)
+        want = [isolated.answer(p.question).fingerprint() for p in pairs]
+        before_seq = _counter("speculation.sequential")
+        before_plans = _counter("speculation.plans")
+        tracer = Tracer(meter=seq.meter)
+        with tracer.activate():
+            got = [seq.answer(p.question).fingerprint() for p in pairs]
+        self.assertEqual(got, want)
+        self.assertGreaterEqual(
+            _counter("speculation.sequential") - before_seq, len(pairs))
+        self.assertEqual(_counter("speculation.plans"), before_plans)
+        self.assertNotIn("qa.speculate",
+                         {node.name for node in tracer.spans()})
 
     def test_denied_plan_explains_fail_closed(self):
-        for gate, why in ((SWITCHED_OFF, "(switched off)"),
-                          (NO_TABLE, "table.json is missing)")):
-            _lake, pipe = _pipeline("ecommerce", gate=gate)
-            text = pipe.explain_plan("Which product has the best rating?")
-            self.assertIn(
-                "speculation: off — fail closed to sequential", text)
-            self.assertIn(why, text)
+        _lake, pipe = _pipeline("ecommerce", isolate_arms=False)
+        text = pipe.explain_plan("Which product has the best rating?")
+        self.assertIn(
+            "arm isolation: off — sequential (isolate_arms=False)", text)
+        self.assertNotIn("isolated", text)
+        plan = compile_plan("q", RouteDecision(ROUTE_STRUCTURED, "test"),
+                            has_text_engine=False)
+        arms, sequential_because = _arm_isolation(plan)
+        self.assertEqual(sequential_because, "arms on one engine")
+        self.assertEqual([arm.arm_id for arm in arms], ["structured"])
 
     def test_cleared_plan_explains_arms_and_verdicts(self):
         lake, pipe = _pipeline("ecommerce")
         questions = [p.question for p in lake.qa_pairs(per_kind=1)]
         plan = _hybrid_plan(pipe, questions)
         text = pipe.explain_plan(plan.question)
-        self.assertIn("speculation: on", text)
-        self.assertIn("safe-parallel", text)
+        self.assertIn("arm isolation: on (3 arms)", text)
         self.assertIn("arm structured", text)
         self.assertIn("arm text", text)
+        self.assertNotIn("sequential", text)
 
 
 class ArmIsolationTest(unittest.TestCase):
-    """ArmScope accounting, the rescue reserve, per-arm breakers."""
+    """ArmScope accounting and the rescue reserve."""
 
     def _manager(self, budget=None):
         return ResilienceManager(
@@ -321,19 +288,6 @@ class ArmIsolationTest(unittest.TestCase):
         with manager.arm("structured", cap=1) as scope:
             self.assertEqual(scope.cap,
                              HEDGE_RETRY["backoff_base"])
-
-    def test_arm_breakers_are_observational(self):
-        manager = self._manager()
-        with manager.arm("structured") as scope:
-            scope.note(DegradationEvent(
-                "structured", "answer", "transient", fatal=True))
-        with manager.arm("text"):
-            pass
-        states = manager.arm_breaker_states()
-        self.assertEqual(set(states), {"structured", "text"})
-        self.assertTrue(all(s == "closed" for s in states.values()))
-        # the question-level breakers are untouched by arm accounting
-        self.assertEqual(manager.breaker_states(), {})
 
     def test_reserve_cuts_backoff_spiral_not_first_retry(self):
         attempts = []
@@ -371,18 +325,17 @@ class ArmIsolationTest(unittest.TestCase):
 
 
 class RescueDeltaTest(unittest.TestCase):
-    """Arm-targeted faults + binding budget: speculation rescues.
+    """Arm-targeted faults + binding budget: the reserve rescues.
 
-    At fault rate 0.2 the open-gate abstention count must be
-    *strictly* lower than the closed-gate baseline, and across the
+    At fault rate 0.2 the isolated run's abstention count must be
+    *strictly* lower than the sequential reference's, and across the
     fault-rate sweep it must never be higher (monotone non-worse
     degradation), with correctness also non-worse — on both domains.
     """
 
-    def _run(self, domain, speculative, rate):
+    def _run(self, domain, isolate_arms, rate):
         lake, pipe = _pipeline(
-            domain, gate=None if speculative else SWITCHED_OFF,
-            faults=_arm_faults(rate))
+            domain, isolate_arms=isolate_arms, faults=_arm_faults(rate))
         abstained = correct = 0
         pairs = lake.qa_pairs(per_kind=4)
         for pair in pairs:

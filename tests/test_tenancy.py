@@ -17,6 +17,7 @@ from repro.bench import LakeSpec, generate_ecommerce_lake
 from repro.bench.runner import build_hybrid_system
 from repro.cli import main
 from repro.errors import TenancyError
+from repro.obs import REGISTRY
 from repro.serving import QueryServer, ServeRequest
 from repro.tenancy import (
     DEFAULT_TENANT, PERMISSIVE_DEFAULT, RLSRule, TenantContext,
@@ -140,6 +141,22 @@ class TestCheckTenancy:
         errors = tenancy_errors(check_tenancy(plan, acme))
         assert errors
         assert {e.code for e in errors} >= {"tenancy-missing-rls"}
+
+    def test_rejected_plan_is_not_counted_as_run(self, pipeline, registry):
+        acme = registry.context("acme")
+        question = "What is the total sales of the Quartz Monitor in Q3?"
+        executor = pipeline._executor  # noqa: SLF001
+        counters = [REGISTRY.counter("speculation.plans"),
+                    REGISTRY.counter("speculation.sequential")]
+        before = [c.value for c in counters]
+        rejected = executor.execute(pipeline.compile_plan(question),
+                                    tenant=acme)
+        assert rejected.metadata["tenancy"] == "rejected"
+        assert [c.value for c in counters] == before
+        accepted = executor.execute(
+            pipeline.compile_plan(question, tenant=acme), tenant=acme)
+        assert "tenancy" not in accepted.metadata
+        assert sum(c.value for c in counters) == sum(before) + 1
 
     def test_governed_plan_passes_its_own_gate(self, pipeline, registry):
         acme = registry.context("acme")
