@@ -21,6 +21,7 @@ import os
 import pytest
 
 from repro.bench import render_table
+from repro.bench.runner import read_document
 from repro.loadgen import LoadSpec, SLOSpec, bench_payload, run_load, \
     write_report
 
@@ -45,7 +46,8 @@ RESULTS = []
 @pytest.mark.parametrize("spec_name,slo_name", PAIRS)
 def test_load_slo(benchmark, spec_name, slo_name):
     """One committed spec end to end; every SLO gate must pass."""
-    spec = LoadSpec.load(os.path.join(SPEC_DIR, spec_name))
+    spec = LoadSpec.from_dict(
+        read_document(os.path.join(SPEC_DIR, spec_name), "--spec"))
     slo = SLOSpec.load(os.path.join(SPEC_DIR, slo_name))
     report = run_load(spec, slo)
     RESULTS.append(report)
@@ -61,7 +63,7 @@ def test_load_report(benchmark):
     rows = [
         {
             "spec": report.spec.name,
-            "domain": report.spec.domain,
+            "domain": report.spec.stack.domain,
             "asks": report.measurements["asks"],
             "served": report.measurements["served"],
             "shed": report.measurements["shed"],
@@ -75,7 +77,7 @@ def test_load_report(benchmark):
             "slo": "PASS" if report.passed else "FAIL",
         }
         for report in sorted(RESULTS,
-                             key=lambda r: (r.spec.domain, r.spec.name))
+                             key=lambda r: (r.spec.stack.domain, r.spec.name))
     ]
     emit("load", render_table(
         rows, title="Load — SLO-gated closed-loop runs"

@@ -9,14 +9,19 @@ The three E2/E6 systems are constructed here from the same lake:
 
 Each system answers through one uniform callable so the harness can
 score accuracy, abstention and metered cost identically.
+
+A served stack (pipeline + query server) is one validated
+:class:`StackConfig`, stood up by :func:`build_stack`.
 """
 
 from __future__ import annotations
 
+import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..errors import LoadGenError, TenancyError
 from ..metering import CostMeter
 from ..obs import Tracer, aggregate_stages
 from ..qa.answer import Answer
@@ -26,8 +31,10 @@ from ..qa.textqa import TextQAEngine
 from ..resilience import ResilienceConfig
 from ..retrieval.dense import DenseRetriever
 from ..semql.catalog import SchemaCatalog
+from ..serving import AdmissionPolicy, CachePolicy, QueryServer
 from ..slm.model import SLMConfig, SmallLanguageModel
 from ..storage.relational.database import Database
+from ..tenancy import TenantRegistry
 from ..text.chunker import Chunker, ChunkerConfig
 from ..text.ner import Gazetteer
 from .datagen.ecommerce import (
@@ -109,14 +116,15 @@ def build_hybrid_system(
     resilience: Optional[ResilienceConfig] = None,
 ) -> Tuple[QASystem, HybridQAPipeline]:
     """The paper's full pipeline over *lake* — the one way every entry
-    point (CLI, load harness, benches, smoke programs) stands it up.
+    point (:func:`build_stack`, benches, tests) stands it up.
 
     With ``n_shards > 1`` the stores are partitioned by entity key and
     queries scatter-gather over per-shard resilience guards; answers are
-    byte-identical to the unsharded build. *isolate_arms* is handed to
-    the pipeline (``False`` is the tests' sequential reference);
-    *resilience* is installed after ``build()``, so faults only ever
-    hit the answer path.
+    byte-identical to the unsharded build. *isolate_arms* and
+    *resilience* are handed to the pipeline (``isolate_arms=False`` is
+    the tests' sequential reference); ``build()`` puts the backends the
+    fault plan names behind their guards once the index is built, so
+    faults only ever hit the answer path.
     """
     meter = CostMeter()
     sql, texts, docs, names, entity_table, generated = _lake_parts(lake)
@@ -124,8 +132,9 @@ def build_hybrid_system(
     gazetteer.add("VALUE", names)
     slm = SmallLanguageModel(SLMConfig(seed=seed), gazetteer=gazetteer,
                              meter=meter)
-    pipeline = HybridQAPipeline(slm, meter=meter, n_shards=n_shards,
-                                isolate_arms=isolate_arms)
+    pipeline = HybridQAPipeline(slm, meter=meter, resilience=resilience,
+                                isolate_arms=isolate_arms,
+                                n_shards=n_shards)
     pipeline.add_sql(sql)
     pipeline.declare_entity_columns(entity_table, ["name"])
     pipeline.add_texts(texts)
@@ -143,9 +152,158 @@ def build_hybrid_system(
         pipeline.register_join(generated, "subject", "drugs", "name_key")
         pipeline.register_display_column("drugs", "name")
     pipeline.build()
-    if resilience is not None:
-        pipeline.enable_resilience(resilience)
     return QASystem("hybrid", pipeline.answer, meter), pipeline
+
+
+# ----------------------------------------------------------------------
+# Stack configuration
+# ----------------------------------------------------------------------
+#: The benchmark lakes a stack can be built over.
+DOMAINS = ("ecommerce", "healthcare")
+
+
+def check_int(key: str, value: Any, minimum: int,
+              optional: bool = False) -> None:
+    """LoadGenError unless *value* is an int (not bool) >= *minimum*."""
+    if value is None and optional:
+        return
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise LoadGenError("%s must be an integer, got %r" % (key, value))
+    if value < minimum:
+        raise LoadGenError("%s must be %s, got %d" % (
+            key, "positive" if minimum > 0 else "non-negative", value))
+
+
+def _parse_faults(doc: Any) -> Optional[ResilienceConfig]:
+    if doc is None:
+        return None
+    if not isinstance(doc, dict):
+        raise LoadGenError("faults must be a resilience config object")
+    try:
+        return ResilienceConfig.from_dict(doc)
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise LoadGenError("faults is invalid: %s" % exc) from exc
+
+
+def _parse_policy(text: Any) -> CachePolicy:
+    if not isinstance(text, str):
+        raise LoadGenError("cache_policy must be a string, got %r"
+                           % (text,))
+    try:
+        return CachePolicy.from_string(text)
+    except ValueError as exc:
+        raise LoadGenError("cache_policy is invalid: %s" % exc) from exc
+
+
+def _parse_registry(doc: Any) -> TenantRegistry:
+    if doc is None:
+        return TenantRegistry(())
+    try:
+        return TenantRegistry.from_dict(doc)
+    except TenancyError as exc:
+        raise LoadGenError("tenant_registry is invalid: %s" % exc) from exc
+
+
+@dataclass(frozen=True)
+class StackConfig:
+    """Everything that shapes one served stack, validated once.
+
+    Every field is both a load-spec key and a CLI flag (``faults`` is
+    ``--faults FILE``, ``tenant_registry`` is ``--tenants FILE``).
+    Construction validates every value and raises
+    :class:`~repro.errors.LoadGenError` on the first bad one, so a bad
+    value fails before any lake is built. ``faults`` and
+    ``tenant_registry`` keep the documents as given (a load spec echoes
+    them verbatim); :attr:`resilience`, :attr:`policy`,
+    :attr:`admission` and :attr:`tenants` are their parsed forms.
+    """
+
+    domain: str = "ecommerce"
+    seed: int = 17
+    shards: int = 1
+    faults: Optional[Dict[str, Any]] = None
+    cache_policy: str = "full"
+    batch_size: int = 8
+    session_budget: Optional[int] = None
+    max_queue_depth: Optional[int] = None
+    tenant_registry: Optional[Dict[str, Any]] = None
+    resilience: Optional[ResilienceConfig] = field(
+        init=False, compare=False, repr=False)
+    policy: CachePolicy = field(init=False, compare=False, repr=False)
+    admission: AdmissionPolicy = field(init=False, compare=False,
+                                       repr=False)
+    tenants: TenantRegistry = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.domain not in DOMAINS:
+            raise LoadGenError("domain %r unknown (expected one of %s)"
+                               % (self.domain, ", ".join(DOMAINS)))
+        check_int("seed", self.seed, 0)
+        check_int("shards", self.shards, 1)
+        check_int("batch_size", self.batch_size, 1)
+        check_int("session_budget", self.session_budget, 1, optional=True)
+        check_int("max_queue_depth", self.max_queue_depth, 1,
+                  optional=True)
+        for name, value in (
+            ("resilience", _parse_faults(self.faults)),
+            ("policy", _parse_policy(self.cache_policy)),
+            ("admission", AdmissionPolicy(self.session_budget,
+                                          self.max_queue_depth)),
+            ("tenants", _parse_registry(self.tenant_registry)),
+        ):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "StackConfig":
+        """Validate a ``{stack key: value}`` mapping (missing keys take
+        the defaults); raises :class:`~repro.errors.LoadGenError`."""
+        unknown = sorted(set(data) - set(STACK_KEYS))
+        if unknown:
+            raise LoadGenError("unknown stack key(s) %s; expected a subset "
+                               "of %s" % (unknown, ", ".join(STACK_KEYS)))
+        return cls(**data)
+
+
+#: The settable :class:`StackConfig` keys, in declaration order.
+STACK_KEYS = tuple(f.name for f in fields(StackConfig) if f.init)
+
+
+def read_document(path: str, flag: str) -> Dict[str, Any]:
+    """The JSON object in the file *path* (given as *flag*): the one
+    reader of fault plans, tenant registries and load specs. Raises
+    :class:`~repro.errors.LoadGenError` on anything else."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            data = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise LoadGenError("%s %s: cannot read: %s"
+                           % (flag, path, exc)) from exc
+    if not isinstance(data, dict):
+        raise LoadGenError("%s %s: expected a JSON object" % (flag, path))
+    return data
+
+
+def build_stack(config: StackConfig, serve: bool = True
+                ) -> Tuple[Any, HybridQAPipeline, Optional[QueryServer]]:
+    """``(lake, pipeline, server)``: the stack *config* describes.
+
+    The pipeline arms the fault plan inside its ``build()``; the server
+    gets the cache policy, batch size, admission limits and tenant
+    registry. ``serve=False`` stops at the pipeline, for commands that
+    answer without serving.
+    """
+    lake = generate_lake(config.domain, config.seed)
+    _system, pipeline = build_hybrid_system(
+        lake, seed=config.seed, n_shards=config.shards,
+        resilience=config.resilience,
+    )
+    server = None
+    if serve:
+        server = QueryServer(pipeline, policy=config.policy,
+                             admission=config.admission,
+                             batch_size=config.batch_size,
+                             tenants=config.tenants)
+    return lake, pipeline, server
 
 
 def build_text2sql_system(lake) -> QASystem:

@@ -33,14 +33,15 @@ Usage: ``python -m repro.cli demo --domain ecommerce --trace``
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
 from typing import List, Optional
 
-from .bench.runner import build_hybrid_system, generate_lake
+from .bench.runner import (
+    DOMAINS, StackConfig, build_stack, read_document,
+)
+from .errors import LoadGenError, TenancyError
 from .obs import Tracer, render_trace
-from .resilience import ResilienceConfig
 
 
 @contextmanager
@@ -56,55 +57,49 @@ def _tracing(args, pipeline):
     print(render_trace(tracer))
 
 
-def _load_faults(path: Optional[str]) -> Optional[ResilienceConfig]:
-    """Read and validate ``--faults`` before anything is built."""
-    if not path:
-        return None
+def _usage_error(message: str) -> SystemExit:
+    """Print *message* to stderr; the SystemExit (status 2) to raise."""
+    print("error: %s" % message, file=sys.stderr)
+    error = SystemExit(message)
+    error.code = 2
+    return error
+
+
+def _config(args) -> StackConfig:
+    """The stack the flags describe, validated before anything is built.
+
+    A bad flag or file exits 2 with the message a load spec holding the
+    same value gets.
+    """
+    data = {"domain": args.domain, "seed": args.seed, "shards": args.shards}
+    for key in ("cache_policy", "batch_size", "session_budget",
+                "max_queue_depth"):
+        if getattr(args, key, None) is not None:
+            data[key] = getattr(args, key)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise SystemExit("--faults %s: cannot read: %s"
-                         % (path, exc)) from exc
-    if not isinstance(data, dict):
-        raise SystemExit("--faults %s: expected a JSON object" % path)
+        if args.faults:
+            data["faults"] = read_document(args.faults, "--faults")
+        if getattr(args, "tenants", None):
+            data["tenant_registry"] = read_document(args.tenants,
+                                                    "--tenants")
+        return StackConfig.from_dict(data)
+    except LoadGenError as exc:
+        raise _usage_error(str(exc)) from exc
+
+
+def _tenant(config: StackConfig, tenant_id: str):
+    """*tenant_id*'s context in the configured registry (exit 2 if
+    unregistered; the permissive default registry knows ``default``)."""
     try:
-        return ResilienceConfig.from_dict(data)
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise SystemExit("--faults %s: invalid plan: %s"
-                         % (path, exc)) from exc
+        return config.tenants.context(tenant_id)
+    except TenancyError as exc:
+        raise _usage_error(str(exc)) from exc
 
 
 def _build(args):
-    """(lake, pipeline) for the common ``--domain/--seed/...`` flags."""
-    if args.shards < 1:
-        raise SystemExit("--shards must be >= 1")
-    resilience = _load_faults(args.faults)
-    lake = generate_lake(args.domain, args.seed)
-    _system, pipeline = build_hybrid_system(
-        lake, seed=args.seed, n_shards=args.shards,
-        resilience=resilience,
-    )
+    """(lake, pipeline) for a command that answers without serving."""
+    lake, pipeline, _server = build_stack(_config(args), serve=False)
     return lake, pipeline
-
-
-def _load_tenants(args):
-    """Resolve (registry, context) from ``--tenants`` / ``--tenant``.
-
-    Without ``--tenants`` the permissive default registry applies, so
-    ``--tenant default`` always works and any other id fails closed.
-    """
-    from .errors import TenancyError
-    from .tenancy import TenantRegistry
-
-    try:
-        registry = (TenantRegistry.load(args.tenants)
-                    if getattr(args, "tenants", None)
-                    else TenantRegistry(()))
-        context = registry.context(getattr(args, "tenant", "default"))
-    except TenancyError as exc:
-        raise SystemExit(str(exc)) from exc
-    return registry, context
 
 
 def cmd_tenants(args) -> int:
@@ -114,10 +109,9 @@ def cmd_tenants(args) -> int:
     status = 0
     for path in args.files:
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError) as exc:
-            print("%s: cannot read: %s" % (path, exc))
+            data = read_document(path, "registry")
+        except LoadGenError as exc:
+            print(exc)
             return 2
         findings = validate_registry_data(data)
         if findings:
@@ -153,8 +147,9 @@ def cmd_demo(args) -> int:
 
 def cmd_ask(args) -> int:
     """Answer one user question."""
-    _, pipeline = _build(args)
-    _, context = _load_tenants(args)
+    config = _config(args)
+    context = _tenant(config, args.tenant)
+    _lake, pipeline, _server = build_stack(config, serve=False)
     if args.explain_plan:
         print(pipeline.explain_plan(args.question))
         return 0
@@ -245,16 +240,11 @@ def cmd_sql(args) -> int:
 
 def cmd_serve(args) -> int:
     """Serve a JSONL workload through the caching query server."""
-    from .serving import (
-        AdmissionPolicy, CachePolicy, QueryServer, load_workload,
-    )
+    from .serving import load_workload
 
-    try:
-        policy = CachePolicy.from_string(args.cache_policy)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
+    config = _config(args)
+    _tenant(config, args.tenant)  # an unregistered --tenant fails here
     requests = load_workload(args.workload)
-    registry, _ = _load_tenants(args)
     if args.tenant != "default":
         # Run every record that did not name its own tenant as the
         # requested one; records with explicit tenants keep theirs.
@@ -265,18 +255,7 @@ def cmd_serve(args) -> int:
             if request.tenant == "default" else request
             for request in requests
         ]
-    admission = None
-    if args.session_budget is not None or args.max_queue_depth is not None:
-        try:
-            admission = AdmissionPolicy(
-                session_budget=args.session_budget,
-                max_queue_depth=args.max_queue_depth,
-            )
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from exc
-    _, pipeline = _build(args)
-    server = QueryServer(pipeline, policy=policy, admission=admission,
-                         batch_size=args.batch_size, tenants=registry)
+    _lake, pipeline, server = build_stack(config)
     with _tracing(args, pipeline):
         for result in server.serve(requests):
             if result.op != "ask":
@@ -336,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--domain", default="ecommerce",
-                       choices=["ecommerce", "healthcare"])
+        p.add_argument("--domain", default="ecommerce", choices=DOMAINS)
         p.add_argument("--seed", type=int, default=7)
         p.add_argument("--trace", action="store_true",
                        help="print the span tree after the command")

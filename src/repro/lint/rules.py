@@ -95,7 +95,7 @@ def _is_entry_point(module: ModuleInfo) -> bool:
     """Application-layer modules free to import across layers."""
     rel = module.relpath
     return (
-        rel in ("cli.py", "resilience/smoke.py", "__init__.py")
+        rel in ("cli.py", "__init__.py")
         or rel.startswith("bench/")
     )
 
@@ -134,8 +134,8 @@ class DeterminismRule(Rule):
     """No wall-clock time or unseeded randomness in library code.
 
     The paper's contract is byte-reproducible answers for a fixed seed;
-    any ambient entropy breaks it. ``bench/``, ``cli.py`` and
-    ``resilience/smoke.py`` are application entry points and exempt.
+    any ambient entropy breaks it. ``bench/`` and ``cli.py`` are
+    application entry points and exempt.
     """
 
     id = "determinism"
@@ -300,8 +300,7 @@ class FaultAbsorptionRule(Rule):
     A broad handler (``except Exception``/``except BaseException``/bare
     ``except``) that never re-raises swallows :class:`repro.errors.
     ReproError` — it silently eats the very faults the resilience layer
-    is designed to record, retry and degrade on. Outside ``resilience/``
-    (and its chaos smoke, whose never-raise contract *requires* one),
+    is designed to record, retry and degrade on. Outside ``resilience/``,
     callers must route risky calls through
     :meth:`~repro.resilience.ResilienceManager.try_call` /
     :meth:`~repro.resilience.ResilienceManager.shield` instead.
@@ -424,8 +423,8 @@ class LayeringRule(Rule):
 
     ``storage``/``text``/``slm`` must never reach up into ``qa`` (or any
     higher layer); every unit's legal dependency set is declared in
-    ``_ALLOWED_DEPS``. Entry points (``cli.py``, ``bench/``,
-    ``resilience/smoke.py``) and the public ``__init__`` facade are exempt.
+    ``_ALLOWED_DEPS``. Entry points (``cli.py``, ``bench/``) and the
+    public ``__init__`` facade are exempt.
     Lazy (function-level) imports count: they still couple layers.
     """
 
@@ -529,8 +528,8 @@ class MutableDefaultRule(Rule):
 
 
 # print() is part of the interface in these modules.
-_PRINT_ALLOWED = {"cli.py", "bench/reporting.py", "resilience/smoke.py",
-                  "lint/cli.py", "loadgen/cli.py"}
+_PRINT_ALLOWED = {"cli.py", "bench/reporting.py", "lint/cli.py",
+                  "loadgen/cli.py"}
 
 
 @register
@@ -541,7 +540,7 @@ class NoPrintRule(Rule):
     """
 
     id = "no-print"
-    summary = "forbid print() outside cli/reporting/smoke modules"
+    summary = "forbid print() outside cli/reporting modules"
 
     def check(self, module: ModuleInfo) -> Iterator[Finding]:
         if module.relpath in _PRINT_ALLOWED:

@@ -12,10 +12,10 @@ serving JSONL format, replayable via ``repro serve --workload``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from typing import List, Optional
 
+from ..bench.runner import generate_lake, read_document
 from ..errors import LoadGenError, ReproError
 from ..serving import render_jsonl
 from .harness import run_load
@@ -68,9 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit_workload(spec: LoadSpec, path: str) -> None:
     """Expand the spec once more and save the flat JSONL stream."""
-    from ..bench.runner import generate_lake
-
-    lake = generate_lake(spec.domain, spec.seed)
+    lake = generate_lake(spec.stack.domain, spec.stack.seed)
     questions = [
         pair.question
         for pair in lake.qa_pairs(per_kind=spec.questions_per_kind)
@@ -84,38 +82,19 @@ def _emit_workload(spec: LoadSpec, path: str) -> None:
         handle.write(render_jsonl(requests))
 
 
-def _load_registry_doc(path: str) -> dict:
-    """Read and validate a tenant registry file for --tenants."""
-    import json
-
-    from ..tenancy import validate_registry_data
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise LoadGenError("--tenants file %r unreadable: %s"
-                           % (path, exc)) from exc
-    findings = validate_registry_data(doc)
-    if findings:
-        raise LoadGenError(
-            "--tenants file %r invalid: %s" % (path, "; ".join(findings)))
-    return doc
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Run the harness; returns 0 PASS / 1 breach / 2 config error."""
     args = build_parser().parse_args(argv)
     try:
-        spec = LoadSpec.load(args.spec)
+        # Overrides replace spec keys before parsing, so they are
+        # validated exactly as the spec's own values are.
+        data = read_document(args.spec, "--spec")
         if args.shards is not None:
-            if args.shards < 1:
-                raise LoadGenError("--shards must be >= 1, got %d"
-                                   % args.shards)
-            spec = dataclasses.replace(spec, shards=args.shards)
+            data["shards"] = args.shards
         if args.tenants is not None:
-            spec = dataclasses.replace(
-                spec, tenant_registry=_load_registry_doc(args.tenants))
+            data["tenant_registry"] = read_document(args.tenants,
+                                                    "--tenants")
+        spec = LoadSpec.from_dict(data)
         slo = SLOSpec.load(args.slo) if args.slo else None
         if args.emit_workload:
             _emit_workload(spec, args.emit_workload)
@@ -124,7 +103,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     print("load %r on %s (seed %d): %d asks over %d sessions"
-          % (spec.name, spec.domain, spec.seed, spec.asks,
+          % (spec.name, spec.stack.domain, spec.stack.seed, spec.asks,
              spec.sessions))
     for key in _SUMMARY_KEYS:
         if key in report.measurements:

@@ -1,8 +1,9 @@
 """The closed-loop load harness: spec -> traffic -> measurements -> SLO.
 
 :func:`run_load` closes the loop the ROADMAP asks for: it builds the
-benchmark domain named by a :class:`~.spec.LoadSpec`, expands the spec
-into seeded arrival bursts, drives the full
+stack a :class:`~.spec.LoadSpec` describes (through
+:func:`~repro.bench.runner.build_stack`), expands the spec into seeded
+arrival bursts, drives the full
 :class:`~repro.serving.QueryServer` stack (caches, micro-batches,
 admission, optional chaos), collects per-request **work-clock**
 latency samples plus error/abstention/shed counts and cache-tier hit
@@ -22,14 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..bench.runner import build_hybrid_system, generate_lake
-from ..errors import LoadGenError
+from ..bench.runner import build_stack
 from ..obs import MetricsRegistry
-from ..resilience import ResilienceConfig, work_now
-from ..serving import (
-    AdmissionPolicy, CachePolicy, QueryServer, ServeRequest, ServeResult,
-)
-from ..tenancy import TenantRegistry
+from ..resilience import work_now
+from ..serving import QueryServer, ServeRequest, ServeResult
 from .slo import SLOReport, SLOSpec, evaluate
 from .spec import Burst, LoadSpec, generate_workload
 
@@ -61,38 +58,6 @@ class LoadReport:
     def passed(self) -> bool:
         """True when there is no verdict or every gate passed."""
         return self.verdict is None or self.verdict.passed
-
-
-def build_server(spec: LoadSpec) -> Tuple[Any, QueryServer]:
-    """Build the lake + pipeline + server a spec describes.
-
-    Applies the spec's cache policy, admission limits and (optional)
-    resilience/fault configuration — the same wiring the CLI's
-    ``serve`` subcommand performs, derived entirely from the spec so
-    runs are self-describing.
-    """
-    lake = generate_lake(spec.domain, spec.seed)
-    faults = (ResilienceConfig.from_dict(spec.faults)
-              if spec.faults is not None else None)
-    _system, pipeline = build_hybrid_system(
-        lake, seed=spec.seed, n_shards=spec.shards, resilience=faults,
-    )
-    try:
-        policy = CachePolicy.from_string(spec.cache_policy)
-    except ValueError as exc:
-        raise LoadGenError("spec cache_policy invalid: %s" % exc) from exc
-    admission = None
-    if spec.session_budget is not None or spec.max_queue_depth is not None:
-        admission = AdmissionPolicy(
-            session_budget=spec.session_budget,
-            max_queue_depth=spec.max_queue_depth,
-        )
-    registry = (TenantRegistry.from_dict(spec.tenant_registry)
-                if spec.tenant_registry is not None
-                else TenantRegistry(()))
-    server = QueryServer(pipeline, policy=policy, admission=admission,
-                         batch_size=spec.batch_size, tenants=registry)
-    return lake, server
 
 
 def _tier_lookups(server: QueryServer) -> Dict[str, Tuple[int, int]]:
@@ -229,10 +194,10 @@ def run_load(spec: LoadSpec,
     """Run one spec end to end and (optionally) gate it on an SLO.
 
     Deterministic by construction: the lake, the pipeline, the
-    workload and every measured number derive from ``spec.seed`` and
+    workload and every measured number derive from the spec's seed and
     the work clock — wall time never appears in the measurements.
     """
-    lake, server = build_server(spec)
+    lake, _pipeline, server = build_stack(spec.stack)
     pairs = lake.qa_pairs(per_kind=spec.questions_per_kind)
     questions = tuple(pair.question for pair in pairs)
     bursts = generate_workload(spec, questions)

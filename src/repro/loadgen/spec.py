@@ -35,6 +35,11 @@ Spec format (every key except ``name``/``domain``/``asks`` optional)::
       "tenant_registry": {"tenants": [...]}  // repro tenants format
     }
 
+The stack keys (``domain``, ``seed``, ``shards``, ``faults``,
+``cache_policy``, ``batch_size``, ``session_budget``,
+``max_queue_depth``, ``tenant_registry``) become the spec's
+:class:`~repro.bench.runner.StackConfig`, validated there — the same
+validation the CLI's flags get. ``seed`` also seeds the workload.
 Unknown keys and out-of-range values raise
 :class:`~repro.errors.LoadGenError` at parse time, mirroring
 :func:`repro.serving.workload.parse_workload`.
@@ -46,21 +51,20 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
+from ..bench.runner import STACK_KEYS, StackConfig, check_int
 from ..errors import LoadGenError, ServingError
 from ..serving import ServeRequest, request_from_record
 
-#: Legal top-level spec keys (anything else fails loudly).
+#: Legal top-level spec keys (anything else fails loudly): the
+#: workload's own, then the stack's.
 SPEC_KEYS = (
-    "name", "domain", "seed", "asks", "sessions", "questions_per_kind",
-    "skew", "burst", "arrival", "think_work", "write_every", "writes",
-    "warmup_passes", "cache_policy", "batch_size", "session_budget",
-    "max_queue_depth", "faults", "shards", "tenants",
-    "tenant_registry",
-)
+    "name", "asks", "sessions", "questions_per_kind", "skew", "burst",
+    "arrival", "think_work", "write_every", "writes", "warmup_passes",
+    "tenants",
+) + STACK_KEYS
 
-_DOMAINS = ("ecommerce", "healthcare")
 _ARRIVALS = ("fixed", "poisson")
 
 
@@ -68,12 +72,7 @@ def _require_int(data: Dict[str, Any], key: str, default: int,
                  minimum: int) -> int:
     """Fetch an integer spec field, enforcing its floor."""
     value = data.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise LoadGenError("spec key %r must be an integer, got %r"
-                           % (key, value))
-    if value < minimum:
-        raise LoadGenError("spec key %r must be >= %d, got %d"
-                           % (key, minimum, value))
+    check_int(key, value, minimum)
     return value
 
 
@@ -103,9 +102,10 @@ class LoadSpec:
     """One parsed, validated load-generation spec."""
 
     name: str
-    domain: str
     asks: int
-    seed: int = 17
+    #: The stack the workload runs against (domain, seed, shards,
+    #: faults, cache policy, batch size, admission, tenant registry).
+    stack: StackConfig = field(default_factory=StackConfig)
     sessions: int = 4
     questions_per_kind: int = 2
     skew: float = 0.0
@@ -115,18 +115,9 @@ class LoadSpec:
     write_every: int = 0
     writes: Tuple[Dict[str, Any], ...] = ()
     warmup_passes: int = 1
-    cache_policy: str = "full"
-    batch_size: int = 8
-    session_budget: Optional[int] = None
-    max_queue_depth: Optional[int] = None
-    faults: Optional[Dict[str, Any]] = None
-    shards: int = 1
     #: Weighted tenant mix: ((tenant_id, weight), ...) sorted by id;
     #: empty = untenanted (every ask runs as the permissive default).
     tenant_mix: Tuple[Tuple[str, float], ...] = ()
-    #: Embedded tenant registry document (the ``repro tenants`` format)
-    #: so a multi-tenant benchmark spec is fully self-describing.
-    tenant_registry: Optional[Dict[str, Any]] = None
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "LoadSpec":
@@ -146,12 +137,8 @@ class LoadSpec:
         for key in ("name", "domain", "asks"):
             if key not in data:
                 raise LoadGenError("spec is missing required key %r" % key)
-        domain = str(data["domain"])
-        if domain not in _DOMAINS:
-            raise LoadGenError(
-                "spec domain %r unknown (expected one of %s)"
-                % (domain, ", ".join(_DOMAINS))
-            )
+        stack = StackConfig.from_dict(
+            {key: data[key] for key in STACK_KEYS if key in data})
         arrival = str(data.get("arrival", "fixed"))
         if arrival not in _ARRIVALS:
             raise LoadGenError(
@@ -192,32 +179,9 @@ class LoadSpec:
                 "spec sets write_every=%d but provides no writes"
                 % write_every
             )
-        budget = data.get("session_budget")
-        if budget is not None:
-            budget = _require_int(data, "session_budget", 0, 1)
-        depth = data.get("max_queue_depth")
-        if depth is not None:
-            depth = _require_int(data, "max_queue_depth", 0, 1)
-        faults = data.get("faults")
-        if faults is not None and not isinstance(faults, dict):
-            raise LoadGenError(
-                "spec faults must be a resilience config object"
-            )
         tenant_mix = _parse_tenant_mix(data.get("tenants"))
-        registry_doc = data.get("tenant_registry")
-        if registry_doc is not None:
-            from ..tenancy import validate_registry_data
-
-            findings = validate_registry_data(registry_doc)
-            if findings:
-                raise LoadGenError(
-                    "spec tenant_registry is invalid: %s"
-                    % "; ".join(findings)
-                )
-            registered = {
-                str(record.get("id"))
-                for record in registry_doc.get("tenants", [])
-            } | {"default"}
+        if stack.tenant_registry is not None:
+            registered = set(stack.tenants.tenant_ids())
             unknown_tenants = sorted(
                 tenant_id for tenant_id, _weight in tenant_mix
                 if tenant_id not in registered
@@ -235,9 +199,8 @@ class LoadSpec:
             )
         return cls(
             name=str(data["name"]),
-            domain=domain,
             asks=_require_int(data, "asks", 0, 1),
-            seed=_require_int(data, "seed", 17, 0),
+            stack=stack,
             sessions=_require_int(data, "sessions", 4, 1),
             questions_per_kind=_require_int(
                 data, "questions_per_kind", 2, 1
@@ -249,15 +212,7 @@ class LoadSpec:
             write_every=write_every,
             writes=tuple(writes),
             warmup_passes=_require_int(data, "warmup_passes", 1, 0),
-            cache_policy=str(data.get("cache_policy", "full")),
-            batch_size=_require_int(data, "batch_size", 8, 1),
-            session_budget=budget,
-            max_queue_depth=depth,
-            faults=dict(faults) if faults is not None else None,
-            shards=_require_int(data, "shards", 1, 1),
             tenant_mix=tenant_mix,
-            tenant_registry=(dict(registry_doc)
-                             if registry_doc is not None else None),
         )
 
     @classmethod
@@ -270,18 +225,13 @@ class LoadSpec:
                                % exc) from exc
         return cls.from_dict(data)
 
-    @classmethod
-    def load(cls, path: str) -> "LoadSpec":
-        """Read and parse a spec file."""
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(handle.read())
-
     def to_dict(self) -> Dict[str, Any]:
         """Canonical JSON-ready echo (stable across runs)."""
+        stack = self.stack
         return {
             "name": self.name,
-            "domain": self.domain,
-            "seed": self.seed,
+            "domain": stack.domain,
+            "seed": stack.seed,
             "asks": self.asks,
             "sessions": self.sessions,
             "questions_per_kind": self.questions_per_kind,
@@ -292,17 +242,17 @@ class LoadSpec:
             "write_every": self.write_every,
             "writes": [dict(record) for record in self.writes],
             "warmup_passes": self.warmup_passes,
-            "cache_policy": self.cache_policy,
-            "batch_size": self.batch_size,
-            "session_budget": self.session_budget,
-            "max_queue_depth": self.max_queue_depth,
-            "faults": dict(self.faults) if self.faults else None,
-            "shards": self.shards,
+            "cache_policy": stack.cache_policy,
+            "batch_size": stack.batch_size,
+            "session_budget": stack.session_budget,
+            "max_queue_depth": stack.max_queue_depth,
+            "faults": dict(stack.faults) if stack.faults else None,
+            "shards": stack.shards,
             "tenants": ({tenant_id: weight
                          for tenant_id, weight in self.tenant_mix}
                         if self.tenant_mix else None),
-            "tenant_registry": (dict(self.tenant_registry)
-                                if self.tenant_registry else None),
+            "tenant_registry": (dict(stack.tenant_registry)
+                                if stack.tenant_registry else None),
         }
 
 
@@ -362,13 +312,13 @@ def generate_workload(spec: LoadSpec,
     the interleaving is reproducible). After every ``write_every``
     asks the next write template (cycled) is appended, acting as a
     batch barrier when served. Entirely driven by one
-    ``random.Random(spec.seed)`` stream — the same spec and pool
+    ``random.Random(spec.stack.seed)`` stream — the same spec and pool
     always produce the identical burst list.
     """
     if not questions:
         raise LoadGenError("cannot generate a workload from an empty "
                            "question pool")
-    rng = random.Random(spec.seed)
+    rng = random.Random(spec.stack.seed)
     weights = zipf_weights(len(questions), spec.skew)
     cumulative: List[float] = []
     running = 0.0

@@ -16,12 +16,6 @@ sequence and the finalisation are shared, so answers are byte-identical
 either way unless the question budget binds (then the isolated run's
 rescue reserve abstains less — see :mod:`~repro.qa.speculative`).
 
-Engine references are taken through zero-argument *providers* rather
-than bound once: ``enable_resilience()`` swaps the pipeline's
-resilience manager, SLM facade and text engine in place (without
-necessarily rebuilding engines), and the executor must always see the
-current instance.
-
 Producer stages (``SynthesizeSpec``, ``RetrieveTopology``) execute
 *jointly* with their consumer (``ExecuteTable``/``ExecuteText``)
 inside one guarded call: splitting them would change the guarded-call
@@ -34,7 +28,7 @@ from __future__ import annotations
 import re
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..obs import incr, span
 from ..resilience import DegradationEvent, summarize
@@ -145,19 +139,18 @@ class _RunState:
 class PlanExecutor:
     """Compile questions to federated plans and run them.
 
-    *router* and *table_qa* are rebuilt together with the executor (in
-    the pipeline's ``_build_engines``) so plain references suffice;
-    *text_qa*, *resilience* and *slm* are providers returning the
-    pipeline's **current** instance (see the module docstring).
-    ``isolate_arms=False`` runs every plan bare — the sequential
-    reference the test suite compares the isolated run against.
+    The pipeline builds a new executor whenever it replaces an engine,
+    so it holds plain references; *text_qa* is ``None`` for a lake
+    without text. ``isolate_arms=False`` runs every plan bare — the
+    sequential reference the test suite compares the isolated run
+    against.
     """
 
     def __init__(self, router: "FederatedRouter",
                  table_qa: "TableQAEngine",
-                 text_qa: "Callable[[], Optional[TextQAEngine]]",
-                 resilience: "Callable[[], ResilienceManager]",
-                 slm: Callable[[], object], *,
+                 text_qa: "Optional[TextQAEngine]",
+                 resilience: "ResilienceManager",
+                 slm: object, *,
                  isolate_arms: bool = True):
         self._router = router
         self._table_qa = table_qa
@@ -180,7 +173,7 @@ class PlanExecutor:
         decision = self._router.route(question)
         return compile_plan(
             question, decision,
-            has_text_engine=self._text_qa() is not None,
+            has_text_engine=self._text_qa is not None,
             include_entropy=include_entropy,
             tenant=tenant,
         )
@@ -197,10 +190,10 @@ class PlanExecutor:
         through its own plan (each sub-plan under the same tenant).
         """
         comparer = ComparativeQA(
-            self._slm(),
+            self._slm,
             lambda sub: self.answer_single(sub, tenant=tenant),
         )
-        compared = self._resilience().shield(
+        compared = self._resilience.shield(
             "compare", "try_answer", lambda: comparer.try_answer(question),
         )
         if compared is not None and not compared.abstained:
@@ -232,7 +225,7 @@ class PlanExecutor:
         ``(tenant, signature)`` so downstream plan caching can never
         cross tenants.
         """
-        manager = self._resilience()
+        manager = self._resilience
         if tenant is not None:
             findings = tenancy_errors(check_tenancy(plan, tenant))
             if findings:
@@ -348,12 +341,12 @@ class PlanExecutor:
 
     def _stage_execute_text(self, manager, state: _RunState) -> None:
         """RetrieveTopology + ExecuteText, jointly, under one guard."""
-        text_qa = self._text_qa()
-        if text_qa is None:
+        if self._text_qa is None:
             return
         result, event = manager.try_call(
             "text", "answer",
-            lambda: text_qa.answer(state.question, tenant=state.tenant),
+            lambda: self._text_qa.answer(state.question,
+                                         tenant=state.tenant),
         )
         if event is not None:
             state.failed_engines.append("text")
@@ -413,9 +406,9 @@ class PlanExecutor:
             lines.append("tableqa plan: %s"
                          % answer.metadata.get("plan", "?"))
             lines.append("tableqa answer: %s" % answer.text)
-        text_qa = self._text_qa()
-        if text_qa is not None and decision.route != ROUTE_STRUCTURED:
-            hits = text_qa.retrieve(question)
+        if self._text_qa is not None \
+                and decision.route != ROUTE_STRUCTURED:
+            hits = self._text_qa.retrieve(question)
             lines.append("retrieval: %d chunks (%s)" % (
                 len(hits), ", ".join(h.chunk_id for h in hits[:3])
             ))
@@ -423,7 +416,7 @@ class PlanExecutor:
 
     def retrieve_contexts(self, question: str) -> List[str]:
         """Retrieved chunk texts for *question* (entropy sampling)."""
-        text_qa = self._text_qa()
-        if text_qa is None:
+        if self._text_qa is None:
             return []
-        return [hit.chunk.text for hit in text_qa.retrieve(question)]
+        return [hit.chunk.text
+                for hit in self._text_qa.retrieve(question)]

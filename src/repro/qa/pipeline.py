@@ -25,7 +25,7 @@ from ..entropy.semantic_entropy import (
 )
 from ..errors import ExtractionError, ReproError
 from ..extraction.table_gen import TableGenerator
-from ..graphindex.builder import BuilderConfig, GraphIndexBuilder
+from ..graphindex.builder import GraphIndexBuilder
 from ..graphindex.hetgraph import HeterogeneousGraph
 from ..metering import CostMeter, GLOBAL_METER
 from ..obs import (
@@ -35,7 +35,7 @@ from ..resilience import (
     CONFIDENCE_PENALTY, QuestionScope, ResilienceConfig,
     ResilienceManager, summarize, work_now,
 )
-from ..retrieval.topology import TopologyConfig, TopologyRetriever
+from ..retrieval.topology import TopologyRetriever
 from ..semql.catalog import SchemaCatalog
 from ..sharding import (
     ShardSet, ShardedDocumentStore, ShardedTable, ShardedTextStore,
@@ -70,6 +70,9 @@ _GENERATED_SYNONYMS = (
 class HybridQAPipeline:
     """One object from raw lake to answered question.
 
+    *resilience* configures the answer path's guards: retries, the
+    per-question budget and, when it carries a fault plan, which
+    backends ``build()`` puts behind a fault-injecting proxy.
     ``isolate_arms=False`` is the tests' sequential reference: every
     plan runs bare, without the arm isolation scopes (and their rescue
     reserve) that plans spanning two engines otherwise get.
@@ -77,23 +80,15 @@ class HybridQAPipeline:
 
     def __init__(self, slm: SmallLanguageModel,
                  meter: Optional[CostMeter] = None,
-                 builder_config: Optional[BuilderConfig] = None,
-                 topology_config: Optional[TopologyConfig] = None,
-                 min_column_support: int = 1,
-                 resolve_entity_aliases: bool = False,
                  resilience: Optional[ResilienceConfig] = None,
                  isolate_arms: bool = True,
-                 n_shards: int = 1,
-                 shard_seed: int = 0):
+                 n_shards: int = 1):
         self._slm = slm
         self._meter = meter if meter is not None else GLOBAL_METER
         self._resilience = ResilienceManager(self._meter, resilience)
         self._shard_set: Optional[ShardSet] = None
         if n_shards > 1:
-            # Provider, not a bound reference: enable_resilience() swaps
-            # self._resilience and the shard guards must follow it.
-            shard_set = ShardSet(n_shards, seed=shard_seed,
-                                 manager=lambda: self._resilience)
+            shard_set = ShardSet(n_shards, manager=self._resilience)
             self._shard_set = shard_set
             self.db = Database(
                 meter=self._meter,
@@ -107,12 +102,7 @@ class HybridQAPipeline:
             self.db = Database(meter=self._meter)
             self.text_store = TextStore(meter=self._meter)
             self.doc_store = DocumentStore(meter=self._meter)
-        self._builder_config = builder_config
-        self._topology_config = topology_config
-        self._table_generator = TableGenerator(
-            slm, min_column_support=min_column_support
-        )
-        self._resolve_aliases = resolve_entity_aliases
+        self._table_generator = TableGenerator(slm)
         self._generated_tables: List[str] = []
         self._table_entity_columns: Dict[str, List[str]] = {}
         self._pending_synonyms: List[Tuple[str, str, str]] = []
@@ -120,12 +110,14 @@ class HybridQAPipeline:
         self._pending_display: List[Tuple[str, str]] = []
         self._builder: Optional[GraphIndexBuilder] = None
         self._graph: Optional[HeterogeneousGraph] = None
-        self._retriever: Optional[TopologyRetriever] = None
+        self._core_retriever: Optional[TopologyRetriever] = None
+        self._retriever: Optional[Any] = None
         self._text_qa: Optional[TextQAEngine] = None
         self._table_qa: Optional[TableQAEngine] = None
         self._router: Optional[FederatedRouter] = None
         self._executor: Optional[PlanExecutor] = None
         self._isolate_arms = isolate_arms
+        self._backends_guarded = False
         self._plan_cache: Optional[Any] = None
         self._retriever_wrapper: Optional[Any] = None
         self._rebuild_listeners: List[Any] = []
@@ -136,9 +128,9 @@ class HybridQAPipeline:
     def set_plan_cache(self, cache: Optional[Any]) -> None:
         """Install a plan cache on the TableQA engine, surviving rebuilds.
 
-        Engines are recreated on ``build()``/``ingest_incremental()``/
-        ``enable_resilience()``; storing the cache here re-injects it
-        into every future :class:`TableQAEngine` this pipeline builds.
+        Engines are recreated on ``build()``/``ingest_incremental()``;
+        storing the cache here re-injects it into every future
+        :class:`TableQAEngine` this pipeline builds.
         """
         self._plan_cache = cache
         if self._table_qa is not None:
@@ -147,14 +139,13 @@ class HybridQAPipeline:
     def set_retriever_wrapper(self, wrapper: Optional[Any]) -> None:
         """Install ``wrapper(retriever) -> retriever`` over the retriever.
 
-        The serving layer's retrieval-cache hook. Applied now (when a
-        retriever exists) and re-applied each time the retriever is
-        rebuilt, always over the freshly indexed instance.
+        The serving layer's retrieval-cache hook. It wraps the guarded
+        retriever now (when one exists) and again each time the
+        retriever is rebuilt (see :meth:`_install_retriever`).
         """
         self._retriever_wrapper = wrapper
-        if self._retriever is not None and wrapper is not None:
-            self._retriever = wrapper(self._retriever)
-            self._text_qa = TextQAEngine(self._retriever, self._slm)
+        if self._core_retriever is not None:
+            self._install_retriever(self._core_retriever)
 
     def add_rebuild_listener(self, listener: Any) -> None:
         """Subscribe ``listener()`` to index/engine rebuilds.
@@ -267,17 +258,23 @@ class HybridQAPipeline:
     # Index construction
     # ------------------------------------------------------------------
     def build(self) -> None:
-        """Build the graph index, retriever and QA engines."""
+        """Build the graph index, retriever and QA engines.
+
+        Between the index and the engines, every backend the fault plan
+        names is put behind its resilience proxy — once: a second
+        ``build()`` keeps the proxies. Building runs unguarded, so only
+        the answer path ever draws faults.
+        """
         self._build_graph()
-        self._index_retriever()
+        core = self._new_retriever()
+        self._guard_backends()
+        self._install_retriever(core)
         self._build_engines()
         self._notify_rebuild()
 
     def _build_graph(self) -> None:
         chunks = self.text_store.chunks()
-        builder = GraphIndexBuilder(
-            self._slm, config=self._builder_config, meter=self._meter
-        )
+        builder = GraphIndexBuilder(self._slm, meter=self._meter)
         if chunks:
             builder.add_chunks(chunks)
         for table, columns in self._table_entity_columns.items():
@@ -288,33 +285,68 @@ class HybridQAPipeline:
                 builder.add_documents(self.doc_store, entity_paths)
         self._builder = builder
         self._graph = builder.build()
-        if self._resolve_aliases:
-            from ..graphindex.resolution import resolve_aliases
 
-            resolve_aliases(self._graph, embedder=self._slm.embedder)
+    def _guard_backends(self) -> None:
+        """Wrap each store and the SLM the fault plan names (once)."""
+        if self._backends_guarded:
+            return
+        self._backends_guarded = True
+        plan = self._resilience.config.fault_plan
+        backends = plan.backends if plan is not None else {}
+        manager = self._resilience
+        if "relational" in backends:
+            self.db = manager.wrap("relational", self.db, ("execute",))
+        if "document" in backends:
+            self.doc_store = manager.wrap(
+                "document", self.doc_store,
+                ("get", "scan", "find_equal", "project"),
+            )
+        if "textstore" in backends:
+            self.text_store = manager.wrap(
+                "textstore", self.text_store, ("document", "chunks_of"),
+            )
+        if "slm" in backends:
+            self._slm = manager.wrap(
+                "slm", self._slm,
+                ("generate", "entails", "tag_entities", "sample_answers"),
+            )
+
+    def _new_retriever(self) -> Optional[TopologyRetriever]:
+        """A retriever indexed over the current graph (None: no text)."""
+        chunks = self.text_store.chunks()
+        if not chunks:
+            return None
+        retriever = TopologyRetriever(self._graph, self._slm,
+                                      meter=self._meter)
+        retriever.index(chunks)
+        return retriever
 
     def _index_retriever(self) -> None:
         """Stand a new retriever up over the current graph (full index)."""
-        chunks = self.text_store.chunks()
-        if not chunks:
+        self._install_retriever(self._new_retriever())
+
+    def _install_retriever(self, core: Optional[TopologyRetriever]) -> None:
+        """Make *core* the retriever the text engine and executor read.
+
+        The one place the chain is composed, innermost first: *core*,
+        its resilience guard (when the fault plan names ``retriever``),
+        the serving wrapper — so retrieval-cache hits never draw faults
+        — then a fresh text engine and executor over it. ``None`` (a
+        lake without text) keeps whatever retriever there is.
+        """
+        if core is None:
             return
-        retriever = TopologyRetriever(
-            self._graph, self._slm, config=self._topology_config,
-            meter=self._meter,
-        )
-        retriever.index(chunks)
+        retriever: Any = core
+        plan = self._resilience.config.fault_plan
+        if plan is not None and "retriever" in plan.backends:
+            retriever = self._resilience.wrap("retriever", retriever,
+                                              ("retrieve",))
         if self._retriever_wrapper is not None:
             retriever = self._retriever_wrapper(retriever)
-        self._retriever = self._guard_retriever(retriever)
-        self._text_qa = TextQAEngine(self._retriever, self._slm)
-
-    def _guard_retriever(self, retriever: Any) -> Any:
-        """*retriever* behind the resilience proxy if the fault plan
-        names the ``retriever`` backend, as it is otherwise."""
-        plan = self._resilience.config.fault_plan
-        if plan is None or "retriever" not in plan.backends:
-            return retriever
-        return self._resilience.wrap("retriever", retriever, ("retrieve",))
+        self._core_retriever = core
+        self._retriever = retriever
+        self._text_qa = TextQAEngine(retriever, self._slm)
+        self._build_executor()
 
     def _build_engines(self) -> None:
         catalog = SchemaCatalog(self.db)
@@ -336,14 +368,15 @@ class HybridQAPipeline:
         if self._plan_cache is not None:
             self._table_qa.set_plan_cache(self._plan_cache)
         self._router = FederatedRouter(catalog)
-        # Providers, not bound references: enable_resilience() and
-        # set_retriever_wrapper() swap these attributes in place.
+        self._build_executor()
+
+    def _build_executor(self) -> None:
+        """A plan executor over the current engines (once they exist)."""
+        if self._table_qa is None:
+            return
         self._executor = PlanExecutor(
-            self._router, self._table_qa,
-            text_qa=lambda: self._text_qa,
-            resilience=lambda: self._resilience,
-            slm=lambda: self._slm,
-            isolate_arms=self._isolate_arms,
+            self._router, self._table_qa, self._text_qa, self._resilience,
+            self._slm, isolate_arms=self._isolate_arms,
         )
 
     def _document_entity_paths(self) -> List[str]:
@@ -394,7 +427,8 @@ class HybridQAPipeline:
 
     @property
     def slm(self) -> SmallLanguageModel:
-        """The SLM facade (a resilience proxy once chaos is enabled)."""
+        """The SLM facade (a resilience proxy, after ``build()``, when
+        the fault plan names ``slm``)."""
         return self._slm
 
     @property
@@ -416,47 +450,6 @@ class HybridQAPipeline:
     def n_shards(self) -> int:
         """How many shards the stores partition over (1 = unsharded)."""
         return 1 if self._shard_set is None else self._shard_set.n_shards
-
-    def enable_resilience(
-        self, config: Optional[ResilienceConfig] = None,
-    ) -> ResilienceManager:
-        """Install a fresh resilience manager (chaos/deadline mode).
-
-        When the config carries a fault plan, every backend the plan
-        names (``relational``, ``document``, ``textstore``, ``slm``,
-        ``retriever``) is wrapped in a
-        :class:`~repro.resilience.ResilientBackend` proxy and the QA
-        engines are re-pointed at the proxies. Intended for *built*
-        pipelines: faults injected during ``build()``/ingestion are
-        not absorbed, only the answer path degrades gracefully.
-        """
-        manager = ResilienceManager(self._meter, config)
-        self._resilience = manager
-        plan = manager.config.fault_plan
-        backends = plan.backends if plan is not None else {}
-        if "relational" in backends:
-            self.db = manager.wrap("relational", self.db, ("execute",))
-        if "document" in backends:
-            self.doc_store = manager.wrap(
-                "document", self.doc_store,
-                ("get", "scan", "find_equal", "project"),
-            )
-        if "textstore" in backends:
-            self.text_store = manager.wrap(
-                "textstore", self.text_store, ("document", "chunks_of"),
-            )
-        if "slm" in backends:
-            self._slm = manager.wrap(
-                "slm", self._slm,
-                ("generate", "entails", "tag_entities", "sample_answers"),
-            )
-        if self._retriever is not None:
-            self._retriever = self._guard_retriever(self._retriever)
-        if backends and self._table_qa is not None:
-            if self._retriever is not None:
-                self._text_qa = TextQAEngine(self._retriever, self._slm)
-            self._build_engines()
-        return manager
 
     def answer(self, question: str,
                tenant: Optional[TenantContext] = None) -> Answer:

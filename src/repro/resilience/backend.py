@@ -58,6 +58,9 @@ class ResilienceConfig:
     breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
     budget: Optional[int] = None
 
+    def __post_init__(self):
+        WorkBudget(self.budget)  # rejects a negative budget here, not later
+
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready representation (the ``--faults`` file format)."""
         out: Dict[str, Any] = {

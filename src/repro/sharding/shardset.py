@@ -57,10 +57,14 @@ class ShardStats:
 
 
 class ShardSet:
-    """Shared routing + guard + accounting state for one pipeline's shards."""
+    """Shared routing + guard + accounting state for one pipeline's shards.
+
+    *manager* is the pipeline's resilience manager (``None``: shard
+    calls always run bare).
+    """
 
     def __init__(self, n_shards: int, seed: int = 0,
-                 manager: Optional[Callable[[], Any]] = None):
+                 manager: Optional[Any] = None):
         self.router = ShardRouter(n_shards, seed=seed)
         self.stats = ShardStats()
         self._manager = manager
@@ -72,23 +76,13 @@ class ShardSet:
         """How many shards this set routes over."""
         return self.router.n_shards
 
-    def set_manager_provider(self,
-                             provider: Callable[[], Any]) -> None:
-        """Install the resilience-manager provider the guards consult.
-
-        A provider, not a bound reference: ``enable_resilience()``
-        swaps the pipeline's manager in place and the facades must
-        follow it.
-        """
-        self._manager = provider
-
     # ------------------------------------------------------------------
     # Guarded dispatch
     # ------------------------------------------------------------------
     def guarded(self, shard: int, op: str,
                 fn: Callable[[], Any]) -> Any:
         """Run one shard call under its ``shard:<i>`` resilience guard."""
-        manager = self._manager() if self._manager is not None else None
+        manager = self._manager
         if manager is None or not manager.in_question():
             # Outside a question scope (build, ingest, rebuild) shard
             # calls run bare: the resilience contract only degrades the
@@ -103,9 +97,8 @@ class ShardSet:
         return value
 
     def _arm_cap(self, manager: Any) -> Optional[int]:
-        budget = getattr(manager.config, "budget", None)
-        limit = getattr(budget, "limit", budget)
-        if not isinstance(limit, int) or limit <= 0:
+        limit = manager.config.budget
+        if not limit:  # unbounded (None) or an immediate deadline (0)
             return None
         return max(1, limit // self.n_shards)
 

@@ -41,7 +41,6 @@ fail-closed programmatic path).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -292,16 +291,6 @@ class TenantRegistry:
         return cls(contexts=tuple(
             _context_from_dict(record)
             for record in data.get("tenants", [])))
-
-    @classmethod
-    def load(cls, path: str) -> "TenantRegistry":
-        """Parse a registry JSON file; raises TenancyError on problems."""
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, ValueError) as exc:
-            raise TenancyError("cannot read registry %r: %s" % (path, exc))
-        return cls.from_dict(data)
 
     def tenant_ids(self) -> Tuple[str, ...]:
         """Every registered tenant id, sorted."""

@@ -1,16 +1,29 @@
-"""Chaos tests: the pipeline under deterministic fault plans."""
+"""Chaos tests: the pipeline under deterministic fault plans.
+
+``TestChaosSweep`` holds the resilience contract over a seeded
+fault-plan sweep at rising rates: ``answer()`` never raises; each
+answer's degradation record notes exactly the faults the injector's
+audit log says fired during it; a rate-0 plan is a no-op; quality
+degrades monotonically with the rate; and a seeded plan replays
+byte-identical answers and traces.
+"""
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.bench import LakeSpec, generate_ecommerce_lake
 from repro.bench.runner import build_hybrid_system
+from repro.obs import Tracer
 from repro.resilience import (
     BackendFaults, FaultPlan, ResilienceConfig, ResilientBackend,
     SEVERITY_ABSTAIN,
 )
-from repro.resilience.smoke import run_chaos
 from repro.retrieval import TopologyRetriever
 from repro.serving import CachingRetriever, QueryServer
+
+#: Every backend the pipeline can put behind a resilience proxy.
+CHAOS_BACKENDS = ("relational", "document", "textstore", "retriever", "slm")
 
 
 @pytest.fixture(scope="module")
@@ -19,15 +32,15 @@ def lake():
 
 
 def chaos_pipeline(lake, backends=None, budget=None, seed=3):
-    _system, pipeline = build_hybrid_system(lake, seed=13)
     plan = None
     if backends:
         plan = FaultPlan(seed=seed, backends={
             name: BackendFaults(rate=rate, kinds=((kind, 1.0),))
             for name, (rate, kind) in backends.items()
         })
-    pipeline.enable_resilience(
-        ResilienceConfig(fault_plan=plan, budget=budget))
+    _system, pipeline = build_hybrid_system(
+        lake, seed=13,
+        resilience=ResilienceConfig(fault_plan=plan, budget=budget))
     return pipeline
 
 
@@ -44,9 +57,7 @@ class TestGracefulDegradation:
 
     def test_every_backend_transient_ends_in_typed_abstention(self, lake):
         pipeline = chaos_pipeline(lake, backends={
-            name: (1.0, "transient")
-            for name in ("relational", "document", "textstore",
-                         "retriever", "slm")
+            name: (1.0, "transient") for name in CHAOS_BACKENDS
         })
         answer = pipeline.answer(lake.qa_pairs(per_kind=1)[0].question)
         assert answer.abstained
@@ -153,11 +164,129 @@ class TestRetrieverProxiesSurviveIngest:
         pipeline.ingest_incremental([(doc_id, "Nothing to see here.")])
         chain = _proxy_chain(pipeline._retriever)
         assert chain[-1] is not core  # replaced document: rebuilt
-        assert sorted(type(link).__name__ for link in chain) == sorted(
-            (["CachingRetriever"] if served else [])
-            + ["ResilientBackend", "TopologyRetriever"])
+        # The first wiring's order: retrieval-cache hits never reach
+        # the fault-injecting guard.
+        assert [type(link) for link in chain] == (
+            [CachingRetriever] if served else []) + [
+            ResilientBackend, TopologyRetriever]
+        assert pipeline.text_qa._retriever is chain[0]
+
+
+# ----------------------------------------------------------------------
+# The seeded fault-plan sweep
+# ----------------------------------------------------------------------
+RATES = (0.0, 0.1, 0.3, 0.5)
+PLAN_SEED = 23
+SLOW_COST = 40
+BUDGET = 500_000  # generous per-question deadline, in CostMeter units
+
+
+def _sweep_pipeline(lake, rate):
+    """A fresh built pipeline under a uniform fault plan at *rate*."""
+    _system, pipeline = build_hybrid_system(
+        lake, seed=13,
+        resilience=ResilienceConfig(
+            fault_plan=FaultPlan.uniform(
+                CHAOS_BACKENDS, rate, seed=PLAN_SEED, slow_cost=SLOW_COST,
+            ),
+            budget=BUDGET,
+        ),
+    )
+    return pipeline
+
+
+def _sweep_pass(lake, pairs, rate):
+    """(answers, faults fired per answer) of one pass at *rate*; an
+    answer that raised is kept as its exception."""
+    pipeline = _sweep_pipeline(lake, rate)
+    injector = pipeline.resilience.injector
+    answers, fired = [], []
+    for pair in pairs:
+        before = len(injector.log)
+        try:
+            answers.append(pipeline.answer(pair.question))
+        except Exception as exc:  # the contract under test: never raise
+            answers.append(exc)
+        fired.append(len(injector.log) - before)
+    return answers, fired
+
+
+def _span_fp(node):
+    return (
+        node.name,
+        tuple(sorted((key, repr(val)) for key, val in node.attrs.items())),
+        tuple(sorted(node.cost.items())),
+        tuple(_span_fp(child) for child in node.children),
+    )
+
+
+def _traced_pass(lake, pairs, rate):
+    """(answer fingerprints, trace fingerprint) of one traced pass; the
+    trace keeps span names, attributes and cost deltas, not durations
+    (wall time)."""
+    pipeline = _sweep_pipeline(lake, rate)
+    tracer = Tracer(meter=pipeline.meter)
+    with tracer.activate():
+        answers = [pipeline.answer(p.question).fingerprint() for p in pairs]
+    return answers, repr([_span_fp(root) for root in tracer.roots])
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    lake = generate_ecommerce_lake(LakeSpec(n_products=8, seed=13))
+    pairs = lake.qa_pairs(per_kind=1)
+    _system, plain = build_hybrid_system(lake, seed=13)
+    return SimpleNamespace(
+        lake=lake, pairs=pairs,
+        # Unprotected reference: what a rate-0 plan must reproduce.
+        reference=[plain.answer(p.question).fingerprint() for p in pairs],
+        runs={rate: _sweep_pass(lake, pairs, rate) for rate in RATES},
+    )
 
 
 class TestChaosSweep:
-    def test_smoke_sweep_passes(self):
-        assert run_chaos() == []
+    def test_answer_never_raises(self, sweep):
+        for rate, (answers, _fired) in sweep.runs.items():
+            raised = [
+                (pair.question, repr(answer))
+                for pair, answer in zip(sweep.pairs, answers)
+                if isinstance(answer, Exception)
+            ]
+            assert raised == [], "rate %.1f" % rate
+
+    def test_degradation_records_match_the_injector_log(self, sweep):
+        for rate, (answers, fired) in sweep.runs.items():
+            for pair, answer, n_fired in zip(sweep.pairs, answers, fired):
+                record = answer.metadata.get("degradation") or {}
+                noted = sum(
+                    1 for event in record.get("events", ())
+                    if not event["fatal"]
+                    and event["detail"].startswith("injected")
+                )
+                assert noted == n_fired, (rate, pair.question)
+                if n_fired:
+                    assert answer.metadata.get("degraded"), (
+                        rate, pair.question)
+
+    def test_rate_zero_plan_is_a_no_op(self, sweep):
+        answers, _fired = sweep.runs[0.0]
+        assert [a.fingerprint() for a in answers] == sweep.reference
+        assert not any(a.metadata.get("degraded") for a in answers)
+
+    def test_quality_degrades_monotonically(self, sweep):
+        correct, degraded = [], []
+        for rate in RATES:
+            answers, _fired = sweep.runs[rate]
+            correct.append(sum(bool(pair.is_correct(answer))
+                               for pair, answer in zip(sweep.pairs,
+                                                       answers)))
+            degraded.append(sum(bool(answer.metadata.get("degraded"))
+                                for answer in answers))
+        assert correct == sorted(correct, reverse=True)
+        assert degraded == sorted(degraded)
+        assert sum(sum(fired) for _answers, fired
+                   in sweep.runs.values()), "the sweep injected no faults"
+
+    def test_a_seeded_plan_replays_answers_and_traces(self, sweep):
+        first = _traced_pass(sweep.lake, sweep.pairs, 0.3)
+        assert _traced_pass(sweep.lake, sweep.pairs, 0.3) == first

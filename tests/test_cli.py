@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import LoadGenError
+from repro.loadgen import LoadSpec
 
 
 class TestCLI:
@@ -68,6 +72,38 @@ class TestCLI:
         with pytest.raises(SystemExit, match=message):
             main(["ask", "How many products are there?",
                   "--faults", str(plan)])
+
+    @pytest.mark.parametrize("flag, key, value", [
+        ("--batch-size", "batch_size", 0),
+        ("--session-budget", "session_budget", 0),
+        ("--max-queue-depth", "max_queue_depth", 0),
+        ("--shards", "shards", 0),
+        ("--cache-policy", "cache_policy", "bogus"),
+        ("--faults", "faults", {"retry": {"max_attempts": "many"}}),
+        ("--faults", "faults", {"backends": {"slm": {"rate": "high"}}}),
+    ])
+    def test_bad_stack_flag_exits_two_before_building(
+            self, tmp_path, capsys, monkeypatch, flag, key, value):
+        def build_stack(*args, **kwargs):
+            raise AssertionError("a stack was built")
+
+        monkeypatch.setattr("repro.cli.build_stack", build_stack)
+        workload = tmp_path / "w.jsonl"
+        workload.write_text('{"op": "ask", "question": "q"}',
+                            encoding="utf-8")
+        argument = str(value)
+        if flag == "--faults":
+            argument = str(tmp_path / "plan.json")
+            (tmp_path / "plan.json").write_text(json.dumps(value),
+                                                encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--workload", str(workload), flag, argument])
+        assert exit_info.value.code == 2
+        # One line, and the text a load spec with the same value gets.
+        with pytest.raises(LoadGenError) as spec_error:
+            LoadSpec.from_dict({"name": "n", "domain": "ecommerce",
+                                "asks": 1, key: value})
+        assert capsys.readouterr().err == "error: %s\n" % spec_error.value
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -94,7 +94,7 @@ class TestLoadSpecParsing:
     def test_minimal_spec_defaults(self):
         spec = LoadSpec.from_dict(
             {"name": "m", "domain": "healthcare", "asks": 8})
-        assert (spec.seed, spec.sessions, spec.burst) == (17, 4, 8)
+        assert (spec.stack.seed, spec.sessions, spec.burst) == (17, 4, 8)
         assert spec.arrival == "fixed" and spec.writes == ()
 
     def test_unknown_key_raises(self):
@@ -156,11 +156,11 @@ class TestLoadSpecParsing:
 
     def test_shards_defaults_to_one(self):
         spec = LoadSpec.from_dict(dict(SPEC))
-        assert spec.shards == 1
+        assert spec.stack.shards == 1
 
     def test_shards_parsed_and_echoed(self):
         spec = LoadSpec.from_dict(dict(SPEC, shards=4))
-        assert spec.shards == 4
+        assert spec.stack.shards == 4
         assert spec.to_dict()["shards"] == 4
 
     def test_shards_must_be_positive_integer(self):
@@ -473,3 +473,36 @@ class TestLoadCli:
                               dict(SPEC, domain="finance"))
         assert main(["load", "--spec", bad_path]) == 2
         assert "domain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("faults", [
+        {"retry": {"max_attempts": "many"}},
+        {"seed": 1, "backends": {"slm": {"rate": "high"}}},
+        {"budget": -1},
+        ["not", "an", "object"],
+    ])
+    def test_malformed_faults_are_a_config_error(self, tmp_path, capsys,
+                                                 faults):
+        from repro.cli import main
+
+        with pytest.raises(LoadGenError, match="faults"):
+            LoadSpec.from_dict(dict(SPEC, faults=faults))
+        spec_path = self.write(tmp_path, "spec.json",
+                               dict(SPEC, asks=8, faults=faults))
+        assert main(["load", "--spec", spec_path]) == 2
+        assert "error: faults" in capsys.readouterr().err
+
+    def test_overrides_are_validated_like_spec_keys(self, tmp_path,
+                                                    capsys):
+        from repro.cli import main
+
+        spec_path = self.write(tmp_path, "spec.json", dict(SPEC, asks=8))
+        assert main(["load", "--spec", spec_path, "--shards", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: shards must be positive, got 0\n")
+        registry = self.write(tmp_path, "registry.json",
+                              {"tenants": [{"id": "x", "tier": "gold"}]})
+        assert main(["load", "--spec", spec_path,
+                     "--tenants", registry]) == 2
+        assert "tenant_registry is invalid" in capsys.readouterr().err
+        assert main(["load", "--spec", str(tmp_path / "missing.json")]) == 2
+        assert "--spec" in capsys.readouterr().err

@@ -36,14 +36,16 @@ def questions(lake):
 
 def make_server(lake, policy=None, admission=None, batch_size=4,
                 chaos_rate=0.0):
-    _system, pipeline = build_hybrid_system(lake, seed=SEED)
+    resilience = None
     if chaos_rate > 0.0:
-        pipeline.enable_resilience(ResilienceConfig(
+        resilience = ResilienceConfig(
             fault_plan=FaultPlan.uniform(
                 ("relational", "retriever", "slm"), chaos_rate, seed=5,
             ),
             budget=500_000,
-        ))
+        )
+    _system, pipeline = build_hybrid_system(lake, seed=SEED,
+                                            resilience=resilience)
     return QueryServer(pipeline, policy=policy or CachePolicy(),
                        admission=admission, batch_size=batch_size)
 

@@ -2,11 +2,12 @@
 
 For both domains and shard counts {1, 2, 4}, every benchmark answer
 must produce a byte-identical fingerprint to the unsharded build —
-uncached, and again under the chaos smoke's fault settings (whose plans
+uncached, and again under the chaos sweep's fault settings (whose plans
 name only the logical backends, so the per-shard fault streams draw
 nothing and determinism is preserved). A permanently dead shard must
 surface as typed degradation or abstention, never an unhandled raise,
-and must leave other shards' serving-cache entries valid.
+and must leave other shards' serving-cache entries valid. Every fault
+plan is given to the build.
 """
 
 import unittest
@@ -16,7 +17,7 @@ from repro.bench import (
 )
 from repro.bench.runner import build_hybrid_system
 from repro.metering import ROWS_SCANNED
-from repro.resilience import FaultPlan, ResilienceConfig
+from repro.resilience import BackendFaults, FaultPlan, ResilienceConfig
 
 SEED = 13
 CHAOS_SEED = 23
@@ -33,22 +34,35 @@ def _lake(domain):
     return generate_healthcare_lake(HealthSpec(n_drugs=4, seed=17))
 
 
-def _build(domain, n_shards=1, chaos=False):
+def _build(domain, n_shards=1, resilience=None):
     lake = _lake(domain)
     _system, pipe = build_hybrid_system(lake, seed=SEED,
-                                        n_shards=n_shards)
-    if chaos:
-        pipe.enable_resilience(ResilienceConfig(
-            fault_plan=FaultPlan.uniform(CHAOS_BACKENDS, CHAOS_RATE,
-                                         seed=CHAOS_SEED),
-            budget=BUDGET,
-        ))
+                                        n_shards=n_shards,
+                                        resilience=resilience)
     questions = [pair.question for pair in lake.qa_pairs(per_kind=1)]
     return pipe, questions
 
 
+def _shard_faults(shard, rate=1.0):
+    """A plan faulting guarded calls on *shard* permanently at *rate*."""
+    return ResilienceConfig(
+        fault_plan=FaultPlan.from_dict({
+            "seed": 7,
+            "backends": {"shard:%d" % shard: {
+                "rate": rate, "kinds": {"permanent": 1.0}}},
+        }),
+        budget=BUDGET,
+    )
+
+
 def _fingerprints(domain, n_shards, chaos=False):
-    pipe, questions = _build(domain, n_shards=n_shards, chaos=chaos)
+    chaos_config = ResilienceConfig(
+        fault_plan=FaultPlan.uniform(CHAOS_BACKENDS, CHAOS_RATE,
+                                     seed=CHAOS_SEED),
+        budget=BUDGET,
+    )
+    pipe, questions = _build(domain, n_shards=n_shards,
+                             resilience=chaos_config if chaos else None)
     return [pipe.answer(q).fingerprint() for q in questions]
 
 
@@ -141,15 +155,8 @@ class ShardKnockoutTest(unittest.TestCase):
     """A permanently dead shard degrades; it never raises."""
 
     def _knockout(self, domain):
-        pipe, questions = _build(domain, n_shards=2)
-        pipe.enable_resilience(ResilienceConfig(
-            fault_plan=FaultPlan.from_dict({
-                "seed": 7,
-                "backends": {"shard:1": {"rate": 1.0,
-                                         "kinds": {"permanent": 1.0}}},
-            }),
-            budget=BUDGET,
-        ))
+        pipe, questions = _build(domain, n_shards=2,
+                                 resilience=_shard_faults(1))
         for question in questions:
             answer = pipe.answer(question)  # must not raise
             self.assertTrue(
@@ -166,7 +173,10 @@ class ShardKnockoutTest(unittest.TestCase):
     def test_healthy_shard_cache_entries_survive(self):
         from repro.serving import QueryServer
 
-        pipe, _ = _build("ecommerce", n_shards=2)
+        # Shard 0 is named in the plan the build gets, at rate 0 (it
+        # draws nothing), and knocked out mid-run by raising its rate.
+        faults = _shard_faults(0, rate=0.0)
+        pipe, _ = _build("ecommerce", n_shards=2, resilience=faults)
         server = QueryServer(pipe)
         router = pipe.shard_set.router
         self.assertEqual(router.shard_of("Rapid Charger"), 0)
@@ -180,14 +190,8 @@ class ShardKnockoutTest(unittest.TestCase):
 
         # Knock out shard 0, then write into it: only q_dead's entry
         # (whose dependency closure names shard 0) is invalidated.
-        pipe.enable_resilience(ResilienceConfig(
-            fault_plan=FaultPlan.from_dict({
-                "seed": 7,
-                "backends": {"shard:0": {"rate": 1.0,
-                                         "kinds": {"permanent": 1.0}}},
-            }),
-            budget=BUDGET,
-        ))
+        faults.fault_plan.backends["shard:0"] = BackendFaults(
+            rate=1.0, kinds=(("permanent", 1.0),))
         name = next(n for n in ("zz%03d" % i for i in range(300))
                     if router.shard_of(n) == 0)
         pipe.db.execute(

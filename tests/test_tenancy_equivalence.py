@@ -58,16 +58,18 @@ DOMAINS = {"ecommerce": build_ecommerce, "healthcare": build_healthcare}
 
 
 def make_pipeline(lake, chaos=False):
-    _system, pipeline = build_hybrid_system(lake, seed=SEED)
+    resilience = None
     if chaos:
         # Faults only on backends whose call sequence is independent of
         # table cardinality, so the full lake and its slice see the
         # very same injected-fault schedule.
-        pipeline.enable_resilience(ResilienceConfig(
+        resilience = ResilienceConfig(
             fault_plan=FaultPlan.uniform(("retriever", "slm"), 0.15,
                                          seed=5),
             budget=500_000,
-        ))
+        )
+    _system, pipeline = build_hybrid_system(lake, seed=SEED,
+                                            resilience=resilience)
     return pipeline
 
 
