@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import re
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..obs import incr, span
@@ -58,9 +58,11 @@ STAGE_HANDLERS: Dict[str, str] = {
 }
 
 
-def cross_check(answer: Answer, candidates: List[Answer]) -> None:
+def cross_check(answer: Answer, candidates: List[Answer]) -> Answer:
     """Cross-modal consistency: when both engines answered with a
     number, agreement raises confidence, disagreement is flagged.
+    Returns the checked answer (*answer* itself when nothing is
+    decided).
 
     This is the grounding check the paper motivates — an LLM-ish text
     answer that *agrees* with an independently computed SQL result is
@@ -78,15 +80,15 @@ def cross_check(answer: Answer, candidates: List[Answer]) -> None:
 
     live = [c for c in candidates if not c.abstained]
     if len(live) < 2:
-        return
+        return answer
     values = [numeric(c) for c in live]
     if any(v is None for v in values):
-        return
+        return answer
     if all(abs(abs(v) - abs(values[0])) < 1e-6 for v in values[1:]):
-        answer.confidence = min(1.0, answer.confidence + 0.08)
-        answer.metadata["cross_check"] = "agree"
-    else:
-        answer.metadata["cross_check"] = "disagree"
+        return replace(answer,
+                       confidence=min(1.0, answer.confidence + 0.08),
+                       metadata={**answer.metadata, "cross_check": "agree"})
+    return answer.with_metadata(cross_check="disagree")
 
 
 def governance_abstain(tenant: TenantContext, findings) -> Answer:
@@ -100,15 +102,14 @@ def governance_abstain(tenant: TenantContext, findings) -> Answer:
     detail = "; ".join(f.render() for f in findings)
     event = DegradationEvent("tenancy", "check_tenancy", "governance",
                              detail, fatal=True)
-    answer = Answer.abstain(
+    return Answer.abstain(
         ANSWER_SYSTEM_HYBRID,
         reason="plan rejected by tenancy gate for tenant %r: %s"
         % (tenant.tenant_id, detail),
+    ).with_metadata(
+        degradation=summarize([event], abstained=True), degraded=True,
+        tenancy="rejected",
     )
-    answer.metadata["degradation"] = summarize([event], abstained=True)
-    answer.metadata["degraded"] = True
-    answer.metadata["tenancy"] = "rejected"
-    return answer
 
 
 @dataclass
@@ -197,8 +198,9 @@ class PlanExecutor:
             "compare", "try_answer", lambda: comparer.try_answer(question),
         )
         if compared is not None and not compared.abstained:
-            compared.metadata.setdefault("route", "comparison")
-            return compared
+            if "route" in compared.metadata:
+                return compared
+            return compared.with_metadata(route="comparison")
         return self.answer_single(question, tenant=tenant)
 
     def answer_single(self, question: str,
@@ -314,13 +316,14 @@ class PlanExecutor:
                     ANSWER_SYSTEM_HYBRID, "no engine available"
                 )
             answer = best_answer(state.candidates)
-        answer.metadata.setdefault("route", plan.route)
+        if "route" not in answer.metadata:
+            answer = answer.with_metadata(route=plan.route)
         if state.failed_engines:
-            answer.metadata["degraded"] = True
             winner = ("text" if answer.system == ANSWER_SYSTEM_RAG
                       else "structured")
+            answer = answer.with_metadata(degraded=True)
             if not answer.abstained and winner not in state.failed_engines:
-                answer.metadata["fallback_engine"] = winner
+                answer = answer.with_metadata(fallback_engine=winner)
         return answer
 
     # ------------------------------------------------------------------
@@ -367,7 +370,10 @@ class PlanExecutor:
         if state.answer is None:
             return
         with span("qa.cross_check") as sp:
-            cross_check(state.answer, state.candidates)
+            # The selected candidate in state.candidates stays the
+            # unchecked value: later stages read only ``abstained``
+            # there, which the check never changes.
+            state.answer = cross_check(state.answer, state.candidates)
             sp.set("verdict",
                    state.answer.metadata.get("cross_check", "n/a"))
 

@@ -476,8 +476,8 @@ class HybridQAPipeline:
         work_started = work_now(self._meter)
         with span("qa.answer") as sp:
             with self._resilience.question() as scope:
-                answer = self._executor.answer(question, tenant=tenant)
-                self._attach_degradation(answer, scope)
+                answer = self._attach_degradation(
+                    self._executor.answer(question, tenant=tenant), scope)
             sp.set("route", answer.metadata.get("route", "?"))
             sp.set("abstained", answer.abstained)
             sp.set("degraded", bool(scope.events))
@@ -572,10 +572,10 @@ class HybridQAPipeline:
         return lines
 
     @staticmethod
-    def _attach_degradation(answer: Answer, scope: QuestionScope) -> None:
-        """Record the scope's absorbed faults on the outgoing answer."""
+    def _attach_degradation(answer: Answer, scope: QuestionScope) -> Answer:
+        """*answer* with the scope's absorbed faults recorded on it."""
         if not scope.events:
-            return
+            return answer
         already_penalized = bool(answer.metadata.get("degradation"))
         summary = summarize(
             scope.events,
@@ -584,13 +584,16 @@ class HybridQAPipeline:
         )
         summary["retries"] = scope.retries
         summary["work_spent"] = scope.spent_work
-        answer.metadata["degradation"] = summary
-        answer.metadata["degraded"] = True
+        confidence = answer.confidence
         if not already_penalized and not answer.abstained:
-            answer.confidence = round(
-                answer.confidence * CONFIDENCE_PENALTY[summary["severity"]],
-                6,
+            confidence = round(
+                confidence * CONFIDENCE_PENALTY[summary["severity"]], 6,
             )
+        return dataclasses.replace(
+            answer, confidence=confidence,
+            metadata={**answer.metadata, "degradation": summary,
+                      "degraded": True},
+        )
 
     def explain(self, question: str) -> str:
         """Human-readable trace of how *question* would be answered.
@@ -641,8 +644,7 @@ class HybridQAPipeline:
                 p.startswith("sql:") for p in answer.provenance
             )
             if deterministic or self._text_qa is None or answer.abstained:
-                answer.metadata["needs_review"] = False
-                return answer, None
+                return answer.with_metadata(needs_review=False), None
             estimate = self._resilience.shield(
                 "entropy", "estimate",
                 lambda: self._estimate_entropy(
@@ -652,14 +654,12 @@ class HybridQAPipeline:
             if estimate is None:
                 # Entropy sampling faulted: the answer stands but its
                 # reliability is unverified — flag for human review.
-                answer.metadata["needs_review"] = True
-                self._attach_degradation(answer, scope)
-                return answer, None
-        answer.metadata["semantic_entropy"] = estimate.entropy
-        answer.metadata["needs_review"] = (
-            estimate.normalized > review_threshold
-        )
-        return answer, estimate
+                answer = answer.with_metadata(needs_review=True)
+                return self._attach_degradation(answer, scope), None
+        return answer.with_metadata(
+            semantic_entropy=estimate.entropy,
+            needs_review=estimate.normalized > review_threshold,
+        ), estimate
 
     def _estimate_entropy(self, question: str, n_samples: int,
                           temperature: float,

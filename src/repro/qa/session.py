@@ -104,7 +104,7 @@ class QASession:
             effective = self._rewrite(question, frame)
         answer = self._pipeline.answer(effective)
         if effective != question:
-            answer.metadata["rewritten"] = effective
+            answer = answer.with_metadata(rewritten=effective)
         # Remember the *resolved* frame so chained follow-ups work.
         self._last = self._analyze(effective)
         return answer

@@ -89,16 +89,14 @@ class TableQAEngine:
                         blocked = self._invisible_tables(spec, tenant)
                         if blocked:
                             sp.set("abstained", True)
-                            answer = Answer.abstain(
+                            return Answer.abstain(
                                 self._system,
                                 reason="tenancy: table(s) %s outside "
                                 "tenant %r's catalog" % (
                                     ", ".join(blocked),
                                     tenant.tenant_id,
                                 ),
-                            )
-                            answer.metadata["tenancy"] = "blocked"
-                            return answer
+                            ).with_metadata(tenancy="blocked")
                         spec = _inject_rls(spec, tenant)
                     if self._plan_cache is not None:
                         self._plan_cache.put(key, spec)

@@ -67,37 +67,42 @@ class TextQAEngine:
                 hits[i].chunk_id for i in generation.support
                 if 0 <= i < len(hits)
             )
+            confidence = generation.confidence
+            grounded = generation.grounded
+            metadata = {"n_context": len(contexts)}
+            if self._verify:
+                verified = self._verify_against_evidence(generation, hits)
+                metadata["verified"] = verified
+                if not generation.support:
+                    # Nothing cited: fabricated by construction.
+                    confidence *= 0.5
+                elif not verified:
+                    confidence *= 0.6
+                    grounded = False
             answer = Answer(
                 text=generation.text,
                 value=_extract_scalar(generation.text),
-                confidence=generation.confidence,
-                grounded=generation.grounded,
+                confidence=confidence,
+                grounded=grounded,
                 system=self._system,
                 provenance=provenance,
-                metadata={"n_context": len(contexts)},
+                metadata=metadata,
             )
-            if self._verify:
-                self._verify_against_evidence(answer, generation, hits)
             sp.set("n_context", len(contexts))
             sp.set("grounded", answer.grounded)
             return answer
 
-    def _verify_against_evidence(self, answer: Answer, generation,
-                                 hits: List[RetrievedChunk]) -> None:
+    def _verify_against_evidence(self, generation,
+                                 hits: List[RetrievedChunk]):
+        """The entailment verdict on the cited chunks (False when the
+        generation cites nothing)."""
         if not generation.support:
-            # Nothing cited: fabricated by construction.
-            answer.metadata["verified"] = False
-            answer.confidence *= 0.5
-            return
+            return False
         evidence = " ".join(
             hits[i].chunk.text for i in generation.support
             if 0 <= i < len(hits)
         )
-        verified = self._slm.entails(evidence, generation.text)
-        answer.metadata["verified"] = verified
-        if not verified:
-            answer.confidence *= 0.6
-            answer.grounded = False
+        return self._slm.entails(evidence, generation.text)
 
 
 def _extract_scalar(text: str):

@@ -59,12 +59,11 @@ def shed_answer(kind: str, detail: str) -> Answer:
     degradation except by the recorded event kind.
     """
     event = DegradationEvent("serving", "admit", kind, detail, fatal=True)
-    answer = Answer.abstain(ANSWER_SYSTEM_SERVING, reason=detail)
-    answer.metadata["degradation"] = summarize([event], abstained=True)
-    answer.metadata["degraded"] = True
-    answer.metadata["shed"] = True
     incr("serving.admission.shed")
-    return answer
+    return Answer.abstain(ANSWER_SYSTEM_SERVING, reason=detail).with_metadata(
+        degradation=summarize([event], abstained=True), degraded=True,
+        shed=True,
+    )
 
 
 class AdmissionController:

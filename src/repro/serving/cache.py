@@ -4,8 +4,9 @@ Four tiers, each a :class:`~repro.caching.CostAwareLRU` sized in
 CostMeter work units, each invalidated write-through by generation
 stamps:
 
-* **answer tier** — whole :class:`~repro.qa.answer.Answer` objects
-  keyed by the normalized question; depends on every store kind;
+* **answer tier** — whole :class:`~repro.qa.answer.Answer` values
+  keyed by the normalized question, stored and served without a copy
+  (answers are frozen); depends on every store kind;
 * **plan tier** — synthesized SemQL logical plans keyed by question,
   injected into :class:`~repro.qa.tableqa.TableQAEngine`; depends on
   the relational store only (text ingests must not flush plans);
@@ -25,7 +26,6 @@ tier ever serves a value computed against superseded data.
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Dict, Optional, Tuple
 
 from ..caching import CostAwareLRU
@@ -146,8 +146,9 @@ class PlanCache:
 class AnswerCache:
     """Normalized question → finished Answer, all-kinds tagged.
 
-    Answers are deep-copied on both store and hit so a caller mutating
-    ``answer.metadata`` can never poison the cached object.
+    An :class:`~repro.qa.answer.Answer` is frozen, so no caller can
+    poison a cached entry: ``put`` stores the object it is given and a
+    hit returns that same object to every asker.
     """
 
     def __init__(self, generations: Generations, sharded: bool = False):
@@ -180,7 +181,7 @@ class AnswerCache:
 
     def get(self, question: Any,
             extra: Tuple[str, ...] = ()) -> Optional[Any]:
-        """A private copy of the cached answer, or None.
+        """The cached answer itself (shared, frozen), or None.
 
         *question* is whatever key the server chose — since the tenancy
         refactor that is the uniform ``(tenant_id, question)`` pair, so
@@ -191,7 +192,7 @@ class AnswerCache:
             incr("serving.cache.answer.miss")
             return None
         incr("serving.cache.answer.hit")
-        return copy.deepcopy(answer)
+        return answer
 
     def put(self, question: Any, answer: Any, cost: int,
             tag: Any) -> None:
@@ -201,8 +202,7 @@ class AnswerCache:
         raced the computation the stamp already moved on, and the next
         ``get`` drops the entry instead of serving a stale answer.
         """
-        self._lru.put(question, copy.deepcopy(answer),
-                      cost=max(1, cost), tag=tag)
+        self._lru.put(question, answer, cost=max(1, cost), tag=tag)
 
 
 class CachePolicy:

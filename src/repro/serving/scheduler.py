@@ -10,7 +10,8 @@ questions separated by write barriers:
   that arrived after it, and always observes every write before it;
 * within one batch, identical (normalized) questions are answered
   **once** and the result fanned out to every requester — single-flight
-  deduplication.
+  deduplication. Riders share the leader's answer object: answers are
+  frozen, so there is nothing to copy.
 
 Because answering is read-only and the answer path is history
 independent (see :meth:`repro.slm.generator.AnswerGenerator._call_rng`),
@@ -26,7 +27,7 @@ since the last barrier), session budgets when its batch flushes
 
 from __future__ import annotations
 
-import copy
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -114,7 +115,9 @@ class BatchScheduler:
         self.n_deduped = 0
         self.n_shed = 0
         self.n_writes = 0
-        self.batch_sizes: List[int] = []
+        #: Batch size → how many batches had it (at most
+        #: ``batch_size`` keys, however long the server runs).
+        self.batch_sizes: Counter = Counter()
 
     def run(self, requests: List[ServeRequest]) -> List[ServeResult]:
         """Execute the stream; results align with the request order."""
@@ -165,7 +168,7 @@ class BatchScheduler:
         if not buffer:
             return
         self.n_batches += 1
-        self.batch_sizes.append(len(buffer))
+        self.batch_sizes[len(buffer)] += 1
         with span("serving.batch") as sp:
             sp.set("size", len(buffer))
             answered: Dict[Tuple[str, str], Answer] = {}
@@ -189,7 +192,7 @@ class BatchScheduler:
                     # first requester's computation and costs nothing.
                     self.n_deduped += 1
                     incr("serving.batch.deduped")
-                    answer = copy.deepcopy(answered[flight_key])
+                    answer = answered[flight_key]
                     work = 0
                 else:
                     started = work_now(self._meter)
@@ -207,12 +210,13 @@ class BatchScheduler:
             sp.set("unique", len(answered))
 
     def stats(self) -> Dict[str, Any]:
-        """Scheduler throughput counters plus per-batch sizes."""
+        """Scheduler throughput counters plus the batch-size
+        histogram (size → count)."""
         return {
             "batches": self.n_batches,
             "asks": self.n_asks,
             "deduped": self.n_deduped,
             "shed": self.n_shed,
             "writes": self.n_writes,
-            "batch_sizes": list(self.batch_sizes),
+            "batch_sizes": dict(self.batch_sizes),
         }

@@ -93,15 +93,15 @@ def _legacy_single(pipe, question):
         run_structured()
     if not candidates and not failed_engines:
         return Answer.abstain(ANSWER_SYSTEM_HYBRID, "no engine available")
-    answer = best_answer(candidates)
-    cross_check(answer, candidates)
-    answer.metadata.setdefault("route", decision.route)
+    answer = cross_check(best_answer(candidates), candidates)
+    if "route" not in answer.metadata:
+        answer = answer.with_metadata(route=decision.route)
     if failed_engines:
-        answer.metadata["degraded"] = True
+        answer = answer.with_metadata(degraded=True)
         winner = ("text" if answer.system == ANSWER_SYSTEM_RAG
                   else "structured")
         if not answer.abstained and winner not in failed_engines:
-            answer.metadata["fallback_engine"] = winner
+            answer = answer.with_metadata(fallback_engine=winner)
     return answer
 
 
@@ -115,12 +115,12 @@ def _legacy_answer(pipe, question):
             lambda: comparer.try_answer(question),
         )
         if compared is not None and not compared.abstained:
-            compared.metadata.setdefault("route", "comparison")
             answer = compared
+            if "route" not in answer.metadata:
+                answer = answer.with_metadata(route="comparison")
         else:
             answer = _legacy_single(pipe, question)
-        pipe._attach_degradation(answer, scope)  # noqa: SLF001
-    return answer
+        return pipe._attach_degradation(answer, scope)  # noqa: SLF001
 
 
 class UncachedEquivalenceTest(unittest.TestCase):

@@ -106,24 +106,24 @@ class TestCrossCheck:
         a = Answer(text="12", value=12.0, confidence=0.8, grounded=True)
         b = Answer(text="It is 12%.", value=12.0, confidence=0.5,
                    grounded=True)
-        cross_check(a, [a, b])
-        assert a.metadata["cross_check"] == "agree"
-        assert a.confidence == pytest.approx(0.88)
+        checked = cross_check(a, [a, b])
+        assert checked.metadata["cross_check"] == "agree"
+        assert checked.confidence == pytest.approx(0.88)
+        # A new value: the candidate itself is untouched.
+        assert a.confidence == 0.8 and "cross_check" not in a.metadata
 
     def test_cross_check_static_disagree(self):
         a = Answer(text="12", value=12.0, confidence=0.8, grounded=True)
         b = Answer(text="It is 40%.", value=40.0, confidence=0.5,
                    grounded=True)
-        cross_check(a, [a, b])
-        assert a.metadata["cross_check"] == "disagree"
+        checked = cross_check(a, [a, b])
+        assert checked.metadata["cross_check"] == "disagree"
 
     def test_cross_check_skips_non_numeric(self):
         a = Answer(text="alpha", value="alpha", confidence=0.8)
         b = Answer(text="beta", value="beta", confidence=0.5)
-        cross_check(a, [a, b])
-        assert "cross_check" not in a.metadata
+        assert cross_check(a, [a, b]) is a
 
     def test_cross_check_single_candidate_noop(self):
         a = Answer(text="12", value=12.0, confidence=0.8)
-        cross_check(a, [a])
-        assert "cross_check" not in a.metadata
+        assert cross_check(a, [a]) is a

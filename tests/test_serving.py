@@ -7,6 +7,7 @@ sheds with typed abstentions instead of raising; the workload format
 rejects malformed input with :class:`~repro.errors.ServingError`.
 """
 
+import copy
 import random
 
 import pytest
@@ -99,6 +100,57 @@ class TestEquality:
         warm_work = work_now(meter) - before
         assert cold == warm
         assert warm_work * 3 <= cold_work
+
+
+# ----------------------------------------------------------------------
+# Sharing: answers are frozen values, so nothing on the path copies one
+# ----------------------------------------------------------------------
+
+class TestSharedAnswers:
+    def stored(self, server):
+        return [answer for _key, answer in server.cache.answers.lru.items()]
+
+    def test_warm_hit_is_the_stored_object(self, lake, questions):
+        server = make_server(lake, batch_size=1)
+        cold = server.ask(questions[0])
+        warm = server.ask(questions[0])
+        [stored] = self.stored(server)
+        assert cold is stored and warm is stored
+
+    def test_dedup_rider_is_the_leaders_answer(self, lake, questions):
+        server = make_server(lake, CachePolicy.none(), batch_size=8)
+        leader, *riders = server.serve([ask(questions[0])] * 3)
+        assert [r.deduped for r in riders] == [True, True]
+        assert all(r.answer is leader.answer for r in riders)
+
+    def test_a_served_answer_cannot_poison_the_cache(self, lake,
+                                                     questions):
+        server = make_server(lake, batch_size=1)
+        served = server.ask(questions[0])
+        before = served.fingerprint()
+        with pytest.raises(TypeError):
+            served.metadata["route"] = "poisoned"
+        with pytest.raises(TypeError):
+            served.metadata.clear()
+        with pytest.raises(AttributeError):
+            served.text = "poisoned"
+        assert server.ask(questions[0]).fingerprint() == before
+
+    def test_hits_and_riders_never_copy(self, lake, questions,
+                                        monkeypatch):
+        server = make_server(lake, batch_size=4)
+        cold = fingerprints(server.serve([ask(q) for q in questions]))
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("copy.deepcopy on the serving path")
+
+        monkeypatch.setattr(copy, "deepcopy", refuse)
+        results = server.serve([ask(questions[0])] * 2
+                               + [ask(q) for q in questions])
+        assert [r.deduped for r in results[:2]] == [False, True]
+        assert fingerprints(results) == cold[:1] * 2 + cold
+        assert [r.deduped for r in results].count(True) == 2
+        assert server.stats()["cache"]["answer"]["hits"] == 4
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +248,9 @@ class TestSchedulerPermutation:
                 fp = fingerprints([result])[0]
                 # Duplicate asks (dedup riders) must match the primary.
                 assert by_question.setdefault(question, fp) == fp
+            # A size → count histogram: one batch of 4, one of 3.
             batches = server.stats()["scheduler"]["batch_sizes"]
+            assert batches == {4: 1, 3: 1}
             if baseline_by_question is None:
                 baseline_by_question = by_question
                 baseline_batches = batches
