@@ -13,7 +13,7 @@ the entities they mention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from ..errors import GraphIndexError
 from ..metering import CostMeter, GLOBAL_METER
@@ -69,14 +69,30 @@ class GraphIndexBuilder:
     # Text side
     # ------------------------------------------------------------------
     def add_chunks(self, chunks: Sequence[Chunk]) -> None:
-        """Index text chunks: nodes, entity tagging, cue extraction."""
+        """Index text chunks: nodes, entity tagging, cue extraction.
+
+        Each chunk node's payload keeps the chunk's provenance, which
+        :meth:`remove_chunks` reads back: under ``etypes`` the type it
+        saw first for each entity it mentions, under ``relates`` the
+        ``[a, b, label]`` RELATES triples it derived. An entity's type
+        is the one the first chunk in store order — ``(doc_id,
+        position)`` — saw, or ``VALUE`` when only records link to it;
+        chunks added in store order to an empty graph keep the first
+        type tagged, and a later call re-settles the entities it finds
+        already in the graph.
+        """
+        created: Dict[str, None] = {}
+        settle: Dict[str, None] = {}
         previous_by_doc: Dict[str, str] = {}
         for chunk in chunks:
             ck = chunk_key(chunk.chunk_id)
+            etypes: Dict[str, str] = {}
+            relates: List[List[str]] = []
             self._graph.add_node(GraphNode(
                 ck, NODE_CHUNK, chunk.text[:80],
                 payload={"doc_id": chunk.doc_id, "text": chunk.text,
-                         "position": chunk.position},
+                         "position": chunk.position, "etypes": etypes,
+                         "relates": relates},
             ))
             if self._config.sequence_edges:
                 prev = previous_by_doc.get(chunk.doc_id)
@@ -89,10 +105,13 @@ class GraphIndexBuilder:
             seen_norms: List[str] = []
             for entity in entities:
                 ek = entity_key(entity.norm)
-                self._graph.add_node(GraphNode(
-                    ek, NODE_ENTITY, entity.norm,
-                    payload={"etype": entity.etype},
-                ))
+                etypes.setdefault(ek, entity.etype)
+                if self._graph.add_node(GraphNode(
+                        ek, NODE_ENTITY, entity.norm,
+                        payload={"etype": entity.etype})):
+                    created[ek] = None
+                elif ek not in created:
+                    settle[ek] = None
                 self._graph.add_edge(GraphEdge(ck, ek, EDGE_MENTIONS))
                 if entity.norm not in seen_norms:
                     seen_norms.append(entity.norm)
@@ -104,10 +123,26 @@ class GraphIndexBuilder:
                             weight=0.5,
                         ))
             if self._config.relation_edges:
-                self._extract_relation_cues(chunk, entities)
+                self._extract_relation_cues(chunk, entities, relates)
+        for ek in settle:
+            self._settle_etype(ek)
 
-    def _extract_relation_cues(self, chunk: Chunk, entities) -> None:
-        """Subject–verb–object cues within each sentence of the chunk."""
+    def _settle_etype(self, ek: str) -> None:
+        """Give entity *ek* the type the first chunk in store order saw
+        (``VALUE`` when no chunk saw it: only records link to it)."""
+        seen = [chunk.payload for _, chunk
+                in self._graph.neighbors(ek, (EDGE_MENTIONS,))
+                if ek in chunk.payload["etypes"]]
+        etype = "VALUE"
+        if seen:
+            first = min(seen, key=lambda p: (p["doc_id"], p["position"]))
+            etype = first["etypes"][ek]
+        self._graph.node(ek).payload["etype"] = etype
+
+    def _extract_relation_cues(self, chunk: Chunk, entities,
+                               relates: List[List[str]]) -> None:
+        """Subject–verb–object cues within each sentence of the chunk,
+        each recorded in *relates*."""
         offset = 0
         for sentence in split_sentences(chunk.text):
             start = chunk.text.find(sentence, offset)
@@ -134,11 +169,62 @@ class GraphIndexBuilder:
                 ]
                 if not between:
                     continue
-                label = stem(between[0])
+                triple = [entity_key(a.norm), entity_key(b.norm),
+                          stem(between[0])]
+                if triple not in relates:
+                    relates.append(triple)
                 self._graph.add_edge(GraphEdge(
-                    entity_key(a.norm), entity_key(b.norm), EDGE_RELATES,
-                    label=label, weight=1.5,
+                    triple[0], triple[1], EDGE_RELATES, label=triple[2],
+                    weight=1.5,
                 ))
+
+    def remove_chunks(self, chunk_ids: Iterable[str]) -> None:
+        """Take chunks out of the graph, with what only they derived.
+
+        A chunk node goes with its MENTIONS and NEXT edges. Of what it
+        shares with other chunks, a CO_OCCURS edge stays while a
+        remaining chunk mentions both its ends, a RELATES edge while a
+        remaining chunk lists it in its ``relates`` provenance, and an
+        entity while anything still links to it — its type re-settled
+        as :meth:`add_chunks` describes. Unknown ids are ignored.
+        """
+        graph = self._graph
+        touched: Dict[str, None] = {}
+        cues: Dict[tuple, None] = {}
+        for chunk_id in chunk_ids:
+            ck = chunk_key(chunk_id)
+            if not graph.has_node(ck):
+                continue
+            for edge, _ in graph.neighbors(ck, (EDGE_MENTIONS,)):
+                touched[edge.target] = None
+            for a, b, label in graph.remove_node(ck).payload["relates"]:
+                cues[(a, b, label)] = None
+        for ek in touched:
+            for edge, other in graph.neighbors(ek, (EDGE_CO_OCCURS,)):
+                if (other.node_id in touched and next(
+                        self._mentioning(ek, other.node_id), None) is None):
+                    graph.remove_edge(edge)
+        for a, b, label in cues:
+            # The reverse triple derives the same undirected edge.
+            if not any([a, b, label] in relates or [b, a, label] in relates
+                       for relates in self._mentioning(a, b)):
+                graph.remove_edge(GraphEdge(a, b, EDGE_RELATES, label))
+        for ek in touched:
+            if graph.degree(ek):
+                self._settle_etype(ek)
+            else:
+                graph.remove_node(ek)
+
+    def _mentioning(self, a: str, b: str) -> Iterator[List[List[str]]]:
+        """``relates`` of each chunk that mentions both *a* and *b*."""
+        graph = self._graph
+        if not (graph.has_node(a) and graph.has_node(b)):
+            return
+        with_a = {chunk.node_id for _, chunk
+                  in graph.neighbors(a, (EDGE_MENTIONS,))}
+        for _, chunk in graph.neighbors(b, (EDGE_MENTIONS,)):
+            if chunk.node_id in with_a:
+                yield chunk.payload["relates"]
 
     # ------------------------------------------------------------------
     # Structured side

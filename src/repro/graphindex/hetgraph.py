@@ -13,9 +13,10 @@ stay in insertion order), plus one filtered tuple per
 ``(edge kinds, node kind)`` combination asked for. ``neighbors()``, BFS
 and ``centrality.pagerank`` all read these tuples; nothing sorts or
 filters per call. A mutation drops the views of exactly the nodes whose
-incident edges it changed — both endpoints for ``add_edge``; *drop*,
-*keep* and every neighbor of *drop* for ``merge_nodes`` — and they are
-derived again on their next read.
+incident edges it changed — both endpoints for ``add_edge`` and
+``remove_edge``; the node and every neighbor for ``remove_node`` (which
+``merge_nodes`` ends with) — and they are derived again on their next
+read.
 """
 
 from __future__ import annotations
@@ -200,12 +201,48 @@ class HeterogeneousGraph:
                     out.append(edge)
         return out
 
+    def remove_edge(self, edge: GraphEdge) -> bool:
+        """Drop *edge* (either orientation); False when it is absent."""
+        key = edge.key
+        if key not in self._edge_keys:
+            key = (edge.target, edge.source, edge.kind, edge.label)
+            if key not in self._edge_keys:
+                return False
+        self._edge_keys.discard(key)
+        for node_id, other in ((edge.source, edge.target),
+                               (edge.target, edge.source)):
+            self._adjacency[node_id] = [
+                e for e in self._adjacency[node_id]
+                if (e.target, e.kind, e.label) != (other, edge.kind,
+                                                   edge.label)
+            ]
+            self._views.pop(node_id, None)
+        self._n_edges -= 1
+        return True
+
+    def remove_node(self, node_id: str) -> GraphNode:
+        """Delete a node and every edge incident to it; returns the node."""
+        node = self.node(node_id)
+        for edge in self._adjacency.pop(node_id):
+            other = edge.target
+            self._edge_keys.discard(edge.key)
+            self._edge_keys.discard((other, node_id, edge.kind, edge.label))
+            if other != node_id:
+                self._adjacency[other] = [
+                    e for e in self._adjacency[other] if e.target != node_id
+                ]
+                self._views.pop(other, None)
+            self._n_edges -= 1
+        self._views.pop(node_id, None)
+        del self._nodes[node_id]
+        return node
+
     def merge_nodes(self, keep: str, drop: str) -> int:
         """Merge node *drop* into node *keep* (entity resolution).
 
         Every edge incident to *drop* is re-pointed at *keep*
         (duplicates and would-be self-loops are discarded), then *drop*
-        is deleted. Returns the number of edges re-pointed.
+        is removed. Returns the number of edges re-pointed.
         """
         if keep == drop:
             raise GraphIndexError("cannot merge a node into itself")
@@ -218,23 +255,10 @@ class HeterogeneousGraph:
             )
         moved = 0
         for edge in list(self._adjacency[drop]):
-            other = edge.target
-            # Remove both orientations of the old edge.
-            self._edge_keys.discard(edge.key)
-            self._edge_keys.discard((other, drop, edge.kind, edge.label))
-            self._adjacency[other] = [
-                e for e in self._adjacency[other] if e.target != drop
-            ]
-            self._views.pop(other, None)
-            self._n_edges -= 1
-            if other in (keep, drop):
-                continue  # would become (or already is) a self-loop
-            if self.add_edge(GraphEdge(keep, other, edge.kind,
-                                       edge.label, edge.weight)):
+            if edge.target not in (keep, drop) and self.add_edge(GraphEdge(
+                    keep, edge.target, edge.kind, edge.label, edge.weight)):
                 moved += 1
-        del self._adjacency[drop]
-        self._views.pop(drop, None)
-        del self._nodes[drop]
+        self.remove_node(drop)
         # Record the alias on the surviving node for traceability.
         aliases = keep_node.payload.setdefault("aliases", [])
         if drop_node.label not in aliases:

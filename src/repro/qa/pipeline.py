@@ -23,7 +23,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..entropy.semantic_entropy import (
     EntropyEstimate, SemanticEntropyEstimator,
 )
-from ..errors import ExtractionError, ReproError
+from ..errors import ExtractionError, ReproError, StorageError
 from ..extraction.table_gen import TableGenerator
 from ..graphindex.builder import GraphIndexBuilder
 from ..graphindex.hetgraph import HeterogeneousGraph
@@ -44,6 +44,7 @@ from ..slm.model import SmallLanguageModel
 from ..storage.document.store import DocumentStore
 from ..storage.relational.database import Database
 from ..storage.textstore import TextStore
+from ..text.chunker import Chunk
 from .answer import ANSWER_SYSTEM_HYBRID, Answer
 from ..tenancy import TenantContext
 from .executor import PlanExecutor
@@ -260,31 +261,52 @@ class HybridQAPipeline:
     def build(self) -> None:
         """Build the graph index, retriever and QA engines.
 
+        Every stored chunk is applied, as one delta, to an empty index.
         Between the index and the engines, every backend the fault plan
         names is put behind its resilience proxy — once: a second
         ``build()`` keeps the proxies. Building runs unguarded, so only
         the answer path ever draws faults.
         """
-        self._build_graph()
-        core = self._new_retriever()
+        self._builder = GraphIndexBuilder(self._slm, meter=self._meter)
+        self._core_retriever = None
+        core = self._apply(self.text_store.chunks(), records=True)
         self._guard_backends()
         self._install_retriever(core)
         self._build_engines()
         self._notify_rebuild()
 
-    def _build_graph(self) -> None:
-        chunks = self.text_store.chunks()
-        builder = GraphIndexBuilder(self._slm, meter=self._meter)
-        if chunks:
-            builder.add_chunks(chunks)
-        for table, columns in self._table_entity_columns.items():
-            builder.add_table(self.db.table(table), entity_columns=columns)
-        if len(self.doc_store):
-            entity_paths = self._document_entity_paths()
-            if entity_paths:
-                builder.add_documents(self.doc_store, entity_paths)
-        self._builder = builder
+    def _apply(self, added: Sequence[Chunk], removed: Sequence[str] = (),
+               records: bool = False) -> Optional[TopologyRetriever]:
+        """The one write path: apply a text delta to graph and retriever.
+
+        The builder drops the *removed* chunk ids, then tags the *added*
+        chunks in; ``build()`` passes ``records=True`` so the index also
+        projects tables and documents, after the chunks. The live
+        retriever takes the same delta. Without one, a retriever over
+        every stored chunk is returned for :meth:`_install_retriever`
+        (None: there is one already, or there is no text).
+        """
+        builder = self._builder
+        builder.remove_chunks(removed)
+        builder.add_chunks(added)
+        if records:
+            for table, columns in self._table_entity_columns.items():
+                builder.add_table(self.db.table(table),
+                                  entity_columns=columns)
+            if len(self.doc_store):
+                entity_paths = self._document_entity_paths()
+                if entity_paths:
+                    builder.add_documents(self.doc_store, entity_paths)
         self._graph = builder.build()
+        if self._core_retriever is not None:
+            self._core_retriever.update(added, removed)
+            return None
+        chunks = self.text_store.chunks()
+        if not chunks:
+            return None
+        core = TopologyRetriever(self._graph, self._slm, meter=self._meter)
+        core.index(chunks)
+        return core
 
     def _guard_backends(self) -> None:
         """Wrap each store and the SLM the fault plan names (once)."""
@@ -310,20 +332,6 @@ class HybridQAPipeline:
                 "slm", self._slm,
                 ("generate", "entails", "tag_entities", "sample_answers"),
             )
-
-    def _new_retriever(self) -> Optional[TopologyRetriever]:
-        """A retriever indexed over the current graph (None: no text)."""
-        chunks = self.text_store.chunks()
-        if not chunks:
-            return None
-        retriever = TopologyRetriever(self._graph, self._slm,
-                                      meter=self._meter)
-        retriever.index(chunks)
-        return retriever
-
-    def _index_retriever(self) -> None:
-        """Stand a new retriever up over the current graph (full index)."""
-        self._install_retriever(self._new_retriever())
 
     def _install_retriever(self, core: Optional[TopologyRetriever]) -> None:
         """Make *core* the retriever the text engine and executor read.
@@ -678,54 +686,36 @@ class HybridQAPipeline:
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
-    def ingest_incremental(self, docs: Sequence[Tuple[str, str]],
-                           regenerate_tables: bool = True) -> None:
-        """Add new text documents to a *built* pipeline.
+    def ingest_incremental(self, docs: Sequence[Tuple[str, str]]) -> None:
+        """Add or replace text documents in a *built* pipeline.
 
-        An append costs what it touches: only the new documents are
-        chunked and tagged into the existing graph (the builder is
-        incremental), only their facts are extracted (the table
-        generator keeps each stored document's facts, and leaves a
-        generated table alone when its facts did not change), and the
-        retriever the pipeline already has — with whatever caching or
-        resilience proxies sit around it — is handed the new chunks
-        instead of being replaced and re-indexed. Nothing is repeated
-        over curated tables.
-
-        What still runs over the whole corpus: one PageRank over the
-        graph (a new node moves every rank), the schema catalog and QA
-        engine rebuild, and the rebuild listeners, fired once.
-
-        Two cases rebuild instead (graph re-tagged from the stores,
-        retriever indexed from scratch, as ``build()`` does): a call
-        that *replaces* a stored document id — the graph has no node
-        or edge removal, so the old chunks' nodes would linger — and
-        the first call on a pipeline restored from disk, which has a
-        graph but no live builder; its later appends are incremental.
+        The call is one delta, applied as ``build()`` applies the whole
+        lake: the chunks of every stored document it replaces go out,
+        the chunks of what it writes come in, and only those are tagged.
+        Every generated table is then regenerated (each stored
+        document's facts are kept, and a table whose regeneration finds
+        none keeps its rows), the engines rebuilt and the rebuild
+        listeners fired, once.
         """
         self._check_built()
-        stored = len(self.text_store)
-        new_chunks = []
+        # The write path runs unguarded, as build() does.
+        store = getattr(self.text_store, "resilient_target", self.text_store)
+        removed: List[str] = []
+        latest: Dict[str, List[Chunk]] = {}
         for doc_id, text in docs:
-            new_chunks.extend(self.text_store.add(doc_id, text))
-        # An append grows the store by one document per entry; anything
-        # less replaced a stored id (or named one id twice).
-        replaced = len(self.text_store) < stored + len(docs)
-        if self._builder is None or replaced:
-            self._build_graph()
-            self._index_retriever()
-        else:
-            if new_chunks:
-                self._builder.add_chunks(new_chunks)
-            self._graph = self._builder.build()
-            if self._retriever is None:
-                self._index_retriever()
-            else:
-                self._retriever.update(new_chunks)
-        if regenerate_tables:
-            # A table whose regeneration finds no facts keeps its old
-            # rows and stays registered, so a later ingest refreshes it.
-            for name in list(self._generated_tables):
-                self.generate_table(name)
+            if doc_id not in latest:
+                try:
+                    removed.extend(c.chunk_id
+                                   for c in store.chunks_of(doc_id))
+                except StorageError:
+                    pass  # a fresh id replaces nothing
+            latest[doc_id] = store.add(doc_id, text)
+        # Store order, as build() adds them: an entity new to the graph
+        # takes the type its first chunk saw.
+        added = [chunk for doc_id in sorted(latest)
+                 for chunk in latest[doc_id]]
+        self._install_retriever(self._apply(added, removed))
+        for name in list(self._generated_tables):
+            self.generate_table(name)
         self._build_engines()
         self._notify_rebuild()

@@ -17,6 +17,7 @@ from dataclasses import asdict
 from typing import Optional
 
 from ..errors import ReproError
+from ..graphindex.builder import GraphIndexBuilder
 from ..graphindex.persistence import graph_from_json, graph_to_json
 from ..metering import CostMeter, GLOBAL_METER
 from ..slm.model import SLMConfig, SmallLanguageModel
@@ -73,12 +74,21 @@ def load_pipeline(directory: str,
             % manifest.get("version")
         )
     gazetteer = Gazetteer()
-    for etype, names in manifest.get("gazetteer", {}).items():
-        gazetteer.add(etype, names)
-    slm = SmallLanguageModel(
-        SLMConfig(**manifest["slm_config"]), gazetteer=gazetteer,
-        meter=meter,
-    )
+    try:
+        for etype, names in manifest.get("gazetteer", {}).items():
+            gazetteer.add(etype, names)
+        slm_config = SLMConfig(**manifest["slm_config"])
+        generated_tables = list(manifest["generated_tables"])
+        entity_columns = {table: list(cols) for table, cols
+                          in manifest["entity_columns"].items()}
+        synonyms = manifest["synonyms"]
+        joins = manifest["joins"]
+        display_columns = manifest["display_columns"]
+    except KeyError as exc:
+        raise ReproError("pipeline manifest lacks %s" % exc) from exc
+    except (AttributeError, TypeError) as exc:
+        raise ReproError("malformed pipeline manifest: %s" % exc) from exc
+    slm = SmallLanguageModel(slm_config, gazetteer=gazetteer, meter=meter)
     pipeline = HybridQAPipeline(slm, meter=meter)
     pipeline.db = database_from_json(_read(directory, _DATABASE),
                                      meter=meter)
@@ -87,21 +97,20 @@ def load_pipeline(directory: str,
     pipeline.doc_store = DocumentStore.load_json(
         _read(directory, _DOCUMENTS), meter=meter
     )
-    pipeline._generated_tables = list(manifest["generated_tables"])
-    pipeline._table_entity_columns = {
-        table: list(cols)
-        for table, cols in manifest["entity_columns"].items()
-    }
-    for term, table, column in manifest["synonyms"]:
+    pipeline._generated_tables = generated_tables
+    pipeline._table_entity_columns = entity_columns
+    for term, table, column in synonyms:
         pipeline.register_synonym(term, table, column)
-    for table_a, col_a, table_b, col_b in manifest["joins"]:
+    for table_a, col_a, table_b, col_b in joins:
         pipeline.register_join(table_a, col_a, table_b, col_b)
-    for table, column in manifest["display_columns"]:
+    for table, column in display_columns:
         pipeline.register_display_column(table, column)
-    # Restore the expensive artifact directly; skip re-tagging.
-    pipeline._graph = graph_from_json(_read(directory, _GRAPH),
-                                      meter=meter)
-    pipeline._index_retriever()
+    # Restore the expensive artifact directly and hand it to a live
+    # builder: nothing is re-tagged, now or on the first ingest.
+    builder = GraphIndexBuilder(slm, meter=meter)
+    builder._graph = graph_from_json(_read(directory, _GRAPH), meter=meter)
+    pipeline._builder = builder
+    pipeline._install_retriever(pipeline._apply(()))
     pipeline._build_engines()
     return pipeline
 

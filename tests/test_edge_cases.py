@@ -134,6 +134,17 @@ class TestStateCorruption:
         with pytest.raises(ReproError):
             load_pipeline(str(tmp_path))
 
+    @pytest.mark.parametrize("manifest", [
+        '{"version": 1}',
+        '{"version": 1, "slm_config": {"no_such_knob": 1},'
+        ' "generated_tables": [], "entity_columns": {},'
+        ' "synonyms": [], "joins": [], "display_columns": []}',
+    ])
+    def test_incomplete_manifest(self, tmp_path, manifest):
+        (tmp_path / "manifest.json").write_text(manifest)
+        with pytest.raises(ReproError, match="manifest"):
+            load_pipeline(str(tmp_path))
+
     def test_missing_database_file(self, tmp_path):
         (tmp_path / "manifest.json").write_text(
             '{"version": 1, "slm_config": {"seed": 0}, "gazetteer": {},'

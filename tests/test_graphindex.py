@@ -472,10 +472,14 @@ _MULTI_EDGE_DRAW = st.tuples(
     st.sampled_from([EDGE_CO_OCCURS, EDGE_RELATES, EDGE_MENTIONS]),
     st.sampled_from([None, "bought"]),
 )
-# ("edge", draw) adds an edge, ("merge", a, b) merges node b into a.
+# ("edge", draw) adds an edge, ("unedge", draw) removes it (either
+# orientation), ("merge", a, b) merges node b into a, ("remove", a)
+# removes node a and adds it back bare.
 _MUTATION = st.one_of(
     st.tuples(st.just("edge"), _MULTI_EDGE_DRAW),
+    st.tuples(st.just("unedge"), _MULTI_EDGE_DRAW),
     st.tuples(st.just("merge"), st.integers(0, 5), st.integers(0, 5)),
+    st.tuples(st.just("remove"), st.integers(0, 5)),
 )
 
 
@@ -530,13 +534,29 @@ class TestAdjacencyMatchesOracle:
         for mutation in mutations:
             if mutation[0] == "edge":
                 add(mutation[1])
+            elif mutation[0] == "unedge":
+                a, b, kind, label = mutation[1]
+                a, b = ids[a % n_nodes], ids[b % n_nodes]
+                present = any(e.target == b and e.kind == kind
+                              and e.label == label
+                              for e, _ in g.neighbors(a)) \
+                    if g.has_node(a) else False
+                assert g.remove_edge(GraphEdge(b, a, kind, label)) \
+                    == present
+            elif mutation[0] == "remove":
+                node_id = ids[mutation[1] % n_nodes]
+                if g.has_node(node_id):
+                    assert g.remove_node(node_id).node_id == node_id
+                    assert not g.has_node(node_id)
+                    g.add_node(GraphNode(node_id, NODE_ENTITY, node_id))
+                    assert g.neighbors(node_id) == ()
             else:
                 keep, drop = ids[mutation[1] % n_nodes], \
                     ids[mutation[2] % n_nodes]
                 if keep != drop and g.has_node(keep) and g.has_node(drop):
                     g.merge_nodes(keep, drop)
             _assert_reads_match_oracle(g, kind_filters=filters)
-            assert g.n_edges == len(g.edges())
+            assert g.n_edges == len(g.edges()) == len(g._edge_keys)
             assert all(g.has_node(e.target) for e in g.edges())
 
     def test_returned_view_is_immutable(self):

@@ -104,7 +104,6 @@ class TestIncrementalIngest:
         pipe.ingest_incremental(
             [("rev9", "The Beta Gadget shipped to new regions in Q4 "
                       "2024.")],
-            regenerate_tables=False,
         )
         assert pipe.graph.n_nodes > nodes_before
 
@@ -162,17 +161,14 @@ class TestIncrementalTableRegeneration:
         assert "review-020" < "review-0205" < "review-021"
         _, pipe = build_hybrid_system(lake, 7)
         for doc_id, text in self.INGESTS:
-            appended = doc_id not in stored
             with pipe.meter.measure() as work:
                 pipe.ingest_incremental([(doc_id, text)])
             # The graph builder tags each new chunk, the extractor each
-            # new sentence; no stored document is tagged again. Only a
-            # replaced id rebuilds the graph (every chunk tagged once);
-            # even then the extractor reads nothing but the new text.
-            tagged_chunks = (len(pipe.text_store.chunks_of(doc_id))
-                             if appended else pipe.text_store.n_chunks)
+            # new sentence; no stored document is tagged again, whether
+            # the call appends or replaces.
             assert work[TAGGING_CALLS] <= (
-                len(split_sentences(text)) + tagged_chunks
+                len(split_sentences(text))
+                + len(pipe.text_store.chunks_of(doc_id))
             )
 
         upfront = generate_lake("ecommerce", 7)
@@ -289,9 +285,9 @@ class TestAppendTouchesOnlyTheDelta:
         assert len(recreated) == len(table) + 1
 
 
-class TestReplacedDocumentRebuilds:
-    """Re-ingesting a stored id must not leave its old chunk behind
-    (the parent kept the old payload and its MENTIONS edges)."""
+class TestReplaceIsADelta:
+    """Re-ingesting a stored id swaps its chunks in the live graph: the
+    old chunk's entities and edges go, only the new text is tagged."""
 
     @staticmethod
     def _describe(graph, node_id):
@@ -306,10 +302,15 @@ class TestReplacedDocumentRebuilds:
         assert "entity:online" in {
             edge.target for edge, _ in pipe.graph.neighbors(node_id)}
         text = "Nothing at all was noted here."
+        graph = pipe.graph
         rebuilds = []
         pipe.add_rebuild_listener(lambda: rebuilds.append(1))
-        pipe.ingest_incremental([("filler-00", text)])
+        with pipe.meter.measure() as work:
+            pipe.ingest_incremental([("filler-00", text)])
         assert rebuilds == [1]
+        assert pipe.graph is graph
+        # The new chunk and its one sentence; nothing stored re-tagged.
+        assert work[TAGGING_CALLS] == 1 + len(split_sentences(text))
         got = self._describe(pipe.graph, node_id)
         assert got[0]["text"] == text
         assert "entity:online" not in {target for _, _, target, _ in got[1]}

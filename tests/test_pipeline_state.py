@@ -101,16 +101,25 @@ class TestSaveLoad:
 
     def test_first_ingest_after_load_rebuilds_once(self, tmp_path):
         save_pipeline(build_pipeline(), str(tmp_path))
-        restored = load_pipeline(str(tmp_path), meter=CostMeter())
+        meter = CostMeter()
+        restored = load_pipeline(str(tmp_path), meter=meter)
+        graph = restored.graph
         rebuilds = []
         restored.add_rebuild_listener(lambda: rebuilds.append(1))
-        for doc_id in ("rev3", "rev4"):
-            restored.ingest_incremental([
-                (doc_id, "Satisfaction with the Beta Gadget increased "
-                         "7% in Q4 2024."),
-            ])
-            # One index/engines/notify tail per ingest, with or without
-            # a live graph builder (serving caches invalidate once).
+        # The restored graph sits in a live builder: each ingest tags
+        # its one new chunk and sentence into the same graph. The table
+        # generator's kept facts are not saved, so its first refresh
+        # also re-reads the two stored documents' four sentences.
+        for doc_id, stored_sentences in (("rev3", 4), ("rev4", 0)):
+            with meter.measure() as work:
+                restored.ingest_incremental([
+                    (doc_id, "Satisfaction with the Beta Gadget "
+                             "increased 7% in Q4 2024."),
+                ])
+            assert restored.graph is graph
+            assert work[TAGGING_CALLS] == 1 + 1 + stored_sentences
+            # One index/engines/notify tail per ingest (serving caches
+            # invalidate once).
             assert len(rebuilds) == 1
             rebuilds.clear()
         assert len(restored.db.table("review_facts")) == 4

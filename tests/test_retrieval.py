@@ -463,7 +463,7 @@ class TestDeltaMatchesFreshIndex:
         questions = [p.question for p in lake.qa_pairs(per_kind=10 ** 6)]
         questions.append("Was the loading dock repainted?")
         maintained = [pipeline.answer(q).fingerprint() for q in questions]
-        pipeline._index_retriever()  # from scratch, over the same graph
+        pipeline.build()  # from scratch, over the same stores
         fresh = pipeline._retriever
         assert fresh is not built
         assert built._chunks == fresh._chunks
