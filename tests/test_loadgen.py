@@ -506,3 +506,41 @@ class TestLoadCli:
         assert "tenant_registry is invalid" in capsys.readouterr().err
         assert main(["load", "--spec", str(tmp_path / "missing.json")]) == 2
         assert "--spec" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# Committed fault plans are not vacuous
+# ----------------------------------------------------------------------
+
+def _committed_specs_with_faults():
+    import glob
+    import os
+
+    specs = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         os.pardir, "benchmarks", "specs", "load_*.json")
+    found = []
+    for path in sorted(glob.glob(specs)):
+        with open(path, encoding="utf-8") as handle:
+            data = json.load(handle)
+        if "faults" in data:
+            found.append(pytest.param(data, id=os.path.basename(path)))
+    return found
+
+
+class TestCommittedFaultPlansFire:
+    """A load spec's ``faults`` section must inject faults: a plan no
+    backend draws from gates a clean run under a chaos name."""
+
+    def test_every_fault_section_is_found(self):
+        assert len(_committed_specs_with_faults()) == 3
+
+    @pytest.mark.parametrize("data", _committed_specs_with_faults())
+    def test_its_questions_draw_faults(self, data):
+        from repro.bench.runner import build_stack
+
+        spec = LoadSpec.from_dict(data)
+        assert spec.stack.resilience.fault_plan is not None
+        lake, pipeline, _ = build_stack(spec.stack, serve=False)
+        for pair in lake.qa_pairs(per_kind=spec.questions_per_kind):
+            pipeline.answer(pair.question)
+        assert pipeline.resilience.injector.log
