@@ -29,6 +29,7 @@ from ..qa.pipeline import HybridQAPipeline
 from ..qa.tableqa import TableQAEngine
 from ..qa.textqa import TextQAEngine
 from ..resilience import ResilienceConfig
+from ..resilience.faults import shard_index
 from ..retrieval.dense import DenseRetriever
 from ..semql.catalog import SchemaCatalog
 from ..serving import AdmissionPolicy, CachePolicy, QueryServer
@@ -174,15 +175,23 @@ def check_int(key: str, value: Any, minimum: int,
             key, "positive" if minimum > 0 else "non-negative", value))
 
 
-def _parse_faults(doc: Any) -> Optional[ResilienceConfig]:
+def _parse_faults(doc: Any, shards: int) -> Optional[ResilienceConfig]:
     if doc is None:
         return None
     if not isinstance(doc, dict):
         raise LoadGenError("faults must be a resilience config object")
     try:
-        return ResilienceConfig.from_dict(doc)
+        config = ResilienceConfig.from_dict(doc)
     except (TypeError, ValueError, AttributeError) as exc:
         raise LoadGenError("faults is invalid: %s" % exc) from exc
+    plan = config.fault_plan
+    for name in plan.backends if plan is not None else ():
+        index = shard_index(name)
+        # An unsharded stack has no shard guards at all.
+        if index is not None and (shards == 1 or index >= shards):
+            raise LoadGenError("faults is invalid: backends: no backend "
+                               "%r in a %d-shard stack" % (name, shards))
+    return config
 
 
 def _parse_policy(text: Any) -> CachePolicy:
@@ -245,7 +254,7 @@ class StackConfig:
         check_int("max_queue_depth", self.max_queue_depth, 1,
                   optional=True)
         for name, value in (
-            ("resilience", _parse_faults(self.faults)),
+            ("resilience", _parse_faults(self.faults, self.shards)),
             ("policy", _parse_policy(self.cache_policy)),
             ("admission", AdmissionPolicy(self.session_budget,
                                           self.max_queue_depth)),

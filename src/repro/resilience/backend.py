@@ -38,7 +38,7 @@ from .breaker import BreakerPolicy, CircuitBreaker
 from .degradation import DegradationEvent
 from .faults import (
     FAULT_CORRUPT, FAULT_PERMANENT, FAULT_SLOW, FAULT_TRANSIENT,
-    FaultInjector, FaultPlan, corrupt_result,
+    FaultInjector, FaultPlan, check_keys, corrupt_result,
 )
 from .policy import (
     BACKOFF_WORK, RetryPolicy, SLOW_FAULT_WORK, WorkBudget, work_now,
@@ -85,13 +85,18 @@ class ResilienceConfig:
 
         ``seed``/``backends`` feed the fault plan; ``retry``/
         ``breaker``/``budget`` tune the policies. Every key is
-        optional.
+        optional; an unknown one, at any level, raises ``ValueError``.
         """
-        retry_data = data.get("retry") or {}
-        breaker_data = data.get("breaker") or {}
+        check_keys("faults", data,
+                   ("seed", "backends", "retry", "breaker", "budget"))
+        retry_data = check_keys("retry", data.get("retry") or {}, (
+            "max_attempts", "backoff_base", "backoff_multiplier"))
+        breaker_data = check_keys("breaker", data.get("breaker") or {},
+                                  ("failure_threshold", "cooldown"))
         plan = None
         if data.get("backends"):
-            plan = FaultPlan.from_dict(data)
+            plan = FaultPlan.from_dict({key: data[key] for key in
+                                        ("seed", "backends") if key in data})
         budget = data.get("budget")
         return cls(
             fault_plan=plan,

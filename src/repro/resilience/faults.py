@@ -42,6 +42,34 @@ FAULT_KINDS = (FAULT_TRANSIENT, FAULT_PERMANENT, FAULT_SLOW, FAULT_CORRUPT)
 # Equal-weight default mix over all four kinds.
 _DEFAULT_KIND_WEIGHTS = tuple((kind, 1.0) for kind in FAULT_KINDS)
 
+#: The backends a fault document may name: the five the pipeline wraps
+#: in resilience proxies, the two engine arms the plan executor
+#: guards, and ``shard:<i>`` for a sharded stack.
+FAULT_BACKENDS = ("relational", "document", "textstore", "retriever",
+                  "slm", "structured", "text")
+
+
+def check_keys(where: str, data: Any,
+               allowed: Tuple[str, ...]) -> Dict[str, Any]:
+    """*data* itself, once it is an object with only *allowed* keys
+    (``ValueError`` naming *where* otherwise)."""
+    if not isinstance(data, dict):
+        raise ValueError("%s must be an object, got %r" % (where, data))
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise ValueError("%s has unknown key(s) %s; expected a subset of %s"
+                         % (where, ", ".join(map(str, unknown)),
+                            ", ".join(allowed)))
+    return data
+
+
+def shard_index(backend: str) -> Optional[int]:
+    """*i* for a ``shard:<i>`` backend name, else None."""
+    prefix, _, index = backend.partition(":")
+    if prefix == "shard" and index.isdigit():
+        return int(index)
+    return None
+
 
 @dataclass(frozen=True)
 class BackendFaults:
@@ -75,8 +103,12 @@ class BackendFaults:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "BackendFaults":
-        """Inverse of :meth:`to_dict`; missing keys use defaults."""
+        """Inverse of :meth:`to_dict`; missing keys use defaults, an
+        unknown key or fault kind raises ``ValueError``."""
+        check_keys("backend", data, ("rate", "kinds", "slow_cost"))
         kinds = data.get("kinds")
+        if kinds:
+            check_keys("kinds", kinds, FAULT_KINDS)
         return cls(
             rate=float(data.get("rate", 0.0)),
             kinds=tuple(sorted(kinds.items())) if kinds
@@ -117,14 +149,24 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            seed=int(data.get("seed", 0)),
-            backends={
-                name: BackendFaults.from_dict(spec)
-                for name, spec in (data.get("backends") or {}).items()
-            },
-        )
+        """Inverse of :meth:`to_dict`; raises ``ValueError`` on an
+        unknown key or a backend no guard draws for."""
+        check_keys("fault plan", data, ("seed", "backends"))
+        specs = data.get("backends") or {}
+        if not isinstance(specs, dict):
+            raise ValueError("backends must be an object, got %r"
+                             % (specs,))
+        backends = {}
+        for name, spec in specs.items():
+            if name not in FAULT_BACKENDS and shard_index(name) is None:
+                raise ValueError(
+                    "backends: no backend %r; expected one of %s or "
+                    "shard:<i>" % (name, ", ".join(FAULT_BACKENDS)))
+            try:
+                backends[name] = BackendFaults.from_dict(spec)
+            except ValueError as exc:
+                raise ValueError("backends.%s: %s" % (name, exc)) from exc
+        return cls(seed=int(data.get("seed", 0)), backends=backends)
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":

@@ -81,6 +81,8 @@ class TestCLI:
         ("--cache-policy", "cache_policy", "bogus"),
         ("--faults", "faults", {"retry": {"max_attempts": "many"}}),
         ("--faults", "faults", {"backends": {"slm": {"rate": "high"}}}),
+        ("--faults", "faults", {"seed": 17, "fault_rate": 0.1}),
+        ("--faults", "faults", {"backends": {"database": {"rate": 0.1}}}),
     ])
     def test_bad_stack_flag_exits_two_before_building(
             self, tmp_path, capsys, monkeypatch, flag, key, value):

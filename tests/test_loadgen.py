@@ -479,6 +479,14 @@ class TestLoadCli:
         {"seed": 1, "backends": {"slm": {"rate": "high"}}},
         {"budget": -1},
         ["not", "an", "object"],
+        # Unknown keys at every level, and backends nothing guards.
+        {"seed": 17, "fault_rate": 0.1, "max_retries": 2},
+        {"backends": {"slm": {"rate": 0.1, "speed": 2}}},
+        {"backends": {"slm": {"kinds": {"meteor": 1.0}}}},
+        {"retry": {"max_attempts": 3, "jitter": 1}},
+        {"breaker": {"cooldown": 3, "halfopen": 1}},
+        {"backends": {"database": {"rate": 0.1}}},
+        {"backends": {"shard:1": {"rate": 0.1}}},
     ])
     def test_malformed_faults_are_a_config_error(self, tmp_path, capsys,
                                                  faults):

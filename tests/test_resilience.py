@@ -7,6 +7,7 @@ from repro.errors import (
     TransientError,
 )
 from repro.metering import CostMeter
+from repro.resilience.faults import FAULT_BACKENDS
 from repro.resilience import (
     BACKOFF_WORK, FAULT_TRANSIENT, STATE_CLOSED, STATE_HALF_OPEN,
     STATE_OPEN, BackendFaults, BreakerPolicy, CircuitBreaker,
@@ -48,6 +49,30 @@ class TestFaultPlan:
         assert config.retry.max_attempts == 5
         assert config.breaker.failure_threshold == 2
         assert config.budget == 1000
+
+    @pytest.mark.parametrize("data, message", [
+        ({"fault_rate": 0.1}, "faults has unknown key(s) fault_rate"),
+        ({"backends": {"slm": {"rate": 0.1, "speed": 2}}},
+         "backends.slm: backend has unknown key(s) speed"),
+        ({"backends": {"slm": {"kinds": {"meteor": 1.0}}}},
+         "backends.slm: kinds has unknown key(s) meteor"),
+        ({"retry": {"jitter": 1}}, "retry has unknown key(s) jitter"),
+        ({"breaker": {"halfopen": 1}},
+         "breaker has unknown key(s) halfopen"),
+        ({"backends": {"database": {"rate": 0.1}}},
+         "no backend 'database'"),
+        ({"backends": ["slm"]}, "backends must be an object"),
+    ])
+    def test_config_from_dict_is_strict(self, data, message):
+        with pytest.raises(ValueError) as error:
+            ResilienceConfig.from_dict(data)
+        assert message in str(error.value)
+
+    def test_every_guarded_backend_is_accepted(self):
+        names = FAULT_BACKENDS + ("shard:0", "shard:12")
+        plan = FaultPlan.from_dict({"backends": {
+            name: {"rate": 0.1} for name in names}})
+        assert set(plan.backends) == set(names)
 
 
 class TestFaultInjector:
