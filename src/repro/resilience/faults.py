@@ -58,7 +58,7 @@ def check_keys(where: str, data: Any,
     unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise ValueError("%s has unknown key(s) %s; expected a subset of %s"
-                         % (where, ", ".join(map(str, unknown)),
+                         % (where, ", ".join(unknown),
                             ", ".join(allowed)))
     return data
 

@@ -7,8 +7,11 @@ After any drawn sequence of writes, the maintained pipeline must equal
 payloads), edge sets, neighbor views, PageRank, retriever state,
 generated-table rows and every QA fingerprint.
 
-The text pools aim at the three cases a delta gets wrong most easily:
+The text pools aim at the cases a delta gets wrong most easily, and
+``SCRIPTS`` reaches each of them for sure:
 
+* **Reverse orientation.** Two texts derive the same undirected
+  "exceed" RELATES edge from opposite ends; it must outlive either.
 * **Tie order.** The exceeded/lost/gained texts put parallel CO_OCCURS
   and RELATES edges between the same two entities, derived by chunks
   that sort before or after one another. A delta appends a new RELATES
@@ -41,8 +44,8 @@ SEED = 7
 POOLS = {
     "ecommerce": [
         "The Alpha Camera exceeded the Gamma Widget in Q2 2024.",
-        "The Gamma Widget lost to the Alpha Camera. The Alpha Camera "
-        "exceeded the Gamma Widget in Q3 2024.",
+        "The Gamma Widget exceeded the Alpha Camera. The Alpha Camera "
+        "lost to the Gamma Widget in Q3 2024.",
         "The Alpha Camera gained on the Gamma Widget in Q4 2024.",
         "Orders shipped with FastShip reached the Gamma Widget buyers.",
         "Customer satisfaction with the Gamma Widget increased 9% in "
@@ -51,7 +54,7 @@ POOLS = {
     ],
     "healthcare": [
         "Gastrostatin exceeded Dermastatin in Q2 2024.",
-        "Dermastatin lost to Gastrostatin. Gastrostatin exceeded "
+        "Dermastatin exceeded Gastrostatin. Gastrostatin lost to "
         "Dermastatin in Q3 2024.",
         "Gastrostatin gained on Dermastatin in Q4 2024.",
         "Patients on Dermastatin showed a High Lipid profile.",
@@ -117,17 +120,16 @@ def _fingerprints(pipeline, questions):
     return [pipeline.answer(q).fingerprint() for q in questions]
 
 
-@pytest.mark.parametrize("domain", ["ecommerce", "healthcare"])
-@settings(max_examples=15, deadline=None)
-@given(data=st.data())
-def test_every_write_is_a_delta_equal_to_a_fresh_build(domain, data):
+def _check(domain, writes):
+    """Apply *writes* (a list of ``ingest_incremental`` calls) to a
+    built pipeline, comparing it with a fresh build after each."""
     lake = generate_lake(domain, SEED)
     texts = dict(_lake_parts(lake)[1])
     questions = [p.question for p in lake.qa_pairs(per_kind=2)]
     questions += POOLS[domain][:5]
     _, maintained = build_hybrid_system(lake, SEED)
     graph = maintained.graph
-    for docs in data.draw(_writes(domain)):
+    for docs in writes:
         maintained.ingest_incremental(docs)
         texts.update(docs)
         fresh = _fresh(lake, texts)
@@ -137,3 +139,39 @@ def test_every_write_is_a_delta_equal_to_a_fresh_build(domain, data):
         assert _tables(maintained) == _tables(fresh)
         assert (_fingerprints(maintained, questions)
                 == _fingerprints(fresh, questions))
+
+
+@pytest.mark.parametrize("domain", ["ecommerce", "healthcare"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_every_write_is_a_delta_equal_to_a_fresh_build(domain, data):
+    _check(domain, data.draw(_writes(domain)))
+
+
+#: Write sequences (pool indexes) that reach each hard case for sure.
+SCRIPTS = {
+    # Ties to one neighbor: a later chunk's RELATES edge sorts first.
+    "tie_order": [[("zz-new", 0)], [("aa-new", 2)], [("zz-new", 5)]],
+    # One undirected RELATES edge derived in both orientations; removing
+    # either chunk keeps it.
+    "reverse_orientation": [[("aa-new", 0), ("zz-new", 1)],
+                            [("aa-new", 5)], [("aa-new", 0)],
+                            [("zz-new", 5)]],
+    # A record value a chunk types otherwise, then the chunk replaced.
+    "removed_entity_type": [[(1, 3)], [(1, 5)], [("aa-new", 3)],
+                            [("zz-new", 3)], [("aa-new", 5)]],
+    # Nodes only one chunk names, dropped and added back.
+    "re_added_node": [[("aa-new", 4)], [("aa-new", 5)], [(0, 4)],
+                      [(0, 4), (0, 5), (0, 4)]],
+}
+
+
+@pytest.mark.parametrize("domain", ["ecommerce", "healthcare"])
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_scripted_hard_cases(domain, script):
+    # An int id is an index into the domain's ids (stored ones first).
+    _check(domain, [
+        [(IDS[domain][doc_id] if isinstance(doc_id, int) else doc_id,
+          POOLS[domain][text]) for doc_id, text in call]
+        for call in SCRIPTS[script]
+    ])
