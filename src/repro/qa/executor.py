@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..obs import incr, span
 from ..resilience import DegradationEvent, summarize
+from ..semql.catalog import QuestionFrame
 from ..tenancy import TenantContext, check_tenancy, tenancy_errors
 from .answer import ANSWER_SYSTEM_HYBRID, ANSWER_SYSTEM_RAG, Answer
 from .compare import ComparativeQA
@@ -121,11 +122,13 @@ class _RunState:
     executor instance), so no state crosses from one plan's run to the
     next. ``tenant`` rides along the same way: the executor holds
     no tenant field, so interleaved requests from different tenants can
-    never observe each other's context.
+    never observe each other's context. ``frame`` is the plan's
+    question analysis, handed to every synthesis the run makes.
     """
 
     question: str
     plan_key: Tuple
+    frame: Optional[QuestionFrame] = None
     candidates: List[Answer] = field(default_factory=list)
     failed_engines: List[str] = field(default_factory=list)
     answer: Optional[Answer] = None
@@ -235,8 +238,8 @@ class PlanExecutor:
         plan_key = plan.signature()
         if tenant is not None:
             plan_key = tenant.cache_key(plan_key)
-        state = _RunState(question=plan.question,
-                          plan_key=plan_key, tenant=tenant)
+        state = _RunState(question=plan.question, plan_key=plan_key,
+                          frame=plan.frame, tenant=tenant)
         arms, sequential_because = self.arm_isolation(plan)
         if sequential_because is not None:
             incr("speculation.sequential")
@@ -335,7 +338,8 @@ class PlanExecutor:
             "structured", "answer",
             lambda: self._table_qa.answer(state.question,
                                           plan_key=state.plan_key,
-                                          tenant=state.tenant),
+                                          tenant=state.tenant,
+                                          frame=state.frame),
         )
         if event is not None:
             state.failed_engines.append("structured")
@@ -404,7 +408,7 @@ class PlanExecutor:
         if decision.bound_tables:
             lines.append("bound tables: %s"
                          % ", ".join(decision.bound_tables))
-        answer = self._table_qa.answer(question)
+        answer = self._table_qa.answer(question, frame=decision.frame)
         if answer.abstained:
             lines.append("tableqa: abstained (%s)"
                          % answer.metadata.get("reason", ""))

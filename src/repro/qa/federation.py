@@ -9,13 +9,12 @@ entry point: one question in, the right engine(s) underneath.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from dataclasses import dataclass, field
+from typing import List, Optional, Tuple
 
 from ..obs import span
 from ..resilience import is_degraded
-from ..semql.catalog import SchemaCatalog
-from ..semql.intents import analyze
+from ..semql.catalog import QuestionFrame, SchemaCatalog
 from .answer import ANSWER_SYSTEM_HYBRID, Answer
 
 # Routing constants are single-sourced in repro.qa.plan (the stage
@@ -25,20 +24,24 @@ from .plan import (  # lint: ignore[unused-import]
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RouteDecision:
     """Where a question was routed and why.
 
     ``confidence`` grades how decisively the binding evidence selected
     the route (1.0 = unambiguous). It never changes *which* stages a
     plan contains or how they run; the compiled plan carries it as
-    signature-excluded ``route_confidence`` metadata.
+    signature-excluded ``route_confidence`` metadata. ``frame`` is the
+    question's analysis the route was classified from; the plan carries
+    it to synthesis, and it takes no part in equality.
     """
 
     route: str
     reason: str
     bound_tables: Tuple[str, ...] = ()
     confidence: float = 1.0
+    frame: Optional[QuestionFrame] = field(default=None, compare=False,
+                                           repr=False)
 
 
 class FederatedRouter:
@@ -50,47 +53,34 @@ class FederatedRouter:
     def route(self, question: str) -> RouteDecision:
         """Pick structured / unstructured / hybrid for *question*."""
         with span("qa.route") as sp:
-            decision = self._classify(question)
+            frame = self._catalog.frame(question)
+            route, reason, confidence = _classify(frame)
+            decision = RouteDecision(
+                route, reason,
+                tuple(sorted({hit.table for hit in frame.value_hits})),
+                confidence, frame,
+            )
             sp.set("route", decision.route)
             sp.set("reason", decision.reason)
         return decision
 
-    def _classify(self, question: str) -> RouteDecision:
-        frame = analyze(question)
-        value_hits = self._catalog.find_values(question)
-        bound_tables = tuple(sorted({hit.table for hit in value_hits}))
 
-        metric_bound = False
-        for term in frame.metric_terms:
-            if self._catalog.resolve_column(term):
-                metric_bound = True
-                break
-
-        if frame.is_aggregate and metric_bound:
-            if value_hits or frame.quarter or frame.comparisons:
-                return RouteDecision(
-                    ROUTE_STRUCTURED,
-                    "aggregate over bound metric with bound filters",
-                    bound_tables, confidence=0.95,
-                )
-            return RouteDecision(
-                ROUTE_STRUCTURED, "aggregate over bound metric",
-                bound_tables, confidence=0.65,
-            )
-        if metric_bound and (value_hits or frame.comparisons):
-            return RouteDecision(
-                ROUTE_HYBRID, "metric binds but question is not aggregate",
-                bound_tables, confidence=0.7,
-            )
-        if value_hits:
-            return RouteDecision(
-                ROUTE_HYBRID, "entities bind but no metric column does",
-                bound_tables, confidence=0.6,
-            )
-        return RouteDecision(
-            ROUTE_UNSTRUCTURED, "no schema element binds", (),
-            confidence=0.75,
-        )
+def _classify(frame: QuestionFrame) -> Tuple[str, str, float]:
+    """(route, reason, confidence) for an analysed question."""
+    intent = frame.intent
+    value_hits = frame.value_hits
+    metric_bound = bool(frame.metric_candidates)
+    if intent.is_aggregate and metric_bound:
+        if value_hits or intent.quarter or intent.comparisons:
+            return (ROUTE_STRUCTURED,
+                    "aggregate over bound metric with bound filters", 0.95)
+        return ROUTE_STRUCTURED, "aggregate over bound metric", 0.65
+    if metric_bound and (value_hits or intent.comparisons):
+        return (ROUTE_HYBRID, "metric binds but question is not aggregate",
+                0.7)
+    if value_hits:
+        return ROUTE_HYBRID, "entities bind but no metric column does", 0.6
+    return ROUTE_UNSTRUCTURED, "no schema element binds", 0.75
 
 
 def best_answer(answers: List[Answer]) -> Answer:

@@ -35,6 +35,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..semql.catalog import QuestionFrame
 from ..storage.relational.plancheck import ERROR, WARNING, PlanDiagnostic
 from ..tenancy import TenantContext
 
@@ -143,12 +144,21 @@ class FederatedPlan:
     DAG); :meth:`signature` is the canonical identity the serving
     layer's plan cache keys off, and :meth:`digest` a short stable hex
     form for humans and golden tests.
+
+    ``frame`` is the router's analysis of the question (``None`` for a
+    hand-built plan). The executor hands it to synthesis so the
+    question is analysed once; like ``metadata`` it is outside
+    :meth:`signature`, and it takes no part in equality, hashing or
+    :func:`render_plan`. It is valid against the catalog that routed the
+    question, so a plan runs on the executor that compiled it.
     """
 
     question: str
     route: str
     stages: Tuple[PlanStage, ...] = ()
     metadata: Tuple[Tuple[str, str], ...] = field(default=())
+    frame: Optional[QuestionFrame] = field(default=None, compare=False,
+                                           repr=False)
 
     def meta(self, key: str, default: str = "") -> str:
         """The compile-time metadata value for *key*, or *default*.
@@ -209,7 +219,9 @@ def compile_plan(question: str, decision,
     """Compile a routing *decision* for *question* into a plan DAG.
 
     *decision* duck-types :class:`~repro.qa.federation.RouteDecision`
-    (``route``, ``reason``, ``bound_tables``). The compiled DAG
+    (``route``, ``reason``, ``bound_tables``; ``confidence`` and
+    ``frame`` when present are copied onto the plan outside its
+    signature). The compiled DAG
     reproduces the pipeline's answer path exactly:
 
     * structured arm (synthesize → execute) when the route is
@@ -311,6 +323,7 @@ def compile_plan(question: str, decision,
     return FederatedPlan(
         question=question, route=route, stages=tuple(stages),
         metadata=(("route_confidence", "%.2f" % confidence),),
+        frame=getattr(decision, "frame", None),
     )
 
 

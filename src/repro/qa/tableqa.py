@@ -13,7 +13,7 @@ from typing import Any, Optional
 
 from ..errors import ExecutionError, PlanError, SynthesisError
 from ..obs import span
-from ..semql.catalog import SchemaCatalog
+from ..semql.catalog import QuestionFrame, SchemaCatalog
 from ..semql.compiler import QueryCompiler
 from ..semql.logical import FilterSpec, QuerySpec
 from ..semql.synthesizer import OperatorSynthesizer
@@ -60,7 +60,8 @@ class TableQAEngine:
     # ------------------------------------------------------------------
     def answer(self, question: str,
                plan_key: Optional[Any] = None,
-               tenant: Optional[TenantContext] = None) -> Answer:
+               tenant: Optional[TenantContext] = None,
+               frame: Optional[QuestionFrame] = None) -> Answer:
         """Synthesize, compile, execute; abstains on unbound questions.
 
         *plan_key* overrides the plan-cache key — the executor passes
@@ -75,6 +76,11 @@ class TableQAEngine:
         has them appended to the spec's filters. Specs are cached in
         their governed form — callers pass tenant-scoped ``plan_key``s,
         so a cached spec always carries the right tenant's predicates.
+
+        *frame* is the catalog's analysis of *question*
+        (:meth:`~repro.semql.catalog.SchemaCatalog.frame`), handed to
+        synthesis so a routed question is not analysed twice; without
+        one, synthesis builds its own.
         """
         key = plan_key if plan_key is not None else question
         with span("qa.tableqa") as sp:
@@ -84,7 +90,8 @@ class TableQAEngine:
                     spec = self._plan_cache.get(key)
                     sp.set("plan_cached", spec is not None)
                 if spec is None:
-                    spec = self._synthesizer.synthesize(question)
+                    spec = self._synthesizer.synthesize(question,
+                                                        frame=frame)
                     if tenant is not None:
                         blocked = self._invisible_tables(spec, tenant)
                         if blocked:

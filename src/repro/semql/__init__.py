@@ -1,6 +1,6 @@
 """Semantic Operator Synthesis and semantic operators (paper III.C)."""
 
-from .catalog import ColumnBinding, SchemaCatalog, ValueHit
+from .catalog import ColumnBinding, QuestionFrame, SchemaCatalog, ValueHit
 from .compiler import QueryCompiler
 from .intents import Comparison, IntentFrame, analyze
 from .logical import (
@@ -10,7 +10,7 @@ from .operators import SemanticOperators
 from .synthesizer import OperatorSynthesizer
 
 __all__ = [
-    "ColumnBinding", "SchemaCatalog", "ValueHit",
+    "ColumnBinding", "QuestionFrame", "SchemaCatalog", "ValueHit",
     "QueryCompiler",
     "Comparison", "IntentFrame", "analyze",
     "AGG_FUNCS", "FILTER_OPS", "AggregateSpec", "FilterSpec", "JoinSpec",

@@ -6,7 +6,9 @@ Wraps a :class:`Database` with what an NL-to-query layer needs:
 * a value index over TEXT columns, so entity mentions in a question
   ("Alpha Widget", "Acme") bind to the column that contains them —
   classic value-based schema linking;
-* a foreign-key graph with BFS join-path discovery.
+* a foreign-key graph with BFS join-path discovery;
+* :meth:`SchemaCatalog.frame`, one question's analysis against all of
+  the above, built once and read by both the router and synthesis.
 """
 
 from __future__ import annotations
@@ -21,7 +23,11 @@ from ..storage.relational.database import Database
 from ..storage.types import DataType
 from ..text.stemmer import STEM_MEMO_SIZE, stem
 from ..text.stopwords import content_stems
+from .intents import IntentFrame, analyze
 from .logical import JoinSpec
+
+#: Score added to a candidate whose table the caller prefers.
+PREFER_BONUS = 0.05
 
 
 @dataclass(frozen=True)
@@ -58,6 +64,19 @@ def _edit_distance_at_most_one(a: str, b: str) -> bool:
     return True
 
 
+def rank_bindings(candidates: Sequence[ColumnBinding],
+                  prefer_tables: Sequence[str] = ()) -> List[ColumnBinding]:
+    """*candidates* best first, each in a *prefer_tables* table scored
+    :data:`PREFER_BONUS` higher."""
+    ranked = [
+        ColumnBinding(c.table, c.column, c.score + PREFER_BONUS)
+        if c.table in prefer_tables else c
+        for c in candidates
+    ]
+    ranked.sort(key=lambda c: (-c.score, c.table, c.column))
+    return ranked
+
+
 @dataclass(frozen=True)
 class ValueHit:
     """An entity mention bound to the column containing it."""
@@ -66,6 +85,34 @@ class ValueHit:
     column: str
     value: str
     mention: str
+
+
+@dataclass(frozen=True)
+class QuestionFrame:
+    """One question's analysis against one catalog (a frozen value).
+
+    Built once per question by :meth:`SchemaCatalog.frame`: the
+    :class:`IntentFrame`, the value hits, and the first metric term
+    that binds a column with its candidates ranked without preference.
+    The router classifies from it and synthesis binds from it, so
+    neither analyses the question again.
+    """
+
+    intent: IntentFrame
+    value_hits: Tuple[ValueHit, ...] = ()
+    metric_term: Optional[str] = None
+    metric_candidates: Tuple[ColumnBinding, ...] = ()
+
+    @property
+    def question(self) -> str:
+        """The analysed question."""
+        return self.intent.question
+
+    def metric_bindings(self, prefer_tables: Sequence[str] = ()
+                        ) -> List[ColumnBinding]:
+        """The metric term's bindings, best first, under a preference
+        — ``resolve_column(metric_term, prefer_tables)``."""
+        return rank_bindings(self.metric_candidates, prefer_tables)
 
 
 @lru_cache(maxsize=STEM_MEMO_SIZE)
@@ -166,13 +213,24 @@ class SchemaCatalog:
                 return column.name
         return schema.columns[0].name
 
+    def frame(self, question: str) -> QuestionFrame:
+        """Analyse *question* once against this catalog."""
+        intent = analyze(question)
+        value_hits = tuple(self.find_values(question))
+        for term in intent.metric_terms:
+            candidates = self.resolve_column(term)
+            if candidates:
+                return QuestionFrame(intent, value_hits, term,
+                                     tuple(candidates))
+        return QuestionFrame(intent, value_hits)
+
     def resolve_column(self, term: str,
                        prefer_tables: Sequence[str] = ()) -> List[ColumnBinding]:
         """Candidate bindings for NL *term*, best first.
 
         Scoring: exact column-name match 1.0, synonym 0.9, stem match
-        0.8, token-overlap 0.5×fraction. A table in *prefer_tables*
-        gets +0.05.
+        0.8, token-overlap 0.5×fraction; :func:`rank_bindings` adds
+        :data:`PREFER_BONUS` for a table in *prefer_tables*.
         """
         term_low = term.strip().lower()
         term_stem = stem(term_low)
@@ -195,8 +253,6 @@ class SchemaCatalog:
                     if overlap > 0:
                         score = 0.5 * overlap
                 if score > 0:
-                    if table_name in prefer_tables:
-                        score += 0.05
                     candidates.append(
                         ColumnBinding(table_name, name, score)
                     )
@@ -205,15 +261,12 @@ class SchemaCatalog:
             if table_name == term_low or stem(table_name) == term_stem:
                 measure = self._single_measure_column(table_name)
                 if measure is not None:
-                    bonus = 0.05 if table_name in prefer_tables else 0.0
                     candidates.append(
-                        ColumnBinding(table_name, measure, 0.7 + bonus)
+                        ColumnBinding(table_name, measure, 0.7)
                     )
         for table_name, column in self._synonyms.get(term_stem, []):
-            bonus = 0.05 if table_name in prefer_tables else 0.0
-            candidates.append(ColumnBinding(table_name, column, 0.9 + bonus))
-        candidates.sort(key=lambda c: (-c.score, c.table, c.column))
-        return candidates
+            candidates.append(ColumnBinding(table_name, column, 0.9))
+        return rank_bindings(candidates, prefer_tables)
 
     def _single_measure_column(self, table_name: str) -> Optional[str]:
         schema = self._db.table(table_name).schema

@@ -9,7 +9,7 @@ entity/column terms — before any schema binding happens.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..text.patterns import (
@@ -73,7 +73,7 @@ _SUPERLATIVE_MIN = ("lowest", "smallest", "cheapest", "least expensive",
 _ENTITY_QUESTION_RE = re.compile(r"^\s*(which|what|who)\b", re.IGNORECASE)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Comparison:
     """A numeric comparison phrase: op, value, and whether it was a %."""
 
@@ -83,14 +83,14 @@ class Comparison:
     context: str  # words immediately before the phrase, for binding
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntentFrame:
-    """Schema-agnostic analysis of one NL question."""
+    """Schema-agnostic analysis of one NL question (a frozen value)."""
 
     question: str
     aggregate: Optional[str] = None
-    metric_terms: List[str] = field(default_factory=list)
-    comparisons: List[Comparison] = field(default_factory=list)
+    metric_terms: Tuple[str, ...] = ()
+    comparisons: Tuple[Comparison, ...] = ()
     quarter: Optional[str] = None
     year: Optional[int] = None
     group_term: Optional[str] = None
@@ -98,7 +98,7 @@ class IntentFrame:
     wants_list: bool = False
     superlative: Optional[str] = None   # 'max' | 'min' when present
     wants_entity: bool = False          # which/what/who question form
-    content_terms: List[str] = field(default_factory=list)
+    content_terms: Tuple[str, ...] = ()
 
     @property
     def is_aggregate(self) -> bool:
@@ -167,6 +167,14 @@ _METRIC_WORDS = frozenset(
 _METRIC_STEMS = frozenset(stem(m) for m in _METRIC_WORDS)
 
 
+def _detect_superlative(low: str) -> Optional[str]:
+    for cues, direction in ((_SUPERLATIVE_MAX, "max"),
+                            (_SUPERLATIVE_MIN, "min")):
+        if any(cue in low for cue in cues):
+            return direction
+    return None
+
+
 def analyze(question: str) -> IntentFrame:
     """Parse *question* into an :class:`IntentFrame`.
 
@@ -175,51 +183,49 @@ def analyze(question: str) -> IntentFrame:
     ('sum', 'Q3')
     """
     low = question.lower()
-    frame = IntentFrame(question=question)
-    frame.wants_entity = bool(_ENTITY_QUESTION_RE.match(question))
-    for cue in _SUPERLATIVE_MAX:
-        if cue in low:
-            frame.superlative = "max"
-            break
-    if frame.superlative is None:
-        for cue in _SUPERLATIVE_MIN:
-            if cue in low:
-                frame.superlative = "min"
-                break
-    frame.aggregate = _detect_aggregate(low)
-    if frame.superlative is not None and frame.wants_entity:
+    wants_entity = bool(_ENTITY_QUESTION_RE.match(question))
+    superlative = _detect_superlative(low)
+    aggregate = _detect_aggregate(low)
+    if superlative is not None and wants_entity \
+            and aggregate in ("max", "min"):
         # "Which product has the highest price?" asks for the entity,
         # not the MAX value — suppress the aggregate reading when the
         # cue word doubles as an aggregate cue.
-        if frame.aggregate in ("max", "min"):
-            frame.aggregate = None
-    frame.comparisons = _detect_comparisons(question)
-    frame.group_term = _detect_group(low)
-    frame.wants_list = any(low.startswith(c) or (" " + c) in low
-                           for c in _LIST_CUES)
-
+        aggregate = None
     top_match = _TOPK_RE.search(question)
-    if top_match:
-        frame.limit = int(top_match.group(1))
 
+    quarter: Optional[str] = None
+    year: Optional[int] = None
     for match in find_patterns(question):
-        if match.kind == KIND_QUARTER and frame.quarter is None:
-            norm = normalize_quarter(match.text)
-            parts = norm.split()
-            frame.quarter = parts[0]
+        if match.kind == KIND_QUARTER and quarter is None:
+            parts = normalize_quarter(match.text).split()
+            quarter = parts[0]
             if len(parts) > 1:
-                frame.year = int(parts[1])
-        elif match.kind == KIND_YEAR and frame.year is None:
-            frame.year = int(match.text)
+                year = int(parts[1])
+        elif match.kind == KIND_YEAR and year is None:
+            year = int(match.text)
 
-    tokens = content_words(low)
-    frame.content_terms = tokens
-    frame.metric_terms = [
-        t for t in tokens
+    content_terms = tuple(content_words(low))
+    metric_terms = [
+        t for t in content_terms
         if t in _METRIC_WORDS or stem(t) in _METRIC_STEMS
     ]
     # Price is implicit in cheap/expensive superlatives.
-    if frame.superlative and ("cheap" in low or "expensive" in low):
-        if "price" not in frame.metric_terms:
-            frame.metric_terms.append("price")
-    return frame
+    if superlative and ("cheap" in low or "expensive" in low) \
+            and "price" not in metric_terms:
+        metric_terms.append("price")
+    return IntentFrame(
+        question=question,
+        aggregate=aggregate,
+        metric_terms=tuple(metric_terms),
+        comparisons=tuple(_detect_comparisons(question)),
+        quarter=quarter,
+        year=year,
+        group_term=_detect_group(low),
+        limit=int(top_match.group(1)) if top_match else None,
+        wants_list=any(low.startswith(c) or (" " + c) in low
+                       for c in _LIST_CUES),
+        superlative=superlative,
+        wants_entity=wants_entity,
+        content_terms=content_terms,
+    )

@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import SynthesisError
 from ..text.stemmer import stem
-from .catalog import ColumnBinding, SchemaCatalog, ValueHit
-from .intents import Comparison, IntentFrame, analyze
+from .catalog import ColumnBinding, QuestionFrame, SchemaCatalog, ValueHit
+from .intents import Comparison, IntentFrame
 from .logical import AggregateSpec, FilterSpec, JoinSpec, QuerySpec
 
 _TIME_TERMS = ("quarter", "year")
@@ -45,15 +45,24 @@ class OperatorSynthesizer:
         self._catalog = catalog
 
     # ------------------------------------------------------------------
-    def synthesize(self, question: str) -> QuerySpec:
-        """Synthesize a query spec (raises SynthesisError when unbound)."""
-        frame = analyze(question)
-        value_hits = self._catalog.find_values(question)
+    def synthesize(self, question: str,
+                   frame: Optional[QuestionFrame] = None) -> QuerySpec:
+        """Synthesize a query spec (raises SynthesisError when unbound).
+
+        *frame* is this catalog's analysis of *question*
+        (:meth:`SchemaCatalog.frame`); it is built here when not given.
+        The router hands its own frame down the plan, so a routed
+        question is analysed once.
+        """
+        if frame is None:
+            frame = self._catalog.frame(question)
+        value_hits = frame.value_hits
         involved = [hit.table for hit in value_hits]
 
         metric_binding = self._bind_metric(frame, prefer=involved)
+        intent = frame.intent
         base_table = self._choose_base_table(
-            frame, metric_binding, value_hits
+            intent, metric_binding, value_hits
         )
 
         filters: List[FilterSpec] = []
@@ -63,9 +72,9 @@ class OperatorSynthesizer:
             filters.append(FilterSpec(hit.column, op, hit.value))
             needed_tables.add(hit.table)
         filters.extend(
-            self._bind_time_filters(frame, base_table, needed_tables)
+            self._bind_time_filters(intent, base_table, needed_tables)
         )
-        for comparison in frame.comparisons:
+        for comparison in intent.comparisons:
             spec = self._bind_comparison(
                 comparison, base_table, needed_tables
             )
@@ -75,10 +84,10 @@ class OperatorSynthesizer:
         # Directional metric terms ("a satisfaction decrease") imply a
         # sign filter on signed-change columns when counting events and
         # no explicit threshold was given.
-        if (frame.aggregate == "count" and metric_binding is not None
+        if (intent.aggregate == "count" and metric_binding is not None
                 and not any(f.column == metric_binding.column
                             for f in filters)):
-            direction = self._metric_term_direction(frame)
+            direction = self._metric_term_direction(intent)
             if direction is not None and (
                 "change" in metric_binding.column
                 or "percent" in metric_binding.column
@@ -90,8 +99,8 @@ class OperatorSynthesizer:
                 needed_tables.add(metric_binding.table)
 
         group_by: Tuple[str, ...] = ()
-        if frame.group_term and frame.is_aggregate:
-            binding = self._bind_group(frame.group_term, base_table)
+        if intent.group_term and intent.is_aggregate:
+            binding = self._bind_group(intent.group_term, base_table)
             if binding is not None:
                 group_by = (binding.column,)
                 needed_tables.add(binding.table)
@@ -100,18 +109,18 @@ class OperatorSynthesizer:
         projection: Tuple[str, ...] = ()
         order_by: Optional[str] = None
         descending = False
-        limit = frame.limit
+        limit = intent.limit
         having: Tuple = ()
-        group_have = self._bind_qualified_group(frame, base_table)
+        group_have = self._bind_qualified_group(intent, base_table)
         if (group_have is not None and metric_binding is not None
-                and frame.comparisons and frame.superlative is None):
+                and intent.comparisons and intent.superlative is None):
             # "List manufacturers with total sales above 500": group by
             # the noun's column, aggregate the metric, and turn the
             # comparison into a HAVING condition.
             func = "avg" if "average" in question.lower() else "sum"
             agg = AggregateSpec(func, metric_binding.column)
             having = tuple(
-                (agg, c.op, c.value) for c in frame.comparisons
+                (agg, c.op, c.value) for c in intent.comparisons
             )
             filters = [
                 f for f in filters if f.column != metric_binding.column
@@ -130,10 +139,10 @@ class OperatorSynthesizer:
                 aggregates=aggregates,
                 having=having,
                 projection=projection,
-                limit=frame.limit,
+                limit=intent.limit,
             )
 
-        if frame.superlative is not None and frame.wants_entity:
+        if intent.superlative is not None and intent.wants_entity:
             # "Which product has the highest price?" — order by the
             # bound metric, return the top entity.
             if metric_binding is None:
@@ -142,7 +151,7 @@ class OperatorSynthesizer:
                     % question
                 )
             needed_tables.add(metric_binding.table)
-            group_binding = self._bind_group_entity(frame, base_table)
+            group_binding = self._bind_group_entity(intent, base_table)
             if group_binding is not None:
                 # "Which manufacturer had the largest average X?" —
                 # aggregate per group, order by the aggregate.
@@ -155,11 +164,11 @@ class OperatorSynthesizer:
             else:
                 projection = (self._catalog.display_column(base_table),)
                 order_by = metric_binding.column
-            descending = frame.superlative == "max"
+            descending = intent.superlative == "max"
             if limit is None:
                 limit = 1
-        elif frame.is_aggregate:
-            aggregates = (self._make_aggregate(frame, metric_binding),)
+        elif intent.is_aggregate:
+            aggregates = (self._make_aggregate(intent, metric_binding),)
             if metric_binding is not None:
                 needed_tables.add(metric_binding.table)
             projection = group_by
@@ -169,7 +178,7 @@ class OperatorSynthesizer:
                 f.column == metric_binding.column and f.op != "="
                 for f in filters
             )
-            if frame.wants_list and has_metric_range:
+            if intent.wants_list and has_metric_range:
                 # "List products with an increase above 10%": the
                 # metric is a qualifier; project the entities.
                 projection = (self._catalog.display_column(base_table),)
@@ -223,29 +232,25 @@ class OperatorSynthesizer:
                 chosen.append(group[0])
         return chosen
 
-    def _bind_metric(self, frame: IntentFrame,
+    def _bind_metric(self, frame: QuestionFrame,
                      prefer: Sequence[str]) -> Optional[ColumnBinding]:
-        if not frame.is_aggregate or frame.aggregate == "count":
-            # COUNT can work without a metric column.
-            pass
-        for term in frame.metric_terms:
-            candidates = self._catalog.resolve_column(term, prefer)
-            if candidates:
-                return candidates[0]
-        if frame.is_aggregate and frame.aggregate != "count":
+        if frame.metric_candidates:
+            return frame.metric_bindings(prefer)[0]
+        intent = frame.intent
+        if intent.is_aggregate and intent.aggregate != "count":
             # Fall back: any content term that resolves strongly.
-            for term in frame.content_terms:
+            for term in intent.content_terms:
                 candidates = self._catalog.resolve_column(term, prefer)
                 if candidates and candidates[0].score >= 0.8:
                     return candidates[0]
             raise SynthesisError(
-                "cannot bind a metric column for %r" % frame.question
+                "cannot bind a metric column for %r" % intent.question
             )
         return None
 
     def _choose_base_table(self, frame: IntentFrame,
                            metric: Optional[ColumnBinding],
-                           value_hits: List[ValueHit]) -> str:
+                           value_hits: Sequence[ValueHit]) -> str:
         if metric is not None:
             return metric.table
         if value_hits:
