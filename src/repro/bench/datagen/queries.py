@@ -80,9 +80,3 @@ class RetrievalQuery:
     relevant_docs: Set[str]
     n_entities: int = 1
     query_class: str = "direct"
-
-    def relevant_chunk_ids(self, chunks) -> Set[str]:
-        """Chunk ids of all chunks belonging to the relevant documents."""
-        return {
-            c.chunk_id for c in chunks if c.doc_id in self.relevant_docs
-        }

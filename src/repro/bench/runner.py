@@ -102,6 +102,25 @@ def _lake_parts(lake) -> Tuple[List[str], List[Tuple[str, str]],
     raise TypeError("unsupported lake type %r" % type(lake).__name__)
 
 
+#: Schema links per lake, keyed by its entity table: column synonyms
+#: ``(term, table, column)``, joins ``(table, column, table, column)``
+#: and the display column ``(table, column)``. Every builder over the
+#: curated tables declares them.
+_LINKS = {
+    "products": (
+        (("sales", "sales", "amount"),),
+        (("sales", "pid", "products", "pid"),),
+        ("products", "name"),
+    ),
+    "drugs": (
+        (("efficacy", "trials", "efficacy"),
+         ("enrolled", "trials", "enrolled")),
+        (("trials", "did", "drugs", "did"),),
+        ("drugs", "name"),
+    ),
+}
+
+
 def generate_lake(domain: str, seed: int):
     """The default-sized benchmark lake of *domain* at *seed*."""
     if domain == "ecommerce":
@@ -141,17 +160,13 @@ def build_hybrid_system(
     pipeline.add_texts(texts)
     pipeline.add_documents(docs)
     pipeline.generate_table(generated)
-    if isinstance(lake, EcommerceLake):
-        pipeline.register_synonym("sales", "sales", "amount")
-        pipeline.register_join("sales", "pid", "products", "pid")
-        pipeline.register_join(generated, "subject", "products", "name_key")
-        pipeline.register_display_column("products", "name")
-    else:
-        pipeline.register_synonym("efficacy", "trials", "efficacy")
-        pipeline.register_synonym("enrolled", "trials", "enrolled")
-        pipeline.register_join("trials", "did", "drugs", "did")
-        pipeline.register_join(generated, "subject", "drugs", "name_key")
-        pipeline.register_display_column("drugs", "name")
+    synonyms, joins, display = _LINKS[entity_table]
+    for synonym in synonyms:
+        pipeline.register_synonym(*synonym)
+    for join in joins:
+        pipeline.register_join(*join)
+    pipeline.register_join(generated, "subject", entity_table, "name_key")
+    pipeline.register_display_column(*display)
     pipeline.build()
     return QASystem("hybrid", pipeline.answer, meter), pipeline
 
@@ -318,20 +333,17 @@ def build_stack(config: StackConfig, serve: bool = True
 def build_text2sql_system(lake) -> QASystem:
     """Text-to-SQL baseline: curated tables only, no text access."""
     meter = CostMeter()
-    sql, _texts, _docs, _names, _entity_table, _generated = _lake_parts(lake)
+    sql, _texts, _docs, _names, entity_table, _generated = _lake_parts(lake)
     db = Database(meter=meter)
     for statement in sql:
         db.execute(statement)
     catalog = SchemaCatalog(db)
-    if isinstance(lake, EcommerceLake):
-        catalog.register_synonym("sales", "sales", "amount")
-        catalog.register_join("sales", "pid", "products", "pid")
-        catalog.register_display_column("products", "name")
-    else:
-        catalog.register_synonym("efficacy", "trials", "efficacy")
-        catalog.register_synonym("enrolled", "trials", "enrolled")
-        catalog.register_join("trials", "did", "drugs", "did")
-        catalog.register_display_column("drugs", "name")
+    synonyms, joins, display = _LINKS[entity_table]
+    for synonym in synonyms:
+        catalog.register_synonym(*synonym)
+    for join in joins:
+        catalog.register_join(*join)
+    catalog.register_display_column(*display)
     catalog.build_value_index()
     engine = TableQAEngine(db, catalog)
     return QASystem("text2sql", engine.answer, meter)

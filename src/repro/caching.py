@@ -124,11 +124,6 @@ class CostAwareLRU:
                 self.on_evict(evicted_key, evicted.value)
         return True
 
-    def peek(self, key: Hashable, default: Any = None) -> Any:
-        """Fetch without promoting or counting hit/miss (introspection)."""
-        entry = self._entries.get(key)
-        return entry.value if entry is not None else default
-
     def invalidate(self, key: Hashable) -> bool:
         """Drop one entry; True when it existed."""
         entry = self._entries.get(key)

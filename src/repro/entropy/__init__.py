@@ -4,13 +4,9 @@ from .baselines import (
     BASELINES, all_baselines, length_normalized_entropy,
     lexical_dissimilarity, mean_answer_length, predictive_entropy,
 )
-from .calibration import (
-    RejectionPoint, accuracy_at_coverage, auroc, compare_methods,
-    rejection_curve,
-)
+from .calibration import accuracy_at_coverage, auroc, compare_methods
 from .clustering import (
     AnswerCluster, cluster_by_embedding, cluster_by_entailment,
-    cluster_sizes,
 )
 from .semantic_entropy import (
     METHOD_EMBEDDING, METHOD_ENTAILMENT, EntropyEstimate,
@@ -20,10 +16,8 @@ from .semantic_entropy import (
 __all__ = [
     "BASELINES", "all_baselines", "length_normalized_entropy",
     "lexical_dissimilarity", "mean_answer_length", "predictive_entropy",
-    "RejectionPoint", "accuracy_at_coverage", "auroc", "compare_methods",
-    "rejection_curve",
+    "accuracy_at_coverage", "auroc", "compare_methods",
     "AnswerCluster", "cluster_by_embedding", "cluster_by_entailment",
-    "cluster_sizes",
     "METHOD_EMBEDDING", "METHOD_ENTAILMENT", "EntropyEstimate",
     "SemanticEntropyEstimator",
 ]

@@ -2,14 +2,13 @@
 
 The headline statistic is AUROC of "score predicts the answer is
 wrong" (higher = the uncertainty measure ranks wrong answers above
-right ones); rejection curves show accuracy as the most-uncertain
-questions are progressively refused.
+right ones); accuracy at coverage shows accuracy when the
+most-uncertain questions are refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from ..errors import EntropyError
 
@@ -35,34 +34,6 @@ def auroc(scores: Sequence[float], is_error: Sequence[bool]) -> float:
             elif err_score == cor_score:
                 wins += 0.5
     return wins / (len(errors) * len(corrects))
-
-
-@dataclass
-class RejectionPoint:
-    """One point of a rejection curve."""
-
-    coverage: float   # fraction of questions answered
-    accuracy: float   # accuracy on the answered subset
-
-
-def rejection_curve(scores: Sequence[float], is_error: Sequence[bool],
-                    n_points: int = 10) -> List[RejectionPoint]:
-    """Accuracy at decreasing coverage, refusing most-uncertain first."""
-    if len(scores) != len(is_error):
-        raise EntropyError("scores and labels must align")
-    if not scores:
-        raise EntropyError("need at least one example")
-    if n_points < 1:
-        raise EntropyError("n_points must be >= 1")
-    order = sorted(range(len(scores)), key=lambda i: scores[i])
-    points: List[RejectionPoint] = []
-    n = len(order)
-    for step in range(n_points, 0, -1):
-        keep = max(1, round(n * step / n_points))
-        kept = order[:keep]
-        correct = sum(1 for i in kept if not is_error[i])
-        points.append(RejectionPoint(keep / n, correct / keep))
-    return points
 
 
 def accuracy_at_coverage(scores: Sequence[float], is_error: Sequence[bool],

@@ -87,8 +87,3 @@ def cluster_by_embedding(answers: Sequence[str], embedder: EmbeddingModel,
             centroids.append(vec)
             sums.append(vec.copy())
     return clusters
-
-
-def cluster_sizes(clusters: Sequence[AnswerCluster]) -> List[int]:
-    """Sizes of each cluster, largest first."""
-    return sorted((c.size for c in clusters), reverse=True)

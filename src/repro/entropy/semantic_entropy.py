@@ -93,18 +93,6 @@ class SemanticEntropyEstimator:
             answers, self._embedder, self._threshold
         )
 
-    def estimate_texts(self, answers: Sequence[str]) -> EntropyEstimate:
-        """Discrete semantic entropy over plain answer strings."""
-        clusters = self._cluster(answers)
-        weights = [float(c.size) for c in clusters]
-        return EntropyEstimate(
-            entropy=_entropy_from_weights(weights),
-            n_clusters=len(clusters),
-            n_samples=len(answers),
-            clusters=clusters,
-            method=self._method,
-        )
-
     def estimate(self, generations: Sequence[Generation],
                  likelihood_weighted: bool = False) -> EntropyEstimate:
         """Semantic entropy over :class:`Generation` samples.

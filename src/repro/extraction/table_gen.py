@@ -37,13 +37,6 @@ class GeneratedTable:
         """Name of the generated table."""
         return self.table.schema.name
 
-    def cell_count(self) -> int:
-        """Non-NULL cells (the unit E4's precision/recall counts)."""
-        return sum(
-            1 for row in self.table.rows() for value in row
-            if value is not None
-        )
-
 
 @dataclass
 class _Assembly:

@@ -84,15 +84,6 @@ def relation_histogram(graph: HeterogeneousGraph) -> Dict[str, int]:
     return dict(counts)
 
 
-def degree_histogram(graph: HeterogeneousGraph,
-                     kind: str) -> Dict[int, int]:
-    """degree → node count for one node kind."""
-    counts: Counter = Counter()
-    for node in graph.nodes(kind):
-        counts[graph.degree(node.node_id)] += 1
-    return dict(sorted(counts.items()))
-
-
 def describe(graph: HeterogeneousGraph) -> str:
     """Multi-line human-readable index health report."""
     stats = graph.stats()

@@ -3,9 +3,9 @@
 Implements the paper's Section III.A pipeline: text chunks become chunk
 nodes; the SLM's lightweight tagging yields entity nodes and
 chunk→entity MENTIONS edges; entities co-mentioned in one chunk get
-CO_OCCURS edges; subject–verb–object patterns in sentences and
-caller-declared table relationships become labeled RELATES edges (the
-"relational cues", e.g. "Customer X purchased Product Y"); structured
+CO_OCCURS edges; subject–verb–object patterns in sentences become
+labeled RELATES edges (the "relational cues", e.g. "Customer X
+purchased Product Y"); structured
 rows and documents are projected in as record nodes DESCRIBES-linked to
 the entities they mention.
 """
@@ -261,33 +261,6 @@ class GraphIndexBuilder:
                     ek, NODE_ENTITY, norm, payload={"etype": "VALUE"},
                 ))
                 self._graph.add_edge(GraphEdge(rk, ek, EDGE_DESCRIBES))
-
-    def add_table_relations(self, table: Table, subject_column: str,
-                            object_column: str, relation: str) -> None:
-        """Declare row-level relational cues ("customer purchased product").
-
-        Adds a labeled RELATES edge between the entities in the subject
-        and object columns of every row.
-        """
-        if not (self._config.entity_nodes and self._config.relation_edges):
-            return
-        schema = table.schema
-        s_pos = schema.index_of(subject_column)
-        o_pos = schema.index_of(object_column)
-        for _, row in table.scan():
-            subject, obj = row[s_pos], row[o_pos]
-            if subject is None or obj is None:
-                continue
-            s_key = entity_key(str(subject).strip().lower())
-            o_key = entity_key(str(obj).strip().lower())
-            for key, value in ((s_key, subject), (o_key, obj)):
-                self._graph.add_node(GraphNode(
-                    key, NODE_ENTITY, str(value).strip().lower(),
-                    payload={"etype": "VALUE"},
-                ))
-            self._graph.add_edge(GraphEdge(
-                s_key, o_key, EDGE_RELATES, label=relation, weight=1.5,
-            ))
 
     def add_documents(self, store: DocumentStore,
                       entity_paths: Sequence[str],

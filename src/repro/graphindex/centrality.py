@@ -1,8 +1,8 @@
 """Centrality measures for topology-enhanced retrieval.
 
 The paper's Section III.B prioritizes nodes by "centrality and
-connectivity". Degree centrality and PageRank are computed natively
-(power iteration) so the core library has no hard networkx dependency.
+connectivity". PageRank is computed natively (power iteration), so
+the core library has no networkx dependency.
 PageRank is the one index-maintenance step that stays corpus-wide on
 every write (a new node moves every rank), so its passes run over
 numpy arrays — with the very floats of the scalar loop it replaced.
@@ -11,24 +11,13 @@ numpy arrays — with the very floats of the scalar loop it replaced.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional
+from typing import Dict
 
 import numpy as np
 
 from ..errors import GraphIndexError
 from ..metering import EDGES_TRAVERSED
 from .hetgraph import HeterogeneousGraph
-
-
-def degree_centrality(graph: HeterogeneousGraph) -> Dict[str, float]:
-    """Degree / (n - 1) per node (0 for a singleton graph)."""
-    n = graph.n_nodes
-    if n <= 1:
-        return {node.node_id: 0.0 for node in graph.nodes()}
-    return {
-        node.node_id: graph.degree(node.node_id) / (n - 1)
-        for node in graph.nodes()
-    }
 
 
 def pagerank(graph: HeterogeneousGraph, damping: float = 0.85,
@@ -112,29 +101,6 @@ def pagerank(graph: HeterogeneousGraph, damping: float = 0.85,
         if delta < tolerance:
             break
     return dict(zip(nodes, rank.tolist()))
-
-
-def harmonic_centrality(graph: HeterogeneousGraph,
-                        max_depth: int = 4,
-                        nodes: Optional[Iterable[str]] = None) -> Dict[str, float]:
-    """Truncated harmonic centrality: sum of 1/d over BFS within depth.
-
-    A cheap connectivity prior — nodes reaching many others in few hops
-    score high; computed only for *nodes* when given (retrieval scores
-    candidates lazily).
-    """
-    targets = list(nodes) if nodes is not None else [
-        n.node_id for n in graph.nodes()
-    ]
-    out: Dict[str, float] = {}
-    for node_id in targets:
-        if not graph.has_node(node_id):
-            raise GraphIndexError("no node %r" % node_id)
-        depths = graph.bfs([node_id], max_depth=max_depth)
-        out[node_id] = sum(
-            1.0 / d for d in depths.values() if d > 0
-        )
-    return out
 
 
 def normalize_scores(scores: Dict[str, float]) -> Dict[str, float]:

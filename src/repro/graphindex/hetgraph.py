@@ -318,14 +318,6 @@ class HeterogeneousGraph:
         finally:
             self._meter.charge(EDGES_TRAVERSED, examined)
 
-    def shortest_path_length(self, source: str, target: str,
-                             max_depth: int = 6) -> Optional[int]:
-        """Hop count between two nodes, or None beyond *max_depth*."""
-        if source == target:
-            return 0
-        depths = self.bfs([source], max_depth=max_depth)
-        return depths.get(target)
-
     def connected_components(self) -> List[Set[str]]:
         """All connected components, largest first."""
         seen: Set[str] = set()
@@ -353,21 +345,3 @@ class HeterogeneousGraph:
             "n_records": kind_counts[NODE_RECORD],
             "n_components": len(self.connected_components()),
         }
-
-    def to_networkx(self):
-        """Export to a networkx.Graph (optional dependency)."""
-        try:
-            import networkx as nx
-        except ImportError as exc:  # pragma: no cover
-            raise GraphIndexError(
-                "networkx is not installed (pip install repro[graph])"
-            ) from exc
-        graph = nx.Graph()
-        for node in self._nodes.values():
-            graph.add_node(node.node_id, kind=node.kind, label=node.label)
-        for edge in self.edges():
-            graph.add_edge(
-                edge.source, edge.target, kind=edge.kind,
-                label=edge.label, weight=edge.weight,
-            )
-        return graph

@@ -72,16 +72,3 @@ def graph_from_json(text: str,
             label=edge.get("label"), weight=edge.get("weight", 1.0),
         ))
     return graph
-
-
-def save_graph(graph: HeterogeneousGraph, path: str) -> None:
-    """Write the graph JSON to *path*."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(graph_to_json(graph))
-
-
-def load_graph(path: str,
-               meter: Optional[CostMeter] = None) -> HeterogeneousGraph:
-    """Read a graph JSON file written by :func:`save_graph`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return graph_from_json(handle.read(), meter=meter)

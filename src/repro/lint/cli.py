@@ -11,9 +11,8 @@ import pathlib
 import sys
 from typing import List, Optional
 
-from .baseline import apply_baseline, load_baseline
 from .core import LintEngine, all_rules, rule_ids
-from .report import render_github, render_json, render_text
+from .report import render_json, render_text
 
 
 def _default_root() -> pathlib.Path:
@@ -32,14 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="package roots to lint (default: the repro package)",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "github"), default="text",
-        help="report format (default: text); 'github' emits workflow "
-             "::error annotations",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE", type=pathlib.Path,
-        help="committed findings file (--format json output): "
-             "suppress findings recorded there, fail only on new ones",
+        "--format", choices=("text", "json"), default="text",
+        help="report format (default: text)",
     )
     parser.add_argument(
         "--select", metavar="RULES",
@@ -96,19 +89,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             findings.extend(engine.lint_tree(root))
 
-    if args.baseline is not None:
-        if not args.baseline.exists():
-            print("error: no such baseline: %s" % args.baseline,
-                  file=sys.stderr)
-            return 2
-        try:
-            findings = apply_baseline(findings,
-                                      load_baseline(args.baseline))
-        except ValueError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-
-    render = {"json": render_json,
-              "github": render_github}.get(args.format, render_text)
+    render = render_json if args.format == "json" else render_text
     print(render(findings))
     return 1 if findings else 0

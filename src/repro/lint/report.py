@@ -1,4 +1,4 @@
-"""Finding reporters: text, JSON, and GitHub workflow annotations."""
+"""Finding reporters: text and JSON."""
 
 from __future__ import annotations
 
@@ -36,25 +36,3 @@ def render_json(findings: List[Finding]) -> str:
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def render_github(findings: List[Finding],
-                  prefix: str = "src/repro") -> str:
-    """GitHub Actions workflow commands, one ``::error`` per finding.
-
-    *prefix* rebases the engine-relative finding paths onto the
-    repository layout so annotations attach to the right files in the
-    PR view. Annotation bodies must keep to a single line; GitHub's
-    command parser treats a raw newline as the end of the command.
-    """
-    lines = []
-    for finding in findings:
-        path = ("%s/%s" % (prefix.rstrip("/"), finding.path)
-                if prefix else finding.path)
-        message = "[%s] %s" % (finding.rule,
-                               finding.message.replace("\n", " "))
-        lines.append("::error file=%s,line=%d::%s"
-                     % (path, finding.line, message))
-    if not lines:
-        lines.append("::notice::no findings")
-    return "\n".join(lines)

@@ -28,7 +28,7 @@ from ..obs import MetricsRegistry
 from ..resilience import work_now
 from ..serving import QueryServer, ServeRequest, ServeResult
 from .slo import SLOReport, SLOSpec, evaluate
-from .spec import Burst, LoadSpec, generate_workload
+from .spec import LoadSpec, generate_workload
 
 #: CostMeter counter charged for inter-burst think time.
 THINK_WORK = "loadgen.think_work"
@@ -230,19 +230,3 @@ def run_load(spec: LoadSpec,
     verdict = evaluate(measurements, slo)
     return LoadReport(spec=spec, slo=slo, measurements=measurements,
                       verdict=verdict, questions=questions)
-
-
-def run_bursts(server: QueryServer,
-               bursts: List[Burst]) -> List[ServeResult]:
-    """Serve pre-generated bursts on an existing server (test hook).
-
-    Charges each burst's think gap to the server's meter first, exactly
-    as :func:`run_load` does, but leaves measurement to the caller.
-    """
-    results: List[ServeResult] = []
-    meter = server.pipeline.meter
-    for burst in bursts:
-        if burst.gap:
-            meter.charge(THINK_WORK, burst.gap)
-        results.extend(server.serve(list(burst.requests)))
-    return results

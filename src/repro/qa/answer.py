@@ -14,7 +14,6 @@ share one object without copying it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Tuple
 
@@ -122,17 +121,6 @@ class Answer:
             self.text, self.value, self.confidence, self.grounded,
             self.system, self.provenance, sorted(self.metadata.items()),
         ))
-
-    def matches_number(self, expected: float,
-                       rel_tol: float = 1e-4) -> bool:
-        """True when the answer's numeric value equals *expected*."""
-        value = self.value
-        if isinstance(value, (list, tuple)) and len(value) == 1:
-            value = value[0]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return False
-        return math.isclose(float(value), expected, rel_tol=rel_tol,
-                            abs_tol=1e-9)
 
     def contains_text(self, expected: str) -> bool:
         """Case-insensitive containment check against text and value."""

@@ -49,7 +49,7 @@ from .answer import ANSWER_SYSTEM_HYBRID, Answer
 from ..tenancy import TenantContext
 from .executor import PlanExecutor
 from .federation import FederatedRouter
-from .plan import FederatedPlan, render_plan
+from .plan import render_plan
 from .speculative import explain_arms
 from .tableqa import TableQAEngine
 from .textqa import TextQAEngine
@@ -207,24 +207,6 @@ class HybridQAPipeline:
     def add_documents(self, docs: Iterable[Tuple[str, Any]]) -> None:
         """Load semi-structured documents."""
         self.doc_store.put_many(docs)
-
-    def add_csv(self, table_name: str, csv_text: str,
-                entity_columns: Optional[Sequence[str]] = None) -> int:
-        """Load a CSV file as a curated table (schema inferred).
-
-        Returns the row count; *entity_columns* are declared for graph
-        projection when given.
-        """
-        from ..storage.csvio import read_csv
-
-        table = read_csv(table_name, csv_text)
-        self.db.create_table(table.schema)
-        target = self.db.table(table_name)
-        for row in table.rows():
-            target.insert(row)
-        if entity_columns:
-            self.declare_entity_columns(table_name, entity_columns)
-        return len(target)
 
     def add_texts(self, docs: Iterable[Tuple[str, str]]) -> None:
         """Load unstructured text documents (chunked on ingest)."""
@@ -495,34 +477,6 @@ class HybridQAPipeline:
         observe(METRIC_ANSWER_LATENCY, time.perf_counter() - started)
         observe(METRIC_ANSWER_WORK, work_now(self._meter) - work_started)
         return answer
-
-    def compile_plan(self, question: str,
-                     include_entropy: bool = False,
-                     tenant: Optional[TenantContext] = None
-                     ) -> FederatedPlan:
-        """Compile *question* into its federated plan without executing.
-
-        With a *tenant* context the compiled stages carry governance
-        parameters (RLS/scope tokens), so two tenants with different
-        mandates get different plan signatures for the same question.
-        """
-        self._check_built()
-        plan = self._executor.compile(question, include_entropy,
-                                      tenant=tenant)
-        return self._annotate_shards(plan)
-
-    def _annotate_shards(self, plan: FederatedPlan) -> FederatedPlan:
-        """Attach the shard fan-out annotation to a compiled plan.
-
-        Metadata is signature-excluded, so sharded and unsharded plans
-        keep identical signatures (and plan-cache keys)."""
-        if self._shard_set is None:
-            return plan
-        return dataclasses.replace(
-            plan,
-            metadata=plan.metadata
-            + (("shards", str(self._shard_set.n_shards)),),
-        )
 
     def explain_plan(self, question: str) -> str:
         """Render the compiled plan DAG(s) for *question*.

@@ -112,8 +112,3 @@ class QASession:
     def reset(self) -> None:
         """Forget the conversation context."""
         self._last = None
-
-    @property
-    def last_question(self) -> Optional[str]:
-        """The most recent fully-resolved question."""
-        return self._last.question if self._last else None

@@ -266,13 +266,6 @@ class ResilienceManager:
             )
         return breaker
 
-    def breaker_states(self) -> Dict[str, str]:
-        """backend -> current breaker state (for inspection)."""
-        return {
-            name: breaker.state
-            for name, breaker in sorted(self._breakers.items())
-        }
-
     def spent(self) -> int:
         """Work consumed by the active question (0 outside a scope)."""
         if self._scope is None:
@@ -488,11 +481,6 @@ class ResilientBackend:
     def resilient_target(self) -> Any:
         """The wrapped backend object."""
         return self._target
-
-    @property
-    def backend_name(self) -> str:
-        """The breaker/fault-plan name this proxy reports under."""
-        return self._backend_name
 
     def __getattr__(self, attr: str) -> Any:
         value = getattr(self._target, attr)

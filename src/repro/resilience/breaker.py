@@ -63,11 +63,6 @@ class CircuitBreaker:
         """Current state name (no clock-driven transition applied)."""
         return self._state
 
-    @property
-    def consecutive_failures(self) -> int:
-        """Consecutive failure count feeding the open threshold."""
-        return self._consecutive_failures
-
     def _transition(self, to_state: str, now: int) -> None:
         from_state = self._state
         self._state = to_state

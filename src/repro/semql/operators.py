@@ -1,7 +1,7 @@
 """LOTUS-style semantic operators over result sets.
 
 Extend the relational model with natural-language-criterion operators
-(paper Section II.B): filtering, joining, ranking and classifying rows
+(paper Section II.B): filtering, ranking and classifying rows
 by *meaning*, scored with the SLM's embeddings rather than exact
 matches. Every operator takes and returns a :class:`ResultSet`, so
 semantic and classical operators compose freely.
@@ -78,44 +78,6 @@ class SemanticOperators:
         rows = [result.rows[i] for _, i in scored[:k]]
         return ResultSet(result.columns, rows)
 
-    def sem_join(self, left: ResultSet, right: ResultSet,
-                 left_column: str, right_column: str,
-                 threshold: Optional[float] = None) -> ResultSet:
-        """Join rows whose key *texts* are semantically equivalent.
-
-        Unlike an equi-join, "Alpha Widget" matches "the alpha widget
-        (2024 model)" — the fuzzy cross-modal linking the hybrid
-        pipeline needs when generated tables meet curated ones.
-        """
-        limit = self._threshold if threshold is None else threshold
-        li = left.columns.index(left_column) if left_column in left.columns \
-            else -1
-        ri = right.columns.index(right_column) if right_column in \
-            right.columns else -1
-        if li < 0 or ri < 0:
-            raise SynthesisError(
-                "join columns %r/%r not present" % (left_column, right_column)
-            )
-        right_vecs = [
-            (row, self._slm.embed(str(row[ri] or "")))
-            for row in right.rows
-        ]
-        out_columns = list(left.columns) + [
-            "right_%s" % c if c in left.columns else c
-            for c in right.columns
-        ]
-        joined = []
-        for lrow in left.rows:
-            lvec = self._slm.embed(str(lrow[li] or ""))
-            best_row, best_sim = None, limit
-            for rrow, rvec in right_vecs:
-                sim = self._slm.embedder.cosine(lvec, rvec)
-                if sim > best_sim:
-                    best_row, best_sim = rrow, sim
-            if best_row is not None:
-                joined.append(tuple(lrow) + tuple(best_row))
-        return ResultSet(out_columns, joined)
-
     def sem_classify(self, result: ResultSet, labels: Sequence[str],
                      columns: Optional[Sequence[str]] = None,
                      output_column: str = "label") -> ResultSet:
@@ -133,45 +95,3 @@ class SemanticOperators:
             )
             out_rows.append(tuple(row) + (best[0],))
         return ResultSet(list(result.columns) + [output_column], out_rows)
-
-    def sem_dedup(self, result: ResultSet,
-                  columns: Optional[Sequence[str]] = None,
-                  threshold: Optional[float] = None) -> ResultSet:
-        """Drop rows that are semantic near-duplicates of earlier rows.
-
-        Classic data-cleaning operator for extracted tables: "Alpha
-        Widget sales rose" and "sales of the alpha widget rose" collapse
-        to one row. Keeps the first representative of each group.
-        """
-        limit = self._threshold if threshold is None else threshold
-        kept_rows = []
-        kept_vecs = []
-        for row in result.rows:
-            text = _row_text(result.columns, row, columns)
-            vec = self._slm.embed(text)
-            duplicate = any(
-                self._slm.embedder.cosine(vec, seen) >= limit
-                for seen in kept_vecs
-            )
-            if not duplicate:
-                kept_rows.append(row)
-                kept_vecs.append(vec)
-        return ResultSet(result.columns, kept_rows)
-
-    def sem_agg(self, result: ResultSet, instruction: str,
-                columns: Optional[Sequence[str]] = None) -> str:
-        """Summarize rows: the most instruction-relevant rows verbalized.
-
-        An extractive stand-in for generative aggregation — returns a
-        short text combining the two most relevant rows plus the count.
-        """
-        if not result.rows:
-            return "No rows matched."
-        top = self.sem_topk(result, instruction, min(2, len(result.rows)),
-                            columns)
-        bullets = [
-            _row_text(top.columns, row, columns) for row in top.rows
-        ]
-        return "%d rows; most relevant: %s" % (
-            len(result.rows), " | ".join(bullets)
-        )

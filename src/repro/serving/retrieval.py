@@ -46,11 +46,6 @@ class CachingRetriever:
         self._fault_witness = fault_witness
         self._scope = scope
 
-    @property
-    def wrapped_retriever(self) -> Any:
-        """The retriever this proxy caches over."""
-        return self._inner
-
     def _key(self, query: str, k: int) -> Tuple[str, str, str, int]:
         # The scope provider names the tenant the current request runs
         # under; entries from different tenants never share a key, so

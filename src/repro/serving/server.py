@@ -141,16 +141,6 @@ class QueryServer:
         """The tenant registry this server enforces."""
         return self._tenants
 
-    def invalidate_tenant(self, tenant_id: str) -> None:
-        """Drop one tenant's cached answers (spec reload / revocation).
-
-        Bumps only that tenant's generation counter: every other
-        tenant's entries — and every other cache tier — stay warm.
-        """
-        self._tenants.context(tenant_id)  # raises on unknown tenant
-        self._generations.bump(tenant_kind(tenant_id))
-        incr("serving.tenant.invalidated")
-
     def _wrap_retriever(self, retriever: Any) -> CachingRetriever:
         return CachingRetriever(
             retriever, self._tiers.retrieval, self._generations,
@@ -321,7 +311,7 @@ class QueryServer:
             self._pipeline.ingest_incremental(
                 [(str(payload["doc_id"]), str(payload["text"]))]
             )
-            return "ok (text %s reindexed)" % payload["doc_id"]
+            return "ok (text %s applied)" % payload["doc_id"]
         raise ValueError("unknown write op %r" % request.op)
 
     def _tenant_section(self) -> Dict[str, Dict[str, Any]]:

@@ -1,8 +1,8 @@
 """Simulated Small Language Model substrate.
 
-Embeddings, n-gram language modeling, grounded generation, entailment
-and tagging behind the :class:`SmallLanguageModel` facade. See DESIGN.md
-§1 for why a simulated SLM is a faithful substitute here.
+Embeddings, grounded generation, entailment and tagging behind the
+:class:`SmallLanguageModel` facade. See DESIGN.md §1 for why a
+simulated SLM is a faithful substitute here.
 """
 
 from .embeddings import EmbeddingModel
@@ -14,8 +14,6 @@ from .generator import (
     AnswerGenerator, Generation, classify_answer_kind,
 )
 from .model import SLMConfig, SmallLanguageModel
-from .ngram import NgramLanguageModel
-from .vocab import BOS, EOS, UNK, Vocabulary
 
 __all__ = [
     "EmbeddingModel",
@@ -23,6 +21,4 @@ __all__ = [
     "ANSWER_DATE", "ANSWER_ENTITY", "ANSWER_FREEFORM", "ANSWER_NUMERIC",
     "AnswerGenerator", "Generation", "classify_answer_kind",
     "SLMConfig", "SmallLanguageModel",
-    "NgramLanguageModel",
-    "BOS", "EOS", "UNK", "Vocabulary",
 ]

@@ -2,7 +2,7 @@
 
 This stands in for the SLM's encoder. Each token deterministically maps
 to a fixed unit vector (seeded by a stable hash of the token), and a
-text embeds as the IDF-weighted mean of its content-token vectors plus
+text embeds as the normalised sum of its content-token vectors plus
 a character-trigram component that gives morphologically related tokens
 ("increase"/"increased") nearby vectors. Cosine similarity over these
 embeddings behaves like a classic distributional model: texts sharing
@@ -17,8 +17,7 @@ while being reproducible offline without model weights.
 from __future__ import annotations
 
 import hashlib
-import math
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -79,35 +78,10 @@ class EmbeddingModel:
         self._token_cache = CostAwareLRU(capacity=token_cache_size,
                                          name="slm.token_vectors")
         self._text_memo: Optional[CostAwareLRU] = None
-        self._doc_freq: Dict[str, int] = {}
-        self._n_docs = 0
-
-    # ------------------------------------------------------------------
-    # Corpus statistics (optional; improves weighting like a trained
-    # encoder's contextual salience).
-    # ------------------------------------------------------------------
-    def fit_idf(self, texts: Iterable[str]) -> "EmbeddingModel":
-        """Record document frequencies so rare terms weigh more."""
-        for text in texts:
-            self._n_docs += 1
-            for term in set(content_words(text)):
-                self._doc_freq[term] = self._doc_freq.get(term, 0) + 1
-        return self
-
-    def _idf(self, term: str) -> float:
-        if self._n_docs == 0:
-            return 1.0
-        df = self._doc_freq.get(term, 0)
-        return math.log((self._n_docs + 1) / (df + 1)) + 1.0
 
     # ------------------------------------------------------------------
     # Embedding
     # ------------------------------------------------------------------
-    @property
-    def token_cache(self) -> CostAwareLRU:
-        """The bounded token-vector memo (for inspection and tests)."""
-        return self._token_cache
-
     @property
     def text_memo(self) -> Optional[CostAwareLRU]:
         """The whole-text embedding memo, None until enabled."""
@@ -125,10 +99,6 @@ class EmbeddingModel:
         self._text_memo = CostAwareLRU(capacity=capacity,
                                        name="slm.text_memo")
         return self._text_memo
-
-    def disable_text_memo(self) -> None:
-        """Remove the whole-text memo (returns to always-compute)."""
-        self._text_memo = None
 
     def _token_vector(self, token: str) -> np.ndarray:
         cached = self._token_cache.get(token)
@@ -172,7 +142,7 @@ class EmbeddingModel:
             return np.zeros(self.dim)
         acc = np.zeros(self.dim)
         for term in terms:
-            acc += self._idf(term) * self._token_vector(term)
+            acc += self._token_vector(term)
         norm = np.linalg.norm(acc)
         if norm == 0.0:
             return acc

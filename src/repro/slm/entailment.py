@@ -10,7 +10,7 @@ enough for clustering yet directional (a ⊨ b ≠ b ⊨ a) like real NLI.
 from __future__ import annotations
 
 import re
-from typing import List, Optional, Set, Tuple
+from typing import Optional, Set
 
 from ..metering import ENTAILMENT_CALLS, CostMeter, GLOBAL_METER
 from ..text.stemmer import stem
@@ -119,14 +119,3 @@ class EntailmentJudge:
     def equivalent(self, a: str, b: str) -> bool:
         """Bidirectional entailment — the clustering relation of E3."""
         return self.entails(a, b) and self.entails(b, a)
-
-    def pairwise_equivalences(
-        self, texts: List[str]
-    ) -> List[Tuple[int, int]]:
-        """All (i, j) index pairs, i < j, judged equivalent."""
-        pairs = []
-        for i in range(len(texts)):
-            for j in range(i + 1, len(texts)):
-                if self.equivalent(texts[i], texts[j]):
-                    pairs.append((i, j))
-        return pairs

@@ -1,11 +1,11 @@
 """The Small Language Model facade.
 
 :class:`SmallLanguageModel` bundles every SLM capability the paper's
-architecture calls on — embedding, lightweight entity tagging, POS
-tagging, grounded generation, sequence scoring and entailment — behind
-one object with a shared cost meter and a single seed. Subsystems take
-the facade, never the parts, so swapping in a real model later means
-re-implementing one class.
+architecture calls on — embedding, lightweight entity tagging,
+grounded generation and entailment — behind one object with a shared
+cost meter and a single seed. Subsystems take the facade, never the
+parts, so swapping in a real model later means re-implementing one
+class.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ import numpy as np
 from ..metering import TAGGING_CALLS, CostMeter, GLOBAL_METER
 from ..obs import span
 from ..text.ner import Entity, EntityRecognizer, Gazetteer
-from ..text.pos import TaggedToken, tag as pos_tag
 from .embeddings import EmbeddingModel
 from .entailment import EntailmentJudge
 from .generator import AnswerGenerator, Generation
-from .ngram import NgramLanguageModel
 
 
 @dataclass
@@ -82,8 +80,6 @@ class SmallLanguageModel:
             meter=self.meter,
         )
         self.judge = EntailmentJudge(meter=self.meter)
-        self.lm = NgramLanguageModel(order=3)
-        self._lm_fitted = False
 
     # ------------------------------------------------------------------
     # Encoder
@@ -129,25 +125,9 @@ class SmallLanguageModel:
             sp.set("n_entities", len(entities))
             return entities
 
-    def tag_pos(self, text: str) -> List[TaggedToken]:
-        """Part-of-speech tag *text*."""
-        self.meter.charge(TAGGING_CALLS)
-        return pos_tag(text)
-
     # ------------------------------------------------------------------
-    # Language modeling / generation
+    # Generation
     # ------------------------------------------------------------------
-    def fit_language_model(self, sentences: Iterable[Sequence[str]]) -> None:
-        """Train the internal n-gram LM for scoring/perplexity."""
-        self.lm.fit(sentences)
-        self._lm_fitted = True
-
-    def perplexity(self, tokens: Sequence[str]) -> float:
-        """Perplexity under the internal LM (requires fitting first)."""
-        if not self._lm_fitted:
-            raise RuntimeError("call fit_language_model() first")
-        return self.lm.perplexity(tokens)
-
     def generate(self, question: str, contexts: Sequence[str],
                  temperature: float = 0.7) -> Generation:
         """One grounded answer sample."""

@@ -15,7 +15,7 @@ dicts):
 from __future__ import annotations
 
 import re
-from typing import Any, List, Tuple, Union
+from typing import Any, List, Union
 
 from ...errors import StorageError
 
@@ -91,29 +91,3 @@ def select_one(document: Any, path: str, default: Any = None) -> Any:
     """First value at *path*, or *default* when absent."""
     matches = select(document, path)
     return matches[0] if matches else default
-
-
-def flatten(document: Any, prefix: str = "",
-            max_depth: int = 12) -> List[Tuple[str, Any]]:
-    """Flatten nested structure to (path, scalar) pairs.
-
-    Used when projecting documents into relational rows and when
-    indexing document fields as graph entities.
-
-    >>> flatten({"a": {"b": 1}})
-    [('a.b', 1)]
-    """
-    if max_depth < 0:
-        raise StorageError("document nesting too deep")
-    pairs: List[Tuple[str, Any]] = []
-    if isinstance(document, dict):
-        for key in document:
-            child_prefix = "%s.%s" % (prefix, key) if prefix else str(key)
-            pairs.extend(flatten(document[key], child_prefix, max_depth - 1))
-    elif isinstance(document, list):
-        for i, item in enumerate(document):
-            child_prefix = "%s[%d]" % (prefix, i)
-            pairs.extend(flatten(item, child_prefix, max_depth - 1))
-    else:
-        pairs.append((prefix, document))
-    return pairs

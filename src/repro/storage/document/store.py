@@ -13,7 +13,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tupl
 
 from ...errors import StorageError
 from ...metering import CHUNKS_READ, CostMeter, GLOBAL_METER
-from .jsonpath import flatten, select, select_one
+from .jsonpath import select, select_one
 
 
 class DocumentStore:
@@ -159,10 +159,6 @@ class DocumentStore:
                 record[column] = select_one(document, path)
             records.append(record)
         return records
-
-    def flatten_document(self, doc_id: str) -> List[Tuple[str, Any]]:
-        """(path, scalar) pairs of one document (for graph indexing)."""
-        return flatten(self.get(doc_id))
 
     # ------------------------------------------------------------------
     # Serialization

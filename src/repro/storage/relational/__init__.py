@@ -13,8 +13,7 @@ from .expressions import (
 )
 from .index import HashIndex, SortedIndex
 from .persistence import (
-    database_from_json, database_to_json, load_database, save_database,
-    table_from_dict, table_to_dict,
+    database_from_json, database_to_json, table_from_dict, table_to_dict,
 )
 from .planner import Planner, PlanNode
 from .schema import Column, TableSchema, validate_identifier
@@ -30,8 +29,8 @@ __all__ = [
     "Between", "BinaryOp", "ColumnRef", "Expression", "FunctionCall",
     "InList", "IsNull", "Like", "Literal", "UnaryOp",
     "HashIndex", "SortedIndex",
-    "database_from_json", "database_to_json", "load_database",
-    "save_database", "table_from_dict", "table_to_dict",
+    "database_from_json", "database_to_json", "table_from_dict",
+    "table_to_dict",
     "Planner", "PlanNode",
     "Column", "TableSchema", "validate_identifier",
     "AggregateCall", "CreateTableStatement", "InsertStatement",

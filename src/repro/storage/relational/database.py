@@ -66,11 +66,6 @@ class Database:
         """
         self._mutation_listeners.append(listener)
 
-    def remove_mutation_listener(self, listener) -> None:
-        """Unsubscribe a previously added listener (missing is a no-op)."""
-        if listener in self._mutation_listeners:
-            self._mutation_listeners.remove(listener)
-
     def _notify_mutation(self, op: str) -> None:
         for listener in self._mutation_listeners:
             listener(op)
@@ -207,10 +202,6 @@ class Database:
         if self._views.pop(name.lower(), None) is None:
             raise StorageError("no view %r" % name)
 
-    def view_names(self) -> List[str]:
-        """Sorted names of all views."""
-        return sorted(self._views)
-
     def _materialize_view(self, name: str) -> Table:
         from ..types import infer_value_type, unify_types
         from .schema import Column
@@ -257,11 +248,6 @@ class Database:
         self._tables, self._views = self._snapshot
         self._snapshot = None
         self._notify_mutation("rollback")
-
-    @property
-    def in_transaction(self) -> bool:
-        """True while a transaction is open."""
-        return self._snapshot is not None
 
     def plan(self, sql: str) -> PlanNode:
         """Plan a SELECT without executing (for EXPLAIN / tests)."""

@@ -8,7 +8,7 @@ insert/delete through the owning :class:`~.table.Table`.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from ...errors import StorageError
 from ..types import sort_key
@@ -39,10 +39,6 @@ class HashIndex:
 
     def __len__(self) -> int:
         return sum(len(b) for b in self._buckets.values())
-
-    def distinct_values(self) -> int:
-        """Number of distinct indexed values (for planner statistics)."""
-        return len(self._buckets)
 
 
 class SortedIndex:
@@ -103,14 +99,6 @@ class SortedIndex:
             else:
                 hi_pos = bisect.bisect_left(self._keys, (sort_key(high),))
         return [row_id for _, row_id in self._entries[lo_pos:hi_pos]]
-
-    def min_value(self) -> Optional[Any]:
-        """Smallest indexed value (None when empty)."""
-        return self._entries[0][0] if self._entries else None
-
-    def max_value(self) -> Optional[Any]:
-        """Largest indexed value (None when empty)."""
-        return self._entries[-1][0] if self._entries else None
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -102,16 +102,3 @@ def database_from_json(text: str,
         for row in table.rows():
             target.insert(row)
     return db
-
-
-def save_database(db: Database, path: str) -> None:
-    """Write the database JSON to *path*."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(database_to_json(db))
-
-
-def load_database(path: str,
-                  meter: Optional[CostMeter] = None) -> Database:
-    """Read a database JSON file written by :func:`save_database`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return database_from_json(handle.read(), meter=meter)

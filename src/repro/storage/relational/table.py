@@ -66,11 +66,6 @@ class Table:
             self.schema.row_from_dict(record, coerce_values=coerce)
         )
 
-    def insert_many(self, rows: Iterable[Sequence[Any]],
-                    coerce: bool = False) -> List[int]:
-        """Insert many rows; returns their ids."""
-        return [self.insert(row, coerce=coerce) for row in rows]
-
     def update(self, row_id: int, row: Sequence[Any],
                coerce: bool = False) -> None:
         """Replace the row at *row_id* in place, maintaining indexes.

@@ -303,7 +303,3 @@ class TenantRegistry:
                 return context
         raise TenancyError("unknown tenant %r (registered: %s)" % (
             tenant_id, ", ".join(self.tenant_ids())))
-
-    def default_context(self) -> TenantContext:
-        """The context single-tenant callers implicitly run under."""
-        return self.context(DEFAULT_TENANT)

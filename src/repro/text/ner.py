@@ -183,7 +183,3 @@ class EntityRecognizer:
 
         entities.sort(key=lambda e: e.start)
         return entities
-
-    def entity_keys(self, text: str) -> List[str]:
-        """Convenience: the ``norm`` keys of all entities in *text*."""
-        return [e.norm for e in self.recognize(text)]

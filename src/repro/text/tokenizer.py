@@ -1,9 +1,9 @@
 """Word and sentence tokenization.
 
 The tokenizer is deliberately rule-based and dependency-free: the paper's
-SLM performs "lightweight tagging", and every downstream component (n-gram
-language model, BM25, NER, chunking) consumes these tokens, so behaviour
-must be deterministic and cheap.
+SLM performs "lightweight tagging", and every downstream component
+(BM25, NER, chunking) consumes these tokens, so behaviour must be
+deterministic and cheap.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def tokenize(text: str) -> List[Token]:
 def words(text: str, lowercase: bool = True) -> List[str]:
     """Return just the token strings, optionally lower-cased.
 
-    This is the canonical "bag of terms" used by BM25 and the n-gram LM.
+    This is the canonical "bag of terms" used by BM25 and the SLM.
     """
     toks = tokenize(text)
     if lowercase:

@@ -1,4 +1,6 @@
-"""Shared test configuration."""
+"""Shared test configuration and helpers."""
+
+import math
 
 from hypothesis import HealthCheck, settings
 
@@ -10,3 +12,15 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+
+def matches_number(answer, expected, rel_tol=1e-4):
+    """True when *answer*'s numeric value (a lone list item unwrapped)
+    equals *expected*."""
+    value = answer.value
+    if isinstance(value, (list, tuple)) and len(value) == 1:
+        value = value[0]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return math.isclose(float(value), expected, rel_tol=rel_tol,
+                        abs_tol=1e-9)

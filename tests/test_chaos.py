@@ -117,7 +117,7 @@ def _proxy_chain(retriever):
         proxy = chain[-1]
         chain.append(proxy.resilient_target
                      if isinstance(proxy, ResilientBackend)
-                     else proxy.wrapped_retriever)
+                     else proxy._inner)  # noqa: SLF001
     return chain
 
 

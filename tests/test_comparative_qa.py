@@ -8,6 +8,7 @@ from repro.qa.answer import Answer
 from repro.qa.compare import ComparativeQA, decompose
 from repro.slm import SLMConfig, SmallLanguageModel
 from repro.text.ner import TYPE_PRODUCT, Gazetteer
+from tests.conftest import matches_number
 
 CURATED_SQL = [
     "CREATE TABLE products (pid INT PRIMARY KEY, name TEXT, price FLOAT)",
@@ -132,7 +133,7 @@ class TestEndToEnd:
     def test_non_comparison_unaffected(self):
         pipe = make_pipeline()
         answer = pipe.answer("Find the total sales of all products in Q2.")
-        assert answer.matches_number(300.0)
+        assert matches_number(answer, 300.0)
         assert answer.metadata["route"] != "comparison"
 
     def test_unanswerable_comparison_falls_through(self):

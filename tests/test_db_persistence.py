@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import StorageError
 from repro.metering import CostMeter
 from repro.storage.relational import (
-    Database, database_from_json, database_to_json, load_database,
-    save_database, table_from_dict, table_to_dict,
+    Database, database_from_json, database_to_json, table_from_dict,
+    table_to_dict,
 )
 
 
@@ -61,12 +61,6 @@ class TestDatabasePersistence:
         clone = database_from_json(database_to_json(make_db()),
                                    meter=CostMeter())
         assert len(clone.table("empty")) == 0
-
-    def test_file_roundtrip(self, tmp_path):
-        path = str(tmp_path / "db.json")
-        save_database(make_db(), path)
-        clone = load_database(path, meter=CostMeter())
-        assert clone.execute("SELECT COUNT(*) FROM t").scalar() == 2
 
     def test_bad_json(self):
         with pytest.raises(StorageError):

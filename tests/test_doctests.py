@@ -18,7 +18,6 @@ DOCTESTED_MODULES = [
     "repro.storage.relational.database",
     "repro.storage.relational.sql_lexer",
     "repro.storage.relational.sql_parser",
-    "repro.slm.vocab",
     "repro.slm.embeddings",
     "repro.slm.generator",
     "repro.extraction.normalize",

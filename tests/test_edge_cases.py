@@ -109,19 +109,6 @@ class TestSemOpsEdges:
         rs = ResultSet(["a"], [("x y",)])
         assert len(ops.sem_topk(rs, "x", k=10)) == 1
 
-    def test_join_empty_right(self):
-        ops = self.make_ops()
-        left = ResultSet(["k"], [("a",)])
-        right = ResultSet(["k2"], [])
-        assert ops.sem_join(left, right, "k", "k2").rows == []
-
-    def test_join_column_name_collision_prefixed(self):
-        ops = self.make_ops()
-        left = ResultSet(["k"], [("alpha widget",)])
-        right = ResultSet(["k", "v"], [("alpha widget", 1)])
-        out = ops.sem_join(left, right, "k", "k", threshold=0.5)
-        assert out.columns == ["k", "right_k", "v"]
-
 
 class TestStateCorruption:
     def test_corrupt_manifest(self, tmp_path):

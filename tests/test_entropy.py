@@ -10,9 +10,8 @@ from repro.metering import CostMeter
 from repro.entropy import (
     EntropyEstimate, METHOD_EMBEDDING, METHOD_ENTAILMENT,
     SemanticEntropyEstimator, accuracy_at_coverage, all_baselines, auroc,
-    cluster_by_embedding, cluster_by_entailment, cluster_sizes,
+    cluster_by_embedding, cluster_by_entailment,
     compare_methods, lexical_dissimilarity, predictive_entropy,
-    rejection_curve,
 )
 from repro.slm import SLMConfig, SmallLanguageModel
 from repro.slm.embeddings import EmbeddingModel
@@ -45,6 +44,10 @@ def gen(text, mean_lp=-0.5, grounded=True):
         grounded=grounded, support=(0,) if grounded else (),
         confidence=0.8 if grounded else 0.2,
     )
+
+
+def gens(texts):
+    return [gen(text) for text in texts]
 
 
 class TestClustering:
@@ -82,7 +85,7 @@ class TestClustering:
         clusters = cluster_by_entailment(
             CONSISTENT + ["completely unrelated thing"], make_judge()
         )
-        assert cluster_sizes(clusters) == [3, 1]
+        assert sorted((c.size for c in clusters), reverse=True) == [3, 1]
 
     def test_members_cover_all_indices(self):
         clusters = cluster_by_entailment(DIVERGENT, make_judge())
@@ -97,26 +100,26 @@ class TestSemanticEntropy:
         )
 
     def test_consistent_low_entropy(self):
-        estimate = self.make().estimate_texts(CONSISTENT)
+        estimate = self.make().estimate(gens(CONSISTENT))
         assert estimate.entropy == 0.0
         assert estimate.n_clusters == 1
 
     def test_divergent_high_entropy(self):
-        estimate = self.make().estimate_texts(DIVERGENT)
+        estimate = self.make().estimate(gens(DIVERGENT))
         assert estimate.entropy == pytest.approx(math.log(3))
 
     def test_normalized_in_unit_range(self):
-        estimate = self.make().estimate_texts(DIVERGENT)
+        estimate = self.make().estimate(gens(DIVERGENT))
         assert 0.0 <= estimate.normalized <= 1.0
         assert estimate.normalized == pytest.approx(1.0)
 
     def test_majority_answer(self):
         answers = CONSISTENT + ["something else entirely happened"]
-        estimate = self.make().estimate_texts(answers)
+        estimate = self.make().estimate(gens(answers))
         assert "20%" in estimate.majority_answer
 
     def test_embedding_method(self):
-        estimate = self.make(METHOD_EMBEDDING).estimate_texts(CONSISTENT)
+        estimate = self.make(METHOD_EMBEDDING).estimate(gens(CONSISTENT))
         assert estimate.method == METHOD_EMBEDDING
         assert estimate.entropy == 0.0
 
@@ -129,7 +132,7 @@ class TestSemanticEntropy:
         assert weighted.entropy < uniform.entropy
 
     def test_single_sample_zero(self):
-        estimate = self.make().estimate_texts(["one answer"])
+        estimate = self.make().estimate([gen("one answer")])
         assert estimate.entropy == 0.0 and estimate.normalized == 0.0
 
     def test_empty_generations_rejected(self):
@@ -194,16 +197,6 @@ class TestCalibration:
         with pytest.raises(EntropyError):
             auroc([0.5], [True, False])
 
-    def test_rejection_curve_monotone_coverage(self):
-        scores = [0.1, 0.4, 0.6, 0.9]
-        errors = [False, False, True, True]
-        curve = rejection_curve(scores, errors, n_points=4)
-        coverages = [p.coverage for p in curve]
-        assert coverages == sorted(coverages, reverse=True)
-        # Full coverage accuracy = 0.5; best rejection reaches 1.0.
-        assert curve[0].accuracy == 0.5
-        assert curve[-1].accuracy == 1.0
-
     def test_accuracy_at_coverage(self):
         scores = [0.1, 0.9]
         errors = [False, True]
@@ -218,10 +211,6 @@ class TestCalibration:
             {"good": [0.1, 0.9], "bad": [0.9, 0.1]}, errors
         )
         assert out["good"] == 1.0 and out["bad"] == 0.0
-
-    def test_rejection_empty(self):
-        with pytest.raises(EntropyError):
-            rejection_curve([], [], n_points=3)
 
 
 class TestEndToEndEntropy:

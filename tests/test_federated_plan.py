@@ -35,7 +35,7 @@ from repro.qa.plan import (
 )
 
 #: (question, expected route, expected signature digest) per domain.
-#: Regenerate via ``pipeline.compile_plan(q).digest()`` after any
+#: Regenerate via ``pipeline._executor.compile(q).digest()`` after any
 #: deliberate change to routing, the stage vocabulary, or compilation.
 GOLDEN_ECOMMERCE = [
     ("What is the total sales of the Crimson Tracker in Q3?",
@@ -336,12 +336,12 @@ class GoldenSignatureTest(unittest.TestCase):
 
     A digest change means routing, the stage vocabulary, or compilation
     changed — fine when deliberate; update the table from
-    ``pipeline.compile_plan(question).digest()``.
+    ``pipeline._executor.compile(question).digest()``.
     """
 
     def _check(self, pipeline, golden):
         for question, route, digest in golden:
-            plan = pipeline.compile_plan(question)
+            plan = pipeline._executor.compile(question)
             self.assertEqual(plan.route, route, question)
             self.assertEqual(plan.digest(), digest, question)
             self.assertEqual(check_plan(plan), [], question)
@@ -354,7 +354,7 @@ class GoldenSignatureTest(unittest.TestCase):
 
     def test_render_plan_shows_signature_and_stages(self):
         question = GOLDEN_ECOMMERCE[0][0]
-        plan = _pipeline("ecommerce").compile_plan(question)
+        plan = _pipeline("ecommerce")._executor.compile(question)
         rendered = render_plan(plan)
         self.assertIn(plan.digest(), rendered)
         self.assertIn("SelectBest", rendered)
@@ -380,7 +380,7 @@ class GoldenSignatureTest(unittest.TestCase):
             pipe.answer(question)
         finally:
             pipe.set_plan_cache(None)
-        expected = pipe.compile_plan(question).signature()
+        expected = pipe._executor.compile(question).signature()
         self.assertIn(expected, cache.keys)
 
 

@@ -6,7 +6,7 @@ from repro.metering import CostMeter
 from repro.graphindex import (
     BridgeReport, EDGE_DESCRIBES, EDGE_MENTIONS, EDGE_RELATES, GraphEdge,
     GraphNode, HeterogeneousGraph, NODE_CHUNK, NODE_ENTITY, NODE_RECORD,
-    bridge_report, degree_histogram, describe, hub_entities,
+    bridge_report, describe, hub_entities,
     relation_histogram,
 )
 
@@ -59,11 +59,6 @@ class TestHubsAndHistograms:
 
     def test_relation_histogram(self):
         assert relation_histogram(make_graph()) == {"purchas": 2}
-
-    def test_degree_histogram(self):
-        hist = degree_histogram(make_graph(), NODE_ENTITY)
-        assert hist[0] == 1   # orphan
-        assert hist[4] == 1   # bridge
 
     def test_describe_mentions_key_facts(self):
         text = describe(make_graph())

@@ -10,8 +10,8 @@ from repro.graphindex import (
     BuilderConfig, EDGE_CO_OCCURS, EDGE_DESCRIBES, EDGE_MENTIONS, EDGE_NEXT,
     EDGE_RELATES,
     GraphEdge, GraphIndexBuilder, GraphNode, HeterogeneousGraph,
-    NODE_CHUNK, NODE_ENTITY, NODE_RECORD, chunk_key, degree_centrality,
-    entity_key, graph_from_json, graph_to_json, harmonic_centrality,
+    NODE_CHUNK, NODE_ENTITY, NODE_RECORD, chunk_key,
+    entity_key, graph_from_json, graph_to_json,
     normalize_scores, pagerank,
 )
 from repro.slm import SLMConfig, SmallLanguageModel
@@ -117,12 +117,6 @@ class TestTraversal:
         with pytest.raises(GraphIndexError):
             make_graph().bfs(["chunk:c0"], max_depth=-1)
 
-    def test_shortest_path(self):
-        g = make_graph()
-        assert g.shortest_path_length("chunk:c0", "entity:beta") == 2
-        assert g.shortest_path_length("chunk:c0", "chunk:c0") == 0
-        assert g.shortest_path_length("chunk:c0", "chunk:c2") is None
-
     def test_components(self):
         g = make_graph()
         comps = g.connected_components()
@@ -136,11 +130,6 @@ class TestTraversal:
 
 
 class TestCentrality:
-    def test_degree_centrality(self):
-        scores = degree_centrality(make_graph())
-        assert scores["entity:alpha"] == pytest.approx(3 / 4)
-        assert scores["chunk:c2"] == 0.0
-
     def test_pagerank_sums_to_one(self):
         ranks = pagerank(make_graph())
         assert sum(ranks.values()) == pytest.approx(1.0, abs=1e-6)
@@ -166,15 +155,6 @@ class TestCentrality:
         assert g.meter.get(EDGES_TRAVERSED) - before == g.degree("chunk:c1")
         g.neighbors("chunk:c2")
         assert g.meter.get(EDGES_TRAVERSED) - before == g.degree("chunk:c1")
-
-    def test_harmonic_subset(self):
-        g = make_graph()
-        scores = harmonic_centrality(g, nodes=["entity:alpha", "chunk:c2"])
-        assert scores["entity:alpha"] > scores["chunk:c2"] == 0.0
-
-    def test_harmonic_unknown_node(self):
-        with pytest.raises(GraphIndexError):
-            harmonic_centrality(make_graph(), nodes=["zzz"])
 
     def test_normalize(self):
         out = normalize_scores({"a": 1.0, "b": 3.0})
@@ -647,12 +627,8 @@ class TestBuilder:
         builder = GraphIndexBuilder(make_slm(), meter=CostMeter())
         builder.add_table(db.table("purchases"),
                           entity_columns=["customer", "product"])
-        builder.add_table_relations(db.table("purchases"), "customer",
-                                    "product", relation="purchased")
         g = builder.build()
         assert len(g.nodes(NODE_RECORD)) == 1
-        relates = [e for e in g.edges() if e.kind == EDGE_RELATES]
-        assert relates and relates[0].label == "purchased"
         # Table entity unifies with text entity via normalization.
         assert g.has_node(entity_key("alpha widget"))
 
@@ -683,18 +659,3 @@ class TestPersistence:
     def test_version_check(self):
         with pytest.raises(GraphIndexError):
             graph_from_json('{"version": 99, "nodes": [], "edges": []}')
-
-    def test_file_roundtrip(self, tmp_path):
-        from repro.graphindex import load_graph, save_graph
-        g = make_graph()
-        path = str(tmp_path / "graph.json")
-        save_graph(g, path)
-        clone = load_graph(path, meter=CostMeter())
-        assert clone.n_nodes == g.n_nodes
-
-    def test_networkx_export(self):
-        pytest.importorskip("networkx")
-        g = make_graph()
-        nxg = g.to_networkx()
-        assert nxg.number_of_nodes() == g.n_nodes
-        assert nxg.number_of_edges() == g.n_edges

@@ -17,6 +17,7 @@ from repro.retrieval.metrics import (
     ndcg_at_k, precision_at_k, recall_at_k, reciprocal_rank,
 )
 from repro.slm.entailment import EntailmentJudge
+from repro.slm.generator import Generation
 from repro.storage.types import sort_key
 
 # ----------------------------------------------------------------------
@@ -133,6 +134,11 @@ class TestMetricInvariants:
 # ----------------------------------------------------------------------
 # Entropy / calibration invariants
 # ----------------------------------------------------------------------
+def _generations(answers):
+    return [Generation(text=a, token_logprobs=(-0.5,), grounded=True,
+                       support=(0,), confidence=0.8) for a in answers]
+
+
 class TestEntropyInvariants:
     @given(answers=st.lists(
         st.sampled_from([
@@ -144,7 +150,7 @@ class TestEntropyInvariants:
         estimator = SemanticEntropyEstimator(
             judge=EntailmentJudge(meter=CostMeter())
         )
-        estimate = estimator.estimate_texts(answers)
+        estimate = estimator.estimate(_generations(answers))
         assert 0.0 <= estimate.entropy <= math.log(len(answers)) + 1e-9
         assert 1 <= estimate.n_clusters <= len(answers)
         assert 0.0 <= estimate.normalized <= 1.0 + 1e-9
@@ -157,8 +163,8 @@ class TestEntropyInvariants:
         estimator = SemanticEntropyEstimator(
             judge=EntailmentJudge(meter=CostMeter())
         )
-        once = estimator.estimate_texts(answers).entropy
-        twice = estimator.estimate_texts(answers + answers).entropy
+        once = estimator.estimate(_generations(answers)).entropy
+        twice = estimator.estimate(_generations(answers + answers)).entropy
         assert once == pytest.approx(twice, abs=1e-9)
 
     @given(scores=st.lists(st.floats(0, 1, allow_nan=False),

@@ -7,13 +7,10 @@ the project-scope cycle detector, reporters, and CLI exit codes.
 import json
 import textwrap
 
-import pytest
-
 from repro.lint import LintEngine, all_rules, rule_ids
-from repro.lint.baseline import apply_baseline, finding_key, load_baseline
 from repro.lint.cli import main as lint_main
 from repro.lint.core import Finding, parse_suppressions
-from repro.lint.report import render_github, render_json, render_text
+from repro.lint.report import render_json, render_text
 
 
 def run_rule(rule_id, source, relpath="qa/snippet.py"):
@@ -657,48 +654,6 @@ class TestReporters:
             "message": "print() in library code",
         }
 
-    def test_github_report(self):
-        text = render_github(self.FINDINGS)
-        assert text == ("::error file=src/repro/a.py,line=3::"
-                        "[no-print] print() in library code")
-        assert render_github([]) == "::notice::no findings"
-
-    def test_github_report_custom_prefix_and_newlines(self):
-        findings = [Finding("t.py", 1, "r", "line one\nline two")]
-        text = render_github(findings, prefix="")
-        assert text == "::error file=t.py,line=1::[r] line one line two"
-
-
-# ----------------------------------------------------------------------
-# baseline
-# ----------------------------------------------------------------------
-
-class TestBaseline:
-    OLD = Finding("qa/old.py", 3, "no-print", "print() in library code")
-    NEW = Finding("qa/new.py", 9, "no-print", "print() in library code")
-
-    def test_key_ignores_line(self):
-        moved = Finding("qa/old.py", 99, "no-print",
-                        "print() in library code")
-        assert finding_key(self.OLD) == finding_key(moved)
-        assert finding_key(self.OLD) != finding_key(self.NEW)
-
-    def test_roundtrip_through_json_report(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(render_json([self.OLD]), encoding="utf-8")
-        baseline = load_baseline(path)
-        kept = apply_baseline([self.OLD, self.NEW], baseline)
-        assert kept == [self.NEW]
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("[]", encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_baseline(path)
-        path.write_text("not json", encoding="utf-8")
-        with pytest.raises(ValueError):
-            load_baseline(path)
-
 
 # ----------------------------------------------------------------------
 # CLI exit codes
@@ -748,36 +703,6 @@ class TestCli:
         out = capsys.readouterr().out
         for rule_id in rule_ids():
             assert rule_id in out
-
-    def test_github_format(self, tmp_path, capsys):
-        path = tmp_path / "dirty.py"
-        path.write_text('"""Docs."""\nprint("hi")\n', encoding="utf-8")
-        assert lint_main(["--format", "github", str(path)]) == 1
-        out = capsys.readouterr().out
-        assert "::error file=" in out
-        assert "[no-print]" in out
-
-    def test_baseline_suppresses_recorded_findings(self, tmp_path,
-                                                   capsys):
-        path = tmp_path / "dirty.py"
-        path.write_text('"""Docs."""\nprint("hi")\n', encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        assert lint_main(["--format", "json", str(path)]) == 1
-        baseline.write_text(capsys.readouterr().out, encoding="utf-8")
-        assert lint_main(["--baseline", str(baseline), str(path)]) == 0
-        # A new finding in a different file still fails.
-        other = tmp_path / "other.py"
-        other.write_text('"""Docs."""\nprint("yo")\n', encoding="utf-8")
-        assert lint_main(["--baseline", str(baseline), str(path),
-                          str(other)]) == 1
-
-    def test_missing_or_malformed_baseline_exits_two(self, tmp_path,
-                                                     capsys):
-        assert lint_main(["--baseline", str(tmp_path / "gone.json")]) == 2
-        assert "baseline" in capsys.readouterr().err
-        bad = tmp_path / "bad.json"
-        bad.write_text("[]", encoding="utf-8")
-        assert lint_main(["--baseline", str(bad)]) == 2
 
     def test_shipped_tree_is_clean(self, capsys):
         # The acceptance bar: the default target lints clean.

@@ -14,6 +14,7 @@ from repro.slm import SLMConfig, SmallLanguageModel
 from repro.text.ner import TYPE_PRODUCT, Gazetteer
 from repro.text.stopwords import content_stems
 from repro.text.tokenizer import split_sentences
+from tests.conftest import matches_number
 
 CURATED_SQL = [
     "CREATE TABLE products (pid INT PRIMARY KEY, name TEXT, price FLOAT)",
@@ -52,7 +53,7 @@ class TestAnswerWithUncertainty:
         answer, estimate = pipe.answer_with_uncertainty(
             "Find the total sales of all products in Q2."
         )
-        assert answer.matches_number(300.0)
+        assert matches_number(answer, 300.0)
         assert estimate is None
         assert answer.metadata["needs_review"] is False
 
@@ -87,7 +88,7 @@ class TestIncrementalIngest:
             "How much did satisfaction with the Beta Gadget change "
             "in Q3 2024?"
         )
-        assert not before.matches_number(30.0)
+        assert not matches_number(before, 30.0)
         pipe.ingest_incremental([
             ("rev2", "Satisfaction with the Beta Gadget decreased 30% "
                      "in Q3 2024. Returns were processed slowly."),
@@ -96,7 +97,7 @@ class TestIncrementalIngest:
             "How much did satisfaction with the Beta Gadget change "
             "in Q3 2024?"
         )
-        assert after.matches_number(-30.0) or "30" in after.text
+        assert matches_number(after, -30.0) or "30" in after.text
 
     def test_graph_grows_incrementally(self):
         pipe = make_pipeline()
@@ -125,7 +126,7 @@ class TestIncrementalIngest:
         pipe = make_pipeline()
         pipe.ingest_incremental([("rev4", "Nothing numeric here.")])
         answer = pipe.answer("Find the total sales of all products in Q2.")
-        assert answer.matches_number(300.0)
+        assert matches_number(answer, 300.0)
 
     def test_requires_built_pipeline(self):
         gaz = Gazetteer()
@@ -220,7 +221,7 @@ class TestIncrementalTableRegeneration:
         answer = pipe.answer(
             "What is the average increase of the Beta Gadget?"
         )
-        assert answer.matches_number(7.0)
+        assert matches_number(answer, 7.0)
 
 
 class TestAppendTouchesOnlyTheDelta:

@@ -7,6 +7,7 @@ from repro.metering import CostMeter, TAGGING_CALLS
 from repro.qa import HybridQAPipeline, load_pipeline, save_pipeline
 from repro.slm import SLMConfig, SmallLanguageModel
 from repro.text.ner import TYPE_PRODUCT, Gazetteer
+from tests.conftest import matches_number
 
 CURATED_SQL = [
     "CREATE TABLE products (pid INT PRIMARY KEY, name TEXT, price FLOAT)",
@@ -57,7 +58,7 @@ class TestSaveLoad:
         save_pipeline(original, str(tmp_path))
         restored = load_pipeline(str(tmp_path), meter=CostMeter())
         for question, gold in QUESTIONS_AND_GOLD:
-            assert restored.answer(question).matches_number(gold), question
+            assert matches_number(restored.answer(question), gold), question
 
     def test_graph_identical(self, tmp_path):
         original = build_pipeline()
@@ -97,7 +98,7 @@ class TestSaveLoad:
             "How much did satisfaction with the Beta Gadget change in "
             "Q4 2024?"
         )
-        assert answer.matches_number(7.0) or "7" in answer.text
+        assert matches_number(answer, 7.0) or "7" in answer.text
 
     def test_first_ingest_after_load_rebuilds_once(self, tmp_path):
         save_pipeline(build_pipeline(), str(tmp_path))

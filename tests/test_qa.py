@@ -16,6 +16,7 @@ from repro.slm import SLMConfig, SmallLanguageModel
 from repro.storage.relational import Database
 from repro.text.chunker import Chunker, ChunkerConfig
 from repro.text.ner import TYPE_PRODUCT, Gazetteer
+from tests.conftest import matches_number
 
 
 def make_slm():
@@ -48,11 +49,6 @@ class TestAnswer:
     def test_abstain(self):
         answer = Answer.abstain(ANSWER_SYSTEM_RAG, "why not")
         assert answer.abstained and answer.metadata["reason"] == "why not"
-
-    def test_matches_number(self):
-        assert Answer(text="120", value=120.0).matches_number(120)
-        assert not Answer(text="x", value="120").matches_number(120)
-        assert Answer(text="", value=[3.0]).matches_number(3)
 
     def test_contains_text(self):
         assert Answer(text="It is Alpha Widget.").contains_text("alpha widget")
@@ -98,7 +94,7 @@ class TestTableQA:
     def test_entity_answer(self):
         engine = make_tableqa()
         answer = engine.answer("What is the total sales of the Alpha Widget?")
-        assert answer.matches_number(220.0)
+        assert matches_number(answer, 220.0)
 
     def test_list_answer(self):
         engine = make_tableqa()
@@ -177,7 +173,7 @@ class TestHybridPipeline:
         answer = pipeline.answer(
             "Find the total sales of all products in Q2"
         )
-        assert answer.matches_number(300.0)
+        assert matches_number(answer, 300.0)
 
     def test_cross_modal_answer_from_generated_table(self, pipeline):
         # The 12% fact exists only in unstructured reviews; it is
@@ -185,13 +181,13 @@ class TestHybridPipeline:
         answer = pipeline.answer(
             "What is the average increase of the Alpha Widget?"
         )
-        assert answer.matches_number(12.0)
+        assert matches_number(answer, 12.0)
 
     def test_text_fallback(self, pipeline):
         answer = pipeline.answer(
             "How much did Beta Gadget returns increase in Q2?"
         )
-        assert answer.matches_number(30.0) or "30%" in answer.text
+        assert matches_number(answer, 30.0) or "30%" in answer.text
 
     def test_generated_table_registered(self, pipeline):
         assert pipeline.db.has_table("review_facts")
@@ -214,7 +210,7 @@ class TestHybridPipeline:
         assert pipe.generate_table("facts") == 0
         pipe.build()
         answer = pipe.answer("Find the total sales of all products in Q2")
-        assert answer.matches_number(300.0)
+        assert matches_number(answer, 300.0)
 
     def test_route_metadata_attached(self, pipeline):
         answer = pipeline.answer(

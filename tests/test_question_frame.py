@@ -253,7 +253,7 @@ def test_a_structured_or_hybrid_ask_analyses_its_question_once(
 def test_the_frame_moves_no_plan_identity(domain, seed):
     pipe, pool = _built(domain, seed)
     for question in pool:
-        plan = pipe.compile_plan(question)
+        plan = pipe._executor.compile(question)
         assert plan.frame is not None and plan.frame.question == question
         bare = dataclasses.replace(plan, frame=None)
         assert plan == bare and hash(plan) == hash(bare)

@@ -243,7 +243,7 @@ class TestResilienceManager:
                               failure_threshold=2)
         for _ in range(2):
             manager.try_call("db", "op", lambda: "ok")
-        assert manager.breaker_states()["db"] == STATE_OPEN
+        assert manager.breaker("db").state == STATE_OPEN
         calls_before = len(manager.injector.log)
         _, event = manager.try_call("db", "op", lambda: "ok")
         assert event.kind == "circuit_open"
@@ -310,4 +310,3 @@ class TestResilientBackend:
         assert proxy.items is store.items
         assert len(proxy) == 2
         assert proxy.resilient_target is store
-        assert proxy.backend_name == "db"

@@ -472,23 +472,6 @@ class TestSemanticOperators:
                            columns=["review"])
         assert out.rows[0][1].startswith("the screen cracked")
 
-    def test_sem_join_fuzzy(self):
-        ops = self.make_ops()
-        left = ResultSet(["name"], [("Alpha Widget",), ("Beta Gadget",)])
-        right = ResultSet(["product", "rating"],
-                          [("the alpha widget 2024", 4.0),
-                           ("beta gadget deluxe", 3.0)])
-        out = ops.sem_join(left, right, "name", "product", threshold=0.3)
-        assert len(out) == 2
-        by_name = {row[0]: row[2] for row in out.rows}
-        assert by_name["Alpha Widget"] == 4.0
-
-    def test_sem_join_missing_column(self):
-        ops = self.make_ops()
-        with pytest.raises(SynthesisError):
-            ops.sem_join(ResultSet(["a"], []), ResultSet(["b"], []),
-                         "zz", "b")
-
     def test_sem_classify(self):
         ops = self.make_ops()
         out = ops.sem_classify(
@@ -501,16 +484,6 @@ class TestSemanticOperators:
     def test_sem_classify_no_labels(self):
         with pytest.raises(SynthesisError):
             self.make_ops().sem_classify(self.reviews(), [])
-
-    def test_sem_agg(self):
-        ops = self.make_ops()
-        text = ops.sem_agg(self.reviews(), "battery complaints",
-                           columns=["review"])
-        assert text.startswith("4 rows")
-
-    def test_sem_agg_empty(self):
-        out = self.make_ops().sem_agg(ResultSet(["a"], []), "x")
-        assert out == "No rows matched."
 
     def test_sem_topk_bad_k(self):
         with pytest.raises(SynthesisError):

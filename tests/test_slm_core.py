@@ -1,7 +1,6 @@
-"""Tests for vocab, n-gram LM, embeddings and metering."""
+"""Tests for embeddings and metering."""
 
 import math
-import random
 
 import numpy as np
 import pytest
@@ -11,8 +10,6 @@ from repro.metering import (
     EMBEDDING_CALLS, ROWS_SCANNED, CostMeter,
 )
 from repro.slm.embeddings import EmbeddingModel
-from repro.slm.ngram import NgramLanguageModel
-from repro.slm.vocab import UNK, Vocabulary
 
 
 class TestCostMeter:
@@ -53,119 +50,6 @@ class TestCostMeter:
         assert m1.get("a") == 3
 
 
-class TestVocabulary:
-    def test_specials_present(self):
-        v = Vocabulary()
-        assert UNK in v and len(v) == 3
-
-    def test_add_and_lookup(self):
-        v = Vocabulary()
-        v.add_sentence(["sales", "rose"])
-        assert v.token_of(v.id_of("sales")) == "sales"
-
-    def test_unknown_maps_to_unk(self):
-        v = Vocabulary()
-        assert v.id_of("never-seen") == v.id_of(UNK)
-
-    def test_min_count_filters(self):
-        v = Vocabulary(min_count=2)
-        v.add_sentence(["rare"])
-        assert "rare" not in v
-        v.add_sentence(["rare"])
-        assert "rare" in v
-
-    def test_counts(self):
-        v = Vocabulary()
-        v.add_sentence(["a", "a", "b"])
-        assert v.count("a") == 2 and v.count("zzz") == 0
-
-    def test_encode(self):
-        v = Vocabulary()
-        v.add_sentence(["x"])
-        ids = v.encode(["x", "y"])
-        assert ids[0] != ids[1] and ids[1] == v.id_of(UNK)
-
-    def test_from_corpus(self):
-        v = Vocabulary.from_corpus([["a"], ["b"]])
-        assert "a" in v and "b" in v
-
-    def test_invalid_min_count(self):
-        with pytest.raises(ValueError):
-            Vocabulary(min_count=0)
-
-    def test_tokens_excludes_specials(self):
-        v = Vocabulary()
-        v.add_sentence(["word"])
-        assert v.tokens() == ["word"]
-
-
-CORPUS = [
-    "sales rose in the second quarter".split(),
-    "sales fell in the first quarter".split(),
-    "revenue rose in the second quarter".split(),
-    "profit margins improved during the quarter".split(),
-]
-
-
-class TestNgramLM:
-    def test_fit_and_prob_sane(self):
-        lm = NgramLanguageModel(order=2).fit(CORPUS)
-        p = lm.prob(["sales"], "rose")
-        assert 0.0 < p < 1.0
-
-    def test_seen_bigram_beats_unseen(self):
-        lm = NgramLanguageModel(order=2).fit(CORPUS)
-        assert lm.prob(["sales"], "rose") > lm.prob(["sales"], "improved")
-
-    def test_probs_sum_to_one_over_vocab(self):
-        lm = NgramLanguageModel(order=2).fit(CORPUS)
-        tokens = lm.vocab.tokens(include_specials=True)
-        total = sum(lm.prob(["sales"], t) for t in tokens)
-        assert total == pytest.approx(1.0, abs=0.02)
-
-    def test_perplexity_lower_for_in_domain(self):
-        lm = NgramLanguageModel(order=3).fit(CORPUS)
-        in_domain = "sales rose in the second quarter".split()
-        out_domain = "zebras paint quantum tubas loudly".split()
-        assert lm.perplexity(in_domain) < lm.perplexity(out_domain)
-
-    def test_sequence_logprob_negative(self):
-        lm = NgramLanguageModel().fit(CORPUS)
-        assert lm.sequence_logprob(["sales", "rose"]) < 0.0
-
-    def test_sample_deterministic_given_rng(self):
-        lm = NgramLanguageModel(order=2).fit(CORPUS)
-        s1 = lm.sample(random.Random(7), max_tokens=8)
-        s2 = lm.sample(random.Random(7), max_tokens=8)
-        assert s1 == s2
-
-    def test_sample_tokens_in_vocab(self):
-        lm = NgramLanguageModel(order=2).fit(CORPUS)
-        for tok in lm.sample(random.Random(1), max_tokens=10):
-            assert tok in lm.vocab
-
-    def test_low_temperature_prefers_frequent(self):
-        lm = NgramLanguageModel(order=2).fit(CORPUS * 3)
-        samples = [
-            tuple(lm.sample(random.Random(i), max_tokens=6, temperature=0.2))
-            for i in range(20)
-        ]
-        # Sharp sampling should repeat the dominant continuation often.
-        assert len(set(samples)) < 20
-
-    def test_unfitted_raises(self):
-        with pytest.raises(RuntimeError):
-            NgramLanguageModel().prob([], "x")
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            NgramLanguageModel(order=0)
-        with pytest.raises(ValueError):
-            NgramLanguageModel(add_k=0)
-        with pytest.raises(ValueError):
-            NgramLanguageModel(order=2, interpolation=[0.9, 0.2])
-
-
 class TestEmbeddings:
     def setup_method(self):
         self.model = EmbeddingModel(dim=64, meter=CostMeter())
@@ -203,15 +87,6 @@ class TestEmbeddings:
         model.embed("one")
         model.embed_batch(["two", "three"])
         assert meter.get(EMBEDDING_CALLS) == 3
-
-    def test_idf_downweights_common_terms(self):
-        corpus = ["the product sold well"] * 50 + ["rare zirconium widget"]
-        self.model.fit_idf(corpus)
-        # "product" is ubiquitous, so a query sharing only "product"
-        # should score lower than one sharing the rare term.
-        sim_common = self.model.similarity("product", "product zirconium")
-        sim_rare = self.model.similarity("zirconium", "product zirconium")
-        assert sim_rare > sim_common
 
     def test_batch_shape(self):
         mat = self.model.embed_batch(["a b", "c d", "e f"])

@@ -88,7 +88,7 @@ def _arm_faults(rate):
 def _hybrid_plan(pipe, questions):
     """A compiled plan whose route is hybrid (has both engine arms)."""
     for question in questions:
-        plan = pipe.compile_plan(question)
+        plan = pipe._executor.compile(question)
         if plan.route == ROUTE_HYBRID:
             return plan
     raise AssertionError("no hybrid-routed question found")
@@ -172,7 +172,7 @@ class IsolationRuleTest(unittest.TestCase):
             _system, pipe = build_hybrid_system(lake, seed=seed)
             for pair, entropy in itertools.product(
                     lake.qa_pairs(), (False, True)):
-                plan = pipe.compile_plan(pair.question,
+                plan = pipe._executor.compile(pair.question,
                                          include_entropy=entropy)
                 compiled += 1
                 isolated += _arm_isolation(plan)[1] is None

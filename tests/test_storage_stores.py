@@ -11,7 +11,7 @@ from repro.storage.csvio import (
     infer_column_type, infer_schema, read_csv, table_to_csv, write_csv,
 )
 from repro.storage.document import (
-    DocumentStore, flatten, parse_path, select, select_one,
+    DocumentStore, parse_path, select, select_one,
 )
 from repro.storage.textstore import TextStore
 from repro.storage.types import DataType
@@ -60,11 +60,6 @@ class TestJsonPath:
             parse_path("")
         with pytest.raises(StorageError):
             parse_path("a..b")
-
-    def test_flatten(self):
-        pairs = flatten({"a": {"b": 1}, "c": [True, "x"]})
-        assert ("a.b", 1) in pairs
-        assert ("c[0]", True) in pairs and ("c[1]", "x") in pairs
 
 
 class TestDocumentStore:

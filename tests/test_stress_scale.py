@@ -9,6 +9,7 @@ import pytest
 
 from repro.bench import LakeSpec, generate_ecommerce_lake
 from repro.bench.runner import build_hybrid_system
+from tests.conftest import matches_number
 
 
 @pytest.fixture(scope="module")
@@ -63,4 +64,4 @@ class TestScale:
             1 for row in lake.sales
             if row["pid"] == product["pid"] and row["quarter"] == "Q2"
         )
-        assert answer.matches_number(float(gold))
+        assert matches_number(answer, float(gold))

@@ -136,7 +136,7 @@ class TestCheckTenancy:
     def test_ungoverned_plan_rejected_for_governed_tenant(
             self, pipeline, registry):
         acme = registry.context("acme")
-        plan = pipeline.compile_plan(
+        plan = pipeline._executor.compile(
             "What is the total sales of the Quartz Monitor in Q3?")
         errors = tenancy_errors(check_tenancy(plan, acme))
         assert errors
@@ -149,25 +149,25 @@ class TestCheckTenancy:
         counters = [REGISTRY.counter("speculation.plans"),
                     REGISTRY.counter("speculation.sequential")]
         before = [c.value for c in counters]
-        rejected = executor.execute(pipeline.compile_plan(question),
+        rejected = executor.execute(executor.compile(question),
                                     tenant=acme)
         assert rejected.metadata["tenancy"] == "rejected"
         assert [c.value for c in counters] == before
         accepted = executor.execute(
-            pipeline.compile_plan(question, tenant=acme), tenant=acme)
+            executor.compile(question, tenant=acme), tenant=acme)
         assert "tenancy" not in accepted.metadata
         assert sum(c.value for c in counters) == sum(before) + 1
 
     def test_governed_plan_passes_its_own_gate(self, pipeline, registry):
         acme = registry.context("acme")
-        plan = pipeline.compile_plan(
+        plan = pipeline._executor.compile(
             "What is the total sales of the Quartz Monitor in Q3?",
             tenant=acme)
         assert tenancy_errors(check_tenancy(plan, acme)) == []
 
     def test_cross_tenant_replay_rejected(self, pipeline, registry):
         acme = registry.context("acme")
-        plan = pipeline.compile_plan(
+        plan = pipeline._executor.compile(
             "What is the total sales of the Quartz Monitor in Q3?",
             tenant=acme)
         # A permissive tenant must reject a plan carrying acme's
@@ -180,10 +180,10 @@ class TestCheckTenancy:
     def test_governed_signatures_differ_per_tenant(
             self, pipeline, registry):
         question = "What is the total sales of the Quartz Monitor in Q3?"
-        plain = pipeline.compile_plan(question).signature()
-        acme = pipeline.compile_plan(
+        plain = pipeline._executor.compile(question).signature()
+        acme = pipeline._executor.compile(
             question, tenant=registry.context("acme")).signature()
-        globex = pipeline.compile_plan(
+        globex = pipeline._executor.compile(
             question, tenant=registry.context("globex")).signature()
         assert acme != plain
         assert globex == plain  # permissive tenant injects nothing
@@ -283,25 +283,6 @@ class TestServingQuota:
         assert [r.tenant for r in results] == ["greedy", "greedy",
                                                "quiet"]
         assert not any(r.answer is None for r in results)
-
-    def test_invalidate_tenant_drops_one_tenants_entries(self, lake):
-        server = self.make_server(lake, {"tenants": [
-            {"id": "a"}, {"id": "b"},
-        ]})
-        question = lake.qa_pairs(per_kind=1)[0].question
-        for tenant in ("a", "b", "a", "b"):
-            server.ask(question, tenant=tenant)
-        before = server.stats()["tenants"]
-        assert before["a"]["answer_hits"] == 1
-        assert before["b"]["answer_hits"] == 1
-        server.invalidate_tenant("a")
-        for tenant in ("a", "b"):
-            server.ask(question, tenant=tenant)
-        after = server.stats()["tenants"]
-        assert after["a"]["answer_hits"] == 1  # miss: entry dropped
-        assert after["b"]["answer_hits"] == 2  # hit: neighbour intact
-        with pytest.raises(TenancyError):
-            server.invalidate_tenant("stranger")
 
 
 # ----------------------------------------------------------------------

@@ -117,7 +117,7 @@ class TestPlanIsolation:
         registry = TenantRegistry.from_dict(REGISTRY_DOC)
         for question in questions:
             signatures = {
-                tenant: pipeline.compile_plan(
+                tenant: pipeline._executor.compile(
                     question,
                     tenant=registry.context(tenant)).signature()
                 for tenant in ("q1", "q2", "default")

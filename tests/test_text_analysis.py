@@ -239,11 +239,6 @@ class TestNER:
         for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
             assert e1 <= s2
 
-    def test_entity_keys_helper(self):
-        rec = EntityRecognizer()
-        rec.add_gazetteer(TYPE_PRODUCT, ["Alpha Widget"])
-        assert "alpha widget" in rec.entity_keys("buy the Alpha Widget now")
-
     def test_offsets_match_source(self):
         text = "PAT-0042 received DrugX on 2024-01-02"
         for ent in EntityRecognizer().recognize(text):
