@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-policy", default="full",
                        dest="cache_policy", metavar="POLICY",
                        help="'none', 'full', or a comma list of "
-                            "answer,plan,retrieval,embedding")
+                            "answer,plan,retrieval")
     serve.add_argument("--batch-size", type=int, default=8)
     serve.add_argument("--session-budget", type=int, default=None,
                        metavar="WORK_UNITS",

@@ -40,8 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro.loadgen",
         description="Deterministic closed-loop load harness with SLO "
                     "gates (see docs/serving.md)",
-        # No prefix matching: "--tenant ID" (the ask/serve flag) must
-        # be a usage error here, not read as "--tenants FILE".
+        # No prefix matching: a flag is accepted only spelled in full.
         allow_abbrev=False,
     )
     parser.add_argument("--spec", required=True, metavar="SPEC.json",
@@ -57,12 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="FILE.jsonl",
                         help="also save the generated request stream "
                              "as a serving JSONL workload")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="override the spec's shard count "
-                             "(entity-keyed store partitioning)")
-    parser.add_argument("--tenants", default=None, metavar="SPEC.json",
-                        help="tenant registry file overriding the "
-                             "spec's embedded tenant_registry")
     return parser
 
 
@@ -86,15 +79,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Run the harness; returns 0 PASS / 1 breach / 2 config error."""
     args = build_parser().parse_args(argv)
     try:
-        # Overrides replace spec keys before parsing, so they are
-        # validated exactly as the spec's own values are.
-        data = read_document(args.spec, "--spec")
-        if args.shards is not None:
-            data["shards"] = args.shards
-        if args.tenants is not None:
-            data["tenant_registry"] = read_document(args.tenants,
-                                                    "--tenants")
-        spec = LoadSpec.from_dict(data)
+        spec = LoadSpec.from_dict(read_document(args.spec, "--spec"))
         slo = SLOSpec.load(args.slo) if args.slo else None
         if args.emit_workload:
             _emit_workload(spec, args.emit_workload)

@@ -28,16 +28,16 @@ from .admission import (
     shed_answer,
 )
 from .cache import (
-    ANSWER_DEPS, KIND_DOCUMENT, KIND_GRAPH, KIND_RELATIONAL, KIND_TEXT,
-    PLAN_DEPS, RETRIEVAL_DEPS, STORE_KINDS, AnswerCache, CachePolicy,
-    Generations, MultiTierCache, PlanCache,
+    ANSWER_DEPS, KIND_DOCUMENT, KIND_RELATIONAL, KIND_TEXT, PLAN_DEPS,
+    RETRIEVAL_DEPS, STORE_KINDS, AnswerCache, CachePolicy, Generations,
+    MultiTierCache, PlanCache,
 )
 from .retrieval import CachingRetriever
 from .scheduler import (
     BatchScheduler, METRIC_REQUEST_WORK, ServeRequest, ServeResult,
     normalize_question,
 )
-from .server import QueryServer, tenant_kind
+from .server import QueryServer
 from .workload import (
     OPS, load_workload, parse_workload, render_jsonl,
     repeated_questions, request_from_record,
@@ -47,14 +47,14 @@ __all__ = [
     "ANSWER_SYSTEM_SERVING", "SHED_BUDGET", "SHED_QUEUE",
     "SHED_TENANT_QUOTA", "SHED_TENANT_UNKNOWN", "AdmissionController",
     "AdmissionPolicy", "shed_answer",
-    "ANSWER_DEPS", "KIND_DOCUMENT", "KIND_GRAPH", "KIND_RELATIONAL",
-    "KIND_TEXT", "PLAN_DEPS", "RETRIEVAL_DEPS", "STORE_KINDS",
+    "ANSWER_DEPS", "KIND_DOCUMENT", "KIND_RELATIONAL", "KIND_TEXT",
+    "PLAN_DEPS", "RETRIEVAL_DEPS", "STORE_KINDS",
     "AnswerCache", "CachePolicy", "Generations", "MultiTierCache",
     "PlanCache",
     "CachingRetriever",
     "BatchScheduler", "METRIC_REQUEST_WORK", "ServeRequest",
     "ServeResult", "normalize_question",
-    "QueryServer", "tenant_kind",
+    "QueryServer",
     "OPS", "load_workload", "parse_workload", "render_jsonl",
     "repeated_questions", "request_from_record",
 ]

@@ -69,22 +69,28 @@ def shed_answer(kind: str, detail: str) -> Answer:
 class AdmissionController:
     """Tracks per-session spend and applies an :class:`AdmissionPolicy`.
 
-    With :meth:`set_tenants` installed it additionally enforces
-    per-tenant work-clock quotas: each tenant whose context declares a
-    quota gets one deterministic
-    :class:`~repro.tenancy.WorkClockBucket`, refilled on the meter's
-    work clock. A dry bucket sheds that tenant's requests as typed
-    abstentions while every other tenant admits normally — one greedy
-    tenant can exhaust only its own bucket, never the cluster.
+    It also enforces the *registry*'s per-tenant work-clock quotas:
+    each tenant whose context declares a quota gets one deterministic
+    :class:`~repro.tenancy.WorkClockBucket`, refilled on the work clock
+    *clock* reads (the serving layer passes ``work_now(meter)``) and
+    full at construction. A dry bucket sheds that tenant's requests as
+    typed abstentions while every other tenant admits normally — one
+    greedy tenant can exhaust only its own bucket, never the cluster.
     """
 
-    def __init__(self, policy: Optional[AdmissionPolicy] = None):
+    def __init__(self, policy: Optional[AdmissionPolicy],
+                 registry: TenantRegistry, clock: Callable[[], int]):
         self._policy = policy or AdmissionPolicy()
         self._spent: Dict[str, int] = {}
         self._shed_count = 0
-        self._registry: Optional[TenantRegistry] = None
-        self._clock: Callable[[], int] = lambda: 0
-        self._buckets: Dict[str, Optional[WorkClockBucket]] = {}
+        self._registry = registry
+        self._clock = clock
+        now = clock()
+        self._buckets: Dict[str, Optional[WorkClockBucket]] = {
+            context.tenant_id: bucket_for(
+                context.quota_capacity, context.quota_refill, now=now)
+            for context in registry.contexts
+        }
         self._tenant_requests: Dict[str, int] = {}
         self._tenant_shed: Dict[str, int] = {}
 
@@ -93,34 +99,13 @@ class AdmissionController:
         """The enforced limits."""
         return self._policy
 
-    # -- tenancy -------------------------------------------------------
-    def set_tenants(self, registry: TenantRegistry,
-                    clock: Callable[[], int]) -> None:
-        """Install per-tenant quota enforcement.
-
-        *clock* returns the current work-clock reading (the serving
-        layer passes ``work_now(meter)``); buckets start full at the
-        installation-time reading.
-        """
-        self._registry = registry
-        self._clock = clock
-        now = clock()
-        self._buckets = {
-            context.tenant_id: bucket_for(
-                context.quota_capacity, context.quota_refill, now=now)
-            for context in registry.contexts
-        }
-
-    def _tenant_bucket(self, tenant: str) -> Optional[WorkClockBucket]:
-        return self._buckets.get(tenant)
-
     def admit(self, session: str,
               tenant: str = DEFAULT_TENANT) -> Optional[Answer]:
         """None when the request may proceed, else its shed abstention.
 
-        Session budgets are checked first (the pre-tenancy behaviour,
-        unchanged), then the tenant's quota bucket. An unknown tenant
-        under an installed registry is shed, never silently admitted.
+        Session budgets are checked first, then the tenant's quota
+        bucket. A tenant the registry does not know is shed, never
+        silently admitted.
         """
         self._tenant_requests[tenant] = \
             self._tenant_requests.get(tenant, 0) + 1
@@ -136,27 +121,26 @@ class AdmissionController:
                     "session %r exhausted its work budget (%d of %d "
                     "units)" % (session, spent, limit),
                 )
-        if self._registry is not None:
-            try:
-                self._registry.context(tenant)
-            except TenancyError as exc:
-                self._shed_count += 1
-                self._tenant_shed[tenant] = \
-                    self._tenant_shed.get(tenant, 0) + 1
-                incr("serving.tenant.unknown")
-                return shed_answer(SHED_TENANT_UNKNOWN, str(exc))
-            bucket = self._tenant_bucket(tenant)
-            if bucket is not None and not bucket.admit(self._clock()):
-                self._shed_count += 1
-                self._tenant_shed[tenant] = \
-                    self._tenant_shed.get(tenant, 0) + 1
-                incr("serving.tenant.quota_shed")
-                return shed_answer(
-                    SHED_TENANT_QUOTA,
-                    "tenant %r exhausted its work-clock quota "
-                    "(balance %.1f of %d)" % (
-                        tenant, bucket.tokens, bucket.capacity),
-                )
+        try:
+            self._registry.context(tenant)
+        except TenancyError as exc:
+            self._shed_count += 1
+            self._tenant_shed[tenant] = \
+                self._tenant_shed.get(tenant, 0) + 1
+            incr("serving.tenant.unknown")
+            return shed_answer(SHED_TENANT_UNKNOWN, str(exc))
+        bucket = self._buckets.get(tenant)
+        if bucket is not None and not bucket.admit(self._clock()):
+            self._shed_count += 1
+            self._tenant_shed[tenant] = \
+                self._tenant_shed.get(tenant, 0) + 1
+            incr("serving.tenant.quota_shed")
+            return shed_answer(
+                SHED_TENANT_QUOTA,
+                "tenant %r exhausted its work-clock quota "
+                "(balance %.1f of %d)" % (
+                    tenant, bucket.tokens, bucket.capacity),
+            )
         return None
 
     def over_depth(self, depth: int) -> Optional[Answer]:
@@ -176,7 +160,7 @@ class AdmissionController:
         quota bucket (post-paid: debt is settled by later refill)."""
         if work > 0:
             self._spent[session] = self._spent.get(session, 0) + work
-            bucket = self._tenant_bucket(tenant)
+            bucket = self._buckets.get(tenant)
             if bucket is not None:
                 bucket.charge(self._clock(), work)
 

@@ -1,6 +1,6 @@
 """Multi-tier caching for the query-serving subsystem.
 
-Four tiers, each a :class:`~repro.caching.CostAwareLRU` sized in
+Three tiers, each a :class:`~repro.caching.CostAwareLRU` sized in
 CostMeter work units, each invalidated write-through by generation
 stamps:
 
@@ -9,13 +9,10 @@ stamps:
   (answers are frozen); depends on every store kind;
 * **plan tier** — synthesized SemQL logical plans keyed by question,
   injected into :class:`~repro.qa.tableqa.TableQAEngine`; depends on
-  the relational store only (text ingests must not flush plans);
+  the relational store only;
 * **retrieval tier** — ranked chunk lists keyed by
   ``(retriever, query, k)`` (see :mod:`.retrieval`); depends on the
-  text and graph kinds;
-* **embedding memo** — the bounded whole-text memo living inside
-  :class:`~repro.slm.embeddings.EmbeddingModel`; embeddings are pure
-  functions of their text, so this tier depends on nothing.
+  text store.
 
 Invalidation is *write-through*: store mutation listeners and pipeline
 rebuild listeners bump :class:`Generations` counters, and every cache
@@ -26,7 +23,7 @@ tier ever serves a value computed against superseded data.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from ..caching import CostAwareLRU
 from ..metering import CostMeter
@@ -37,21 +34,19 @@ from ..sharding import ShardStamp
 KIND_RELATIONAL = "relational"
 KIND_DOCUMENT = "document"
 KIND_TEXT = "text"
-KIND_GRAPH = "graph"
 
 #: Every store kind a generation counter tracks.
-STORE_KINDS = (KIND_RELATIONAL, KIND_DOCUMENT, KIND_TEXT, KIND_GRAPH)
+STORE_KINDS = (KIND_RELATIONAL, KIND_DOCUMENT, KIND_TEXT)
 
 #: Dependency sets: which kinds invalidate which tier.
 ANSWER_DEPS = STORE_KINDS
 PLAN_DEPS = (KIND_RELATIONAL,)
-RETRIEVAL_DEPS = (KIND_TEXT, KIND_GRAPH)
+RETRIEVAL_DEPS = (KIND_TEXT,)
 
-#: Entry bounds of the four tiers.
+#: Entry bounds of the three tiers.
 ANSWER_CAPACITY = 65536
 PLAN_CAPACITY = 4096
 RETRIEVAL_CAPACITY = 16384
-EMBEDDING_CAPACITY = 2048
 
 
 class Generations:
@@ -59,20 +54,14 @@ class Generations:
 
     The serving layer's whole invalidation protocol: writers bump, cache
     tiers stamp entries with :meth:`stamp` over their dependency set and
-    reject entries whose stamp no longer matches.
+    reject entries whose stamp no longer matches. *shard_kinds* are the
+    per-shard counters of a sharded stack; they take part in
+    :meth:`bump_all` and appear in snapshots.
     """
 
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {kind: 0 for kind in STORE_KINDS}
-
-    def register(self, kind: str) -> None:
-        """Track an additional kind (e.g. a per-shard counter).
-
-        Registered kinds participate in :meth:`bump_all` and appear in
-        snapshots; registering an existing kind is a no-op, so counters
-        survive re-wiring.
-        """
-        self._counts.setdefault(kind, 0)
+    def __init__(self, shard_kinds: Iterable[str] = ()) -> None:
+        self._counts: Dict[str, int] = dict.fromkeys(
+            (*STORE_KINDS, *shard_kinds), 0)
 
     def bump(self, kind: str) -> None:
         """Record one mutation of *kind* (invalidates dependent tiers)."""
@@ -108,6 +97,10 @@ class PlanCache:
     measured, not guessed: a miss snapshots the work clock, and the
     matching ``put`` charges the entry with the work synthesis actually
     spent — so the LRU budget is denominated in real CostMeter units.
+    The engine's miss, synthesis and ``put`` are adjacent in one call,
+    so one pending ``(key, started)`` slot suffices; a miss that never
+    reaches ``put`` (synthesis abstained, tenancy blocked the plan) is
+    simply overwritten by the next one.
     """
 
     def __init__(self, generations: Generations, meter: CostMeter):
@@ -115,7 +108,7 @@ class PlanCache:
         self._meter = meter
         self._lru = CostAwareLRU(capacity=PLAN_CAPACITY,
                                  name="serving.plans")
-        self._pending: Dict[Any, int] = {}
+        self._pending: Optional[Tuple[Any, int]] = None
 
     @property
     def lru(self) -> CostAwareLRU:
@@ -130,15 +123,15 @@ class PlanCache:
             incr("serving.cache.plan.hit")
             return spec
         incr("serving.cache.plan.miss")
-        self._pending[key] = work_now(self._meter)
+        self._pending = (key, work_now(self._meter))
         return None
 
     def put(self, key: Any, spec: Any) -> None:
         """Store a freshly synthesized plan at its measured work cost."""
-        started = self._pending.pop(key, None)
         cost = 1
-        if started is not None:
-            cost = max(1, work_now(self._meter) - started)
+        if self._pending is not None and self._pending[0] == key:
+            cost = max(1, work_now(self._meter) - self._pending[1])
+        self._pending = None
         self._lru.put(key, spec, cost=cost,
                       tag=self._generations.stamp(PLAN_DEPS))
 
@@ -162,32 +155,28 @@ class AnswerCache:
         """The backing LRU (stats and tests)."""
         return self._lru
 
-    def stamp(self, extra: Tuple[str, ...] = ()) -> Any:
+    def stamp(self) -> Any:
         """The current answer-tier generation stamp.
 
-        Unsharded: a plain tuple over the fixed kind order plus any
-        *extra* registered kinds (the server appends the requesting
-        tenant's ``tenant:<id>`` counter, so bumping one tenant's
-        generation drops exactly that tenant's entries). Sharded: a
-        :class:`~repro.sharding.ShardStamp` over every registered kind
-        (per-shard and per-tenant counters included) — entries carry a
-        *restricted* stamp naming only the kinds they depend on, and
-        the intersection-keyed comparison lets a single-shard write or
-        single-tenant bump invalidate only the entries that touched it.
+        Unsharded: a plain tuple over :data:`ANSWER_DEPS`. Sharded: a
+        :class:`~repro.sharding.ShardStamp` over every counter (the
+        per-shard ones included) — entries carry a *restricted* stamp
+        naming only the kinds they depend on, and the
+        intersection-keyed comparison lets a single-shard write
+        invalidate only the entries that touched that shard.
         """
         if self._sharded:
             return ShardStamp(self._generations.snapshot())
-        return self._generations.stamp(tuple(ANSWER_DEPS) + tuple(extra))
+        return self._generations.stamp(ANSWER_DEPS)
 
-    def get(self, question: Any,
-            extra: Tuple[str, ...] = ()) -> Optional[Any]:
+    def get(self, question: Any) -> Optional[Any]:
         """The cached answer itself (shared, frozen), or None.
 
         *question* is whatever key the server chose — since the tenancy
         refactor that is the uniform ``(tenant_id, question)`` pair, so
         two tenants asking the same words can never share an entry.
         """
-        answer = self._lru.get(question, tag=self.stamp(extra))
+        answer = self._lru.get(question, tag=self.stamp())
         if answer is None:
             incr("serving.cache.answer.miss")
             return None
@@ -209,24 +198,22 @@ class CachePolicy:
     """Which tiers a :class:`~repro.serving.server.QueryServer` enables.
 
     Parsed from the CLI's ``--cache-policy``: ``none``, ``full``, or a
-    comma list drawn from ``answer``, ``plan``, ``retrieval``,
-    ``embedding`` (e.g. ``plan,retrieval``).
+    comma list drawn from ``answer``, ``plan``, ``retrieval`` (e.g.
+    ``plan,retrieval``).
     """
 
-    TIERS = ("answer", "plan", "retrieval", "embedding")
+    TIERS = ("answer", "plan", "retrieval")
 
     def __init__(self, answer: bool = True, plan: bool = True,
-                 retrieval: bool = True, embedding: bool = True):
+                 retrieval: bool = True):
         self.answer = answer
         self.plan = plan
         self.retrieval = retrieval
-        self.embedding = embedding
 
     @classmethod
     def none(cls) -> "CachePolicy":
         """Every tier disabled (the uncached reference configuration)."""
-        return cls(answer=False, plan=False, retrieval=False,
-                   embedding=False)
+        return cls(answer=False, plan=False, retrieval=False)
 
     @classmethod
     def from_string(cls, text: str) -> "CachePolicy":
@@ -248,8 +235,7 @@ class CachePolicy:
                 "comma list of %s" % (sorted(unknown), ", ".join(cls.TIERS))
             )
         return cls(answer="answer" in wanted, plan="plan" in wanted,
-                   retrieval="retrieval" in wanted,
-                   embedding="embedding" in wanted)
+                   retrieval="retrieval" in wanted)
 
     def describe(self) -> str:
         """Canonical string form ('none' / 'full' / comma list)."""

@@ -101,8 +101,8 @@ class BatchScheduler:
 
     def __init__(self, answer_fn: Callable[[str, str], Answer],
                  write_fn: Callable[[ServeRequest], str],
-                 meter: CostMeter, batch_size: int = 8,
-                 admission: Optional[AdmissionController] = None):
+                 meter: CostMeter, admission: AdmissionController,
+                 batch_size: int = 8):
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         self._answer_fn = answer_fn
@@ -127,7 +127,7 @@ class BatchScheduler:
         for index, request in enumerate(requests):
             if request.op == "ask":
                 self.n_asks += 1
-                shed = self._check_depth(depth)
+                shed = self._admission.over_depth(depth)
                 if shed is not None:
                     self.n_shed += 1
                     results[index] = ServeResult(
@@ -158,11 +158,6 @@ class BatchScheduler:
         self._flush(buffer, results)
         return [r for r in results if r is not None]
 
-    def _check_depth(self, depth: int) -> Optional[Answer]:
-        if self._admission is None:
-            return None
-        return self._admission.over_depth(depth)
-
     def _flush(self, buffer: List[Tuple[int, ServeRequest, str]],
                results: List[Optional[ServeResult]]) -> None:
         if not buffer:
@@ -173,9 +168,8 @@ class BatchScheduler:
             sp.set("size", len(buffer))
             answered: Dict[Tuple[str, str], Answer] = {}
             for index, request, question in buffer:
-                shed = (self._admission.admit(request.session,
-                                              tenant=request.tenant)
-                        if self._admission is not None else None)
+                shed = self._admission.admit(request.session,
+                                             tenant=request.tenant)
                 if shed is not None:
                     self.n_shed += 1
                     results[index] = ServeResult(
@@ -199,9 +193,8 @@ class BatchScheduler:
                     answer = self._answer_fn(question, request.tenant)
                     work = work_now(self._meter) - started
                     answered[flight_key] = answer
-                if self._admission is not None:
-                    self._admission.charge(request.session, work,
-                                           tenant=request.tenant)
+                self._admission.charge(request.session, work,
+                                       tenant=request.tenant)
                 observe(METRIC_REQUEST_WORK, work)
                 results[index] = ServeResult(
                     index, request.op, request.session, answer=answer,

@@ -9,11 +9,9 @@ hook the rest of the repo exposes:
 * a pipeline rebuild listener bumps all kinds at once (a rebuilt index
   supersedes everything);
 * the plan tier plugs into
-  :meth:`~repro.qa.pipeline.HybridQAPipeline.set_plan_cache`, the
+  :meth:`~repro.qa.pipeline.HybridQAPipeline.set_plan_cache` and the
   retrieval tier into
-  :meth:`~repro.qa.pipeline.HybridQAPipeline.set_retriever_wrapper`,
-  and the embedding memo into the SLM's
-  :meth:`~repro.slm.embeddings.EmbeddingModel.enable_text_memo`.
+  :meth:`~repro.qa.pipeline.HybridQAPipeline.set_retriever_wrapper`.
 
 The answer path is chaos-safe by construction: an answer is cached
 only when it is not degraded, no fault fired during its computation
@@ -26,34 +24,24 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from ..errors import TenancyError
 from ..metering import CostMeter
 from ..obs import incr, span
 from ..qa.answer import Answer
 from ..qa.pipeline import HybridQAPipeline
 from ..resilience import work_now
 from ..tenancy import DEFAULT_TENANT, TenantRegistry
-from .admission import (
-    SHED_TENANT_UNKNOWN, AdmissionController, AdmissionPolicy, shed_answer,
-)
+from .admission import AdmissionController, AdmissionPolicy
 from .cache import (
-    EMBEDDING_CAPACITY, KIND_DOCUMENT, KIND_GRAPH, KIND_RELATIONAL,
-    KIND_TEXT, CachePolicy, Generations, MultiTierCache,
+    KIND_DOCUMENT, KIND_RELATIONAL, KIND_TEXT, CachePolicy, Generations,
+    MultiTierCache,
 )
 from .retrieval import CachingRetriever
-from .scheduler import (
-    BatchScheduler, ServeRequest, ServeResult, normalize_question,
-)
+from .scheduler import BatchScheduler, ServeRequest, ServeResult
 
 
 def _shard_kind(index: int) -> str:
     """The generation-counter kind for one relational shard."""
     return "%s:shard:%d" % (KIND_RELATIONAL, index)
-
-
-def tenant_kind(tenant_id: str) -> str:
-    """The generation-counter kind for one tenant's cached answers."""
-    return "tenant:%s" % tenant_id
 
 
 class QueryServer:
@@ -67,29 +55,25 @@ class QueryServer:
         self._pipeline = pipeline
         self._meter: CostMeter = pipeline.meter
         self._policy = policy or CachePolicy()
-        self._generations = Generations()
         self._shard_set = getattr(pipeline, "shard_set", None)
+        shards = (range(self._shard_set.n_shards)
+                  if self._shard_set is not None else ())
+        self._generations = Generations(map(_shard_kind, shards))
         self._tiers = MultiTierCache(self._policy, self._generations,
                                      self._meter,
                                      sharded=self._shard_set is not None)
         self._tenants = tenants if tenants is not None else TenantRegistry(())
-        # Per-tenant generation counters: bumping one tenant's counter
-        # (spec reload, revocation) drops exactly that tenant's cached
-        # answers and nobody else's.
-        for context in self._tenants.contexts:
-            self._generations.register(tenant_kind(context.tenant_id))
         # Which tenant the request currently on the answer path runs
         # as — instance state (one server, one request at a time), set
         # and restored around every pipeline call; never module-global.
         self._active_tenant = DEFAULT_TENANT
         self._tenant_cache: Dict[str, Dict[str, int]] = {}
-        self._admission = AdmissionController(admission)
-        self._admission.set_tenants(
-            self._tenants, lambda: work_now(self._meter)
+        self._admission = AdmissionController(
+            admission, self._tenants, lambda: work_now(self._meter)
         )
         self._scheduler = BatchScheduler(
             self._answer, self._apply_write, self._meter,
-            batch_size=batch_size, admission=self._admission,
+            self._admission, batch_size=batch_size,
         )
         pipeline.db.add_mutation_listener(
             lambda op: self._generations.bump(KIND_RELATIONAL)
@@ -106,17 +90,12 @@ class QueryServer:
             # shard's counter; DDL / bulk / rollback ops (no per-row
             # attribution) bump every shard. The coarse KIND_RELATIONAL
             # bump above stays — the plan tier depends on it.
-            for index in range(self._shard_set.n_shards):
-                self._generations.register(_shard_kind(index))
             self._shard_set.add_write_listener(self._on_shard_write)
             pipeline.db.add_mutation_listener(self._on_relational_bulk)
         if self._tiers.plans is not None:
             pipeline.set_plan_cache(self._tiers.plans)
         if self._tiers.retrieval is not None:
             pipeline.set_retriever_wrapper(self._wrap_retriever)
-        if self._policy.embedding:
-            pipeline.slm.embedder.enable_text_memo(
-                capacity=EMBEDDING_CAPACITY)
 
     # ------------------------------------------------------------------
     # Wiring
@@ -170,20 +149,17 @@ class QueryServer:
         if self._shard_set is not None:
             self._shard_set.reset_touched()
 
-    def _entry_tag(self, stamp: Any, tenant: str) -> Any:
+    def _entry_tag(self, stamp: Any) -> Any:
         """The dependency-restricted tag a fresh answer is stored under.
 
-        Unsharded, the tag is the pre-compute stamp unchanged (it
-        already covers the requesting tenant's counter). Sharded, it is
-        the stamp restricted to the coarse non-relational kinds, the
-        tenant's own counter, plus exactly the relational shards the
-        answer read — so a write into any *other* shard, or another
-        tenant's invalidation, leaves the entry valid.
+        Unsharded, the tag is the pre-compute stamp unchanged. Sharded,
+        it is the stamp restricted to the coarse non-relational kinds
+        plus exactly the relational shards the answer read — so a write
+        into any *other* shard leaves the entry valid.
         """
         if self._shard_set is None:
             return stamp
-        kinds = [KIND_DOCUMENT, KIND_TEXT, KIND_GRAPH,
-                 tenant_kind(tenant)]
+        kinds = [KIND_DOCUMENT, KIND_TEXT]
         kinds.extend(sorted(
             _shard_kind(index)
             for kind, index in self._shard_set.touched()
@@ -203,17 +179,11 @@ class QueryServer:
         cache is keyed ``(tenant_id, question)``, the retrieval tier is
         scoped by the active tenant, and the pipeline compiles the plan
         under the tenant's governance (RLS injection + the fail-closed
-        ``check_tenancy`` gate).
+        ``check_tenancy`` gate). Admission has already shed a tenant
+        the registry does not know, so *tenant* always resolves.
         """
-        try:
-            context = self._tenants.context(tenant)
-        except TenancyError as exc:
-            # Admission sheds unknown tenants first; this is the
-            # defence-in-depth for direct callers. Fail closed.
-            incr("serving.tenant.unknown")
-            return shed_answer(SHED_TENANT_UNKNOWN, str(exc))
+        context = self._tenants.context(tenant)
         incr("serving.tenant.request")
-        kind = tenant_kind(tenant)
         key = context.cache_key(question)
         record = self._tenant_cache.setdefault(
             tenant, {"lookups": 0, "hits": 0}
@@ -221,13 +191,12 @@ class QueryServer:
         answers = self._tiers.answers
         if answers is not None:
             record["lookups"] += 1
-            hit = answers.get(key, extra=(kind,))
+            hit = answers.get(key)
             if hit is not None:
                 record["hits"] += 1
                 incr("serving.tenant.cache_hit")
                 return hit
-        stamp = (answers.stamp(extra=(kind,))
-                 if answers is not None else None)
+        stamp = answers.stamp() if answers is not None else None
         faults_before = self._fault_count()
         self._begin_touch()
         previous = self._active_tenant
@@ -239,14 +208,14 @@ class QueryServer:
         finally:
             self._active_tenant = previous
         if answers is not None and self._cacheable(
-            answer, faults_before, stamp, kind
+            answer, faults_before, stamp
         ):
             answers.put(key, answer, cost=cost,
-                        tag=self._entry_tag(stamp, tenant))
+                        tag=self._entry_tag(stamp))
         return answer
 
     def _cacheable(self, answer: Answer, faults_before: int,
-                   stamp: Any, kind: str) -> bool:
+                   stamp: Any) -> bool:
         if answer.metadata.get("degraded"):
             incr("serving.cache.answer.uncacheable")
             return False
@@ -255,7 +224,7 @@ class QueryServer:
             # marker); still refuse to cache anything a fault touched.
             incr("serving.cache.answer.uncacheable")
             return False
-        if self._tiers.answers.stamp(extra=(kind,)) != stamp:
+        if self._tiers.answers.stamp() != stamp:
             # A write raced the computation; the result may mix pre-
             # and post-write state.
             incr("serving.cache.answer.uncacheable")
@@ -267,15 +236,14 @@ class QueryServer:
     # ------------------------------------------------------------------
     def ask(self, question: str, session: str = "default",
             tenant: str = DEFAULT_TENANT) -> Answer:
-        """Answer one question through admission + caches; never raises."""
-        shed = self._admission.admit(session, tenant=tenant)
-        if shed is not None:
-            return shed
-        started = work_now(self._meter)
-        answer = self._answer(normalize_question(question), tenant)
-        self._admission.charge(session, work_now(self._meter) - started,
-                               tenant=tenant)
-        return answer
+        """Answer one question through admission + caches; never raises.
+
+        A one-request :meth:`serve`: the same admission, cache and
+        charge path every served question takes.
+        """
+        request = ServeRequest("ask", {"question": question},
+                               session=session, tenant=tenant)
+        return self.serve([request])[0].answer
 
     def serve(self, requests: List[ServeRequest]) -> List[ServeResult]:
         """Run a whole workload through the batch scheduler."""
@@ -333,7 +301,6 @@ class QueryServer:
             "cache": self._tiers.stats(),
             "scheduler": self._scheduler.stats(),
             "admission": self._admission.stats(),
-            "speculation": self._speculation_stats(),
             "tenants": self._tenant_section(),
         }
         if self._shard_set is not None:
@@ -341,26 +308,3 @@ class QueryServer:
             sharding.update(self._shard_set.stats.snapshot())
             out["sharding"] = sharding
         return out
-
-    @staticmethod
-    def _speculation_stats() -> Dict[str, int]:
-        """Speculative-execution counters from the process registry.
-
-        Process-wide, not per-server: the speculation metrics live in
-        :data:`repro.obs.REGISTRY` because arm scheduling happens below
-        the serving layer, inside the plan executor.
-        """
-        from ..obs import (
-            METRIC_SPECULATION_CANCELLED, METRIC_SPECULATION_RESCUED,
-            METRIC_SPECULATION_WIN, REGISTRY,
-        )
-
-        return {
-            "plans": REGISTRY.counter("speculation.plans").value,
-            "sequential": REGISTRY.counter("speculation.sequential").value,
-            "wins": REGISTRY.counter(METRIC_SPECULATION_WIN).value,
-            "cancelled": REGISTRY.counter(
-                METRIC_SPECULATION_CANCELLED).value,
-            "rescued": REGISTRY.counter(
-                METRIC_SPECULATION_RESCUED).value,
-        }

@@ -77,29 +77,10 @@ class EmbeddingModel:
         self._meter = meter if meter is not None else GLOBAL_METER
         self._token_cache = CostAwareLRU(capacity=token_cache_size,
                                          name="slm.token_vectors")
-        self._text_memo: Optional[CostAwareLRU] = None
 
     # ------------------------------------------------------------------
     # Embedding
     # ------------------------------------------------------------------
-    @property
-    def text_memo(self) -> Optional[CostAwareLRU]:
-        """The whole-text embedding memo, None until enabled."""
-        return self._text_memo
-
-    def enable_text_memo(self, capacity: int = 2048) -> CostAwareLRU:
-        """Install a bounded memo over whole-text embeddings.
-
-        Embeddings are pure functions of their text, so the memo never
-        needs invalidation; it turns repeated ``embed`` calls (shared
-        sub-queries across a served workload) into O(1) lookups that
-        skip the ``embedding_calls`` meter charge — that skipped work
-        is exactly the saving the serving benchmarks measure.
-        """
-        self._text_memo = CostAwareLRU(capacity=capacity,
-                                       name="slm.text_memo")
-        return self._text_memo
-
     def _token_vector(self, token: str) -> np.ndarray:
         cached = self._token_cache.get(token)
         if cached is not None:
@@ -120,23 +101,8 @@ class EmbeddingModel:
         return vec
 
     def embed(self, text: str) -> np.ndarray:
-        """Embed *text* into a unit vector (zero vector for empty text).
-
-        With :meth:`enable_text_memo` active, repeated texts return a
-        copy of the memoized vector without recomputing (or paying the
-        ``embedding_calls`` charge).
-        """
-        if self._text_memo is not None:
-            memoized = self._text_memo.get(text)
-            if memoized is not None:
-                return memoized.copy()
+        """Embed *text* into a unit vector (zero vector for empty text)."""
         self._meter.charge(EMBEDDING_CALLS)
-        vec = self._embed_uncached(text)
-        if self._text_memo is not None:
-            self._text_memo.put(text, vec.copy())
-        return vec
-
-    def _embed_uncached(self, text: str) -> np.ndarray:
         terms = content_words(text)
         if not terms:
             return np.zeros(self.dim)

@@ -1,16 +1,14 @@
 """Unit tests for the shared cost-aware LRU primitive.
 
 Covers eviction order, cost budgets, oversized-entry rejection, tag
-invalidation, the stats counters, and the two reuse points inside the
-SLM embedder (bounded token memo, optional whole-text memo).
+invalidation, the stats counters, and the bounded token memo inside
+the SLM embedder.
 """
 
-import numpy as np
 import pytest
 
 from repro.caching import CacheStats, CostAwareLRU
 from repro.metering import CostMeter
-from repro.resilience import work_now
 from repro.slm.embeddings import EmbeddingModel
 
 
@@ -125,28 +123,3 @@ class TestEmbedderCaches:
         cache = model._token_cache  # noqa: SLF001
         assert len(cache) <= 8
         assert cache.stats.evictions > 0
-
-    def test_text_memo_skips_recomputation_and_meter_charge(self):
-        meter = CostMeter()
-        model = EmbeddingModel(dim=16, meter=meter)
-        model.enable_text_memo(capacity=64)
-        first = model.embed("total sales per quarter")
-        charged = work_now(meter)
-        second = model.embed("total sales per quarter")
-        assert work_now(meter) == charged  # memo hit: no embedding charge
-        assert np.array_equal(first, second)
-        # The memo hands out copies: mutating one must not poison it.
-        second[0] += 1.0
-        third = model.embed("total sales per quarter")
-        assert np.array_equal(first, third)
-
-    def test_text_memo_disabled_by_default_and_removable(self):
-        meter = CostMeter()
-        model = EmbeddingModel(dim=16, meter=meter)
-        assert model.text_memo is None
-        model.embed("hello world")
-        charged = work_now(meter)
-        model.embed("hello world")
-        assert work_now(meter) > charged  # no memo: recomputed
-        model.enable_text_memo()
-        assert model.text_memo is not None

@@ -21,6 +21,7 @@ from repro.serving import (
     normalize_question, parse_workload, render_jsonl, repeated_questions,
     request_from_record,
 )
+from repro.tenancy import TenantRegistry
 
 SEED = 11
 
@@ -158,22 +159,30 @@ class TestSharedAnswers:
 # ----------------------------------------------------------------------
 
 TOTAL_QUESTION = "Find the total sales of all products in Q1."
+#: Routed to the text engine: its answer reads the retrieval tier.
+TEXT_QUESTION = ("How much did satisfaction with the Quartz Monitor "
+                 "change in Q3 2024?")
+TEXT_WRITE = ServeRequest(op="add_text", payload={
+    "doc_id": "t-note",
+    "text": "The TestWidget launch was delayed to Q3.",
+})
 
 
-def invalidation_workload(write):
-    return [ask(TOTAL_QUESTION), ask(TOTAL_QUESTION), write,
-            ask(TOTAL_QUESTION)]
+def invalidation_workload(write, questions=(TOTAL_QUESTION,)):
+    asks = [ask(question) for question in questions]
+    return asks + asks + [write] + asks
 
 
 class TestInvalidation:
-    def check_write(self, lake, write, kind):
+    def check_write(self, lake, write, kind, questions=(TOTAL_QUESTION,)):
         cached = make_server(lake, CachePolicy(), batch_size=4)
         control = make_server(lake, CachePolicy.none(), batch_size=1)
-        workload = invalidation_workload(write)
+        workload = invalidation_workload(write, questions)
         got = fingerprints(cached.serve(workload))
         want = fingerprints(control.serve(workload))
         assert got == want
-        assert got[0] == got[1]  # pre-write repeat served consistently
+        n = len(questions)
+        assert got[:n] == got[n:2 * n]  # pre-write repeats consistent
         stats = cached.stats()["cache"]
         assert stats["generations"][kind] > 0
         return got, stats
@@ -198,12 +207,58 @@ class TestInvalidation:
         assert stats["plan"]["invalidations"] == 0
 
     def test_text_write_invalidates_answer_tier(self, lake):
-        write = ServeRequest(op="add_text", payload={
-            "doc_id": "t-note",
-            "text": "The TestWidget launch was delayed to Q3.",
-        })
-        _got, stats = self.check_write(lake, write, "text")
+        _got, stats = self.check_write(
+            lake, TEXT_WRITE, "text",
+            questions=(TOTAL_QUESTION, TEXT_QUESTION))
         assert stats["answer"]["invalidations"] > 0
+        # The text-routed recompute finds its cached ranking stale.
+        assert stats["retrieval"]["invalidations"] > 0
+
+    def test_text_write_drops_every_tenants_answers(self, lake):
+        registry = TenantRegistry.from_dict(
+            {"tenants": [{"id": "a"}, {"id": "b"}]})
+        _system, pipeline = build_hybrid_system(lake, seed=SEED)
+        server = QueryServer(pipeline, tenants=registry, batch_size=1)
+        asks = [ServeRequest(op="ask", payload={"question": question},
+                             tenant=tenant)
+                for tenant in ("a", "b")
+                for question in (TOTAL_QUESTION, TEXT_QUESTION)]
+        server.serve(asks + asks + [TEXT_WRITE] + asks)
+        assert server.stats()["cache"]["answer"]["invalidations"] == 4
+        for tenant in ("a", "b"):
+            record = server.stats()["tenants"][tenant]
+            assert (record["answer_lookups"], record["answer_hits"]) \
+                == (6, 2)
+
+
+class TestPlanTier:
+    def plan_server(self, lake):
+        _system, pipeline = build_hybrid_system(lake, seed=SEED)
+        server = QueryServer(pipeline, policy=CachePolicy.from_string("plan"))
+        return pipeline.table_qa, server.cache.plans
+
+    def test_abstaining_asks_hold_at_most_one_pending_start(self, lake):
+        table_qa, plans = self.plan_server(lake)
+        for index in range(50):
+            answer = table_qa.answer("Where did blorf number %d go?" % index)
+            assert answer.abstained
+        pending = plans._pending  # noqa: SLF001
+        held = [pending] if isinstance(pending, tuple) else list(
+            pending or ())
+        assert len(held) <= 1
+        assert len(plans.lru) == 0
+
+    def test_answered_ask_stores_its_plan_at_the_measured_cost(self, lake):
+        reference_qa, reference = self.plan_server(lake)
+        assert not reference_qa.answer(TOTAL_QUESTION).abstained
+        table_qa, plans = self.plan_server(lake)
+        for index in range(50):
+            table_qa.answer("Where did blorf number %d go?" % index)
+        assert not table_qa.answer(TOTAL_QUESTION).abstained
+        assert len(plans.lru) == 1
+        assert plans.lru.total_cost == reference.lru.total_cost
+        table_qa.answer(TOTAL_QUESTION)
+        assert plans.lru.stats.hits == 1
 
 
 # ----------------------------------------------------------------------
@@ -491,9 +546,11 @@ class TestWorkloadParsing:
         assert CachePolicy.from_string("none").describe() == "none"
         partial = CachePolicy.from_string("plan,retrieval")
         assert (partial.plan, partial.retrieval) == (True, True)
-        assert (partial.answer, partial.embedding) == (False, False)
+        assert partial.answer is False
         with pytest.raises(ValueError):
             CachePolicy.from_string("answer,bogus")
+        with pytest.raises(ValueError):
+            CachePolicy.from_string("answer,embedding")
 
 
 # ----------------------------------------------------------------------
