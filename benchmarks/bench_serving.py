@@ -61,7 +61,7 @@ def hit_rate(counters):
 #: "full" is the headline configuration; the second drops the answer
 #: tier so warm traffic actually reaches the plan/retrieval tiers and
 #: their hit rates become visible instead of being absorbed upstream.
-POLICIES = ("full", "plan,retrieval,embedding")
+POLICIES = ("full", "plan,retrieval")
 
 
 @pytest.mark.parametrize("policy", POLICIES)

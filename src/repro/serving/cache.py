@@ -26,9 +26,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from ..caching import CostAwareLRU
-from ..metering import CostMeter
 from ..obs import incr
-from ..resilience import work_now
 from ..sharding import ShardStamp
 
 KIND_RELATIONAL = "relational"
@@ -93,22 +91,17 @@ class PlanCache:
     since the federated-plan refactor that is the canonical
     :meth:`~repro.qa.plan.FederatedPlan.signature` tuple (question,
     route, stage DAG) rather than a per-tier munged string; callers
-    outside the executor may still key by raw question. Entry cost is
-    measured, not guessed: a miss snapshots the work clock, and the
-    matching ``put`` charges the entry with the work synthesis actually
-    spent — so the LRU budget is denominated in real CostMeter units.
-    The engine's miss, synthesis and ``put`` are adjacent in one call,
-    so one pending ``(key, started)`` slot suffices; a miss that never
-    reaches ``put`` (synthesis abstained, tenancy blocked the plan) is
-    simply overwritten by the next one.
+    outside the executor may still key by raw question. Every entry
+    costs one work unit: synthesis charges nothing to the meter, so a
+    measured cost would always be that floor. A miss keeps no state —
+    one that never reaches ``put`` (synthesis abstained, tenancy
+    blocked the plan) leaves nothing behind.
     """
 
-    def __init__(self, generations: Generations, meter: CostMeter):
+    def __init__(self, generations: Generations):
         self._generations = generations
-        self._meter = meter
         self._lru = CostAwareLRU(capacity=PLAN_CAPACITY,
                                  name="serving.plans")
-        self._pending: Optional[Tuple[Any, int]] = None
 
     @property
     def lru(self) -> CostAwareLRU:
@@ -123,17 +116,11 @@ class PlanCache:
             incr("serving.cache.plan.hit")
             return spec
         incr("serving.cache.plan.miss")
-        self._pending = (key, work_now(self._meter))
         return None
 
     def put(self, key: Any, spec: Any) -> None:
-        """Store a freshly synthesized plan at its measured work cost."""
-        cost = 1
-        if self._pending is not None and self._pending[0] == key:
-            cost = max(1, work_now(self._meter) - self._pending[1])
-        self._pending = None
-        self._lru.put(key, spec, cost=cost,
-                      tag=self._generations.stamp(PLAN_DEPS))
+        """Store a freshly synthesized plan (one work unit)."""
+        self._lru.put(key, spec, tag=self._generations.stamp(PLAN_DEPS))
 
 
 class AnswerCache:
@@ -249,7 +236,7 @@ class MultiTierCache:
     """All enabled tiers plus their shared generation counters."""
 
     def __init__(self, policy: CachePolicy, generations: Generations,
-                 meter: CostMeter, sharded: bool = False):
+                 sharded: bool = False):
         self.policy = policy
         self.generations = generations
         self.answers: Optional[AnswerCache] = (
@@ -257,7 +244,7 @@ class MultiTierCache:
             if policy.answer else None
         )
         self.plans: Optional[PlanCache] = (
-            PlanCache(generations, meter)
+            PlanCache(generations)
             if policy.plan else None
         )
         self.retrieval: Optional[CostAwareLRU] = (

@@ -60,7 +60,6 @@ class QueryServer:
                   if self._shard_set is not None else ())
         self._generations = Generations(map(_shard_kind, shards))
         self._tiers = MultiTierCache(self._policy, self._generations,
-                                     self._meter,
                                      sharded=self._shard_set is not None)
         self._tenants = tenants if tenants is not None else TenantRegistry(())
         # Which tenant the request currently on the answer path runs

@@ -536,18 +536,14 @@ def _committed_specs_with(key):
     return found
 
 
-def _committed_specs_with_faults():
-    return _committed_specs_with("faults")
-
-
 class TestCommittedFaultPlansFire:
     """A load spec's ``faults`` section must inject faults: a plan no
     backend draws from gates a clean run under a chaos name."""
 
     def test_every_fault_section_is_found(self):
-        assert len(_committed_specs_with_faults()) == 3
+        assert len(_committed_specs_with("faults")) == 3
 
-    @pytest.mark.parametrize("data", _committed_specs_with_faults())
+    @pytest.mark.parametrize("data", _committed_specs_with("faults"))
     def test_its_questions_draw_faults(self, data):
         from repro.bench.runner import build_stack
 

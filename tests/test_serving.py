@@ -8,7 +8,9 @@ rejects malformed input with :class:`~repro.errors.ServingError`.
 """
 
 import copy
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -231,32 +233,38 @@ class TestInvalidation:
                 == (6, 2)
 
 
+class PlanKey:
+    """A weakly referenceable plan key: shows whether a cache keeps it."""
+
+    __slots__ = ("__weakref__",)
+
+
 class TestPlanTier:
     def plan_server(self, lake):
         _system, pipeline = build_hybrid_system(lake, seed=SEED)
         server = QueryServer(pipeline, policy=CachePolicy.from_string("plan"))
         return pipeline.table_qa, server.cache.plans
 
-    def test_abstaining_asks_hold_at_most_one_pending_start(self, lake):
+    def test_abstaining_asks_retain_no_plan_key(self, lake):
         table_qa, plans = self.plan_server(lake)
+        refs = []
         for index in range(50):
-            answer = table_qa.answer("Where did blorf number %d go?" % index)
+            key = PlanKey()
+            refs.append(weakref.ref(key))
+            answer = table_qa.answer(
+                "Where did blorf number %d go?" % index, plan_key=key)
             assert answer.abstained
-        pending = plans._pending  # noqa: SLF001
-        held = [pending] if isinstance(pending, tuple) else list(
-            pending or ())
-        assert len(held) <= 1
-        assert len(plans.lru) == 0
+        del key
+        gc.collect()
+        assert [ref for ref in refs if ref() is not None] == []
+        assert (len(plans.lru), plans.lru.total_cost) == (0, 0)
 
-    def test_answered_ask_stores_its_plan_at_the_measured_cost(self, lake):
-        reference_qa, reference = self.plan_server(lake)
-        assert not reference_qa.answer(TOTAL_QUESTION).abstained
+    def test_answered_ask_stores_its_plan_at_unit_cost(self, lake):
         table_qa, plans = self.plan_server(lake)
         for index in range(50):
             table_qa.answer("Where did blorf number %d go?" % index)
         assert not table_qa.answer(TOTAL_QUESTION).abstained
-        assert len(plans.lru) == 1
-        assert plans.lru.total_cost == reference.lru.total_cost
+        assert (len(plans.lru), plans.lru.total_cost) == (1, 1)
         table_qa.answer(TOTAL_QUESTION)
         assert plans.lru.stats.hits == 1
 
