@@ -40,7 +40,7 @@ from typing import List, Optional
 from .bench.runner import (
     DOMAINS, StackConfig, build_stack, read_document,
 )
-from .errors import LoadGenError, TenancyError
+from .errors import LoadGenError, PlanError, TenancyError
 from .obs import Tracer, render_trace
 
 
@@ -223,15 +223,20 @@ def cmd_sql(args) -> int:
     """Run raw SQL against the lake database."""
     _, pipeline = _build(args)
     if args.explain_lint:
-        print(pipeline.db.explain(args.query))
+        status = 0
+        try:
+            print(pipeline.db.explain(args.query))
+        except PlanError as exc:
+            print("no plan: %s" % exc)
+            status = 1
         diagnostics = pipeline.db.analyze(args.query)
         if not diagnostics:
             print("\nplan lint: clean")
-            return 0
+            return status
         print("\nplan lint:")
         for diag in diagnostics:
             print("  " + diag.render())
-        return 1 if any(d.severity == "error" for d in diagnostics) else 0
+        return 1 if any(d.severity == "error" for d in diagnostics) else status
     with _tracing(args, pipeline):
         result = pipeline.db.execute(args.query)
         print(result.pretty(max_rows=args.max_rows))

@@ -1,26 +1,21 @@
-"""Static analysis for the repro codebase and its query plans.
+"""Static analysis for the repro codebase.
 
-Two analysis planes share this package:
-
-* **Source lint** — an AST rule engine (:mod:`.core`, :mod:`.rules`,
-  :mod:`.project`) enforcing the repo's invariants: determinism, the
-  :mod:`repro.errors` exception taxonomy, import layering, hygiene
-  (mutable defaults, debug prints, docstrings, unused imports). Run it
-  with ``python -m repro.lint``; suppress a finding in place with a
-  ``# lint: ignore[rule-id]`` comment on the offending line.
-* **Plan lint** — a static semantic checker for logical query plans
-  (:mod:`.plancheck`) that validates SELECT statements against table
-  schemas *before* execution: unknown columns, comparison type
-  mismatches, statically unsatisfiable predicates, unused joins.
+An AST rule engine (:mod:`.core`, :mod:`.rules`, :mod:`.project`)
+enforcing the repo's invariants: determinism, the :mod:`repro.errors`
+exception taxonomy, import layering, hygiene (mutable defaults, debug
+prints, docstrings, unused imports). Run it with ``python -m
+repro.lint``; suppress a finding in place with a
+``# lint: ignore[rule-id]`` comment on the offending line. The query
+plan checkers live beside what they check, in
+:mod:`repro.storage.relational.plancheck` and :mod:`repro.qa.plan`.
 
 See ``docs/static_analysis.md`` for the rule catalogue.
 """
 
 from .core import Finding, LintEngine, ModuleInfo, Rule, all_rules, rule_ids
-from .plancheck import PlanDiagnostic, check_select
 from . import project, rules  # noqa: F401  (rule registration side effect)
 
 __all__ = [
     "Finding", "LintEngine", "ModuleInfo", "Rule", "all_rules",
-    "rule_ids", "PlanDiagnostic", "check_select",
+    "rule_ids",
 ]

@@ -394,9 +394,9 @@ _ALLOWED_DEPS: Dict[str, Set[str]] = {
         "entropy", "retrieval", "resilience", "semql", "qa", "serving",
         "bench", "tenancy",
     },
-    # lint is the tooling plane: it may reach the plancheck facades
-    # (relational in storage, federated in qa) but nothing imports it.
-    "lint": {"errors", "storage", "qa"},
+    # lint is the tooling plane: it imports no other unit, and nothing
+    # imports it.
+    "lint": set(),
 }
 
 

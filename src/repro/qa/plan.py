@@ -14,11 +14,11 @@ Why an IR at all:
 * **one cache key** — :meth:`FederatedPlan.signature` is the canonical
   identity of "how this question will be answered"; the serving
   layer's plan tier keys off it instead of per-tier string munging;
-* **static checking** — :func:`check_plan` validates a compiled DAG
-  before execution (unreachable stages, engine calls that contradict
-  the route, a hybrid plan with no grounding stage), mirroring the
-  relational plan checker in
-  :mod:`repro.storage.relational.plancheck`;
+* **static checking** — :func:`check_plan` lints a compiled DAG
+  (unreachable stages, engine calls that contradict the route, a
+  hybrid plan with no grounding stage), mirroring the relational plan
+  checker in :mod:`repro.storage.relational.plancheck`. Nothing on
+  the answer path calls it: it is the tests' and tooling's checker;
 * **a place to hang optimisations** — parallel hybrid arms,
   speculative routing and cost-based stage ordering (see ROADMAP) all
   need a plan object to rewrite.
@@ -332,7 +332,8 @@ def compile_plan(question: str, decision,
 # ----------------------------------------------------------------------
 
 def check_plan(plan: FederatedPlan) -> List[PlanDiagnostic]:
-    """Static diagnostics for a federated plan, before execution.
+    """Static diagnostics for a federated plan (tests and tooling;
+    the answer path does not run it).
 
     Errors: unknown route/stage kind/condition, duplicate stage ids,
     unknown or cyclic dependencies, a stage unreachable from the

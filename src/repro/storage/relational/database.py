@@ -11,13 +11,15 @@ Ties catalog, parser, planner and executor together:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from ...errors import ExecutionError, PlanError, SchemaError, StorageError
 from ...metering import CostMeter, GLOBAL_METER, ROWS_SCANNED
 from ...obs import incr, span
 from .executor import Executor, ResultSet
-from .index import HashIndex
+from .plancheck import check_references, check_select
 from .planner import Planner, PlanNode
 from .schema import TableSchema
 from .sql_parser import (
@@ -31,19 +33,18 @@ from .table import Table
 class Database:
     """An in-memory multi-table SQL database.
 
-    With ``strict_plancheck=True`` every SELECT is statically vetted by
-    :mod:`.plancheck` first and any error-severity diagnostic (type
-    mismatch, statically unsatisfiable predicate, ...) raises
-    :class:`~...errors.PlanError` before execution. The default mode
-    only blocks on unknown columns — the one diagnostic that is always
-    a bug rather than a possibly-intentional empty result.
+    Every SELECT — executed, planned or explained — goes through one
+    preparation step (:meth:`_prepare`): its references are resolved
+    against the tables and views it reads, and an unknown column raises
+    :class:`~...errors.PlanError` before planning, the one static
+    finding that is always a bug rather than a possibly-intentional
+    empty result. The advisory findings of :mod:`.plancheck` are
+    :meth:`analyze`'s alone.
     """
 
     def __init__(self, meter: Optional[CostMeter] = None,
-                 strict_plancheck: bool = False,
                  table_factory: Optional[Callable[[TableSchema], Table]] = None):
         self._meter = meter if meter is not None else GLOBAL_METER
-        self._strict_plancheck = strict_plancheck
         # Pluggable table construction: partitioned deployments inject a
         # factory returning sharded facades; the facade must be a Table
         # subclass sharing this database's meter.
@@ -113,26 +114,6 @@ class Database:
                      kind: str = "hash") -> None:
         """Build a secondary index on *table.column*."""
         self.table(table).create_index(column, kind=kind)
-
-    def _has_hash_index(self, table: str, column: str) -> bool:
-        tbl = self._tables.get(table)
-        if tbl is None:
-            return False
-        return isinstance(tbl.index_on(column), HashIndex)
-
-    def _columns_of(self, table: str):
-        tbl = self._tables.get(table)
-        if tbl is None:
-            return None
-        return set(tbl.schema.column_names())
-
-    def _schema_of(self, table: str):
-        tbl = self._tables.get(table)
-        return None if tbl is None else tbl.schema
-
-    def _planner(self) -> Planner:
-        return Planner(self._has_hash_index, self._columns_of,
-                       self._schema_of)
 
     # ------------------------------------------------------------------
     # Statements
@@ -250,12 +231,12 @@ class Database:
         self._notify_mutation("rollback")
 
     def plan(self, sql: str) -> PlanNode:
-        """Plan a SELECT without executing (for EXPLAIN / tests)."""
+        """The plan :meth:`execute` would run for a SELECT, behind the
+        same gate, without running it (for EXPLAIN / tests)."""
         stmt = parse(sql)
         if not isinstance(stmt, SelectStatement):
             raise PlanError("only SELECT statements can be planned")
-        self._validate_select(stmt)
-        return self._planner().plan(stmt)
+        return self._prepare(stmt)[0]
 
     def explain(self, sql: str) -> str:
         """EXPLAIN-style plan rendering."""
@@ -272,42 +253,27 @@ class Database:
         stmt = parse(sql)
         if not isinstance(stmt, SelectStatement):
             raise PlanError("only SELECT statements can be analyzed")
-        mapping = self._resolve_tables(stmt)
-        planner = self._mapped_planner(mapping)
-        return planner.analyze(stmt)
-
-    def _mapped_planner(self, mapping: Dict[str, Table]) -> Planner:
-        def has_index(table: str, column: str) -> bool:
-            tbl = mapping.get(table)
-            if tbl is None:
-                return False
-            return isinstance(tbl.index_on(column), HashIndex)
-
-        def columns_of(table: str):
-            tbl = mapping.get(table)
-            if tbl is None:
-                return None
-            return set(tbl.schema.column_names())
-
-        def schema_of(table: str):
-            tbl = mapping.get(table)
-            return None if tbl is None else tbl.schema
-
-        return Planner(has_index, columns_of, schema_of)
+        return check_select(stmt, _schemas(self._resolve_tables(stmt)))
 
     def _run_select(self, stmt: SelectStatement) -> ResultSet:
+        plan, tables = self._prepare(stmt)
+        return Executor(tables).execute(plan)
+
+    def _prepare(
+        self, stmt: SelectStatement,
+    ) -> Tuple[PlanNode, Dict[str, Table]]:
+        """Validate the tables, resolve views, gate, plan: the one
+        preparation :meth:`execute`, :meth:`plan` and :meth:`explain`
+        share. Returns the plan and the tables it runs over."""
         self._validate_select(stmt)
-        mapping = self._resolve_tables(stmt)
-        planner = self._mapped_planner(mapping)
-        blocking = [
-            diag for diag in planner.analyze(stmt)
-            if diag.severity == "error"
-            and (self._strict_plancheck or diag.code == "unknown-column")
+        tables = self._resolve_tables(stmt)
+        unknown = [
+            diag for diag in check_references(stmt, _schemas(tables))
+            if diag.code == "unknown-column"
         ]
-        if blocking:
-            raise PlanError("; ".join(d.render() for d in blocking))
-        plan = planner.plan(stmt)
-        return Executor(mapping).execute(plan)
+        if unknown:
+            raise PlanError("; ".join(d.render() for d in unknown))
+        return Planner(tables).plan(stmt), tables
 
     def _resolve_tables(self, stmt: SelectStatement) -> Dict[str, Table]:
         """Base tables plus materialized views referenced by *stmt*."""
@@ -404,3 +370,11 @@ class Database:
         if count:
             self._notify_mutation("load_dicts")
         return count
+
+
+def _schemas(tables: Dict[str, Table]) -> Callable:
+    """The ``schema_of`` catalog callback :mod:`.plancheck` reads."""
+    def schema_of(name: str) -> Optional[TableSchema]:
+        table = tables.get(name)
+        return None if table is None else table.schema
+    return schema_of

@@ -19,7 +19,7 @@ from ...errors import ExecutionError, PlanError
 from ...obs import span
 from ..types import sort_key
 from .expressions import (
-    BinaryOp, Bound, ColumnRef, Expression, FunctionCall, Literal,
+    Bound, Expression, column_comparison, conjuncts,
 )
 from .planner import (
     AggregateNode, DistinctNode, FilterNode, HashJoinNode, IndexScanNode,
@@ -437,14 +437,6 @@ class Executor:
         return ResultSet(names, rows_out)
 
 
-def _conjuncts(expr: Expression, out: List[Expression]) -> None:
-    if isinstance(expr, BinaryOp) and expr.op.upper() == "AND":
-        _conjuncts(expr.left, out)
-        _conjuncts(expr.right, out)
-    else:
-        out.append(expr)
-
-
 def _equality_conjuncts(
     predicate: Expression, alias: str, cols: List[str],
 ) -> Optional[List[Tuple[str, Any]]]:
@@ -456,30 +448,15 @@ def _equality_conjuncts(
     so the lowered literal routes with the raw stored value). Anything
     else contributes no hint.
     """
-    parts: List[Expression] = []
-    _conjuncts(predicate, parts)
     hints: List[Tuple[str, Any]] = []
-    for part in parts:
-        if not (isinstance(part, BinaryOp) and part.op == "="):
+    for term in conjuncts(predicate):
+        hit = column_comparison(term, lowered=True)
+        if hit is None or hit[1] != "=":
             continue
-        for lhs, rhs in ((part.left, part.right), (part.right, part.left)):
-            if not isinstance(rhs, Literal):
-                continue
-            column = _hinted_column(lhs, alias, cols)
-            if column is not None:
-                hints.append((column, rhs.value))
-                break
+        column, _, value = hit
+        if column.table and column.table.lower() != alias.lower():
+            continue
+        name = column.name.lower()
+        if name in cols:
+            hints.append((name, value))
     return hints or None
-
-
-def _hinted_column(expr: Expression, alias: str,
-                   cols: List[str]) -> Optional[str]:
-    if (isinstance(expr, FunctionCall) and expr.name.lower() == "lower"
-            and len(expr.args) == 1):
-        expr = expr.args[0]
-    if not isinstance(expr, ColumnRef):
-        return None
-    if expr.table and expr.table.lower() != alias.lower():
-        return None
-    name = expr.name.lower()
-    return name if name in cols else None

@@ -246,6 +246,49 @@ def conjunction(terms: Sequence[Expression]) -> Optional[Expression]:
     return expr
 
 
+def conjuncts(expr: Optional[Expression]) -> List[Expression]:
+    """The terms of an AND chain, left to right — what
+    :func:`conjunction` joins; empty for None."""
+    if expr is None:
+        return []
+    if isinstance(expr, BinaryOp) and expr.op.upper() == "AND":
+        return conjuncts(expr.left) + conjuncts(expr.right)
+    return [expr]
+
+
+#: Each comparison operator as it reads with its operands swapped.
+_FLIPPED = {"=": "=", "!=": "!=", "<>": "<>", "<": ">", "<=": ">=",
+            ">": "<", ">=": "<="}
+
+
+def column_comparison(
+    expr: Expression, lowered: bool = False,
+) -> Optional[Tuple[ColumnRef, str, Any]]:
+    """``(column, op, value)`` for ``column <op> literal`` written
+    either way round, the operator flipped so the column reads on the
+    left; None for any other shape. With *lowered*, ``LOWER(column)``
+    stands for its column."""
+    if not (isinstance(expr, BinaryOp) and expr.op in _FLIPPED):
+        return None
+    left, right = expr.left, expr.right
+    if isinstance(right, Literal):
+        column = _compared(left, lowered)
+        if column is not None:
+            return column, expr.op, right.value
+    if isinstance(left, Literal):
+        column = _compared(right, lowered)
+        if column is not None:
+            return column, _FLIPPED[expr.op], left.value
+    return None
+
+
+def _compared(expr: Expression, lowered: bool) -> Optional[ColumnRef]:
+    if (lowered and isinstance(expr, FunctionCall)
+            and expr.name.lower() == "lower" and len(expr.args) == 1):
+        expr = expr.args[0]
+    return expr if isinstance(expr, ColumnRef) else None
+
+
 @dataclass(frozen=True)
 class UnaryOp(Expression):
     """NOT or arithmetic negation."""

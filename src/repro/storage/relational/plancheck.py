@@ -18,6 +18,13 @@ TableSchema | None`` catalog callback. It reports:
 * ``unused-join`` — a joined table referenced by nothing outside its
   own ON condition (warning).
 
+:func:`check_references` runs only reference resolution (the
+``unknown-*`` and ``ambiguous-column`` codes): it is the gate
+:class:`~.database.Database` runs before planning any SELECT, where an
+``unknown-column`` error raises :class:`~...errors.PlanError`. The
+other passes are advisory; :func:`check_select` runs them all for
+``Database.analyze`` and ``repro sql --explain-lint``.
+
 Resolution deliberately mirrors the runtime rules of
 :meth:`~.expressions.ColumnRef.bind`: an exact ``alias.column``
 match first, then a unique suffix match across all tables in scope.
@@ -32,7 +39,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from ..types import DataType
 from .expressions import (
     Between, BinaryOp, ColumnRef, Expression, FunctionCall, InList, IsNull,
-    Like, Literal, UnaryOp,
+    Like, Literal, UnaryOp, column_comparison, conjuncts,
 )
 from .sql_parser import AggregateCall, SelectStatement
 
@@ -252,7 +259,7 @@ class _Checker:
         if where is None:
             return
         bounds: Dict[str, _Bounds] = {}
-        for conjunct in _conjuncts(where):
+        for conjunct in conjuncts(where):
             self._absorb(conjunct, bounds)
         for column, bound in sorted(bounds.items()):
             reason = bound.contradiction()
@@ -264,14 +271,12 @@ class _Checker:
                 )
 
     def _absorb(self, conjunct: Any, bounds: Dict[str, "_Bounds"]) -> None:
-        if isinstance(conjunct, BinaryOp) and conjunct.op in _COMPARISON_OPS:
-            ref, value, op = _normalized_comparison(conjunct)
-            if ref is None or value is None:
-                return
+        comparison = column_comparison(conjunct)
+        if comparison is not None:
+            ref, op, value = comparison
             key = self._bound_key(ref)
-            if key is None:
-                return
-            bounds.setdefault(key, _Bounds()).add(op, value)
+            if key is not None:
+                bounds.setdefault(key, _Bounds()).add(op, value)
         elif isinstance(conjunct, Between):
             if not isinstance(conjunct.operand, ColumnRef):
                 return
@@ -351,29 +356,37 @@ class _Checker:
         return aliases
 
     # -- clause drivers ------------------------------------------------
-    def run(self) -> List[PlanDiagnostic]:
+    def run(self, advisory: bool) -> List[PlanDiagnostic]:
+        """Reference resolution over every clause; with *advisory*, the
+        type, satisfiability and unused-join passes too, each run beside
+        the references of the clause it reads, so findings keep clause
+        order."""
         stmt = self.stmt
         for table in self.scope.missing_tables:
             self.emit("unknown-table", ERROR, "unknown table %r" % table)
         if not stmt.star:
             for item in stmt.items:
                 self.check_refs(item.expr, "select list")
-                self.check_comparisons(item.expr, "select list")
-                self._check_aggregate_types(item.expr)
+                if advisory:
+                    self.check_comparisons(item.expr, "select list")
+                    self._check_aggregate_types(item.expr)
         for join in stmt.joins:
             self.check_refs(join.condition, "JOIN condition")
-            self.check_comparisons(join.condition, "JOIN condition")
+            if advisory:
+                self.check_comparisons(join.condition, "JOIN condition")
         if stmt.where is not None:
             self.check_refs(stmt.where, "WHERE")
-            self.check_comparisons(stmt.where, "WHERE")
-            self.check_satisfiable(stmt.where)
+            if advisory:
+                self.check_comparisons(stmt.where, "WHERE")
+                self.check_satisfiable(stmt.where)
         for ref in stmt.group_by:
             self.check_refs(ref, "GROUP BY")
         if stmt.having is not None:
             self._check_output_scope(stmt.having, "HAVING")
         for item in stmt.order_by:
             self._check_output_scope(item.expr, "ORDER BY")
-        self.check_unused_joins()
+        if advisory:
+            self.check_unused_joins()
         return self.diagnostics
 
     def _output_names(self) -> set:
@@ -408,24 +421,6 @@ def _sql(expr: Any) -> str:
         return expr.sql()
     except (AttributeError, NotImplementedError):
         return repr(expr)
-
-
-def _conjuncts(expr: Expression) -> List[Expression]:
-    if isinstance(expr, BinaryOp) and expr.op.upper() == "AND":
-        return _conjuncts(expr.left) + _conjuncts(expr.right)
-    return [expr]
-
-
-def _normalized_comparison(node: BinaryOp):
-    """``(ref, literal_value, op)`` with the column on the left."""
-    flip = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=",
-            "!=": "!=", "<>": "<>"}
-    left, right = node.left, node.right
-    if isinstance(left, ColumnRef) and isinstance(right, Literal):
-        return left, right.value, node.op
-    if isinstance(right, ColumnRef) and isinstance(left, Literal):
-        return right, left.value, flip[node.op]
-    return None, None, None
 
 
 class _Bounds:
@@ -509,6 +504,18 @@ def check_select(stmt: SelectStatement,
     :class:`~.schema.TableSchema`, or ``None`` when unknown. Returns
     diagnostics sorted errors-first, stable within severity.
     """
-    diagnostics = _Checker(stmt, schema_of).run()
+    return _sorted(_Checker(stmt, schema_of).run(advisory=True))
+
+
+def check_references(stmt: SelectStatement,
+                     schema_of: Callable) -> List[PlanDiagnostic]:
+    """The reference-resolution part of :func:`check_select` alone:
+    its ``unknown-table``, ``unknown-column`` and ``ambiguous-column``
+    findings, in the same order. This is what
+    :class:`~.database.Database` runs before planning a SELECT."""
+    return _sorted(_Checker(stmt, schema_of).run(advisory=False))
+
+
+def _sorted(diagnostics: List[PlanDiagnostic]) -> List[PlanDiagnostic]:
     diagnostics.sort(key=lambda d: (d.severity != ERROR,))
     return diagnostics

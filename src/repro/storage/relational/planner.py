@@ -14,14 +14,17 @@ Plan nodes are data; execution lives in :mod:`.executor`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ...errors import PlanError
 from ...obs import span
 from .expressions import (
-    BinaryOp, ColumnRef, Expression, Literal, conjunction,
+    BinaryOp, ColumnRef, Expression, column_comparison, conjunction,
+    conjuncts,
 )
+from .index import HashIndex
 from .sql_parser import OrderItem, SelectItem, SelectStatement
+from .table import Table
 
 
 class PlanNode:
@@ -204,38 +207,18 @@ class DistinctNode(PlanNode):
         return "Distinct"
 
 
-def _split_conjuncts(expr: Optional[Expression]) -> List[Expression]:
-    if expr is None:
-        return []
-    if isinstance(expr, BinaryOp) and expr.op.upper() == "AND":
-        return _split_conjuncts(expr.left) + _split_conjuncts(expr.right)
-    return [expr]
-
-
-def _equality_probe(conjunct: Expression) -> Optional[Tuple[ColumnRef, Any]]:
-    """Match  col = literal  (either side) for index-scan planning."""
-    if not (isinstance(conjunct, BinaryOp) and conjunct.op == "="):
-        return None
-    left, right = conjunct.left, conjunct.right
-    if isinstance(left, ColumnRef) and isinstance(right, Literal):
-        return left, right.value
-    if isinstance(right, ColumnRef) and isinstance(left, Literal):
-        return right, left.value
-    return None
-
-
 def _equi_join_keys(
     condition: Expression, left_aliases: List[str], right_alias: str
 ) -> Optional[Tuple[ColumnRef, ColumnRef, List[Expression]]]:
     """Find a usable equi-join key pair among the ON conjuncts."""
-    conjuncts = _split_conjuncts(condition)
-    for i, conj in enumerate(conjuncts):
+    terms = conjuncts(condition)
+    for i, conj in enumerate(terms):
         if not (isinstance(conj, BinaryOp) and conj.op == "="):
             continue
         lhs, rhs = conj.left, conj.right
         if not (isinstance(lhs, ColumnRef) and isinstance(rhs, ColumnRef)):
             continue
-        residual = conjuncts[:i] + conjuncts[i + 1:]
+        residual = terms[:i] + terms[i + 1:]
         if lhs.table in left_aliases and rhs.table == right_alias:
             return lhs, rhs, residual
         if rhs.table in left_aliases and lhs.table == right_alias:
@@ -249,30 +232,14 @@ def _equi_join_keys(
 class Planner:
     """Build a :class:`PlanNode` tree from a :class:`SelectStatement`.
 
-    Catalog access is via two callbacks: ``has_index(table, column)``
-    for index-scan planning and ``columns_of(table)`` (returning the
-    column-name set, or None when unknown) for predicate pushdown
-    through joins.
+    *tables* maps every table name the statement reads — base tables
+    and materialised views alike — to its :class:`~.table.Table`: hash
+    indexes pick index scans, and column names attribute predicates
+    for pushdown through joins.
     """
 
-    def __init__(self, has_index=None, columns_of=None, schema_of=None):
-        # has_index(table_name, column_name) -> bool
-        self._has_index = has_index or (lambda table, column: False)
-        # columns_of(table_name) -> set[str] | None
-        self._columns_of = columns_of or (lambda table: None)
-        # schema_of(table_name) -> TableSchema | None (plan linting)
-        self._schema_of = schema_of or (lambda table: None)
-
-    def analyze(self, stmt: SelectStatement) -> list:
-        """Statically lint *stmt* against the catalog schemas.
-
-        Returns :class:`~.plancheck.PlanDiagnostic` objects (errors
-        first) without executing anything; requires the ``schema_of``
-        callback for any diagnostics beyond the trivially empty list.
-        """
-        from .plancheck import check_select
-
-        return check_select(stmt, self._schema_of)
+    def __init__(self, tables: Dict[str, Table]):
+        self._tables = tables
 
     def plan(self, stmt: SelectStatement) -> PlanNode:
         """Produce the operator tree for *stmt*."""
@@ -332,35 +299,33 @@ class Planner:
     def _plan_where(self, stmt: SelectStatement, node: PlanNode) -> PlanNode:
         if stmt.where is None:
             return node
-        conjuncts = _split_conjuncts(stmt.where)
-        remaining: List[Expression] = []
+        terms = conjuncts(stmt.where)
         if stmt.joins:
             # Predicate pushdown: single-table conjuncts evaluate below
             # the join, shrinking its inputs.
-            node, conjuncts = self._push_down(stmt, node, conjuncts)
-            if not conjuncts:
+            node, terms = self._push_down(stmt, node, terms)
+            if not terms:
                 return node
         # Only try an index scan for single-table queries: with joins the
         # probe column binding becomes ambiguous for this small planner.
         if isinstance(node, ScanNode):
-            for i, conj in enumerate(conjuncts):
-                probe = _equality_probe(conj)
-                if probe is None:
+            table = self._tables[node.table]
+            for i, term in enumerate(terms):
+                probe = column_comparison(term)
+                if probe is None or probe[1] != "=":
                     continue
-                col, value = probe
+                col, _, value = probe
                 if col.table not in (None, node.alias):
                     continue
-                if self._has_index(node.table, col.name):
+                if isinstance(table.index_on(col.name), HashIndex):
                     new_node: PlanNode = IndexScanNode(
                         node.table, node.alias, col.name, value
                     )
-                    remaining = conjuncts[:i] + conjuncts[i + 1:]
-                    residual = conjunction(remaining)
+                    residual = conjunction(terms[:i] + terms[i + 1:])
                     if residual is not None:
                         new_node = FilterNode(residual, new_node)
                     return new_node
-        predicate = conjunction(conjuncts)
-        return FilterNode(predicate, node)
+        return FilterNode(conjunction(terms), node)
 
     # ------------------------------------------------------------------
     def _binding_table(self, stmt: SelectStatement,
@@ -374,13 +339,10 @@ class Planner:
                 owners.add(column.split(".", 1)[0])
                 continue
             # Unqualified: attribute by unique schema membership.
-            holders = []
-            for ref in refs:
-                cols = self._columns_of(ref.name)
-                if cols is None:
-                    return None
-                if column in cols:
-                    holders.append(ref.effective_name)
+            holders = [
+                ref.effective_name for ref in refs
+                if column in self._tables[ref.name].schema.column_names()
+            ]
             if len(holders) != 1:
                 return None
             owners.add(holders[0])

@@ -10,7 +10,7 @@ from .patterns import PatternMatch, find_patterns
 from .pos import TaggedToken, tag, tag_tokens
 from .stemmer import stem
 from .stopwords import STOPWORDS, content_stems, content_words
-from .tokenizer import Token, ngrams, split_sentences, tokenize, words
+from .tokenizer import Token, split_sentences, tokenize, words
 
 __all__ = [
     "Chunk", "Chunker", "ChunkerConfig",
@@ -19,5 +19,5 @@ __all__ = [
     "TaggedToken", "tag", "tag_tokens",
     "stem",
     "STOPWORDS", "content_stems", "content_words",
-    "Token", "ngrams", "split_sentences", "tokenize", "words",
+    "Token", "split_sentences", "tokenize", "words",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence
+from typing import List
 
 # Order matters: longer / more specific patterns first.
 _TOKEN_RE = re.compile(
@@ -122,15 +122,3 @@ def split_sentences(text: str) -> List[str]:
                 continue
         sentences.append(piece)
     return sentences
-
-
-def ngrams(tokens: Sequence[str], n: int) -> Iterator[tuple]:
-    """Yield the *n*-grams of *tokens* as tuples.
-
-    >>> list(ngrams(["a", "b", "c"], 2))
-    [('a', 'b'), ('b', 'c')]
-    """
-    if n <= 0:
-        raise ValueError("n must be positive, got %d" % n)
-    for i in range(len(tokens) - n + 1):
-        yield tuple(tokens[i : i + n])

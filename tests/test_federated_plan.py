@@ -21,7 +21,6 @@ from repro.bench import (
 )
 from repro.bench.runner import build_hybrid_system
 from repro.lint import LintEngine
-from repro.lint.plancheck import check_federated_plan
 from repro.qa import (
     ROUTE_HYBRID, ROUTE_STRUCTURED, ROUTE_UNSTRUCTURED, FederatedPlan,
     PlanStage, check_plan, compile_plan, render_plan,
@@ -242,10 +241,6 @@ class CheckPlanTest(unittest.TestCase):
         codes = _codes(check_plan(no_anchor))
         self.assertIn("unknown-route", codes)
         self.assertIn("missing-route-stage", codes)
-
-    def test_lint_facade_exposes_the_federated_checker(self):
-        plan = compile_plan("q", _decision(ROUTE_HYBRID), True)
-        self.assertEqual(check_federated_plan(plan), check_plan(plan))
 
     def _table_arm(self, suffix="", when=WHEN_ROUTE, deps=("route",)):
         sid = "synthesize" + suffix

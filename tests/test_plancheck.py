@@ -1,20 +1,64 @@
-"""Tests for the static query-plan checker (repro.lint.plancheck).
+"""Tests for the static query-plan checker
+(repro.storage.relational.plancheck).
 
 Each diagnostic code gets a direct case; gating behaviour is tested
-through :class:`Database` in both default and strict modes, and a fuzz
-sweep reuses the SQL grammar from ``test_sql_roundtrip_fuzz`` to show
-the checker never rejects a statement the executor would accept.
+through :class:`Database`, and a fuzz sweep reuses the SQL grammar from
+``test_sql_roundtrip_fuzz`` — with a misspelled column drawn now and
+then — to show the gate blocks exactly the statements the full checker
+finds an unknown column in, and nothing the executor would accept.
 """
 
 import random
+import re
 
 import pytest
 
 from repro.errors import PlanError
-from repro.lint.plancheck import ERROR, WARNING, check_select
 from repro.storage.relational import Database
+from repro.storage.relational.plancheck import ERROR, WARNING, check_select
 from repro.storage.relational.sql_parser import parse
-from tests.test_sql_roundtrip_fuzz import SEED, _seed_database, _select
+from tests.test_sql_roundtrip_fuzz import (
+    COLUMNS, SEED, _seed_database, _select as _grammar_select,
+)
+
+#: Every column name of the fuzz tables.
+_NAMES = sorted({name for cols in COLUMNS.values() for name, _ in cols})
+_COLUMN_WORD = re.compile(r"\b(%s)\b" % "|".join(_NAMES))
+#: Where each clause the misspeller may pick starts, and what ends it.
+_CLAUSES = (
+    (r"^SELECT (DISTINCT )?", r" FROM "),
+    (r" WHERE ", r" (GROUP BY|ORDER BY|LIMIT) |$"),
+    (r" ORDER BY ", r" (DESC|LIMIT)\b|$"),
+)
+
+
+def _select(rng):
+    """A fuzz-grammar SELECT; about one in four has one column of its
+    select list, WHERE, ORDER BY or HAVING misspelled."""
+    sql = _grammar_select(rng)
+    if rng.random() >= 0.25:
+        return sql
+    clauses = []  # the column words of each clause that has some
+    for start, end in _CLAUSES:
+        opened = re.search(start, sql)
+        if opened is not None:
+            closed = re.compile(end).search(sql, opened.end())
+            words = list(_COLUMN_WORD.finditer(
+                sql, opened.end(), closed.start()))
+            if words:
+                clauses.append(words)
+    having = sql.find(" HAVING (")
+    if having >= 0 and rng.random() < 1 / (len(clauses) + 1):
+        # HAVING's columns sit inside its aggregate, which the checker
+        # leaves to the aggregate's select-list twin: a misspelled bare
+        # column takes the aggregate's place.
+        return sql[:having] + re.sub(r"\w+\([^)]*\)",
+                                     rng.choice(_NAMES) + "x",
+                                     sql[having:], count=1)
+    if not clauses:
+        return sql
+    word = rng.choice(rng.choice(clauses))
+    return sql[:word.start()] + word.group() + "x" + sql[word.end():]
 
 
 @pytest.fixture
@@ -208,29 +252,6 @@ class TestGating:
     def test_default_mode_executes_type_mismatch_free_query(self, db):
         assert db.execute("SELECT COUNT(*) FROM products").scalar() == 2
 
-    def test_strict_mode_rejects_unsatisfiable(self):
-        db = Database(strict_plancheck=True)
-        db.execute("CREATE TABLE t (x INT)")
-        with pytest.raises(PlanError) as exc:
-            db.execute("SELECT x FROM t WHERE x > 5 AND x < 3")
-        assert "unsatisfiable-predicate" in str(exc.value)
-
-    def test_strict_mode_rejects_type_mismatch(self):
-        db = Database(strict_plancheck=True)
-        db.execute("CREATE TABLE t (x INT)")
-        with pytest.raises(PlanError) as exc:
-            db.execute("SELECT x FROM t WHERE x = 'abc'")
-        assert "type-mismatch" in str(exc.value)
-
-    def test_strict_mode_allows_warnings(self):
-        db = Database(strict_plancheck=True)
-        db.execute("CREATE TABLE a (k INT, v TEXT)")
-        db.execute("CREATE TABLE b (k INT, w TEXT)")
-        db.execute("INSERT INTO a VALUES (1, 'x')")
-        db.execute("INSERT INTO b VALUES (1, 'y')")
-        rs = db.execute("SELECT a.v FROM a JOIN b ON a.k = b.k")
-        assert rs.rows == [("x",)]
-
     def test_analyze_rejects_non_select(self, db):
         with pytest.raises(PlanError):
             db.analyze("DELETE FROM products")
@@ -251,8 +272,7 @@ class TestGating:
 class TestCheckSelectDirect:
     def test_callable_with_schema_callback(self, db):
         stmt = parse("SELECT nope FROM products")
-        schema_of = db._schema_of
-        diags = check_select(stmt, schema_of)
+        diags = check_select(stmt, lambda name: db.table(name).schema)
         assert codes(diags, ERROR) == ["unknown-column"]
 
     def test_missing_schema_reports_unknown_table(self):
@@ -263,12 +283,14 @@ class TestCheckSelectDirect:
 
 class TestFuzzedGrammar:
     # Error codes the fuzz grammar can legitimately trigger: it freely
-    # conjoins random comparisons, so contradictory intervals occur.
-    ALLOWED_ERRORS = {"unsatisfiable-predicate"}
+    # conjoins random comparisons, so contradictory intervals occur,
+    # and it misspells a column now and then.
+    ALLOWED_ERRORS = {"unsatisfiable-predicate", "unknown-column"}
 
     def test_generated_selects_analyze_and_execute(self):
         rng = random.Random(SEED + 7)
         db = _seed_database(rng)
+        blocked = 0
         for _ in range(150):
             sql = _select(rng)
             diags = db.analyze(sql)
@@ -277,6 +299,16 @@ class TestFuzzedGrammar:
                           and d.code not in self.ALLOWED_ERRORS]
             assert not unexpected, "%r -> %s" % (
                 sql, [d.render() for d in unexpected])
-            # Default gating must not reject anything the grammar
-            # generates; execution stays the source of truth.
-            db.execute(sql)
+            unknown = [d.render() for d in diags
+                       if d.code == "unknown-column"]
+            # The gate blocks exactly what the full checker finds an
+            # unknown column in, with its findings as the message;
+            # everything else runs, execution the source of truth.
+            if unknown:
+                with pytest.raises(PlanError) as exc:
+                    db.execute(sql)
+                assert str(exc.value) == "; ".join(unknown), sql
+                blocked += 1
+            else:
+                db.execute(sql)
+        assert blocked >= 20

@@ -3,8 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import PlanError
 from repro.metering import CostMeter
 from repro.storage.relational import Database
+from repro.storage.relational.planner import Planner
 
 
 @pytest.fixture
@@ -74,6 +76,45 @@ class TestPushdownPlans:
         lines = plan.splitlines()
         assert lines[0].startswith("Project")
         assert lines[1].strip().startswith("Filter")
+
+
+class TestExplainIsTheExecutedPlan:
+    """plan/explain and execute share one preparation: views resolved,
+    the unknown-column gate, one planner over the same tables."""
+
+    QUERY = ("SELECT name, amt FROM v JOIN s ON v.pid = s.pid "
+             "WHERE mfr = 'acme' AND amt > 1")
+
+    def test_view_join_explains_the_pushdown_execute_runs(
+            self, db, monkeypatch):
+        db.execute("CREATE VIEW v AS SELECT pid, name, mfr FROM p")
+        planned = []
+        plan = Planner.plan
+
+        def recording(planner, stmt):
+            planned.append(plan(planner, stmt))
+            return planned[-1]
+
+        monkeypatch.setattr(Planner, "plan", recording)
+        assert sorted(db.execute(self.QUERY).rows) == [
+            ("A", 10.0), ("A", 30.0), ("C", 40.0)]
+        executed = planned[-1].explain()
+        explained = db.explain(self.QUERY)
+        assert explained == executed
+        lines = explained.splitlines()
+        join = next(i for i, line in enumerate(lines) if "HashJoin" in line)
+        filters = [i for i, line in enumerate(lines) if "Filter" in line]
+        assert len(filters) == 2 and min(filters) > join
+
+    def test_plan_raises_the_error_execute_raises(self, db):
+        db.execute("CREATE VIEW v AS SELECT pid, name, mfr FROM p")
+        sql = "SELECT name FROM v WHERE nosuch = 1"
+        with pytest.raises(PlanError) as executed:
+            db.execute(sql)
+        with pytest.raises(PlanError) as planned:
+            db.plan(sql)
+        assert str(planned.value) == str(executed.value)
+        assert "unknown-column" in str(planned.value)
 
 
 class TestPushdownResults:

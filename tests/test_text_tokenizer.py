@@ -1,9 +1,8 @@
 """Tests for repro.text.tokenizer."""
 
-import pytest
 from hypothesis import given, strategies as st
 
-from repro.text.tokenizer import Token, ngrams, split_sentences, tokenize, words
+from repro.text.tokenizer import Token, split_sentences, tokenize, words
 
 
 class TestTokenize:
@@ -79,21 +78,6 @@ class TestSentences:
     def test_decimal_not_split(self):
         out = split_sentences("Price is 3.5 dollars today. Fine.")
         assert len(out) == 2
-
-
-class TestNgrams:
-    def test_bigrams(self):
-        assert list(ngrams(["a", "b", "c"], 2)) == [("a", "b"), ("b", "c")]
-
-    def test_n_equal_len(self):
-        assert list(ngrams(["a", "b"], 2)) == [("a", "b")]
-
-    def test_n_longer_than_seq(self):
-        assert list(ngrams(["a"], 3)) == []
-
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            list(ngrams(["a"], 0))
 
 
 @given(st.text(max_size=300))
