@@ -127,7 +127,7 @@ class Rule:
         return iter(())
 
 
-_REGISTRY: Dict[str, Rule] = {}  # lint: ignore[module-state]
+_RULES: Dict[str, Rule] = {}  # lint: ignore[module-state]
 
 
 def register(rule_cls):
@@ -135,20 +135,20 @@ def register(rule_cls):
     rule = rule_cls()
     if not rule.id:
         raise ValueError("rule %r has no id" % rule_cls.__name__)
-    if rule.id in _REGISTRY:
+    if rule.id in _RULES:
         raise ValueError("duplicate rule id %r" % rule.id)
-    _REGISTRY[rule.id] = rule
+    _RULES[rule.id] = rule
     return rule_cls
 
 
 def all_rules() -> List[Rule]:
     """Registered rules, sorted by id."""
-    return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
+    return [_RULES[rule_id] for rule_id in sorted(_RULES)]
 
 
 def rule_ids() -> List[str]:
     """Sorted ids of all registered rules."""
-    return sorted(_REGISTRY)
+    return sorted(_RULES)
 
 
 class LintEngine:

@@ -349,7 +349,7 @@ class FaultAbsorptionRule(Rule):
 
 # Allowed dependencies per top-level unit (see docs/static_analysis.md
 # for the layer diagram). obs is cross-cutting infrastructure: anything
-# above the base layer may emit spans/metrics. qa is the integration
+# above the base layer may emit spans. qa is the integration
 # layer; only entry points (bench/cli) sit above it.
 _BASE = {"errors", "metering"}
 _INFRA = _BASE | {"obs"}

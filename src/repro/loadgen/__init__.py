@@ -23,7 +23,7 @@ so two runs of one spec at one seed produce byte-identical reports.
 See ``docs/serving.md`` ("Load testing & SLOs").
 """
 
-from .harness import LoadReport, METRIC_LOAD_WORK, THINK_WORK, run_load
+from .harness import LoadReport, THINK_WORK, nearest_rank, run_load
 from .report import bench_payload, run_payload, to_json, write_report
 from .slo import GATES, GateResult, SLOReport, SLOSpec, evaluate
 from .spec import (
@@ -31,7 +31,7 @@ from .spec import (
 )
 
 __all__ = [
-    "LoadReport", "METRIC_LOAD_WORK", "THINK_WORK", "run_load",
+    "LoadReport", "THINK_WORK", "nearest_rank", "run_load",
     "bench_payload", "run_payload", "to_json", "write_report",
     "GATES", "GateResult", "SLOReport", "SLOSpec", "evaluate",
     "Burst", "LoadSpec", "SPEC_KEYS", "generate_workload",

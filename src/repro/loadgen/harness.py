@@ -20,11 +20,11 @@ deterministically instead of sleeping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..bench.runner import build_stack
-from ..obs import MetricsRegistry
 from ..resilience import work_now
 from ..serving import QueryServer, ServeRequest, ServeResult
 from .slo import SLOReport, SLOSpec, evaluate
@@ -33,11 +33,34 @@ from .spec import LoadSpec, generate_workload
 #: CostMeter counter charged for inter-burst think time.
 THINK_WORK = "loadgen.think_work"
 
-#: Local-registry histogram holding every per-request work sample.
-METRIC_LOAD_WORK = "loadgen.request.work"
-
 #: Tiers whose hit rates the harness reports (when enabled).
 _RATED_TIERS = ("answer", "plan", "retrieval")
+
+
+def nearest_rank(values: Sequence[float], q: float) -> float:
+    """Exact nearest-rank quantile of *values* (q in [0, 1]).
+
+    The smallest element whose cumulative frequency is >= q: rank
+    ``max(1, ceil(q * n))`` in the sorted sample. Unlike interpolating
+    estimators this always returns an *observed* value, so percentile
+    gates computed from integer work-unit samples stay integers and
+    compare deterministically.
+
+    >>> nearest_rank([10, 20, 30, 40], 0.5)
+    20
+    >>> nearest_rank([7], 0.99)
+    7
+
+    Raises :class:`ValueError` on an empty sample or q outside [0, 1]
+    — SLO math must fail loudly, never silently default.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("quantile must be in [0, 1], got %r" % (q,))
+    ordered = sorted(values)
+    if not ordered:
+        raise ValueError("nearest_rank() of an empty sample")
+    rank = max(1, math.ceil(q * len(ordered)))
+    return ordered[rank - 1]
 
 
 @dataclass
@@ -100,8 +123,7 @@ def _warmup_requests(spec: LoadSpec,
     ] * spec.warmup_passes
 
 
-def _measure(results: List[ServeResult], registry: MetricsRegistry,
-             total_work: int, warmup_work: int,
+def _measure(results: List[ServeResult], total_work: int, warmup_work: int,
              think_charged: int, n_batches: int,
              rates: Dict[str, float]) -> Dict[str, Any]:
     """Fold serve results into the flat measurement dict gates read."""
@@ -117,9 +139,7 @@ def _measure(results: List[ServeResult], registry: MetricsRegistry,
     n_abstained = sum(
         1 for r in asks if r.answer is not None and r.answer.abstained
     )
-    histogram = registry.histogram(METRIC_LOAD_WORK, reservoir=0)
-    for result in served:
-        histogram.observe(result.work)
+    works = [r.work for r in served]
     n_asks = len(asks)
     measurements: Dict[str, Any] = {
         "asks": n_asks,
@@ -141,18 +161,17 @@ def _measure(results: List[ServeResult], registry: MetricsRegistry,
     measurements.update(rates)
     if served:
         measurements.update({
-            "work_p50": int(histogram.quantile(0.50)),
-            "work_p95": int(histogram.quantile(0.95)),
-            "work_p99": int(histogram.quantile(0.99)),
-            "work_max": int(histogram.max or 0),
-            "work_mean": round(histogram.mean, 2),
+            "work_p50": nearest_rank(works, 0.50),
+            "work_p95": nearest_rank(works, 0.95),
+            "work_p99": nearest_rank(works, 0.99),
+            "work_max": max(works),
+            "work_mean": round(sum(works) / len(works), 2),
         })
-    measurements.update(_tenant_measurements(asks, registry))
+    measurements.update(_tenant_measurements(asks))
     return measurements
 
 
-def _tenant_measurements(asks: List[ServeResult],
-                         registry: MetricsRegistry) -> Dict[str, Any]:
+def _tenant_measurements(asks: List[ServeResult]) -> Dict[str, Any]:
     """Per-tenant slices, flattened as ``tenant.<id>.<metric>``.
 
     Only emitted for multi-tenant runs (more than one tenant observed),
@@ -170,10 +189,7 @@ def _tenant_measurements(asks: List[ServeResult],
             1 for r in mine
             if r.answer is not None and r.answer.abstained
         )
-        histogram = registry.histogram(
-            "%s.%s" % (METRIC_LOAD_WORK, tenant), reservoir=0)
-        for result in served:
-            histogram.observe(result.work)
+        works = [r.work for r in served]
         prefix = "tenant.%s." % tenant
         out[prefix + "asks"] = len(mine)
         out[prefix + "served"] = len(served)
@@ -183,9 +199,9 @@ def _tenant_measurements(asks: List[ServeResult],
         out[prefix + "abstain_rate"] = (
             round(n_abstained / len(mine), 6) if mine else 0.0)
         if served:
-            out[prefix + "work_p50"] = int(histogram.quantile(0.50))
-            out[prefix + "work_p95"] = int(histogram.quantile(0.95))
-            out[prefix + "total_work"] = sum(r.work for r in served)
+            out[prefix + "work_p50"] = nearest_rank(works, 0.50)
+            out[prefix + "work_p95"] = nearest_rank(works, 0.95)
+            out[prefix + "total_work"] = sum(works)
     return out
 
 
@@ -222,9 +238,8 @@ def run_load(spec: LoadSpec,
     total_work = work_now(meter) - measured_before
     n_batches = server.stats()["scheduler"]["batches"] - batches_before
 
-    registry = MetricsRegistry()
     measurements = _measure(
-        results, registry, total_work, warmup_work, think_charged,
+        results, total_work, warmup_work, think_charged,
         n_batches, _hit_rates(lookups_before, _tier_lookups(server)),
     )
     verdict = evaluate(measurements, slo)

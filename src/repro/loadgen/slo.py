@@ -18,7 +18,7 @@ exact counts, never wall time), so a gate verdict is a pure function
 of (spec, seed) — the property that lets CI *fail the build* when a
 future change makes the hot path slower. Percentiles are exact
 nearest-rank over the full per-request sample
-(:func:`repro.obs.nearest_rank`), not estimates.
+(:func:`repro.loadgen.harness.nearest_rank`), not estimates.
 
 Unknown keys and negative thresholds raise
 :class:`~repro.errors.LoadGenError` at parse time, mirroring

@@ -1,27 +1,17 @@
-"""Structured tracing and metrics for the hybrid QA pipeline.
+"""Structured tracing for the hybrid QA pipeline.
 
 Zero-dependency observability: :class:`Tracer` + :func:`span` produce
 per-query trace trees with wall time and :class:`~repro.metering.CostMeter`
-deltas per stage; :class:`MetricsRegistry` keeps process-wide counters
-and latency histograms; exporters render either as JSON or aligned
-text. See ``docs/observability.md`` for the span taxonomy.
+deltas per stage; exporters render them as JSON or aligned text. Counts
+that outlive one query live in the ``stats()`` documents of the objects
+that keep them (``QueryServer.stats()``, ``ShardStats``). See
+``docs/observability.md`` for the span taxonomy.
 """
 
 from .export import aggregate_stages, render_trace, trace_to_json
-from .metrics import (
-    Counter, Histogram, METRIC_ANSWER_LATENCY, METRIC_ANSWER_WORK,
-    METRIC_SPECULATION_CANCELLED, METRIC_SPECULATION_CANCELLED_WORK,
-    METRIC_SPECULATION_RESCUED, METRIC_SPECULATION_WIN,
-    MetricsRegistry, REGISTRY, incr, nearest_rank, observe,
-)
 from .tracer import Span, Tracer, active_tracer, install, span
 
 __all__ = [
     "Span", "Tracer", "active_tracer", "install", "span",
-    "Counter", "Histogram", "MetricsRegistry", "REGISTRY", "incr",
-    "nearest_rank", "observe",
-    "METRIC_ANSWER_LATENCY", "METRIC_ANSWER_WORK",
-    "METRIC_SPECULATION_CANCELLED", "METRIC_SPECULATION_CANCELLED_WORK",
-    "METRIC_SPECULATION_RESCUED", "METRIC_SPECULATION_WIN",
     "aggregate_stages", "render_trace", "trace_to_json",
 ]

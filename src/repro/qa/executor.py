@@ -30,7 +30,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from ..obs import incr, span
+from ..obs import span
 from ..resilience import DegradationEvent, summarize
 from ..semql.catalog import QuestionFrame
 from ..tenancy import TenantContext, check_tenancy, tenancy_errors
@@ -47,10 +47,8 @@ from .speculative import PlanArm, arm_cap, extract_arms, record_outcome
 
 #: Stage kind → the :class:`PlanExecutor` method the stage loop
 #: dispatches it to. A kind without an entry is skipped: ``Route`` is
-#: bound at compile time, producers (``SynthesizeSpec``,
-#: ``RetrieveTopology``) run jointly with their consumer stage, and
-#: ``EstimateEntropy`` is driven by the ``answer_with_uncertainty``
-#: surface with parameters a compiled plan does not carry.
+#: bound at compile time, and producers (``SynthesizeSpec``,
+#: ``RetrieveTopology``) run jointly with their consumer stage.
 STAGE_HANDLERS: Dict[str, str] = {
     STAGE_EXECUTE_TABLE: "_stage_execute_table",
     STAGE_EXECUTE_TEXT: "_stage_execute_text",
@@ -167,7 +165,6 @@ class PlanExecutor:
     # Compilation
     # ------------------------------------------------------------------
     def compile(self, question: str,
-                include_entropy: bool = False,
                 tenant: Optional[TenantContext] = None) -> FederatedPlan:
         """Route *question* and compile the decision into a plan DAG.
 
@@ -178,7 +175,6 @@ class PlanExecutor:
         return compile_plan(
             question, decision,
             has_text_engine=self._text_qa is not None,
-            include_entropy=include_entropy,
             tenant=tenant,
         )
 
@@ -242,9 +238,7 @@ class PlanExecutor:
                           frame=plan.frame, tenant=tenant)
         arms, sequential_because = self.arm_isolation(plan)
         if sequential_because is not None:
-            incr("speculation.sequential")
             return self._run_stages(plan, manager, state, ())
-        incr("speculation.plans")
         with span("qa.speculate") as sp:
             sp.set("arms", ",".join(a.arm_id for a in arms))
             answer = self._run_stages(plan, manager, state, arms)

@@ -17,7 +17,6 @@ End-to-end orchestration over one heterogeneous data lake:
 from __future__ import annotations
 
 import dataclasses
-import time
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..entropy.semantic_entropy import (
@@ -28,12 +27,10 @@ from ..extraction.table_gen import TableGenerator
 from ..graphindex.builder import GraphIndexBuilder
 from ..graphindex.hetgraph import HeterogeneousGraph
 from ..metering import CostMeter, GLOBAL_METER
-from ..obs import (
-    METRIC_ANSWER_LATENCY, METRIC_ANSWER_WORK, incr, observe, span,
-)
+from ..obs import span
 from ..resilience import (
     CONFIDENCE_PENALTY, QuestionScope, ResilienceConfig,
-    ResilienceManager, summarize, work_now,
+    ResilienceManager, summarize,
 )
 from ..retrieval.topology import TopologyRetriever
 from ..semql.catalog import SchemaCatalog
@@ -462,8 +459,6 @@ class HybridQAPipeline:
         a permissive single-tenant pipeline always has.
         """
         self._check_built()
-        started = time.perf_counter()
-        work_started = work_now(self._meter)
         with span("qa.answer") as sp:
             with self._resilience.question() as scope:
                 answer = self._attach_degradation(
@@ -471,11 +466,6 @@ class HybridQAPipeline:
             sp.set("route", answer.metadata.get("route", "?"))
             sp.set("abstained", answer.abstained)
             sp.set("degraded", bool(scope.events))
-        incr("qa.answer.count")
-        if scope.events:
-            incr("qa.answer.degraded")
-        observe(METRIC_ANSWER_LATENCY, time.perf_counter() - started)
-        observe(METRIC_ANSWER_WORK, work_now(self._meter) - work_started)
         return answer
 
     def explain_plan(self, question: str) -> str:

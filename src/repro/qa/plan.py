@@ -3,7 +3,7 @@
 Every question the hybrid pipeline answers compiles to a
 :class:`FederatedPlan` — a small typed DAG of stages (``Route``,
 ``RetrieveTopology``, ``SynthesizeSpec``, ``ExecuteTable``,
-``ExecuteText``, ``Ground``, ``EstimateEntropy``, ``SelectBest``)
+``ExecuteText``, ``Ground``, ``SelectBest``)
 instead of imperative control flow buried in the pipeline. The plan is
 declarative and inert: one shared
 :class:`~repro.qa.executor.PlanExecutor` interprets it, owning the
@@ -60,14 +60,13 @@ STAGE_SYNTHESIZE_SPEC = "SynthesizeSpec"
 STAGE_EXECUTE_TABLE = "ExecuteTable"
 STAGE_EXECUTE_TEXT = "ExecuteText"
 STAGE_GROUND = "Ground"
-STAGE_ESTIMATE_ENTROPY = "EstimateEntropy"
 STAGE_SELECT_BEST = "SelectBest"
 
 #: Every stage kind a federated plan may contain.
 STAGE_KINDS = (
     STAGE_ROUTE, STAGE_RETRIEVE_TOPOLOGY, STAGE_SYNTHESIZE_SPEC,
     STAGE_EXECUTE_TABLE, STAGE_EXECUTE_TEXT, STAGE_GROUND,
-    STAGE_ESTIMATE_ENTROPY, STAGE_SELECT_BEST,
+    STAGE_SELECT_BEST,
 )
 
 #: Logical engines stages dispatch to (breaker/degradation names for
@@ -77,7 +76,6 @@ ENGINE_TABLEQA = "structured"
 ENGINE_TEXTQA = "text"
 ENGINE_SELECTOR = "selector"
 ENGINE_GROUNDING = "grounding"
-ENGINE_ENTROPY = "entropy"
 
 # Execution conditions: when the executor runs a stage.
 WHEN_ALWAYS = "always"
@@ -101,7 +99,6 @@ _STAGE_ENGINES = {
     STAGE_EXECUTE_TABLE: ENGINE_TABLEQA,
     STAGE_EXECUTE_TEXT: ENGINE_TEXTQA,
     STAGE_GROUND: ENGINE_GROUNDING,
-    STAGE_ESTIMATE_ENTROPY: ENGINE_ENTROPY,
     STAGE_SELECT_BEST: ENGINE_SELECTOR,
 }
 
@@ -214,7 +211,6 @@ class FederatedPlan:
 
 def compile_plan(question: str, decision,
                  has_text_engine: bool,
-                 include_entropy: bool = False,
                  tenant: Optional[TenantContext] = None) -> FederatedPlan:
     """Compile a routing *decision* for *question* into a plan DAG.
 
@@ -231,9 +227,7 @@ def compile_plan(question: str, decision,
       abstention-rescue arm on structured routes;
     * a structured rescue arm (degradation ladder: the text side is
       down and nothing has answered) whenever both engines exist;
-    * selection then cross-modal grounding, always;
-    * an entropy-estimation stage when *include_entropy* is set
-      (the ``answer_with_uncertainty`` surface).
+    * selection then cross-modal grounding, always.
 
     *tenant* (a :class:`~repro.tenancy.TenantContext`, optional) is
     where compile-time governance happens: the tenant's canonical RLS
@@ -314,11 +308,6 @@ def compile_plan(question: str, decision,
         id="ground", kind=STAGE_GROUND, engine=ENGINE_GROUNDING,
         depends_on=("select_best",),
     ))
-    if include_entropy:
-        stages.append(PlanStage(
-            id="estimate_entropy", kind=STAGE_ESTIMATE_ENTROPY,
-            engine=ENGINE_ENTROPY, depends_on=("ground",),
-        ))
     confidence = getattr(decision, "confidence", 1.0)
     return FederatedPlan(
         question=question, route=route, stages=tuple(stages),

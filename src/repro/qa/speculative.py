@@ -29,10 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..obs import (
-    METRIC_SPECULATION_CANCELLED, METRIC_SPECULATION_CANCELLED_WORK,
-    METRIC_SPECULATION_RESCUED, METRIC_SPECULATION_WIN, incr, observe,
-)
 from .answer import ANSWER_SYSTEM_RAG, Answer
 from .plan import (
     STAGE_EXECUTE_TABLE, STAGE_EXECUTE_TEXT, STAGE_RETRIEVE_TOPOLOGY,
@@ -135,18 +131,11 @@ def arm_cap(manager, n_pending: int) -> Optional[int]:
 def record_outcome(sp, answer: Answer, started: Dict[str, int],
                    cancelled: List[Tuple[str, int]],
                    failed_arms: List[str]) -> None:
-    """Arm win/loss/rescue metrics + ``qa.speculate`` attributes."""
-    for _, spent in cancelled:
-        incr(METRIC_SPECULATION_CANCELLED)
-        observe(METRIC_SPECULATION_CANCELLED_WORK, spent)
-    n_arms = len(started) + len(cancelled)
+    """The ``qa.speculate`` span's winner/cancelled/failed-arm attributes."""
     winner = "-"
-    if not answer.abstained and n_arms >= 1:
-        incr(METRIC_SPECULATION_WIN)
+    if not answer.abstained and (started or cancelled):
         winner = ("text" if answer.system == ANSWER_SYSTEM_RAG
                   else "structured")
-    if failed_arms and not answer.abstained:
-        incr(METRIC_SPECULATION_RESCUED)
     sp.set("winner", winner)
     sp.set("cancelled", len(cancelled))
     sp.set("failed_arms", ",".join(failed_arms) or "-")

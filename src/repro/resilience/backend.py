@@ -33,7 +33,7 @@ from ..errors import (
     TransientError,
 )
 from ..metering import CostMeter
-from ..obs import incr, span
+from ..obs import span
 from .breaker import BreakerPolicy, CircuitBreaker
 from .degradation import DegradationEvent
 from .faults import (
@@ -287,7 +287,6 @@ class ResilienceManager:
             self._scope.note(event)
         if self._arm is not None:
             self._arm.note(event)
-        incr("resilience.fault.%s" % event.kind)
 
     # ------------------------------------------------------------------
     # The guarded-call path
@@ -297,7 +296,6 @@ class ResilienceManager:
         if scope is not None and scope.budget.limit is not None:
             spent = work_now(self._meter) - scope.start_work
             if scope.budget.exceeded(spent):
-                incr("resilience.budget.exceeded")
                 raise BudgetExceeded(
                     "question work budget exhausted before %s.%s "
                     "(spent %d of %d units)"
@@ -307,7 +305,6 @@ class ResilienceManager:
         arm = self._arm
         if arm is not None and arm.exhausted():
             arm.reserve_cut = True
-            incr("resilience.arm.budget.exceeded")
             raise BudgetExceeded(
                 "speculative arm %r rescue reserve exhausted before "
                 "%s.%s (arm spent %d of %d units)"
@@ -333,8 +330,6 @@ class ResilienceManager:
             kind = None
             if self.injector is not None:
                 kind = self.injector.draw(backend, op)
-            if kind is not None:
-                incr("resilience.fault.injected")
             if kind == FAULT_TRANSIENT:
                 sp.set("outcome", "fault:transient")
                 self._note(DegradationEvent(backend, op, FAULT_TRANSIENT,
@@ -402,10 +397,8 @@ class ResilienceManager:
                     # rescue reserve: cancel the remaining retries so
                     # the sibling arms keep the question budget.
                     arm.reserve_cut = True
-                    incr("resilience.arm.retry.cancelled")
                     break
                 self._meter.charge(BACKOFF_WORK, cost)
-                incr("resilience.retries")
                 if self._scope is not None:
                     self._scope.retries += 1
                 with span("resilience.retry") as sp:
@@ -432,7 +425,6 @@ class ResilienceManager:
                 backend, op, _classify(exc), str(exc), fatal=True,
             )
             self._note(event)
-            incr("resilience.engine.failures")
             return None, event
 
     def shield(self, backend: str, op: str, fn: Callable[[], Any],

@@ -7,11 +7,10 @@ rejects calls outright (:class:`~repro.errors.CircuitOpenError`) until
 to let one probe call through — probe success closes the breaker,
 probe failure re-opens it for another cooldown.
 
-Every state transition is recorded in :mod:`repro.obs`: the
-``resilience.breaker.transitions`` counter, a per-state counter
-(``resilience.breaker.to_open`` etc.), and a zero-duration
-``resilience.breaker`` span carrying backend/from/to attributes so
-transitions are visible in ``cli --trace`` output.
+Every state transition is appended to :attr:`CircuitBreaker.transitions`
+and emits a zero-duration ``resilience.breaker`` span carrying
+backend/from/to attributes, so transitions are visible in
+``cli --trace`` output.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..errors import CircuitOpenError
-from ..obs import incr, span
+from ..obs import span
 
 STATE_CLOSED = "closed"
 STATE_OPEN = "open"
@@ -67,8 +66,6 @@ class CircuitBreaker:
         from_state = self._state
         self._state = to_state
         self.transitions.append((from_state, to_state, now))
-        incr("resilience.breaker.transitions")
-        incr("resilience.breaker.to_%s" % to_state)
         with span("resilience.breaker") as sp:
             sp.set("backend", self.name)
             sp.set("from", from_state)

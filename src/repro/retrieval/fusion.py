@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..errors import RetrievalError
 from ..metering import CostMeter, GLOBAL_METER, NODES_SCORED
-from ..obs import observe, span
+from ..obs import span
 from ..text.chunker import Chunk
 from ..text.stopwords import content_stems
 from .base import RetrievedChunk, Retriever
@@ -92,7 +92,6 @@ class FusionRetriever(Retriever):
             ]
             fused = reciprocal_rank_fusion(rankings, self._rrf_k)
             sp.set("candidates", len(fused))
-            observe("retrieval.fusion.candidates", len(fused))
             return fused[:k]
 
 

@@ -109,7 +109,7 @@ class BM25Retriever(Retriever):
         with span("retrieval.lexical", k=k) as sp:
             query_terms = content_stems(query)
             scores: Dict[str, float] = {}
-            for term in set(query_terms):
+            for term in dict.fromkeys(query_terms):
                 postings = self._postings.get(term)
                 if not postings:
                     continue

@@ -34,8 +34,7 @@ from .cache import (
 )
 from .retrieval import CachingRetriever
 from .scheduler import (
-    BatchScheduler, METRIC_REQUEST_WORK, ServeRequest, ServeResult,
-    normalize_question,
+    BatchScheduler, ServeRequest, ServeResult, normalize_question,
 )
 from .server import QueryServer
 from .workload import (
@@ -52,7 +51,7 @@ __all__ = [
     "AnswerCache", "CachePolicy", "Generations", "MultiTierCache",
     "PlanCache",
     "CachingRetriever",
-    "BatchScheduler", "METRIC_REQUEST_WORK", "ServeRequest",
+    "BatchScheduler", "ServeRequest",
     "ServeResult", "normalize_question",
     "QueryServer",
     "OPS", "load_workload", "parse_workload", "render_jsonl",

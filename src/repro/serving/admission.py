@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional
 
 from ..errors import TenancyError
-from ..obs import incr
 from ..qa.answer import Answer
 from ..resilience import DegradationEvent, summarize
 from ..tenancy import DEFAULT_TENANT, TenantRegistry, WorkClockBucket, \
@@ -59,7 +58,6 @@ def shed_answer(kind: str, detail: str) -> Answer:
     degradation except by the recorded event kind.
     """
     event = DegradationEvent("serving", "admit", kind, detail, fatal=True)
-    incr("serving.admission.shed")
     return Answer.abstain(ANSWER_SYSTEM_SERVING, reason=detail).with_metadata(
         degradation=summarize([event], abstained=True), degraded=True,
         shed=True,
@@ -127,14 +125,12 @@ class AdmissionController:
             self._shed_count += 1
             self._tenant_shed[tenant] = \
                 self._tenant_shed.get(tenant, 0) + 1
-            incr("serving.tenant.unknown")
             return shed_answer(SHED_TENANT_UNKNOWN, str(exc))
         bucket = self._buckets.get(tenant)
         if bucket is not None and not bucket.admit(self._clock()):
             self._shed_count += 1
             self._tenant_shed[tenant] = \
                 self._tenant_shed.get(tenant, 0) + 1
-            incr("serving.tenant.quota_shed")
             return shed_answer(
                 SHED_TENANT_QUOTA,
                 "tenant %r exhausted its work-clock quota "

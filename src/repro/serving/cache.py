@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from ..caching import CostAwareLRU
-from ..obs import incr
 from ..sharding import ShardStamp
 
 KIND_RELATIONAL = "relational"
@@ -66,13 +65,11 @@ class Generations:
         if kind not in self._counts:
             raise ValueError("unknown store kind %r" % kind)
         self._counts[kind] += 1
-        incr("serving.generation.bump")
 
     def bump_all(self) -> None:
         """Record a full rebuild (invalidates every tier)."""
         for kind in self._counts:
             self._counts[kind] += 1
-        incr("serving.generation.bump_all")
 
     def stamp(self, kinds: Tuple[str, ...]) -> Tuple[int, ...]:
         """The current stamp over a dependency set (an LRU entry tag)."""
@@ -110,13 +107,7 @@ class PlanCache:
 
     def get(self, key: Any) -> Optional[Any]:
         """The cached plan under *key*, or None on miss/staleness."""
-        tag = self._generations.stamp(PLAN_DEPS)
-        spec = self._lru.get(key, tag=tag)
-        if spec is not None:
-            incr("serving.cache.plan.hit")
-            return spec
-        incr("serving.cache.plan.miss")
-        return None
+        return self._lru.get(key, tag=self._generations.stamp(PLAN_DEPS))
 
     def put(self, key: Any, spec: Any) -> None:
         """Store a freshly synthesized plan (one work unit)."""
@@ -163,12 +154,7 @@ class AnswerCache:
         refactor that is the uniform ``(tenant_id, question)`` pair, so
         two tenants asking the same words can never share an entry.
         """
-        answer = self._lru.get(question, tag=self.stamp())
-        if answer is None:
-            incr("serving.cache.answer.miss")
-            return None
-        incr("serving.cache.answer.hit")
-        return answer
+        return self._lru.get(question, tag=self.stamp())
 
     def put(self, question: Any, answer: Any, cost: int,
             tag: Any) -> None:

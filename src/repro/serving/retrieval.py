@@ -22,7 +22,6 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from ..caching import CostAwareLRU
 from ..metering import CostMeter
-from ..obs import incr
 from ..resilience import work_now
 from .cache import RETRIEVAL_DEPS, Generations
 
@@ -65,17 +64,13 @@ class CachingRetriever:
         tag = self._generations.stamp(RETRIEVAL_DEPS)
         hit = self._cache.get(key, tag=tag)
         if hit is not None:
-            incr("serving.cache.retrieval.hit")
             return list(hit)
-        incr("serving.cache.retrieval.miss")
         faults_before = self._faults()
         started = work_now(self._meter)
         result = self._inner.retrieve(query, k)
         if self._faults() == faults_before:
             cost = max(1, work_now(self._meter) - started)
             self._cache.put(key, tuple(result), cost=cost, tag=tag)
-        else:
-            incr("serving.cache.retrieval.uncacheable")
         return result
 
     def _faults(self) -> int:

@@ -32,16 +32,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..metering import CostMeter
-from ..obs import incr, observe, span
+from ..obs import span
 from ..qa.answer import Answer
 from ..resilience import work_now
 from .admission import AdmissionController
-
-#: Histogram of per-request work-clock cost, one observation per ask
-#: that reached the answer path (shed requests are excluded; dedup
-#: riders observe 0). The load harness reads the same field off
-#: :attr:`ServeResult.work`, so the two surfaces always agree.
-METRIC_REQUEST_WORK = "serving.request.work"
 
 
 def normalize_question(question: str) -> str:
@@ -185,7 +179,6 @@ class BatchScheduler:
                     # Single-flight: the in-batch duplicate rides the
                     # first requester's computation and costs nothing.
                     self.n_deduped += 1
-                    incr("serving.batch.deduped")
                     answer = answered[flight_key]
                     work = 0
                 else:
@@ -195,7 +188,6 @@ class BatchScheduler:
                     answered[flight_key] = answer
                 self._admission.charge(request.session, work,
                                        tenant=request.tenant)
-                observe(METRIC_REQUEST_WORK, work)
                 results[index] = ServeResult(
                     index, request.op, request.session, answer=answer,
                     deduped=deduped, work=work, tenant=request.tenant,

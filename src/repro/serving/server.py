@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..metering import CostMeter
-from ..obs import incr, span
+from ..obs import span
 from ..qa.answer import Answer
 from ..qa.pipeline import HybridQAPipeline
 from ..resilience import work_now
@@ -182,7 +182,6 @@ class QueryServer:
         the registry does not know, so *tenant* always resolves.
         """
         context = self._tenants.context(tenant)
-        incr("serving.tenant.request")
         key = context.cache_key(question)
         record = self._tenant_cache.setdefault(
             tenant, {"lookups": 0, "hits": 0}
@@ -193,7 +192,6 @@ class QueryServer:
             hit = answers.get(key)
             if hit is not None:
                 record["hits"] += 1
-                incr("serving.tenant.cache_hit")
                 return hit
         stamp = answers.stamp() if answers is not None else None
         faults_before = self._fault_count()
@@ -216,17 +214,14 @@ class QueryServer:
     def _cacheable(self, answer: Answer, faults_before: int,
                    stamp: Any) -> bool:
         if answer.metadata.get("degraded"):
-            incr("serving.cache.answer.uncacheable")
             return False
         if self._fault_count() != faults_before:
             # Faults fired but were fully shielded (no degradation
             # marker); still refuse to cache anything a fault touched.
-            incr("serving.cache.answer.uncacheable")
             return False
         if self._tiers.answers.stamp() != stamp:
             # A write raced the computation; the result may mix pre-
             # and post-write state.
-            incr("serving.cache.answer.uncacheable")
             return False
         return True
 
@@ -258,9 +253,7 @@ class QueryServer:
             "serving", request.op, lambda: self._run_write(request),
         )
         if detail is None:
-            incr("serving.write.failed")
             return "write failed (absorbed into degradation record)"
-        incr("serving.write.applied")
         return detail
 
     def _run_write(self, request: ServeRequest) -> str:

@@ -14,8 +14,7 @@ qa and serving layers may depend on sharding.
 from .relational import KIND_RELATIONAL, ShardedTable
 from .router import ShardRouter
 from .shardset import (
-    METRIC_SHARD_FANOUT, METRIC_SHARD_PRUNED, ShardSet, ShardStats,
-    shard_of_chunk, shard_of_doc,
+    ShardSet, ShardStats, shard_of_chunk, shard_of_doc,
 )
 from .stamp import ShardStamp
 from .stores import KIND_DOCUMENT, KIND_TEXT, ShardedDocumentStore, ShardedTextStore
@@ -24,8 +23,6 @@ __all__ = [
     "KIND_DOCUMENT",
     "KIND_RELATIONAL",
     "KIND_TEXT",
-    "METRIC_SHARD_FANOUT",
-    "METRIC_SHARD_PRUNED",
     "ShardRouter",
     "ShardSet",
     "ShardStamp",

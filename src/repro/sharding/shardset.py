@@ -29,14 +29,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import ReproError
-from ..obs import incr
 from .router import ShardRouter
-
-#: obs counter: one increment per multi-shard scatter-gather dispatch.
-METRIC_SHARD_FANOUT = "shard.fanout"
-
-#: obs counter: one increment per single-shard pruned dispatch.
-METRIC_SHARD_PRUNED = "shard.pruned"
 
 
 class ShardStats:
@@ -110,10 +103,8 @@ class ShardSet:
         self.stats.shard_calls += shards
         if shards <= 1:
             self.stats.pruned_calls += 1
-            incr(METRIC_SHARD_PRUNED)
         else:
             self.stats.fanout_calls += 1
-            incr(METRIC_SHARD_FANOUT, shards)
 
     def note_touch(self, kind: str,
                    shards: Optional[List[int]] = None) -> None:

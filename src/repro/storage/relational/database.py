@@ -17,7 +17,7 @@ from typing import (
 
 from ...errors import ExecutionError, PlanError, SchemaError, StorageError
 from ...metering import CostMeter, GLOBAL_METER, ROWS_SCANNED
-from ...obs import incr, span
+from ...obs import span
 from .executor import Executor, ResultSet
 from .plancheck import check_references, check_select
 from .planner import Planner, PlanNode
@@ -133,8 +133,6 @@ class Database:
             result = self._dispatch(stmt)
             scanned = self._meter.get(ROWS_SCANNED) - scanned_before
             sp.set("rows_scanned", scanned)
-            incr("sql.statements")
-            incr("sql.rows_scanned", scanned)
         return result
 
     def _dispatch(self, stmt) -> ResultSet:

@@ -23,6 +23,7 @@ DOCTESTED_MODULES = [
     "repro.extraction.normalize",
     "repro.semql.intents",
     "repro.metering",
+    "repro.loadgen.harness",
 ]
 
 

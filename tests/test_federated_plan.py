@@ -113,13 +113,6 @@ class CompilePlanTest(unittest.TestCase):
              "ground"),
         )
 
-    def test_entropy_stage_is_opt_in(self):
-        bare = compile_plan("q", _decision(ROUTE_HYBRID), True)
-        with_entropy = compile_plan("q", _decision(ROUTE_HYBRID), True,
-                                    include_entropy=True)
-        self.assertNotIn("estimate_entropy", bare.stage_ids())
-        self.assertEqual(with_entropy.stage_ids()[-1], "estimate_entropy")
-
     def test_route_params_are_bound(self):
         plan = compile_plan("q", _decision(ROUTE_HYBRID, "because",
                                            ("sales", "products")), True)

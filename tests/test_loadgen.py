@@ -15,9 +15,8 @@ import pytest
 from repro.errors import LoadGenError
 from repro.loadgen import (
     GATES, LoadSpec, SLOSpec, bench_payload, evaluate, generate_workload,
-    run_load, to_json, zipf_weights,
+    nearest_rank, run_load, to_json, zipf_weights,
 )
-from repro.obs import Histogram, nearest_rank
 
 SPEC = {
     "name": "t", "domain": "ecommerce", "asks": 24, "seed": 17,
@@ -69,21 +68,6 @@ class TestNearestRank:
             nearest_rank([1], 1.5)
         with pytest.raises(ValueError):
             nearest_rank([1], -0.1)
-
-    def test_histogram_uses_nearest_rank(self):
-        histogram = Histogram("t", reservoir=0)
-        for value in (10, 20, 30, 40):
-            histogram.observe(value)
-        assert histogram.quantile(0.5) == nearest_rank(
-            [10, 20, 30, 40], 0.5)
-        assert histogram.summary()["p99"] == 40
-
-    def test_unbounded_reservoir_keeps_all_samples(self):
-        histogram = Histogram("t", reservoir=0)
-        for value in range(5000):
-            histogram.observe(value)
-        assert len(histogram.values()) == 5000
-        assert histogram.quantile(1.0) == 4999
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from repro.bench import (
     HealthSpec, LakeSpec, generate_ecommerce_lake, generate_healthcare_lake,
 )
 from repro.bench.runner import build_hybrid_system
-from repro.obs import REGISTRY
+from repro.obs import Tracer
 from repro.qa import (
     ANSWER_SYSTEM_HYBRID, ANSWER_SYSTEM_RAG, ROUTE_HYBRID,
     ROUTE_STRUCTURED, ROUTE_UNSTRUCTURED, Answer, ComparativeQA,
@@ -173,22 +173,23 @@ class SpeculativeEquivalenceTest(unittest.TestCase):
     With arms isolated the executor must replay the exact guarded-call
     sequence of a bare run (``isolate_arms=False``) whenever the
     question budget is not binding — uncached and under the chaos
-    smoke's fault settings, on both domains. The ``speculation.plans``
-    counter is asserted still for the reference and moving for the
-    isolated run, so the test cannot pass vacuously by comparing two
-    bare runs.
+    smoke's fault settings, on both domains. The reference run is
+    asserted to open no ``qa.speculate`` span and the isolated run at
+    least one, so the test cannot pass vacuously by comparing two bare
+    runs.
     """
 
     def _check(self, domain, chaos):
-        isolated = REGISTRY.counter("speculation.plans")
         seq_pipe, questions = _build(domain, chaos=chaos,
                                      isolate_arms=False)
         spec_pipe, _ = _build(domain, chaos=chaos)
-        before = isolated.value
-        want = [seq_pipe.answer(q).fingerprint() for q in questions]
-        self.assertEqual(isolated.value, before)
-        got = [spec_pipe.answer(q).fingerprint() for q in questions]
-        self.assertGreater(isolated.value, before)
+        seq_trace, spec_trace = Tracer(), Tracer()
+        with seq_trace.activate():
+            want = [seq_pipe.answer(q).fingerprint() for q in questions]
+        self.assertEqual(seq_trace.find("qa.speculate"), [])
+        with spec_trace.activate():
+            got = [spec_pipe.answer(q).fingerprint() for q in questions]
+        self.assertTrue(spec_trace.find("qa.speculate"))
         for question, got_one, want_one in zip(questions, got, want):
             self.assertEqual(got_one, want_one, question)
 

@@ -1,8 +1,14 @@
 """Tests for BM25, dense, IVF and topology retrievers plus metrics."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 import repro.retrieval.topology as topology_module
 from repro.bench.runner import build_hybrid_system, generate_lake
 from repro.errors import BenchmarkError, RetrievalError
@@ -43,6 +49,35 @@ def make_slm(meter=None):
     gaz.add(TYPE_PRODUCT, ["Alpha Widget", "Beta Gadget", "Gamma Gizmo"])
     return SmallLanguageModel(SLMConfig(seed=0), gazetteer=gaz,
                               meter=meter or CostMeter())
+
+
+#: Ranks the E1 retrieval corpora (three sizes, 16 queries each) with
+#: BM25 and prints every top-5 id and score.
+_E1_RANKINGS = """
+from repro.bench import LakeSpec, generate_ecommerce_lake
+from repro.retrieval import BM25Retriever
+from repro.text.chunker import Chunker, ChunkerConfig
+for n_products in (8, 24, 48):
+    lake = generate_ecommerce_lake(
+        LakeSpec(n_products=n_products, seed=13, n_filler_docs=6))
+    chunker = Chunker(ChunkerConfig(max_tokens=48, overlap_sentences=0))
+    retriever = BM25Retriever()
+    retriever.index(chunker.chunk_corpus(lake.review_texts))
+    for query in lake.retrieval_queries(n=16):
+        hits = retriever.retrieve(query.query, k=5)
+        print([(hit.chunk_id, repr(hit.score)) for hit in hits])
+"""
+
+
+def _e1_rankings(hash_seed):
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+    completed = subprocess.run(
+        [sys.executable, "-c", _E1_RANKINGS], env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    return completed.stdout
 
 
 def alpha_chunk_ids(chunks):
@@ -91,6 +126,14 @@ class TestBM25:
         a = [h.chunk_id for h in retriever.retrieve("sales increased", k=4)]
         b = [h.chunk_id for h in retriever.retrieve("sales increased", k=4)]
         assert a == b
+
+    def test_rankings_do_not_depend_on_the_hash_seed(self):
+        # Per-term scores are summed in query order, not set order, so
+        # the float sums (and the ties they break) repeat across
+        # interpreter runs.
+        rankings = _e1_rankings(0)
+        assert rankings.strip()
+        assert _e1_rankings(2) == rankings
 
     def test_reindex_drops_term_sets_of_dropped_chunks(self):
         chunks = make_chunks()

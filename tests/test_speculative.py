@@ -20,6 +20,7 @@ import builtins
 import itertools
 import pathlib
 import unittest
+from contextlib import nullcontext
 from unittest import mock
 
 from repro.bench import (
@@ -28,10 +29,7 @@ from repro.bench import (
 from repro.bench.runner import build_hybrid_system, generate_lake
 from repro.errors import TransientError
 from repro.metering import CostMeter
-from repro.obs import (
-    METRIC_SPECULATION_CANCELLED, METRIC_SPECULATION_CANCELLED_WORK,
-    METRIC_SPECULATION_RESCUED, METRIC_SPECULATION_WIN, REGISTRY, Tracer,
-)
+from repro.obs import Tracer
 from repro.qa import (
     ROUTE_HYBRID, ROUTE_STRUCTURED, ROUTE_UNSTRUCTURED, PlanExecutor,
     RouteDecision, compile_plan, extract_arms,
@@ -51,10 +49,6 @@ FAULT_SEED = 23
 HEDGE_BUDGET = 6000
 HEDGE_RETRY = {"max_attempts": 3, "backoff_base": 2000,
                "backoff_multiplier": 2}
-
-
-def _counter(name):
-    return REGISTRY.counter(name).value
 
 
 def _lake(domain):
@@ -148,14 +142,14 @@ class IsolationRuleTest(unittest.TestCase):
             tenant_id="acme", rls=(RLSRule("sales", "quarter", "=", "Q1"),),
             doc_scopes=("review-",))
         routes = (ROUTE_STRUCTURED, ROUTE_UNSTRUCTURED, ROUTE_HYBRID)
-        for route, has_text, entropy, tenant in itertools.product(
-                routes, (True, False), (False, True), (None, governed)):
+        for route, has_text, tenant in itertools.product(
+                routes, (True, False), (None, governed)):
             plan = compile_plan(
                 "q", RouteDecision(route, "test"), has_text_engine=has_text,
-                include_entropy=entropy, tenant=tenant)
+                tenant=tenant)
             arms, why_sequential = _arm_isolation(plan)
             isolated = why_sequential is None
-            shape = (route, has_text, entropy, tenant is not None)
+            shape = (route, has_text, tenant is not None)
             self.assertEqual(
                 isolated, len({arm.engine for arm in arms}) >= 2, shape)
             # always with a text engine, never without
@@ -170,13 +164,11 @@ class IsolationRuleTest(unittest.TestCase):
                 ("ecommerce", "healthcare"), (7, 11)):
             lake = generate_lake(domain, seed)
             _system, pipe = build_hybrid_system(lake, seed=seed)
-            for pair, entropy in itertools.product(
-                    lake.qa_pairs(), (False, True)):
-                plan = pipe._executor.compile(pair.question,
-                                         include_entropy=entropy)
+            for pair in lake.qa_pairs():
+                plan = pipe._executor.compile(pair.question)
                 compiled += 1
                 isolated += _arm_isolation(plan)[1] is None
-        self.assertEqual((isolated, compiled), (256, 256))
+        self.assertEqual((isolated, compiled), (128, 128))
 
 
 def test_arm_isolation_needs_no_file():
@@ -223,15 +215,15 @@ class FailClosedExecutionTest(unittest.TestCase):
         _lake2, isolated = _pipeline("ecommerce")
         pairs = lake.qa_pairs(per_kind=1)
         want = [isolated.answer(p.question).fingerprint() for p in pairs]
-        before_seq = _counter("speculation.sequential")
-        before_plans = _counter("speculation.plans")
         tracer = Tracer(meter=seq.meter)
         with tracer.activate():
             got = [seq.answer(p.question).fingerprint() for p in pairs]
         self.assertEqual(got, want)
-        self.assertGreaterEqual(
-            _counter("speculation.sequential") - before_seq, len(pairs))
-        self.assertEqual(_counter("speculation.plans"), before_plans)
+        self.assertEqual([root.name for root in tracer.roots],
+                         ["qa.answer"] * len(pairs))
+        for root in tracer.roots:  # every ask ran its plan's engines
+            self.assertTrue({"qa.tableqa", "qa.textqa"}
+                            & {node.name for node in root.walk()})
         self.assertNotIn("qa.speculate",
                          {node.name for node in tracer.spans()})
 
@@ -333,15 +325,16 @@ class RescueDeltaTest(unittest.TestCase):
     degradation), with correctness also non-worse — on both domains.
     """
 
-    def _run(self, domain, isolate_arms, rate):
+    def _run(self, domain, isolate_arms, rate, tracer=None):
         lake, pipe = _pipeline(
             domain, isolate_arms=isolate_arms, faults=_arm_faults(rate))
         abstained = correct = 0
         pairs = lake.qa_pairs(per_kind=4)
-        for pair in pairs:
-            answer = pipe.answer(pair.question)
-            abstained += answer.abstained
-            correct += pair.is_correct(answer)
+        with tracer.activate() if tracer else nullcontext():
+            for pair in pairs:
+                answer = pipe.answer(pair.question)
+                abstained += answer.abstained
+                correct += pair.is_correct(answer)
         return abstained, correct, len(pairs)
 
     def _check_domain(self, domain):
@@ -370,21 +363,15 @@ class RescueDeltaTest(unittest.TestCase):
         self._check_domain("healthcare")
 
     def test_rescue_and_cancellation_metrics_fire(self):
-        before = {
-            name: _counter(name)
-            for name in (METRIC_SPECULATION_WIN,
-                         METRIC_SPECULATION_CANCELLED,
-                         METRIC_SPECULATION_RESCUED)
-        }
-        self._run("ecommerce", True, 0.3)
-        self.assertGreater(_counter(METRIC_SPECULATION_WIN),
-                           before[METRIC_SPECULATION_WIN])
-        self.assertGreater(_counter(METRIC_SPECULATION_CANCELLED),
-                           before[METRIC_SPECULATION_CANCELLED])
-        self.assertGreater(_counter(METRIC_SPECULATION_RESCUED),
-                           before[METRIC_SPECULATION_RESCUED])
-        histograms = REGISTRY.snapshot()["histograms"]
-        self.assertIn(METRIC_SPECULATION_CANCELLED_WORK, histograms)
+        tracer = Tracer()
+        self._run("ecommerce", True, 0.3, tracer)
+        runs = [node.attrs for node in tracer.find("qa.speculate")]
+        won = [a for a in runs if a["winner"] != "-"]
+        self.assertTrue(won)
+        self.assertGreater(sum(a["cancelled"] for a in runs), 0)
+        self.assertTrue([a for a in won if a["failed_arms"] != "-"],
+                        "no rescue: no arm failed under an answer")
+        self.assertTrue(all("cancelled_work" in a for a in runs))
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Tracing & metrics contract tests.
+"""Tracing contract tests.
 
 Pins the properties the observability layer promises: spans strictly
 nest, durations are non-negative and children sum to at most their
@@ -7,7 +7,10 @@ parent, every pipeline stage emits at least one span on an end-to-end
 system's global :class:`~repro.metering.CostMeter`.
 """
 
+import ast
 import json
+import pathlib
+import re
 import time
 
 import pytest
@@ -16,7 +19,7 @@ from repro.bench import LakeSpec, generate_ecommerce_lake
 from repro.bench.runner import build_hybrid_system, run_qa_suite
 from repro.metering import CostMeter
 from repro.obs import (
-    MetricsRegistry, Tracer, active_tracer, aggregate_stages, install,
+    Tracer, active_tracer, aggregate_stages, install,
     render_trace, span, trace_to_json,
 )
 from repro.obs.tracer import _NULL_SPAN
@@ -220,52 +223,55 @@ class TestExporters:
             {k: v for k, v in global_cost.items() if v}
 
 
-class TestMetrics:
-    def test_counter(self):
-        registry = MetricsRegistry()
-        registry.counter("x").inc()
-        registry.counter("x").inc(4)
-        assert registry.snapshot()["counters"]["x"] == 5
-        with pytest.raises(ValueError):
-            registry.counter("x").inc(-1)
+REPO = pathlib.Path(__file__).parent.parent
 
-    def test_histogram_summary(self):
-        registry = MetricsRegistry()
-        for v in [1.0, 2.0, 3.0, 4.0]:
-            registry.histogram("lat").observe(v)
-        summary = registry.snapshot()["histograms"]["lat"]
-        assert summary["count"] == 4
-        assert summary["mean"] == pytest.approx(2.5)
-        assert summary["min"] == 1.0 and summary["max"] == 4.0
-        assert summary["p50"] in (2.0, 3.0)
 
-    def test_quantile_bounds(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("h")
-        assert hist.quantile(0.5) is None
-        hist.observe(7.0)
-        assert hist.quantile(0.0) == 7.0 and hist.quantile(1.0) == 7.0
-        with pytest.raises(ValueError):
-            hist.quantile(1.5)
+def _emitted_span_names():
+    """Every ``span("name")`` / ``<x>.span("name")`` call under src/repro
+    outside ``repro.obs`` (whose tracer forwards a caller's name)."""
+    names = set()
+    src = REPO / "src" / "repro"
+    for path in sorted(src.rglob("*.py")):
+        if path.parent == src / "obs":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            callee = func.id if isinstance(func, ast.Name) else \
+                getattr(func, "attr", None)
+            if callee != "span" or not node.args:
+                continue
+            first = node.args[0]
+            assert isinstance(first, ast.Constant) and \
+                isinstance(first.value, str), (
+                    "%s:%d: span name is not a literal"
+                    % (path, node.lineno))
+            names.add(first.value)
+    return names
 
-    def test_render_and_json(self):
-        registry = MetricsRegistry()
-        registry.counter("a.b").inc(2)
-        registry.histogram("c.d").observe(0.5)
-        text = registry.render()
-        assert "a.b" in text and "c.d" in text
-        parsed = json.loads(registry.to_json())
-        assert parsed["counters"]["a.b"] == 2
-        registry.reset()
-        assert registry.snapshot() == {"counters": {}, "histograms": {}}
 
-    def test_pipeline_records_global_metrics(self, traced_run):
-        from repro.obs.metrics import REGISTRY
+def _catalogued_span_names():
+    """First-column names of the span table in docs/observability.md."""
+    text = (REPO / "docs" / "observability.md").read_text()
+    table = text.split("### Span taxonomy", 1)[1].split("\n\n")[1]
+    names = []
+    for row in table.splitlines()[2:]:
+        cell = row.split("|")[1].strip()
+        match = re.fullmatch(r"`([a-z_.]+)`", cell)
+        assert match, "span table row must name one span: %r" % row
+        names.append(match.group(1))
+    return names
 
-        snapshot = REGISTRY.snapshot()
-        assert snapshot["counters"]["qa.answer.count"] > 0
-        assert snapshot["counters"]["sql.statements"] > 0
-        assert snapshot["histograms"]["qa.answer.latency"]["count"] > 0
+
+class TestSpanCatalogue:
+    def test_table_lists_exactly_the_emitted_spans(self):
+        emitted = _emitted_span_names()
+        catalogued = _catalogued_span_names()
+        assert len(catalogued) == len(set(catalogued)), "duplicate rows"
+        assert "qa.answer" in emitted
+        assert sorted(set(catalogued) - emitted) == [], "stale rows"
+        assert sorted(emitted - set(catalogued)) == [], "missing rows"
 
 
 class TestBenchRunner:
