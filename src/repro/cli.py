@@ -151,7 +151,7 @@ def cmd_ask(args) -> int:
     context = _tenant(config, args.tenant)
     _lake, pipeline, _server = build_stack(config, serve=False)
     if args.explain_plan:
-        print(pipeline.explain_plan(args.question))
+        print(pipeline.explain(args.question, tenant=context))
         return 0
     if not context.is_permissive:
         # Governed path: compile + execute under the tenant's RLS /
@@ -351,9 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     tenant_flags(ask)
     ask.add_argument("question")
     ask.add_argument("--explain-plan", action="store_true",
-                     help="print the compiled federated plan DAG "
-                          "(stages, signatures, static checks) "
-                          "instead of answering")
+                     help="print the compiled federated plan DAG, "
+                          "how its arms run and the engines' dry "
+                          "runs instead of answering")
     ask.set_defaults(func=cmd_ask)
 
     stats = sub.add_parser("stats", help=cmd_stats.__doc__)

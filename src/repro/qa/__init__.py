@@ -9,7 +9,7 @@ from .federation import FederatedRouter, RouteDecision, best_answer
 from .pipeline import HybridQAPipeline
 from .plan import (
     ROUTE_HYBRID, ROUTE_STRUCTURED, ROUTE_UNSTRUCTURED, FederatedPlan,
-    PlanStage, check_plan, compile_plan, render_plan,
+    PlanStage, compile_plan, render_plan,
 )
 from .session import QASession
 from .speculative import PlanArm, extract_arms
@@ -25,7 +25,7 @@ __all__ = [
     "FederatedRouter", "RouteDecision", "best_answer",
     "FederatedPlan", "PlanStage", "PlanExecutor",
     "PlanArm", "extract_arms",
-    "check_plan", "compile_plan", "render_plan",
+    "compile_plan", "render_plan",
     "HybridQAPipeline",
     "QASession",
     "load_pipeline", "save_pipeline",

@@ -111,6 +111,13 @@ def governance_abstain(tenant: TenantContext, findings) -> Answer:
     )
 
 
+def _plan_key(plan: FederatedPlan, tenant: Optional[TenantContext]):
+    """The key a run of *plan* caches its spec under: the signature,
+    tenant-scoped when governed so cached specs never cross tenants."""
+    key = plan.signature()
+    return key if tenant is None else tenant.cache_key(key)
+
+
 @dataclass
 class _RunState:
     """Mutable per-plan interpreter state threaded through handlers.
@@ -231,10 +238,8 @@ class PlanExecutor:
             findings = tenancy_errors(check_tenancy(plan, tenant))
             if findings:
                 return governance_abstain(tenant, findings)
-        plan_key = plan.signature()
-        if tenant is not None:
-            plan_key = tenant.cache_key(plan_key)
-        state = _RunState(question=plan.question, plan_key=plan_key,
+        state = _RunState(question=plan.question,
+                          plan_key=_plan_key(plan, tenant),
                           frame=plan.frame, tenant=tenant)
         arms, sequential_because = self.arm_isolation(plan)
         if sequential_because is not None:
@@ -253,9 +258,9 @@ class PlanExecutor:
 
         The rule: arms are isolated iff they span at least two engines
         — only then is there a surviving arm for the rescue reserve to
-        protect. Same-engine arms stay serialised by plan order
-        (``check_plan``'s ``unordered-engine-reuse`` states that
-        statically).
+        protect. Same-engine arms stay serialised by plan order: they
+        share one breaker and one fault-injection stream, so running
+        them out of order would change the guarded-call sequence.
         """
         arms = extract_arms(plan)
         if not self._isolate_arms:
@@ -395,27 +400,54 @@ class PlanExecutor:
     # ------------------------------------------------------------------
     # Auxiliary dispatch (explain / entropy surfaces)
     # ------------------------------------------------------------------
-    def explain_lines(self, question: str) -> List[str]:
-        """The per-question lines of the pipeline's ``explain()``."""
-        decision = self._router.route(question)
-        lines = ["route: %s (%s)" % (decision.route, decision.reason)]
-        if decision.bound_tables:
-            lines.append("bound tables: %s"
-                         % ", ".join(decision.bound_tables))
-        answer = self._table_qa.answer(question, frame=decision.frame)
-        if answer.abstained:
-            lines.append("tableqa: abstained (%s)"
-                         % answer.metadata.get("reason", ""))
-        else:
-            lines.append("tableqa plan: %s"
-                         % answer.metadata.get("plan", "?"))
-            lines.append("tableqa answer: %s" % answer.text)
-        if self._text_qa is not None \
-                and decision.route != ROUTE_STRUCTURED:
-            hits = self._text_qa.retrieve(question)
-            lines.append("retrieval: %d chunks (%s)" % (
-                len(hits), ", ".join(h.chunk_id for h in hits[:3])
-            ))
+    def dry_run(self, plan: FederatedPlan,
+                tenant: Optional[TenantContext] = None) -> List[str]:
+        """The engine lines of the pipeline's ``explain()`` for *plan*.
+
+        The structured engine runs on the plan's frame (its SemQL plan
+        and answer, or why it abstained) and, off the structured route,
+        the retriever runs too, both under *tenant*. Each call goes
+        through ``shield``, so a backend fault prints in place of the
+        line it cut short instead of raising. A plan the tenancy gate
+        rejects reaches no engine, exactly as in :meth:`execute`.
+        """
+        if tenant is not None:
+            findings = tenancy_errors(check_tenancy(plan, tenant))
+            if findings:
+                return ["tenancy: rejected (%s)"
+                        % "; ".join(f.render() for f in findings)]
+        manager = self._resilience
+        lines: List[str] = []
+        with manager.question() as scope:
+            answer = manager.shield(
+                "explain", "tableqa",
+                lambda: self._table_qa.answer(
+                    plan.question, plan_key=_plan_key(plan, tenant),
+                    tenant=tenant, frame=plan.frame),
+            )
+            if answer is None:
+                lines.append("tableqa: fault (%s)" % scope.events[-1].detail)
+            elif answer.abstained:
+                lines.append("tableqa: abstained (%s)"
+                             % answer.metadata.get("reason", ""))
+            else:
+                lines.append("tableqa plan: %s"
+                             % answer.metadata.get("plan", "?"))
+                lines.append("tableqa answer: %s" % answer.text)
+            if self._text_qa is None or plan.route == ROUTE_STRUCTURED:
+                return lines
+            hits = manager.shield(
+                "explain", "retrieve",
+                lambda: self._text_qa.retrieve(plan.question,
+                                               tenant=tenant),
+            )
+            if hits is None:
+                lines.append("retrieval: fault (%s)"
+                             % scope.events[-1].detail)
+            else:
+                lines.append("retrieval: %d chunks (%s)" % (
+                    len(hits), ", ".join(h.chunk_id for h in hits[:3])
+                ))
         return lines
 
     def retrieve_contexts(self, question: str) -> List[str]:

@@ -468,35 +468,51 @@ class HybridQAPipeline:
             sp.set("degraded", bool(scope.events))
         return answer
 
-    def explain_plan(self, question: str) -> str:
-        """Render the compiled plan DAG(s) for *question*.
+    def explain(self, question: str,
+                tenant: Optional[TenantContext] = None) -> str:
+        """What answering *question* would do, and why, without
+        answering it (``repro ask --explain-plan``).
 
-        Comparison questions show one compiled plan per decomposed
-        sub-question; everything else shows a single DAG with its
-        signature digest and static-check verdict.
+        Comparison questions decompose into their sub-questions first,
+        as on the answer path. Each (sub-)question shows its compiled
+        plan DAG (digest, stages, route reason and bound tables), how
+        its arms run, the engines' dry runs
+        (:meth:`~repro.qa.executor.PlanExecutor.dry_run`) and, on a
+        sharded pipeline, the shard layout and dispatch counters.
+        *tenant* compiles and dry-runs under that tenant's governance,
+        as :meth:`answer` would. Backend faults never raise: each one
+        prints in place of the dry-run line it cut short.
         """
         self._check_built()
         from .compare import decompose, detect_comparison
 
-        frame = detect_comparison(question, self._slm)
-        if frame is None:
-            return self._render_plan_annotated(question)
-        lines = ["comparison of: %s" % ", ".join(frame.entity_names)]
-        for entity, sub_question in decompose(frame):
-            lines.append("sub[%s]:" % entity)
-            rendered = self._render_plan_annotated(sub_question)
-            lines.extend("  " + line for line in rendered.splitlines())
-        return "\n".join(lines)
+        manager = self._resilience
+        with span("qa.explain"), manager.question():
+            frame = manager.shield(
+                "explain", "compare",
+                lambda: detect_comparison(question, self._slm),
+            )
+            if frame is None:
+                return "\n".join(self._explain_one(question, tenant))
+            lines = ["comparison of: %s" % ", ".join(frame.entity_names)]
+            for entity, sub_question in decompose(frame):
+                lines.append("sub[%s]:" % entity)
+                lines.extend("  " + line for line in
+                             self._explain_one(sub_question, tenant))
+            return "\n".join(lines)
 
-    def _render_plan_annotated(self, question: str) -> str:
-        """One plan DAG plus how its arms run."""
-        plan = self._executor.compile(question)
-        lines = [render_plan(plan)]
-        arms, sequential_because = self._executor.arm_isolation(plan)
+    def _explain_one(self, question: str,
+                     tenant: Optional[TenantContext]) -> List[str]:
+        """One plan's DAG, arm block, dry runs and shard lines."""
+        executor = self._executor
+        plan = executor.compile(question, tenant=tenant)
+        arms, sequential_because = executor.arm_isolation(plan)
+        lines = render_plan(plan).splitlines()
         lines.extend("  " + line
                      for line in explain_arms(arms, sequential_because))
+        lines.extend("  " + line for line in executor.dry_run(plan, tenant))
         lines.extend("  " + line for line in self._explain_sharding())
-        return "\n".join(lines)
+        return lines
 
     def _explain_sharding(self) -> List[str]:
         """Shard layout + scatter/prune counters for explain output."""
@@ -546,34 +562,6 @@ class HybridQAPipeline:
             metadata={**answer.metadata, "degradation": summary,
                       "degraded": True},
         )
-
-    def explain(self, question: str) -> str:
-        """Human-readable trace of how *question* would be answered.
-
-        Shows the comparison decomposition (when detected), the routing
-        decision, the synthesized plan (structured path) and the
-        retrieval explanation (text path) — the observability surface a
-        production deployment needs.
-        """
-        self._check_built()
-        with span("qa.explain"):
-            lines = ["question: %s" % question]
-            from .compare import decompose, detect_comparison
-
-            frame = detect_comparison(question, self._slm)
-            if frame is not None:
-                lines.append("comparison of: %s"
-                             % ", ".join(frame.entity_names))
-                for entity, sub_question in decompose(frame):
-                    lines.append("  sub[%s]: %s" % (entity, sub_question))
-                    lines.extend(
-                        "    " + line
-                        for line in self._executor.explain_lines(
-                            sub_question)
-                    )
-                return "\n".join(lines)
-            lines.extend(self._executor.explain_lines(question))
-            return "\n".join(lines)
 
     def answer_with_uncertainty(
         self, question: str, n_samples: int = 8,

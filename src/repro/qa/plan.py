@@ -14,11 +14,6 @@ Why an IR at all:
 * **one cache key** — :meth:`FederatedPlan.signature` is the canonical
   identity of "how this question will be answered"; the serving
   layer's plan tier keys off it instead of per-tier string munging;
-* **static checking** — :func:`check_plan` lints a compiled DAG
-  (unreachable stages, engine calls that contradict the route, a
-  hybrid plan with no grounding stage), mirroring the relational plan
-  checker in :mod:`repro.storage.relational.plancheck`. Nothing on
-  the answer path calls it: it is the tests' and tooling's checker;
 * **a place to hang optimisations** — parallel hybrid arms,
   speculative routing and cost-based stage ordering (see ROADMAP) all
   need a plan object to rewrite.
@@ -33,10 +28,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from ..semql.catalog import QuestionFrame
-from ..storage.relational.plancheck import ERROR, WARNING, PlanDiagnostic
 from ..tenancy import TenantContext
 
 # ----------------------------------------------------------------------
@@ -46,9 +40,6 @@ from ..tenancy import TenantContext
 ROUTE_STRUCTURED = "structured"
 ROUTE_UNSTRUCTURED = "unstructured"
 ROUTE_HYBRID = "hybrid"
-
-#: Every route the federated router can emit.
-ROUTES = (ROUTE_STRUCTURED, ROUTE_UNSTRUCTURED, ROUTE_HYBRID)
 
 # ----------------------------------------------------------------------
 # Stage vocabulary
@@ -61,13 +52,6 @@ STAGE_EXECUTE_TABLE = "ExecuteTable"
 STAGE_EXECUTE_TEXT = "ExecuteText"
 STAGE_GROUND = "Ground"
 STAGE_SELECT_BEST = "SelectBest"
-
-#: Every stage kind a federated plan may contain.
-STAGE_KINDS = (
-    STAGE_ROUTE, STAGE_RETRIEVE_TOPOLOGY, STAGE_SYNTHESIZE_SPEC,
-    STAGE_EXECUTE_TABLE, STAGE_EXECUTE_TEXT, STAGE_GROUND,
-    STAGE_SELECT_BEST,
-)
 
 #: Logical engines stages dispatch to (breaker/degradation names for
 #: the executable arms match the resilience layer's backend names).
@@ -86,21 +70,6 @@ WHEN_RESCUE_ABSTAIN = "rescue_abstain"
 #: Rescue arm: runs only when another engine failed, this one has not,
 #: and every prior candidate abstained (the degradation ladder).
 WHEN_RESCUE_FAILED = "rescue_failed"
-
-#: Every condition the executor understands.
-WHEN_KINDS = (WHEN_ALWAYS, WHEN_ROUTE, WHEN_RESCUE_ABSTAIN,
-              WHEN_RESCUE_FAILED)
-
-#: Which engine each executable stage kind must name.
-_STAGE_ENGINES = {
-    STAGE_ROUTE: ENGINE_ROUTER,
-    STAGE_RETRIEVE_TOPOLOGY: ENGINE_TEXTQA,
-    STAGE_SYNTHESIZE_SPEC: ENGINE_TABLEQA,
-    STAGE_EXECUTE_TABLE: ENGINE_TABLEQA,
-    STAGE_EXECUTE_TEXT: ENGINE_TEXTQA,
-    STAGE_GROUND: ENGINE_GROUNDING,
-    STAGE_SELECT_BEST: ENGINE_SELECTOR,
-}
 
 
 @dataclass(frozen=True)
@@ -317,271 +286,15 @@ def compile_plan(question: str, decision,
 
 
 # ----------------------------------------------------------------------
-# Static checking (the federated analogue of relational plancheck)
-# ----------------------------------------------------------------------
-
-def check_plan(plan: FederatedPlan) -> List[PlanDiagnostic]:
-    """Static diagnostics for a federated plan (tests and tooling;
-    the answer path does not run it).
-
-    Errors: unknown route/stage kind/condition, duplicate stage ids,
-    unknown or cyclic dependencies, a stage unreachable from the
-    ``Route`` stage, an executable arm whose engine contradicts the
-    route, a hybrid plan with no grounding stage, and execute stages
-    missing their producer (``ExecuteTable`` without ``SynthesizeSpec``,
-    ``ExecuteText`` without ``RetrieveTopology``). Warnings: execute
-    stages present with no ``SelectBest`` consumer, plus the
-    cross-stage dataflow checks:
-
-    * ``unreachable-condition`` — a ``rescue_failed`` stage whose
-      condition can never hold (no *other* engine in the plan whose
-      failure could trigger the rescue);
-    * ``unread-output`` — a stage output no consumer reads: a producer
-      (``SynthesizeSpec``/``RetrieveTopology``) no execute stage
-      depends on, or an execute stage no ``SelectBest`` transitively
-      consumes;
-    * ``unordered-engine-reuse`` — two primary-arm stages dispatching
-      the same engine (same circuit breaker, same fault-injection RNG
-      stream) with no dependency path between them: a parallel
-      executor would race order-sensitive backend state.
-    """
-    out: List[PlanDiagnostic] = []
-
-    def emit(code: str, severity: str, message: str) -> None:
-        out.append(PlanDiagnostic(code, severity, message))
-
-    if plan.route not in ROUTES:
-        emit("unknown-route", ERROR,
-             "route %r is not one of %s" % (plan.route, ", ".join(ROUTES)))
-    ids: Dict[str, PlanStage] = {}
-    for stage in plan.stages:
-        if stage.kind not in STAGE_KINDS:
-            emit("unknown-stage-kind", ERROR,
-                 "stage %r has unknown kind %r" % (stage.id, stage.kind))
-        elif stage.engine != _STAGE_ENGINES[stage.kind]:
-            emit("engine-mismatch", ERROR,
-                 "stage %r (%s) dispatches to engine %r; %s stages run "
-                 "on %r" % (stage.id, stage.kind, stage.engine,
-                            stage.kind, _STAGE_ENGINES[stage.kind]))
-        if stage.when not in WHEN_KINDS:
-            emit("unknown-condition", ERROR,
-                 "stage %r has unknown condition %r"
-                 % (stage.id, stage.when))
-        if stage.id in ids:
-            emit("duplicate-stage", ERROR,
-                 "stage id %r appears more than once" % stage.id)
-        ids[stage.id] = stage
-    for stage in plan.stages:
-        for dep in stage.depends_on:
-            if dep not in ids:
-                emit("unknown-dependency", ERROR,
-                     "stage %r depends on unknown stage %r"
-                     % (stage.id, dep))
-    routes = [s for s in plan.stages if s.kind == STAGE_ROUTE]
-    if not routes:
-        emit("missing-route-stage", ERROR,
-             "plan has no Route stage; nothing anchors the DAG")
-    _check_cycles(plan, ids, emit)
-    if routes:
-        _check_reachability(plan, ids, routes[0], emit)
-    _check_route_consistency(plan, emit)
-    _check_producers(plan, ids, emit)
-    executable = [s for s in plan.stages
-                  if s.kind in (STAGE_EXECUTE_TABLE, STAGE_EXECUTE_TEXT)]
-    if plan.route == ROUTE_HYBRID and not any(
-        s.kind == STAGE_GROUND for s in plan.stages
-    ):
-        emit("missing-grounding", ERROR,
-             "hybrid plan has no Ground stage: cross-modal answers "
-             "would never be consistency-checked")
-    if executable and not any(
-        s.kind == STAGE_SELECT_BEST for s in plan.stages
-    ):
-        emit("missing-selection", WARNING,
-             "plan executes engines but has no SelectBest stage; "
-             "candidate answers are never reconciled")
-    _check_dataflow(plan, ids, emit)
-    return out
-
-
-def _dependents(plan: FederatedPlan) -> Dict[str, Set[str]]:
-    """Forward adjacency: stage id -> ids that depend on it."""
-    out: Dict[str, Set[str]] = {stage.id: set() for stage in plan.stages}
-    for stage in plan.stages:
-        for dep in stage.depends_on:
-            if dep in out:
-                out[dep].add(stage.id)
-    return out
-
-
-def _downstream(start: str, forward: Dict[str, Set[str]]) -> Set[str]:
-    """Every stage id transitively reachable from *start*."""
-    seen: Set[str] = set()
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        for succ in forward.get(node, ()):
-            if succ not in seen:
-                seen.add(succ)
-                frontier.append(succ)
-    return seen
-
-
-def _check_dataflow(plan: FederatedPlan, ids: Dict[str, PlanStage],
-                    emit) -> None:
-    """Cross-stage dataflow checks (see :func:`check_plan`)."""
-    forward = _dependents(plan)
-
-    # Unreachable rescue conditions: rescue_failed fires only when a
-    # *different* engine's guarded call has failed; with no such stage
-    # in the plan the condition is statically false.
-    engines_run = {s.engine for s in plan.stages
-                   if s.kind in (STAGE_EXECUTE_TABLE, STAGE_EXECUTE_TEXT)}
-    for stage in plan.stages:
-        if stage.when != WHEN_RESCUE_FAILED:
-            continue
-        if not (engines_run - {stage.engine}):
-            emit("unreachable-condition", WARNING,
-                 "stage %r (when=%s) can never run: no other engine in "
-                 "this plan whose failure could trigger the rescue"
-                 % (stage.id, stage.when))
-
-    # Outputs no consumer reads. Producers feed their execute stage;
-    # execute stages feed SelectBest (possibly transitively).
-    consumers = {
-        STAGE_SYNTHESIZE_SPEC: (STAGE_EXECUTE_TABLE,),
-        STAGE_RETRIEVE_TOPOLOGY: (STAGE_EXECUTE_TEXT,),
-        STAGE_EXECUTE_TABLE: (STAGE_SELECT_BEST,),
-        STAGE_EXECUTE_TEXT: (STAGE_SELECT_BEST,),
-    }
-    for stage in plan.stages:
-        wanted = consumers.get(stage.kind)
-        if wanted is None:
-            continue
-        reached = _downstream(stage.id, forward)
-        if not any(ids[sid].kind in wanted for sid in reached
-                   if sid in ids):
-            emit("unread-output", WARNING,
-                 "stage %r (%s) produces output no %s stage consumes"
-                 % (stage.id, stage.kind, "/".join(wanted)))
-
-    # Same engine dispatched from two primary arms with no ordering
-    # edge: breaker state and the per-backend fault-injection RNG
-    # stream are order-sensitive, so the pair cannot be parallelized
-    # and must carry an explicit dependency. Rescue arms are exempt:
-    # their conditions impose an execution order of their own.
-    primary = [s for s in plan.stages
-               if s.when in (WHEN_ALWAYS, WHEN_ROUTE)
-               and s.kind != STAGE_ROUTE]
-    for i, first in enumerate(primary):
-        below_first = _downstream(first.id, forward)
-        for second in primary[i + 1:]:
-            if first.engine != second.engine:
-                continue
-            if (second.id in below_first
-                    or first.id in _downstream(second.id, forward)):
-                continue
-            emit("unordered-engine-reuse", WARNING,
-                 "stages %r and %r both dispatch engine %r with no "
-                 "dependency path between them; backend state (breaker, "
-                 "fault RNG stream) would race under parallel execution"
-                 % (first.id, second.id, first.engine))
-
-
-def _check_cycles(plan: FederatedPlan, ids: Dict[str, PlanStage],
-                  emit) -> None:
-    """Reject dependency cycles (no valid execution order exists)."""
-    state: Dict[str, int] = {}  # 0 = visiting, 1 = done
-
-    def visit(stage_id: str, trail: Tuple[str, ...]) -> None:
-        mark = state.get(stage_id)
-        if mark == 1:
-            return
-        if mark == 0:
-            cycle = trail[trail.index(stage_id):] + (stage_id,)
-            emit("dependency-cycle", ERROR,
-                 "dependency cycle: %s" % " -> ".join(cycle))
-            state[stage_id] = 1
-            return
-        state[stage_id] = 0
-        for dep in ids[stage_id].depends_on:
-            if dep in ids:
-                visit(dep, trail + (stage_id,))
-        state[stage_id] = 1
-
-    for stage_id in sorted(ids):
-        visit(stage_id, ())
-
-
-def _check_reachability(plan: FederatedPlan, ids: Dict[str, PlanStage],
-                        route_stage: PlanStage, emit) -> None:
-    """Every stage must sit downstream of the Route stage."""
-    reachable: Set[str] = {route_stage.id}
-    changed = True
-    while changed:
-        changed = False
-        for stage in plan.stages:
-            if stage.id in reachable:
-                continue
-            if any(dep in reachable for dep in stage.depends_on):
-                reachable.add(stage.id)
-                changed = True
-    for stage in plan.stages:
-        if stage.id not in reachable:
-            emit("unreachable-stage", ERROR,
-                 "stage %r is unreachable from the Route stage; it "
-                 "would never execute" % stage.id)
-
-
-def _check_route_consistency(plan: FederatedPlan, emit) -> None:
-    """Primary arms must match the route; rescues are exempt."""
-    primary = (WHEN_ALWAYS, WHEN_ROUTE)
-    for stage in plan.stages:
-        if stage.when not in primary:
-            continue
-        if (stage.kind in (STAGE_SYNTHESIZE_SPEC, STAGE_EXECUTE_TABLE)
-                and plan.route == ROUTE_UNSTRUCTURED):
-            emit("route-mismatch", ERROR,
-                 "stage %r runs the structured engine as a primary arm "
-                 "on an unstructured route" % stage.id)
-        if (stage.kind in (STAGE_RETRIEVE_TOPOLOGY, STAGE_EXECUTE_TEXT)
-                and plan.route == ROUTE_STRUCTURED):
-            emit("route-mismatch", ERROR,
-                 "stage %r runs the text engine as a primary arm on a "
-                 "structured route (rescue arms must declare "
-                 "when=%r)" % (stage.id, WHEN_RESCUE_ABSTAIN))
-
-
-def _check_producers(plan: FederatedPlan, ids: Dict[str, PlanStage],
-                     emit) -> None:
-    """Execute stages need their producer stage upstream."""
-    needs = {
-        STAGE_EXECUTE_TABLE: STAGE_SYNTHESIZE_SPEC,
-        STAGE_EXECUTE_TEXT: STAGE_RETRIEVE_TOPOLOGY,
-    }
-    for stage in plan.stages:
-        producer = needs.get(stage.kind)
-        if producer is None:
-            continue
-        if not any(
-            dep in ids and ids[dep].kind == producer
-            for dep in stage.depends_on
-        ):
-            emit("missing-producer", ERROR,
-                 "stage %r (%s) does not depend on a %s stage"
-                 % (stage.id, stage.kind, producer))
-
-
-# ----------------------------------------------------------------------
 # Rendering (cli ask --explain-plan)
 # ----------------------------------------------------------------------
 
 def render_plan(plan: FederatedPlan) -> str:
     """Multi-line human rendering of the DAG, with signatures.
 
-    One header line (digest, route, question), one line per stage with
-    kind, engine, dependencies and execution condition, and the static
-    check verdict.
+    One header line (digest, route, question), then one line per stage
+    with kind, engine, dependencies and execution condition; the
+    ``Route`` stage adds its reason and bound tables.
     """
     lines = [
         "plan %s  route=%s" % (plan.digest(), plan.route),
@@ -601,10 +314,4 @@ def render_plan(plan: FederatedPlan) -> str:
             bound = stage.param("bound_tables")
             if bound:
                 lines.append("        bound tables: %s" % bound)
-    diagnostics = check_plan(plan)
-    if diagnostics:
-        lines.append("  checks:")
-        lines.extend("    " + diag.render() for diag in diagnostics)
-    else:
-        lines.append("  checks: clean")
     return "\n".join(lines)

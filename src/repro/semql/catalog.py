@@ -194,10 +194,6 @@ class SchemaCatalog:
         """All table names."""
         return self._db.table_names()
 
-    def columns_of(self, table: str) -> List[str]:
-        """Column names of *table*."""
-        return self._db.table(table).schema.column_names()
-
     def display_column(self, table: str) -> str:
         """The column naming a row: registered, else a name-like TEXT
         column ("name"/"subject"/...), else the first TEXT column."""

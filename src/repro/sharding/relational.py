@@ -365,12 +365,3 @@ class ShardedTable(Table):
                     new_index.insert(row[pos], row_id)
             twin._indexes[column] = new_index
         return twin
-
-    def describe_sharding(self) -> Dict[str, Any]:
-        """JSON-ready shard map entry (committed beside the catalog)."""
-        return {
-            "table": self.schema.name,
-            "key": self._key_column,
-            "shard_sizes": self.shard_sizes(),
-            "router": self._shard_set.describe(),
-        }

@@ -145,15 +145,6 @@ class ShardedDocumentStore(DocumentStore):
             merged.update(child._docs)
         return json.dumps(merged, sort_keys=True, default=str)
 
-    def describe_sharding(self) -> Dict[str, Any]:
-        """JSON-ready shard map entry (committed beside the catalog)."""
-        return {
-            "store": "document",
-            "key": "doc_id",
-            "shard_sizes": [len(child) for child in self._children],
-            "router": self._shard_set.describe(),
-        }
-
 
 class ShardedTextStore(TextStore):
     """A :class:`TextStore` partitioned over per-shard children.
@@ -262,15 +253,6 @@ class ShardedTextStore(TextStore):
         for child in self._children:
             merged.update(child._docs)
         return json.dumps(merged, sort_keys=True)
-
-    def describe_sharding(self) -> Dict[str, Any]:
-        """JSON-ready shard map entry (committed beside the catalog)."""
-        return {
-            "store": "text",
-            "key": "doc_id",
-            "shard_sizes": [len(child) for child in self._children],
-            "router": self._shard_set.describe(),
-        }
 
 
 def _chunk_order(chunk: Chunk) -> Tuple[str, int]:

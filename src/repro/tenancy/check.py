@@ -1,9 +1,9 @@
 """``check_tenancy``: the compile-time governance gate.
 
-A ``check_plan``-style static pass over a compiled federated plan: it
-re-derives, from the :class:`~repro.tenancy.registry.TenantContext`
-alone, exactly which governance parameters every stage must carry, and
-rejects any plan that deviates — a table stage missing its mandated
+A static pass over a compiled federated plan: it re-derives, from
+the :class:`~repro.tenancy.registry.TenantContext` alone, exactly
+which governance parameters every stage must carry, and rejects any
+plan that deviates — a table stage missing its mandated
 RLS conjunct, a text stage missing its document scope, a stage carrying
 *another* tenant's predicates (a cross-tenant replay), or a route that
 binds a table outside the tenant's catalog.
@@ -11,7 +11,9 @@ binds a table outside the tenant's catalog.
 The pass is deliberately duck-typed over the plan IR (stages expose
 ``kind`` and ``params``) so the tenancy layer stays below ``qa`` in
 the import DAG; the stage-kind vocabulary is pinned here and asserted
-against ``repro.qa.plan`` by the test suite.
+equal to ``repro.qa.plan``'s ``STAGE_*`` constants by
+``tests/test_federated_plan.py``, so a renamed stage kind cannot make
+this pass skip the stages it governs.
 
 Fail-closed contract: the executor runs this pass on every governed
 request and converts any error diagnostic into a typed abstention — an

@@ -1,11 +1,20 @@
-"""Tests for the pipeline explain() trace."""
+"""Tests for the pipeline explain() trace (``ask --explain-plan``)."""
+
+import io
+import json
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
+
+from repro.bench.runner import StackConfig, build_stack
+from repro.cli import main
 
 from repro.errors import ReproError
 from repro.metering import CostMeter
 from repro.qa import HybridQAPipeline
 from repro.slm import SLMConfig, SmallLanguageModel
+from repro.tenancy import TenantContext
 from repro.text.ner import TYPE_PRODUCT, Gazetteer
 
 
@@ -43,7 +52,7 @@ class TestExplain:
     def test_structured_trace(self, pipeline):
         trace = pipeline.explain("Find the total sales of all products "
                                  "in Q2.")
-        assert "route: structured" in trace
+        assert "route=structured" in trace
         assert "AGG sum(amount)" in trace
         assert "tableqa answer: 300" in trace
 
@@ -51,7 +60,7 @@ class TestExplain:
         trace = pipeline.explain(
             "What tone did reviews take about shipping?"
         )
-        assert "route: unstructured" in trace
+        assert "route=unstructured" in trace
         assert "retrieval:" in trace
 
     def test_comparison_trace_decomposes(self, pipeline):
@@ -67,7 +76,17 @@ class TestExplain:
         trace = pipeline.explain(
             "What is the average zorbulation of gleeps?"
         )
-        assert "abstained" in trace or "route: unstructured" in trace
+        assert "abstained" in trace or "route=unstructured" in trace
+
+    def test_gate_rejected_plan_reaches_no_engine(self, pipeline):
+        question = "Find the total sales of all products in Q2."
+        tenant = TenantContext("reviews-only", tables=("review_facts",))
+        trace = pipeline.explain(question, tenant=tenant)
+        assert "tenancy: rejected" in trace
+        assert "tenancy-invisible-table" in trace
+        assert "tableqa" not in trace and "retrieval:" not in trace
+        answer = pipeline.answer(question, tenant=tenant)
+        assert answer.metadata["tenancy"] == "rejected"
 
     def test_requires_build(self):
         gaz = Gazetteer()
@@ -76,3 +95,43 @@ class TestExplain:
         pipe = HybridQAPipeline(slm, meter=CostMeter())
         with pytest.raises(ReproError):
             pipe.explain("anything")
+
+
+TENANT_SPEC = (Path(__file__).resolve().parents[1] / "benchmarks" / "specs"
+               / "load_ecommerce_tenants.json")
+CRIMSON_Q3 = "What is the total sales of the Crimson Tracker in Q3?"
+CHAOS_BACKENDS = ("relational", "document", "textstore", "retriever",
+                  "slm")
+
+
+class TestExplainIsTheExecutedPlan:
+    def test_cli_explain_plan_compiles_under_the_tenant(self, tmp_path):
+        registry = json.loads(TENANT_SPEC.read_text())["tenant_registry"]
+        registry_file = tmp_path / "tenants.json"
+        registry_file.write_text(json.dumps(registry))
+        buffer = io.StringIO()
+        with redirect_stdout(buffer):
+            code = main(["ask", "--seed", "7", "--explain-plan",
+                         "--tenants", str(registry_file),
+                         "--tenant", "globex", CRIMSON_Q3])
+        assert code == 0
+        config = StackConfig(seed=7, tenant_registry=registry)
+        _lake, pipe, _server = build_stack(config, serve=False)
+        context = config.tenants.context("globex")
+        executed = pipe._executor.compile(CRIMSON_Q3, tenant=context)
+        header = buffer.getvalue().splitlines()[0]
+        assert header.split()[1] == executed.digest()
+        assert pipe.explain(CRIMSON_Q3, tenant=context) \
+            == buffer.getvalue().rstrip("\n")
+
+    def test_explain_never_raises_under_faults(self):
+        faults = {"seed": 23, "backends": {
+            name: {"rate": 0.9} for name in CHAOS_BACKENDS}}
+        lake, pipe, _server = build_stack(
+            StackConfig(seed=7, faults=faults), serve=False)
+        traces = [pipe.explain("What reviews mention shipping?")]
+        traces += [pipe.explain(pair.question) for pair in lake.qa_pairs()]
+        assert "retrieval: fault (injected permanent fault on " \
+            "retriever.retrieve)" in traces[0]
+        assert all(trace.startswith(("plan ", "comparison of:"))
+                   for trace in traces)

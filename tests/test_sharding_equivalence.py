@@ -104,7 +104,7 @@ class ShardPruningTest(unittest.TestCase):
     def test_explain_plan_reports_dispatch(self):
         pipe, _ = _build("ecommerce", n_shards=4)
         pipe.answer("What is the price of Rapid Charger?")
-        rendered = pipe.explain_plan(
+        rendered = pipe.explain(
             "What is the price of Rapid Charger?")
         self.assertIn("sharding: 4 shards", rendered)
         self.assertIn("shard dispatch: pruned=", rendered)
@@ -148,7 +148,7 @@ class ShardPruningTest(unittest.TestCase):
     def test_unsharded_pipeline_has_no_annotations(self):
         pipe, questions = _build("ecommerce", n_shards=1)
         self.assertIsNone(pipe.shard_set)
-        self.assertNotIn("sharding:", pipe.explain_plan(questions[0]))
+        self.assertNotIn("sharding:", pipe.explain(questions[0]))
 
 
 class ShardKnockoutTest(unittest.TestCase):

@@ -229,7 +229,7 @@ class FailClosedExecutionTest(unittest.TestCase):
 
     def test_denied_plan_explains_fail_closed(self):
         _lake, pipe = _pipeline("ecommerce", isolate_arms=False)
-        text = pipe.explain_plan("Which product has the best rating?")
+        text = pipe.explain("Which product has the best rating?")
         self.assertIn(
             "arm isolation: off — sequential (isolate_arms=False)", text)
         self.assertNotIn("isolated", text)
@@ -243,7 +243,7 @@ class FailClosedExecutionTest(unittest.TestCase):
         lake, pipe = _pipeline("ecommerce")
         questions = [p.question for p in lake.qa_pairs(per_kind=1)]
         plan = _hybrid_plan(pipe, questions)
-        text = pipe.explain_plan(plan.question)
+        text = pipe.explain(plan.question)
         self.assertIn("arm isolation: on (3 arms)", text)
         self.assertIn("arm structured", text)
         self.assertIn("arm text", text)

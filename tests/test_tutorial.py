@@ -71,7 +71,7 @@ class TestTutorialFlow:
         trace = pipe.explain(
             "Find the total billings of all matters in Q2."
         )
-        assert "route:" in trace
+        assert "route=" in trace
 
     def test_uncertainty_gate(self, pipe):
         answer, estimate = pipe.answer_with_uncertainty(
