@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from . import patterns as pat
 from .tokenizer import tokenize
@@ -35,6 +35,8 @@ _METRIC_TERMS = {
 _TITLE_SEQ_RE = re.compile(
     r"\b(?:[A-Z][a-zA-Z0-9&'-]*)(?:\s+[A-Z][a-zA-Z0-9&'-]*)*\b"
 )
+_WORD_RUN_RE = re.compile(r"\w+")
+_SPACES_RE = re.compile(r"\s+")
 
 
 @dataclass(frozen=True)
@@ -58,7 +60,7 @@ class Entity:
 
 
 def _normalize_surface(text: str) -> str:
-    return re.sub(r"\s+", " ", text.strip()).lower()
+    return _SPACES_RE.sub(" ", text.strip()).lower()
 
 
 @dataclass
@@ -72,11 +74,17 @@ class Gazetteer:
     entries: Dict[str, List[str]] = field(default_factory=dict)
 
     def add(self, etype: str, names: Iterable[str]) -> None:
-        """Register *names* (surface forms) under *etype*."""
+        """Register *names* (surface forms) under *etype*.
+
+        Idempotent: a name already in *etype*'s bucket is skipped (a
+        second copy could never claim a span).
+        """
         bucket = self.entries.setdefault(etype, [])
+        seen = set(bucket)
         for name in names:
             name = name.strip()
-            if name:
+            if name and name not in seen:
+                seen.add(name)
                 bucket.append(name)
 
     def compiled(self) -> List[Tuple[str, str, "re.Pattern"]]:
@@ -90,6 +98,71 @@ class Gazetteer:
                 out.append((etype, name, regex))
         out.sort(key=lambda item: -len(item[1]))
         return out
+
+
+class _GazetteerMatcher:
+    """Gazetteer hits of a text at the cost of its words.
+
+    Each entry of :meth:`Gazetteer.compiled` that is ASCII and starts
+    with a word character can only match where a ``\\w+`` run of the
+    text starts, and that run, if ASCII, is the entry's first word up
+    to case. So a text's runs are looked up in a first-word index and
+    each candidate is verified with the entry's own regex at that
+    position, which keeps ``\\b`` and ``IGNORECASE`` as they are.
+
+    ``IGNORECASE`` folds some non-ASCII letters onto ASCII ones where
+    ``str.lower`` does not, or not alike (long s, dotless i, dotted
+    capital I), so a non-ASCII run tries every indexed entry, and an
+    entry the index cannot key (non-ASCII, or not starting with a word
+    character) is scanned with ``finditer``. With ASCII text and names a
+    call costs O(words) plus the candidates verified, independent of
+    the gazetteer's size.
+    """
+
+    def __init__(self, compiled: List[Tuple[str, str, "re.Pattern"]]):
+        self._compiled = compiled
+        self._by_first_word: Dict[str, List[int]] = {}
+        self._indexed: List[int] = []
+        self._scanned: List[int] = []
+        for rank, (_, name, _) in enumerate(compiled):
+            first = _WORD_RUN_RE.match(name)
+            if first is not None and name.isascii():
+                self._by_first_word.setdefault(
+                    first.group().lower(), []).append(rank)
+                self._indexed.append(rank)
+            else:
+                self._scanned.append(rank)
+
+    def hits(self, text: str) -> Iterator[Tuple[str, str, "re.Match"]]:
+        """(etype, canonical, match) in the per-entry ``finditer`` order.
+
+        That order is entry rank (longest first), then left to right,
+        with a match that starts before the entry's previous match
+        ended skipped, as ``finditer`` does.
+        """
+        found: Dict[int, List["re.Match"]] = {}
+        for run in _WORD_RUN_RE.finditer(text):
+            word = run.group()
+            if word.isascii():
+                ranks = self._by_first_word.get(word.lower())
+                if ranks is None:
+                    continue
+            else:
+                ranks = self._indexed
+            pos = run.start()
+            for rank in ranks:
+                m = self._compiled[rank][2].match(text, pos)
+                if m is not None:
+                    found.setdefault(rank, []).append(m)
+        for rank in self._scanned:
+            found[rank] = list(self._compiled[rank][2].finditer(text))
+        for rank in sorted(found):
+            etype, canonical, _ = self._compiled[rank]
+            last_end = 0
+            for m in found[rank]:
+                if m.start() >= last_end:
+                    last_end = m.end()
+                    yield etype, canonical, m
 
 
 class EntityRecognizer:
@@ -110,13 +183,13 @@ class EntityRecognizer:
     def __init__(self, gazetteer: Optional[Gazetteer] = None,
                  shape_entities: bool = True):
         self._gazetteer = gazetteer or Gazetteer()
-        self._compiled = self._gazetteer.compiled()
+        self._matcher = _GazetteerMatcher(self._gazetteer.compiled())
         self._shape_entities = shape_entities
 
     def add_gazetteer(self, etype: str, names: Iterable[str]) -> None:
         """Extend the gazetteer in place and recompile matchers."""
         self._gazetteer.add(etype, names)
-        self._compiled = self._gazetteer.compiled()
+        self._matcher = _GazetteerMatcher(self._gazetteer.compiled())
 
     @property
     def gazetteer(self) -> Gazetteer:
@@ -152,13 +225,12 @@ class EntityRecognizer:
                            _normalize_surface(norm))
                 )
 
-        for etype, canonical, regex in self._compiled:
-            for m in regex.finditer(text):
-                if claim(m.start(), m.end()):
-                    entities.append(
-                        Entity(etype, m.group(), m.start(), m.end(),
-                               _normalize_surface(canonical))
-                    )
+        for etype, canonical, m in self._matcher.hits(text):
+            if claim(m.start(), m.end()):
+                entities.append(
+                    Entity(etype, m.group(), m.start(), m.end(),
+                           _normalize_surface(canonical))
+                )
 
         for token in tokenize(text):
             low = token.text.lower()

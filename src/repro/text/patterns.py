@@ -39,6 +39,9 @@ _PATTERNS = [
     (KIND_NUMBER, re.compile(r"\b\d+(?:,\d{3})*(?:\.\d+)?\b")),
 ]
 
+_YEAR_IN_RE = re.compile(r"(19|20)\d{2}")
+_QUARTER_NUMBER_RE = re.compile(r"q([1-4])")
+
 _WORD_QUARTERS = {
     "first quarter": "Q1",
     "second quarter": "Q2",
@@ -92,12 +95,12 @@ def normalize_quarter(text: str) -> str:
     'Q2 2024'
     """
     low = text.lower().strip()
-    year_match = re.search(r"(19|20)\d{2}", low)
+    year_match = _YEAR_IN_RE.search(low)
     year = year_match.group() if year_match else ""
     for phrase, canon in _WORD_QUARTERS.items():
         if low.startswith(phrase):
             return (canon + " " + year).strip()
-    qmatch = re.match(r"q([1-4])", low)
+    qmatch = _QUARTER_NUMBER_RE.match(low)
     if qmatch:
         return ("Q%s %s" % (qmatch.group(1), year)).strip()
     return text.strip()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 # Order matters: longer / more specific patterns first.
 _TOKEN_RE = re.compile(
@@ -25,6 +25,9 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+_WORD_RE = re.compile(r"[A-Za-z]+(?:'[A-Za-z]+)?")
+_DIGITS_RE = re.compile(r"\d+")
+_NUMBER_RE = re.compile(r"\d+(?:,\d{3})*(?:\.\d+)?")
 
 _SENTENCE_BOUNDARY_RE = re.compile(r"(?<=[.!?])\s+(?=[A-Z0-9\"'(])")
 
@@ -53,12 +56,12 @@ class Token:
     @property
     def is_word(self) -> bool:
         """True when the token is alphabetic (possibly apostrophized)."""
-        return bool(re.fullmatch(r"[A-Za-z]+(?:'[A-Za-z]+)?", self.text))
+        return bool(_WORD_RE.fullmatch(self.text))
 
     @property
     def is_number(self) -> bool:
         """True when the token is numeric (plain or comma-grouped)."""
-        return bool(re.fullmatch(r"\d+(?:,\d{3})*(?:\.\d+)?", self.text))
+        return bool(_NUMBER_RE.fullmatch(self.text))
 
 
 def tokenize(text: str) -> List[Token]:
@@ -67,24 +70,25 @@ def tokenize(text: str) -> List[Token]:
     >>> [t.text for t in tokenize("Q2 sales rose 20%.")]
     ['Q2', 'sales', 'rose', '20%', '.']
     """
-    tokens = []
+    # (text, start, end) spans; alphanumeric identifiers like "Q2", which
+    # the regex splits into a word followed immediately by digits, are
+    # re-joined as they are scanned, so each Token is built once.
+    spans: List[Tuple[str, int, int]] = []
+    last_end = -1
     for match in _TOKEN_RE.finditer(text):
-        tokens.append(Token(match.group(), match.start(), match.end()))
-    # Re-join alphanumeric identifiers like "Q2" that the regex split
-    # into a word followed immediately by digits.
-    merged: List[Token] = []
-    for tok in tokens:
+        piece = match.group()
+        start, end = match.span()
         if (
-            merged
-            and merged[-1].end == tok.start
-            and merged[-1].is_word
-            and re.fullmatch(r"\d+", tok.text)
+            start == last_end
+            and _DIGITS_RE.fullmatch(piece)
+            and _WORD_RE.fullmatch(spans[-1][0])
         ):
-            prev = merged.pop()
-            merged.append(Token(prev.text + tok.text, prev.start, tok.end))
+            prev_text, prev_start, _ = spans[-1]
+            spans[-1] = (prev_text + piece, prev_start, end)
         else:
-            merged.append(tok)
-    return merged
+            spans.append((piece, start, end))
+        last_end = end
+    return [Token(piece, start, end) for piece, start, end in spans]
 
 
 def words(text: str, lowercase: bool = True) -> List[str]:

@@ -1,11 +1,15 @@
 """Tests for stemmer, stopwords, patterns, POS and NER."""
 
+import copy
 import inspect
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.bench.runner import generate_lake
+from repro.bench import (
+    HealthSpec, LakeSpec, generate_ecommerce_lake, generate_healthcare_lake,
+)
+from repro.bench.runner import build_hybrid_system, generate_lake
 from repro.graphindex.resolution import _alias_tokens
 from repro.slm.entailment import _content_stems
 from repro.slm.generator import _focus_stems
@@ -17,7 +21,7 @@ from repro.text.ner import (
 from repro.text.pos import NOUN, NUM, PROPN, VERB, tag
 from repro.text.stemmer import _porter, stem
 from repro.text.stopwords import STOPWORDS, content_stems, content_words
-from repro.text.tokenizer import words
+from repro.text.tokenizer import split_sentences, words
 
 
 def _lake_texts(domain):
@@ -243,3 +247,156 @@ class TestNER:
         text = "PAT-0042 received DrugX on 2024-01-02"
         for ent in EntityRecognizer().recognize(text):
             assert text[ent.start:ent.end] == ent.text
+
+
+class _FinditerGazetteerStage:
+    """The gazetteer stage as it was: one ``finditer`` per entry, in the
+    longest-first order of :meth:`Gazetteer.compiled`."""
+
+    def __init__(self, gazetteer):
+        self._compiled = gazetteer.compiled()
+
+    def hits(self, text):
+        for etype, canonical, regex in self._compiled:
+            for m in regex.finditer(text):
+                yield etype, canonical, m
+
+
+def _reference(recognizer, gazetteer=None):
+    """*recognizer* with the per-entry ``finditer`` gazetteer stage."""
+    ref = copy.copy(recognizer)
+    ref._matcher = _FinditerGazetteerStage(gazetteer or recognizer.gazetteer)
+    return ref
+
+
+def _hit_spans(stage, text):
+    return [(e, c, m.span()) for e, c, m in stage.hits(text)]
+
+
+def _assert_matches_reference(gazetteer, texts, before=None):
+    """The matcher yields the per-entry loop's hits, and ``recognize``
+    the entities the loop gives over *before* (default: *gazetteer*)."""
+    rec = EntityRecognizer(gazetteer)
+    ref = _reference(rec, before)
+    oracle = _FinditerGazetteerStage(gazetteer)
+    for text in texts:
+        assert _hit_spans(rec._matcher, text) == _hit_spans(oracle, text)
+        assert rec.recognize(text) == ref.recognize(text)
+
+
+def _scaled_lake(domain, seed, scale):
+    """(entity names, every chunk, sentence and question) of the
+    benchmark-sized lake (24 products / 12 drugs) times *scale*."""
+    if domain == "ecommerce":
+        lake = generate_ecommerce_lake(
+            LakeSpec(n_products=24 * scale, seed=seed))
+        names, docs = lake.product_names(), lake.review_texts
+    else:
+        lake = generate_healthcare_lake(
+            HealthSpec(n_drugs=12 * scale, n_patients=48 * scale, seed=seed))
+        names, docs = lake.drug_names(), lake.note_texts
+    chunks = [c.text for c in Chunker().chunk_corpus(docs)]
+    texts = list(chunks)
+    for chunk in chunks:
+        texts += split_sentences(chunk)
+    texts += [pair.question for pair in lake.qa_pairs()]
+    return names, texts
+
+
+_NAME_WORDS = [
+    "Alpha", "alpha", "ALPHA", "Widget", "widget", "Pro", "pro", "X2",
+    "Bexley", "&", "Stone", "Hartley", "v.", "Dunmore", "(R)", "Labs",
+    "Q2", "Max", "Max-9", "co", "'s",
+]
+_FIXED_NAMES = [
+    "Alpha Alpha", "Alpha", "Alpha Widget", "Bexley & Stone",
+    "Hartley v. Dunmore", "(R) Labs", "Widget Pro", "Pro Max",
+]
+_name_st = st.lists(st.sampled_from(_NAME_WORDS), min_size=1,
+                    max_size=3).map(" ".join)
+_text_st = st.lists(
+    st.one_of(st.sampled_from(_NAME_WORDS),
+              st.sampled_from([" ", "  ", ", ", ". ", "-", "", "\n"]),
+              st.text(max_size=4)),
+    max_size=40,
+).map("".join)
+
+
+class TestGazetteerMatcher:
+    """The first-word-indexed matcher against the per-entry loop."""
+
+    @pytest.mark.parametrize("domain", ["ecommerce", "healthcare"])
+    @pytest.mark.parametrize("seed,scale", [(7, 1), (11, 1), (7, 4),
+                                            (11, 4)])
+    def test_equals_reference_on_lakes(self, domain, seed, scale):
+        names, texts = _scaled_lake(domain, seed, scale)
+        # Built as build_hybrid_system and declare_entity_columns do;
+        # before Gazetteer.add skipped repeats it held every name twice.
+        gaz = Gazetteer()
+        gaz.add("VALUE", names)
+        gaz.add("VALUE", sorted(names))
+        twice = Gazetteer({"VALUE": list(names) + sorted(names)})
+        _assert_matches_reference(gaz, texts, before=twice)
+
+    @given(st.lists(st.one_of(_name_st, st.sampled_from(_FIXED_NAMES)),
+                    max_size=12),
+           st.lists(_text_st, min_size=1, max_size=3))
+    def test_equals_reference_on_generated_gazetteers(self, names, texts):
+        gaz = Gazetteer()
+        gaz.add(TYPE_PRODUCT, names[::2])
+        gaz.add(TYPE_MISC, names[1::2])
+        _assert_matches_reference(gaz, texts)
+
+    @given(st.lists(st.text(alphabet="aksiKſİıé2 .&", min_size=1,
+                            max_size=6), max_size=8),
+           st.lists(st.text(alphabet="abksiKſİıé29 .&-", max_size=40),
+                    min_size=1, max_size=3))
+    def test_equals_reference_on_non_ascii_text(self, names, texts):
+        # IGNORECASE folds K (Kelvin), ſ, İ and ı onto ASCII letters.
+        gaz = Gazetteer()
+        gaz.add(TYPE_PRODUCT, names + ["kiss", "Ski", "is", "sk2"])
+        _assert_matches_reference(gaz, texts)
+
+    def test_folded_letters_still_match(self):
+        # A non-ASCII text word tries every entry; a non-ASCII name
+        # ("\u017fki", long s) is scanned, as it matches ASCII "SKI".
+        gaz = Gazetteer()
+        gaz.add(TYPE_PRODUCT, ["Kiss", "basis", "\u017fki"])
+        ents = EntityRecognizer(gaz).recognize(
+            "\u212aiss and ba\u017fis SKI")
+        assert [e.norm for e in ents] == ["kiss", "basis", "\u017fki"]
+
+    def test_overlapping_self_matches_follow_finditer(self):
+        gaz = Gazetteer()
+        gaz.add(TYPE_PRODUCT, ["Alpha Alpha"])
+        rec = EntityRecognizer(gaz)
+        text = "alpha Alpha ALPHA alpha"
+        assert [span for _, _, span in _hit_spans(rec._matcher, text)] == [
+            (0, 11), (12, 23)]
+        # finditer skips "alpha alpha" at 16 because it overlaps the
+        # entry's own unclaimed match at 10, so nothing claims it.
+        gaz.add(TYPE_PRODUCT, ["Xylophone Alpha"])
+        rec = EntityRecognizer(gaz)
+        ents = rec.recognize("xylophone alpha alpha alpha")
+        assert [e.span for e in ents] == [(0, 15)]
+
+
+class TestGazetteerAdd:
+    def test_add_is_idempotent(self):
+        gaz = Gazetteer()
+        gaz.add(TYPE_PRODUCT, ["Alpha", " Beta ", "Alpha"])
+        gaz.add(TYPE_PRODUCT, ["Beta", "Gamma", ""])
+        gaz.add(TYPE_MISC, ["Alpha"])
+        assert gaz.entries == {TYPE_PRODUCT: ["Alpha", "Beta", "Gamma"],
+                               TYPE_MISC: ["Alpha"]}
+
+    @pytest.mark.parametrize("domain", ["ecommerce", "healthcare"])
+    def test_built_gazetteer_holds_each_name_once(self, domain):
+        _, pipeline = build_hybrid_system(generate_lake(domain, 7), seed=7)
+        entries = pipeline._slm.gazetteer_entries()
+        assert entries["VALUE"]
+        for names in entries.values():
+            assert len(names) == len(set(names))
+        table = "products" if domain == "ecommerce" else "drugs"
+        pipeline.declare_entity_columns(table, ["name"])
+        assert pipeline._slm.gazetteer_entries() == entries

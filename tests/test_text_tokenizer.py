@@ -1,8 +1,15 @@
 """Tests for repro.text.tokenizer."""
 
+import re
+
+import pytest
 from hypothesis import given, strategies as st
 
-from repro.text.tokenizer import Token, split_sentences, tokenize, words
+from repro.bench.runner import generate_lake
+from repro.text.chunker import Chunker
+from repro.text.tokenizer import (
+    _TOKEN_RE, Token, split_sentences, tokenize, words,
+)
 
 
 class TestTokenize:
@@ -93,3 +100,58 @@ def test_sentences_preserve_nonspace_content(text):
     for ch in set(joined):
         if not ch.isspace():
             assert ch in text
+
+
+def _two_pass_tokenize(text):
+    """``tokenize`` as it was: build every token, then re-join a word
+    followed immediately by digits ("Q2") in a second pass."""
+    tokens = [Token(m.group(), m.start(), m.end())
+              for m in _TOKEN_RE.finditer(text)]
+    merged = []
+    for tok in tokens:
+        if (
+            merged
+            and merged[-1].end == tok.start
+            and re.fullmatch(r"[A-Za-z]+(?:'[A-Za-z]+)?", merged[-1].text)
+            and re.fullmatch(r"\d+", tok.text)
+        ):
+            prev = merged.pop()
+            merged.append(Token(prev.text + tok.text, prev.start, tok.end))
+        else:
+            merged.append(tok)
+    return merged
+
+
+_PIECES = [
+    "Q", "Q2", "abc", "abc123", "123", "a1b2", "don't", "'", "o'", "3.5%",
+    "20%", "$1,299.99", "$", "1,299", "2024-03-15", "2024", "-", ".",
+    "\u0663\u0664", "\u00b2", "x", "_", "\u00e9", " ", "\n",
+]
+
+
+class TestOnePassTokenize:
+    """The one-pass tokenizer against the two-pass reference."""
+
+    @given(st.one_of(
+        st.lists(st.sampled_from(_PIECES), max_size=30).map("".join),
+        st.text(max_size=200),
+    ))
+    def test_equals_two_pass(self, text):
+        got = tokenize(text)
+        assert got == _two_pass_tokenize(text)
+        for tok in got:
+            assert tok.is_word == bool(
+                re.fullmatch(r"[A-Za-z]+(?:'[A-Za-z]+)?", tok.text))
+            assert tok.is_number == bool(
+                re.fullmatch(r"\d+(?:,\d{3})*(?:\.\d+)?", tok.text))
+
+    @pytest.mark.parametrize("domain", ["ecommerce", "healthcare"])
+    def test_equals_two_pass_on_lake_chunks(self, domain):
+        lake = generate_lake(domain, 7)
+        docs = lake.review_texts if domain == "ecommerce" else lake.note_texts
+        for chunk in Chunker().chunk_corpus(docs):
+            assert tokenize(chunk.text) == _two_pass_tokenize(chunk.text)
+
+    def test_word_digits_merge_once(self):
+        assert [t.text for t in tokenize("a1b2 Q23x")] == [
+            "a1", "b2", "Q23", "x"]
