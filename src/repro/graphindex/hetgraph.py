@@ -17,6 +17,10 @@ incident edges it changed — both endpoints for ``add_edge`` and
 ``remove_edge``; the node and every neighbor for ``remove_node`` (which
 ``merge_nodes`` ends with) — and they are derived again on their next
 read.
+
+Every mutation that succeeds bumps :attr:`HeterogeneousGraph.version`,
+a monotone int; reads never move it. State derived from walks (the
+topology retriever's per-anchor memo) is keyed by it.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ class HeterogeneousGraph:
         self._views: Dict[str, Dict[_ViewKey, NeighborView]] = {}
         self._edge_keys: Set[tuple] = set()
         self._n_edges = 0
+        self._version = 0
         self._meter = meter if meter is not None else GLOBAL_METER
 
     # ------------------------------------------------------------------
@@ -77,6 +82,7 @@ class HeterogeneousGraph:
             return False
         self._nodes[node.node_id] = node
         self._adjacency[node.node_id] = []
+        self._version += 1
         return True
 
     def add_edge(self, edge: GraphEdge) -> bool:
@@ -101,6 +107,7 @@ class HeterogeneousGraph:
             self._adjacency[edge.target].append(mirrored)
             self._views.pop(edge.target, None)
         self._n_edges += 1
+        self._version += 1
         return True
 
     # ------------------------------------------------------------------
@@ -183,6 +190,11 @@ class HeterogeneousGraph:
         return self._meter
 
     @property
+    def version(self) -> int:
+        """Bumped by every mutation that succeeds (read-only)."""
+        return self._version
+
+    @property
     def n_nodes(self) -> int:
         """Total node count."""
         return len(self._nodes)
@@ -218,6 +230,7 @@ class HeterogeneousGraph:
             ]
             self._views.pop(node_id, None)
         self._n_edges -= 1
+        self._version += 1
         return True
 
     def remove_node(self, node_id: str) -> GraphNode:
@@ -235,6 +248,7 @@ class HeterogeneousGraph:
             self._n_edges -= 1
         self._views.pop(node_id, None)
         del self._nodes[node_id]
+        self._version += 1
         return node
 
     def merge_nodes(self, keep: str, drop: str) -> int:

@@ -21,12 +21,20 @@ ids), forwards the delta to the fallback and recomputes the centrality
 prior; :meth:`TopologyRetriever.index` is "clear, then ``update``". The
 state after any sequence of updates equals that of a fresh retriever
 indexed over the same graph and the surviving chunks.
+
+Questions differ but their entities repeat, so each anchor's walk is
+memoised: under ``(anchor, per-anchor node cap)``, the attached chunks
+it reaches (BFS order, with depths) and the ``edges_traversed`` units
+it charged. A hit charges those units again without walking. The memo
+empties when ``graph.version`` moves and on every ``update``, so it
+never outlives the graph or the chunk map it was filled from, and holds
+at most (entity nodes x distinct caps) entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import RetrievalError
 from ..graphindex.centrality import normalize_scores, pagerank
@@ -35,7 +43,9 @@ from ..graphindex.nodes import (
     EDGE_CO_OCCURS, EDGE_DESCRIBES, EDGE_MENTIONS, EDGE_RELATES,
     NODE_ENTITY, entity_key,
 )
-from ..metering import CostMeter, GLOBAL_METER, NODES_SCORED
+from ..metering import (
+    CostMeter, EDGES_TRAVERSED, GLOBAL_METER, NODES_SCORED,
+)
 from ..obs import span
 from ..slm.model import SmallLanguageModel
 from ..text.chunker import Chunk
@@ -47,8 +57,15 @@ _TRAVERSAL_EDGES = (
     EDGE_MENTIONS, EDGE_RELATES, EDGE_CO_OCCURS, EDGE_DESCRIBES,
 )
 
+#: The score components, in the order they are summed and reported.
+_COMPONENTS = ("anchor", "depth", "centrality", "lexical")
 
-@dataclass
+#: One memoised walk: the attached chunks it reached, as (chunk id,
+#: depth) in BFS order, and the edges_traversed units it charged.
+_Walk = Tuple[Tuple[Tuple[str, int], ...], int]
+
+
+@dataclass(frozen=True)
 class TopologyConfig:
     """Scoring weights and traversal budget.
 
@@ -61,6 +78,9 @@ class TopologyConfig:
         Mixing weights of the four score components.
     use_centrality:
         Ablation switch (E7): drop the centrality prior when False.
+
+    Frozen: the walk memo assumes a live retriever's config never
+    changes.
     """
 
     max_depth: int = 3
@@ -95,6 +115,10 @@ class TopologyRetriever(Retriever):
         self._entity_tokens: Dict[str, Set[str]] = {}
         self._fallback = BM25Retriever(meter=self._meter)
         self._indexed = False
+        # (anchor node id, per-anchor cap) -> walk, valid while the
+        # graph stays at _walks_version and the chunk map is unchanged.
+        self._walks: Dict[Tuple[str, int], _Walk] = {}
+        self._walks_version = -1
 
     # ------------------------------------------------------------------
     def index(self, chunks: Sequence[Chunk]) -> None:
@@ -132,6 +156,8 @@ class TopologyRetriever(Retriever):
             self._chunks.pop(chunk_id, None)
         for chunk in added:
             self._chunks[chunk.chunk_id] = chunk
+        # A walk keeps only attached chunks: a new chunk map voids them.
+        self._walks.clear()
         if self._config.use_centrality:
             self._centrality = normalize_scores(pagerank(self._graph))
         else:
@@ -186,54 +212,74 @@ class TopologyRetriever(Retriever):
             sp.set("fallback", "bm25")
             return self._fallback.retrieve(query, k)
 
-        # Per-anchor BFS so anchor coverage can be counted.
+        graph = self._graph
+        if self._walks_version != graph.version:
+            self._walks.clear()
+            self._walks_version = graph.version
+        n_anchors = len(anchors)
+        cap = cfg.max_nodes // n_anchors
+        # Per-anchor walks so anchor coverage can be counted.
         chunk_depths: Dict[str, Dict[str, int]] = {}
+        walks = 0
         for anchor in anchors:
-            depths = self._graph.bfs(
-                [anchor], max_depth=cfg.max_depth,
-                edge_kinds=_TRAVERSAL_EDGES,
-                max_nodes=cfg.max_nodes // max(len(anchors), 1),
-            )
-            for node_id, depth in depths.items():
-                if not node_id.startswith("chunk:"):
-                    continue
-                chunk_id = node_id[len("chunk:"):]
-                if chunk_id not in self._chunks:
-                    continue
-                per_chunk = chunk_depths.setdefault(chunk_id, {})
-                prev = per_chunk.get(anchor)
-                if prev is None or depth < prev:
-                    per_chunk[anchor] = depth
-
+            walk = self._walks.get((anchor, cap))
+            if walk is None:
+                walk = self._walks[(anchor, cap)] = self._walk(anchor, cap)
+                walks += 1
+            else:
+                graph.meter.charge(EDGES_TRAVERSED, walk[1])
+            for chunk_id, depth in walk[0]:
+                chunk_depths.setdefault(chunk_id, {})[anchor] = depth
+        sp.set("walks", walks)
         sp.set("candidates", len(chunk_depths))
         if not chunk_depths:
             sp.set("fallback", "bm25")
             return self._fallback.retrieve(query, k)
 
+        self._meter.charge(NODES_SCORED, len(chunk_depths))
+        n_stems = len(query_stems)
+        terms = self._fallback.terms
+        centrality = self._centrality
+        parts: Dict[str, Tuple[float, float, float, float]] = {}
         scores: Dict[str, float] = {}
-        components: Dict[str, Dict[str, float]] = {}
         for chunk_id, per_anchor in chunk_depths.items():
-            self._meter.charge(NODES_SCORED)
-            coverage = len(per_anchor) / len(anchors)
-            min_depth = min(per_anchor.values())
-            depth_score = 1.0 / (1.0 + min_depth)
-            central = self._centrality.get("chunk:%s" % chunk_id, 0.0)
+            coverage = cfg.anchor_weight * (len(per_anchor) / n_anchors)
+            nearness = cfg.depth_weight * (
+                1.0 / (1.0 + min(per_anchor.values())))
+            central = cfg.centrality_weight * centrality.get(
+                "chunk:%s" % chunk_id, 0.0)
             # Term sets were computed when the fallback indexed the
             # same chunks; chunk text is never re-analysed per query.
-            lexical = (
-                len(self._fallback.terms(chunk_id) & query_stems)
-                / len(query_stems)
-                if query_stems else 0.0
+            lexical = cfg.lexical_weight * (
+                len(terms(chunk_id) & query_stems) / n_stems
+                if n_stems else 0.0
             )
-            parts = {
-                "anchor": cfg.anchor_weight * coverage,
-                "depth": cfg.depth_weight * depth_score,
-                "centrality": cfg.centrality_weight * central,
-                "lexical": cfg.lexical_weight * lexical,
-            }
-            components[chunk_id] = parts
-            scores[chunk_id] = sum(parts.values())
-        return top_k(scores, self._chunks, k, components)
+            parts[chunk_id] = (coverage, nearness, central, lexical)
+            scores[chunk_id] = coverage + nearness + central + lexical
+        # Components only for the hits returned.
+        return [
+            RetrievedChunk(hit.chunk, hit.score,
+                           dict(zip(_COMPONENTS, parts[hit.chunk_id])))
+            for hit in top_k(scores, self._chunks, k)
+        ]
+
+    def _walk(self, anchor: str, cap: int) -> _Walk:
+        """Walk from *anchor*: the attached chunks it reaches, its charge."""
+        graph = self._graph
+        before = graph.meter.get(EDGES_TRAVERSED)
+        depths = graph.bfs(
+            [anchor], max_depth=self._config.max_depth,
+            edge_kinds=_TRAVERSAL_EDGES, max_nodes=cap,
+        )
+        charged = graph.meter.get(EDGES_TRAVERSED) - before
+        chunks = self._chunks
+        reached = tuple(
+            (node_id[len("chunk:"):], depth)
+            for node_id, depth in depths.items()
+            if node_id.startswith("chunk:")
+            and node_id[len("chunk:"):] in chunks
+        )
+        return reached, charged
 
     # ------------------------------------------------------------------
     def explain(self, query: str, k: int = 5) -> str:

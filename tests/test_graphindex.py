@@ -94,6 +94,42 @@ class TestGraphStructure:
         g.neighbors("chunk:a")
         assert meter.get(EDGES_TRAVERSED) == 1
 
+    def test_version_moves_on_each_successful_mutation_only(self):
+        g = HeterogeneousGraph(meter=CostMeter())
+        assert g.version == 0
+        g = make_graph()
+        assert g.version == 10  # 5 nodes + 5 edges
+
+        def moved(write):
+            before = g.version
+            result = write()
+            return result, g.version - before
+
+        # Reads and refused writes leave it where it is.
+        assert moved(lambda: g.neighbors("chunk:c1"))[1] == 0
+        assert moved(lambda: g.bfs(["chunk:c0"], max_depth=3))[1] == 0
+        assert moved(lambda: pagerank(g))[1] == 0
+        assert moved(lambda: g.add_node(
+            GraphNode("chunk:c0", NODE_CHUNK, "dup"))) == (False, 0)
+        assert moved(lambda: g.add_edge(GraphEdge(
+            "entity:alpha", "chunk:c0", EDGE_MENTIONS))) == (False, 0)
+        assert moved(lambda: g.remove_edge(GraphEdge(
+            "chunk:c2", "entity:beta", EDGE_MENTIONS))) == (False, 0)
+        # Each write that lands bumps it once.
+        assert moved(lambda: g.add_node(
+            GraphNode("entity:gamma", NODE_ENTITY, "gamma"))) == (True, 1)
+        assert moved(lambda: g.add_edge(GraphEdge(
+            "chunk:c2", "entity:gamma", EDGE_MENTIONS))) == (True, 1)
+        assert moved(lambda: g.remove_edge(GraphEdge(
+            "entity:gamma", "chunk:c2", EDGE_MENTIONS))) == (True, 1)
+        assert moved(lambda: g.remove_node("chunk:c2"))[1] == 1
+        # A merge is its re-pointed edges plus the removal.
+        g.add_edge(GraphEdge("chunk:c0", "entity:beta", EDGE_RELATES))
+        assert moved(lambda: g.merge_nodes(
+            "entity:alpha", "entity:beta")) == (1, 2)
+        with pytest.raises(AttributeError):
+            g.version = 0
+
 
 class TestTraversal:
     def test_bfs_depths(self):

@@ -1,5 +1,6 @@
 """Tests for BM25, dense, IVF and topology retrievers plus metrics."""
 
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -10,17 +11,22 @@ from hypothesis import given, settings, strategies as st
 
 import repro
 import repro.retrieval.topology as topology_module
+from repro.bench import (
+    HealthSpec, LakeSpec, generate_ecommerce_lake, generate_healthcare_lake,
+)
 from repro.bench.runner import build_hybrid_system, generate_lake
 from repro.errors import BenchmarkError, RetrievalError
 from repro.metering import (
     CostMeter, EMBEDDING_CALLS, NODES_SCORED, VECTORS_COMPARED,
 )
-from repro.graphindex import GraphIndexBuilder
+from repro.graphindex import GraphIndexBuilder, GraphNode, NODE_ENTITY
+from repro.obs import Tracer
 from repro.retrieval import (
     BM25Retriever, DenseRetriever, IVFDenseRetriever, TopologyConfig,
     TopologyRetriever, aggregate_rankings, evaluate_ranking, ndcg_at_k,
     precision_at_k, recall_at_k, reciprocal_rank,
 )
+from repro.retrieval.base import top_k
 from repro.slm import SLMConfig, SmallLanguageModel
 from repro.slm.embeddings import EmbeddingModel
 from repro.text.chunker import Chunk, Chunker, ChunkerConfig
@@ -82,6 +88,80 @@ def _e1_rankings(hash_seed):
 
 def alpha_chunk_ids(chunks):
     return {c.chunk_id for c in chunks if "Alpha" in c.text}
+
+
+def _retrieve_reference(retriever, query, k):
+    """The walk-and-score loop without a memo: one BFS per anchor per ask.
+
+    The oracle for :class:`TopologyRetriever`: same state, same charges,
+    no span of its own.
+    """
+    cfg = retriever._config
+    query_stems = set(content_stems(query))
+    anchors = retriever._query_anchors(query, query_stems)
+    if not anchors:
+        return retriever._fallback.retrieve(query, k)
+    chunk_depths = {}
+    for anchor in anchors:
+        depths = retriever._graph.bfs(
+            [anchor], max_depth=cfg.max_depth,
+            edge_kinds=topology_module._TRAVERSAL_EDGES,
+            max_nodes=cfg.max_nodes // max(len(anchors), 1),
+        )
+        for node_id, depth in depths.items():
+            if not node_id.startswith("chunk:"):
+                continue
+            chunk_id = node_id[len("chunk:"):]
+            if chunk_id not in retriever._chunks:
+                continue
+            per_chunk = chunk_depths.setdefault(chunk_id, {})
+            prev = per_chunk.get(anchor)
+            if prev is None or depth < prev:
+                per_chunk[anchor] = depth
+    if not chunk_depths:
+        return retriever._fallback.retrieve(query, k)
+    scores, components = {}, {}
+    for chunk_id, per_anchor in chunk_depths.items():
+        retriever._meter.charge(NODES_SCORED)
+        coverage = len(per_anchor) / len(anchors)
+        depth_score = 1.0 / (1.0 + min(per_anchor.values()))
+        central = retriever._centrality.get("chunk:%s" % chunk_id, 0.0)
+        lexical = (
+            len(retriever._fallback.terms(chunk_id) & query_stems)
+            / len(query_stems)
+            if query_stems else 0.0
+        )
+        parts = {
+            "anchor": cfg.anchor_weight * coverage,
+            "depth": cfg.depth_weight * depth_score,
+            "centrality": cfg.centrality_weight * central,
+            "lexical": cfg.lexical_weight * lexical,
+        }
+        components[chunk_id] = parts
+        scores[chunk_id] = sum(parts.values())
+    return top_k(scores, retriever._chunks, k, components)
+
+
+def _assert_matches_reference(retriever, queries, k):
+    """Hits (ids, scores, components) and meter deltas equal the oracle's."""
+    meter = retriever._meter
+    assert retriever._graph.meter is meter
+    for query in queries:
+        with meter.measure() as expected_work:
+            expected = _retrieve_reference(retriever, query, k)
+        with meter.measure() as work:
+            hits = retriever.retrieve(query, k)
+        # RetrievedChunk equality covers ids, scores and components.
+        assert hits == expected, query
+        assert work == expected_work, query
+
+
+def _assert_memo_bounded(retriever):
+    """At most one walk per (entity node, per-anchor cap)."""
+    entities = {node.node_id for node in retriever._graph.nodes(NODE_ENTITY)}
+    caps = {cap for _, cap in retriever._walks}
+    assert {anchor for anchor, _ in retriever._walks} <= entities
+    assert len(retriever._walks) <= len(entities) * len(caps)
 
 
 class TestBM25:
@@ -346,6 +426,45 @@ class TestTopology:
         text = retriever.explain("Alpha Widget sales", k=2)
         assert "entity:alpha widget" in text
 
+    def test_config_is_frozen(self):
+        config = TopologyConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.max_nodes = 10
+
+    def test_span_counts_the_walks_a_call_made(self):
+        retriever, _, meter = self.make_retriever()
+        tracer = Tracer(meter=meter)
+        query = "Compare Alpha Widget and Beta Gadget sales"
+        with tracer.activate():
+            cold = retriever.retrieve(query, k=4)
+            warm = retriever.retrieve(query, k=4)
+        assert cold == warm
+        calls = [node for node in tracer.roots
+                 if node.name == "retrieval.topology"]
+        assert [node.attrs["walks"] for node in calls] == [3, 0]
+        assert [node.attrs["anchors"] for node in calls] == [3, 3]
+        assert [len([child for child in node.children
+                     if child.name == "graph.bfs"]) for node in calls] == [3, 0]
+        # A hit charges the walk again, to the retriever's own span.
+        assert calls[0].cost == calls[1].cost
+
+    def test_memo_follows_the_graph_version_and_the_chunk_map(self):
+        retriever, chunks, _ = self.make_retriever()
+        graph = retriever._graph
+        max_nodes = retriever._config.max_nodes
+        retriever.retrieve("Compare Alpha Widget and Beta Gadget sales", k=4)
+        assert set(retriever._walks) == {
+            (anchor, max_nodes // 3) for anchor in (
+                "entity:alpha widget", "entity:beta gadget", "entity:sales")}
+        graph.add_node(GraphNode("entity:delta", NODE_ENTITY, "delta"))
+        retriever.retrieve("Alpha Widget sales", k=2)
+        # The version moved: only this call's walks are left.
+        assert set(retriever._walks) == {
+            (anchor, max_nodes // 2)
+            for anchor in ("entity:alpha widget", "entity:sales")}
+        retriever.update([], removed=[chunks[0].chunk_id])
+        assert retriever._walks == {}
+
 
 # ----------------------------------------------------------------------
 # Delta maintenance: update() after update() == one fresh index()
@@ -426,8 +545,10 @@ class TestDeltaMatchesFreshIndex:
 
     @settings(max_examples=60, deadline=None)
     @given(steps=_STEPS, merge_after=st.integers(0, 5),
-           use_centrality=st.booleans())
-    def test_topology(self, steps, merge_after, use_centrality):
+           use_centrality=st.booleans(), sneak_after=st.integers(0, 5),
+           ghost=st.integers(0, len(_SENTENCES) - 1))
+    def test_topology(self, steps, merge_after, use_centrality,
+                      sneak_after, ghost):
         meter = CostMeter()
         slm = make_slm(meter)
         config = TopologyConfig(use_centrality=use_centrality)
@@ -460,6 +581,20 @@ class TestDeltaMatchesFreshIndex:
             assert _bm25_state(live._fallback) == _bm25_state(
                 fresh._fallback)
             assert _rankings(live) == _rankings(fresh)
+            _assert_memo_bounded(live)
+            if index != sneak_after:
+                continue
+            # Graph writes the retriever is not told about: a chunk it
+            # never attaches (slot 9) and a merge. The memo must follow
+            # the graph version, not update().
+            builder.add_chunks([_slot_chunk(9, ghost)])
+            if all(map(graph.has_node, (
+                    "entity:gamma gizmo", "entity:alpha widget"))):
+                graph.merge_nodes("entity:gamma gizmo",
+                                  "entity:alpha widget")
+            for _pass in ("cold", "warm"):
+                _assert_matches_reference(live, _QUERIES, k=4)
+                assert live._walks_version == graph.version
 
     def test_update_rejects_chunks_the_graph_lacks(self):
         retriever, chunks, _ = TestTopology().make_retriever()
@@ -515,6 +650,35 @@ class TestDeltaMatchesFreshIndex:
         assert _bm25_state(built._fallback) == _bm25_state(fresh._fallback)
         assert maintained == [
             pipeline.answer(q).fingerprint() for q in questions]
+
+
+def _lake_at(domain, size, seed):
+    """A lake of *size* products, or drugs (the name pool holds 70)."""
+    if domain == "ecommerce":
+        return generate_ecommerce_lake(LakeSpec(n_products=size, seed=seed))
+    return generate_healthcare_lake(HealthSpec(n_drugs=size, seed=seed))
+
+
+class TestWalkMemoMatchesReference:
+    @pytest.mark.parametrize("seed", [7, 11])
+    @pytest.mark.parametrize("domain, size", [
+        ("ecommerce", 24), ("ecommerce", 96),
+        ("healthcare", 24), ("healthcare", 70),
+    ])
+    def test_lake_questions_cold_and_warm(self, domain, size, seed):
+        lake = _lake_at(domain, size, seed)
+        _, pipeline = build_hybrid_system(lake, seed)
+        retriever = pipeline._retriever
+        questions = [p.question for p in lake.qa_pairs(per_kind=10 ** 6)]
+        for question in questions:  # cold: every walk is a miss
+            retriever._walks.clear()
+            _assert_matches_reference(retriever, [question], k=5)
+        retriever._walks.clear()
+        _assert_matches_reference(retriever, questions, k=5)  # filling
+        _assert_memo_bounded(retriever)
+        filled = dict(retriever._walks)
+        _assert_matches_reference(retriever, questions, k=5)  # warm
+        assert retriever._walks == filled
 
 
 class TestMetrics:
