@@ -296,6 +296,8 @@ def generate_healthcare_lake(
         stem + suffix for stem in _DRUG_STEMS for suffix in _DRUG_SUFFIXES
     ]
     rng.shuffle(names)
+    if spec.n_drugs > len(names):
+        raise BenchmarkError("at most %d drugs supported" % len(names))
     for did in range(1, spec.n_drugs + 1):
         lake.drugs.append({
             "did": did,

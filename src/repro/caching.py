@@ -51,6 +51,7 @@ class _Entry:
     value: Any
     cost: int = 1
     tag: Any = None
+    deps: Any = None
 
 
 @dataclass
@@ -67,12 +68,15 @@ class CostAwareLRU:
     Entries may carry an opaque ``tag`` (the serving layer stores
     generation stamps there); :meth:`get` returns ``default`` — and
     drops the stale entry — when the caller's ``tag`` no longer
-    matches, counting an invalidation.
+    matches, counting an invalidation. An entry put with ``deps`` gets
+    a second chance first: when ``revalidate(deps)`` says they still
+    hold, the entry takes the caller's tag and the lookup is a hit.
     """
 
     capacity: int = 1024
     name: str = "lru"
     on_evict: Optional[Callable[[Hashable, Any], None]] = None
+    revalidate: Optional[Callable[[Any], bool]] = None
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self):
@@ -86,25 +90,29 @@ class CostAwareLRU:
             tag: Any = None) -> Any:
         """Fetch *key*, promoting it to most-recently-used.
 
-        With a *tag*, the stored entry must carry an equal tag; a
-        mismatch behaves like a miss, removes the stale entry and
-        counts one invalidation.
+        With a *tag*, the stored entry must carry an equal tag, or
+        deps that :attr:`revalidate` still accepts (the entry then
+        takes *tag*); otherwise the lookup behaves like a miss, removes
+        the stale entry and counts one invalidation.
         """
         entry = self._entries.get(key)
         if entry is None:
             self.stats.misses += 1
             return default
         if tag is not None and entry.tag != tag:
-            self._remove(key, entry)
-            self.stats.invalidations += 1
-            self.stats.misses += 1
-            return default
+            if (entry.deps is None or self.revalidate is None
+                    or not self.revalidate(entry.deps)):
+                self._remove(key, entry)
+                self.stats.invalidations += 1
+                self.stats.misses += 1
+                return default
+            entry.tag = tag
         self._entries.move_to_end(key)
         self.stats.hits += 1
         return entry.value
 
     def put(self, key: Hashable, value: Any, cost: int = 1,
-            tag: Any = None) -> bool:
+            tag: Any = None, deps: Any = None) -> bool:
         """Store *key* → *value* at *cost* work units; True if stored."""
         if cost < 0:
             raise ValueError("cost must be non-negative")
@@ -114,7 +122,8 @@ class CostAwareLRU:
         if cost > self.capacity:
             self.stats.rejected += 1
             return False
-        self._entries[key] = _Entry(value=value, cost=cost, tag=tag)
+        self._entries[key] = _Entry(value=value, cost=cost, tag=tag,
+                                    deps=deps)
         self._total_cost += cost
         while self._total_cost > self.capacity and len(self._entries) > 1:
             evicted_key, evicted = self._entries.popitem(last=False)

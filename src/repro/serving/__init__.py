@@ -28,9 +28,9 @@ from .admission import (
     shed_answer,
 )
 from .cache import (
-    ANSWER_DEPS, KIND_DOCUMENT, KIND_RELATIONAL, KIND_TEXT, PLAN_DEPS,
-    RETRIEVAL_DEPS, STORE_KINDS, AnswerCache, CachePolicy, Generations,
-    MultiTierCache, PlanCache,
+    ANSWER_DEPS, KIND_DOCUMENT, KIND_RELATIONAL, KIND_SCHEMA, KIND_TEXT,
+    PLAN_DEPS, RETRIEVAL_DEPS, STORE_KINDS, AnswerCache, CachePolicy,
+    Generations, MultiTierCache, PlanCache,
 )
 from .retrieval import CachingRetriever
 from .scheduler import (
@@ -46,8 +46,8 @@ __all__ = [
     "ANSWER_SYSTEM_SERVING", "SHED_BUDGET", "SHED_QUEUE",
     "SHED_TENANT_QUOTA", "SHED_TENANT_UNKNOWN", "AdmissionController",
     "AdmissionPolicy", "shed_answer",
-    "ANSWER_DEPS", "KIND_DOCUMENT", "KIND_RELATIONAL", "KIND_TEXT",
-    "PLAN_DEPS", "RETRIEVAL_DEPS", "STORE_KINDS",
+    "ANSWER_DEPS", "KIND_DOCUMENT", "KIND_RELATIONAL", "KIND_SCHEMA",
+    "KIND_TEXT", "PLAN_DEPS", "RETRIEVAL_DEPS", "STORE_KINDS",
     "AnswerCache", "CachePolicy", "Generations", "MultiTierCache",
     "PlanCache",
     "CachingRetriever",

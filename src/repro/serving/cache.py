@@ -2,28 +2,35 @@
 
 Three tiers, each a :class:`~repro.caching.CostAwareLRU` sized in
 CostMeter work units, each invalidated write-through by generation
-stamps:
+counters:
 
 * **answer tier** — whole :class:`~repro.qa.answer.Answer` values
   keyed by the normalized question, stored and served without a copy
-  (answers are frozen); depends on every store kind;
+  (answers are frozen); depends on what its computation read: the text
+  counter, the schema counter and the row-write counter of every table
+  its SELECTs read;
 * **plan tier** — synthesized SemQL logical plans keyed by question,
   injected into :class:`~repro.qa.tableqa.TableQAEngine`; depends on
-  the relational store only;
+  the schema counter only (a plan reads the catalog, never a row);
 * **retrieval tier** — ranked chunk lists keyed by
   ``(retriever, query, k)`` (see :mod:`.retrieval`); depends on the
   text store.
 
 Invalidation is *write-through*: store mutation listeners and pipeline
-rebuild listeners bump :class:`Generations` counters, and every cache
-entry carries the generation stamp of its dependency set as its LRU
-tag. A stamp mismatch at lookup time atomically drops the entry — no
-tier ever serves a value computed against superseded data.
+rebuild listeners bump :class:`Generations` counters, and no tier ever
+serves a value computed against superseded data. Plan and retrieval
+entries carry the stamp of their dependency set as their LRU tag; a
+mismatch drops the entry. An answer entry carries the write clock it
+was last checked at, plus its read set: at an unchanged clock it is
+valid with one comparison, and after a write it survives — and takes
+the new clock — when no counter of its read set moved. A document
+write or a row write into a table the answer did not read therefore
+keeps it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from ..caching import CostAwareLRU
 from ..sharding import ShardStamp
@@ -35,9 +42,14 @@ KIND_TEXT = "text"
 #: Every store kind a generation counter tracks.
 STORE_KINDS = (KIND_RELATIONAL, KIND_DOCUMENT, KIND_TEXT)
 
-#: Dependency sets: which kinds invalidate which tier.
-ANSWER_DEPS = STORE_KINDS
-PLAN_DEPS = (KIND_RELATIONAL,)
+#: The relational catalog: bumped by CREATE/DROP TABLE or VIEW, a
+#: rollback and every rebuild (which also rebuilds the value index).
+KIND_SCHEMA = "schema"
+
+#: Dependency sets: which counters invalidate which tier. An answer
+#: also depends on the row-write counters of the tables it read.
+ANSWER_DEPS = (KIND_TEXT, KIND_SCHEMA)
+PLAN_DEPS = (KIND_SCHEMA,)
 RETRIEVAL_DEPS = (KIND_TEXT,)
 
 #: Entry bounds of the three tiers.
@@ -47,29 +59,33 @@ RETRIEVAL_CAPACITY = 16384
 
 
 class Generations:
-    """Monotone per-store-kind generation counters.
+    """Monotone generation counters plus one write clock.
 
     The serving layer's whole invalidation protocol: writers bump, cache
     tiers stamp entries with :meth:`stamp` over their dependency set and
-    reject entries whose stamp no longer matches. *shard_kinds* are the
-    per-shard counters of a sharded stack; they take part in
-    :meth:`bump_all` and appear in snapshots.
+    reject entries whose stamp no longer matches. :attr:`clock` moves
+    on every bump, so an entry checked at the current clock needs no
+    further look. *shard_kinds* are the per-shard counters of a sharded
+    stack; they take part in :meth:`bump_all` and appear in snapshots.
     """
 
     def __init__(self, shard_kinds: Iterable[str] = ()) -> None:
         self._counts: Dict[str, int] = dict.fromkeys(
-            (*STORE_KINDS, *shard_kinds), 0)
+            (*STORE_KINDS, KIND_SCHEMA, *shard_kinds), 0)
+        self.clock = 0
 
     def bump(self, kind: str) -> None:
         """Record one mutation of *kind* (invalidates dependent tiers)."""
         if kind not in self._counts:
             raise ValueError("unknown store kind %r" % kind)
         self._counts[kind] += 1
+        self.clock += 1
 
     def bump_all(self) -> None:
         """Record a full rebuild (invalidates every tier)."""
         for kind in self._counts:
             self._counts[kind] += 1
+        self.clock += 1
 
     def stamp(self, kinds: Tuple[str, ...]) -> Tuple[int, ...]:
         """The current stamp over a dependency set (an LRU entry tag)."""
@@ -115,17 +131,22 @@ class PlanCache:
 
 
 class AnswerCache:
-    """Normalized question → finished Answer, all-kinds tagged.
+    """Normalized question → finished Answer, read-set tagged.
 
     An :class:`~repro.qa.answer.Answer` is frozen, so no caller can
     poison a cached entry: ``put`` stores the object it is given and a
-    hit returns that same object to every asker.
+    hit returns that same object to every asker. *row_writes* reads a
+    table's row-write counter (:meth:`~repro.storage.relational.
+    Database.row_writes`).
     """
 
-    def __init__(self, generations: Generations, sharded: bool = False):
+    def __init__(self, generations: Generations,
+                 row_writes: Callable[[str], int], sharded: bool = False):
         self._generations = generations
+        self._row_writes = row_writes
         self._lru = CostAwareLRU(capacity=ANSWER_CAPACITY,
-                                 name="serving.answers")
+                                 name="serving.answers",
+                                 revalidate=self._still_valid)
         self._sharded = sharded
 
     @property
@@ -136,7 +157,7 @@ class AnswerCache:
     def stamp(self) -> Any:
         """The current answer-tier generation stamp.
 
-        Unsharded: a plain tuple over :data:`ANSWER_DEPS`. Sharded: a
+        Unsharded: the write clock. Sharded: a
         :class:`~repro.sharding.ShardStamp` over every counter (the
         per-shard ones included) — entries carry a *restricted* stamp
         naming only the kinds they depend on, and the
@@ -145,7 +166,21 @@ class AnswerCache:
         """
         if self._sharded:
             return ShardStamp(self._generations.snapshot())
-        return self._generations.stamp(ANSWER_DEPS)
+        return self._generations.clock
+
+    def read_set(self, tables: Iterable[str]) -> Tuple[Any, ...]:
+        """The current counters of an answer that read *tables*: the
+        deps :meth:`put` stores and a later lookup re-checks."""
+        row_writes = self._row_writes
+        return (self._generations.stamp(ANSWER_DEPS),
+                tuple((name, row_writes(name)) for name in sorted(tables)))
+
+    def _still_valid(self, deps: Tuple[Any, ...]) -> bool:
+        counts, tables = deps
+        if self._generations.stamp(ANSWER_DEPS) != counts:
+            return False
+        row_writes = self._row_writes
+        return all(row_writes(name) == n for name, n in tables)
 
     def get(self, question: Any) -> Optional[Any]:
         """The cached answer itself (shared, frozen), or None.
@@ -157,14 +192,16 @@ class AnswerCache:
         return self._lru.get(question, tag=self.stamp())
 
     def put(self, question: Any, answer: Any, cost: int,
-            tag: Any) -> None:
+            tag: Any, deps: Any = None) -> None:
         """Store *answer* under the stamp its computation started from.
 
         Callers pass the stamp captured *before* answering: if a write
         raced the computation the stamp already moved on, and the next
         ``get`` drops the entry instead of serving a stale answer.
+        Unsharded callers also pass the answer's :meth:`read_set`.
         """
-        self._lru.put(question, answer, cost=max(1, cost), tag=tag)
+        self._lru.put(question, answer, cost=max(1, cost), tag=tag,
+                      deps=deps)
 
 
 class CachePolicy:
@@ -222,11 +259,11 @@ class MultiTierCache:
     """All enabled tiers plus their shared generation counters."""
 
     def __init__(self, policy: CachePolicy, generations: Generations,
-                 sharded: bool = False):
+                 row_writes: Callable[[str], int], sharded: bool = False):
         self.policy = policy
         self.generations = generations
         self.answers: Optional[AnswerCache] = (
-            AnswerCache(generations, sharded=sharded)
+            AnswerCache(generations, row_writes, sharded=sharded)
             if policy.answer else None
         )
         self.plans: Optional[PlanCache] = (

@@ -4,10 +4,13 @@ Composition root of the serving subsystem. Construction wires every
 hook the rest of the repo exposes:
 
 * store mutation listeners (relational / document / text) bump the
-  shared :class:`~.cache.Generations` counters, so every write
-  invalidates exactly the cache tiers that depend on that store kind;
-* a pipeline rebuild listener bumps all kinds at once (a rebuilt index
-  supersedes everything);
+  shared :class:`~.cache.Generations` counters, and relational DDL and
+  rollbacks the schema counter, so every write invalidates exactly the
+  cache entries that depend on what it changed;
+* a pipeline rebuild listener bumps all counters at once (a rebuilt
+  index supersedes everything);
+* the database records which tables each uncached answer's SELECTs
+  read, and the answer is stored with that read set;
 * the plan tier plugs into
   :meth:`~repro.qa.pipeline.HybridQAPipeline.set_plan_cache` and the
   retrieval tier into
@@ -32,11 +35,17 @@ from ..resilience import work_now
 from ..tenancy import DEFAULT_TENANT, TenantRegistry
 from .admission import AdmissionController, AdmissionPolicy
 from .cache import (
-    KIND_DOCUMENT, KIND_RELATIONAL, KIND_TEXT, CachePolicy, Generations,
-    MultiTierCache,
+    KIND_DOCUMENT, KIND_RELATIONAL, KIND_SCHEMA, KIND_TEXT, CachePolicy,
+    Generations, MultiTierCache,
 )
 from .retrieval import CachingRetriever
 from .scheduler import BatchScheduler, ServeRequest, ServeResult
+
+
+#: Relational ops that change the catalog rather than rows, or (a
+#: rollback) restore tables without naming which rows.
+SCHEMA_OPS = frozenset(("create_table", "drop_table", "create_view",
+                        "drop_view", "rollback"))
 
 
 def _shard_kind(index: int) -> str:
@@ -59,7 +68,11 @@ class QueryServer:
         shards = (range(self._shard_set.n_shards)
                   if self._shard_set is not None else ())
         self._generations = Generations(map(_shard_kind, shards))
+        # The real database behind any resilience proxy: reads are
+        # recorded, and counters read, where the SELECTs run.
+        self._db = getattr(pipeline.db, "resilient_target", pipeline.db)
         self._tiers = MultiTierCache(self._policy, self._generations,
+                                     self._db.row_writes,
                                      sharded=self._shard_set is not None)
         self._tenants = tenants if tenants is not None else TenantRegistry(())
         # Which tenant the request currently on the answer path runs
@@ -74,9 +87,7 @@ class QueryServer:
             self._answer, self._apply_write, self._meter,
             self._admission, batch_size=batch_size,
         )
-        pipeline.db.add_mutation_listener(
-            lambda op: self._generations.bump(KIND_RELATIONAL)
-        )
+        pipeline.db.add_mutation_listener(self._on_relational_write)
         pipeline.doc_store.add_mutation_listener(
             lambda op: self._generations.bump(KIND_DOCUMENT)
         )
@@ -87,8 +98,7 @@ class QueryServer:
         if self._shard_set is not None:
             # Per-shard invalidation: relational writes bump the owning
             # shard's counter; DDL / bulk / rollback ops (no per-row
-            # attribution) bump every shard. The coarse KIND_RELATIONAL
-            # bump above stays — the plan tier depends on it.
+            # attribution) bump every shard.
             self._shard_set.add_write_listener(self._on_shard_write)
             pipeline.db.add_mutation_listener(self._on_relational_bulk)
         if self._tiers.plans is not None:
@@ -130,6 +140,10 @@ class QueryServer:
         injector = self._pipeline.resilience.injector
         return len(injector.log) if injector is not None else 0
 
+    def _on_relational_write(self, op: str) -> None:
+        self._generations.bump(
+            KIND_SCHEMA if op in SCHEMA_OPS else KIND_RELATIONAL)
+
     # ------------------------------------------------------------------
     # Shard-aware invalidation
     # ------------------------------------------------------------------
@@ -151,10 +165,11 @@ class QueryServer:
     def _entry_tag(self, stamp: Any) -> Any:
         """The dependency-restricted tag a fresh answer is stored under.
 
-        Unsharded, the tag is the pre-compute stamp unchanged. Sharded,
-        it is the stamp restricted to the coarse non-relational kinds
-        plus exactly the relational shards the answer read — so a write
-        into any *other* shard leaves the entry valid.
+        Unsharded, the tag is the pre-compute write clock unchanged (the
+        read set goes in the entry's deps). Sharded, it is the stamp
+        restricted to the coarse non-relational kinds plus exactly the
+        relational shards the answer read — so a write into any *other*
+        shard leaves the entry valid.
         """
         if self._shard_set is None:
             return stamp
@@ -196,19 +211,25 @@ class QueryServer:
         stamp = answers.stamp() if answers is not None else None
         faults_before = self._fault_count()
         self._begin_touch()
+        reads = (set() if answers is not None and self._shard_set is None
+                 else None)
         previous = self._active_tenant
         self._active_tenant = tenant
+        self._db.record_reads(reads)
         try:
             started = work_now(self._meter)
             answer = self._pipeline.answer(question, tenant=context)
             cost = work_now(self._meter) - started
         finally:
+            self._db.record_reads(None)
             self._active_tenant = previous
         if answers is not None and self._cacheable(
             answer, faults_before, stamp
         ):
             answers.put(key, answer, cost=cost,
-                        tag=self._entry_tag(stamp))
+                        tag=self._entry_tag(stamp),
+                        deps=None if reads is None
+                        else answers.read_set(reads))
         return answer
 
     def _cacheable(self, answer: Answer, faults_before: int,

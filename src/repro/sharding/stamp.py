@@ -2,10 +2,12 @@
 
 The serving layer tags each cache entry with the generation counters of
 its dependency set and drops the entry when the tag no longer matches.
-Unsharded tags are plain tuples over a fixed kind order; sharded answer
-tags instead carry a *named* subset of counters — only the store kinds
-and shard counters the answer actually depends on — so a write into one
-shard invalidates only the entries that read that shard.
+Plan and retrieval tags are plain tuples over a fixed kind order (an
+unsharded answer entry carries a write clock and its read set instead,
+see :mod:`repro.serving.cache`); sharded answer tags carry a *named*
+subset of counters — only the store kinds and shard counters the
+answer actually depends on — so a write into one shard invalidates
+only the entries that read that shard.
 
 Comparison is intersection-keyed: two stamps agree when every counter
 they *both* name has the same value. The cache stores a restricted

@@ -12,7 +12,7 @@ Ties catalog, parser, planner and executor together:
 from __future__ import annotations
 
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
 )
 
 from ...errors import ExecutionError, PlanError, SchemaError, StorageError
@@ -40,6 +40,11 @@ class Database:
     finding that is always a bug rather than a possibly-intentional
     empty result. The advisory findings of :mod:`.plancheck` are
     :meth:`analyze`'s alone.
+
+    Every table has a monotone row-write counter (:meth:`row_writes`),
+    and a caller may record which tables its SELECTs read
+    (:meth:`record_reads`): together they tell a cache which writes can
+    change a result computed from those SELECTs.
     """
 
     def __init__(self, meter: Optional[CostMeter] = None,
@@ -53,6 +58,10 @@ class Database:
         self._views: Dict[str, SelectStatement] = {}
         self._snapshot: Optional[tuple] = None  # open transaction
         self._mutation_listeners: List[Any] = []
+        # Outside the transaction snapshot: a rollback never moves a
+        # counter back.
+        self._row_writes: Dict[str, int] = {}
+        self._reads: Optional[Set[str]] = None
 
     # ------------------------------------------------------------------
     # Write-through mutation notification
@@ -70,6 +79,23 @@ class Database:
     def _notify_mutation(self, op: str) -> None:
         for listener in self._mutation_listeners:
             listener(op)
+
+    def _notify_row_write(self, table: str, op: str) -> None:
+        self._row_writes[table] = self._row_writes.get(table, 0) + 1
+        self._notify_mutation(op)
+
+    def row_writes(self, table: str) -> int:
+        """How many row-writing statements and bulk loads have changed
+        *table* (monotone; a rollback or a drop never lowers it)."""
+        return self._row_writes.get(table, 0)
+
+    def record_reads(self, sink: Optional[Set[str]]) -> None:
+        """Add the name of every table each later SELECT reads to
+        *sink*, until the next call; ``None`` stops recording.
+
+        A SELECT over a view counts as reading every table.
+        """
+        self._reads = sink
 
     # ------------------------------------------------------------------
     # Catalog
@@ -175,11 +201,13 @@ class Database:
         # Validate eagerly: the SELECT must run against current state.
         self._run_select(select)
         self._views[name] = select
+        self._notify_mutation("create_view")
 
     def drop_view(self, name: str) -> None:
         """Remove a view definition."""
         if self._views.pop(name.lower(), None) is None:
             raise StorageError("no view %r" % name)
+        self._notify_mutation("drop_view")
 
     def _materialize_view(self, name: str) -> Table:
         from ..types import infer_value_type, unify_types
@@ -265,6 +293,8 @@ class Database:
         share. Returns the plan and the tables it runs over."""
         self._validate_select(stmt)
         tables = self._resolve_tables(stmt)
+        if self._reads is not None:
+            self._record_reads(stmt)
         unknown = [
             diag for diag in check_references(stmt, _schemas(tables))
             if diag.code == "unknown-column"
@@ -280,6 +310,13 @@ class Database:
             if ref.name not in mapping and ref.name in self._views:
                 mapping[ref.name] = self._materialize_view(ref.name)
         return mapping
+
+    def _record_reads(self, stmt: SelectStatement) -> None:
+        names = [stmt.table.name] + [j.table.name for j in stmt.joins]
+        if any(name in self._views for name in names):
+            self._reads.update(self._tables)
+        else:
+            self._reads.update(names)
 
     def _validate_select(self, stmt: SelectStatement) -> None:
         refs = [stmt.table] + [j.table for j in stmt.joins]
@@ -303,7 +340,7 @@ class Database:
                 table.insert(values, coerce=True)
             count += 1
         if count:
-            self._notify_mutation("insert")
+            self._notify_row_write(table.schema.name, "insert")
         return count
 
     def _run_update(self, stmt: UpdateStatement) -> int:
@@ -325,7 +362,7 @@ class Database:
             table.update(row_id, new_row, coerce=True)
             count += 1
         if count:
-            self._notify_mutation("update")
+            self._notify_row_write(table.schema.name, "update")
         return count
 
     def _run_delete(self, stmt: DeleteStatement) -> int:
@@ -339,7 +376,7 @@ class Database:
         for row_id in doomed:
             table.delete(row_id)
         if doomed:
-            self._notify_mutation("delete")
+            self._notify_row_write(table.schema.name, "delete")
         return len(doomed)
 
     # ------------------------------------------------------------------
@@ -354,7 +391,7 @@ class Database:
             tbl.insert(row, coerce=coerce)
             count += 1
         if count:
-            self._notify_mutation("load_rows")
+            self._notify_row_write(tbl.schema.name, "load_rows")
         return count
 
     def load_dicts(self, table: str, records: Iterable[Dict[str, Any]],
@@ -366,7 +403,7 @@ class Database:
             tbl.insert_dict(record, coerce=coerce)
             count += 1
         if count:
-            self._notify_mutation("load_dicts")
+            self._notify_row_write(tbl.schema.name, "load_dicts")
         return count
 
 

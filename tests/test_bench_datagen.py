@@ -117,6 +117,13 @@ class TestHealthcareLake:
         assert KIND_STRUCTURED_ENTITY in kinds
         assert KIND_UNSTRUCTURED_FACT in kinds
 
+    def test_too_many_drugs_is_a_benchmark_error(self):
+        # The name pool holds 70 drugs: 10 stems by 7 suffixes.
+        assert len(generate_healthcare_lake(HealthSpec(n_drugs=70)).drugs) \
+            == 70
+        with pytest.raises(BenchmarkError, match="at most 70 drugs"):
+            generate_healthcare_lake(HealthSpec(n_drugs=96))
+
     def test_gold_records(self, health_lake):
         records = health_lake.gold_extraction_records()
         assert records and all("change_percent" in r for r in records)
