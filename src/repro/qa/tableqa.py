@@ -53,10 +53,6 @@ class TableQAEngine:
         """The schema catalog (for registering synonyms/joins)."""
         return self._catalog
 
-    def refresh(self) -> None:
-        """Rebuild the value index after tables changed."""
-        self._catalog.build_value_index()
-
     # ------------------------------------------------------------------
     def answer(self, question: str,
                plan_key: Optional[Any] = None,

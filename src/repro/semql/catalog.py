@@ -13,21 +13,29 @@ Wraps a :class:`Database` with what an NL-to-query layer needs:
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..errors import SynthesisError
 from ..storage.relational.database import Database
+from ..storage.relational.schema import TableSchema
 from ..storage.types import DataType
-from ..text.stemmer import STEM_MEMO_SIZE, stem
+from ..text.stemmer import stem
 from ..text.stopwords import content_stems
 from .intents import IntentFrame, analyze
 from .logical import JoinSpec
 
 #: Score added to a candidate whose table the caller prefers.
 PREFER_BONUS = 0.05
+
+#: A maximal alphanumeric run: ``[^\W_]`` is exactly ``str.isalnum``.
+_RUN = re.compile(r"[^\W_]+")
+
+#: Per table, what column resolution reads: its name, the name's stem
+#: and per column ``(name, stem, part stems)``.
+_ColumnTable = List[Tuple[str, str, List[Tuple[str, str, FrozenSet[str]]]]]
 
 
 @dataclass(frozen=True)
@@ -115,17 +123,6 @@ class QuestionFrame:
         return rank_bindings(self.metric_candidates, prefer_tables)
 
 
-@lru_cache(maxsize=STEM_MEMO_SIZE)
-def _name_stems(name: str) -> Tuple[str, FrozenSet[str]]:
-    """A column name's stem and the stems of its ``_``-separated parts.
-
-    Pure in the name and asked for every column on every
-    ``resolve_column``; names are vocabulary, hence the stem memo's
-    bound.
-    """
-    return stem(name), frozenset(stem(p) for p in name.split("_") if p)
-
-
 class SchemaCatalog:
     """Synthesis-time view of a database schema."""
 
@@ -136,6 +133,13 @@ class SchemaCatalog:
         # fk_edges[table] = [(other_table, my_col, other_col)]
         self._value_index: List[Tuple[str, str, str]] = []
         # (lowered value, table, column) — sorted longest value first
+        self._value_ranks: Dict[str, List[int]] = {}
+        # a value's leading alphanumeric run -> its value_index ranks
+        self._always_try: List[int] = []
+        # ranks of values that do not start alphanumeric
+        self._column_table: _ColumnTable = []
+        self._column_table_key: List[Tuple[str, TableSchema]] = []
+        # the (table name, schema) list the column table was built from
         self._display_columns: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
@@ -186,6 +190,18 @@ class SchemaCatalog:
                         break
         entries.sort(key=lambda e: (-len(e[0]), e[0]))
         self._value_index = entries
+        # A hit needs a non-alphanumeric character (or the start) before
+        # it, so it can only start where a run of the question starts —
+        # a run equal to the value's leading run. find_values tries only
+        # the values one of the question's runs names.
+        self._value_ranks = {}
+        self._always_try = []
+        for rank, (value, _table, _column) in enumerate(entries):
+            run = _RUN.match(value)
+            if run is None:
+                self._always_try.append(rank)
+            else:
+                self._value_ranks.setdefault(run.group(), []).append(rank)
 
     # ------------------------------------------------------------------
     # Resolution
@@ -232,11 +248,8 @@ class SchemaCatalog:
         term_stem = stem(term_low)
         term_tokens = set(content_stems(term_low))
         candidates: List[ColumnBinding] = []
-        for table_name in self._db.table_names():
-            schema = self._db.table(table_name).schema
-            for column in schema.columns:
-                name = column.name
-                name_stem, name_tokens = _name_stems(name)
+        for table_name, table_stem, columns in self._columns():
+            for name, name_stem, name_tokens in columns:
                 score = 0.0
                 if name == term_low:
                     score = 1.0
@@ -254,7 +267,7 @@ class SchemaCatalog:
                     )
             # Table-name-as-metric: "total sales" over a table named
             # `sales` with one obvious numeric measure column.
-            if table_name == term_low or stem(table_name) == term_stem:
+            if table_name == term_low or table_stem == term_stem:
                 measure = self._single_measure_column(table_name)
                 if measure is not None:
                     candidates.append(
@@ -263,6 +276,28 @@ class SchemaCatalog:
         for table_name, column in self._synonyms.get(term_stem, []):
             candidates.append(ColumnBinding(table_name, column, 0.9))
         return rank_bindings(candidates, prefer_tables)
+
+    def _columns(self) -> _ColumnTable:
+        """The column table, rebuilt when the database's tables changed.
+
+        Keyed by the ``(table name, schema)`` list: schemas are
+        immutable, so a table created or dropped — through SQL or
+        :meth:`Database.create_table` — changes the key.
+        """
+        db = self._db
+        key = [(name, db.table(name).schema) for name in db.table_names()]
+        if key != self._column_table_key:
+            self._column_table = [
+                (name, stem(name), [
+                    (column.name, stem(column.name),
+                     frozenset(stem(p) for p in column.name.split("_")
+                               if p))
+                    for column in schema.columns
+                ])
+                for name, schema in key
+            ]
+            self._column_table_key = key
+        return self._column_table
 
     def _single_measure_column(self, table_name: str) -> Optional[str]:
         schema = self._db.table(table_name).schema
@@ -278,13 +313,22 @@ class SchemaCatalog:
         """Entity mentions in *question* bound via the value index.
 
         Longest indexed values match first and claim their span, so
-        "alpha widget" wins over a hypothetical "widget" value.
+        "alpha widget" wins over a hypothetical "widget" value. Only
+        the values whose leading run is one of the question's runs
+        are tried, in index order.
         """
         low = question.lower()
         taken = [False] * len(low)
         claimed: List[str] = []
         hits: List[ValueHit] = []
-        for value, table, column in self._value_index:
+        ranks = list(self._always_try)
+        value_ranks = self._value_ranks
+        for run in set(_RUN.findall(low)):
+            ranks.extend(value_ranks.get(run, ()))
+        ranks.sort()
+        index = self._value_index
+        for rank in ranks:
+            value, table, column = index[rank]
             if value in claimed:
                 # Same value indexed in another table/column: report the
                 # alternative binding too so the synthesizer can pick

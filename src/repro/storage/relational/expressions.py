@@ -96,24 +96,32 @@ class ColumnRef(Expression):
             return "%s.%s" % (self.table, self.name)
         return self.name
 
-    def bind(self, columns: Sequence[str]) -> Bound:
+    def position(self, columns: Sequence[str]) -> int:
+        """This column's position in the layout *columns*; raises
+        :class:`ExecutionError` when it is unknown or ambiguous."""
         # A name repeated in the layout resolves to its last occurrence.
         last = {name: pos for pos, name in enumerate(columns)}
         if self.table and self.qualified in last:
-            return itemgetter(last[self.qualified])
+            return last[self.qualified]
         if self.name in last:
-            return itemgetter(last[self.name])
+            return last[self.name]
         # Fall back: unique suffix match over qualified names.
         suffix = "." + self.name
         hits = [name for name in last if name.endswith(suffix)]
         if len(hits) == 1:
-            return itemgetter(last[hits[0]])
+            return last[hits[0]]
         if len(hits) > 1:
-            return _raises(
-                ExecutionError, "ambiguous column %r (candidates: %s)"
+            raise ExecutionError(
+                "ambiguous column %r (candidates: %s)"
                 % (self.name, ", ".join(sorted(hits)))
             )
-        return _raises(ExecutionError, "unknown column %r" % self.qualified)
+        raise ExecutionError("unknown column %r" % self.qualified)
+
+    def bind(self, columns: Sequence[str]) -> Bound:
+        try:
+            return itemgetter(self.position(columns))
+        except ExecutionError as exc:
+            return _raises(ExecutionError, str(exc))
 
     def columns(self) -> List[str]:
         return [self.qualified]
@@ -213,6 +221,10 @@ class BinaryOp(Expression):
             # strings compare directly; anything else goes through
             # _cmp_values for its NULL handling and type errors.
             text = self.right.value
+            if isinstance(self.left, FunctionCall):
+                column = _compared(self.left, lowered=True)
+                if column is not None:
+                    return _equals_lowered(column, text, columns)
 
             def equals_text(row):
                 value = left(row)
@@ -235,6 +247,26 @@ class BinaryOp(Expression):
 
     def sql(self) -> str:
         return "(%s %s %s)" % (self.left.sql(), self.op, self.right.sql())
+
+
+def _equals_lowered(column: ColumnRef, text: str,
+                    columns: Sequence[str]) -> Bound:
+    """``LOWER(column) = 'text'`` in one closure: what the generic
+    ``FunctionCall`` and ``equals_text`` pair computes — a cell's
+    ``str`` form lowered and compared, NULL for a NULL cell."""
+    try:
+        pos = column.position(columns)
+    except ExecutionError as exc:
+        return _raises(ExecutionError, str(exc))
+
+    def equals_lowered(row):
+        value = row[pos]
+        if type(value) is str:
+            return value.lower() == text
+        if value is None:
+            return None
+        return str(value).lower() == text
+    return equals_lowered
 
 
 def conjunction(terms: Sequence[Expression]) -> Optional[Expression]:

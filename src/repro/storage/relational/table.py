@@ -164,9 +164,16 @@ class Table:
         (same rows, order and charges as scan-then-filter); partitioned
         facades use it to prune which shards to scan.
         """
-        for row_id, row in self.scan():
-            if test(row):
-                yield row_id, row
+        rows = self._rows
+        examined = 0
+        try:
+            for row_id in sorted(rows):
+                examined += 1
+                row = rows[row_id]
+                if test(row):
+                    yield row_id, row
+        finally:
+            self._meter.charge(ROWS_SCANNED, examined)
 
     def rows(self) -> List[Tuple[Any, ...]]:
         """All rows in id order (charges ``rows_scanned``)."""
