@@ -29,7 +29,6 @@ from ..qa.pipeline import HybridQAPipeline
 from ..qa.tableqa import TableQAEngine
 from ..qa.textqa import TextQAEngine
 from ..resilience import ResilienceConfig
-from ..resilience.faults import shard_index
 from ..retrieval.dense import DenseRetriever
 from ..semql.catalog import SchemaCatalog
 from ..serving import AdmissionPolicy, CachePolicy, QueryServer
@@ -131,20 +130,18 @@ def generate_lake(domain: str, seed: int):
 
 
 def build_hybrid_system(
-    lake, seed: int = 0, n_shards: int = 1, *,
+    lake, seed: int = 0, *,
     isolate_arms: bool = True,
     resilience: Optional[ResilienceConfig] = None,
 ) -> Tuple[QASystem, HybridQAPipeline]:
     """The paper's full pipeline over *lake* — the one way every entry
     point (:func:`build_stack`, benches, tests) stands it up.
 
-    With ``n_shards > 1`` the stores are partitioned by entity key and
-    queries scatter-gather over per-shard resilience guards; answers are
-    byte-identical to the unsharded build. *isolate_arms* and
-    *resilience* are handed to the pipeline (``isolate_arms=False`` is
-    the tests' sequential reference); ``build()`` puts the backends the
-    fault plan names behind their guards once the index is built, so
-    faults only ever hit the answer path.
+    *isolate_arms* and *resilience* are handed to the pipeline
+    (``isolate_arms=False`` is the tests' sequential reference);
+    ``build()`` puts the backends the fault plan names behind their
+    guards once the index is built, so faults only ever hit the answer
+    path.
     """
     meter = CostMeter()
     sql, texts, docs, names, entity_table, generated = _lake_parts(lake)
@@ -153,8 +150,7 @@ def build_hybrid_system(
     slm = SmallLanguageModel(SLMConfig(seed=seed), gazetteer=gazetteer,
                              meter=meter)
     pipeline = HybridQAPipeline(slm, meter=meter, resilience=resilience,
-                                isolate_arms=isolate_arms,
-                                n_shards=n_shards)
+                                isolate_arms=isolate_arms)
     pipeline.add_sql(sql)
     pipeline.declare_entity_columns(entity_table, ["name"])
     pipeline.add_texts(texts)
@@ -190,23 +186,15 @@ def check_int(key: str, value: Any, minimum: int,
             key, "positive" if minimum > 0 else "non-negative", value))
 
 
-def _parse_faults(doc: Any, shards: int) -> Optional[ResilienceConfig]:
+def _parse_faults(doc: Any) -> Optional[ResilienceConfig]:
     if doc is None:
         return None
     if not isinstance(doc, dict):
         raise LoadGenError("faults must be a resilience config object")
     try:
-        config = ResilienceConfig.from_dict(doc)
+        return ResilienceConfig.from_dict(doc)
     except (TypeError, ValueError, AttributeError) as exc:
         raise LoadGenError("faults is invalid: %s" % exc) from exc
-    plan = config.fault_plan
-    for name in plan.backends if plan is not None else ():
-        index = shard_index(name)
-        # An unsharded stack has no shard guards at all.
-        if index is not None and (shards == 1 or index >= shards):
-            raise LoadGenError("faults is invalid: backends: no backend "
-                               "%r in a %d-shard stack" % (name, shards))
-    return config
 
 
 def _parse_policy(text: Any) -> CachePolicy:
@@ -244,7 +232,6 @@ class StackConfig:
 
     domain: str = "ecommerce"
     seed: int = 17
-    shards: int = 1
     faults: Optional[Dict[str, Any]] = None
     cache_policy: str = "full"
     batch_size: int = 8
@@ -263,13 +250,12 @@ class StackConfig:
             raise LoadGenError("domain %r unknown (expected one of %s)"
                                % (self.domain, ", ".join(DOMAINS)))
         check_int("seed", self.seed, 0)
-        check_int("shards", self.shards, 1)
         check_int("batch_size", self.batch_size, 1)
         check_int("session_budget", self.session_budget, 1, optional=True)
         check_int("max_queue_depth", self.max_queue_depth, 1,
                   optional=True)
         for name, value in (
-            ("resilience", _parse_faults(self.faults, self.shards)),
+            ("resilience", _parse_faults(self.faults)),
             ("policy", _parse_policy(self.cache_policy)),
             ("admission", AdmissionPolicy(self.session_budget,
                                           self.max_queue_depth)),
@@ -318,8 +304,7 @@ def build_stack(config: StackConfig, serve: bool = True
     """
     lake = generate_lake(config.domain, config.seed)
     _system, pipeline = build_hybrid_system(
-        lake, seed=config.seed, n_shards=config.shards,
-        resilience=config.resilience,
+        lake, seed=config.seed, resilience=config.resilience,
     )
     server = None
     if serve:

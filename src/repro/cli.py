@@ -71,7 +71,7 @@ def _config(args) -> StackConfig:
     A bad flag or file exits 2 with the message a load spec holding the
     same value gets.
     """
-    data = {"domain": args.domain, "seed": args.seed, "shards": args.shards}
+    data = {"domain": args.domain, "seed": args.seed}
     for key in ("cache_policy", "batch_size", "session_budget",
                 "max_queue_depth"):
         if getattr(args, key, None) is not None:
@@ -327,11 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--faults", default=None, metavar="PLAN.json",
                        help="run under a deterministic fault plan "
                             "(JSON; see docs/resilience.md)")
-        p.add_argument("--shards", type=int, default=1, metavar="N",
-                       help="partition the stores over N entity-keyed "
-                            "shards with scatter-gather federation "
-                            "(answers stay byte-identical; see "
-                            "docs/architecture.md, 'Sharding')")
 
     def tenant_flags(p):
         p.add_argument("--tenants", default=None, metavar="SPEC.json",

@@ -367,10 +367,6 @@ _ALLOWED_DEPS: Dict[str, Set[str]] = {
     "retrieval": _INFRA | {"text", "slm", "graphindex"},
     "semql": _INFRA | {"text", "slm", "storage", "extraction"},
     "resilience": _INFRA,
-    # sharding partitions the stores and guards scatter-gather calls:
-    # it builds on storage facades and per-shard resilience state, and
-    # only the composition layers above (qa, serving) may import it.
-    "sharding": _INFRA | {"storage", "resilience"},
     # tenancy is governance vocabulary: tenant specs, RLS rules, the
     # plan check and quota buckets. It sits just above storage (for
     # catalog awareness) and below the composition layers — only qa,
@@ -378,13 +374,11 @@ _ALLOWED_DEPS: Dict[str, Set[str]] = {
     "tenancy": _INFRA | {"storage"},
     "qa": _INFRA | {
         "text", "slm", "storage", "extraction", "graphindex",
-        "entropy", "retrieval", "resilience", "semql", "sharding",
-        "tenancy",
+        "entropy", "retrieval", "resilience", "semql", "tenancy",
     },
     "serving": _INFRA | {
         "caching", "text", "slm", "storage", "extraction", "graphindex",
-        "entropy", "retrieval", "resilience", "semql", "qa", "sharding",
-        "tenancy",
+        "entropy", "retrieval", "resilience", "semql", "qa", "tenancy",
     },
     # loadgen is the verification plane over serving: it drives the
     # whole stack (including bench lake construction) but nothing

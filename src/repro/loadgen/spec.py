@@ -30,14 +30,13 @@ Spec format (every key except ``name``/``domain``/``asks`` optional)::
       "session_budget": null,
       "max_queue_depth": null,
       "faults": null,              // resilience config document
-      "shards": 1,                 // entity-keyed store shards (>= 1)
       "tenants": {"acme": 3, "globex": 1},   // weighted tenant mix
       "tenant_registry": {"tenants": [...]}  // repro tenants format
     }
 
-The stack keys (``domain``, ``seed``, ``shards``, ``faults``,
-``cache_policy``, ``batch_size``, ``session_budget``,
-``max_queue_depth``, ``tenant_registry``) become the spec's
+The stack keys (``domain``, ``seed``, ``faults``, ``cache_policy``,
+``batch_size``, ``session_budget``, ``max_queue_depth``,
+``tenant_registry``) become the spec's
 :class:`~repro.bench.runner.StackConfig`, validated there — the same
 validation the CLI's flags get. ``seed`` also seeds the workload.
 Unknown keys and out-of-range values raise
@@ -103,8 +102,8 @@ class LoadSpec:
 
     name: str
     asks: int
-    #: The stack the workload runs against (domain, seed, shards,
-    #: faults, cache policy, batch size, admission, tenant registry).
+    #: The stack the workload runs against (domain, seed, faults,
+    #: cache policy, batch size, admission, tenant registry).
     stack: StackConfig = field(default_factory=StackConfig)
     sessions: int = 4
     questions_per_kind: int = 2
@@ -247,7 +246,6 @@ class LoadSpec:
             "session_budget": stack.session_budget,
             "max_queue_depth": stack.max_queue_depth,
             "faults": dict(stack.faults) if stack.faults else None,
-            "shards": stack.shards,
             "tenants": ({tenant_id: weight
                          for tenant_id, weight in self.tenant_mix}
                         if self.tenant_mix else None),

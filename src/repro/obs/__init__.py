@@ -4,7 +4,7 @@ Zero-dependency observability: :class:`Tracer` + :func:`span` produce
 per-query trace trees with wall time and :class:`~repro.metering.CostMeter`
 deltas per stage; exporters render them as JSON or aligned text. Counts
 that outlive one query live in the ``stats()`` documents of the objects
-that keep them (``QueryServer.stats()``, ``ShardStats``). See
+that keep them (``QueryServer.stats()``). See
 ``docs/observability.md`` for the span taxonomy.
 """
 

@@ -34,9 +34,6 @@ from ..resilience import (
 )
 from ..retrieval.topology import TopologyRetriever
 from ..semql.catalog import SchemaCatalog
-from ..sharding import (
-    ShardSet, ShardedDocumentStore, ShardedTable, ShardedTextStore,
-)
 from ..slm.model import SmallLanguageModel
 from ..storage.document.store import DocumentStore
 from ..storage.relational.database import Database
@@ -79,27 +76,13 @@ class HybridQAPipeline:
     def __init__(self, slm: SmallLanguageModel,
                  meter: Optional[CostMeter] = None,
                  resilience: Optional[ResilienceConfig] = None,
-                 isolate_arms: bool = True,
-                 n_shards: int = 1):
+                 isolate_arms: bool = True):
         self._slm = slm
         self._meter = meter if meter is not None else GLOBAL_METER
         self._resilience = ResilienceManager(self._meter, resilience)
-        self._shard_set: Optional[ShardSet] = None
-        if n_shards > 1:
-            shard_set = ShardSet(n_shards, manager=self._resilience)
-            self._shard_set = shard_set
-            self.db = Database(
-                meter=self._meter,
-                table_factory=lambda schema: ShardedTable(
-                    schema, shard_set, meter=self._meter,
-                ),
-            )
-            self.text_store = ShardedTextStore(shard_set, meter=self._meter)
-            self.doc_store = ShardedDocumentStore(shard_set, meter=self._meter)
-        else:
-            self.db = Database(meter=self._meter)
-            self.text_store = TextStore(meter=self._meter)
-            self.doc_store = DocumentStore(meter=self._meter)
+        self.db = Database(meter=self._meter)
+        self.text_store = TextStore(meter=self._meter)
+        self.doc_store = DocumentStore(meter=self._meter)
         self._table_generator = TableGenerator(slm)
         self._generated_tables: List[str] = []
         self._table_entity_columns: Dict[str, List[str]] = {}
@@ -172,12 +155,6 @@ class HybridQAPipeline:
         for column in columns:
             self.db.table(table).schema.index_of(column)
         self._table_entity_columns[table] = list(columns)
-        if self._shard_set is not None and columns:
-            target = self.db.table(table)
-            if isinstance(target, ShardedTable):
-                # The first declared entity column is the shard key:
-                # equality predicates on it prune to the owning shard.
-                target.set_shard_key(columns[0])
         names = set()
         for column in columns:
             for value in self.db.table(table).column_values(column):
@@ -227,11 +204,6 @@ class HybridQAPipeline:
             return 0
         if name not in self._generated_tables:
             self._generated_tables.append(name)
-        if self._shard_set is not None:
-            target = self.db.table(name)
-            if (isinstance(target, ShardedTable)
-                    and target.schema.has_column("subject")):
-                target.set_shard_key("subject")
         return len(generated.table)
 
     # ------------------------------------------------------------------
@@ -428,16 +400,6 @@ class HybridQAPipeline:
         """The resilience manager guarding this pipeline's backends."""
         return self._resilience
 
-    @property
-    def shard_set(self) -> Optional[ShardSet]:
-        """The shared shard routing/guard state (None when unsharded)."""
-        return self._shard_set
-
-    @property
-    def n_shards(self) -> int:
-        """How many shards the stores partition over (1 = unsharded)."""
-        return 1 if self._shard_set is None else self._shard_set.n_shards
-
     def answer(self, question: str,
                tenant: Optional[TenantContext] = None) -> Answer:
         """Answer through the hybrid route; never raises on backend faults.
@@ -476,9 +438,8 @@ class HybridQAPipeline:
         Comparison questions decompose into their sub-questions first,
         as on the answer path. Each (sub-)question shows its compiled
         plan DAG (digest, stages, route reason and bound tables), how
-        its arms run, the engines' dry runs
-        (:meth:`~repro.qa.executor.PlanExecutor.dry_run`) and, on a
-        sharded pipeline, the shard layout and dispatch counters.
+        its arms run and the engines' dry runs
+        (:meth:`~repro.qa.executor.PlanExecutor.dry_run`).
         *tenant* compiles and dry-runs under that tenant's governance,
         as :meth:`answer` would. Backend faults never raise: each one
         prints in place of the dry-run line it cut short.
@@ -503,7 +464,7 @@ class HybridQAPipeline:
 
     def _explain_one(self, question: str,
                      tenant: Optional[TenantContext]) -> List[str]:
-        """One plan's DAG, arm block, dry runs and shard lines."""
+        """One plan's DAG, arm block and dry runs."""
         executor = self._executor
         plan = executor.compile(question, tenant=tenant)
         arms, sequential_because = executor.arm_isolation(plan)
@@ -511,32 +472,6 @@ class HybridQAPipeline:
         lines.extend("  " + line
                      for line in explain_arms(arms, sequential_because))
         lines.extend("  " + line for line in executor.dry_run(plan, tenant))
-        lines.extend("  " + line for line in self._explain_sharding())
-        return lines
-
-    def _explain_sharding(self) -> List[str]:
-        """Shard layout + scatter/prune counters for explain output."""
-        if self._shard_set is None:
-            return []
-        shard_set = self._shard_set
-        lines = [
-            "sharding: %d shards (seed %d)"
-            % (shard_set.n_shards, shard_set.router.seed)
-        ]
-        for name in self.db.table_names():
-            table = self.db.table(name)
-            if isinstance(table, ShardedTable):
-                lines.append(
-                    "shard-key %s: %s (rows per shard: %s)"
-                    % (name, table.shard_key,
-                       "/".join(str(n) for n in table.shard_sizes()))
-                )
-        stats = shard_set.stats.snapshot()
-        lines.append(
-            "shard dispatch: pruned=%d fanout=%d shard_calls=%d"
-            % (stats["pruned_calls"], stats["fanout_calls"],
-               stats["shard_calls"])
-        )
         return lines
 
     @staticmethod

@@ -272,16 +272,6 @@ class ResilienceManager:
             return 0
         return self._scope.spent_work
 
-    def in_question(self) -> bool:
-        """True while a question scope is open (the answer path).
-
-        Sharded store facades consult this to arm their per-shard
-        guards only on the answer path, mirroring the wrap() contract:
-        faults injected during build/ingestion are not absorbed, so
-        nothing may draw them there.
-        """
-        return self._scope is not None
-
     def _note(self, event: DegradationEvent) -> None:
         if self._scope is not None:
             self._scope.note(event)

@@ -43,8 +43,8 @@ FAULT_KINDS = (FAULT_TRANSIENT, FAULT_PERMANENT, FAULT_SLOW, FAULT_CORRUPT)
 _DEFAULT_KIND_WEIGHTS = tuple((kind, 1.0) for kind in FAULT_KINDS)
 
 #: The backends a fault document may name: the five the pipeline wraps
-#: in resilience proxies, the two engine arms the plan executor
-#: guards, and ``shard:<i>`` for a sharded stack.
+#: in resilience proxies and the two engine arms the plan executor
+#: guards.
 FAULT_BACKENDS = ("relational", "document", "textstore", "retriever",
                   "slm", "structured", "text")
 
@@ -61,14 +61,6 @@ def check_keys(where: str, data: Any,
                          % (where, ", ".join(unknown),
                             ", ".join(allowed)))
     return data
-
-
-def shard_index(backend: str) -> Optional[int]:
-    """*i* for a ``shard:<i>`` backend name, else None."""
-    prefix, _, index = backend.partition(":")
-    if prefix == "shard" and index.isdigit():
-        return int(index)
-    return None
 
 
 @dataclass(frozen=True)
@@ -158,10 +150,10 @@ class FaultPlan:
                              % (specs,))
         backends = {}
         for name, spec in specs.items():
-            if name not in FAULT_BACKENDS and shard_index(name) is None:
+            if name not in FAULT_BACKENDS:
                 raise ValueError(
-                    "backends: no backend %r; expected one of %s or "
-                    "shard:<i>" % (name, ", ".join(FAULT_BACKENDS)))
+                    "backends: no backend %r; expected one of %s"
+                    % (name, ", ".join(FAULT_BACKENDS)))
             try:
                 backends[name] = BackendFaults.from_dict(spec)
             except ValueError as exc:

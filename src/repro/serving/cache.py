@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from ..caching import CostAwareLRU
-from ..sharding import ShardStamp
 
 KIND_RELATIONAL = "relational"
 KIND_DOCUMENT = "document"
@@ -65,13 +64,12 @@ class Generations:
     tiers stamp entries with :meth:`stamp` over their dependency set and
     reject entries whose stamp no longer matches. :attr:`clock` moves
     on every bump, so an entry checked at the current clock needs no
-    further look. *shard_kinds* are the per-shard counters of a sharded
-    stack; they take part in :meth:`bump_all` and appear in snapshots.
+    further look.
     """
 
-    def __init__(self, shard_kinds: Iterable[str] = ()) -> None:
+    def __init__(self) -> None:
         self._counts: Dict[str, int] = dict.fromkeys(
-            (*STORE_KINDS, KIND_SCHEMA, *shard_kinds), 0)
+            (*STORE_KINDS, KIND_SCHEMA), 0)
         self.clock = 0
 
     def bump(self, kind: str) -> None:
@@ -141,31 +139,20 @@ class AnswerCache:
     """
 
     def __init__(self, generations: Generations,
-                 row_writes: Callable[[str], int], sharded: bool = False):
+                 row_writes: Callable[[str], int]):
         self._generations = generations
         self._row_writes = row_writes
         self._lru = CostAwareLRU(capacity=ANSWER_CAPACITY,
                                  name="serving.answers",
                                  revalidate=self._still_valid)
-        self._sharded = sharded
 
     @property
     def lru(self) -> CostAwareLRU:
         """The backing LRU (stats and tests)."""
         return self._lru
 
-    def stamp(self) -> Any:
-        """The current answer-tier generation stamp.
-
-        Unsharded: the write clock. Sharded: a
-        :class:`~repro.sharding.ShardStamp` over every counter (the
-        per-shard ones included) — entries carry a *restricted* stamp
-        naming only the kinds they depend on, and the
-        intersection-keyed comparison lets a single-shard write
-        invalidate only the entries that touched that shard.
-        """
-        if self._sharded:
-            return ShardStamp(self._generations.snapshot())
+    def stamp(self) -> int:
+        """The current answer-tier generation stamp: the write clock."""
         return self._generations.clock
 
     def read_set(self, tables: Iterable[str]) -> Tuple[Any, ...]:
@@ -198,7 +185,7 @@ class AnswerCache:
         Callers pass the stamp captured *before* answering: if a write
         raced the computation the stamp already moved on, and the next
         ``get`` drops the entry instead of serving a stale answer.
-        Unsharded callers also pass the answer's :meth:`read_set`.
+        Callers also pass the answer's :meth:`read_set`.
         """
         self._lru.put(question, answer, cost=max(1, cost), tag=tag,
                       deps=deps)
@@ -259,11 +246,11 @@ class MultiTierCache:
     """All enabled tiers plus their shared generation counters."""
 
     def __init__(self, policy: CachePolicy, generations: Generations,
-                 row_writes: Callable[[str], int], sharded: bool = False):
+                 row_writes: Callable[[str], int]):
         self.policy = policy
         self.generations = generations
         self.answers: Optional[AnswerCache] = (
-            AnswerCache(generations, row_writes, sharded=sharded)
+            AnswerCache(generations, row_writes)
             if policy.answer else None
         )
         self.plans: Optional[PlanCache] = (

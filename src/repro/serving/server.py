@@ -48,11 +48,6 @@ SCHEMA_OPS = frozenset(("create_table", "drop_table", "create_view",
                         "drop_view", "rollback"))
 
 
-def _shard_kind(index: int) -> str:
-    """The generation-counter kind for one relational shard."""
-    return "%s:shard:%d" % (KIND_RELATIONAL, index)
-
-
 class QueryServer:
     """Serve questions and writes over one built pipeline."""
 
@@ -64,16 +59,12 @@ class QueryServer:
         self._pipeline = pipeline
         self._meter: CostMeter = pipeline.meter
         self._policy = policy or CachePolicy()
-        self._shard_set = getattr(pipeline, "shard_set", None)
-        shards = (range(self._shard_set.n_shards)
-                  if self._shard_set is not None else ())
-        self._generations = Generations(map(_shard_kind, shards))
+        self._generations = Generations()
         # The real database behind any resilience proxy: reads are
         # recorded, and counters read, where the SELECTs run.
         self._db = getattr(pipeline.db, "resilient_target", pipeline.db)
         self._tiers = MultiTierCache(self._policy, self._generations,
-                                     self._db.row_writes,
-                                     sharded=self._shard_set is not None)
+                                     self._db.row_writes)
         self._tenants = tenants if tenants is not None else TenantRegistry(())
         # Which tenant the request currently on the answer path runs
         # as — instance state (one server, one request at a time), set
@@ -95,12 +86,6 @@ class QueryServer:
             lambda op: self._generations.bump(KIND_TEXT)
         )
         pipeline.add_rebuild_listener(self._generations.bump_all)
-        if self._shard_set is not None:
-            # Per-shard invalidation: relational writes bump the owning
-            # shard's counter; DDL / bulk / rollback ops (no per-row
-            # attribution) bump every shard.
-            self._shard_set.add_write_listener(self._on_shard_write)
-            pipeline.db.add_mutation_listener(self._on_relational_bulk)
         if self._tiers.plans is not None:
             pipeline.set_plan_cache(self._tiers.plans)
         if self._tiers.retrieval is not None:
@@ -145,43 +130,6 @@ class QueryServer:
             KIND_SCHEMA if op in SCHEMA_OPS else KIND_RELATIONAL)
 
     # ------------------------------------------------------------------
-    # Shard-aware invalidation
-    # ------------------------------------------------------------------
-    def _on_shard_write(self, kind: str, shard: Optional[int]) -> None:
-        if kind != KIND_RELATIONAL or shard is None:
-            return
-        self._generations.bump(_shard_kind(shard))
-
-    def _on_relational_bulk(self, op: str) -> None:
-        if op in ("create_table", "drop_table", "rollback",
-                  "load_rows", "load_dicts"):
-            for index in range(self._shard_set.n_shards):
-                self._generations.bump(_shard_kind(index))
-
-    def _begin_touch(self) -> None:
-        if self._shard_set is not None:
-            self._shard_set.reset_touched()
-
-    def _entry_tag(self, stamp: Any) -> Any:
-        """The dependency-restricted tag a fresh answer is stored under.
-
-        Unsharded, the tag is the pre-compute write clock unchanged (the
-        read set goes in the entry's deps). Sharded, it is the stamp
-        restricted to the coarse non-relational kinds plus exactly the
-        relational shards the answer read — so a write into any *other*
-        shard leaves the entry valid.
-        """
-        if self._shard_set is None:
-            return stamp
-        kinds = [KIND_DOCUMENT, KIND_TEXT]
-        kinds.extend(sorted(
-            _shard_kind(index)
-            for kind, index in self._shard_set.touched()
-            if kind == KIND_RELATIONAL
-        ))
-        return stamp.restrict(kinds)
-
-    # ------------------------------------------------------------------
     # The answer path
     # ------------------------------------------------------------------
     def _answer(self, question: str,
@@ -210,9 +158,7 @@ class QueryServer:
                 return hit
         stamp = answers.stamp() if answers is not None else None
         faults_before = self._fault_count()
-        self._begin_touch()
-        reads = (set() if answers is not None and self._shard_set is None
-                 else None)
+        reads = set() if answers is not None else None
         previous = self._active_tenant
         self._active_tenant = tenant
         self._db.record_reads(reads)
@@ -226,10 +172,8 @@ class QueryServer:
         if answers is not None and self._cacheable(
             answer, faults_before, stamp
         ):
-            answers.put(key, answer, cost=cost,
-                        tag=self._entry_tag(stamp),
-                        deps=None if reads is None
-                        else answers.read_set(reads))
+            answers.put(key, answer, cost=cost, tag=stamp,
+                        deps=answers.read_set(reads))
         return answer
 
     def _cacheable(self, answer: Answer, faults_before: int,
@@ -310,14 +254,9 @@ class QueryServer:
 
     def stats(self) -> Dict[str, Any]:
         """Cache, scheduler and admission statistics in one document."""
-        out = {
+        return {
             "cache": self._tiers.stats(),
             "scheduler": self._scheduler.stats(),
             "admission": self._admission.stats(),
             "tenants": self._tenant_section(),
         }
-        if self._shard_set is not None:
-            sharding = dict(self._shard_set.describe())
-            sharding.update(self._shard_set.stats.snapshot())
-            out["sharding"] = sharding
-        return out

@@ -47,13 +47,8 @@ class Database:
     change a result computed from those SELECTs.
     """
 
-    def __init__(self, meter: Optional[CostMeter] = None,
-                 table_factory: Optional[Callable[[TableSchema], Table]] = None):
+    def __init__(self, meter: Optional[CostMeter] = None):
         self._meter = meter if meter is not None else GLOBAL_METER
-        # Pluggable table construction: partitioned deployments inject a
-        # factory returning sharded facades; the facade must be a Table
-        # subclass sharing this database's meter.
-        self._table_factory = table_factory
         self._tables: Dict[str, Table] = {}
         self._views: Dict[str, SelectStatement] = {}
         self._snapshot: Optional[tuple] = None  # open transaction
@@ -104,10 +99,7 @@ class Database:
         """Create a table from a schema object."""
         if schema.name in self._tables or schema.name in self._views:
             raise StorageError("table %r already exists" % schema.name)
-        if self._table_factory is not None:
-            table = self._table_factory(schema)
-        else:
-            table = Table(schema, meter=self._meter)
+        table = Table(schema, meter=self._meter)
         self._tables[schema.name] = table
         self._notify_mutation("create_table")
         return table

@@ -18,9 +18,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 from ...errors import ExecutionError, PlanError
 from ...obs import span
 from ..types import sort_key
-from .expressions import (
-    Bound, Expression, column_comparison, conjuncts,
-)
+from .expressions import Bound
 from .planner import (
     AggregateNode, DistinctNode, FilterNode, HashJoinNode, IndexScanNode,
     LimitNode, NestedLoopJoinNode, PlanNode, ProjectNode, ScanNode, SortNode,
@@ -268,22 +266,15 @@ class Executor:
     def _filtered_scan(
         self, node: FilterNode,
     ) -> Tuple[List[str], Iterable[Row]]:
-        """Filter fused into its base scan, pushing the predicate down.
+        """Filter fused into its base scan.
 
         Semantically identical to scan-then-filter — same rows, order
-        and ``rows_scanned`` charges — but the table sees the filter's
-        equality conjuncts, so a partitioned table can prune to the
-        shard owning a bound entity key.
+        and ``rows_scanned`` charges.
         """
         table = self._table(node.child.table)
         columns = _layout(node.child.alias, table)
-        equals = _equality_conjuncts(
-            node.predicate, node.child.alias, table.schema.column_names()
-        )
         # The table only tests truth, so NULL (falsy) drops the row.
-        matching = table.scan_matching(
-            node.predicate.bind(columns), equals=equals
-        )
+        matching = table.scan_matching(node.predicate.bind(columns))
         return columns, (row for _, row in matching)
 
     # ------------------------------------------------------------------
@@ -436,27 +427,3 @@ class Executor:
         rows_out.sort(key=lambda r: tuple(sort_key(v) for v in r))
         return ResultSet(names, rows_out)
 
-
-def _equality_conjuncts(
-    predicate: Expression, alias: str, cols: List[str],
-) -> Optional[List[Tuple[str, Any]]]:
-    """(column, value) pairs every row matching *predicate* satisfies.
-
-    Recognizes top-level AND conjuncts of the shapes ``col = literal``
-    and ``LOWER(col) = literal`` (the shape synthesized SQL emits for
-    entity matches; shard routing canonicalizes strings to lowercase,
-    so the lowered literal routes with the raw stored value). Anything
-    else contributes no hint.
-    """
-    hints: List[Tuple[str, Any]] = []
-    for term in conjuncts(predicate):
-        hit = column_comparison(term, lowered=True)
-        if hit is None or hit[1] != "=":
-            continue
-        column, _, value = hit
-        if column.table and column.table.lower() != alias.lower():
-            continue
-        name = column.name.lower()
-        if name in cols:
-            hints.append((name, value))
-    return hints or None

@@ -222,7 +222,7 @@ class BinaryOp(Expression):
             # _cmp_values for its NULL handling and type errors.
             text = self.right.value
             if isinstance(self.left, FunctionCall):
-                column = _compared(self.left, lowered=True)
+                column = _lowered_column(self.left)
                 if column is not None:
                     return _equals_lowered(column, text, columns)
 
@@ -294,28 +294,24 @@ _FLIPPED = {"=": "=", "!=": "!=", "<>": "<>", "<": ">", "<=": ">=",
 
 
 def column_comparison(
-    expr: Expression, lowered: bool = False,
+    expr: Expression,
 ) -> Optional[Tuple[ColumnRef, str, Any]]:
     """``(column, op, value)`` for ``column <op> literal`` written
     either way round, the operator flipped so the column reads on the
-    left; None for any other shape. With *lowered*, ``LOWER(column)``
-    stands for its column."""
+    left; None for any other shape."""
     if not (isinstance(expr, BinaryOp) and expr.op in _FLIPPED):
         return None
     left, right = expr.left, expr.right
-    if isinstance(right, Literal):
-        column = _compared(left, lowered)
-        if column is not None:
-            return column, expr.op, right.value
-    if isinstance(left, Literal):
-        column = _compared(right, lowered)
-        if column is not None:
-            return column, _FLIPPED[expr.op], left.value
+    if isinstance(right, Literal) and isinstance(left, ColumnRef):
+        return left, expr.op, right.value
+    if isinstance(left, Literal) and isinstance(right, ColumnRef):
+        return right, _FLIPPED[expr.op], left.value
     return None
 
 
-def _compared(expr: Expression, lowered: bool) -> Optional[ColumnRef]:
-    if (lowered and isinstance(expr, FunctionCall)
+def _lowered_column(expr: Expression) -> Optional[ColumnRef]:
+    """The column of a ``LOWER(column)`` call, else None."""
+    if (isinstance(expr, FunctionCall)
             and expr.name.lower() == "lower" and len(expr.args) == 1):
         expr = expr.args[0]
     return expr if isinstance(expr, ColumnRef) else None

@@ -8,7 +8,7 @@ and primary-key uniqueness on every write.
 from __future__ import annotations
 
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
 )
 
 from ...errors import StorageError
@@ -155,15 +155,9 @@ class Table:
 
     def scan_matching(
         self, test: Callable[[Tuple[Any, ...]], bool],
-        equals: Optional[Iterable[Tuple[str, Any]]] = None,
     ) -> Iterator[Tuple[int, Tuple[Any, ...]]]:
-        """Filtered scan: (row_id, row) pairs where ``test(row)`` holds.
-
-        *equals* is a pushdown hint — (column, value) equality conjuncts
-        known to hold for every matching row. The heap table ignores it
-        (same rows, order and charges as scan-then-filter); partitioned
-        facades use it to prune which shards to scan.
-        """
+        """Filtered scan: (row_id, row) pairs where ``test(row)`` holds
+        (same rows, order and charges as scan-then-filter)."""
         rows = self._rows
         examined = 0
         try:

@@ -77,7 +77,7 @@ class TestCLI:
         ("--batch-size", "batch_size", 0),
         ("--session-budget", "session_budget", 0),
         ("--max-queue-depth", "max_queue_depth", 0),
-        ("--shards", "shards", 0),
+        ("--seed", "seed", -1),
         ("--cache-policy", "cache_policy", "bogus"),
         ("--faults", "faults", {"retry": {"max_attempts": "many"}}),
         ("--faults", "faults", {"backends": {"slm": {"rate": "high"}}}),
@@ -106,6 +106,12 @@ class TestCLI:
             LoadSpec.from_dict({"name": "n", "domain": "ecommerce",
                                 "asks": 1, key: value})
         assert capsys.readouterr().err == "error: %s\n" % spec_error.value
+
+    def test_shards_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["ask", "q", "--shards", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --shards 2" in capsys.readouterr().err
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

@@ -260,40 +260,6 @@ class TestLayeringRule:
         assert len(findings) == 1
         assert "no declared layer" in findings[0].message
 
-    def test_sharding_may_import_storage_and_resilience(self):
-        findings = run_rule("layering", """\
-            from repro.storage.relational.table import Table
-            from repro.resilience import work_now
-            x = (Table, work_now)
-        """, relpath="sharding/relational.py")
-        assert findings == []
-
-    def test_sharding_must_not_import_qa_or_serving(self):
-        findings = run_rule("layering", """\
-            from repro.qa import pipeline
-            from repro.serving import cache
-            x = (pipeline, cache)
-        """, relpath="sharding/shardset.py")
-        assert len(findings) == 2
-        assert "sharding must not import repro.qa" in findings[0].message
-        assert "sharding must not import repro.serving" in findings[1].message
-
-    def test_qa_and_serving_may_import_sharding(self):
-        for relpath in ("qa/pipeline.py", "serving/server.py"):
-            findings = run_rule("layering", """\
-                from repro.sharding import ShardSet
-                x = ShardSet
-            """, relpath=relpath)
-            assert findings == []
-
-    def test_lower_layers_must_not_import_sharding(self):
-        findings = run_rule("layering", """\
-            from repro.sharding import ShardRouter
-            x = ShardRouter
-        """, relpath="storage/engine.py")
-        assert len(findings) == 1
-        assert "storage must not import repro.sharding" in findings[0].message
-
 
 # ----------------------------------------------------------------------
 # mutable-default / no-print / docstrings / unused-import

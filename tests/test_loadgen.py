@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.bench.runner import StackConfig
 from repro.errors import LoadGenError
 from repro.loadgen import (
     GATES, LoadSpec, SLOSpec, bench_payload, evaluate, generate_workload,
@@ -138,20 +139,17 @@ class TestLoadSpecParsing:
         spec = LoadSpec.from_dict(dict(SPEC))
         assert LoadSpec.from_dict(spec.to_dict()) == spec
 
-    def test_shards_defaults_to_one(self):
-        spec = LoadSpec.from_dict(dict(SPEC))
-        assert spec.stack.shards == 1
-
-    def test_shards_parsed_and_echoed(self):
-        spec = LoadSpec.from_dict(dict(SPEC, shards=4))
-        assert spec.stack.shards == 4
-        assert spec.to_dict()["shards"] == 4
-
-    def test_shards_must_be_positive_integer(self):
-        with pytest.raises(LoadGenError, match="shards"):
-            LoadSpec.from_dict(dict(SPEC, shards=0))
-        with pytest.raises(LoadGenError, match="shards"):
-            LoadSpec.from_dict(dict(SPEC, shards="2"))
+    def test_shards_is_an_unknown_key(self):
+        # The stack has one store layout: a spec or stack document that
+        # still names a shard count fails loudly, whatever the count.
+        for shards in (1, 2):
+            with pytest.raises(LoadGenError,
+                               match=r"unknown spec key\(s\) \['shards'\]"):
+                LoadSpec.from_dict(dict(SPEC, shards=shards))
+            with pytest.raises(LoadGenError,
+                               match=r"unknown stack key\(s\) \['shards'\]"):
+                StackConfig.from_dict({"shards": shards})
+        assert "shards" not in LoadSpec.from_dict(dict(SPEC)).to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -487,11 +485,11 @@ class TestLoadCli:
                                                            capsys):
         from repro.cli import main
 
-        spec_path = self.write(tmp_path, "shards.json",
-                               dict(SPEC, asks=8, shards=0))
+        spec_path = self.write(tmp_path, "batch.json",
+                               dict(SPEC, asks=8, batch_size=0))
         assert main(["load", "--spec", spec_path]) == 2
         assert capsys.readouterr().err == (
-            "error: shards must be positive, got 0\n")
+            "error: batch_size must be positive, got 0\n")
         registry = {"tenants": [{"id": "x", "tier": "gold"}]}
         spec_path = self.write(tmp_path, "tenants.json",
                                dict(SPEC, asks=8, tenant_registry=registry))
@@ -525,7 +523,7 @@ class TestCommittedFaultPlansFire:
     backend draws from gates a clean run under a chaos name."""
 
     def test_every_fault_section_is_found(self):
-        assert len(_committed_specs_with("faults")) == 3
+        assert len(_committed_specs_with("faults")) == 2
 
     @pytest.mark.parametrize("data", _committed_specs_with("faults"))
     def test_its_questions_draw_faults(self, data):

@@ -62,6 +62,10 @@ class TestFaultPlan:
         ({"backends": {"database": {"rate": 0.1}}},
          "no backend 'database'"),
         ({"backends": ["slm"]}, "backends must be an object"),
+        # The stack has one store layout, so a shard is no backend.
+        ({"backends": {"shard:0": {"rate": 0.1}}}, "no backend 'shard:0'"),
+        ({"backends": {"shard:12": {"rate": 0.1}}},
+         "no backend 'shard:12'"),
     ])
     def test_config_from_dict_is_strict(self, data, message):
         with pytest.raises(ValueError) as error:
@@ -69,10 +73,9 @@ class TestFaultPlan:
         assert message in str(error.value)
 
     def test_every_guarded_backend_is_accepted(self):
-        names = FAULT_BACKENDS + ("shard:0", "shard:12")
         plan = FaultPlan.from_dict({"backends": {
-            name: {"rate": 0.1} for name in names}})
-        assert set(plan.backends) == set(names)
+            name: {"rate": 0.1} for name in FAULT_BACKENDS}})
+        assert set(plan.backends) == set(FAULT_BACKENDS)
 
 
 class TestFaultInjector:
