@@ -24,7 +24,7 @@ def main():
     print(db.explain("SELECT name FROM products WHERE pid = 2"))
     print()
     result = db.execute(
-        "SELECT name, price FROM products WHERE price BETWEEN 10 AND 25 "
+        "SELECT name, price FROM products WHERE price >= 10 AND price <= 25 "
         "ORDER BY price DESC"
     )
     print(result.pretty())
@@ -64,20 +64,13 @@ def main():
     print("Delivered orders containing sub-$15 products:", hits)
     print()
 
-    # --- Views and transactions ---------------------------------------------
-    db.execute(
-        "CREATE VIEW cheap AS SELECT name, price FROM products "
-        "WHERE price < 15"
-    )
-    print("View 'cheap':")
-    print(db.execute("SELECT * FROM cheap").pretty())
-    db.execute("BEGIN")
-    db.execute("UPDATE products SET price = 0")
-    print("inside txn, SUM(price) =",
-          db.execute("SELECT SUM(price) FROM products").scalar())
-    db.execute("ROLLBACK")
-    print("after rollback, SUM(price) = %.2f"
+    # --- Writes ------------------------------------------------------------
+    print("before the update, SUM(price) = %.2f"
           % db.execute("SELECT SUM(price) FROM products").scalar())
+    updated = db.execute("UPDATE products SET price = 12.5 WHERE pid = 3")
+    print("updated %d row(s); SUM(price) = %.2f" % (
+        updated.scalar(),
+        db.execute("SELECT SUM(price) FROM products").scalar()))
     print()
     print("Round-trip CSV of the sales table:")
     print(table_to_csv(sales))

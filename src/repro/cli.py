@@ -40,7 +40,7 @@ from typing import List, Optional
 from .bench.runner import (
     DOMAINS, StackConfig, build_stack, read_document,
 )
-from .errors import LoadGenError, PlanError, TenancyError
+from .errors import LoadGenError, TenancyError
 from .obs import Tracer, render_trace
 
 
@@ -222,21 +222,6 @@ def cmd_session(args) -> int:
 def cmd_sql(args) -> int:
     """Run raw SQL against the lake database."""
     _, pipeline = _build(args)
-    if args.explain_lint:
-        status = 0
-        try:
-            print(pipeline.db.explain(args.query))
-        except PlanError as exc:
-            print("no plan: %s" % exc)
-            status = 1
-        diagnostics = pipeline.db.analyze(args.query)
-        if not diagnostics:
-            print("\nplan lint: clean")
-            return status
-        print("\nplan lint:")
-        for diag in diagnostics:
-            print("  " + diag.render())
-        return 1 if any(d.severity == "error" for d in diagnostics) else status
     with _tracing(args, pipeline):
         result = pipeline.db.execute(args.query)
         print(result.pretty(max_rows=args.max_rows))
@@ -359,9 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sql)
     sql.add_argument("query")
     sql.add_argument("--max-rows", type=int, default=20)
-    sql.add_argument("--explain-lint", action="store_true",
-                     help="print the plan and static plan-lint "
-                          "diagnostics instead of executing")
     sql.set_defaults(func=cmd_sql)
 
     session = sub.add_parser("session", help=cmd_session.__doc__)

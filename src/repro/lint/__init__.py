@@ -5,9 +5,9 @@ enforcing the repo's invariants: determinism, the :mod:`repro.errors`
 exception taxonomy, import layering, hygiene (mutable defaults, debug
 prints, docstrings, unused imports). Run it with ``python -m
 repro.lint``; suppress a finding in place with a
-``# lint: ignore[rule-id]`` comment on the offending line. The query
-plan checkers live beside what they check, in
-:mod:`repro.storage.relational.plancheck` and :mod:`repro.qa.plan`.
+``# lint: ignore[rule-id]`` comment on the offending line. The SQL
+reference gate lives beside what it checks, in
+:mod:`repro.storage.relational.plancheck`.
 
 See ``docs/static_analysis.md`` for the rule catalogue.
 """

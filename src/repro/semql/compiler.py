@@ -17,7 +17,7 @@ from ..errors import SynthesisError
 from ..storage.relational.database import Database
 from ..storage.relational.executor import ResultSet
 from ..storage.relational.expressions import (
-    BinaryOp, ColumnRef, Expression, FunctionCall, Like, conjunction,
+    BinaryOp, ColumnRef, Expression, Like, Lower, conjunction,
 )
 from ..storage.relational.sql_parser import (
     AggregateCall, JoinClause, OrderItem, SelectItem, SelectStatement,
@@ -71,7 +71,7 @@ class QueryCompiler:
             # Case-insensitive comparison for text equality filters:
             # entity mentions were lowered during value indexing.
             return BinaryOp(
-                flt.op, FunctionCall("lower", (column,)),
+                flt.op, Lower(column),
                 literal(flt.value.lower()),
             )
         return BinaryOp(flt.op, column, self._literal(flt.value))
@@ -98,7 +98,7 @@ class QueryCompiler:
             left = self._owner(join.left_column, tables,
                                "join column %r not found among %s")
             joins.append(JoinClause(
-                "inner", TableRef(join.table.lower()), BinaryOp(
+                TableRef(join.table.lower()), BinaryOp(
                     "=", _ref(join.left_column, left),
                     _ref(join.right_column, join.table),
                 ),

@@ -66,8 +66,8 @@ class AggregateSpec:
             raise SynthesisError("unsupported aggregate %r" % self.func)
         if self.func != "count" and self.column == "*":
             raise SynthesisError("%s(*) is not valid" % self.func)
-        if self.distinct and self.column == "*":
-            raise SynthesisError("COUNT(DISTINCT *) is not valid")
+        if self.distinct and (self.func != "count" or self.column == "*"):
+            raise SynthesisError("only COUNT(DISTINCT column) is valid")
 
     def signature(self) -> Tuple:
         """Canonical comparison form."""

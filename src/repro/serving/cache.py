@@ -41,8 +41,8 @@ KIND_TEXT = "text"
 #: Every store kind a generation counter tracks.
 STORE_KINDS = (KIND_RELATIONAL, KIND_DOCUMENT, KIND_TEXT)
 
-#: The relational catalog: bumped by CREATE/DROP TABLE or VIEW, a
-#: rollback and every rebuild (which also rebuilds the value index).
+#: The relational catalog: bumped by CREATE/DROP TABLE and every
+#: rebuild (which also rebuilds the value index).
 KIND_SCHEMA = "schema"
 
 #: Dependency sets: which counters invalidate which tier. An answer

@@ -4,8 +4,8 @@ Composition root of the serving subsystem. Construction wires every
 hook the rest of the repo exposes:
 
 * store mutation listeners (relational / document / text) bump the
-  shared :class:`~.cache.Generations` counters, and relational DDL and
-  rollbacks the schema counter, so every write invalidates exactly the
+  shared :class:`~.cache.Generations` counters, and relational DDL the
+  schema counter, so every write invalidates exactly the
   cache entries that depend on what it changed;
 * a pipeline rebuild listener bumps all counters at once (a rebuilt
   index supersedes everything);
@@ -42,10 +42,8 @@ from .retrieval import CachingRetriever
 from .scheduler import BatchScheduler, ServeRequest, ServeResult
 
 
-#: Relational ops that change the catalog rather than rows, or (a
-#: rollback) restore tables without naming which rows.
-SCHEMA_OPS = frozenset(("create_table", "drop_table", "create_view",
-                        "drop_view", "rollback"))
+#: Relational ops that change the catalog rather than rows.
+SCHEMA_OPS = frozenset(("create_table", "drop_table"))
 
 
 class QueryServer:

@@ -1,17 +1,17 @@
-"""A small in-memory relational engine with a SQL subset.
+"""A small in-memory relational engine with a SQL dialect.
 
 Substrate for the paper's TableQA pipeline: generated tables are loaded
 here and the synthesized semantic operators compile to this engine's
-SQL dialect (SELECT with joins, grouping, aggregates, ordering).
+SQL dialect (SELECT with inner joins, grouping, aggregates, ordering;
+the grammar is in :mod:`.sql_parser`).
 """
 
 from .database import Database
 from .executor import Executor, ResultSet
 from .expressions import (
-    Between, BinaryOp, ColumnRef, Expression, FunctionCall, InList, IsNull,
-    Like, Literal, UnaryOp,
+    BinaryOp, ColumnRef, Expression, Like, Literal, Lower, UnaryOp,
 )
-from .index import HashIndex, SortedIndex
+from .index import HashIndex
 from .persistence import (
     database_from_json, database_to_json, table_from_dict, table_to_dict,
 )
@@ -26,9 +26,9 @@ from .table import Table
 
 __all__ = [
     "Database", "Executor", "ResultSet",
-    "Between", "BinaryOp", "ColumnRef", "Expression", "FunctionCall",
-    "InList", "IsNull", "Like", "Literal", "UnaryOp",
-    "HashIndex", "SortedIndex",
+    "BinaryOp", "ColumnRef", "Expression", "Like", "Literal", "Lower",
+    "UnaryOp",
+    "HashIndex",
     "database_from_json", "database_to_json", "table_from_dict",
     "table_to_dict",
     "Planner", "PlanNode",

@@ -12,20 +12,19 @@ Ties catalog, parser, planner and executor together:
 from __future__ import annotations
 
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Set,
 )
 
 from ...errors import ExecutionError, PlanError, SchemaError, StorageError
 from ...metering import CostMeter, GLOBAL_METER, ROWS_SCANNED
 from ...obs import span
 from .executor import Executor, ResultSet
-from .plancheck import check_references, check_select
+from .plancheck import check_references
 from .planner import Planner, PlanNode
 from .schema import TableSchema
 from .sql_parser import (
-    CreateTableStatement, CreateViewStatement, DeleteStatement,
-    DropTableStatement, DropViewStatement, InsertStatement,
-    SelectStatement, TransactionStatement, UpdateStatement, parse,
+    CreateTableStatement, DeleteStatement, DropTableStatement,
+    InsertStatement, SelectStatement, UpdateStatement, parse,
 )
 from .table import Table
 
@@ -35,11 +34,8 @@ class Database:
 
     Every SELECT — executed, planned or explained — goes through one
     preparation step (:meth:`_prepare`): its references are resolved
-    against the tables and views it reads, and an unknown column raises
-    :class:`~...errors.PlanError` before planning, the one static
-    finding that is always a bug rather than a possibly-intentional
-    empty result. The advisory findings of :mod:`.plancheck` are
-    :meth:`analyze`'s alone.
+    against the tables it reads, and an unknown column raises
+    :class:`~...errors.PlanError` before planning.
 
     Every table has a monotone row-write counter (:meth:`row_writes`),
     and a caller may record which tables its SELECTs read
@@ -50,11 +46,7 @@ class Database:
     def __init__(self, meter: Optional[CostMeter] = None):
         self._meter = meter if meter is not None else GLOBAL_METER
         self._tables: Dict[str, Table] = {}
-        self._views: Dict[str, SelectStatement] = {}
-        self._snapshot: Optional[tuple] = None  # open transaction
         self._mutation_listeners: List[Any] = []
-        # Outside the transaction snapshot: a rollback never moves a
-        # counter back.
         self._row_writes: Dict[str, int] = {}
         self._reads: Optional[Set[str]] = None
 
@@ -81,15 +73,12 @@ class Database:
 
     def row_writes(self, table: str) -> int:
         """How many row-writing statements and bulk loads have changed
-        *table* (monotone; a rollback or a drop never lowers it)."""
+        *table* (monotone; a drop never lowers it)."""
         return self._row_writes.get(table, 0)
 
     def record_reads(self, sink: Optional[Set[str]]) -> None:
         """Add the name of every table each later SELECT reads to
-        *sink*, until the next call; ``None`` stops recording.
-
-        A SELECT over a view counts as reading every table.
-        """
+        *sink*, until the next call; ``None`` stops recording."""
         self._reads = sink
 
     # ------------------------------------------------------------------
@@ -97,7 +86,7 @@ class Database:
     # ------------------------------------------------------------------
     def create_table(self, schema: TableSchema) -> Table:
         """Create a table from a schema object."""
-        if schema.name in self._tables or schema.name in self._views:
+        if schema.name in self._tables:
             raise StorageError("table %r already exists" % schema.name)
         table = Table(schema, meter=self._meter)
         self._tables[schema.name] = table
@@ -128,10 +117,9 @@ class Database:
         """True when *name* exists in the catalog."""
         return name.lower() in self._tables
 
-    def create_index(self, table: str, column: str,
-                     kind: str = "hash") -> None:
-        """Build a secondary index on *table.column*."""
-        self.table(table).create_index(column, kind=kind)
+    def create_index(self, table: str, column: str) -> None:
+        """Build a secondary hash index on *table.column*."""
+        self.table(table).create_index(column)
 
     # ------------------------------------------------------------------
     # Statements
@@ -141,9 +129,9 @@ class Database:
         object (what :func:`~.sql_parser.parse` returns), which skips
         the lexer and parser.
 
-        SELECT returns its rows; CREATE/INSERT return small status
-        results ("ok" / rows inserted) so callers can treat everything
-        uniformly.
+        SELECT returns its rows; the other statements return small
+        status results ("ok" / rows inserted, updated or deleted) so
+        callers can treat everything uniformly.
         """
         stmt = parse(sql) if isinstance(sql, str) else sql
         with span("sql.execute", kind=type(stmt).__name__) as sp:
@@ -171,82 +159,7 @@ class Database:
         if isinstance(stmt, DropTableStatement):
             self.drop_table(stmt.table)
             return ResultSet(["status"], [("ok",)])
-        if isinstance(stmt, CreateViewStatement):
-            self.create_view(stmt.name, stmt.select)
-            return ResultSet(["status"], [("ok",)])
-        if isinstance(stmt, DropViewStatement):
-            self.drop_view(stmt.name)
-            return ResultSet(["status"], [("ok",)])
-        if isinstance(stmt, TransactionStatement):
-            getattr(self, stmt.action)()
-            return ResultSet(["status"], [(stmt.action,)])
         raise PlanError("unsupported statement type %r" % type(stmt).__name__)
-
-    # ------------------------------------------------------------------
-    # Views
-    # ------------------------------------------------------------------
-    def create_view(self, name: str, select: SelectStatement) -> None:
-        """Register *name* as a view over a stored SELECT."""
-        name = name.lower()
-        if name in self._tables or name in self._views:
-            raise StorageError("name %r already exists" % name)
-        # Validate eagerly: the SELECT must run against current state.
-        self._run_select(select)
-        self._views[name] = select
-        self._notify_mutation("create_view")
-
-    def drop_view(self, name: str) -> None:
-        """Remove a view definition."""
-        if self._views.pop(name.lower(), None) is None:
-            raise StorageError("no view %r" % name)
-        self._notify_mutation("drop_view")
-
-    def _materialize_view(self, name: str) -> Table:
-        from ..types import infer_value_type, unify_types
-        from .schema import Column
-
-        result = self._run_select(self._views[name])
-        columns = []
-        for i, raw_name in enumerate(result.columns):
-            col_name = "".join(
-                ch if ch.isalnum() or ch == "_" else "_"
-                for ch in raw_name.lower()
-            ) or "c_%d" % i
-            if col_name[0].isdigit():
-                col_name = "c_" + col_name
-            values = [row[i] for row in result.rows if row[i] is not None]
-            dtype = unify_types(infer_value_type(v) for v in values)
-            columns.append(Column(col_name, dtype))
-        table = Table(TableSchema(name, columns), meter=self._meter)
-        for row in result.rows:
-            table.insert(row)
-        return table
-
-    # ------------------------------------------------------------------
-    # Transactions (snapshot-based, single level)
-    # ------------------------------------------------------------------
-    def begin(self) -> None:
-        """Open a transaction (snapshot of all tables and views)."""
-        if self._snapshot is not None:
-            raise StorageError("a transaction is already open")
-        self._snapshot = (
-            {name: table.clone() for name, table in self._tables.items()},
-            dict(self._views),
-        )
-
-    def commit(self) -> None:
-        """Make the open transaction's changes permanent."""
-        if self._snapshot is None:
-            raise StorageError("no open transaction to commit")
-        self._snapshot = None
-
-    def rollback(self) -> None:
-        """Discard all changes since :meth:`begin`."""
-        if self._snapshot is None:
-            raise StorageError("no open transaction to roll back")
-        self._tables, self._views = self._snapshot
-        self._snapshot = None
-        self._notify_mutation("rollback")
 
     def plan(self, sql: str) -> PlanNode:
         """The plan :meth:`execute` would run for a SELECT, behind the
@@ -254,66 +167,38 @@ class Database:
         stmt = parse(sql)
         if not isinstance(stmt, SelectStatement):
             raise PlanError("only SELECT statements can be planned")
-        return self._prepare(stmt)[0]
+        return self._prepare(stmt)
 
     def explain(self, sql: str) -> str:
         """EXPLAIN-style plan rendering."""
         return self.plan(sql).explain()
 
-    def analyze(self, sql: str) -> list:
-        """Statically lint a SELECT without executing it.
-
-        Returns the plan-checker's
-        :class:`~.plancheck.PlanDiagnostic` list (empty when clean);
-        never raises for semantic problems — that is the caller's
-        policy decision.
-        """
-        stmt = parse(sql)
-        if not isinstance(stmt, SelectStatement):
-            raise PlanError("only SELECT statements can be analyzed")
-        return check_select(stmt, _schemas(self._resolve_tables(stmt)))
-
     def _run_select(self, stmt: SelectStatement) -> ResultSet:
-        plan, tables = self._prepare(stmt)
-        return Executor(tables).execute(plan)
+        return Executor(self._tables).execute(self._prepare(stmt))
 
-    def _prepare(
-        self, stmt: SelectStatement,
-    ) -> Tuple[PlanNode, Dict[str, Table]]:
-        """Validate the tables, resolve views, gate, plan: the one
-        preparation :meth:`execute`, :meth:`plan` and :meth:`explain`
-        share. Returns the plan and the tables it runs over."""
+    def _prepare(self, stmt: SelectStatement) -> PlanNode:
+        """Validate the tables, gate, plan: the one preparation
+        :meth:`execute`, :meth:`plan` and :meth:`explain` share."""
         self._validate_select(stmt)
-        tables = self._resolve_tables(stmt)
         if self._reads is not None:
             self._record_reads(stmt)
         unknown = [
-            diag for diag in check_references(stmt, _schemas(tables))
+            diag for diag in check_references(stmt, _schemas(self._tables))
             if diag.code == "unknown-column"
         ]
         if unknown:
             raise PlanError("; ".join(d.render() for d in unknown))
-        return Planner(tables).plan(stmt), tables
-
-    def _resolve_tables(self, stmt: SelectStatement) -> Dict[str, Table]:
-        """Base tables plus materialized views referenced by *stmt*."""
-        mapping = dict(self._tables)
-        for ref in [stmt.table] + [j.table for j in stmt.joins]:
-            if ref.name not in mapping and ref.name in self._views:
-                mapping[ref.name] = self._materialize_view(ref.name)
-        return mapping
+        return Planner(self._tables).plan(stmt)
 
     def _record_reads(self, stmt: SelectStatement) -> None:
-        names = [stmt.table.name] + [j.table.name for j in stmt.joins]
-        if any(name in self._views for name in names):
-            self._reads.update(self._tables)
-        else:
-            self._reads.update(names)
+        self._reads.update(
+            [stmt.table.name] + [j.table.name for j in stmt.joins]
+        )
 
     def _validate_select(self, stmt: SelectStatement) -> None:
         refs = [stmt.table] + [j.table for j in stmt.joins]
         for ref in refs:
-            if ref.name not in self._tables and ref.name not in self._views:
+            if ref.name not in self._tables:
                 raise ExecutionError("unknown table %r" % ref.name)
 
     def _run_insert(self, stmt: InsertStatement) -> int:
@@ -341,8 +226,8 @@ class Database:
         columns = schema.column_names()
         where = None if stmt.where is None else stmt.where.bind(columns)
         assignments = [
-            (schema.index_of(column), expr.bind(columns))
-            for column, expr in stmt.assignments
+            (schema.index_of(column), value)
+            for column, value in stmt.assignments
         ]
         count = 0
         for row_id, row in list(table.scan()):
@@ -350,7 +235,7 @@ class Database:
                 continue
             new_row = list(row)
             for pos, value in assignments:
-                new_row[pos] = value(row)
+                new_row[pos] = value
             table.update(row_id, new_row, coerce=True)
             count += 1
         if count:

@@ -20,7 +20,7 @@ from ...obs import span
 from ..types import sort_key
 from .expressions import Bound
 from .planner import (
-    AggregateNode, DistinctNode, FilterNode, HashJoinNode, IndexScanNode,
+    AggregateNode, FilterNode, HashJoinNode, IndexScanNode,
     LimitNode, NestedLoopJoinNode, PlanNode, ProjectNode, ScanNode, SortNode,
 )
 from .sql_parser import AggregateCall
@@ -136,21 +136,8 @@ class _Aggregator:
 
     def result(self) -> Any:
         func = self._call.func
-        if self._call.distinct:
-            if func == "count":
-                return len(self._distinct)
-            values = sorted(self._distinct, key=sort_key)
-            if not values:
-                return None
-            if func == "sum":
-                return sum(values)
-            if func == "avg":
-                return sum(values) / len(values)
-            if func == "min":
-                return values[0]
-            if func == "max":
-                return values[-1]
-            raise PlanError("unknown aggregate %r" % func)
+        if self._call.distinct:  # only COUNT(DISTINCT col) parses
+            return len(self._distinct)
         if func == "count":
             return self._count
         if self._count == 0:
@@ -171,23 +158,18 @@ class _Aggregator:
 
 
 def _nested_loop(left_rows: Iterable[Row], right_rows: Iterable[Row],
-                 condition: Bound, padding: Optional[Row]) -> Iterator[Row]:
+                 condition: Bound) -> Iterator[Row]:
     right_rows = list(right_rows)
     for left in left_rows:
-        matched = False
         for right in right_rows:
             combined = left + right
             if condition(combined):
-                matched = True
                 yield combined
-        if padding is not None and not matched:
-            yield left + padding
 
 
 def _hash_join(left_rows: Iterable[Row], right_rows: Iterable[Row],
                left_key: Bound, right_key: Bound,
-               residual: Optional[Bound],
-               padding: Optional[Row]) -> Iterator[Row]:
+               residual: Optional[Bound]) -> Iterator[Row]:
     build: Dict[Any, List[Row]] = {}
     for right in list(right_rows):
         key = right_key(right)
@@ -195,15 +177,11 @@ def _hash_join(left_rows: Iterable[Row], right_rows: Iterable[Row],
             build.setdefault(key, []).append(right)
     for left in left_rows:
         key = left_key(left)
-        matched = False
         if key is not None:
             for right in build.get(key, ()):
                 combined = left + right
                 if residual is None or residual(combined):
-                    matched = True
                     yield combined
-        if padding is not None and not matched:
-            yield left + padding
 
 
 def _layout(alias: str, table: Table) -> List[str]:
@@ -246,20 +224,15 @@ class Executor:
             left_columns, left_rows = self._open(node.left)
             right_columns, right_rows = self._open(node.right)
             columns = left_columns + right_columns
-            # LEFT JOIN pads an unmatched left row with the right
-            # layout's width of NULLs, whether or not the right has rows.
-            padding = ((None,) * len(right_columns)
-                       if node.kind == "left" else None)
             if isinstance(node, NestedLoopJoinNode):
                 return columns, _nested_loop(
                     left_rows, right_rows, node.condition.bind(columns),
-                    padding,
                 )
             residual = (None if node.residual is None
                         else node.residual.bind(columns))
             return columns, _hash_join(
                 left_rows, right_rows, node.left_key.bind(left_columns),
-                node.right_key.bind(right_columns), residual, padding,
+                node.right_key.bind(right_columns), residual,
             )
         raise PlanError("cannot iterate node %r" % node.label())
 
@@ -292,9 +265,7 @@ class Executor:
     def _execute_node(self, node: PlanNode) -> ResultSet:
         if isinstance(node, LimitNode):
             inner = self.execute(node.child)
-            start = node.offset
-            end = None if node.limit is None else start + node.limit
-            return ResultSet(inner.columns, inner.rows[start:end])
+            return ResultSet(inner.columns, inner.rows[:node.limit])
         if isinstance(node, SortNode):
             child = node.child
             if isinstance(child, ProjectNode) and not child.star:
@@ -305,16 +276,6 @@ class Executor:
                 result.columns,
                 self._sort(node.order_by, result.columns, result.rows),
             )
-        if isinstance(node, DistinctNode):
-            inner = self.execute(node.child)
-            seen = set()
-            rows = []
-            for row in inner.rows:
-                key = tuple(sort_key(v) for v in row)
-                if key not in seen:
-                    seen.add(key)
-                    rows.append(row)
-            return ResultSet(inner.columns, rows)
         if isinstance(node, ProjectNode):
             return self._project(node)
         if isinstance(node, AggregateNode):

@@ -1,12 +1,11 @@
-"""Expression AST and evaluator for the SQL subset.
+"""Expression AST and evaluator for the SQL dialect of :mod:`.sql_parser`.
 
 An expression is *bound* once per statement against a column layout —
 the ordered column names (optionally qualified, "table.column") of the
 row tuples it will see — which resolves every column reference to a
 tuple position and returns a closure that is then called per row. NULL
-semantics follow SQL pragmatically: NULL propagates through arithmetic
-and comparisons, and a NULL predicate result (falsy) filters the row
-out.
+semantics follow SQL pragmatically: NULL propagates through comparisons,
+and a NULL predicate result (falsy) filters the row out.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import re
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import (
-    Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
+    Any, Callable, List, Optional, Sequence, Tuple,
 )
 
 from ...errors import ExecutionError, PlanError
@@ -40,16 +39,11 @@ class Expression:
         """Resolve column references against the layout *columns* and
         return the closure computing this expression from a row tuple.
 
-        Binding never raises: an unresolvable reference, unknown
-        function or operator binds to a closure raising the typed
+        Binding never raises: an unresolvable reference or unknown
+        operator binds to a closure raising the typed
         error on its first call.
         """
         raise NotImplementedError
-
-    def evaluate(self, row: Mapping[str, Any]) -> Any:
-        """One-shot convenience: bind to *row*'s keys, apply to its
-        values. Per-row callers bind once instead."""
-        return self.bind(tuple(row))(tuple(row.values()))
 
     def columns(self) -> List[str]:
         """All column names referenced (for validation and planning)."""
@@ -130,14 +124,6 @@ class ColumnRef(Expression):
         return self.qualified
 
 
-def _null_if_any_none(fn: Callable) -> Callable:
-    def wrapped(a, b):
-        if a is None or b is None:
-            return None
-        return fn(a, b)
-    return wrapped
-
-
 def _cmp_values(a: Any, b: Any) -> Optional[int]:
     if a is None or b is None:
         return None
@@ -156,16 +142,6 @@ def _cmp_values(a: Any, b: Any) -> Optional[int]:
     )
 
 
-_BINOPS: Dict[str, Callable] = {
-    "+": _null_if_any_none(lambda a, b: a + b),
-    "-": _null_if_any_none(lambda a, b: a - b),
-    "*": _null_if_any_none(lambda a, b: a * b),
-    "/": _null_if_any_none(
-        lambda a, b: (a / b) if b != 0 else None
-    ),
-    "%": _null_if_any_none(lambda a, b: (a % b) if b != 0 else None),
-}
-
 _COMPARISONS = {
     "=": lambda c: c == 0,
     "!=": lambda c: c != 0,
@@ -179,7 +155,7 @@ _COMPARISONS = {
 
 @dataclass(frozen=True)
 class BinaryOp(Expression):
-    """Arithmetic, comparison, or boolean connective."""
+    """A comparison, or the AND of two predicates."""
 
     op: str
     left: Expression
@@ -200,31 +176,14 @@ class BinaryOp(Expression):
                     return None
                 return bool(lhs) and bool(rhs)
             return conjunction
-        if op == "OR":
-            def disjunction(row):
-                lhs = left(row)
-                if lhs is True:
-                    return True
-                rhs = right(row)
-                if rhs is True:
-                    return True
-                if lhs is None or rhs is None:
-                    return None
-                return bool(lhs) or bool(rhs)
-            return disjunction
-        if op in _BINOPS:
-            apply = _BINOPS[op]
-            return lambda row: apply(left(row), right(row))
         if (op == "=" and isinstance(self.right, Literal)
                 and type(self.right.value) is str):
             # The entity-match shape (col / LOWER(col) = 'text'): two
             # strings compare directly; anything else goes through
             # _cmp_values for its NULL handling and type errors.
             text = self.right.value
-            if isinstance(self.left, FunctionCall):
-                column = _lowered_column(self.left)
-                if column is not None:
-                    return _equals_lowered(column, text, columns)
+            if isinstance(self.left, Lower):
+                return _equals_lowered(self.left.column, text, columns)
 
             def equals_text(row):
                 value = left(row)
@@ -252,7 +211,7 @@ class BinaryOp(Expression):
 def _equals_lowered(column: ColumnRef, text: str,
                     columns: Sequence[str]) -> Bound:
     """``LOWER(column) = 'text'`` in one closure: what the generic
-    ``FunctionCall`` and ``equals_text`` pair computes — a cell's
+    :class:`Lower` and comparison pair computes — a cell's
     ``str`` form lowered and compared, NULL for a NULL cell."""
     try:
         pos = column.position(columns)
@@ -309,30 +268,17 @@ def column_comparison(
     return None
 
 
-def _lowered_column(expr: Expression) -> Optional[ColumnRef]:
-    """The column of a ``LOWER(column)`` call, else None."""
-    if (isinstance(expr, FunctionCall)
-            and expr.name.lower() == "lower" and len(expr.args) == 1):
-        expr = expr.args[0]
-    return expr if isinstance(expr, ColumnRef) else None
-
-
 @dataclass(frozen=True)
 class UnaryOp(Expression):
-    """NOT or arithmetic negation."""
+    """The sign of a negative numeric literal: ``-5`` reads as ``-``
+    applied to ``5``."""
 
     op: str
     operand: Expression
 
     def bind(self, columns: Sequence[str]) -> Bound:
         operand = self.operand.bind(columns)
-        op = self.op.upper()
-        if op == "NOT":
-            def negation(row):
-                value = operand(row)
-                return None if value is None else not bool(value)
-            return negation
-        if op == "-":
+        if self.op == "-":
             def minus(row):
                 value = operand(row)
                 return None if value is None else -value
@@ -347,75 +293,11 @@ class UnaryOp(Expression):
 
 
 @dataclass(frozen=True)
-class IsNull(Expression):
-    """``expr IS [NOT] NULL``."""
-
-    operand: Expression
-    negated: bool = False
-
-    def bind(self, columns: Sequence[str]) -> Bound:
-        operand = self.operand.bind(columns)
-        if self.negated:
-            return lambda row: operand(row) is not None
-        return lambda row: operand(row) is None
-
-    def columns(self) -> List[str]:
-        return self.operand.columns()
-
-    def sql(self) -> str:
-        return "(%s IS %sNULL)" % (
-            self.operand.sql(), "NOT " if self.negated else ""
-        )
-
-
-@dataclass(frozen=True)
-class InList(Expression):
-    """``expr [NOT] IN (v1, v2, ...)``."""
-
-    operand: Expression
-    options: Tuple[Expression, ...]
-    negated: bool = False
-
-    def bind(self, columns: Sequence[str]) -> Bound:
-        operand = self.operand.bind(columns)
-        options = [opt.bind(columns) for opt in self.options]
-        negated = self.negated
-
-        def membership(row):
-            value = operand(row)
-            if value is None:
-                return None
-            found = False
-            for option in options:
-                candidate = option(row)
-                if (candidate is not None
-                        and _cmp_values(value, candidate) == 0):
-                    found = True
-                    break
-            return (not found) if negated else found
-        return membership
-
-    def columns(self) -> List[str]:
-        cols = self.operand.columns()
-        for opt in self.options:
-            cols.extend(opt.columns())
-        return cols
-
-    def sql(self) -> str:
-        return "(%s %sIN (%s))" % (
-            self.operand.sql(),
-            "NOT " if self.negated else "",
-            ", ".join(o.sql() for o in self.options),
-        )
-
-
-@dataclass(frozen=True)
 class Like(Expression):
-    """``expr [NOT] LIKE pattern`` with % and _ wildcards."""
+    """``expr LIKE pattern`` with % and _ wildcards, case-insensitive."""
 
     operand: Expression
     pattern: str
-    negated: bool = False
 
     def _regex(self) -> "re.Pattern":
         out = []
@@ -431,110 +313,40 @@ class Like(Expression):
     def bind(self, columns: Sequence[str]) -> Bound:
         operand = self.operand.bind(columns)
         match = self._regex().match
-        negated = self.negated
 
         def like(row):
             value = operand(row)
             if value is None:
                 return None
-            matched = bool(match(str(value)))
-            return (not matched) if negated else matched
+            return bool(match(str(value)))
         return like
 
     def columns(self) -> List[str]:
         return self.operand.columns()
 
     def sql(self) -> str:
-        return "(%s %sLIKE %s)" % (
-            self.operand.sql(), "NOT " if self.negated else "",
-            Literal(self.pattern).sql(),
+        return "(%s LIKE %s)" % (
+            self.operand.sql(), Literal(self.pattern).sql(),
         )
 
 
 @dataclass(frozen=True)
-class Between(Expression):
-    """``expr BETWEEN low AND high`` (inclusive)."""
+class Lower(Expression):
+    """``LOWER(column)``: the cell's text form lower-cased; NULL stays
+    NULL."""
 
-    operand: Expression
-    low: Expression
-    high: Expression
-
-    def bind(self, columns: Sequence[str]) -> Bound:
-        operand = self.operand.bind(columns)
-        low, high = self.low.bind(columns), self.high.bind(columns)
-
-        def between(row):
-            value = operand(row)
-            lo = low(row)
-            hi = high(row)
-            c1 = _cmp_values(value, lo)
-            c2 = _cmp_values(value, hi)
-            if c1 is None or c2 is None:
-                return None
-            return c1 >= 0 and c2 <= 0
-        return between
-
-    def columns(self) -> List[str]:
-        return (self.operand.columns() + self.low.columns()
-                + self.high.columns())
-
-    def sql(self) -> str:
-        return "(%s BETWEEN %s AND %s)" % (
-            self.operand.sql(), self.low.sql(), self.high.sql()
-        )
-
-
-_SCALAR_FUNCS: Dict[str, Callable] = {
-    "upper": lambda v: None if v is None else str(v).upper(),
-    "lower": lambda v: None if v is None else str(v).lower(),
-    "length": lambda v: None if v is None else len(str(v)),
-    "abs": lambda v: None if v is None else abs(v),
-    "round": lambda v, d=0: None if v is None else round(v, int(d)),
-    "trim": lambda v: None if v is None else str(v).strip(),
-    "year": lambda v: None if v is None else v.year,
-    "month": lambda v: None if v is None else v.month,
-}
-
-
-@dataclass(frozen=True)
-class FunctionCall(Expression):
-    """Scalar function call (UPPER, LOWER, LENGTH, ABS, ROUND, ...)."""
-
-    name: str
-    args: Tuple[Expression, ...]
+    column: ColumnRef
 
     def bind(self, columns: Sequence[str]) -> Bound:
-        name = self.name
-        args = [arg.bind(columns) for arg in self.args]
-        fn = _SCALAR_FUNCS.get(name.lower())
-        if fn is None:
-            if name.lower() != "coalesce":
-                return _raises(PlanError, "unknown function %r" % name)
+        value = self.column.bind(columns)
 
-            def coalesce(row):
-                for arg in args:
-                    value = arg(row)
-                    if value is not None:
-                        return value
-                return None
-            return coalesce
-
-        def call(row):
-            try:
-                return fn(*[arg(row) for arg in args])
-            except TypeError as exc:
-                raise ExecutionError(
-                    "bad arguments for %s(): %s" % (name, exc)
-                ) from exc
-        return call
+        def lower(row):
+            cell = value(row)
+            return None if cell is None else str(cell).lower()
+        return lower
 
     def columns(self) -> List[str]:
-        cols: List[str] = []
-        for arg in self.args:
-            cols.extend(arg.columns())
-        return cols
+        return self.column.columns()
 
     def sql(self) -> str:
-        return "%s(%s)" % (
-            self.name.upper(), ", ".join(a.sql() for a in self.args)
-        )
+        return "LOWER(%s)" % self.column.sql()

@@ -8,6 +8,9 @@ The planner performs the classic rewrites a small engine needs:
   plain selects a Project;
 * ordering — ORDER BY/LIMIT become Sort and Limit nodes at the top.
 
+Every join is an inner join, so a single-table conjunct of WHERE may
+filter either side below it.
+
 Plan nodes are data; execution lives in :mod:`.executor`.
 """
 
@@ -22,7 +25,6 @@ from .expressions import (
     BinaryOp, ColumnRef, Expression, column_comparison, conjunction,
     conjuncts,
 )
-from .index import HashIndex
 from .sql_parser import OrderItem, SelectItem, SelectStatement
 from .table import Table
 
@@ -88,9 +90,8 @@ class FilterNode(PlanNode):
 
 @dataclass
 class NestedLoopJoinNode(PlanNode):
-    """General join on an arbitrary condition."""
+    """Inner join on an arbitrary condition."""
 
-    kind: str  # 'inner' or 'left'
     condition: Expression
     left: PlanNode
     right: PlanNode
@@ -99,14 +100,13 @@ class NestedLoopJoinNode(PlanNode):
         return [self.left, self.right]
 
     def label(self) -> str:
-        return "NestedLoopJoin[%s](%s)" % (self.kind, self.condition.sql())
+        return "NestedLoopJoin(%s)" % self.condition.sql()
 
 
 @dataclass
 class HashJoinNode(PlanNode):
-    """Equi-join using a build/probe hash table."""
+    """Inner equi-join using a build/probe hash table."""
 
-    kind: str
     left_key: ColumnRef
     right_key: ColumnRef
     left: PlanNode
@@ -117,8 +117,8 @@ class HashJoinNode(PlanNode):
         return [self.left, self.right]
 
     def label(self) -> str:
-        text = "HashJoin[%s](%s = %s)" % (
-            self.kind, self.left_key.sql(), self.right_key.sql()
+        text = "HashJoin(%s = %s)" % (
+            self.left_key.sql(), self.right_key.sql()
         )
         if self.residual is not None:
             text += " residual=%s" % self.residual.sql()
@@ -181,30 +181,16 @@ class SortNode(PlanNode):
 
 @dataclass
 class LimitNode(PlanNode):
-    """LIMIT/OFFSET."""
+    """LIMIT."""
 
-    limit: Optional[int]
-    offset: int
+    limit: int
     child: PlanNode
 
     def children(self) -> List[PlanNode]:
         return [self.child]
 
     def label(self) -> str:
-        return "Limit(%s, offset=%d)" % (self.limit, self.offset)
-
-
-@dataclass
-class DistinctNode(PlanNode):
-    """Duplicate elimination over the projected rows."""
-
-    child: PlanNode
-
-    def children(self) -> List[PlanNode]:
-        return [self.child]
-
-    def label(self) -> str:
-        return "Distinct"
+        return "Limit(%d)" % self.limit
 
 
 def _equi_join_keys(
@@ -232,10 +218,9 @@ def _equi_join_keys(
 class Planner:
     """Build a :class:`PlanNode` tree from a :class:`SelectStatement`.
 
-    *tables* maps every table name the statement reads — base tables
-    and materialised views alike — to its :class:`~.table.Table`: hash
-    indexes pick index scans, and column names attribute predicates
-    for pushdown through joins.
+    *tables* maps every table name the statement reads to its
+    :class:`~.table.Table`: indexed columns pick index scans, and column
+    names attribute predicates for pushdown through joins.
     """
 
     def __init__(self, tables: Dict[str, Table]):
@@ -258,12 +243,10 @@ class Planner:
             if stmt.having is not None:
                 raise PlanError("HAVING requires GROUP BY or aggregates")
             node = ProjectNode(stmt.items, node, star=stmt.star)
-        if stmt.distinct:
-            node = DistinctNode(node)
         if stmt.order_by:
             node = SortNode(stmt.order_by, node)
-        if stmt.limit is not None or stmt.offset:
-            node = LimitNode(stmt.limit, stmt.offset, node)
+        if stmt.limit is not None:
+            node = LimitNode(stmt.limit, node)
         return node
 
     # ------------------------------------------------------------------
@@ -286,13 +269,11 @@ class Planner:
             if keys is not None:
                 left_key, right_key, residual = keys
                 base = HashJoinNode(
-                    join.kind, left_key, right_key, base, right,
+                    left_key, right_key, base, right,
                     residual=conjunction(residual),
                 )
             else:
-                base = NestedLoopJoinNode(
-                    join.kind, join.condition, base, right
-                )
+                base = NestedLoopJoinNode(join.condition, base, right)
             aliases.append(join.table.effective_name)
         return base
 
@@ -317,7 +298,7 @@ class Planner:
                 col, _, value = probe
                 if col.table not in (None, node.alias):
                     continue
-                if isinstance(table.index_on(col.name), HashIndex):
+                if table.index_on(col.name) is not None:
                     new_node: PlanNode = IndexScanNode(
                         node.table, node.alias, col.name, value
                     )
@@ -369,21 +350,14 @@ class Planner:
                 if pushed:
                     return FilterNode(conjunction(pushed), plan)
                 return plan
-            if isinstance(plan, HashJoinNode):
+            if isinstance(plan, (HashJoinNode, NestedLoopJoinNode)):
                 plan.left = rewrite(plan.left)
-                if plan.kind == "inner":
-                    plan.right = rewrite(plan.right)
-                return plan
-            if isinstance(plan, NestedLoopJoinNode):
-                plan.left = rewrite(plan.left)
-                if plan.kind == "inner":
-                    plan.right = rewrite(plan.right)
-                return plan
+                plan.right = rewrite(plan.right)
             return plan
 
         node = rewrite(node)
-        # Anything not placed (e.g. right side of a LEFT join, where
-        # pushdown would change semantics) stays above the join.
+        # Anything not placed (a qualifier naming no table in FROM/JOIN)
+        # stays above the joins.
         for leftovers in by_alias.values():
             remaining.extend(leftovers)
         return node, remaining

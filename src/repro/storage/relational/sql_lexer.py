@@ -1,4 +1,4 @@
-"""Tokenizer for the SQL subset."""
+"""Tokenizer for the SQL dialect of :mod:`.sql_parser`."""
 
 from __future__ import annotations
 
@@ -9,12 +9,14 @@ from ...errors import SQLSyntaxError
 
 KEYWORDS = frozenset(
     """
-    select distinct from where group by having order limit offset as and
-    or not in is null like between join inner left right outer on create
-    table primary key insert into values int integer float real text
-    varchar bool boolean date true false asc desc count sum avg min max
-    update set delete drop view begin commit rollback transaction
+    select distinct from where group by having order limit as and not
+    null like join inner on create table primary key insert into values
+    int integer float real text varchar bool boolean date true false asc
+    desc count sum avg min max update set delete drop
     """.split()
+    # Reserved outside the dialect, so that a clause the engine does not
+    # run fails at its first word instead of reading as an alias.
+    + "or in is between left right outer".split()
 )
 
 # Token kinds
@@ -27,7 +29,7 @@ PUNCT = "PUNCT"
 EOF = "EOF"
 
 _TWO_CHAR_OPS = ("<=", ">=", "<>", "!=")
-_ONE_CHAR_OPS = "=<>+-*/%"
+_ONE_CHAR_OPS = "=<>-*"
 _PUNCT = "(),.;"
 
 
@@ -38,11 +40,6 @@ class SQLToken:
     kind: str
     text: str
     position: int
-
-    @property
-    def upper(self) -> str:
-        """Upper-cased token text (for keyword comparison)."""
-        return self.text.upper()
 
 
 def lex(sql: str) -> List[SQLToken]:

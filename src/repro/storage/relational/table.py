@@ -13,22 +13,22 @@ from typing import (
 
 from ...errors import StorageError
 from ...metering import ROWS_SCANNED, CostMeter, GLOBAL_METER
-from .index import HashIndex, make_index
+from .index import HashIndex
 from .schema import TableSchema
 
 
 class Table:
-    """A heap of schema-validated rows with optional secondary indexes."""
+    """A heap of schema-validated rows with optional hash indexes."""
 
     def __init__(self, schema: TableSchema,
                  meter: Optional[CostMeter] = None):
         self.schema = schema
         self._rows: Dict[int, Tuple[Any, ...]] = {}
         self._next_id = 0
-        self._indexes: Dict[str, Any] = {}
+        self._indexes: Dict[str, HashIndex] = {}
         self._meter = meter if meter is not None else GLOBAL_METER
         if schema.primary_key is not None:
-            self.create_index(schema.primary_key, kind="hash")
+            self.create_index(schema.primary_key)
 
     # ------------------------------------------------------------------
     # Writes
@@ -108,22 +108,19 @@ class Table:
     # ------------------------------------------------------------------
     # Indexes
     # ------------------------------------------------------------------
-    def create_index(self, column: str, kind: str = "hash") -> None:
-        """Build an index over *column*, backfilling existing rows."""
+    def create_index(self, column: str) -> None:
+        """Build a hash index over *column*, backfilling existing rows."""
         column = column.lower()
-        self.schema.index_of(column)  # raises if unknown
-        if column in self._indexes and kind == "hash" and isinstance(
-            self._indexes[column], HashIndex
-        ):
+        pos = self.schema.index_of(column)  # raises if unknown
+        if column in self._indexes:
             return
-        index = make_index(kind, column)
-        pos = self.schema.index_of(column)
+        index = HashIndex(column)
         for row_id, row in self._rows.items():
             index.insert(row[pos], row_id)
         self._indexes[column] = index
 
-    def index_on(self, column: str):
-        """The index object for *column*, or None."""
+    def index_on(self, column: str) -> Optional[HashIndex]:
+        """The index over *column*, or None."""
         return self._indexes.get(column.lower())
 
     # ------------------------------------------------------------------
@@ -177,7 +174,7 @@ class Table:
         """Equality lookup, via index when available, else a scan."""
         column = column.lower()
         index = self._indexes.get(column)
-        if isinstance(index, HashIndex):
+        if index is not None:
             return [self._rows[rid] for rid in index.lookup(value)]
         pos = self.schema.index_of(column)
         return [row for _, row in self.scan() if row[pos] == value]
@@ -192,26 +189,6 @@ class Table:
 
     def __repr__(self) -> str:
         return "Table(%s, %d rows)" % (self.schema.name, len(self))
-
-    def clone(self) -> "Table":
-        """Deep-copy this table (rows and indexes) for snapshots."""
-        from .index import HashIndex as _Hash
-        from .index import make_index
-
-        twin = Table.__new__(Table)
-        twin.schema = self.schema
-        twin._rows = dict(self._rows)
-        twin._next_id = self._next_id
-        twin._meter = self._meter
-        twin._indexes = {}
-        for column, index in self._indexes.items():
-            kind = "hash" if isinstance(index, _Hash) else "sorted"
-            new_index = make_index(kind, column)
-            pos = self.schema.index_of(column)
-            for row_id, row in twin._rows.items():
-                new_index.insert(row[pos], row_id)
-            twin._indexes[column] = new_index
-        return twin
 
     def to_dicts(self) -> List[Dict[str, Any]]:
         """Rows as column→value dicts (handy for tests and JSON)."""

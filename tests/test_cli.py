@@ -35,7 +35,18 @@ class TestCLI:
             "SELECT COUNT(*) AS n FROM products",
         ])
         assert code == 0
-        assert "n" in capsys.readouterr().out
+        header, rule, value = capsys.readouterr().out.split("\n")[:3]
+        assert (header.strip(), set(rule.strip())) == ("n", {"-"})
+        assert int(value) > 0
+
+    def test_sql_has_no_lint_mode(self, capsys):
+        # Plans are shown by Database.explain; the advisory lint is gone,
+        # and its flag is an argparse usage error before any lake builds.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sql", "--explain-lint", "SELECT COUNT(*) FROM products"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --explain-lint" in \
+            capsys.readouterr().err
 
     def test_session_mode(self, capsys):
         import io

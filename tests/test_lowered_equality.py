@@ -2,10 +2,9 @@
 
 ``BinaryOp.bind`` binds ``LOWER(<column>) = '<text>'`` — the entity
 match every structured ask filters with — into one closure. Its oracle
-is the generic path the same comparison takes when the column sits
-under another function: ``LOWER(COALESCE(col)) = 'text'`` goes through
-``FunctionCall`` and the generic text comparison, with the same value
-on every cell type, including NULL, and the same error text for an
+is the generic path the same comparison takes written the other way
+round: ``'text' = LOWER(col)`` goes through :class:`Lower` and the
+generic comparison, with the same value on every cell type, including NULL, and the same error text for an
 unknown or ambiguous column. ``Table.scan_matching`` is one loop over
 the heap; it charges the rows it examined like a filter over ``scan()``
 does, whether it is exhausted or abandoned after its first match.
@@ -18,7 +17,7 @@ import pytest
 from repro.errors import ExecutionError
 from repro.metering import ROWS_SCANNED, CostMeter
 from repro.storage.relational import (
-    BinaryOp, Column, ColumnRef, Database, FunctionCall, Literal, Table,
+    BinaryOp, Column, ColumnRef, Database, Literal, Lower, Table,
     TableSchema,
 )
 from repro.storage.types import DataType
@@ -31,12 +30,11 @@ TEXTS = ["alpha widget", "Alpha Widget", "i̇stanbul", "ſtar", "strasse",
 
 
 def _fused(column, text):
-    return BinaryOp("=", FunctionCall("LOWER", (column,)), Literal(text))
+    return BinaryOp("=", Lower(column), Literal(text))
 
 
 def _generic(column, text):
-    return BinaryOp("=", FunctionCall(
-        "LOWER", (FunctionCall("COALESCE", (column,)),)), Literal(text))
+    return BinaryOp("=", Literal(text), Lower(column))
 
 
 @pytest.mark.parametrize("text", TEXTS)
@@ -54,8 +52,7 @@ def test_fused_equals_generic_on_every_cell_type(text):
 def test_fused_reads_a_qualified_column_and_the_lowercase_name():
     layout = ("a.name", "b.name")
     for expr in (_fused(ColumnRef("name", "b"), "x"),
-                 BinaryOp("=", FunctionCall("lower", (ColumnRef(
-                     "name", "b"),)), Literal("x"))):
+                 _generic(ColumnRef("name", "b"), "x")):
         bound = expr.bind(layout)
         assert bound(("y", "X")) is True
         assert bound(("X", "y")) is False

@@ -3,11 +3,10 @@
 import datetime as dt
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.errors import SchemaError, StorageError
 from repro.metering import CostMeter, ROWS_SCANNED
-from repro.storage.relational.index import HashIndex, SortedIndex, make_index
+from repro.storage.relational.index import HashIndex
 from repro.storage.relational.schema import Column, TableSchema
 from repro.storage.relational.table import Table
 from repro.storage.types import DataType, coerce, compatible, sort_key
@@ -156,47 +155,6 @@ class TestIndexes:
         idx.remove("x", 1)
         assert idx.lookup("x") == []
         idx.remove("x", 99)  # silently ignored
-
-    def test_sorted_range(self):
-        idx = SortedIndex("c")
-        for i, v in enumerate([5, 1, 3, 9, 7]):
-            idx.insert(v, i)
-        assert idx.range(3, 7) == [2, 0, 4]
-        assert idx.range(low=8) == [3]
-        assert idx.range(high=1) == [1]
-        assert idx.range() == [1, 2, 0, 4, 3]
-
-    def test_sorted_exclusive_bounds(self):
-        idx = SortedIndex("c")
-        for i, v in enumerate([1, 2, 3]):
-            idx.insert(v, i)
-        assert idx.range(1, 3, include_low=False, include_high=False) == [1]
-
-    def test_sorted_ignores_null(self):
-        idx = SortedIndex("c")
-        idx.insert(None, 0)
-        assert len(idx) == 0
-
-    def test_sorted_remove(self):
-        idx = SortedIndex("c")
-        idx.insert(4, 0)
-        idx.remove(4, 0)
-        assert len(idx) == 0
-
-    def test_make_index(self):
-        assert isinstance(make_index("hash", "c"), HashIndex)
-        assert isinstance(make_index("sorted", "c"), SortedIndex)
-        with pytest.raises(StorageError):
-            make_index("btree", "c")
-
-    @given(st.lists(st.integers(-50, 50), max_size=40))
-    def test_sorted_range_matches_filter(self, values):
-        idx = SortedIndex("c")
-        for i, v in enumerate(values):
-            idx.insert(v, i)
-        got = set(idx.range(-10, 10))
-        want = {i for i, v in enumerate(values) if -10 <= v <= 10}
-        assert got == want
 
 
 class TestTable:

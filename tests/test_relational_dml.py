@@ -34,12 +34,6 @@ class TestUpdate:
         rs = db.execute("UPDATE items SET qty = 0")
         assert rs.scalar() == 3
 
-    def test_update_expression_referencing_row(self, db):
-        db.execute("UPDATE items SET qty = qty + 1 WHERE id = 1")
-        assert db.execute(
-            "SELECT qty FROM items WHERE id = 1"
-        ).scalar() == 11
-
     def test_update_multiple_columns(self, db):
         db.execute("UPDATE items SET name = 'screw', qty = 7 WHERE id = 3")
         rs = db.execute("SELECT name, qty FROM items WHERE id = 3")

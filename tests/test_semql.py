@@ -299,8 +299,8 @@ def _specs(draw):
     column = st.sampled_from(_SALES + _PRODUCTS if joined else _SALES)
     aggregate = st.one_of(
         st.builds(AggregateSpec, st.just("count"), st.just("*")),
-        st.builds(AggregateSpec, st.sampled_from(AGG_FUNCS), column,
-                  st.booleans()),
+        st.builds(AggregateSpec, st.sampled_from(AGG_FUNCS), column),
+        st.builds(AggregateSpec, st.just("count"), column, st.just(True)),
     )
     aggregates = tuple(draw(st.lists(aggregate, max_size=3)))
     aliases = ["%s_%s" % (a.func, "all" if a.column == "*" else a.column)

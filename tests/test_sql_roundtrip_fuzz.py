@@ -1,6 +1,7 @@
 """Grammar-driven SQL round-trip fuzz.
 
-Generates random statements from the engine's own grammar using a
+Generates random statements from the engine's own grammar (the one
+written at the top of ``repro.storage.relational.sql_parser``) using a
 seed-fixed stdlib :class:`random.Random` (no third-party fuzz deps)
 and pins two contracts of :func:`repro.storage.relational.sql_parser.
 render_statement`:
@@ -74,40 +75,23 @@ def _column(rng, tables):
 
 
 def _predicate(rng, tables, depth=0):
-    roll = rng.random()
-    if depth < 2 and roll < 0.28:
-        return "(%s %s %s)" % (
+    if depth < 2 and rng.random() < 0.3:
+        return "(%s AND %s)" % (
             _predicate(rng, tables, depth + 1),
-            rng.choice(("AND", "OR")),
             _predicate(rng, tables, depth + 1),
         )
-    if depth < 2 and roll < 0.36:
-        return "(NOT %s)" % _predicate(rng, tables, depth + 1)
     col, kind = _column(rng, tables)
     shape = rng.random()
-    negated = "NOT " if rng.random() < 0.3 else ""
-    if shape < 0.14:
-        return "(%s IS %sNULL)" % (col, negated)
-    if shape < 0.28:
-        options = ", ".join(
-            _literal(rng, kind) for _ in range(rng.randint(2, 4))
-        )
-        return "(%s %sIN (%s))" % (col, negated, options)
-    if kind in ("int", "float") and shape < 0.42:
-        low = rng.randint(-10, 60)
-        return "(%s BETWEEN %d AND %d)" % (
-            col, low, low + rng.randint(0, 90)
-        )
+    if kind == "text" and shape < 0.25:
+        return "(%s LIKE %s)" % (col, _sql_str(rng.choice(LIKE_PATTERNS)))
     if kind == "text" and shape < 0.5:
-        return "(%s %sLIKE %s)" % (
-            col, negated, _sql_str(rng.choice(LIKE_PATTERNS))
-        )
+        return "(LOWER(%s) = %s)" % (col, _sql_str(rng.choice(WORDS)))
     op = rng.choice(("=", "!=", "<>", "<", "<=", ">", ">="))
     return "(%s %s %s)" % (col, op, _literal(rng, kind))
 
 
 def _projection(rng, tables):
-    """1-3 select items; scalar functions and arithmetic mixed in.
+    """1-3 select items; LOWER of a text column mixed in.
 
     Returns ``(sql, orderable)`` where *orderable* holds the plain,
     unaliased column refs — ORDER BY runs post-projection, so it may
@@ -118,11 +102,7 @@ def _projection(rng, tables):
         col, kind = _column(rng, tables)
         roll = rng.random()
         if kind == "text" and roll < 0.15:
-            item = "%s(%s)" % (rng.choice(("UPPER", "LOWER", "LENGTH")),
-                               col)
-        elif kind in ("int", "float") and roll < 0.15:
-            item = "(%s %s %d)" % (col, rng.choice(("+", "-", "*")),
-                                   rng.randint(1, 9))
+            item = "LOWER(%s)" % col
         else:
             item = col
         if item == col and rng.random() >= 0.2:
@@ -140,8 +120,6 @@ def _order_limit(rng, orderable, sql):
             sql += " DESC"
     if rng.random() < 0.4:
         sql += " LIMIT %d" % rng.randint(1, 8)
-        if rng.random() < 0.5:
-            sql += " OFFSET %d" % rng.randint(0, 3)
     return sql
 
 
@@ -175,7 +153,7 @@ def _aggregate_select(rng):
 
 def _join_select(rng):
     items, orderable = _projection(rng, ["t0", "t1"])
-    kind = rng.choice(("JOIN", "INNER JOIN", "LEFT JOIN"))
+    kind = rng.choice(("JOIN", "INNER JOIN"))
     sql = "SELECT %s FROM t0 %s t1 ON (t0.id = t1.ref)" % (items, kind)
     if rng.random() < 0.6:
         sql += " WHERE " + _predicate(rng, ["t0", "t1"])
@@ -188,9 +166,8 @@ def _plain_select(rng):
         sql = "SELECT * FROM %s" % table
         orderable = [name for name, _ in COLUMNS[table]]
     else:
-        distinct = "DISTINCT " if rng.random() < 0.2 else ""
         items, orderable = _projection(rng, [table])
-        sql = "SELECT %s%s FROM %s" % (distinct, items, table)
+        sql = "SELECT %s FROM %s" % (items, table)
     if rng.random() < 0.7:
         sql += " WHERE " + _predicate(rng, [table])
     return _order_limit(rng, orderable, sql)
@@ -224,10 +201,7 @@ def _update(rng, table):
     targets = rng.sample(sorted(kinds), rng.randint(1, 2))
     parts = []
     for col in targets:
-        if kinds[col] in ("int", "float") and rng.random() < 0.3:
-            parts.append("%s = (%s + %d)" % (col, col, rng.randint(1, 5)))
-        else:
-            parts.append("%s = %s" % (col, _literal(rng, kinds[col])))
+        parts.append("%s = %s" % (col, _literal(rng, kinds[col])))
     sql = "UPDATE %s SET %s" % (table, ", ".join(parts))
     if rng.random() < 0.85:
         sql += " WHERE " + _predicate(rng, [table])
@@ -312,8 +286,8 @@ class TestSelectRoundTrip:
         # A deterministic case covering table aliases, which the fuzzer
         # leaves out to keep the grammar sample independent.
         sql = ("SELECT a.name AS title, b.qty FROM t0 AS a "
-               "LEFT JOIN t1 AS b ON (a.id = b.ref) "
-               "WHERE (b.qty IS NOT NULL) ORDER BY b.qty DESC LIMIT 3")
+               "JOIN t1 AS b ON (a.id = b.ref) "
+               "WHERE (b.qty >= 0) ORDER BY b.qty DESC LIMIT 3")
         first, second, rendered = _roundtrip(sql)
         assert second == first
         rng = random.Random(SEED + 1)
@@ -388,12 +362,10 @@ class TestDDLRoundTrip:
 
     def test_statement_variety_round_trips(self):
         for sql in (
-            "BEGIN",
-            "COMMIT",
-            "ROLLBACK",
             "DROP TABLE t0",
-            "DROP VIEW v0",
-            "CREATE VIEW v0 AS SELECT id FROM t0 WHERE (active = TRUE)",
+            "DELETE FROM t1",
+            "UPDATE t0 SET price = -1.5, active = FALSE WHERE (id = -3)",
+            "SELECT COUNT(DISTINCT ref) AS n FROM t1 WHERE (qty > -2)",
         ):
             first, second, _ = _roundtrip(sql)
             assert second == first, sql
