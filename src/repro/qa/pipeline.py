@@ -101,7 +101,11 @@ class HybridQAPipeline:
         self._backends_guarded = False
         self._plan_cache: Optional[Any] = None
         self._retriever_wrapper: Optional[Any] = None
-        self._rebuild_listeners: List[Any] = []
+        #: Moves once at the end of each ``build()`` and each
+        #: ``ingest_incremental()``: state derived from the index (a
+        #: served answer, plan or ranking) is current only at the
+        #: version it was made at.
+        self.version = 0
 
     # ------------------------------------------------------------------
     # Serving hooks
@@ -127,19 +131,6 @@ class HybridQAPipeline:
         self._retriever_wrapper = wrapper
         if self._core_retriever is not None:
             self._install_retriever(self._core_retriever)
-
-    def add_rebuild_listener(self, listener: Any) -> None:
-        """Subscribe ``listener()`` to index/engine rebuilds.
-
-        Fires after ``build()`` and ``ingest_incremental()`` complete —
-        the moment every serving-layer cache keyed on corpus state must
-        treat its entries as stale.
-        """
-        self._rebuild_listeners.append(listener)
-
-    def _notify_rebuild(self) -> None:
-        for listener in self._rebuild_listeners:
-            listener()
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -224,7 +215,7 @@ class HybridQAPipeline:
         self._guard_backends()
         self._install_retriever(core)
         self._build_engines()
-        self._notify_rebuild()
+        self.version += 1
 
     def _apply(self, added: Sequence[Chunk], removed: Sequence[str] = (),
                records: bool = False) -> Optional[TopologyRetriever]:
@@ -561,8 +552,8 @@ class HybridQAPipeline:
         the chunks of what it writes come in, and only those are tagged.
         Every generated table is then regenerated (each stored
         document's facts are kept, and a table whose regeneration finds
-        none keeps its rows), the engines rebuilt and the rebuild
-        listeners fired, once.
+        none keeps its rows), the engines rebuilt and :attr:`version`
+        moved, once.
         """
         self._check_built()
         # The write path runs unguarded, as build() does.
@@ -585,4 +576,4 @@ class HybridQAPipeline:
         for name in list(self._generated_tables):
             self.generate_table(name)
         self._build_engines()
-        self._notify_rebuild()
+        self.version += 1

@@ -3,10 +3,10 @@
 Production-shaped serving over one
 :class:`~repro.qa.pipeline.HybridQAPipeline`:
 
-* :mod:`.cache` — generation-stamped answer/plan/retrieval tiers over
-  the shared :class:`~repro.caching.CostAwareLRU` primitive, sized in
-  CostMeter work units, invalidated write-through by store mutation
-  and rebuild listeners;
+* :mod:`.cache` — answer/plan/retrieval tiers over the shared
+  :class:`~repro.caching.CostAwareLRU` primitive, sized in CostMeter
+  work units, each entry checked against the store and pipeline
+  versions it was made at (read on lookup; nothing pushes);
 * :mod:`.scheduler` — deterministic micro-batches with single-flight
   deduplication and write barriers, byte-for-byte equal to sequential
   execution;
@@ -28,9 +28,8 @@ from .admission import (
     shed_answer,
 )
 from .cache import (
-    ANSWER_DEPS, KIND_DOCUMENT, KIND_RELATIONAL, KIND_SCHEMA, KIND_TEXT,
-    PLAN_DEPS, RETRIEVAL_DEPS, STORE_KINDS, AnswerCache, CachePolicy,
-    Generations, MultiTierCache, PlanCache,
+    ANSWER_DEPS, KIND_SCHEMA, KIND_TEXT, PLAN_DEPS, RETRIEVAL_DEPS,
+    AnswerCache, CachePolicy, Generations, MultiTierCache, PlanCache,
 )
 from .retrieval import CachingRetriever
 from .scheduler import (
@@ -46,8 +45,8 @@ __all__ = [
     "ANSWER_SYSTEM_SERVING", "SHED_BUDGET", "SHED_QUEUE",
     "SHED_TENANT_QUOTA", "SHED_TENANT_UNKNOWN", "AdmissionController",
     "AdmissionPolicy", "shed_answer",
-    "ANSWER_DEPS", "KIND_DOCUMENT", "KIND_RELATIONAL", "KIND_SCHEMA",
-    "KIND_TEXT", "PLAN_DEPS", "RETRIEVAL_DEPS", "STORE_KINDS",
+    "ANSWER_DEPS", "KIND_SCHEMA", "KIND_TEXT", "PLAN_DEPS",
+    "RETRIEVAL_DEPS",
     "AnswerCache", "CachePolicy", "Generations", "MultiTierCache",
     "PlanCache",
     "CachingRetriever",

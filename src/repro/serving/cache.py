@@ -1,51 +1,48 @@
 """Multi-tier caching for the query-serving subsystem.
 
 Three tiers, each a :class:`~repro.caching.CostAwareLRU` sized in
-CostMeter work units, each invalidated write-through by generation
-counters:
+CostMeter work units, each checked against the store versions its
+entries were made at:
 
 * **answer tier** — whole :class:`~repro.qa.answer.Answer` values
   keyed by the normalized question, stored and served without a copy
   (answers are frozen); depends on what its computation read: the text
-  counter, the schema counter and the row-write counter of every table
-  its SELECTs read;
+  value, the schema value and the row-write counter of every table its
+  SELECTs read;
 * **plan tier** — synthesized SemQL logical plans keyed by question,
   injected into :class:`~repro.qa.tableqa.TableQAEngine`; depends on
-  the schema counter only (a plan reads the catalog, never a row);
+  the schema value only (a plan reads the catalog, never a row);
 * **retrieval tier** — ranked chunk lists keyed by
   ``(retriever, query, k)`` (see :mod:`.retrieval`); depends on the
-  text store.
+  text value.
 
-Invalidation is *write-through*: store mutation listeners and pipeline
-rebuild listeners bump :class:`Generations` counters, and no tier ever
-serves a value computed against superseded data. Plan and retrieval
-entries carry the stamp of their dependency set as their LRU tag; a
-mismatch drops the entry. An answer entry carries the write clock it
-was last checked at, plus its read set: at an unchanged clock it is
-valid with one comparison, and after a write it survives — and takes
-the new clock — when no counter of its read set moved. A document
+Nothing pushes an invalidation. Every store keeps a monotone
+``version`` and the pipeline one that moves on each build and ingest;
+:class:`Generations` reads them when a tier checks an entry, so no tier
+ever serves a value computed against superseded data. Plan and
+retrieval entries carry the stamp of their dependency set as their LRU
+tag; a mismatch drops the entry. An answer entry carries the write
+clock it was last checked at, plus its read set: at an unchanged clock
+it is valid with one comparison, and after a write it survives — and
+takes the new clock — when no value of its read set moved. A document
 write or a row write into a table the answer did not read therefore
 keeps it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from ..caching import CostAwareLRU
 
-KIND_RELATIONAL = "relational"
-KIND_DOCUMENT = "document"
+#: The text store: moved by every text write and every rebuild.
 KIND_TEXT = "text"
 
-#: Every store kind a generation counter tracks.
-STORE_KINDS = (KIND_RELATIONAL, KIND_DOCUMENT, KIND_TEXT)
-
-#: The relational catalog: bumped by CREATE/DROP TABLE and every
+#: The relational catalog: moved by CREATE/DROP TABLE and every
 #: rebuild (which also rebuilds the value index).
 KIND_SCHEMA = "schema"
 
-#: Dependency sets: which counters invalidate which tier. An answer
+#: Dependency sets: which values invalidate which tier. An answer
 #: also depends on the row-write counters of the tables it read.
 ANSWER_DEPS = (KIND_TEXT, KIND_SCHEMA)
 PLAN_DEPS = (KIND_SCHEMA,)
@@ -58,40 +55,51 @@ RETRIEVAL_CAPACITY = 16384
 
 
 class Generations:
-    """Monotone generation counters plus one write clock.
+    """The serving layer's whole invalidation protocol, read from the
+    versions of one pipeline and of its real stores (behind any
+    resilience proxy).
 
-    The serving layer's whole invalidation protocol: writers bump, cache
-    tiers stamp entries with :meth:`stamp` over their dependency set and
-    reject entries whose stamp no longer matches. :attr:`clock` moves
-    on every bump, so an entry checked at the current clock needs no
-    further look.
+    Each dependency kind's value is its store's version plus the
+    pipeline's, so a rebuild moves every kind. Cache tiers stamp
+    entries with :meth:`stamp` over their dependency set and reject
+    entries whose stamp no longer matches. :attr:`clock` moves on every
+    write and rebuild, so an entry checked at the current clock needs
+    no further look.
     """
 
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = dict.fromkeys(
-            (*STORE_KINDS, KIND_SCHEMA), 0)
-        self.clock = 0
+    def __init__(self, pipeline: Any) -> None:
+        self._pipeline = pipeline
+        self._db, self._docs, self._texts = (
+            getattr(store, "resilient_target", store)
+            for store in (pipeline.db, pipeline.doc_store,
+                          pipeline.text_store)
+        )
+        #: A table's row-write counter (:meth:`~repro.storage.
+        #: relational.Database.row_writes`).
+        self.row_writes = self._db.row_writes
 
-    def bump(self, kind: str) -> None:
-        """Record one mutation of *kind* (invalidates dependent tiers)."""
-        if kind not in self._counts:
-            raise ValueError("unknown store kind %r" % kind)
-        self._counts[kind] += 1
-        self.clock += 1
-
-    def bump_all(self) -> None:
-        """Record a full rebuild (invalidates every tier)."""
-        for kind in self._counts:
-            self._counts[kind] += 1
-        self.clock += 1
+    @property
+    def clock(self) -> int:
+        """The write clock: the sum of every version read."""
+        return (self._db.version + self._docs.version
+                + self._texts.version + self._pipeline.version)
 
     def stamp(self, kinds: Tuple[str, ...]) -> Tuple[int, ...]:
         """The current stamp over a dependency set (an LRU entry tag)."""
-        return tuple(self._counts[kind] for kind in kinds)
+        versions = {KIND_TEXT: self._texts.version,
+                    KIND_SCHEMA: self._db.schema_version}
+        rebuilds = self._pipeline.version
+        return tuple([versions[kind] + rebuilds for kind in kinds])
 
     def snapshot(self) -> Dict[str, int]:
-        """Current counter values (for stats surfaces)."""
-        return dict(self._counts)
+        """The versions read (for stats surfaces)."""
+        return {
+            "relational": self._db.version,
+            "schema": self._db.schema_version,
+            "document": self._docs.version,
+            "text": self._texts.version,
+            "pipeline": self._pipeline.version,
+        }
 
 
 class PlanCache:
@@ -133,15 +141,11 @@ class AnswerCache:
 
     An :class:`~repro.qa.answer.Answer` is frozen, so no caller can
     poison a cached entry: ``put`` stores the object it is given and a
-    hit returns that same object to every asker. *row_writes* reads a
-    table's row-write counter (:meth:`~repro.storage.relational.
-    Database.row_writes`).
+    hit returns that same object to every asker.
     """
 
-    def __init__(self, generations: Generations,
-                 row_writes: Callable[[str], int]):
+    def __init__(self, generations: Generations):
         self._generations = generations
-        self._row_writes = row_writes
         self._lru = CostAwareLRU(capacity=ANSWER_CAPACITY,
                                  name="serving.answers",
                                  revalidate=self._still_valid)
@@ -156,9 +160,9 @@ class AnswerCache:
         return self._generations.clock
 
     def read_set(self, tables: Iterable[str]) -> Tuple[Any, ...]:
-        """The current counters of an answer that read *tables*: the
+        """The current values of an answer that read *tables*: the
         deps :meth:`put` stores and a later lookup re-checks."""
-        row_writes = self._row_writes
+        row_writes = self._generations.row_writes
         return (self._generations.stamp(ANSWER_DEPS),
                 tuple((name, row_writes(name)) for name in sorted(tables)))
 
@@ -166,7 +170,7 @@ class AnswerCache:
         counts, tables = deps
         if self._generations.stamp(ANSWER_DEPS) != counts:
             return False
-        row_writes = self._row_writes
+        row_writes = self._generations.row_writes
         return all(row_writes(name) == n for name, n in tables)
 
     def get(self, question: Any) -> Optional[Any]:
@@ -176,7 +180,7 @@ class AnswerCache:
         refactor that is the uniform ``(tenant_id, question)`` pair, so
         two tenants asking the same words can never share an entry.
         """
-        return self._lru.get(question, tag=self.stamp())
+        return self._lru.get(question, tag=self._generations.clock)
 
     def put(self, question: Any, answer: Any, cost: int,
             tag: Any, deps: Any = None) -> None:
@@ -243,14 +247,13 @@ class CachePolicy:
 
 
 class MultiTierCache:
-    """All enabled tiers plus their shared generation counters."""
+    """All enabled tiers plus the versions they share."""
 
-    def __init__(self, policy: CachePolicy, generations: Generations,
-                 row_writes: Callable[[str], int]):
+    def __init__(self, policy: CachePolicy, generations: Generations):
         self.policy = policy
         self.generations = generations
         self.answers: Optional[AnswerCache] = (
-            AnswerCache(generations, row_writes)
+            AnswerCache(generations)
             if policy.answer else None
         )
         self.plans: Optional[PlanCache] = (
@@ -264,7 +267,7 @@ class MultiTierCache:
         )
 
     def stats(self) -> Dict[str, Any]:
-        """Per-tier hit/miss/eviction counters plus generation counts."""
+        """Per-tier hit/miss/eviction counters plus the versions read."""
         out: Dict[str, Any] = {
             "policy": self.policy.describe(),
             "generations": self.generations.snapshot(),

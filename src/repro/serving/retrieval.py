@@ -2,7 +2,7 @@
 
 Wraps a :class:`~repro.retrieval.base.Retriever` duck-type so repeated
 ``retrieve(query, k)`` calls across a served workload hit a shared
-generation-stamped LRU instead of re-running graph traversal and
+version-stamped LRU instead of re-running graph traversal and
 scoring. Installed through
 :meth:`~repro.qa.pipeline.HybridQAPipeline.set_retriever_wrapper`, so
 it survives retriever rebuilds and composes with the resilience

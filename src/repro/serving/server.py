@@ -3,12 +3,9 @@
 Composition root of the serving subsystem. Construction wires every
 hook the rest of the repo exposes:
 
-* store mutation listeners (relational / document / text) bump the
-  shared :class:`~.cache.Generations` counters, and relational DDL the
-  schema counter, so every write invalidates exactly the
-  cache entries that depend on what it changed;
-* a pipeline rebuild listener bumps all counters at once (a rebuilt
-  index supersedes everything);
+* the cache tiers read the versions of the pipeline and of its stores
+  through one :class:`~.cache.Generations` when they check an entry —
+  no store or pipeline calls the server back on a write;
 * the database records which tables each uncached answer's SELECTs
   read, and the answer is stored with that read set;
 * the plan tier plugs into
@@ -19,7 +16,7 @@ hook the rest of the repo exposes:
 The answer path is chaos-safe by construction: an answer is cached
 only when it is not degraded, no fault fired during its computation
 (witnessed through the injector audit log), and no write raced it
-(witnessed through the generation stamp). Faulted results are served —
+(witnessed through the write clock). Faulted results are served —
 the resilience contract — but never remembered.
 """
 
@@ -34,16 +31,9 @@ from ..qa.pipeline import HybridQAPipeline
 from ..resilience import work_now
 from ..tenancy import DEFAULT_TENANT, TenantRegistry
 from .admission import AdmissionController, AdmissionPolicy
-from .cache import (
-    KIND_DOCUMENT, KIND_RELATIONAL, KIND_SCHEMA, KIND_TEXT, CachePolicy,
-    Generations, MultiTierCache,
-)
+from .cache import CachePolicy, Generations, MultiTierCache
 from .retrieval import CachingRetriever
 from .scheduler import BatchScheduler, ServeRequest, ServeResult
-
-
-#: Relational ops that change the catalog rather than rows.
-SCHEMA_OPS = frozenset(("create_table", "drop_table"))
 
 
 class QueryServer:
@@ -57,12 +47,11 @@ class QueryServer:
         self._pipeline = pipeline
         self._meter: CostMeter = pipeline.meter
         self._policy = policy or CachePolicy()
-        self._generations = Generations()
+        self._generations = Generations(pipeline)
         # The real database behind any resilience proxy: reads are
-        # recorded, and counters read, where the SELECTs run.
+        # recorded where the SELECTs run.
         self._db = getattr(pipeline.db, "resilient_target", pipeline.db)
-        self._tiers = MultiTierCache(self._policy, self._generations,
-                                     self._db.row_writes)
+        self._tiers = MultiTierCache(self._policy, self._generations)
         self._tenants = tenants if tenants is not None else TenantRegistry(())
         # Which tenant the request currently on the answer path runs
         # as — instance state (one server, one request at a time), set
@@ -76,14 +65,6 @@ class QueryServer:
             self._answer, self._apply_write, self._meter,
             self._admission, batch_size=batch_size,
         )
-        pipeline.db.add_mutation_listener(self._on_relational_write)
-        pipeline.doc_store.add_mutation_listener(
-            lambda op: self._generations.bump(KIND_DOCUMENT)
-        )
-        pipeline.text_store.add_mutation_listener(
-            lambda op: self._generations.bump(KIND_TEXT)
-        )
-        pipeline.add_rebuild_listener(self._generations.bump_all)
         if self._tiers.plans is not None:
             pipeline.set_plan_cache(self._tiers.plans)
         if self._tiers.retrieval is not None:
@@ -123,10 +104,6 @@ class QueryServer:
         injector = self._pipeline.resilience.injector
         return len(injector.log) if injector is not None else 0
 
-    def _on_relational_write(self, op: str) -> None:
-        self._generations.bump(
-            KIND_SCHEMA if op in SCHEMA_OPS else KIND_RELATIONAL)
-
     # ------------------------------------------------------------------
     # The answer path
     # ------------------------------------------------------------------
@@ -144,9 +121,9 @@ class QueryServer:
         """
         context = self._tenants.context(tenant)
         key = context.cache_key(question)
-        record = self._tenant_cache.setdefault(
-            tenant, {"lookups": 0, "hits": 0}
-        )
+        record = self._tenant_cache.get(tenant)
+        if record is None:
+            record = self._tenant_cache[tenant] = {"lookups": 0, "hits": 0}
         answers = self._tiers.answers
         if answers is not None:
             record["lookups"] += 1

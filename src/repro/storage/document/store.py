@@ -28,23 +28,12 @@ class DocumentStore:
         self._docs: Dict[str, Any] = {}
         self._field_indexes: Dict[str, Dict[Any, set]] = {}
         self._meter = meter if meter is not None else GLOBAL_METER
-        self._mutation_listeners: List[Callable[[str], None]] = []
+        #: Moves once per :meth:`put` and once per :meth:`delete`.
+        self.version = 0
 
     # ------------------------------------------------------------------
     # Writes
     # ------------------------------------------------------------------
-    def add_mutation_listener(self, listener: Callable[[str], None]) -> None:
-        """Subscribe ``listener(op)`` to every write on this store.
-
-        The serving layer's write-through cache invalidation hook;
-        listeners must not write back into the store.
-        """
-        self._mutation_listeners.append(listener)
-
-    def _notify_mutation(self, op: str) -> None:
-        for listener in self._mutation_listeners:
-            listener(op)
-
     def put(self, doc_id: str, document: Any) -> None:
         """Insert or replace a document (deep-copied on the way in)."""
         if not doc_id:
@@ -55,7 +44,7 @@ class DocumentStore:
         stored = copy.deepcopy(document)
         self._docs[doc_id] = stored
         self._index(doc_id, stored)
-        self._notify_mutation("put")
+        self.version += 1
 
     def put_many(self, items: Iterable[Tuple[str, Any]]) -> int:
         """Insert many (id, document) pairs; returns count."""
@@ -71,7 +60,7 @@ class DocumentStore:
         if document is None:
             raise StorageError("no document %r" % doc_id)
         self._unindex(doc_id, document)
-        self._notify_mutation("delete")
+        self.version += 1
 
     # ------------------------------------------------------------------
     # Field indexes

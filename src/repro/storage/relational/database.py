@@ -40,37 +40,25 @@ class Database:
     Every table has a monotone row-write counter (:meth:`row_writes`),
     and a caller may record which tables its SELECTs read
     (:meth:`record_reads`): together they tell a cache which writes can
-    change a result computed from those SELECTs.
+    change a result computed from those SELECTs. :attr:`version` (any
+    change) and :attr:`schema_version` (the catalog) are plain ints a
+    reader compares; nothing is called back on a write.
     """
 
     def __init__(self, meter: Optional[CostMeter] = None):
         self._meter = meter if meter is not None else GLOBAL_METER
         self._tables: Dict[str, Table] = {}
-        self._mutation_listeners: List[Any] = []
         self._row_writes: Dict[str, int] = {}
         self._reads: Optional[Set[str]] = None
+        #: Moves on every CREATE/DROP TABLE and every statement or bulk
+        #: load that changes a row; a refused write never moves it.
+        self.version = 0
+        #: Moves on every CREATE/DROP TABLE.
+        self.schema_version = 0
 
     # ------------------------------------------------------------------
-    # Write-through mutation notification
+    # Versions
     # ------------------------------------------------------------------
-    def add_mutation_listener(self, listener) -> None:
-        """Subscribe ``listener(op)`` to every write on this database.
-
-        Listeners fire after DDL/DML statements and bulk loads commit
-        to the in-memory heap — the hook the serving layer's caches
-        use for write-through invalidation. Listeners must not write
-        back into the database.
-        """
-        self._mutation_listeners.append(listener)
-
-    def _notify_mutation(self, op: str) -> None:
-        for listener in self._mutation_listeners:
-            listener(op)
-
-    def _notify_row_write(self, table: str, op: str) -> None:
-        self._row_writes[table] = self._row_writes.get(table, 0) + 1
-        self._notify_mutation(op)
-
     def row_writes(self, table: str) -> int:
         """How many row-writing statements and bulk loads have changed
         *table* (monotone; a drop never lowers it)."""
@@ -90,14 +78,16 @@ class Database:
             raise StorageError("table %r already exists" % schema.name)
         table = Table(schema, meter=self._meter)
         self._tables[schema.name] = table
-        self._notify_mutation("create_table")
+        self.schema_version += 1
+        self.version += 1
         return table
 
     def drop_table(self, name: str) -> None:
         """Remove a table and its data."""
         if self._tables.pop(name.lower(), None) is None:
             raise StorageError("no table %r" % name)
-        self._notify_mutation("drop_table")
+        self.schema_version += 1
+        self.version += 1
 
     def table(self, name: str) -> Table:
         """Fetch a table by name."""
@@ -203,22 +193,19 @@ class Database:
 
     def _run_insert(self, stmt: InsertStatement) -> int:
         table = self.table(stmt.table)
-        count = 0
-        for values in stmt.rows:
-            if stmt.columns is not None:
-                if len(values) != len(stmt.columns):
-                    raise SchemaError(
-                        "INSERT has %d values for %d columns"
-                        % (len(values), len(stmt.columns))
-                    )
-                record = dict(zip(stmt.columns, values))
-                table.insert_dict(record, coerce=True)
-            else:
+
+        def insert(values: Sequence[Any]) -> None:
+            if stmt.columns is None:
                 table.insert(values, coerce=True)
-            count += 1
-        if count:
-            self._notify_row_write(table.schema.name, "insert")
-        return count
+                return
+            if len(values) != len(stmt.columns):
+                raise SchemaError(
+                    "INSERT has %d values for %d columns"
+                    % (len(values), len(stmt.columns))
+                )
+            table.insert_dict(dict(zip(stmt.columns, values)), coerce=True)
+
+        return self._write_rows(table, stmt.rows, insert)
 
     def _run_update(self, stmt: UpdateStatement) -> int:
         table = self.table(stmt.table)
@@ -229,18 +216,17 @@ class Database:
             (schema.index_of(column), value)
             for column, value in stmt.assignments
         ]
-        count = 0
-        for row_id, row in list(table.scan()):
-            if where is not None and not where(row):
-                continue
+
+        def update(item: Any) -> None:
+            row_id, row = item
             new_row = list(row)
             for pos, value in assignments:
                 new_row[pos] = value
             table.update(row_id, new_row, coerce=True)
-            count += 1
-        if count:
-            self._notify_row_write(table.schema.name, "update")
-        return count
+
+        matching = [(row_id, row) for row_id, row in table.scan()
+                    if where is None or where(row)]
+        return self._write_rows(table, matching, update)
 
     def _run_delete(self, stmt: DeleteStatement) -> int:
         table = self.table(stmt.table)
@@ -250,11 +236,27 @@ class Database:
             row_id for row_id, row in table.scan()
             if where is None or where(row)
         ]
-        for row_id in doomed:
-            table.delete(row_id)
-        if doomed:
-            self._notify_row_write(table.schema.name, "delete")
-        return len(doomed)
+        return self._write_rows(table, doomed, table.delete)
+
+    def _write_rows(self, table: Table, items: Iterable[Any],
+                    write: Callable[[Any], None]) -> int:
+        """Apply *write* to each of *items*; returns how many it wrote.
+
+        When any row changed, the table's row-write counter and
+        :attr:`version` move once — also when a later item raised, since
+        the rows written before it stay (statements are not atomic).
+        """
+        count = 0
+        try:
+            for item in items:
+                write(item)
+                count += 1
+        finally:
+            if count:
+                name = table.schema.name
+                self._row_writes[name] = self._row_writes.get(name, 0) + 1
+                self.version += 1
+        return count
 
     # ------------------------------------------------------------------
     # Bulk loading helpers
@@ -263,25 +265,16 @@ class Database:
                   coerce: bool = True) -> int:
         """Bulk-insert raw row tuples; returns count."""
         tbl = self.table(table)
-        count = 0
-        for row in rows:
-            tbl.insert(row, coerce=coerce)
-            count += 1
-        if count:
-            self._notify_row_write(tbl.schema.name, "load_rows")
-        return count
+        return self._write_rows(
+            tbl, rows, lambda row: tbl.insert(row, coerce=coerce))
 
     def load_dicts(self, table: str, records: Iterable[Dict[str, Any]],
                    coerce: bool = True) -> int:
         """Bulk-insert column→value mappings; returns count."""
         tbl = self.table(table)
-        count = 0
-        for record in records:
-            tbl.insert_dict(record, coerce=coerce)
-            count += 1
-        if count:
-            self._notify_row_write(tbl.schema.name, "load_dicts")
-        return count
+        return self._write_rows(
+            tbl, records, lambda record: tbl.insert_dict(record,
+                                                         coerce=coerce))
 
 
 def _schemas(tables: Dict[str, Table]) -> Callable:

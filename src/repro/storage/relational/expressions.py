@@ -99,7 +99,10 @@ class ColumnRef(Expression):
             return last[self.qualified]
         if self.name in last:
             return last[self.name]
-        # Fall back: unique suffix match over qualified names.
+        if self.table:
+            raise ExecutionError("unknown column %r" % self.qualified)
+        # An unqualified name falls back to a unique suffix match over
+        # qualified names.
         suffix = "." + self.name
         hits = [name for name in last if name.endswith(suffix)]
         if len(hits) == 1:

@@ -15,8 +15,9 @@ SELECT, where an ``unknown-column`` error raises
 :class:`~...errors.PlanError`.
 
 Resolution deliberately mirrors the runtime rules of
-:meth:`~.expressions.ColumnRef.bind`: an exact ``alias.column``
-match first, then a unique suffix match across all tables in scope.
+:meth:`~.expressions.ColumnRef.bind`: a qualified reference resolves
+only in the table its qualifier names; an unqualified one takes a
+unique suffix match across all tables in scope.
 """
 
 from __future__ import annotations
@@ -63,9 +64,12 @@ class _Scope:
     def resolve(self, ref: ColumnRef) -> str:
         """Resolve *ref* the way the executor would: "ok", "unknown" or
         "ambiguous"."""
-        if ref.name in self.aliases.get(ref.table, ()):
-            return "ok"
-        # Suffix fallback over every table in scope.
+        if ref.table:
+            # A qualifier names exactly one table in scope, or nothing.
+            if ref.name in self.aliases.get(ref.table, ()):
+                return "ok"
+            return "unknown"
+        # An unqualified name: suffix fallback over every table in scope.
         hits = sum(ref.name in columns for columns in self.aliases.values())
         if hits == 1:
             return "ok"

@@ -7,7 +7,7 @@ chunks are what the graph index and retrievers consume.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import StorageError
 from ..metering import CHUNKS_READ, CostMeter, GLOBAL_METER
@@ -24,21 +24,10 @@ class TextStore:
         self._docs: Dict[str, str] = {}
         self._chunks: Dict[str, Chunk] = {}
         self._doc_chunks: Dict[str, List[str]] = {}
-        self._mutation_listeners: List[Callable[[str], None]] = []
+        #: Moves once per :meth:`add` and once per :meth:`remove`.
+        self.version = 0
 
     # ------------------------------------------------------------------
-    def add_mutation_listener(self, listener: Callable[[str], None]) -> None:
-        """Subscribe ``listener(op)`` to every write on this store.
-
-        The serving layer's write-through cache invalidation hook;
-        listeners must not write back into the store.
-        """
-        self._mutation_listeners.append(listener)
-
-    def _notify_mutation(self, op: str) -> None:
-        for listener in self._mutation_listeners:
-            listener(op)
-
     def add(self, doc_id: str, text: str) -> List[Chunk]:
         """Add (or replace) a document; returns its chunks."""
         if not doc_id:
@@ -50,7 +39,7 @@ class TextStore:
         self._doc_chunks[doc_id] = [c.chunk_id for c in chunks]
         for chunk in chunks:
             self._chunks[chunk.chunk_id] = chunk
-        self._notify_mutation("add")
+        self.version += 1
         return chunks
 
     def add_many(self, docs: Iterable[Tuple[str, str]]) -> int:
@@ -67,7 +56,7 @@ class TextStore:
         del self._docs[doc_id]
         for chunk_id in self._doc_chunks.pop(doc_id, []):
             self._chunks.pop(chunk_id, None)
-        self._notify_mutation("remove")
+        self.version += 1
 
     # ------------------------------------------------------------------
     def document(self, doc_id: str) -> str:

@@ -12,8 +12,9 @@ import re
 
 import pytest
 
-from repro.errors import PlanError
+from repro.errors import ExecutionError, PlanError
 from repro.storage.relational import Database
+from repro.storage.relational.expressions import ColumnRef
 from repro.storage.relational.plancheck import (
     ERROR, WARNING, check_references,
 )
@@ -181,6 +182,27 @@ class TestGating:
 
     def test_default_mode_executes_type_mismatch_free_query(self, db):
         assert db.execute("SELECT COUNT(*) FROM products").scalar() == 2
+
+    @pytest.mark.parametrize("sql", [
+        # Qualifiers that name no table in FROM/JOIN.
+        "SELECT nosuch.price FROM products WHERE ghost.pid = 2",
+        # A table's own name where the statement aliased it.
+        "SELECT products.price FROM products p",
+        # An alias in scope whose table lacks the column, although one
+        # other table in scope has it.
+        "SELECT o.price FROM products p JOIN orders o ON p.pid = o.pid",
+    ])
+    def test_a_qualifier_reads_only_the_table_it_names(self, db, sql):
+        assert "unknown-column" in codes(check(db, sql), ERROR)
+        with pytest.raises(PlanError):
+            db.execute(sql)
+
+    def test_the_executor_never_widens_a_qualified_reference(self):
+        layout = ["p.pid", "p.name"]
+        assert ColumnRef("name").position(layout) == 1
+        assert ColumnRef("name", table="p").position(layout) == 1
+        with pytest.raises(ExecutionError):
+            ColumnRef("name", table="nosuch").position(layout)
 
 class TestCheckSelectDirect:
     def test_callable_with_schema_callback(self, db):

@@ -105,6 +105,49 @@ class TestDrop:
             db.execute("DROP TABLE ghost")
 
 
+def versions(db):
+    return db.version, db.schema_version, db.row_writes("items")
+
+
+class TestVersions:
+    def test_refused_writes_move_no_version(self, db):
+        before = versions(db)
+        for statement, error in (
+            ("INSERT INTO items VALUES (1, 'dup', 0)", StorageError),
+            ("CREATE TABLE items (id INT)", StorageError),
+            ("DROP TABLE ghost", StorageError),
+        ):
+            with pytest.raises(error):
+                db.execute(statement)
+        # A write that matches no row changes nothing either.
+        db.execute("DELETE FROM items WHERE qty > 100")
+        assert versions(db) == before
+
+    def test_ddl_moves_both_versions(self, db):
+        version, schema_version, _ = versions(db)
+        db.execute("CREATE TABLE extra (a INT)")
+        db.execute("DROP TABLE extra")
+        assert (db.version, db.schema_version) == (version + 2,
+                                                   schema_version + 2)
+
+    @pytest.mark.parametrize("statement", [
+        "INSERT INTO items VALUES (4, 'pin', 1), (5)",
+        "INSERT INTO items (id, name) VALUES (4, 'pin'), (5)",
+        "UPDATE items SET id = 9",
+    ])
+    def test_a_write_that_fails_part_way_moves_the_versions(
+            self, db, statement):
+        version, schema_version, row_writes = versions(db)
+        rows = list(db.table("items").rows())
+        with pytest.raises((SchemaError, StorageError)):
+            db.execute(statement)
+        # Statements are not atomic: the first row stays written, so
+        # the versions say the table changed.
+        assert list(db.table("items").rows()) != rows
+        assert versions(db) == (version + 1, schema_version,
+                                row_writes + 1)
+
+
 class TestParserErrors:
     def test_update_missing_set(self, db):
         with pytest.raises(SQLSyntaxError):

@@ -1,11 +1,12 @@
 """Scoped invalidation: a write drops only the answers it can change.
 
 An answer-tier entry carries the read set of the computation that made
-it: the text/rebuild counter, the schema counter and the row-write
-counter of every table its SELECTs read. The oracle below serves the
-same drawn interleaving of asks and writes through a full-cache server
-and through an uncached, batch-1 control, and every served outcome must
-be equal at every step: no entry a write could change may survive it.
+it: the text value, the schema value (each a store version plus the
+pipeline's rebuild version) and the row-write counter of every table
+its SELECTs read. The oracle below serves the same drawn interleaving
+of asks and writes through a full-cache server and through an uncached,
+batch-1 control, and every served outcome must be equal at every step:
+no entry a write could change may survive it.
 
 The scoping is sound because of two facts pinned here as well: rows and
 documents written after ``build()`` reach the graph index only at the
@@ -112,6 +113,11 @@ def row_writes(domain, rows, n):
     return {
         "insert_curated": _copy_row(rows, curated, quarter="Q2",
                                     **{key: 100000 + n, measure: 100}),
+        # The second row is malformed: the statement fails after its
+        # first row is stored.
+        "partial_insert": _copy_row(rows, curated, quarter="Q2",
+                                    **{key: 200000 + n, measure: 1000})
+                          + ", (%d)" % (300000 + n),
         "update_curated": "UPDATE %s SET %s = 77 WHERE quarter = 'Q1'"
                           % (curated, measure),
         "delete_curated": "DELETE FROM %s WHERE quarter = 'Q2'" % curated,
@@ -187,8 +193,9 @@ class Oracle:
 
 
 WRITE_STEPS = (
-    "insert_curated", "update_curated", "delete_curated", "update_entity",
-    "insert_generated", "update_generated", "delete_generated",
+    "insert_curated", "partial_insert", "update_curated", "delete_curated",
+    "update_entity", "insert_generated", "update_generated",
+    "delete_generated",
     "add_doc", "add_text_factless", "add_text_fact", "create_table",
     "recreate_facts",
 )
@@ -224,8 +231,8 @@ class TestStaleAnswerOracle:
     def test_write_steps_change_answers(self):
         # The oracle has teeth: its row writes, fact text and DDL each
         # move some answer of the pool.
-        for name in ("insert_curated", "update_generated",
-                     "add_text_fact", "recreate_facts"):
+        for name in ("insert_curated", "partial_insert",
+                     "update_generated", "add_text_fact", "recreate_facts"):
             oracle = Oracle("ecommerce")
             before = oracle.sweep()
             oracle.serve(oracle.requests(name, 1))

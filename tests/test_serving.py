@@ -180,13 +180,15 @@ class TestInvalidation:
         cached = make_server(lake, CachePolicy(), batch_size=4)
         control = make_server(lake, CachePolicy.none(), batch_size=1)
         workload = invalidation_workload(write, questions)
+        before = cached.stats()["cache"]["generations"]
         got = fingerprints(cached.serve(workload))
         want = fingerprints(control.serve(workload))
         assert got == want
         n = len(questions)
         assert got[:n] == got[n:2 * n]  # pre-write repeats consistent
         stats = cached.stats()["cache"]
-        assert stats["generations"][kind] > 0
+        # The written store's version moved across the write.
+        assert stats["generations"][kind] > before[kind]
         return got, stats
 
     def test_relational_write_invalidates_and_changes_answer(self, lake):
@@ -217,6 +219,27 @@ class TestInvalidation:
             questions=(TOTAL_QUESTION, TEXT_QUESTION))
         assert stats["answer"]["invalidations"] > 0
         # The text-routed recompute finds its cached ranking stale.
+        assert stats["retrieval"]["invalidations"] > 0
+
+    def test_text_write_behind_store_proxies_drops_text_answers(self, lake):
+        # Both stores sit behind fault-injecting proxies; the versions
+        # are read from the stores behind them.
+        resilience = ResilienceConfig(fault_plan=FaultPlan.uniform(
+            ("document", "textstore"), 0.0, seed=5))
+        servers = []
+        for policy in (CachePolicy(), CachePolicy.none()):
+            _system, pipeline = build_hybrid_system(
+                lake, seed=SEED, resilience=resilience)
+            assert hasattr(pipeline.text_store, "resilient_target")
+            assert hasattr(pipeline.doc_store, "resilient_target")
+            servers.append(QueryServer(pipeline, policy=policy))
+        cached, control = servers
+        workload = invalidation_workload(
+            TEXT_WRITE, (TOTAL_QUESTION, TEXT_QUESTION))
+        assert (fingerprints(cached.serve(workload))
+                == fingerprints(control.serve(workload)))
+        stats = cached.stats()["cache"]
+        assert stats["answer"]["invalidations"] > 0
         assert stats["retrieval"]["invalidations"] > 0
 
     def test_text_write_drops_every_tenants_answers(self, lake):

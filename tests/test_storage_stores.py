@@ -74,6 +74,15 @@ class TestDocumentStore:
         store = self.make()
         assert store.get("d1")["code"] == 500
 
+    def test_version_moves_once_per_put_and_delete(self):
+        store = self.make()
+        assert store.version == 3
+        store.put("d1", {"type": "log"})
+        store.delete("d2")
+        with pytest.raises(StorageError):
+            store.delete("ghost")
+        assert store.version == 5
+
     def test_get_returns_copy(self):
         store = self.make()
         doc = store.get("d1")
@@ -164,6 +173,18 @@ class TestTextStore:
                                  "Gamma was flat. Delta grew fast.")
         assert len(chunks) >= 2
         assert store.n_chunks == len(chunks)
+
+    def test_version_moves_once_per_add_and_remove(self):
+        store = self.make()
+        store.add("r1", "Some text here.")
+        store.remove("r1")
+        with pytest.raises(StorageError):
+            store.remove("r1")
+        assert store.version == 2
+        # A replacing add removes the old document first.
+        store.add("r2", "One text.")
+        store.add("r2", "Another text.")
+        assert store.version == 5
 
     def test_document_roundtrip(self):
         store = self.make()
